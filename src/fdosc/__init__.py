@@ -21,7 +21,7 @@ from .opcore import AnalyticFunction, DifferenceOperator, SampleGrid, default_gr
 from .planewave import PlaneWaveState, make_state
 from .rel import RelModel, make_rel_model
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "AnalyticFunction",

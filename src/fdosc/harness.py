@@ -47,6 +47,13 @@ from .opcore import (
 _SQRT2 = math.sqrt(2.0)
 _SEED = 20260824
 
+# The ladder checks build levels n <= min(n_max, LADDER_CAP).  The cap is a
+# precision limit, not a cost one: at g0 = 0.1 the nonrel ladder-reconstruction
+# spread at n = 7 is 4.0e-8 (1.27e-8 with the earlier closure-tree evaluator)
+# against its 1e-8 tolerance, while that level builds in about 4 ms (43 s
+# with the closure trees) on a 2-core x86-64 VM.
+LADDER_CAP = 6
+
 TOLERANCES = {
     "planewave_eigen": 1e-13,
     "planewave_mass_shell": 1e-14,
@@ -219,12 +226,11 @@ def _random_entire_functions(rng, count: int):
 
 
 def _max_abs(f: AnalyticFunction, grid: SampleGrid) -> float:
-    return max(abs(f(p)) for p in grid)
+    return float(np.max(np.abs(f(grid.points))))
 
 
 def _eigen_residual(op, f: AnalyticFunction, eigval: float, grid: SampleGrid) -> float:
-    lhs = op(f)
-    return mixed_residual([lhs(p) for p in grid], [eigval * f(p) for p in grid])
+    return mixed_residual(op(f)(grid.points), eigval * f(grid.points))
 
 
 # ---- check groups ------------------------------------------------------
@@ -372,9 +378,10 @@ def _checks_nonrel(g0: float, n_max: int, grid: SampleGrid, rng, overrides) -> l
         note=f"value k(k-1)={value:.12g}, max deviation across n<=8: {spread:.3e}"))
 
     # gauge-invariant ladder coefficients: K- K+ psi_n = kappa_{n+1}^2 psi_n
+    n_ladder = min(n_max, LADDER_CAP)
     worst = 0.0
     signed = []
-    for n in range(min(n_max, 6) + 1):
+    for n in range(n_ladder + 1):
         kap2, _ = grid_ratio(Km(Kp(states[n].wavefunction)),
                              states[n].wavefunction, grid)
         expect = (n + 1) * (n + 1 + model.d)
@@ -391,7 +398,7 @@ def _checks_nonrel(g0: float, n_max: int, grid: SampleGrid, rng, overrides) -> l
     worst = 0.0
     ratios = []
     state = psi0
-    for n in range(1, min(n_max, 6) + 1):
+    for n in range(1, n_ladder + 1):
         state = Kp(state)
         gamma_n = 1.0 / math.sqrt(
             math.factorial(n) * specfun.pochhammer(model.d + 1.0, n).real)
@@ -434,6 +441,8 @@ def _checks_rel(omega0: float, g0: float, n_max: int, grid: SampleGrid, rng,
     states = [rel.eigenfunction_rel(model, n) for n in range(max(n_max, 8) + 2)]
     rand_fs = _random_entire_functions(rng, 20)
     n_hi = max(n_max, 8)
+    n_ladder = min(n_max, LADDER_CAP)
+    pts = grid.points
 
     worst = max(_eigen_residual(H, st.wavefunction, st.energy_mc2, grid)
                 for st in states[: n_hi + 1])
@@ -460,14 +469,12 @@ def _checks_rel(omega0: float, g0: float, n_max: int, grid: SampleGrid, rng,
     comm_m = commutator(H, B_minus)
     comm_p = commutator(H, B_plus)
     worst_m = worst_p = 0.0
-    for st in states[1: min(n_max, 6) + 1]:
+    for st in states[1: n_ladder + 1]:
         f = st.wavefunction
-        worst_m = max(worst_m, mixed_residual(
-            [comm_m(f)(p) for p in grid], [-2.0 * w0 * B_minus(f)(p) for p in grid]))
-    for st in states[: min(n_max, 6) + 1]:
+        worst_m = max(worst_m, mixed_residual(comm_m(f)(pts), -2.0 * w0 * B_minus(f)(pts)))
+    for st in states[: n_ladder + 1]:
         f = st.wavefunction
-        worst_p = max(worst_p, mixed_residual(
-            [comm_p(f)(p) for p in grid], [2.0 * w0 * B_plus(f)(p) for p in grid]))
+        worst_p = max(worst_p, mixed_residual(comm_p(f)(pts), 2.0 * w0 * B_plus(f)(pts)))
     checks.append(CheckResult("rel_lowering_commutator", params, worst_m,
                               _tol("rel_lowering_commutator", overrides)))
     checks.append(CheckResult("rel_raising_commutator", params, worst_p,
@@ -533,13 +540,13 @@ def _checks_rel(omega0: float, g0: float, n_max: int, grid: SampleGrid, rng,
 
     # gauge-invariant squared ladder coefficients mu_n = b_n^2
     mu = [0.0]
-    for n in range(min(n_max, 6) + 1):
+    for n in range(n_ladder + 1):
         val, _ = grid_ratio(B_minus(B_plus(states[n].wavefunction)),
                             states[n].wavefunction, grid)
         mu.append(val.real)
 
     worst = 0.0
-    for n in range(min(n_max, 6)):
+    for n in range(n_ladder):
         E = rel.energy(model, n)
         scalar = w0 * E * (1.0 + 2.0 / w0**2 * (E * E - 1.0))
         worst = max(worst, abs(mu[n + 1] - mu[n] - scalar) / abs(scalar))
@@ -550,7 +557,7 @@ def _checks_rel(omega0: float, g0: float, n_max: int, grid: SampleGrid, rng,
 
     worst_forced = 0.0
     worst_printed = 0.0
-    for n in range(1, min(n_max, 6) + 1):
+    for n in range(1, n_ladder + 1):
         kappa2 = mu[n] / rel.spectral_f(model, rel.energy(model, n))
         forced = n * (n + a + nu - 1.0)
         worst_forced = max(worst_forced, abs(kappa2 - forced) / forced)
@@ -571,30 +578,23 @@ def _checks_rel(omega0: float, g0: float, n_max: int, grid: SampleGrid, rng,
     # su(1,1) closure on the eigenbasis via the spectral scalar weight
     basis = rel.su11_rel(model)
     worst = 0.0
-    for n in range(min(n_max, 6) + 1):
+    for n in range(n_ladder + 1):
         psi = states[n].wavefunction
+        k0 = basis.k0_eigenvalue(n)
         fn = rel.spectral_f(model, rel.energy(model, n))
         fn1 = rel.spectral_f(model, rel.energy(model, n + 1))
-        comm_vals = []
-        ref_vals = []
-        for p in grid:
-            bpbm = B_plus(B_minus(psi))(p) if n > 0 else 0.0
-            bmbp = B_minus(B_plus(psi))(p)
-            comm_vals.append(bmbp / fn1 - (bpbm / fn if n > 0 else 0.0))
-            ref_vals.append(2.0 * basis.k0_eigenvalue(n) * psi(p))
-        worst = max(worst, mixed_residual(comm_vals, ref_vals))
+        bpbm = B_plus(B_minus(psi))(pts) / fn if n > 0 else 0.0
+        comm_vals = B_minus(B_plus(psi))(pts) / fn1 - bpbm
+        worst = max(worst, mixed_residual(comm_vals, 2.0 * k0 * psi(pts)))
         # [K0, K+] = K+ and [K0, K-] = -K- on the same state
         kp = basis.apply_Kplus(n, psi)
-        lhs = basis.apply_K0(kp)
-        worst = max(worst, mixed_residual(
-            [lhs(p) - basis.k0_eigenvalue(n) * kp(p) for p in grid],
-            [kp(p) for p in grid]))
+        kp_vals = kp(pts)
+        worst = max(worst, mixed_residual(basis.apply_K0(kp)(pts) - k0 * kp_vals, kp_vals))
         if n > 0:
             km = basis.apply_Kminus(n, psi)
-            lhs = basis.apply_K0(km)
-            worst = max(worst, mixed_residual(
-                [lhs(p) - basis.k0_eigenvalue(n) * km(p) for p in grid],
-                [-km(p) for p in grid]))
+            km_vals = km(pts)
+            worst = max(worst, mixed_residual(basis.apply_K0(km)(pts) - k0 * km_vals,
+                                              -km_vals))
     checks.append(CheckResult("rel_su11_closure", params, worst,
                               _tol("rel_su11_closure", overrides)))
 
@@ -605,11 +605,9 @@ def _checks_rel(omega0: float, g0: float, n_max: int, grid: SampleGrid, rng,
         psi = states[n].wavefunction
         k0 = basis.k0_eigenvalue(n)
         fn = rel.spectral_f(model, rel.energy(model, n))
-        cas_vals = []
-        for p in grid:
-            kpkm = B_plus(B_minus(psi))(p) / fn if n > 0 else 0.0
-            cas_vals.append(k0 * (k0 - 1.0) * psi(p) - kpkm)
-        ratio = np.mean(np.array(cas_vals) / np.array([psi(p) for p in grid]))
+        psi_vals = psi(pts)
+        kpkm = B_plus(B_minus(psi))(pts) / fn if n > 0 else 0.0
+        ratio = np.mean((k0 * (k0 - 1.0) * psi_vals - kpkm) / psi_vals)
         measured.append(ratio.real)
     worst = float(np.max(np.abs(np.array(measured) - value)))
     checks.append(CheckResult(
@@ -618,7 +616,7 @@ def _checks_rel(omega0: float, g0: float, n_max: int, grid: SampleGrid, rng,
 
     worst = 0.0
     ratios = []
-    for n in range(1, min(n_max, 6) + 1):
+    for n in range(1, n_ladder + 1):
         built = rel.ladder_state(model, n).wavefunction
         ratio, spread = grid_ratio(built, states[n].wavefunction, grid)
         worst = max(worst, spread)
@@ -735,15 +733,21 @@ def wavefunction_table(model_kind: str, params: dict, n: int, grid) -> list[dict
         coord = "rho"
     else:
         raise ValueError(f"unknown model kind: {model_kind}")
+    points = [float(p) for p in grid]
+    errors = (EvaluationError, PoleError, ZeroDivisionError)
+    try:
+        values = list(wf(points))
+    except errors:  # some point fails: evaluate row by row to mark it
+        values = [None] * len(points)
     rows = []
-    for p in grid:
+    for p, v in zip(points, values):
         try:
-            v = wf(p)
-            rows.append({coord: float(p), "re": v.real, "im": v.imag,
-                         "abs": abs(v), "error": ""})
-        except (EvaluationError, PoleError, ZeroDivisionError) as exc:
-            rows.append({coord: float(p), "re": None, "im": None, "abs": None,
+            v = complex(wf(p) if v is None else v)
+        except errors as exc:
+            rows.append({coord: p, "re": None, "im": None, "abs": None,
                          "error": f"EvaluationError: {exc}"})
+            continue
+        rows.append({coord: p, "re": v.real, "im": v.imag, "abs": abs(v), "error": ""})
     return rows
 
 

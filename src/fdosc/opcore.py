@@ -1,15 +1,18 @@
 """Analytic-function and shift-operator algebra.
 
-An AnalyticFunction is a complex-valued function of one complex variable
-that knows how to shift its argument and (where the closed form is known)
-how to differentiate itself exactly.  A DifferenceOperator is a finite sum
-of terms coeff(z) * D^k f(z + shift); shifts act exactly as argument
-translation, so operator identities can be verified to machine precision.
+An AnalyticFunction evaluates on an array of points as a truncated Taylor
+jet, the coefficients f^(k)(z)/k! for k = 0..K (Taylor-mode propagation;
+Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).  The
+primitives give their jets in closed form, so derivatives are exact.
+Nothing is cached: a call evaluates the expression once on all its points.
 
-Derivative fallback for functions built from plain callables is a central
-finite difference with step 1e-5; functions assembled from the provided
-primitives (polynomials, gaussians, powers, exponentials) carry exact
-derivatives through sum/product/quotient rules.
+A DifferenceOperator is a finite sum of terms coeff(z) * D^k f(z + shift);
+shifts act exactly as argument translation, so operator identities can be
+verified to machine precision.
+
+``from_callable(fn)`` wraps an array function, fn(complex ndarray) ->
+values of the same shape.  Such a leaf has no derivative: evaluating one
+raises EvaluationError.
 """
 
 from __future__ import annotations
@@ -21,70 +24,52 @@ import numpy as np
 
 from .errors import EvaluationError
 
-_FD_STEP = 1e-5
-
 
 class AnalyticFunction:
     """Deterministic complex function of one complex variable.
 
-    Closed under +, -, *, /, scalar multiplication and argument shift.
-    Evaluations are memoized, which keeps deep ladder-operator towers
-    cheap (the same shifted points recur constantly).
+    Closed under +, -, *, scalar multiplication, argument shift and
+    differentiation.  ``jet(z, K)`` maps a 1-d complex array of points to
+    the (K+1, len(z)) array of Taylor coefficients f^(k)(z)/k!.
     """
 
-    __slots__ = ("_fn", "_deriv_thunk", "_deriv", "_cache", "note")
+    __slots__ = ("jet", "note")
 
-    def __init__(self, fn, deriv=None, note: str = ""):
-        self._fn = fn
-        self._deriv_thunk = deriv  # zero-arg callable -> AnalyticFunction, or None
-        self._deriv = None
-        self._cache: dict = {}
+    def __init__(self, jet, note: str = ""):
+        self.jet = jet
         self.note = note
 
-    def __call__(self, z) -> complex:
-        z = complex(z)
-        cached = self._cache.get(z)
-        if cached is not None:
-            return cached
-        try:
-            w = complex(self._fn(z))
-        except (ZeroDivisionError, OverflowError, ValueError) as exc:
-            raise EvaluationError(f"evaluation failed at z = {z}: {exc}") from exc
-        if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-            raise EvaluationError(f"non-finite value at z = {z}")
-        self._cache[z] = w
-        return w
+    def __call__(self, z):
+        """f(z) for a scalar (a complex) or a sequence or array (an ndarray)."""
+        pts = np.asarray(z, dtype=complex)
+        with np.errstate(all="ignore"):
+            try:
+                w = self.jet(pts.reshape(-1), 0)[0]
+            except (ZeroDivisionError, OverflowError, ValueError) as exc:
+                where = complex(pts) if pts.ndim == 0 else f"{pts.size} points"
+                raise EvaluationError(f"evaluation failed at z = {where}: {exc}") from exc
+        bad = ~np.isfinite(w)
+        if bad.any():
+            raise EvaluationError(f"non-finite value at z = {complex(pts.reshape(-1)[bad][0])}")
+        return complex(w[0]) if pts.ndim == 0 else w.reshape(pts.shape)
 
     def derivative(self) -> "AnalyticFunction":
-        if self._deriv is None:
-            if self._deriv_thunk is not None:
-                self._deriv = self._deriv_thunk()
-            else:
-                h = _FD_STEP
-                self._deriv = AnalyticFunction(
-                    lambda z, f=self: (f(z + h) - f(z - h)) / (2.0 * h),
-                    note=f"fd-derivative[{self.note}]",
-                )
-        return self._deriv
+        jet = self.jet
+        return AnalyticFunction(lambda z, K: _derivative_rows(jet(z, K + 1), 1),
+                                note=f"d[{self.note}]")
 
     def shifted(self, a) -> "AnalyticFunction":
         a = complex(a)
         if a == 0:
             return self
-        return AnalyticFunction(
-            lambda z, f=self: f(z + a),
-            deriv=lambda f=self, a=a: f.derivative().shifted(a),
-            note=f"shift({a})[{self.note}]",
-        )
+        jet = self.jet
+        return AnalyticFunction(lambda z, K: jet(z + a, K), note=f"shift({a})[{self.note}]")
 
     # ---- algebra -------------------------------------------------------
 
     def __add__(self, other):
-        other = _as_function(other)
-        return AnalyticFunction(
-            lambda z, f=self, g=other: f(z) + g(z),
-            deriv=lambda f=self, g=other: f.derivative() + g.derivative(),
-        )
+        f, g = self.jet, _as_function(other).jet
+        return AnalyticFunction(lambda z, K: f(z, K) + g(z, K))
 
     __radd__ = __add__
 
@@ -95,29 +80,20 @@ class AnalyticFunction:
         return _as_function(other) + (-self)
 
     def __neg__(self):
-        return AnalyticFunction(
-            lambda z, f=self: -f(z),
-            deriv=lambda f=self: -f.derivative(),
-        )
+        f = self.jet
+        return AnalyticFunction(lambda z, K: -f(z, K))
 
     def __mul__(self, other):
-        other = _as_function(other)
-        return AnalyticFunction(
-            lambda z, f=self, g=other: f(z) * g(z),
-            deriv=lambda f=self, g=other: f.derivative() * g + f * g.derivative(),
-        )
+        f = self.jet
+        if isinstance(other, AnalyticFunction):
+            g = other.jet
+            return AnalyticFunction(lambda z, K: _cauchy(f(z, K), g(z, K)))
+        c = complex(other)
+        if c == 1:
+            return self
+        return AnalyticFunction(lambda z, K: c * f(z, K))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_function(other)
-        return AnalyticFunction(
-            lambda z, f=self, g=other: f(z) / g(z),
-            deriv=lambda f=self, g=other: (f.derivative() * g - f * g.derivative()) / (g * g),
-        )
-
-    def __rtruediv__(self, other):
-        return _as_function(other) / self
 
 
 def _as_function(x) -> AnalyticFunction:
@@ -126,73 +102,113 @@ def _as_function(x) -> AnalyticFunction:
     return const(x)
 
 
+def _cauchy(a, b):
+    """Truncated Cauchy product: the jet of a product from the jets of its factors.
+
+    Row k is accumulated in a fixed order, a_k b_0 + a_(k-1) b_1 + ...; a
+    numpy sum over rows would switch to pairwise order for a single point.
+    """
+    out = a * b[0]
+    for m in range(1, len(a)):
+        out[m:] += a[:-m] * b[m]
+    return out
+
+
+def _derivative_rows(c, k: int):
+    """Jet of D^k f from a jet of f that is k rows longer."""
+    if k == 0:
+        return c
+    scale = [math.perm(j + k, k) for j in range(len(c) - k)]  # (j+k)!/j!
+    return c[k:] * np.array(scale, dtype=float)[:, None]
+
+
 # ---- primitive functions ----------------------------------------------
 
 
 def const(c) -> AnalyticFunction:
-    c = complex(c)
-    return AnalyticFunction(lambda z: c, deriv=lambda: const(0.0), note=f"const({c})")
+    return polynomial([c])
 
 
 def coordinate() -> AnalyticFunction:
-    return AnalyticFunction(lambda z: z, deriv=lambda: const(1.0), note="z")
+    return polynomial([0.0, 1.0])
 
 
 def monomial(p) -> AnalyticFunction:
-    """z**p on the principal branch; exact derivative p z**(p-1)."""
+    """z**p on the principal branch; the k-th coefficient is C(p, k) z**(p-k)."""
     p = complex(p)
-    if p == 0:
-        return const(1.0)
-    return AnalyticFunction(
-        lambda z: z ** p,
-        deriv=lambda: p * monomial(p - 1),
-        note=f"z**{p}",
-    )
+
+    def jet(z, K):
+        out = np.zeros((K + 1, len(z)), dtype=complex)
+        binom = 1.0
+        for k in range(K + 1):
+            if binom == 0:  # integer p >= 0: the rest vanish
+                break
+            out[k] = binom * z ** (p - k)
+            binom *= (p - k) / (k + 1)
+        return out
+
+    return AnalyticFunction(jet, note=f"z**{p}")
 
 
 def polynomial(coeffs) -> AnalyticFunction:
-    """sum_k coeffs[k] z^k with exact derivative."""
+    """sum_k coeffs[k] z^k, every coefficient row by Horner's rule."""
     coeffs = [complex(c) for c in coeffs]
+    # rows[k] holds the coefficients of p^(k)/k!, highest power first
+    rows = [[math.comb(j, k) * coeffs[j] for j in range(len(coeffs) - 1, k - 1, -1)]
+            for k in range(len(coeffs))]
 
-    def ev(z, cs=tuple(coeffs)):
-        acc = 0j
-        for c in reversed(cs):
-            acc = acc * z + c
-        return acc
+    def jet(z, K):
+        out = np.zeros((K + 1, len(z)), dtype=complex)
+        for k, cs in enumerate(rows[: K + 1]):
+            acc = np.full(len(z), cs[0])
+            for c in cs[1:]:
+                acc = acc * z + c
+            out[k] = acc
+        return out
 
-    def deriv(cs=tuple(coeffs)):
-        if len(cs) <= 1:
-            return const(0.0)
-        return polynomial([k * c for k, c in enumerate(cs)][1:])
+    return AnalyticFunction(jet, note=f"poly(deg={len(coeffs) - 1})")
 
-    return AnalyticFunction(ev, deriv=deriv, note=f"poly(deg={len(coeffs) - 1})")
+
+def _exp_of_polynomial(coeffs, note: str) -> AnalyticFunction:
+    """exp(u), u a polynomial of degree d: e_k = sum_{j<=min(k,d)} j u_j e_{k-j} / k."""
+    u_jet = polynomial(coeffs).jet
+    degree = len(coeffs) - 1
+
+    def jet(z, K):
+        u = u_jet(z, K)
+        out = np.empty_like(u)
+        out[0] = np.exp(u[0])
+        for k in range(1, K + 1):
+            acc = u[1] * out[k - 1]
+            for j in range(2, min(k, degree) + 1):
+                acc += j * u[j] * out[k - j]
+            out[k] = acc / k
+        return out
+
+    return AnalyticFunction(jet, note=note)
 
 
 def gaussian(a=1.0) -> AnalyticFunction:
     """exp(-a z^2 / 2)."""
-    import cmath
-
     a = complex(a)
-    f = AnalyticFunction(lambda z: cmath.exp(-a * z * z / 2.0), note=f"gauss({a})")
-    f._deriv_thunk = lambda: const(-a) * coordinate() * f
-    return f
+    return _exp_of_polynomial([0.0, 0.0, -a / 2.0], note=f"gauss({a})")
 
 
 def exp_linear(k) -> AnalyticFunction:
     """exp(k z)."""
-    import cmath
-
     k = complex(k)
-    f = AnalyticFunction(lambda z: cmath.exp(k * z), note=f"exp({k}z)")
-    f._deriv_thunk = lambda: const(k) * f
-    return f
+    return _exp_of_polynomial([0.0, k], note=f"exp({k}z)")
 
 
-def from_callable(fn, deriv_fn=None, note="") -> AnalyticFunction:
-    deriv = None
-    if deriv_fn is not None:
-        deriv = lambda: from_callable(deriv_fn, note=f"d[{note}]")
-    return AnalyticFunction(fn, deriv=deriv, note=note)
+def from_callable(fn, note="") -> AnalyticFunction:
+    """Leaf from an array function fn(z) -> values; it has no derivative."""
+
+    def jet(z, K):
+        if K:
+            raise EvaluationError(f"no derivative is known for {note or 'a plain callable'}")
+        return np.asarray(fn(z), dtype=complex).reshape(1, len(z))
+
+    return AnalyticFunction(jet, note=note)
 
 
 # ---- operators ---------------------------------------------------------
@@ -215,7 +231,7 @@ class DifferenceOperator:
     def __init__(self, terms):
         merged: dict = {}
         for t in terms:
-            coeff = _as_function(t.coeff) if not isinstance(t.coeff, AnalyticFunction) else t.coeff
+            coeff = _as_function(t.coeff)
             key = (complex(t.shift).real, complex(t.shift).imag, t.dorder)
             if key in merged:
                 merged[key] = merged[key] + coeff
@@ -228,14 +244,25 @@ class DifferenceOperator:
         )
 
     def __call__(self, f: AnalyticFunction) -> AnalyticFunction:
-        f = _as_function(f)
-        out = const(0.0)
-        for t in self.terms:
-            g = f
-            for _ in range(t.dorder):
-                g = g.derivative()
-            out = out + t.coeff * g.shifted(t.shift)
-        return out
+        """One node: f is evaluated once, at the distinct points z + shift of
+        all terms and the highest derivative order any term needs."""
+        f_jet = _as_function(f).jet
+        terms = self.terms
+        shifts = list(dict.fromkeys(t.shift for t in terms))
+        shift_col = np.array(shifts, dtype=complex)[:, None]
+        top = max((t.dorder for t in terms), default=0)
+
+        def jet(z, K):
+            points, where = np.unique(z + shift_col, return_inverse=True)
+            values = f_jet(points, K + top)[:, where.reshape(-1)]
+            values = values.reshape(K + top + 1, len(shifts), len(z))
+            out = np.zeros((K + 1, len(z)), dtype=complex)
+            for t in terms:
+                g = values[: K + t.dorder + 1, shifts.index(t.shift)]
+                out += _cauchy(t.coeff.jet(z, K), _derivative_rows(g, t.dorder))
+            return out
+
+        return AnalyticFunction(jet)
 
     apply = __call__
 
@@ -255,9 +282,6 @@ class DifferenceOperator:
         )
 
     __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return compose(self, other)
 
 
 def shift_op(a) -> DifferenceOperator:
@@ -281,10 +305,6 @@ def identity_op() -> DifferenceOperator:
     return shift_op(0.0)
 
 
-def zero_op() -> DifferenceOperator:
-    return DifferenceOperator([])
-
-
 def compose(A: DifferenceOperator, B: DifferenceOperator) -> DifferenceOperator:
     """Operator product A B (apply B first)."""
     terms = []
@@ -299,15 +319,6 @@ def compose(A: DifferenceOperator, B: DifferenceOperator) -> DifferenceOperator:
                 if k < ta.dorder:
                     cb_k = cb_k.derivative()
     return DifferenceOperator(terms)
-
-
-def operator_power(A: DifferenceOperator, n: int) -> DifferenceOperator:
-    if n < 0:
-        raise ValueError("operator power must be >= 0")
-    out = identity_op()
-    for _ in range(n):
-        out = compose(out, A)
-    return out
 
 
 def commutator(A: DifferenceOperator, B: DifferenceOperator) -> DifferenceOperator:
@@ -353,19 +364,17 @@ def residual(A: DifferenceOperator, B: DifferenceOperator, f: AnalyticFunction,
     """Mixed-norm residual of A f against B f over the grid."""
     if len(grid) == 0:
         raise ValueError("grid must be non-empty")
-    fa = A(f)
-    fb = B(f)
-    return mixed_residual([fa(p) for p in grid], [fb(p) for p in grid])
+    return function_residual(A(f), B(f), grid)
 
 
 def function_residual(f: AnalyticFunction, g: AnalyticFunction, grid: SampleGrid) -> float:
     """Mixed-norm residual between two functions over the grid."""
-    return mixed_residual([f(p) for p in grid], [g(p) for p in grid])
+    return mixed_residual(f(grid.points), g(grid.points))
 
 
 def grid_ratio(f: AnalyticFunction, g: AnalyticFunction, grid: SampleGrid):
     """Pointwise ratio f/g over the grid: (mean, stddev/|mean|)."""
-    vals = np.array([f(p) / g(p) for p in grid], dtype=complex)
+    vals = f(grid.points) / g(grid.points)
     mean = complex(np.mean(vals))
     spread = float(np.std(vals)) / abs(mean) if mean != 0 else math.inf
     return mean, spread

@@ -8,11 +8,12 @@ cosh(chi).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
-from .opcore import AnalyticFunction, DifferenceOperator, exp_linear, shift_op
+import numpy as np
+
+from .opcore import AnalyticFunction, DifferenceOperator, exp_linear, from_callable, shift_op
 
 
 @dataclass(frozen=True)
@@ -42,10 +43,8 @@ def plane_wave_power_form(chi: float) -> AnalyticFunction:
     """
     base = math.cosh(chi) - math.sinh(chi)
     log_base = math.log(base)
-    return AnalyticFunction(
-        lambda z: cmath.exp(-1j * z * log_base),
-        note=f"(p0-p)^(-i rho), chi={chi}",
-    )
+    return from_callable(lambda z: np.exp(-1j * z * log_base),
+                         note=f"(p0-p)^(-i rho), chi={chi}")
 
 
 def free_hamiltonian() -> DifferenceOperator:

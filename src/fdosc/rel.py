@@ -21,6 +21,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CouplingError, SpectralError
 from .opcore import (
     AnalyticFunction,
@@ -76,11 +78,6 @@ def energy(model: RelModel, n: int) -> float:
 
 
 # ---- coefficient functions ---------------------------------------------
-
-
-def _rho2() -> AnalyticFunction:
-    """Generalized square rho(rho + i)."""
-    return from_callable(lambda z: z * (z + 1j), note="rho(rho+i)")
 
 
 def _interaction(model: RelModel) -> AnalyticFunction:
@@ -286,7 +283,8 @@ def eigenfunction_rel(model: RelModel, n: int) -> RelEigenState:
             + iz * log_w0 + log_gamma(nu + iz)
         return cmath.exp(expo) * cdhahn_complex(n, z, a, nu, 0.5)
 
-    wf = AnalyticFunction(ev, note=f"rel eigenfunction n={n}")
+    wf = from_callable(lambda zs: np.array([ev(z) for z in zs.tolist()], dtype=complex),
+                       note=f"rel eigenfunction n={n}")
     return RelEigenState(n=n, energy_mc2=energy(model, n), wavefunction=wf)
 
 

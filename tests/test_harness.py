@@ -2,10 +2,13 @@
 
 import io
 import json
+import re
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import fdosc
 from fdosc import cli, harness
 from fdosc.harness import CheckResult, VerificationReport
 
@@ -184,3 +187,11 @@ def test_report_only_checks_never_gate(report_data, check_by_id):
     for cid in harness.REPORT_ONLY:
         assert cid in check_by_id
         assert check_by_id[cid]["note"].startswith("report-only")
+
+
+def test_version_matches_pyproject():
+    # a regex, not tomllib: Python 3.10 has no tomllib
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
+    assert match is not None
+    assert fdosc.__version__ == match.group(1)
