@@ -30,14 +30,17 @@ class AnalyticFunction:
 
     Closed under +, -, *, scalar multiplication, argument shift and
     differentiation.  ``jet(z, K)`` maps a 1-d complex array of points to
-    the (K+1, len(z)) array of Taylor coefficients f^(k)(z)/k!.
+    the (K+1, len(z)) array of Taylor coefficients f^(k)(z)/k!.  ``value``
+    is the complex value of a constant and None otherwise; the algebra folds
+    constants when an expression is built, so they cost no jet at run time.
     """
 
-    __slots__ = ("jet", "note")
+    __slots__ = ("jet", "note", "value")
 
-    def __init__(self, jet, note: str = ""):
+    def __init__(self, jet, note: str = "", value=None):
         self.jet = jet
         self.note = note
+        self.value = value
 
     def __call__(self, z):
         """f(z) for a scalar (a complex) or a sequence or array (an ndarray)."""
@@ -54,13 +57,15 @@ class AnalyticFunction:
         return complex(w[0]) if pts.ndim == 0 else w.reshape(pts.shape)
 
     def derivative(self) -> "AnalyticFunction":
+        if self.value is not None:
+            return const(0.0)
         jet = self.jet
         return AnalyticFunction(lambda z, K: _derivative_rows(jet(z, K + 1), 1),
                                 note=f"d[{self.note}]")
 
     def shifted(self, a) -> "AnalyticFunction":
         a = complex(a)
-        if a == 0:
+        if a == 0 or self.value is not None:
             return self
         jet = self.jet
         return AnalyticFunction(lambda z, K: jet(z + a, K), note=f"shift({a})[{self.note}]")
@@ -68,7 +73,12 @@ class AnalyticFunction:
     # ---- algebra -------------------------------------------------------
 
     def __add__(self, other):
-        f, g = self.jet, _as_function(other).jet
+        other = _as_function(other)
+        if other.value is not None:
+            return self._plus_const(other.value)
+        if self.value is not None:
+            return other._plus_const(self.value)
+        f, g = self.jet, other.jet
         return AnalyticFunction(lambda z, K: f(z, K) + g(z, K))
 
     __radd__ = __add__
@@ -80,20 +90,41 @@ class AnalyticFunction:
         return _as_function(other) + (-self)
 
     def __neg__(self):
+        if self.value is not None:
+            return const(-self.value)
         f = self.jet
         return AnalyticFunction(lambda z, K: -f(z, K))
 
     def __mul__(self, other):
-        f = self.jet
         if isinstance(other, AnalyticFunction):
-            g = other.jet
+            if other.value is not None:
+                return self * other.value
+            if self.value is not None:
+                return other * self.value
+            f, g = self.jet, other.jet
             return AnalyticFunction(lambda z, K: _cauchy(f(z, K), g(z, K)))
         c = complex(other)
+        if self.value is not None:
+            return const(c * self.value)
         if c == 1:
             return self
+        f = self.jet
         return AnalyticFunction(lambda z, K: c * f(z, K))
 
     __rmul__ = __mul__
+
+    def _plus_const(self, c: complex) -> "AnalyticFunction":
+        """self + c: a constant adds to the value row only."""
+        if self.value is not None:
+            return const(self.value + c)
+        f = self.jet
+
+        def jet(z, K):
+            out = f(z, K).copy()
+            out[0] += c
+            return out
+
+        return AnalyticFunction(jet)
 
 
 def _as_function(x) -> AnalyticFunction:
@@ -126,7 +157,14 @@ def _derivative_rows(c, k: int):
 
 
 def const(c) -> AnalyticFunction:
-    return polynomial([c])
+    c = complex(c)
+
+    def jet(z, K):
+        out = np.zeros((K + 1, len(z)), dtype=complex)
+        out[0] = c
+        return out
+
+    return AnalyticFunction(jet, note=f"const({c})", value=c)
 
 
 def coordinate() -> AnalyticFunction:
@@ -258,8 +296,9 @@ class DifferenceOperator:
             values = values.reshape(K + top + 1, len(shifts), len(z))
             out = np.zeros((K + 1, len(z)), dtype=complex)
             for t in terms:
-                g = values[: K + t.dorder + 1, shifts.index(t.shift)]
-                out += _cauchy(t.coeff.jet(z, K), _derivative_rows(g, t.dorder))
+                g = _derivative_rows(values[: K + t.dorder + 1, shifts.index(t.shift)], t.dorder)
+                c = t.coeff.value
+                out += c * g if c is not None else _cauchy(t.coeff.jet(z, K), g)
             return out
 
         return AnalyticFunction(jet)

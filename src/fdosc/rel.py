@@ -17,7 +17,6 @@ measurements are pointwise grid ratios (basis-independent).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -277,14 +276,13 @@ def eigenfunction_rel(model: RelModel, n: int) -> RelEigenState:
     log_w0 = math.log(w0)
     phase = 1j * math.pi * a / 2.0
 
-    def ev(z):
+    def values(z):
         iz = 1j * z
         expo = phase + log_gamma(a + iz) - log_gamma(iz) \
             + iz * log_w0 + log_gamma(nu + iz)
-        return cmath.exp(expo) * cdhahn_complex(n, z, a, nu, 0.5)
+        return np.exp(expo) * cdhahn_complex(n, z, a, nu, 0.5)
 
-    wf = from_callable(lambda zs: np.array([ev(z) for z in zs.tolist()], dtype=complex),
-                       note=f"rel eigenfunction n={n}")
+    wf = from_callable(values, note=f"rel eigenfunction n={n}")
     return RelEigenState(n=n, energy_mc2=energy(model, n), wavefunction=wf)
 
 

@@ -4,12 +4,19 @@ Everything here is plain double precision.  Gamma uses a Lanczos
 approximation (g = 607/128, 15 coefficients) with reflection for the left
 half-plane; log_gamma keeps a continuous branch for re(z) > 0 so that
 ratios of huge gamma values can be formed in log space.
+
+log_gamma, gamma, pochhammer, generalized_degree and cdhahn_complex
+evaluate arrays: a scalar argument gives a complex, an array (or sequence)
+gives an ndarray of its shape, computed by numpy calls over all points at
+once.  There is no separate scalar path.  A pole anywhere in the array
+raises PoleError naming that point.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+
+import numpy as np
 
 from .errors import ParameterError, PoleError
 
@@ -31,93 +38,135 @@ _LANCZOS_C = (
     -0.26190838401581408670e-4,
     0.36899182659531622704e-5,
 )
+_LANCZOS_TAIL = np.array(_LANCZOS_C[1:])
+_LANCZOS_K = np.arange(1.0, len(_LANCZOS_C))
 
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_PI = math.log(math.pi)
 
 
-def _is_nonpositive_integer(z: complex, tol: float = 1e-12) -> bool:
-    z = complex(z)
-    return (
-        abs(z.imag) <= tol
-        and z.real <= tol
-        and abs(z.real - round(z.real)) <= tol
-    )
+def _points(z):
+    """z as a 1-d complex array, and the shape to give the result back."""
+    arr = np.asarray(z, dtype=complex)
+    return arr.reshape(-1), arr.shape
 
 
-def _log_gamma_right(z: complex) -> complex:
-    # Lanczos series, valid for re(z) >= 0.5
+def _shaped(w, shape):
+    """A complex for a scalar argument, else an ndarray of the argument's shape."""
+    return complex(w[0]) if shape == () else w.reshape(shape)
+
+
+def _nonpositive_integers(z, tol: float = 1e-12):
+    """Mask of the points within tol of 0, -1, -2, ..."""
+    return (np.abs(z.imag) <= tol) & (z.real <= tol) & (np.abs(z.real - np.round(z.real)) <= tol)
+
+
+def _reject_poles(z, name: str):
+    bad = _nonpositive_integers(z)
+    if bad.any():
+        raise PoleError(f"{name} pole at z = {complex(z[bad][0])}")
+
+
+def _log_gamma_right(z):
+    # Lanczos series, valid for re(z) >= 0.5; the sum is one 2-d broadcast
     zm = z - 1.0
-    s = _LANCZOS_C[0]
-    for i, c in enumerate(_LANCZOS_C[1:], 1):
-        s += c / (zm + i)
+    terms = zm[:, None] + _LANCZOS_K
+    s = _LANCZOS_C[0] + np.divide(_LANCZOS_TAIL, terms, out=terms).sum(axis=1)
     t = zm + _LANCZOS_G + 0.5
-    return _LOG_SQRT_TWO_PI + (zm + 0.5) * cmath.log(t) - t + cmath.log(s)
+    return _LOG_SQRT_TWO_PI + (zm + 0.5) * np.log(t) - t + np.log(s)
 
 
-def log_gamma(z: complex) -> complex:
+def _log_gamma_strip(z):
+    # 0 < re(z) < 0.5: one recurrence step keeps the branch continuous
+    return _log_gamma_right(z + 1.0) - np.log(z)
+
+
+def _log_gamma_reflected(z):
+    # re(z) <= 0: Gamma(z) Gamma(1 - z) = pi / sin(pi z)
+    return _LOG_PI - np.log(np.sin(math.pi * z)) - _log_gamma_right(1.0 - z)
+
+
+def _by_branch(z, branches):
+    """Each (mask, fn) branch evaluated on its own points only."""
+    out = np.empty_like(z)
+    for mask, fn in branches:
+        if mask.all():
+            return fn(z)
+        if mask.any():
+            out[mask] = fn(z[mask])
+    return out
+
+
+def log_gamma(z):
     """log Gamma(z), continuous along re(z) > 0.
 
-    For re(z) < 0 the reflection formula is used; there the imaginary part
+    For re(z) <= 0 the reflection formula is used; there the imaginary part
     is only defined modulo 2*pi*i, which is harmless for exponentiated
     ratios.
     """
-    z = complex(z)
-    if _is_nonpositive_integer(z):
-        raise PoleError(f"log_gamma pole at z = {z}")
-    if z.real >= 0.5:
-        return _log_gamma_right(z)
-    if z.real > 0.0:
-        # one recurrence step keeps the branch continuous in the strip
-        return _log_gamma_right(z + 1.0) - cmath.log(z)
-    return (
-        math.log(math.pi)
-        - cmath.log(cmath.sin(math.pi * z))
-        - log_gamma(1.0 - z)
-    )
+    z, shape = _points(z)
+    _reject_poles(z, "log_gamma")
+    right = z.real >= 0.5
+    left = z.real <= 0.0
+    return _shaped(_by_branch(z, ((right, _log_gamma_right), (~(right | left), _log_gamma_strip),
+                                  (left, _log_gamma_reflected))), shape)
 
 
-def gamma(z: complex) -> complex:
+def _gamma_reflected(z):
+    return math.pi / (np.sin(math.pi * z) * np.exp(_log_gamma_right(1.0 - z)))
+
+
+def gamma(z):
     """Gamma(z) for complex z, relative error below 1e-13 for |z| <= 50."""
-    z = complex(z)
-    if _is_nonpositive_integer(z):
-        raise PoleError(f"gamma pole at z = {z}")
-    if z.real < 0.5:
-        return math.pi / (cmath.sin(math.pi * z) * cmath.exp(_log_gamma_right(1.0 - z)))
-    return cmath.exp(_log_gamma_right(z))
+    z, shape = _points(z)
+    _reject_poles(z, "gamma")
+    right = z.real >= 0.5
+    return _shaped(_by_branch(z, ((right, lambda w: np.exp(_log_gamma_right(w))),
+                                  (~right, _gamma_reflected))), shape)
 
 
-def pochhammer(a: complex, n: int) -> complex:
+def pochhammer(a, n: int):
     """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1."""
     if n < 0:
         raise ValueError("pochhammer requires n >= 0")
-    result = complex(1.0)
-    a = complex(a)
+    a, shape = _points(a)
+    result = np.ones_like(a)
     for k in range(n):
         result *= a + k
-    return result
+    return _shaped(result, shape)
 
 
-def generalized_degree(rho: complex, lam: complex) -> complex:
+def generalized_degree(rho, lam):
     """Finite-difference power rho^(lam) = i^lam Gamma(lam - i rho) / Gamma(-i rho).
 
     i^lam is taken on the principal branch, exp(i pi lam / 2).  For integer
     lam >= 0 the gamma recurrence collapses the ratio to the exact product
     prod_{k=0}^{lam-1} (rho + i k), which is used directly (it is entire,
-    so rho = 0 is not a pole in that case).
+    so rho = 0 is not a pole in that case).  rho and lam broadcast against
+    each other like the other functions here take arrays.
     """
-    rho = complex(rho)
-    lam = complex(lam)
-    if lam.imag == 0.0 and lam.real >= 0 and lam.real == round(lam.real):
-        result = complex(1.0)
-        for k in range(int(round(lam.real))):
-            result *= rho + 1j * k
-        return result
-    num = lam - 1j * rho
-    den = -1j * rho
-    if _is_nonpositive_integer(num) or _is_nonpositive_integer(den):
-        raise PoleError(f"generalized_degree pole: rho={rho}, lam={lam}")
-    phase = cmath.exp(1j * math.pi * lam / 2.0)
-    return phase * cmath.exp(log_gamma(num) - log_gamma(den))
+    rho, lam = np.broadcast_arrays(np.asarray(rho, dtype=complex), np.asarray(lam, dtype=complex))
+    shape = rho.shape
+    rho, lam = rho.reshape(-1), lam.reshape(-1)
+    out = np.empty_like(rho)
+    whole = (lam.imag == 0.0) & (lam.real >= 0.0) & (lam.real == np.round(lam.real))
+    if whole.any():
+        r, m = rho[whole], lam.real[whole]
+        acc = np.ones_like(r)
+        for k in range(int(m.max())):
+            acc = np.where(k < m, acc * (r + 1j * k), acc)
+        out[whole] = acc
+    rest = ~whole
+    if rest.any():
+        r, m = rho[rest], lam[rest]
+        num = m - 1j * r
+        den = -1j * r
+        bad = _nonpositive_integers(num) | _nonpositive_integers(den)
+        if bad.any():
+            i = int(bad.argmax())
+            raise PoleError(f"generalized_degree pole: rho={complex(r[i])}, lam={complex(m[i])}")
+        out[rest] = np.exp(1j * math.pi * m / 2.0) * np.exp(log_gamma(num) - log_gamma(den))
+    return _shaped(out, shape)
 
 
 def laguerre(n: int, d: float, y):
@@ -145,35 +194,43 @@ def laguerre_coefficients(n: int, d: float) -> list[float]:
     return coeffs
 
 
-def cdhahn_complex(n: int, z: complex, a: float, b: float, c: float) -> complex:
+def cdhahn_complex(n: int, z, a, b, c):
     """Continuous dual Hahn polynomial S_n(z^2; a, b, c) for complex argument z.
 
     Terminating hypergeometric sum
         S_n = (a+b)_n (a+c)_n sum_{k=0}^{n} (-n)_k (a+iz)_k (a-iz)_k
                                              / [(a+b)_k (a+c)_k k!].
     Polynomial in z^2, so the analytic continuation off the real axis is
-    just the same finite sum.
+    just the same finite sum.  The real parameters a, b, c are scalars or
+    arrays of z's shape.  The term ratios form one (n, points) array and
+    the terms are its running product down the rows.
     """
     if n < 0:
         raise ValueError("cdhahn requires n >= 0")
-    z = complex(z)
-    total = complex(0.0)
-    term = complex(1.0)
-    for k in range(n + 1):
-        total += term
-        if k == n:
-            break
-        den1 = a + b + k
-        den2 = a + c + k
-        if den1 == 0.0 or den2 == 0.0:
-            raise ParameterError(
-                f"cdhahn denominator Pochhammer vanishes at k={k + 1} "
-                f"(a+b={a + b}, a+c={a + c})"
-            )
-        term *= (-(n - k)) * (a + 1j * z + k) * (a - 1j * z + k) / (den1 * den2 * (k + 1))
-    return pochhammer(a + b, n) * pochhammer(a + c, n) * total
+    z, shape = _points(z)
+    a, b, c = (np.asarray(p, dtype=float).reshape(-1) for p in (a, b, c))
+    k = np.arange(n)[:, None]
+    ab, ac = a + b + k, a + c + k
+    vanishing = (ab == 0.0) | (ac == 0.0)
+    if vanishing.any():
+        i, j = np.argwhere(vanishing)[0]
+        raise ParameterError(
+            f"cdhahn denominator Pochhammer vanishes at k={i + 1} "
+            f"(a+b={ab[0, j]}, a+c={ac[0, j]})"
+        )
+    ak = a + k
+    iz = 1j * z
+    # row 0 is the k = 0 term; the ratios fill the other rows in place
+    terms = np.ones((n + 1, len(z)), dtype=complex)
+    ratios = np.add(ak, iz, out=terms[1:])
+    ratios *= ak - iz
+    ratios *= -(n - k) / (ab * ac * (k + 1))
+    np.cumprod(terms, axis=0, out=terms)
+    # cumsum adds the terms in order whatever the number of points
+    total = np.cumsum(terms, axis=0, out=terms)[-1]
+    return _shaped(pochhammer(a + b, n) * pochhammer(a + c, n) * total, shape)
 
 
-def cdhahn(n: int, x: float, a: float, b: float, c: float) -> float:
+def cdhahn(n: int, x, a, b, c):
     """S_n(x^2; a, b, c) for real argument and parameters (real result)."""
     return cdhahn_complex(n, x, a, b, c).real

@@ -197,3 +197,37 @@ def test_scalar_and_const_coefficients():
     op = 3.0 * identity_op() + mul_op(const(2.0))
     f = coordinate()
     assert op(f)(1.5) == pytest.approx(7.5)
+
+
+def test_constants_fold_when_built():
+    c = const(2.0 - 1.0j)
+    assert (c + const(3.0)).value == 5.0 - 1.0j
+    assert (c - 1.0).value == 1.0 - 1.0j
+    assert (-c).value == -2.0 + 1.0j
+    assert (3.0 * c).value == (c * const(3.0)).value == 6.0 - 3.0j
+    assert c.shifted(1j) is c
+    assert c.derivative().value == 0.0
+    assert coordinate().value is None
+    # operator coefficients stay constants through merging and composition
+    op = compose(shift_op(0.5j), 2.0 * shift_op(-0.5j)) + identity_op()
+    assert [t.coeff.value for t in op.terms] == [3.0]
+
+
+def test_folded_constants_give_the_jets_they_replace():
+    # polynomial([c]) is the same constant without the fold
+    c, c_plain = const(2.0 - 1.0j), polynomial([2.0 - 1.0j])
+    f = gaussian(0.8) * polynomial([1.0, 2.0, -0.5])
+    z = np.array(GRID.points) + 0.3j
+    for folded, plain in ((c * f, c_plain * f), (f * c, f * c_plain),
+                          (f + c, f + c_plain), (c - f, c_plain - f)):
+        assert folded.value is None
+        assert np.array_equal(folded.jet(z, 3), plain.jet(z, 3))
+    folded_op = 2.0 * shift_op(1j) + mul_op(c) + deriv_op()
+    plain_op = compose(mul_op(polynomial([2.0])), shift_op(1j)) + mul_op(c_plain) + deriv_op()
+    assert np.array_equal(folded_op(f).jet(z, 2), plain_op(f).jet(z, 2))
+
+
+def test_scaling_by_zero_still_reports_nonfinite():
+    f = 0.0 * from_callable(lambda z: 1.0 / (z - 1.0))
+    with pytest.raises(EvaluationError):
+        f(1.0)

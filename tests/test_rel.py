@@ -136,3 +136,14 @@ def test_nonrel_limit_deviation_shrinks():
 def test_eigenfunction_rejects_negative_index():
     with pytest.raises(ValueError):
         rel.eigenfunction_rel(MODEL, -1)
+
+
+@pytest.mark.parametrize("n", [0, 5, 12])
+def test_eigenfunction_array_equals_pointwise(n):
+    # the grid and its shifts by +-i, +-2i, evaluated in one call
+    grid = np.array(GRID.points)
+    pts = np.concatenate([grid + s for s in (0.0, 1j, -1j, 2j, -2j)])
+    wf = rel.eigenfunction_rel(MODEL, n).wavefunction
+    values = wf(pts)
+    pointwise = np.array([wf(p) for p in pts])
+    assert np.max(np.abs(values - pointwise)) <= 1e-14 * np.max(np.abs(pointwise))

@@ -1,13 +1,15 @@
 """Special-function oracles: mpmath arbitrary precision and frozen values."""
 
 import math
+import re
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from fdosc import specfun
-from fdosc.errors import ParameterError
+from fdosc.errors import ParameterError, PoleError
 
 mp.mp.dps = 40
 
@@ -36,6 +38,102 @@ def test_log_gamma_matches_mpmath_modulo_branch():
         ref = complex(mp.gamma(mp.mpc(complex(z).real, complex(z).imag)))
         val = np.exp(specfun.log_gamma(z))
         assert abs(val - ref) / abs(ref) < 1e-13
+
+
+def _mixed_branch_points():
+    """|z| <= 50, off the poles, with points in all three log_gamma branches
+    (re >= 0.5, 0 < re < 0.5, re <= 0), in one shuffled array."""
+    rng = np.random.default_rng(17)
+    z = rng.uniform(0.0, 50.0, 120) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, 120))
+    z = z[(np.abs(z.imag) >= 5e-2) | (np.abs(z.real - np.round(z.real)) >= 5e-2)]
+    strip = [0.25 - 2.0j, 0.1 + 0.3j, 0.45 + 10.0j, 0.3 - 40.0j]
+    edges = [0.5 + 0.0j, 0.9j, -3.3 + 0.7j, -20.5 + 1e-3j, 4.2 + 0.1j]
+    z = np.concatenate([z, strip, edges])
+    rng.shuffle(z)
+    assert (z.real >= 0.5).any() and ((z.real > 0) & (z.real < 0.5)).any() and (z.real <= 0).any()
+    return z
+
+
+def _mp_gamma(z):
+    with mp.workdps(30):
+        return np.array([complex(mp.gamma(mp.mpc(w.real, w.imag))) for w in z])
+
+
+def test_gamma_array_matches_mpmath_elementwise():
+    z = _mixed_branch_points()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning for |z| <= 50
+        val = specfun.gamma(z)
+    assert isinstance(val, np.ndarray) and val.shape == z.shape
+    ref = _mp_gamma(z)
+    assert np.max(np.abs(val - ref) / np.abs(ref)) < 1e-13
+
+
+def test_log_gamma_array_matches_mpmath_modulo_branch():
+    z = _mixed_branch_points()
+    val = specfun.log_gamma(z)
+    assert isinstance(val, np.ndarray) and val.shape == z.shape
+    ref = _mp_gamma(z)
+    assert np.max(np.abs(np.exp(val) - ref) / np.abs(ref)) < 1e-13
+
+
+def test_array_keeps_its_shape_and_scalar_gives_complex():
+    z = _mixed_branch_points()[:12].reshape(3, 4)
+    for fn in (specfun.gamma, specfun.log_gamma, lambda w: specfun.pochhammer(w, 3),
+               lambda w: specfun.cdhahn_complex(3, w, 0.7, 1.1, 0.4)):
+        out = fn(z)
+        assert out.shape == (3, 4)
+        assert type(fn(complex(z[1, 2]))) is complex
+        assert type(fn(0.75)) is complex
+        assert abs(out[1, 2] - fn(complex(z[1, 2]))) <= 1e-15 * abs(out[1, 2])
+
+
+@pytest.mark.parametrize("pole", [0.0, -1.0, -7.0, -3.0 + 1e-13j])
+def test_pole_anywhere_in_array_raises(pole):
+    z = _mixed_branch_points()
+    z = np.insert(z, len(z) // 2, pole)
+    for fn in (specfun.gamma, specfun.log_gamma):
+        with pytest.raises(PoleError, match=re.escape(f"pole at z = {complex(pole)}")):
+            fn(z)
+        with pytest.raises(PoleError):
+            fn(pole)
+
+
+def test_cdhahn_complex_array_matches_mpmath_elementwise():
+    rng = np.random.default_rng(23)
+    z = rng.uniform(0.0, 5.0, 40) + 1j * rng.uniform(-2.5, 2.5, 40)
+    a, b, c = 0.7, 1.1, 0.4
+
+    def oracle(n, w):
+        with mp.workdps(30):
+            w = mp.mpc(w.real, w.imag)
+            s = sum(mp.rf(-n, k) * mp.rf(a + 1j * w, k) * mp.rf(a - 1j * w, k)
+                    / (mp.rf(a + b, k) * mp.rf(a + c, k) * mp.factorial(k))
+                    for k in range(n + 1))
+            return complex(mp.rf(a + b, n) * mp.rf(a + c, n) * s)
+
+    for n in (0, 1, 4, 8):
+        val = specfun.cdhahn_complex(n, z, a, b, c)
+        ref = np.array([oracle(n, w) for w in z])
+        assert np.max(np.abs(val - ref) / (1.0 + np.abs(ref))) < 1e-12
+
+
+def test_cdhahn_parameter_arrays_match_scalar_parameters():
+    rng = np.random.default_rng(29)
+    x = rng.uniform(0.0, 4.0, 25)
+    a, b, c = (rng.uniform(0.2, 2.5, 25) for _ in range(3))
+    val = specfun.cdhahn(5, x, a, b, c)
+    ref = [specfun.cdhahn(5, *args) for args in zip(x, a, b, c)]
+    assert np.max(np.abs(val - ref) / (1.0 + np.abs(ref))) < 1e-14
+
+
+def test_generalized_degree_array_matches_scalar():
+    rho = np.array([0.3, 1.7, 1.7, 4.0, 2.2])
+    lam = np.array([2.6, 3.0, 0.0, -1.25, 1.0])
+    val = specfun.generalized_degree(rho, lam)
+    ref = [specfun.generalized_degree(r, l) for r, l in zip(rho, lam)]
+    assert np.max(np.abs(val - ref) / np.abs(ref)) < 1e-14
+    assert type(specfun.generalized_degree(1.7, 2.6)) is complex
 
 
 def test_log_gamma_frozen_principal_value():
