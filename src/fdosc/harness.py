@@ -243,13 +243,9 @@ def _worst_relative(values, ref) -> float:
 def _gamma_sample(rng, count: int):
     """`count` draws from the square |re z|, |im z| < 20, less those within
     1e-2 of a pole."""
-    zs = []
-    for _ in range(count):
-        z = complex(rng.uniform(-20, 20), rng.uniform(-20, 20))
-        if abs(z.imag) < 1e-2 and abs(z.real - round(z.real)) < 1e-2:
-            continue
-        zs.append(z)
-    return np.array(zs)
+    z = rng.uniform(-20, 20, size=(count, 2)).view(complex)[:, 0]  # (re, im) pairs
+    near_pole = (np.abs(z.imag) < 1e-2) & (np.abs(z.real - np.round(z.real)) < 1e-2)
+    return z[~near_pole]
 
 
 def _checks_specfun(rng, overrides) -> list:

@@ -10,6 +10,16 @@ A DifferenceOperator is a finite sum of terms coeff(z) * D^k f(z + shift);
 shifts act exactly as argument translation, so operator identities can be
 verified to machine precision.
 
+Applying an operator gives one tower node.  Applied to the output of the
+same operator object, it gives one node for op^(p+1) f over the same base f
+instead of a node around a node, so a ladder state (B^+)^n phi_0 is one
+node.  A call evaluates f once at z + S_p, where S_p holds the distinct
+shift sums of p applications, and each coefficient once, at z plus the
+union of S_0..S_(p-1); then p stencil steps, each a gather and a
+multiply-add per term, carry the jets from z + S_p down to z.  Power 1 is
+the same code.  Any other wrapper, such as 2.0 * op(f) or a different
+operator object with equal terms, starts a new tower.
+
 ``from_callable(fn)`` wraps an array function, fn(complex ndarray) ->
 values of the same shape.  Such a leaf has no derivative: evaluating one
 raises EvaluationError.
@@ -150,7 +160,7 @@ def _derivative_rows(c, k: int):
     if k == 0:
         return c
     scale = [math.perm(j + k, k) for j in range(len(c) - k)]  # (j+k)!/j!
-    return c[k:] * np.array(scale, dtype=float)[:, None]
+    return c[k:] * np.array(scale, dtype=float).reshape((-1,) + (1,) * (c.ndim - 1))
 
 
 # ---- primitive functions ----------------------------------------------
@@ -282,26 +292,8 @@ class DifferenceOperator:
         )
 
     def __call__(self, f: AnalyticFunction) -> AnalyticFunction:
-        """One node: f is evaluated once, at the distinct points z + shift of
-        all terms and the highest derivative order any term needs."""
-        f_jet = _as_function(f).jet
-        terms = self.terms
-        shifts = list(dict.fromkeys(t.shift for t in terms))
-        shift_col = np.array(shifts, dtype=complex)[:, None]
-        top = max((t.dorder for t in terms), default=0)
-
-        def jet(z, K):
-            points, where = np.unique(z + shift_col, return_inverse=True)
-            values = f_jet(points, K + top)[:, where.reshape(-1)]
-            values = values.reshape(K + top + 1, len(shifts), len(z))
-            out = np.zeros((K + 1, len(z)), dtype=complex)
-            for t in terms:
-                g = _derivative_rows(values[: K + t.dorder + 1, shifts.index(t.shift)], t.dorder)
-                c = t.coeff.value
-                out += c * g if c is not None else _cauchy(t.coeff.jet(z, K), g)
-            return out
-
-        return AnalyticFunction(jet)
+        """One tower node: self applied to f, or once more to a tower of self."""
+        return AnalyticFunction(_Tower(self, _as_function(f).jet))
 
     apply = __call__
 
@@ -321,6 +313,65 @@ class DifferenceOperator:
         )
 
     __rmul__ = __mul__
+
+
+class _Tower:
+    """Jet of op^p f: p applications of one operator object as one node.
+
+    S_j is the list of distinct shift sums of j applications, S_0 = [0] and
+    S_(j+1) = S_j + shifts; steps[j][i, k] is the index of S_j[k] + shifts[i]
+    in S_(j+1).  The base acts at z + S_p, the coefficients at z + union,
+    union = S_0 | ... | S_(p-1) in order of first appearance; at_union[j]
+    places S_j in it, as a slice when S_j is a prefix (S_0 always is).
+    """
+
+    def __init__(self, op: DifferenceOperator, f_jet):
+        self.op = op
+        inner = f_jet if isinstance(f_jet, _Tower) and f_jet.op is op else None
+        if inner is None:
+            self.base = f_jet
+            self.shifts = list(dict.fromkeys(t.shift for t in op.terms))
+            self.pick = [self.shifts.index(t.shift) for t in op.terms]
+            self.top = max((t.dorder for t in op.terms), default=0)
+            last, steps, place, at_union = [0j], [], {}, []
+        else:
+            self.base, self.shifts, self.pick, self.top = (
+                inner.base, inner.shifts, inner.pick, inner.top)
+            last, steps, place, at_union = (
+                inner.last, list(inner.steps), dict(inner.place), list(inner.at_union))
+        where = [place.setdefault(s, len(place)) for s in last]
+        at_union.append(slice(0, len(where)) if where == list(range(len(where)))
+                        else np.array(where))
+        following: dict = {}
+        step = [[following.setdefault(s + a, len(following)) for s in last] for a in self.shifts]
+        steps.append(np.array(step, dtype=np.intp).reshape(len(self.shifts), len(last)))
+        self.last, self.steps, self.place, self.at_union = list(following), steps, place, at_union
+        self.union = np.array(list(place), dtype=complex)
+        self.base_shifts = np.array(self.last, dtype=complex)[:, None]
+
+    def __call__(self, z, K):
+        """The base once at z + S_p, each coefficient once at z + union, then
+        p stencil steps, each a gather and a multiply-add per term."""
+        n, top, power = len(z), self.top, len(self.steps)
+        points, where = np.unique(z + self.base_shifts, return_inverse=True)
+        values = self.base(points, K + power * top)[:, where.reshape(len(self.last), n)]
+        rows = K + (power - 1) * top + 1
+        points = z if len(self.union) == 1 else (z + self.union[:, None]).reshape(-1)
+        coeffs = [None if t.coeff.value is not None else
+                  t.coeff.jet(points, rows - 1).reshape(rows, len(self.union), n)
+                  for t in self.op.terms]
+        for j in reversed(range(power)):
+            # values holds the jets at z + S_(j+1), shape (rows, |S_(j+1)|, n)
+            rows = K + j * top + 1
+            shifted = values[: rows + top, self.steps[j]]
+            values = np.zeros((rows,) + shifted.shape[2:], dtype=complex)
+            for t, i, c in zip(self.op.terms, self.pick, coeffs):
+                g = _derivative_rows(shifted[: rows + t.dorder, i], t.dorder)
+                if c is None:
+                    values += t.coeff.value * g
+                else:
+                    values += _cauchy(c[:rows, self.at_union[j]], g)
+        return values.reshape(K + 1, n)
 
 
 def shift_op(a) -> DifferenceOperator:

@@ -2,10 +2,12 @@
 
 import io
 import json
+import math
 import re
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fdosc
@@ -195,3 +197,48 @@ def test_version_matches_pyproject():
     match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
     assert match is not None
     assert fdosc.__version__ == match.group(1)
+
+
+# ---- sampling ----------------------------------------------------------
+
+
+def _gamma_sample_loop(rng, count):
+    """Reference for harness._gamma_sample: one scalar draw per coordinate."""
+    zs = []
+    for _ in range(count):
+        z = complex(rng.uniform(-20, 20), rng.uniform(-20, 20))
+        if abs(z.imag) < 1e-2 and abs(z.real - round(z.real)) < 1e-2:
+            continue
+        zs.append(z)
+    return np.array(zs, dtype=complex)
+
+
+@pytest.mark.parametrize("seed", [harness._SEED, 12345])
+def test_gamma_sample_matches_scalar_draws(seed):
+    rng, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        z = harness._gamma_sample(rng, 1000)
+        assert z.tobytes() == _gamma_sample_loop(rng_loop, 1000).tobytes()
+    assert rng.bit_generator.state == rng_loop.bit_generator.state
+
+
+class _Replay:
+    """Stands in for a generator: uniform() hands out fixed numbers in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def uniform(self, low, high, size=None):
+        if size is None:
+            return self.values.pop(0)
+        n = math.prod(size)
+        out, self.values = self.values[:n], self.values[n:]
+        return np.array(out).reshape(size)
+
+
+def test_gamma_sample_drops_points_near_poles():
+    # (re, im) pairs: near 3, kept, near -2, kept (im too large), at -7
+    values = [3.004, 0.001, 0.5, 0.001, -2.0, -0.009, 2.995, 0.02, -7.0, 0.0]
+    z = harness._gamma_sample(_Replay(values), 5)
+    assert z.tolist() == [0.5 + 0.001j, 2.995 + 0.02j]
+    assert z.tobytes() == _gamma_sample_loop(_Replay(values), 5).tobytes()

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from fdosc import nonrel, rel
-from fdosc.errors import EvaluationError
+from fdosc.errors import EvaluationError, PoleError
 from fdosc.opcore import (
+    DifferenceOperator,
     SampleGrid,
+    Term,
     commutator,
     compose,
     const,
@@ -231,3 +233,158 @@ def test_scaling_by_zero_still_reports_nonfinite():
     f = 0.0 * from_callable(lambda z: 1.0 / (z - 1.0))
     with pytest.raises(EvaluationError):
         f(1.0)
+
+
+# ---- operator towers ---------------------------------------------------
+#
+# op(op(...op(f))) with one operator object is one node that evaluates the
+# coefficients once per call; it must equal the same steps taken as separate
+# nodes, and the operator product built with compose.
+
+_REL = rel.make_rel_model(0.5, 0.1)
+_NONREL = nonrel.make_model(0.1)
+
+
+def _tower(op, f, n):
+    for _ in range(n):
+        f = op(f)
+    return f
+
+
+def _power(op, n):
+    out = identity_op()
+    for _ in range(n):
+        out = compose(op, out)
+    return out
+
+
+def _assert_close(got, want, tol=1e-13):
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+def _chain(op, f, n):
+    """op^n f as n separate nodes: a twin of op with the same terms takes
+    every other step, so no two successive steps share an operator."""
+    ops = (op, DifferenceOperator(op.terms))
+    for k in range(n):
+        f = ops[k % 2](f)
+    return f
+
+
+def test_rel_tower_equals_composed_power():
+    _, B_plus = rel.ladder_B(_REL)
+    phi0 = rel.eigenfunction_rel(_REL, 0).wavefunction
+    pts = np.array(GRID.points[::3])
+    product = identity_op()
+    for n in range(1, 7):
+        tower, chain = _tower(B_plus, phi0, n), _chain(B_plus, phi0, n)
+        _assert_close(tower(pts), chain(pts))
+        _assert_close([tower(p) for p in pts[::4]], chain(pts[::4]))
+        # the coefficient trees of compose grow as 5^n: n = 6 takes ~1 s
+        if n <= 5:
+            product = compose(B_plus, product)
+            _assert_close(tower(pts), product(phi0)(pts))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_nonrel_tower_jets_equal_separate_steps(order):
+    _, _, K_plus = nonrel.su11_generators(_NONREL)
+    psi0 = nonrel.eigenfunction(_NONREL, 0).wavefunction
+    pts = np.array(GRID.points[::2]) + 0.1j
+    for n in range(1, 5):
+        tower, chain, product = (_tower(K_plus, psi0, n), _chain(K_plus, psi0, n),
+                                 _power(K_plus, n)(psi0))
+        for _ in range(order):
+            tower, chain, product = tower.derivative(), chain.derivative(), product.derivative()
+        _assert_close(tower(pts), chain(pts))
+        _assert_close(tower(pts[3]), chain(pts[3]))
+        _assert_close(tower.jet(pts, 2), chain.jet(pts, 2))
+        # compose expands K+^n into coefficients that cancel: against the
+        # separate steps it is off by up to 1.6e-11 normwise at n = 4, order 2
+        _assert_close(tower(pts), product(pts), tol=1e-13 if n < 3 else 1e-10)
+
+
+def test_towers_under_another_operator():
+    K0, K_minus, K_plus = nonrel.su11_generators(_NONREL)
+    psi0 = nonrel.eigenfunction(_NONREL, 0).wavefunction
+    pts = np.array(GRID.points)
+    tower, chain = _tower(K_plus, psi0, 3), _chain(K_plus, psi0, 3)
+    _assert_close(K_minus(tower)(pts), K_minus(chain)(pts))
+    _assert_close(K0(tower).derivative()(pts), K0(chain).derivative()(pts))
+    _, B_plus = rel.ladder_B(_REL)
+    H = rel.hamiltonian_rel(_REL)
+    phi0 = rel.eigenfunction_rel(_REL, 0).wavefunction
+    _assert_close(H(_tower(B_plus, phi0, 5))(pts), H(_chain(B_plus, phi0, 5))(pts))
+
+
+def _counting(fn, counts, key):
+    def leaf(z):
+        counts[key] = counts.get(key, 0) + 1
+        return fn(z)
+    return from_callable(leaf, note=key)
+
+
+def test_equal_operator_objects_do_not_fuse():
+    counts = {}
+    op = DifferenceOperator([Term(_counting(np.cos, counts, "coeff"), 1j, 0),
+                             Term(const(0.5), -1j, 0)])
+    twin = DifferenceOperator(op.terms)
+    f = exp_linear(0.3)
+    pts = np.array(GRID.points)
+    fused, unfused = op(op(f)), twin(op(f))
+    assert np.array_equal(unfused(pts), fused(pts))
+    counts.clear()
+    fused(pts)
+    assert counts == {"coeff": 1}
+    counts.clear()
+    unfused(pts)
+    assert counts == {"coeff": 2}
+
+
+def test_operator_without_terms_gives_zero():
+    empty = DifferenceOperator([])
+    assert empty(empty(gaussian(1.0)))([1.0, 2.0]).tolist() == [0j, 0j]
+
+
+def test_scaled_tower_is_not_fused():
+    _, B_plus = rel.ladder_B(_REL)
+    phi0 = rel.eigenfunction_rel(_REL, 0).wavefunction
+    pts = np.array(GRID.points)
+    scaled = B_plus(2.0 * B_plus(phi0))
+    _assert_close(scaled(pts), 2.0 * B_plus(B_plus(phi0))(pts), tol=1e-15)
+
+
+def test_tower_lattice_on_a_pole_raises_like_the_product():
+    _, B_plus = rel.ladder_B(_REL)
+    phi0 = rel.eigenfunction_rel(_REL, 0).wavefunction
+    # 2i - 2i = 0 is on the lattice of B+B+ at 2i: Gamma(i rho) has a pole there
+    for z in (2j, [1.0, 2j]):
+        with pytest.raises((EvaluationError, PoleError)) as product_error:
+            _power(B_plus, 2)(phi0)(z)
+        with pytest.raises(product_error.type):
+            _tower(B_plus, phi0, 2)(z)
+
+
+def test_callable_coefficient_in_tower_needs_no_derivative_until_asked():
+    op = mul_op(from_callable(np.cos, note="cos")) + deriv_op()
+    f = gaussian(0.8)
+    assert op(f)(0.7) == pytest.approx(math.cos(0.7) * f(0.7) + f.derivative()(0.7))
+    # a second application differentiates the coefficient of the first
+    with pytest.raises(EvaluationError):
+        op(op(f))(0.7)
+    with pytest.raises(EvaluationError):
+        op(op(f))([0.7, 1.2])
+
+
+@pytest.mark.parametrize("n", [1, 4, 8])
+def test_tower_evaluates_each_leaf_once_per_call(n):
+    counts = {}
+    op = DifferenceOperator([Term(_counting(np.cos, counts, "coeff"), 1j, 0),
+                             Term(const(0.5), -0.5j, 0), Term(polynomial([0.0, 1.0]), 0.0, 0)])
+    tower = _tower(op, _counting(np.exp, counts, "base"), n)
+    tower(np.array(GRID.points))
+    assert counts == {"coeff": 1, "base": 1}
+    counts.clear()
+    tower(1.5)
+    assert counts == {"coeff": 1, "base": 1}
