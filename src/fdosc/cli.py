@@ -70,9 +70,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the full verification suite")
     p.add_argument("--omega0", type=float, default=0.5)
     p.add_argument("--g0", type=float, default=0.1)
-    p.add_argument("--nmax", type=int, default=6)
+    p.add_argument("--nmax", type=int, default=6,
+                   help="highest level n to check, >= 1 (ladder checks stop "
+                        f"at {harness.LADDER_CAP}, eigen-equation checks reach "
+                        f"at least {harness.BASE_LEVEL})")
     p.add_argument("--tol", type=float, default=None,
-                   help="override every hard tolerance with one value")
+                   help="override every hard tolerance with one value; "
+                        "report-only checks keep theirs")
     _add_format(p)
 
     p = sub.add_parser("limit", help="non-relativistic limit table")
@@ -110,8 +114,12 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "verify":
-        report = harness.run_suite(args.omega0, args.g0, n_max=args.nmax,
-                                   tol_overrides=args.tol)
+        try:
+            report = harness.run_suite(args.omega0, args.g0, n_max=args.nmax,
+                                       tol_overrides=args.tol)
+        except ValueError as exc:  # n_max < 1, or a CouplingError
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         if args.format == "json":
             sys.stdout.write(report.to_json() + "\n")
         elif args.format == "csv":
