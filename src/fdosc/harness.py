@@ -642,6 +642,8 @@ def run_suite(omega0: float, g0: float, n_max: int = 6, grid: SampleGrid = None,
 
 def spectrum_table(model_kind: str, params: dict, n_max: int) -> list[dict]:
     """Rows (n, E_n); energies in hbar omega (nonrel) or both units (rel)."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     rows = []
     if model_kind == "nonrel":
         model = nonrel.make_model(params["g0"])

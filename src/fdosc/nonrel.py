@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceError, CouplingError
 from .opcore import (
@@ -139,7 +138,6 @@ def eigenfunction(model: NonRelModel, n: int) -> NonRelEigenState:
     for k, c in enumerate(lag):
         even[2 * k] = c
     wf = const(cn) * monomial(model.d + 0.5) * gaussian(1.0) * polynomial(even)
-    wf.note = f"nonrel eigenfunction n={n}, d={model.d}"
     return NonRelEigenState(n=n, energy=energy(model, n), wavefunction=wf,
                             norm_constant=cn)
 
@@ -156,6 +154,9 @@ def matrix_oracle(model: NonRelModel, xi_max: float = 20.0, n_points: int = 4000
         raise ValueError("n_points must be >= 100")
     if xi_max < 10.0:
         raise ValueError("xi_max must be >= 10")
+    # scipy.linalg takes ~0.3 s to import; only this oracle needs it
+    from scipy.linalg import eigh_tridiagonal
+
     h = (xi_max - xi_min) / (n_points + 1)
     xi = xi_min + h * np.arange(1, n_points + 1)
     diag = 1.0 / h**2 + 0.5 * xi**2 + model.g0 / xi**2

@@ -45,11 +45,10 @@ class AnalyticFunction:
     constants when an expression is built, so they cost no jet at run time.
     """
 
-    __slots__ = ("jet", "note", "value")
+    __slots__ = ("jet", "value")
 
-    def __init__(self, jet, note: str = "", value=None):
+    def __init__(self, jet, value=None):
         self.jet = jet
-        self.note = note
         self.value = value
 
     def __call__(self, z):
@@ -70,15 +69,14 @@ class AnalyticFunction:
         if self.value is not None:
             return const(0.0)
         jet = self.jet
-        return AnalyticFunction(lambda z, K: _derivative_rows(jet(z, K + 1), 1),
-                                note=f"d[{self.note}]")
+        return AnalyticFunction(lambda z, K: _derivative_rows(jet(z, K + 1), 1))
 
     def shifted(self, a) -> "AnalyticFunction":
         a = complex(a)
         if a == 0 or self.value is not None:
             return self
         jet = self.jet
-        return AnalyticFunction(lambda z, K: jet(z + a, K), note=f"shift({a})[{self.note}]")
+        return AnalyticFunction(lambda z, K: jet(z + a, K))
 
     # ---- algebra -------------------------------------------------------
 
@@ -174,7 +172,7 @@ def const(c) -> AnalyticFunction:
         out[0] = c
         return out
 
-    return AnalyticFunction(jet, note=f"const({c})", value=c)
+    return AnalyticFunction(jet, value=c)
 
 
 def coordinate() -> AnalyticFunction:
@@ -195,7 +193,7 @@ def monomial(p) -> AnalyticFunction:
             binom *= (p - k) / (k + 1)
         return out
 
-    return AnalyticFunction(jet, note=f"z**{p}")
+    return AnalyticFunction(jet)
 
 
 def polynomial(coeffs) -> AnalyticFunction:
@@ -214,10 +212,10 @@ def polynomial(coeffs) -> AnalyticFunction:
             out[k] = acc
         return out
 
-    return AnalyticFunction(jet, note=f"poly(deg={len(coeffs) - 1})")
+    return AnalyticFunction(jet)
 
 
-def _exp_of_polynomial(coeffs, note: str) -> AnalyticFunction:
+def _exp_of_polynomial(coeffs) -> AnalyticFunction:
     """exp(u), u a polynomial of degree d: e_k = sum_{j<=min(k,d)} j u_j e_{k-j} / k."""
     u_jet = polynomial(coeffs).jet
     degree = len(coeffs) - 1
@@ -233,19 +231,19 @@ def _exp_of_polynomial(coeffs, note: str) -> AnalyticFunction:
             out[k] = acc / k
         return out
 
-    return AnalyticFunction(jet, note=note)
+    return AnalyticFunction(jet)
 
 
 def gaussian(a=1.0) -> AnalyticFunction:
     """exp(-a z^2 / 2)."""
     a = complex(a)
-    return _exp_of_polynomial([0.0, 0.0, -a / 2.0], note=f"gauss({a})")
+    return _exp_of_polynomial([0.0, 0.0, -a / 2.0])
 
 
 def exp_linear(k) -> AnalyticFunction:
     """exp(k z)."""
     k = complex(k)
-    return _exp_of_polynomial([0.0, k], note=f"exp({k}z)")
+    return _exp_of_polynomial([0.0, k])
 
 
 def from_callable(fn, note="") -> AnalyticFunction:
@@ -256,7 +254,7 @@ def from_callable(fn, note="") -> AnalyticFunction:
             raise EvaluationError(f"no derivative is known for {note or 'a plain callable'}")
         return np.asarray(fn(z), dtype=complex).reshape(1, len(z))
 
-    return AnalyticFunction(jet, note=note)
+    return AnalyticFunction(jet)
 
 
 # ---- operators ---------------------------------------------------------

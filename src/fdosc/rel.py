@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import nonrel
 from .errors import CouplingError, SpectralError
 from .opcore import (
     AnalyticFunction,
@@ -315,9 +316,6 @@ def nonrel_limit(g0: float, omega0_sequence) -> list[float]:
     The combination alpha + nu - 1/omega0 approaches d + 1 linearly in
     omega0 (the leading deviation is omega0 (1 - 8 g0)/8).
     """
-    d = 0.5 * math.sqrt(1.0 + 8.0 * g0)
-    out = []
-    for w0 in omega0_sequence:
-        m = make_rel_model(w0, g0)
-        out.append(abs((m.alpha + m.nu - 1.0 / m.omega0) - (d + 1.0)))
-    return out
+    models = [make_rel_model(w0, g0) for w0 in omega0_sequence]
+    d = nonrel.make_model(g0).d  # checks g0 > -1/8 before its square root
+    return [abs((m.alpha + m.nu - 1.0 / m.omega0) - (d + 1.0)) for m in models]

@@ -3,7 +3,10 @@
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -91,6 +94,14 @@ def test_spectrum_table_values():
         harness.spectrum_table("bogus", {}, 2)
 
 
+@pytest.mark.parametrize("model,params", [("nonrel", {"g0": 0.1}),
+                                          ("rel", {"omega0": 0.5, "g0": 0.1})])
+def test_spectrum_table_rejects_negative_nmax(model, params):
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        harness.spectrum_table(model, params, -1)
+    assert [r["n"] for r in harness.spectrum_table(model, params, 0)] == [0]
+
+
 def test_wavefunction_table_marks_pole_rows():
     # log_gamma(i rho) pole at rho -> 0 shows up as an error-marked row
     grid = [1e-300, 1.0, 2.0]
@@ -129,6 +140,19 @@ def test_cli_spectrum_rejects_bad_coupling():
     assert code == 2
 
 
+@pytest.mark.parametrize("model", ["nonrel", "rel"])
+def test_cli_spectrum_rejects_negative_nmax(model, capsys):
+    code, out = _run_cli(["spectrum", "--model", model, "--nmax", "-1",
+                          "--format", "json"])
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error: n_max must be >= 0")
+    code, out = _run_cli(["spectrum", "--model", model, "--nmax", "0",
+                          "--format", "json"])
+    assert code == 0
+    assert [r["n"] for r in json.loads(out)] == [0]
+
+
 def test_cli_wavefunction_csv():
     code, out = _run_cli(["wavefunction", "--model", "nonrel", "--g0", "0.1",
                           "--n", "1", "--grid-min", "0.5", "--grid-max", "4",
@@ -145,6 +169,15 @@ def test_cli_wavefunction_rejects_bad_grid():
     assert code == 2
 
 
+@pytest.mark.parametrize("model", ["nonrel", "rel"])
+def test_cli_wavefunction_rejects_negative_index(model, capsys):
+    code, out = _run_cli(["wavefunction", "--model", model, "--n", "-1",
+                          "--grid-points", "2"])
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error: n must be >= 0")
+
+
 def test_cli_limit_table():
     code, out = _run_cli(["limit", "--g0", "0.1",
                           "--omega0-list", "1e-2,5e-3", "--format", "json"])
@@ -152,6 +185,17 @@ def test_cli_limit_table():
     rows = json.loads(out)
     assert len(rows) == 2
     assert rows[0]["deviation"] > rows[1]["deviation"]
+    # pinned bit for bit: the table is plain double arithmetic on (g0, omega0)
+    assert [r["deviation"] for r in rows] == [0.00025296122324247605,
+                                              0.00012574282415611648]
+
+
+@pytest.mark.parametrize("g0", ["-0.2", "-0.05"])
+def test_cli_limit_rejects_g0_outside_domain(g0, capsys):
+    code, out = _run_cli(["limit", "--g0", g0])
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error: g0 must")
 
 
 def test_cli_limit_rejects_bad_list():
@@ -228,6 +272,28 @@ def test_cli_verify_tol_overrides_hard_checks_only():
         check = harness.CHECKS[r["check_id"]]
         expected = 1e-300 if check.gating else check.tolerance
         assert r["tolerance"] == expected, r["check_id"]
+
+
+def test_cli_commands_other_than_verify_leave_scipy_unloaded():
+    # only nonrel.matrix_oracle imports scipy; tier-1 already has scipy loaded
+    # in this process, so the commands run in a fresh interpreter
+    script = """
+import contextlib, io, json, sys
+from fdosc import cli
+cli.build_parser()
+argvs = [["spectrum", "--model", "nonrel"], ["spectrum", "--model", "rel"],
+         ["wavefunction", "--model", "nonrel", "--n", "2"],
+         ["wavefunction", "--model", "rel", "--n", "2"], ["limit"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in argvs]
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m == "scipy"
+                                                  or m.startswith("scipy."))}))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == {"codes": [0] * 5, "scipy": []}
 
 
 def test_version_matches_pyproject():

@@ -133,6 +133,13 @@ def test_nonrel_limit_deviation_shrinks():
     assert devs[0] / devs[1] == pytest.approx(2.0, rel=0.05)
 
 
+@pytest.mark.parametrize("omega0_sequence", [[], [1e-2]])
+def test_nonrel_limit_rejects_g0_outside_domain(omega0_sequence):
+    # a CouplingError, not the math domain error of sqrt(1 + 8 g0)
+    with pytest.raises(CouplingError):
+        rel.nonrel_limit(-0.2, omega0_sequence)
+
+
 def test_eigenfunction_rejects_negative_index():
     with pytest.raises(ValueError):
         rel.eigenfunction_rel(MODEL, -1)
