@@ -52,6 +52,8 @@ class NonRelEigenState:
 
 def make_model(g0: float) -> NonRelModel:
     g0 = float(g0)
+    if not math.isfinite(g0):
+        raise CouplingError(f"g0 must be finite, got {g0}")
     if g0 <= -0.125:
         raise CouplingError(f"g0 must exceed -1/8, got {g0}")
     return NonRelModel(g0=g0, d=0.5 * math.sqrt(1.0 + 8.0 * g0))

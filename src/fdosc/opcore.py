@@ -15,8 +15,9 @@ same operator object, it gives one node for op^(p+1) f over the same base f
 instead of a node around a node, so a ladder state (B^+)^n phi_0 is one
 node.  A call evaluates f once at z + S_p, where S_p holds the distinct
 shift sums of p applications, and each coefficient once, at z plus the
-union of S_0..S_(p-1); then p stencil steps, each a gather and a
-multiply-add per term, carry the jets from z + S_p down to z.  Power 1 is
+union of S_0..S_(p-1), stacked on a term axis; then p stencil steps carry
+the jets from z + S_p down to z, each one gather of every term's
+derivative rows and one stacked multiply-add over all terms.  Power 1 is
 the same code.  Any other wrapper, such as 2.0 * op(f) or a different
 operator object with equal terms, starts a new tower.
 
@@ -321,6 +322,9 @@ class _Tower:
     in S_(j+1).  The base acts at z + S_p, the coefficients at z + union,
     union = S_0 | ... | S_(p-1) in order of first appearance; at_union[j]
     places S_j in it, as a slice when S_j is a prefix (S_0 always is).
+    pick[t] is the shift index of term t, and the stencil tables give row k
+    of term t's derivative jet as row stencil_rows[k, t] of its shifted
+    jet, times stencil_scale[k, t] = (k+d)!/k! for derivative order d.
     """
 
     def __init__(self, op: DifferenceOperator, f_jet):
@@ -329,7 +333,7 @@ class _Tower:
         if inner is None:
             self.base = f_jet
             self.shifts = list(dict.fromkeys(t.shift for t in op.terms))
-            self.pick = [self.shifts.index(t.shift) for t in op.terms]
+            self.pick = np.array([self.shifts.index(t.shift) for t in op.terms], dtype=np.intp)
             self.top = max((t.dorder for t in op.terms), default=0)
             last, steps, place, at_union = [0j], [], {}, []
         else:
@@ -346,29 +350,45 @@ class _Tower:
         self.last, self.steps, self.place, self.at_union = list(following), steps, place, at_union
         self.union = np.array(list(place), dtype=complex)
         self.base_shifts = np.array(self.last, dtype=complex)[:, None]
+        # the tables a value call (K = 0) needs; a deeper jet builds its own
+        self.stencil_rows, self.stencil_scale = self._stencil((len(steps) - 1) * self.top + 1)
+
+    def _stencil(self, rows):
+        """Row index and scale tables of every term's derivative jet, rows k < rows."""
+        orders = [t.dorder for t in self.op.terms]
+        index = [[k + d for d in orders] for k in range(rows)]
+        scale = [[math.perm(k + d, d) for d in orders] for k in range(rows)]
+        return (np.array(index, dtype=np.intp).reshape(rows, len(orders)),
+                np.array(scale, dtype=float).reshape(rows, len(orders), 1, 1))
 
     def __call__(self, z, K):
         """The base once at z + S_p, each coefficient once at z + union, then
-        p stencil steps, each a gather and a multiply-add per term."""
+        p stencil steps, each one gather and one stacked multiply-add over
+        all terms."""
         n, top, power = len(z), self.top, len(self.steps)
         points, where = np.unique(z + self.base_shifts, return_inverse=True)
         values = self.base(points, K + power * top)[:, where.reshape(len(self.last), n)]
         rows = K + (power - 1) * top + 1
+        index, scale = self.stencil_rows, self.stencil_scale
+        if rows > len(index):  # a deeper jet than a value call
+            index, scale = self._stencil(rows)
+        # the coefficient jets on a term axis, (rows, terms, |union|, n); a
+        # constant is the jet (value, 0, 0, ...)
         points = z if len(self.union) == 1 else (z + self.union[:, None]).reshape(-1)
-        coeffs = [None if t.coeff.value is not None else
-                  t.coeff.jet(points, rows - 1).reshape(rows, len(self.union), n)
-                  for t in self.op.terms]
+        coeffs = np.zeros((rows, len(self.op.terms), len(self.union), n), dtype=complex)
+        for i, t in enumerate(self.op.terms):
+            if t.coeff.value is None:
+                coeffs[:, i] = t.coeff.jet(points, rows - 1).reshape(rows, len(self.union), n)
+            else:
+                coeffs[0, i] = t.coeff.value
         for j in reversed(range(power)):
             # values holds the jets at z + S_(j+1), shape (rows, |S_(j+1)|, n)
             rows = K + j * top + 1
             shifted = values[: rows + top, self.steps[j]]
-            values = np.zeros((rows,) + shifted.shape[2:], dtype=complex)
-            for t, i, c in zip(self.op.terms, self.pick, coeffs):
-                g = _derivative_rows(shifted[: rows + t.dorder, i], t.dorder)
-                if c is None:
-                    values += t.coeff.value * g
-                else:
-                    values += _cauchy(c[:rows, self.at_union[j]], g)
+            derivs = shifted[index[:rows], self.pick]
+            if top:  # every scale is 1 when no term differentiates
+                derivs *= scale[:rows]
+            values = _cauchy(coeffs[:rows, :, self.at_union[j]], derivs).sum(axis=1)
         return values.reshape(K + 1, n)
 
 

@@ -57,6 +57,8 @@ class RelEigenState:
 def make_rel_model(omega0: float, g0: float) -> RelModel:
     omega0 = float(omega0)
     g0 = float(g0)
+    if not (math.isfinite(omega0) and math.isfinite(g0)):
+        raise CouplingError(f"couplings must be finite, got omega0={omega0}, g0={g0}")
     if omega0 <= 0.0:
         raise CouplingError(f"omega0 must be positive, got {omega0}")
     if g0 <= 0.0:
@@ -269,7 +271,8 @@ def eigenfunction_rel(model: RelModel, n: int) -> RelEigenState:
 
     with (-rho)^(alpha) = i^alpha Gamma(alpha + i rho)/Gamma(i rho).  All
     gamma ratios are assembled in log space so the function stays
-    evaluable at the complex-shifted points the operators need.
+    evaluable at the complex-shifted points the operators need; the three
+    log-gammas come from one log_gamma call on the stacked arguments.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -279,8 +282,8 @@ def eigenfunction_rel(model: RelModel, n: int) -> RelEigenState:
 
     def values(z):
         iz = 1j * z
-        expo = phase + log_gamma(a + iz) - log_gamma(iz) \
-            + iz * log_w0 + log_gamma(nu + iz)
+        lg_a, lg_0, lg_nu = log_gamma(np.stack((a + iz, iz, nu + iz)))
+        expo = phase + lg_a - lg_0 + iz * log_w0 + lg_nu
         return np.exp(expo) * cdhahn_complex(n, z, a, nu, 0.5)
 
     wf = from_callable(values, note=f"rel eigenfunction n={n}")

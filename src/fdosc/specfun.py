@@ -1,9 +1,13 @@
 """Complex special functions used by the closed-form wavefunctions.
 
 Everything here is plain double precision.  Gamma uses a Lanczos
-approximation (g = 607/128, 15 coefficients) with reflection for the left
-half-plane; log_gamma keeps a continuous branch for re(z) > 0 so that
-ratios of huge gamma values can be formed in log space.
+approximation (g = 607/128, 15 coefficients; Lanczos, SIAM J. Numer.
+Anal. B 1 (1964) 86-96) with reflection for the left half-plane; log_gamma
+keeps a continuous branch for re(z) > 0 so that ratios of huge gamma
+values can be formed in log space.  A call of gamma or log_gamma maps
+every point to one Lanczos argument and runs one Lanczos sum over all of
+them, in blocks of _BLOCK points; the strip and reflection terms are then
+applied under masks.
 
 log_gamma, gamma, pochhammer, generalized_degree and cdhahn_complex
 evaluate arrays: a scalar argument gives a complex, an array (or sequence)
@@ -40,6 +44,7 @@ _LANCZOS_C = (
 )
 _LANCZOS_TAIL = np.array(_LANCZOS_C[1:])
 _LANCZOS_K = np.arange(1.0, len(_LANCZOS_C))
+_BLOCK = 256  # points per block of the Lanczos sum: a 57 KB temporary
 
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
@@ -68,61 +73,55 @@ def _reject_poles(z, name: str):
 
 
 def _log_gamma_right(z):
-    # Lanczos series, valid for re(z) >= 0.5; the sum is one 2-d broadcast
+    # Lanczos series, valid for re(z) >= 0.5.  The (points, 14) broadcast
+    # of the sum is formed _BLOCK points at a time, so its temporary stays
+    # at most _BLOCK * 14 complex values however many points come in.
     zm = z - 1.0
-    terms = zm[:, None] + _LANCZOS_K
-    s = _LANCZOS_C[0] + np.divide(_LANCZOS_TAIL, terms, out=terms).sum(axis=1)
+    s = np.empty_like(zm)
+    buf = np.empty((min(len(zm), _BLOCK), len(_LANCZOS_TAIL)), dtype=complex)
+    for lo in range(0, len(zm), _BLOCK):
+        part = zm[lo:lo + _BLOCK]
+        terms = np.add(part[:, None], _LANCZOS_K, out=buf[:len(part)])
+        np.divide(_LANCZOS_TAIL, terms, out=terms).sum(axis=1, out=s[lo:lo + len(part)])
+    s += _LANCZOS_C[0]
     t = zm + _LANCZOS_G + 0.5
     return _LOG_SQRT_TWO_PI + (zm + 0.5) * np.log(t) - t + np.log(s)
-
-
-def _log_gamma_strip(z):
-    # 0 < re(z) < 0.5: one recurrence step keeps the branch continuous
-    return _log_gamma_right(z + 1.0) - np.log(z)
-
-
-def _log_gamma_reflected(z):
-    # re(z) <= 0: Gamma(z) Gamma(1 - z) = pi / sin(pi z)
-    return _LOG_PI - np.log(np.sin(math.pi * z)) - _log_gamma_right(1.0 - z)
-
-
-def _by_branch(z, branches):
-    """Each (mask, fn) branch evaluated on its own points only."""
-    out = np.empty_like(z)
-    for mask, fn in branches:
-        if mask.all():
-            return fn(z)
-        if mask.any():
-            out[mask] = fn(z[mask])
-    return out
 
 
 def log_gamma(z):
     """log Gamma(z), continuous along re(z) > 0.
 
-    For re(z) <= 0 the reflection formula is used; there the imaginary part
-    is only defined modulo 2*pi*i, which is harmless for exponentiated
-    ratios.
+    One Lanczos sum serves every point: z itself where re(z) >= 0.5; z + 1
+    on the strip 0 < re(z) < 0.5, where log Gamma(z) = L(z + 1) - log z
+    keeps the branch continuous; 1 - z where re(z) <= 0, by the reflection
+    Gamma(z) Gamma(1 - z) = pi / sin(pi z).  There the imaginary part is
+    only defined modulo 2*pi*i, which is harmless for exponentiated ratios.
     """
     z, shape = _points(z)
     _reject_poles(z, "log_gamma")
-    right = z.real >= 0.5
     left = z.real <= 0.0
-    return _shaped(_by_branch(z, ((right, _log_gamma_right), (~(right | left), _log_gamma_strip),
-                                  (left, _log_gamma_reflected))), shape)
-
-
-def _gamma_reflected(z):
-    return math.pi / (np.sin(math.pi * z) * np.exp(_log_gamma_right(1.0 - z)))
+    strip = ~((z.real >= 0.5) | left)
+    out = _log_gamma_right(np.where(left, 1.0 - z, np.where(strip, z + 1.0, z)))
+    if strip.any():
+        out[strip] -= np.log(z[strip])
+    if left.any():
+        out[left] = _LOG_PI - np.log(np.sin(math.pi * z[left])) - out[left]
+    return _shaped(out, shape)
 
 
 def gamma(z):
-    """Gamma(z) for complex z, relative error below 1e-13 for |z| <= 50."""
+    """Gamma(z) for complex z, relative error below 1e-13 for |z| <= 50.
+
+    One Lanczos sum, at z where re(z) >= 0.5 and at 1 - z elsewhere, where
+    the reflection Gamma(z) = pi / (sin(pi z) Gamma(1 - z)) is applied.
+    """
     z, shape = _points(z)
     _reject_poles(z, "gamma")
-    right = z.real >= 0.5
-    return _shaped(_by_branch(z, ((right, lambda w: np.exp(_log_gamma_right(w))),
-                                  (~right, _gamma_reflected))), shape)
+    left = ~(z.real >= 0.5)
+    out = np.exp(_log_gamma_right(np.where(left, 1.0 - z, z)))
+    if left.any():
+        out[left] = math.pi / (np.sin(math.pi * z[left]) * out[left])
+    return _shaped(out, shape)
 
 
 def pochhammer(a, n: int):
@@ -230,7 +229,3 @@ def cdhahn_complex(n: int, z, a, b, c):
     total = np.cumsum(terms, axis=0, out=terms)[-1]
     return _shaped(pochhammer(a + b, n) * pochhammer(a + c, n) * total, shape)
 
-
-def cdhahn(n: int, x, a, b, c):
-    """S_n(x^2; a, b, c) for real argument and parameters (real result)."""
-    return cdhahn_complex(n, x, a, b, c).real

@@ -153,6 +153,21 @@ def test_cli_spectrum_rejects_negative_nmax(model, capsys):
     assert [r["n"] for r in json.loads(out)] == [0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--model", "nonrel", "--g0", "nan"],
+    ["spectrum", "--model", "rel", "--omega0", "nan"],
+    ["spectrum", "--model", "rel", "--g0", "inf"],
+    ["verify", "--g0", "nan"],
+    ["verify", "--omega0", "nan"],
+    ["limit", "--omega0-list", "1e-2,nan"],
+])
+def test_cli_rejects_non_finite_couplings(argv, capsys):
+    code, out = _run_cli(argv + ["--format", "json"])
+    assert code == 2
+    assert out == ""
+    assert re.match(r"error: .*must be finite", capsys.readouterr().err)
+
+
 def test_cli_wavefunction_csv():
     code, out = _run_cli(["wavefunction", "--model", "nonrel", "--g0", "0.1",
                           "--n", "1", "--grid-min", "0.5", "--grid-max", "4",

@@ -28,6 +28,12 @@ def test_coupling_validation():
     assert nonrel.make_model(-0.1).d == pytest.approx(0.5 * math.sqrt(0.2))
 
 
+@pytest.mark.parametrize("g0", [math.nan, math.inf, -math.inf])
+def test_non_finite_coupling_is_rejected(g0):
+    with pytest.raises(CouplingError, match="finite"):
+        nonrel.make_model(g0)
+
+
 def test_free_case_reduces_to_plain_oscillator():
     m = nonrel.make_model(0.0)
     assert m.d == 0.5

@@ -318,6 +318,42 @@ def test_towers_under_another_operator():
     _assert_close(H(_tower(B_plus, phi0, 5))(pts), H(_chain(B_plus, phi0, 5))(pts))
 
 
+def _mixed_operator():
+    """Terms with a constant and function coefficients, derivative orders 0, 1, 2."""
+    return DifferenceOperator([
+        Term(const(0.7 - 0.2j), 0.5j, 0),
+        Term(polynomial([0.3, -1.1, 0.4]), -0.5j, 1),
+        Term(exp_linear(0.2 + 0.1j), 0.0, 2),
+        Term(const(-1.3), 1j, 2),
+        Term(gaussian(0.4), 0.25, 1),
+    ])
+
+
+def test_stacked_step_matches_each_term_built_by_hand():
+    op = _mixed_operator()
+    f = gaussian(0.8) * polynomial([1.0, 0.5, -0.3])
+    by_hand = const(0.0)
+    for t in op.terms:
+        g = f
+        for _ in range(t.dorder):
+            g = g.derivative()
+        by_hand = by_hand + t.coeff * g.shifted(t.shift)
+    pts = np.array(GRID.points[::3]) + 0.2j
+    for K in range(3):
+        _assert_close(op(f).jet(pts, K), by_hand.jet(pts, K), tol=1e-14)
+        _assert_close(op(f).jet(pts[4:5], K), by_hand.jet(pts[4:5], K), tol=1e-14)
+
+
+@pytest.mark.parametrize("K", [0, 1, 2])
+def test_stacked_tower_matches_separate_steps(K):
+    op = _mixed_operator()
+    f = gaussian(0.8) * polynomial([1.0, 0.5, -0.3])
+    pts = np.array(GRID.points[::3]) + 0.2j
+    tower, chain = _tower(op, f, 3), _chain(op, f, 3)
+    _assert_close(tower.jet(pts, K), chain.jet(pts, K), tol=1e-14)
+    _assert_close(tower.jet(pts[4:5], K), chain.jet(pts[4:5], K), tol=1e-14)
+
+
 def _counting(fn, counts, key):
     def leaf(z):
         counts[key] = counts.get(key, 0) + 1

@@ -45,6 +45,14 @@ def test_coupling_validation():
         rel.make_rel_model(0.5, 0.6)  # 8 g0 omega0^2 > 1
 
 
+@pytest.mark.parametrize("omega0, g0", [(math.nan, 0.1), (0.5, math.nan), (math.inf, 0.1),
+                                        (0.5, math.inf), (-math.inf, 0.1)])
+def test_non_finite_couplings_are_rejected(omega0, g0):
+    # every comparison with NaN is false, so the range checks alone let it through
+    with pytest.raises(CouplingError, match="finite"):
+        rel.make_rel_model(omega0, g0)
+
+
 def test_boundary_coupling_admitted():
     # 8 g0 omega0^2 = 1 exactly: exponents stay real and coincide in root
     m = rel.make_rel_model(0.5, 0.5)
