@@ -291,8 +291,7 @@ def _checks_specfun(rng):
     rho, lam = np.array(samples).T
     lhs = specfun.generalized_degree(rho, lam + 1)
     rhs = specfun.generalized_degree(rho, lam) * (lam - 1j * rho) * 1j
-    yield ("specfun_degree_recurrence", {"points": 500},
-           float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs)))))
+    yield "specfun_degree_recurrence", {"points": 500}, mixed_residual(lhs, rhs)
 
     samples = [(int(rng.integers(0, 7)), rng.uniform(0.0, 4.0), rng.uniform(0.2, 2.0),
                 rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0)) for _ in range(300)]
@@ -302,7 +301,7 @@ def _checks_specfun(rng):
         at = degree == n
         s1 = specfun.cdhahn_complex(int(n), x[at], a[at], b[at], c[at]).real
         s2 = specfun.cdhahn_complex(int(n), x[at], a[at], c[at], b[at]).real
-        worst = max(worst, float(np.max(np.abs(s1 - s2) / (1.0 + np.abs(s2)))))
+        worst = max(worst, mixed_residual(s1, s2))
     yield "specfun_cdhahn_symmetry", {"points": 300}, worst
 
 
@@ -372,8 +371,9 @@ def _checks_nonrel(g0: float, n_hi: int, n_ladder: int, grid: SampleGrid, rng):
     worst = 0.0
     measured = []
     for st in states[: BASE_LEVEL + 1]:
-        worst = max(worst, _eigen_residual(casimir, st.wavefunction, value, grid))
-        measured.append(grid_ratio(casimir(st.wavefunction), st.wavefunction, grid)[0].real)
+        psi, c_psi = st.wavefunction(grid.points), casimir(st.wavefunction)(grid.points)
+        worst = max(worst, mixed_residual(c_psi, value * psi))
+        measured.append(np.mean(c_psi / psi).real)
     spread = float(np.max(np.abs(np.array(measured) - value)))
     yield ("nonrel_casimir", params, worst,
            f"value k(k-1)={value:.12g}, max deviation across n<={BASE_LEVEL}: {spread:.3e}")
@@ -406,11 +406,11 @@ def _checks_nonrel(g0: float, n_hi: int, n_ladder: int, grid: SampleGrid, rng):
     yield ("nonrel_ladder_reconstruction", params, worst,
            f"grid-constant ratios vs closed forms: {ratios}")
 
-    eigs = nonrel.matrix_oracle(model, xi_max=20.0, n_points=4000, n_eigs=5)
-    exact = np.array([nonrel.energy(model, n) for n in range(5)])
+    eigs = nonrel.matrix_oracle(model)
+    exact = np.array([nonrel.energy(model, n) for n in range(len(eigs))])
     yield "nonrel_spectrum_oracle", params, float(np.max(np.abs(eigs - exact) / exact))
 
-    variant = np.array([2.0 * model.d + n + 1.0 for n in range(5)])
+    variant = np.array([2.0 * model.d + n + 1.0 for n in range(len(eigs))])
     yield "nonrel_spectrum_variant", params, float(np.max(np.abs(eigs - variant) / variant))
 
 
@@ -427,6 +427,22 @@ def _checks_rel(omega0: float, g0: float, n_hi: int, n_ladder: int, grid: Sample
     rand_fs = _random_entire_functions(rng, 20)
     pts = grid.points
 
+    # The per-level table, one pass per level: the ladder checks below read
+    # each state and each B-+ product on the grid from here, so each is
+    # evaluated once.  Ladder levels n <= n_ladder are a prefix of the
+    # Casimir levels n <= BASE_LEVEL.
+    E = [st.energy_mc2 for st in states]
+    f_E = [rel.spectral_f(model, e) for e in E]
+    k0 = [e / (2.0 * w0) for e in E]  # K0 = H/(2 omega0) eigenvalues
+    psi = [st.wavefunction(pts) for st in states[: BASE_LEVEL + 1]]
+    Bm_psi = [B_minus(st.wavefunction) for st in states[: BASE_LEVEL + 1]]
+    Bp_psi = [B_plus(st.wavefunction) for st in states[: n_ladder + 1]]
+    Bm_vals = [f(pts) for f in Bm_psi[: n_ladder + 1]]
+    Bp_vals = [f(pts) for f in Bp_psi]
+    BmBp = [B_minus(f)(pts) for f in Bp_psi]
+    # K+K- psi_n = B+B- psi_n / f(E_n); K- annihilates the ground state
+    KpKm = [0.0] + [B_plus(Bm_psi[n])(pts) / f_E[n] for n in range(1, BASE_LEVEL + 1)]
+
     yield "rel_eigen_equation", params, max(
         _eigen_residual(H, st.wavefunction, st.energy_mc2, grid)
         for st in states[: n_hi + 1]), f"n <= {n_hi}"
@@ -439,21 +455,18 @@ def _checks_rel(omega0: float, g0: float, n_hi: int, n_ladder: int, grid: Sample
                                                   for f in rand_fs)
 
     phi0 = states[0].wavefunction
-    scale = _max_abs(phi0, grid)
     yield "rel_ground_annihilation", params, max(
-        _max_abs(b_minus(phi0), grid), _max_abs(B_minus(phi0), grid)) / scale
+        _max_abs(b_minus(phi0), grid), float(np.max(np.abs(Bm_vals[0])))) \
+        / float(np.max(np.abs(psi[0])))
 
     comm_m = commutator(H, B_minus)
     comm_p = commutator(H, B_plus)
-    worst_m = worst_p = 0.0
-    for st in states[1: n_ladder + 1]:
-        f = st.wavefunction
-        worst_m = max(worst_m, mixed_residual(comm_m(f)(pts), -2.0 * w0 * B_minus(f)(pts)))
-    for st in states[: n_ladder + 1]:
-        f = st.wavefunction
-        worst_p = max(worst_p, mixed_residual(comm_p(f)(pts), 2.0 * w0 * B_plus(f)(pts)))
-    yield "rel_lowering_commutator", params, worst_m
-    yield "rel_raising_commutator", params, worst_p
+    yield "rel_lowering_commutator", params, max(
+        mixed_residual(comm_m(states[n].wavefunction)(pts), -2.0 * w0 * Bm_vals[n])
+        for n in range(1, n_ladder + 1))
+    yield "rel_raising_commutator", params, max(
+        mixed_residual(comm_p(states[n].wavefunction)(pts), 2.0 * w0 * Bp_vals[n])
+        for n in range(n_ladder + 1))
 
     Bm_printed, _ = rel.ladder_B_printed(model)
     comm_printed = commutator(H, Bm_printed)
@@ -489,24 +502,20 @@ def _checks_rel(omega0: float, g0: float, n_hi: int, n_ladder: int, grid: Sample
     yield "rel_compact_form_comparison", params, max(
         residual(Bm_compact, B_minus, f, grid) for f in rand_fs[:3])
 
-    # gauge-invariant squared ladder coefficients mu_n = b_n^2
-    mu = [0.0]
-    for n in range(n_ladder + 1):
-        val, _ = grid_ratio(B_minus(B_plus(states[n].wavefunction)),
-                            states[n].wavefunction, grid)
-        mu.append(val.real)
+    # gauge-invariant squared ladder coefficients mu_n = b_n^2, n <= n_ladder:
+    # B- B+ psi_(n-1) = mu_n psi_(n-1)
+    mu = [0.0] + [np.mean(BmBp[n] / psi[n]).real for n in range(n_ladder)]
 
     worst = 0.0
     for n in range(n_ladder):
-        E = rel.energy(model, n)
-        scalar = w0 * E * (1.0 + 2.0 / w0**2 * (E * E - 1.0))
+        scalar = w0 * E[n] * (1.0 + 2.0 / w0**2 * (E[n] * E[n] - 1.0))
         worst = max(worst, abs(mu[n + 1] - mu[n] - scalar) / abs(scalar))
     yield "rel_ladder_consistency", params, worst
 
     worst_forced = 0.0
     worst_printed = 0.0
     for n in range(1, n_ladder + 1):
-        kappa2 = mu[n] / rel.spectral_f(model, rel.energy(model, n))
+        kappa2 = mu[n] / f_E[n]
         forced = n * (n + a + nu - 1.0)
         worst_forced = max(worst_forced, abs(kappa2 - forced) / forced)
         printed_b2 = (2.0 * w0) ** 2 * n * (n + a + nu) * (n + a - 0.5) * (n + nu - 0.5)
@@ -514,39 +523,29 @@ def _checks_rel(omega0: float, g0: float, n_hi: int, n_ladder: int, grid: Sample
     yield "rel_ladder_coefficient", params, worst_forced
     yield "rel_ladder_coefficient_printed", params, worst_printed
 
-    # su(1,1) closure on the eigenbasis via the spectral scalar weight
-    basis = rel.su11_rel(model)
+    # su(1,1) closure on the eigenbasis: K- = B- f^{-1/2}(E_n) and
+    # K+ = f^{-1/2}(E_{n+1}) B+ on psi_n, the spectral weight taken at the
+    # eigenvalue the operator ordering dictates
     worst = 0.0
     for n in range(n_ladder + 1):
-        psi = states[n].wavefunction
-        k0 = basis.k0_eigenvalue(n)
-        fn = rel.spectral_f(model, rel.energy(model, n))
-        fn1 = rel.spectral_f(model, rel.energy(model, n + 1))
-        bpbm = B_plus(B_minus(psi))(pts) / fn if n > 0 else 0.0
-        comm_vals = B_minus(B_plus(psi))(pts) / fn1 - bpbm
-        worst = max(worst, mixed_residual(comm_vals, 2.0 * k0 * psi(pts)))
+        comm_vals = BmBp[n] / f_E[n + 1] - KpKm[n]
+        worst = max(worst, mixed_residual(comm_vals, 2.0 * k0[n] * psi[n]))
         # [K0, K+] = K+ and [K0, K-] = -K- on the same state
-        kp = basis.apply_Kplus(n, psi)
-        kp_vals = kp(pts)
-        worst = max(worst, mixed_residual(basis.apply_K0(kp)(pts) - k0 * kp_vals, kp_vals))
+        scale = rel.spectral_f_sqrt_inv(model, E[n + 1])
+        kp, kp_vals = scale * Bp_psi[n], scale * Bp_vals[n]
+        worst = max(worst, mixed_residual((0.5 / w0) * H(kp)(pts) - k0[n] * kp_vals,
+                                          kp_vals))
         if n > 0:
-            km = basis.apply_Kminus(n, psi)
-            km_vals = km(pts)
-            worst = max(worst, mixed_residual(basis.apply_K0(km)(pts) - k0 * km_vals,
+            scale = rel.spectral_f_sqrt_inv(model, E[n])
+            km, km_vals = scale * Bm_psi[n], scale * Bm_vals[n]
+            worst = max(worst, mixed_residual((0.5 / w0) * H(km)(pts) - k0[n] * km_vals,
                                               -km_vals))
     yield "rel_su11_closure", params, worst
 
     k = (a + nu) / 2.0
     value = k * (k - 1.0)
-    measured = []
-    for n in range(BASE_LEVEL + 1):
-        psi = states[n].wavefunction
-        k0 = basis.k0_eigenvalue(n)
-        fn = rel.spectral_f(model, rel.energy(model, n))
-        psi_vals = psi(pts)
-        kpkm = B_plus(B_minus(psi))(pts) / fn if n > 0 else 0.0
-        ratio = np.mean((k0 * (k0 - 1.0) * psi_vals - kpkm) / psi_vals)
-        measured.append(ratio.real)
+    measured = [np.mean((k0[n] * (k0[n] - 1.0) * psi[n] - KpKm[n]) / psi[n]).real
+                for n in range(BASE_LEVEL + 1)]
     yield ("rel_casimir", params, float(np.max(np.abs(np.array(measured) - value))),
            f"value k(k-1)={value:.12g}, k=(alpha+nu)/2")
 
@@ -560,7 +559,7 @@ def _checks_rel(omega0: float, g0: float, n_hi: int, n_ladder: int, grid: Sample
     yield ("rel_ladder_reconstruction", params, worst,
            f"grid-constant ratio magnitudes vs closed forms: {ratios}")
 
-    lowest = min(rel.energy(model, n) for n in range(n_hi + 1))
+    lowest = min(E[: n_hi + 1])
     yield ("rel_energies_above_rest", params, max(0.0, 1.0 - lowest),
            f"E_0 = {lowest:.12g} mc^2")
 
@@ -603,7 +602,7 @@ DISCREPANCY_NOTES = [
 ]
 
 
-def run_suite(omega0: float, g0: float, n_max: int = 6, grid: SampleGrid = None,
+def run_suite(omega0: float, g0: float, n_max: int = 6,
               tol_overrides: float | None = None) -> VerificationReport:
     """Run every check at the given couplings and assemble the report.
 
@@ -616,8 +615,7 @@ def run_suite(omega0: float, g0: float, n_max: int = 6, grid: SampleGrid = None,
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     rel.make_rel_model(omega0, g0)  # validate before running anything
     nonrel.make_model(g0)
-    if grid is None:
-        grid = default_grid()
+    grid = default_grid()
     rng = np.random.default_rng(_SEED)
     n_hi, n_ladder = max(n_max, BASE_LEVEL), min(n_max, LADDER_CAP)
     report = VerificationReport(discrepancy_notes=list(DISCREPANCY_NOTES))

@@ -35,6 +35,9 @@ from .specfun import laguerre_coefficients
 
 _SQRT2 = math.sqrt(2.0)
 
+# matrix_oracle's (xi_min, xi_max, n_points, n_eigs)
+ORACLE_GRID = (1e-3, 20.0, 4000, 5)
+
 
 @dataclass(frozen=True)
 class NonRelModel:
@@ -59,17 +62,9 @@ def make_model(g0: float) -> NonRelModel:
     return NonRelModel(g0=g0, d=0.5 * math.sqrt(1.0 + 8.0 * g0))
 
 
-def _inv_xi() -> AnalyticFunction:
-    return monomial(-1)
-
-
-def _inv_xi2() -> AnalyticFunction:
-    return monomial(-2)
-
-
 def hamiltonian(model: NonRelModel) -> DifferenceOperator:
     """-1/2 D^2 + 1/2 xi^2 + g0/xi^2."""
-    potential = 0.5 * coordinate() * coordinate() + model.g0 * _inv_xi2()
+    potential = 0.5 * coordinate() * coordinate() + model.g0 * monomial(-2)
     return -0.5 * deriv_op(2) + mul_op(potential)
 
 
@@ -84,7 +79,7 @@ def ladder_a() -> tuple[DifferenceOperator, DifferenceOperator]:
 def ladder_c(model: NonRelModel) -> tuple[DifferenceOperator, DifferenceOperator]:
     """Singular-oscillator pair c-+ = (xi +- D - (d+1/2)/xi)/sqrt(2)."""
     xi = mul_op(coordinate())
-    sing = mul_op((model.d + 0.5) * _inv_xi())
+    sing = mul_op((model.d + 0.5) * monomial(-1))
     c_minus = (1.0 / _SQRT2) * (xi + deriv_op() - sing)
     c_plus = (1.0 / _SQRT2) * (xi - deriv_op() - sing)
     return c_minus, c_plus
@@ -101,14 +96,14 @@ def lowering_forms(model: NonRelModel) -> tuple[DifferenceOperator, DifferenceOp
     a_minus, _ = ladder_a()
     form1 = _SQRT2 * compose(mul_op(coordinate()), c_minus) - hamiltonian(model) \
         + (model.d + 1.0) * identity_op()
-    form2 = compose(a_minus, a_minus) - mul_op(model.g0 * _inv_xi2())
+    form2 = compose(a_minus, a_minus) - mul_op(model.g0 * monomial(-2))
     return form1, form2
 
 
 def ladder_A(model: NonRelModel) -> tuple[DifferenceOperator, DifferenceOperator]:
     """Two-step lowering/raising pair A-+ = (a-+)^2 - g0/xi^2."""
     a_minus, a_plus = ladder_a()
-    sing = mul_op(model.g0 * _inv_xi2())
+    sing = mul_op(model.g0 * monomial(-2))
     return compose(a_minus, a_minus) - sing, compose(a_plus, a_plus) - sing
 
 
@@ -144,18 +139,15 @@ def eigenfunction(model: NonRelModel, n: int) -> NonRelEigenState:
                             norm_constant=cn)
 
 
-def matrix_oracle(model: NonRelModel, xi_max: float = 20.0, n_points: int = 4000,
-                  n_eigs: int = 8, xi_min: float = 1e-3) -> np.ndarray:
-    """Lowest eigenvalues of the tridiagonal discretization.
+def matrix_oracle(model: NonRelModel) -> np.ndarray:
+    """Lowest n_eigs eigenvalues of the tridiagonal discretization, n_eigs
+    and its grid fixed by ORACLE_GRID.
 
-    Dirichlet walls exactly at xi_min and xi_max; unknowns at the interior
-    nodes of a uniform grid.  Independent of the operator algebra, so it
-    adjudicates the spectrum empirically.
+    Dirichlet walls exactly at xi_min and xi_max; unknowns at the n_points
+    interior nodes of a uniform grid.  Independent of the operator algebra,
+    so it adjudicates the spectrum empirically.
     """
-    if n_points < 100:
-        raise ValueError("n_points must be >= 100")
-    if xi_max < 10.0:
-        raise ValueError("xi_max must be >= 10")
+    xi_min, xi_max, n_points, n_eigs = ORACLE_GRID
     # scipy.linalg takes ~0.3 s to import; only this oracle needs it
     from scipy.linalg import eigh_tridiagonal
 

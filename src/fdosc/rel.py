@@ -7,8 +7,12 @@ omega0 = hbar*omega/mc^2 and g0 = m*g/hbar^2 the Hamiltonian is
 
 where rho(rho+i) is the generalized second-degree power.  The module
 builds the half-shift factorization pair b-+, the two-step ladder pair
-B-+, the generalized momentum, the su(1,1) construction through the
-spectral weight f(E), and the continuous dual Hahn eigenfunctions.
+B-+, the generalized momentum, the spectral weight f(E) of the su(1,1)
+construction, and the continuous dual Hahn eigenfunctions.  The su(1,1)
+generators act on the eigenbasis only: K-+ = B-+ / sqrt(f(E)), with f at
+the eigenvalue the operator ordering dictates, and K0 = H/(2 omega0).  The
+harness check rel_su11_closure forms them inline from B-+ and
+spectral_f_sqrt_inv.
 
 No inner product is specified for the model, so every "conjugate"
 operator is built from its printed closed form and all ladder-coefficient
@@ -227,40 +231,6 @@ def spectral_f_sqrt_inv(model: RelModel, energy_mc2: float) -> float:
     if val <= 0.0:
         raise SpectralError(f"f(E) = {val} <= 0 at E = {energy_mc2}")
     return 1.0 / math.sqrt(val)
-
-
-class Su11Basis:
-    """su(1,1) generator actions on the eigenbasis.
-
-    K0 is H/(2 hbar omega) as an operator; K-+ act through B-+ with the
-    spectral scalar f^{-1/2} evaluated at the eigenvalue dictated by the
-    operator ordering (f at the input state's energy for B^- f^{-1/2}(H),
-    at the output state's energy for f^{-1/2}(H) B^+).  The index of the
-    state being acted on must therefore be supplied.
-    """
-
-    def __init__(self, model: RelModel):
-        self.model = model
-        self.H = hamiltonian_rel(model)
-        self.B_minus, self.B_plus = ladder_B(model)
-
-    def k0_eigenvalue(self, n: int) -> float:
-        return energy(self.model, n) / (2.0 * self.model.omega0)
-
-    def apply_K0(self, f: AnalyticFunction) -> AnalyticFunction:
-        return (0.5 / self.model.omega0) * self.H(f)
-
-    def apply_Kminus(self, n: int, f: AnalyticFunction) -> AnalyticFunction:
-        scale = spectral_f_sqrt_inv(self.model, energy(self.model, n))
-        return scale * self.B_minus(f)
-
-    def apply_Kplus(self, n: int, f: AnalyticFunction) -> AnalyticFunction:
-        scale = spectral_f_sqrt_inv(self.model, energy(self.model, n + 1))
-        return scale * self.B_plus(f)
-
-
-def su11_rel(model: RelModel) -> Su11Basis:
-    return Su11Basis(model)
 
 
 def eigenfunction_rel(model: RelModel, n: int) -> RelEigenState:

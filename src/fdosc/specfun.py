@@ -1,13 +1,13 @@
 """Complex special functions used by the closed-form wavefunctions.
 
-Everything here is plain double precision.  Gamma uses a Lanczos
+Everything here is plain double precision.  log_gamma uses a Lanczos
 approximation (g = 607/128, 15 coefficients; Lanczos, SIAM J. Numer.
-Anal. B 1 (1964) 86-96) with reflection for the left half-plane; log_gamma
-keeps a continuous branch for re(z) > 0 so that ratios of huge gamma
-values can be formed in log space.  A call of gamma or log_gamma maps
-every point to one Lanczos argument and runs one Lanczos sum over all of
-them, in blocks of _BLOCK points; the strip and reflection terms are then
-applied under masks.
+Anal. B 1 (1964) 86-96) with reflection for the left half-plane, and keeps
+a continuous branch for re(z) > 0 so that ratios of huge gamma values can
+be formed in log space; gamma is exp(log_gamma).  A call maps every point
+to one Lanczos argument and runs one Lanczos sum over all of them, in
+blocks of _BLOCK points; the strip and reflection terms are then applied
+under masks.
 
 log_gamma, gamma, pochhammer, generalized_degree and cdhahn_complex
 evaluate arrays: a scalar argument gives a complex, an array (or sequence)
@@ -110,18 +110,11 @@ def log_gamma(z):
 
 
 def gamma(z):
-    """Gamma(z) for complex z, relative error below 1e-13 for |z| <= 50.
-
-    One Lanczos sum, at z where re(z) >= 0.5 and at 1 - z elsewhere, where
-    the reflection Gamma(z) = pi / (sin(pi z) Gamma(1 - z)) is applied.
-    """
+    """Gamma(z) = exp(log_gamma(z)) for complex z, relative error below
+    1e-13 for |z| <= 50."""
     z, shape = _points(z)
     _reject_poles(z, "gamma")
-    left = ~(z.real >= 0.5)
-    out = np.exp(_log_gamma_right(np.where(left, 1.0 - z, z)))
-    if left.any():
-        out[left] = math.pi / (np.sin(math.pi * z[left]) * out[left])
-    return _shaped(out, shape)
+    return _shaped(np.exp(log_gamma(z)), shape)
 
 
 def pochhammer(a, n: int):

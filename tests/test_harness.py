@@ -264,6 +264,33 @@ def test_run_suite_rejects_nmax_below_one():
             harness.run_suite(0.5, 0.1, n_max=n_max)
 
 
+@pytest.fixture(scope="module")
+def readings_by_nmax(check_by_id):
+    """(max_residual, note) per check at n_max 1, 6 (the session report) and
+    9: below the ladder cap, at it, and above both it and BASE_LEVEL."""
+    readings = {6: {cid: (r["max_residual"], r["note"]) for cid, r in check_by_id.items()}}
+    for n_max in (1, 9):
+        report = harness.run_suite(0.5, 0.1, n_max=n_max)
+        readings[n_max] = {r.check_id: (r.max_residual, r.note) for r in report.results}
+    return readings
+
+
+def test_casimir_checks_cover_base_levels_at_every_nmax(readings_by_nmax):
+    assert harness.LADDER_CAP < harness.BASE_LEVEL < 9
+    for cid in ("rel_casimir", "nonrel_casimir"):
+        assert readings_by_nmax[1][cid] == readings_by_nmax[6][cid] \
+            == readings_by_nmax[9][cid], cid
+
+
+def test_ladder_checks_stop_at_the_cap(readings_by_nmax):
+    for cid in ("rel_lowering_commutator", "rel_raising_commutator",
+                "rel_ladder_consistency", "rel_ladder_coefficient",
+                "rel_ladder_coefficient_printed", "rel_su11_closure",
+                "rel_ladder_reconstruction", "nonrel_ladder_coefficient",
+                "nonrel_ladder_reconstruction"):
+        assert readings_by_nmax[9][cid] == readings_by_nmax[6][cid], cid
+
+
 def test_cli_verify_rejects_nmax_below_one(capsys):
     for nmax in ("0", "-2"):
         code, out = _run_cli(["verify", "--nmax", nmax])

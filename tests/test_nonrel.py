@@ -101,21 +101,14 @@ def test_su11_commutation_on_states():
 
 
 def test_matrix_oracle_frozen_ground_value():
-    eigs = nonrel.matrix_oracle(MODEL, n_eigs=1)
+    eigs = nonrel.matrix_oracle(MODEL)
     assert eigs[0] == pytest.approx(1.6708203932499369, rel=2e-4)
 
 
 def test_matrix_oracle_spacing_is_two():
-    eigs = nonrel.matrix_oracle(MODEL, n_eigs=5)
+    eigs = nonrel.matrix_oracle(MODEL)
     gaps = np.diff(eigs)
     assert np.all(np.abs(gaps - 2.0) < 1e-3)
-
-
-def test_matrix_oracle_input_validation():
-    with pytest.raises(ValueError):
-        nonrel.matrix_oracle(MODEL, n_points=10)
-    with pytest.raises(ValueError):
-        nonrel.matrix_oracle(MODEL, xi_max=5.0)
 
 
 def test_norm_constant_frozen():

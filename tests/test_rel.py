@@ -120,13 +120,6 @@ def test_spectral_weight_rejects_nonpositive():
         rel.spectral_f_sqrt_inv(MODEL, 0.0)
 
 
-def test_su11_k0_eigenvalue():
-    basis = rel.su11_rel(MODEL)
-    for n in range(4):
-        assert basis.k0_eigenvalue(n) == pytest.approx(
-            n + 0.5 * (MODEL.alpha + MODEL.nu), rel=1e-13)
-
-
 def test_ladder_state_proportional_to_closed_form():
     st = rel.ladder_state(MODEL, 2)
     ref = rel.eigenfunction_rel(MODEL, 2)
