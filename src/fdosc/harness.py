@@ -38,12 +38,12 @@ from .opcore import (
     from_callable,
     function_residual,
     gaussian,
-    grid_ratio,
     identity_op,
     mixed_residual,
     monomial,
     mul_op,
     polynomial,
+    ratio_spread,
     residual,
     shift_op,
 )
@@ -254,6 +254,12 @@ def _eigen_residual(op, f: AnalyticFunction, eigval: float, grid: SampleGrid) ->
     return mixed_residual(op(f)(grid.points), eigval * f(grid.points))
 
 
+def _worst_residual(A, B, fs, grid: SampleGrid) -> float:
+    """Worst residual of A f against B f over the test functions fs; each
+    operator is built once by the caller, not once per f."""
+    return max(residual(A, B, f, grid) for f in fs)
+
+
 # ---- check groups ------------------------------------------------------
 #
 # Each group is a generator of (check_id, params, residual[, computed note]),
@@ -327,43 +333,45 @@ def _checks_nonrel(g0: float, n_hi: int, n_ladder: int, grid: SampleGrid, rng):
     c_minus, c_plus = nonrel.ladder_c(model)
     A_minus, A_plus = nonrel.ladder_A(model)
     K0, Km, Kp = nonrel.su11_generators(model)
-    states = [nonrel.eigenfunction(model, n) for n in range(n_hi + 2)]
+    states = [nonrel.eigenfunction(model, n) for n in range(n_hi + 1)]
     rand_fs = _random_halfline_functions(rng, 20)
+    pts = grid.points
+    # each state on the grid once: levels n <= n_hi cover the ladder levels
+    # n <= n_ladder + 1 and the Casimir levels n <= BASE_LEVEL
+    psi = [st.wavefunction(pts) for st in states]
 
     yield "nonrel_eigen_equation", params, max(
-        _eigen_residual(H, st.wavefunction, st.energy, grid) for st in states[: n_hi + 1])
+        mixed_residual(H(st.wavefunction)(pts), st.energy * psi[st.n]) for st in states)
 
     fact = compose(c_plus, c_minus) + (model.d + 1.0) * identity_op()
-    yield "nonrel_factorization", params, max(residual(fact, H, f, grid) for f in rand_fs)
+    yield "nonrel_factorization", params, _worst_residual(fact, H, rand_fs, grid)
 
     rhs14 = mul_op(from_callable(lambda z: 1.0 + (model.d + 0.5) / (z * z)))
-    yield "nonrel_pair_commutator", params, max(
-        residual(commutator(c_minus, c_plus), rhs14, f, grid) for f in rand_fs[:8])
+    yield "nonrel_pair_commutator", params, _worst_residual(
+        commutator(c_minus, c_plus), rhs14, rand_fs[:8], grid)
 
     xicm = compose(mul_op(coordinate()), c_minus)
     rhs15 = -2.0 * (xicm - (1.0 / _SQRT2) * H
                     + ((model.d + 1.0) / _SQRT2) * identity_op())
-    yield "nonrel_weighted_commutator", params, max(
-        residual(commutator(H, xicm), rhs15, f, grid) for f in rand_fs[:8])
+    yield "nonrel_weighted_commutator", params, _worst_residual(
+        commutator(H, xicm), rhs15, rand_fs[:8], grid)
 
     form1, form2 = nonrel.lowering_forms(model)
-    yield "nonrel_lowering_forms_agree", params, max(
-        residual(form1, form2, f, grid) for f in rand_fs[:8])
+    yield "nonrel_lowering_forms_agree", params, _worst_residual(
+        form1, form2, rand_fs[:8], grid)
 
-    yield "nonrel_lowering_commutator", params, max(
-        residual(commutator(H, A_minus), -2.0 * A_minus, f, grid) for f in rand_fs[:8])
+    yield "nonrel_lowering_commutator", params, _worst_residual(
+        commutator(H, A_minus), -2.0 * A_minus, rand_fs[:8], grid)
 
     psi0 = states[0].wavefunction
     yield "nonrel_ground_annihilation", params, max(
         _max_abs(c_minus(psi0), grid), _max_abs(A_minus(psi0), grid),
         _max_abs(Km(psi0), grid))
 
-    worst = 0.0
-    for f in rand_fs[:8]:
-        worst = max(worst, residual(commutator(K0, Kp), Kp, f, grid))
-        worst = max(worst, residual(commutator(K0, Km), -1.0 * Km, f, grid))
-        worst = max(worst, residual(commutator(Km, Kp), 2.0 * K0, f, grid))
-    yield "nonrel_su11_closure", params, worst
+    yield "nonrel_su11_closure", params, max(
+        _worst_residual(commutator(K0, Kp), Kp, rand_fs[:8], grid),
+        _worst_residual(commutator(K0, Km), -1.0 * Km, rand_fs[:8], grid),
+        _worst_residual(commutator(Km, Kp), 2.0 * K0, rand_fs[:8], grid))
 
     casimir = compose(K0, K0) - K0 - compose(Kp, Km)
     k = (model.d + 1.0) / 2.0
@@ -371,9 +379,9 @@ def _checks_nonrel(g0: float, n_hi: int, n_ladder: int, grid: SampleGrid, rng):
     worst = 0.0
     measured = []
     for st in states[: BASE_LEVEL + 1]:
-        psi, c_psi = st.wavefunction(grid.points), casimir(st.wavefunction)(grid.points)
-        worst = max(worst, mixed_residual(c_psi, value * psi))
-        measured.append(np.mean(c_psi / psi).real)
+        c_psi = casimir(st.wavefunction)(pts)
+        worst = max(worst, mixed_residual(c_psi, value * psi[st.n]))
+        measured.append(np.mean(c_psi / psi[st.n]).real)
     spread = float(np.max(np.abs(np.array(measured) - value)))
     yield ("nonrel_casimir", params, worst,
            f"value k(k-1)={value:.12g}, max deviation across n<={BASE_LEVEL}: {spread:.3e}")
@@ -382,12 +390,11 @@ def _checks_nonrel(g0: float, n_hi: int, n_ladder: int, grid: SampleGrid, rng):
     worst = 0.0
     signed = []
     for n in range(n_ladder + 1):
-        kap2, _ = grid_ratio(Km(Kp(states[n].wavefunction)),
-                             states[n].wavefunction, grid)
+        kp = Kp(states[n].wavefunction)
+        kap2, _ = ratio_spread(Km(kp)(pts), psi[n])
         expect = (n + 1) * (n + 1 + model.d)
         worst = max(worst, abs(kap2.real - expect) / expect)
-        ratio, _ = grid_ratio(Kp(states[n].wavefunction),
-                              states[n + 1].wavefunction, grid)
+        ratio, _ = ratio_spread(kp(pts), psi[n + 1])
         signed.append(round(ratio.real / math.sqrt(expect), 6))
     yield ("nonrel_ladder_coefficient", params, worst,
            "kappa_n = sqrt(n(n+d)); signed ratios over unit-normalized states "
@@ -400,7 +407,7 @@ def _checks_nonrel(g0: float, n_hi: int, n_ladder: int, grid: SampleGrid, rng):
         state = Kp(state)
         gamma_n = 1.0 / math.sqrt(
             math.factorial(n) * specfun.pochhammer(model.d + 1.0, n).real)
-        ratio, spread = grid_ratio(gamma_n * state, states[n].wavefunction, grid)
+        ratio, spread = ratio_spread((gamma_n * state)(pts), psi[n])
         worst = max(worst, spread)
         ratios.append(round(ratio.real, 6))
     yield ("nonrel_ladder_reconstruction", params, worst,
@@ -423,18 +430,18 @@ def _checks_rel(omega0: float, g0: float, n_hi: int, n_ladder: int, grid: Sample
     b_minus, b_plus = rel.ladder_b(model)
     B_minus, B_plus = rel.ladder_B(model)
     P = rel.momentum_P(model)
-    states = [rel.eigenfunction_rel(model, n) for n in range(n_hi + 2)]
+    states = [rel.eigenfunction_rel(model, n) for n in range(n_hi + 1)]
     rand_fs = _random_entire_functions(rng, 20)
     pts = grid.points
 
-    # The per-level table, one pass per level: the ladder checks below read
-    # each state and each B-+ product on the grid from here, so each is
-    # evaluated once.  Ladder levels n <= n_ladder are a prefix of the
-    # Casimir levels n <= BASE_LEVEL.
+    # The per-level table, one pass per level: the checks below read each
+    # state and each B-+ product on the grid from here, so each is evaluated
+    # once.  Ladder levels n <= n_ladder are a prefix of the Casimir levels
+    # n <= BASE_LEVEL, and those of the eigen-equation levels n <= n_hi.
     E = [st.energy_mc2 for st in states]
     f_E = [rel.spectral_f(model, e) for e in E]
     k0 = [e / (2.0 * w0) for e in E]  # K0 = H/(2 omega0) eigenvalues
-    psi = [st.wavefunction(pts) for st in states[: BASE_LEVEL + 1]]
+    psi = [st.wavefunction(pts) for st in states]
     Bm_psi = [B_minus(st.wavefunction) for st in states[: BASE_LEVEL + 1]]
     Bp_psi = [B_plus(st.wavefunction) for st in states[: n_ladder + 1]]
     Bm_vals = [f(pts) for f in Bm_psi[: n_ladder + 1]]
@@ -444,15 +451,14 @@ def _checks_rel(omega0: float, g0: float, n_hi: int, n_ladder: int, grid: Sample
     KpKm = [0.0] + [B_plus(Bm_psi[n])(pts) / f_E[n] for n in range(1, BASE_LEVEL + 1)]
 
     yield "rel_eigen_equation", params, max(
-        _eigen_residual(H, st.wavefunction, st.energy_mc2, grid)
-        for st in states[: n_hi + 1]), f"n <= {n_hi}"
+        mixed_residual(H(st.wavefunction)(pts), st.energy_mc2 * psi[st.n])
+        for st in states), f"n <= {n_hi}"
 
     fact = compose(b_plus, b_minus) + (w0 * (a + nu)) * identity_op()
     yield "rel_factorization_eigen", params, max(
-        _eigen_residual(fact, st.wavefunction, st.energy_mc2, grid)
-        for st in states[: n_hi + 1])
-    yield "rel_factorization_random", params, max(residual(fact, H, f, grid)
-                                                  for f in rand_fs)
+        mixed_residual(fact(st.wavefunction)(pts), st.energy_mc2 * psi[st.n])
+        for st in states)
+    yield "rel_factorization_random", params, _worst_residual(fact, H, rand_fs, grid)
 
     phi0 = states[0].wavefunction
     yield "rel_ground_annihilation", params, max(
@@ -469,13 +475,11 @@ def _checks_rel(omega0: float, g0: float, n_hi: int, n_ladder: int, grid: Sample
         for n in range(n_ladder + 1))
 
     Bm_printed, _ = rel.ladder_B_printed(model)
-    comm_printed = commutator(H, Bm_printed)
-    yield "rel_lowering_commutator_uncorrected", params, max(
-        residual(comm_printed, -2.0 * w0 * Bm_printed, f, grid) for f in rand_fs[:3])
+    yield "rel_lowering_commutator_uncorrected", params, _worst_residual(
+        commutator(H, Bm_printed), -2.0 * w0 * Bm_printed, rand_fs[:3], grid)
 
-    rho_op = mul_op(coordinate())
-    yield "rel_momentum_commutator", params, max(
-        residual(commutator(rho_op, H), 1j * P, f, grid) for f in rand_fs[:8])
+    yield "rel_momentum_commutator", params, _worst_residual(
+        commutator(mul_op(coordinate()), H), 1j * P, rand_fs[:8], grid)
 
     # free limit: momentum reduces to -sinh(i d/drho); measure its sign on
     # plane waves and the mass-shell operator identity
@@ -486,21 +490,18 @@ def _checks_rel(omega0: float, g0: float, n_hi: int, n_ladder: int, grid: Sample
         wave = planewave.plane_wave(chi)
         worst = max(worst, _eigen_residual(P_free, wave, math.sinh(chi), grid))
     yield "rel_momentum_sign_free_limit", params, worst
-    yield "rel_mass_shell_free", params, max(
-        residual(compose(H_free, H_free) - compose(P_free, P_free), identity_op(), f, grid)
-        for f in rand_fs[:3])
+    yield "rel_mass_shell_free", params, _worst_residual(
+        compose(H_free, H_free) - compose(P_free, P_free), identity_op(), rand_fs[:3], grid)
 
-    yield "rel_pair_commutator_printed", params, max(
-        residual(commutator(b_minus, b_plus), rel.bb_commutator_rhs(model), f, grid)
-        for f in rand_fs[:3])
+    yield "rel_pair_commutator_printed", params, _worst_residual(
+        commutator(b_minus, b_plus), rel.bb_commutator_rhs(model), rand_fs[:3], grid)
 
-    yield "rel_two_step_commutator", params, max(
-        residual(commutator(B_minus, B_plus), rel.BB_commutator_rhs(model), f, grid)
-        for f in rand_fs[:3])
+    yield "rel_two_step_commutator", params, _worst_residual(
+        commutator(B_minus, B_plus), rel.BB_commutator_rhs(model), rand_fs[:3], grid)
 
     Bm_compact, _ = rel.ladder_B_compact(model)
-    yield "rel_compact_form_comparison", params, max(
-        residual(Bm_compact, B_minus, f, grid) for f in rand_fs[:3])
+    yield "rel_compact_form_comparison", params, _worst_residual(
+        Bm_compact, B_minus, rand_fs[:3], grid)
 
     # gauge-invariant squared ladder coefficients mu_n = b_n^2, n <= n_ladder:
     # B- B+ psi_(n-1) = mu_n psi_(n-1)
@@ -553,13 +554,13 @@ def _checks_rel(omega0: float, g0: float, n_hi: int, n_ladder: int, grid: Sample
     ratios = []
     for n in range(1, n_ladder + 1):
         built = rel.ladder_state(model, n).wavefunction
-        ratio, spread = grid_ratio(built, states[n].wavefunction, grid)
+        ratio, spread = ratio_spread(built(pts), psi[n])
         worst = max(worst, spread)
         ratios.append(float(f"{abs(ratio):.4g}"))
     yield ("rel_ladder_reconstruction", params, worst,
            f"grid-constant ratio magnitudes vs closed forms: {ratios}")
 
-    lowest = min(E[: n_hi + 1])
+    lowest = min(E)
     yield ("rel_energies_above_rest", params, max(0.0, 1.0 - lowest),
            f"E_0 = {lowest:.12g} mc^2")
 

@@ -15,11 +15,13 @@ same operator object, it gives one node for op^(p+1) f over the same base f
 instead of a node around a node, so a ladder state (B^+)^n phi_0 is one
 node.  A call evaluates f once at z + S_p, where S_p holds the distinct
 shift sums of p applications, and each coefficient once, at z plus the
-union of S_0..S_(p-1), stacked on a term axis; then p stencil steps carry
-the jets from z + S_p down to z, each one gather of every term's
-derivative rows and one stacked multiply-add over all terms.  Power 1 is
-the same code.  Any other wrapper, such as 2.0 * op(f) or a different
-operator object with equal terms, starts a new tower.
+union of S_0..S_(p-1), stacked on a term axis.  Points are not merged
+across z: a point given twice, or two points one shift apart, are
+evaluated twice.  Then p stencil steps carry the jets from z + S_p down to
+z, each one gather of every term's derivative rows and one stacked
+multiply-add over all terms.  Power 1 is the same code.  Any other
+wrapper, such as 2.0 * op(f) or a different operator object with equal
+terms, starts a new tower.
 
 ``from_callable(fn)`` wraps an array function, fn(complex ndarray) ->
 values of the same shape.  Such a leaf has no derivative: evaluating one
@@ -318,13 +320,15 @@ class _Tower:
     """Jet of op^p f: p applications of one operator object as one node.
 
     S_j is the list of distinct shift sums of j applications, S_0 = [0] and
-    S_(j+1) = S_j + shifts; steps[j][i, k] is the index of S_j[k] + shifts[i]
-    in S_(j+1).  The base acts at z + S_p, the coefficients at z + union,
-    union = S_0 | ... | S_(p-1) in order of first appearance; at_union[j]
-    places S_j in it, as a slice when S_j is a prefix (S_0 always is).
-    pick[t] is the shift index of term t, and the stencil tables give row k
-    of term t's derivative jet as row stencil_rows[k, t] of its shifted
-    jet, times stencil_scale[k, t] = (k+d)!/k! for derivative order d.
+    S_(j+1) = S_j + shifts; steps[j][t, k] is the index of S_j[k] plus the
+    shift of term t in S_(j+1), so one gather reads every term's shifted
+    rows.  The base acts at z + S_p, point by point: points are not merged
+    across z, even where two of them coincide.  The coefficients act at
+    z + union, union = S_0 | ... | S_(p-1) in order of first appearance;
+    at_union[j] places S_j in it, as a slice when S_j is a prefix (S_0
+    always is).  The stencil tables give row k of term t's derivative jet
+    as row stencil_rows[k, t] of its shifted jet, times stencil_scale[k, t]
+    = (k+d)!/k! for derivative order d.
     """
 
     def __init__(self, op: DifferenceOperator, f_jet):
@@ -332,21 +336,20 @@ class _Tower:
         inner = f_jet if isinstance(f_jet, _Tower) and f_jet.op is op else None
         if inner is None:
             self.base = f_jet
-            self.shifts = list(dict.fromkeys(t.shift for t in op.terms))
-            self.pick = np.array([self.shifts.index(t.shift) for t in op.terms], dtype=np.intp)
             self.top = max((t.dorder for t in op.terms), default=0)
             last, steps, place, at_union = [0j], [], {}, []
         else:
-            self.base, self.shifts, self.pick, self.top = (
-                inner.base, inner.shifts, inner.pick, inner.top)
+            self.base, self.top = inner.base, inner.top
             last, steps, place, at_union = (
                 inner.last, list(inner.steps), dict(inner.place), list(inner.at_union))
         where = [place.setdefault(s, len(place)) for s in last]
         at_union.append(slice(0, len(where)) if where == list(range(len(where)))
                         else np.array(where))
+        # terms that share a shift share their entries of S_(j+1)
         following: dict = {}
-        step = [[following.setdefault(s + a, len(following)) for s in last] for a in self.shifts]
-        steps.append(np.array(step, dtype=np.intp).reshape(len(self.shifts), len(last)))
+        step = [[following.setdefault(s + t.shift, len(following)) for s in last]
+                for t in op.terms]
+        steps.append(np.array(step, dtype=np.intp).reshape(len(op.terms), len(last)))
         self.last, self.steps, self.place, self.at_union = list(following), steps, place, at_union
         self.union = np.array(list(place), dtype=complex)
         self.base_shifts = np.array(self.last, dtype=complex)[:, None]
@@ -358,7 +361,7 @@ class _Tower:
         orders = [t.dorder for t in self.op.terms]
         index = [[k + d for d in orders] for k in range(rows)]
         scale = [[math.perm(k + d, d) for d in orders] for k in range(rows)]
-        return (np.array(index, dtype=np.intp).reshape(rows, len(orders)),
+        return (np.array(index, dtype=np.intp).reshape(rows, len(orders), 1),
                 np.array(scale, dtype=float).reshape(rows, len(orders), 1, 1))
 
     def __call__(self, z, K):
@@ -366,8 +369,8 @@ class _Tower:
         p stencil steps, each one gather and one stacked multiply-add over
         all terms."""
         n, top, power = len(z), self.top, len(self.steps)
-        points, where = np.unique(z + self.base_shifts, return_inverse=True)
-        values = self.base(points, K + power * top)[:, where.reshape(len(self.last), n)]
+        values = self.base((z + self.base_shifts).reshape(-1), K + power * top)
+        values = values.reshape(len(values), len(self.last), n)
         rows = K + (power - 1) * top + 1
         index, scale = self.stencil_rows, self.stencil_scale
         if rows > len(index):  # a deeper jet than a value call
@@ -382,10 +385,10 @@ class _Tower:
             else:
                 coeffs[0, i] = t.coeff.value
         for j in reversed(range(power)):
-            # values holds the jets at z + S_(j+1), shape (rows, |S_(j+1)|, n)
+            # values holds the jets at z + S_(j+1), shape (rows, |S_(j+1)|, n);
+            # derivs[k, t] is row k of term t's derivative jet at z + S_j
             rows = K + j * top + 1
-            shifted = values[: rows + top, self.steps[j]]
-            derivs = shifted[index[:rows], self.pick]
+            derivs = values[index[:rows], self.steps[j]]
             if top:  # every scale is 1 when no term differentiates
                 derivs *= scale[:rows]
             values = _cauchy(coeffs[:rows, :, self.at_union[j]], derivs).sum(axis=1)
@@ -480,9 +483,14 @@ def function_residual(f: AnalyticFunction, g: AnalyticFunction, grid: SampleGrid
     return mixed_residual(f(grid.points), g(grid.points))
 
 
-def grid_ratio(f: AnalyticFunction, g: AnalyticFunction, grid: SampleGrid):
-    """Pointwise ratio f/g over the grid: (mean, stddev/|mean|)."""
-    vals = f(grid.points) / g(grid.points)
+def ratio_spread(values_a, values_b):
+    """Pointwise ratio a/b over paired samples: (mean, stddev/|mean|)."""
+    vals = np.asarray(values_a, dtype=complex) / np.asarray(values_b, dtype=complex)
     mean = complex(np.mean(vals))
     spread = float(np.std(vals)) / abs(mean) if mean != 0 else math.inf
     return mean, spread
+
+
+def grid_ratio(f: AnalyticFunction, g: AnalyticFunction, grid: SampleGrid):
+    """Pointwise ratio f/g over the grid: (mean, stddev/|mean|)."""
+    return ratio_spread(f(grid.points), g(grid.points))

@@ -195,11 +195,15 @@ def cdhahn_complex(n: int, z, a, b, c):
     Polynomial in z^2, so the analytic continuation off the real axis is
     just the same finite sum.  The real parameters a, b, c are scalars or
     arrays of z's shape.  The term ratios form one (n, points) array and
-    the terms are its running product down the rows.
+    the terms are its running product down the rows.  For n = 0 the sum
+    holds only its k = 0 term and both prefactors are empty products, so
+    S_0 = 1 exactly and no table is built.
     """
     if n < 0:
         raise ValueError("cdhahn requires n >= 0")
     z, shape = _points(z)
+    if n == 0:
+        return _shaped(np.ones_like(z), shape)
     a, b, c = (np.asarray(p, dtype=float).reshape(-1) for p in (a, b, c))
     k = np.arange(n)[:, None]
     ab, ac = a + b + k, a + c + k

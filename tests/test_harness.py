@@ -1,5 +1,6 @@
 """Report plumbing, output formats, CLI behaviour, determinism."""
 
+import hashlib
 import io
 import json
 import math
@@ -336,6 +337,21 @@ print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m ==
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
     assert json.loads(proc.stdout) == {"codes": [0] * 5, "scipy": []}
+
+
+def test_report_digest_tool_prints_md5_and_label():
+    root = Path(__file__).resolve().parents[1]
+    labels = ["spectrum/rel/json", "limit/text"]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, str(root / "tools" / "report_digest.py"), *labels],
+                          env=env, capture_output=True, text=True, check=True)
+    lines = proc.stdout.splitlines()
+    assert [re.fullmatch(r"([0-9a-f]{32})  (\S+)", line).group(2) for line in lines] == labels
+    _, out = _run_cli(["spectrum", "--model", "rel", "--format", "json"])
+    assert lines[0].split()[0] == hashlib.md5(out.encode()).hexdigest()
+    proc = subprocess.run([sys.executable, str(root / "tools" / "report_digest.py"), "nope"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
 
 
 def test_version_matches_pyproject():

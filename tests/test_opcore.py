@@ -318,6 +318,24 @@ def test_towers_under_another_operator():
     _assert_close(H(_tower(B_plus, phi0, 5))(pts), H(_chain(B_plus, phi0, 5))(pts))
 
 
+def test_tower_on_coincident_points_equals_distinct_and_single_points():
+    # points are not merged: a repeated point, and points one shift of H apart
+    H = rel.hamiltonian_rel(_REL)
+    f = H(rel.ladder_state(_REL, 3).wavefunction)
+    pts = np.array([1, 1, 1 + 1j, 1 - 1j, 2.5, 1 + 2j])
+    got = f(pts)
+    distinct, where = np.unique(pts, return_inverse=True)
+    assert np.array_equal(got, f(distinct)[where])
+    assert np.array_equal(got, [f(p) for p in pts])
+    # a tower whose terms share one shift and differ in derivative order
+    _, _, K_plus = nonrel.su11_generators(_NONREL)
+    g = _tower(K_plus, nonrel.eigenfunction(_NONREL, 0).wavefunction, 3)
+    pts = np.array([1.0, 1.0, 2.5, 0.5 + 0.1j, 2.5])
+    distinct, where = np.unique(pts, return_inverse=True)
+    assert np.array_equal(g(pts), g(distinct)[where])
+    _assert_close(g(pts), [g(p) for p in pts], tol=1e-15)
+
+
 def _mixed_operator():
     """Terms with a constant and function coefficients, derivative orders 0, 1, 2."""
     return DifferenceOperator([

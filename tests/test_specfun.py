@@ -236,7 +236,17 @@ def test_cdhahn_against_mpmath_sum():
 
 
 def test_cdhahn_degree_zero_is_one():
+    # S_0 is the k = 0 term alone: exactly 1 + 0j at every point
     assert specfun.cdhahn_complex(0, 2.2, 0.5, 1.0, 1.5).real == 1.0
+    val = specfun.cdhahn_complex(0, 2.2 - 0.3j, 0.5, 1.0, 1.5)
+    assert type(val) is complex
+    assert (val.real, val.imag) == (1.0, 0.0)
+    z = np.array([[0.3, 1.0 + 2.0j, -4.0j], [7.5, 0.0, 1e3 + 1j]])
+    vals = specfun.cdhahn_complex(0, z, 0.5, 1.0, 1.5)
+    assert vals.shape == z.shape and vals.dtype == complex
+    assert np.array_equal(vals, np.ones(z.shape, dtype=complex))
+    with pytest.raises(ValueError):
+        specfun.cdhahn_complex(-1, z, 0.5, 1.0, 1.5)
 
 
 def test_cdhahn_rejects_vanishing_denominator():

@@ -1,0 +1,68 @@
+"""MD5 digests of the reports and tables the `fdosc` CLI prints.
+
+    PYTHONPATH=src python3 tools/report_digest.py [LABEL ...]
+
+Prints one line `<md5>  <label>` per CLI run, the digest of everything the
+run wrote to stdout.  With labels given, runs only those.  Run it on two
+source trees and `diff` the outputs: an empty diff means a change left
+every report and table byte-identical.  It needs nothing beyond the
+standard library and fdosc itself.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+
+from fdosc import cli
+
+COUPLINGS = ((0.5, 0.1), (0.9, 0.05), (0.35, 0.6), (0.6, 0.2))
+VERIFY_NMAX = (1, 6, 12)
+TABLE_LEVELS = (0, 3, 11)
+TABLE_POINTS = 700
+FORMATS = ("json", "csv", "text")
+
+
+def runs():
+    """(label, argv) for every digested CLI run, in print order."""
+    for w0, g0 in COUPLINGS:
+        for nmax in VERIFY_NMAX:
+            for fmt in FORMATS:
+                yield (f"verify/{w0},{g0}/nmax{nmax}/{fmt}",
+                       ["verify", "--omega0", str(w0), "--g0", str(g0),
+                        "--nmax", str(nmax), "--format", fmt])
+    for model in ("rel", "nonrel"):
+        for n in TABLE_LEVELS:
+            for fmt in FORMATS:
+                yield (f"wavefunction/{model}/n{n}/{fmt}",
+                       ["wavefunction", "--model", model, "--n", str(n),
+                        "--grid-points", str(TABLE_POINTS), "--format", fmt])
+    for model in ("rel", "nonrel"):
+        for fmt in FORMATS:
+            yield f"spectrum/{model}/{fmt}", ["spectrum", "--model", model, "--format", fmt]
+    for fmt in FORMATS:
+        yield f"limit/{fmt}", ["limit", "--format", fmt]
+
+
+def digest(argv) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli.main(argv)
+    return hashlib.md5(buf.getvalue().encode()).hexdigest()
+
+
+def main(labels) -> int:
+    table = dict(runs())
+    unknown = [label for label in labels if label not in table]
+    if unknown:
+        print(f"error: unknown label(s): {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    for label in labels or table:
+        print(f"{digest(table[label])}  {label}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
