@@ -17,7 +17,7 @@ from .errors import (
 )
 from .harness import run_suite, spectrum_table, wavefunction_table
 from .nonrel import NonRelModel, make_model
-from .opcore import AnalyticFunction, DifferenceOperator, SampleGrid, default_grid
+from .opcore import AnalyticFunction, DifferenceOperator, default_grid
 from .planewave import PlaneWaveState, make_state
 from .rel import RelModel, make_rel_model
 
@@ -34,7 +34,6 @@ __all__ = [
     "PlaneWaveState",
     "PoleError",
     "RelModel",
-    "SampleGrid",
     "SpectralError",
     "default_grid",
     "make_model",

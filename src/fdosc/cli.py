@@ -3,7 +3,8 @@
 Subcommands:
     spectrum      energy levels of either model
     wavefunction  tabulated eigenfunction values on a grid
-    verify        full check suite; exit code 0 iff all hard checks pass
+    verify        full check suite; exit code 0 iff all hard checks pass, 1 if
+                  one fails, 2 if the input is rejected or cannot be evaluated
     limit         non-relativistic limit table
 
 Formats: text (aligned columns), csv (RFC-4180), json (canonical key
@@ -16,7 +17,8 @@ import argparse
 import sys
 
 from . import harness, rel
-from .opcore import SampleGrid, default_grid
+from .errors import EvaluationError, PoleError, SpectralError
+from .opcore import default_grid
 
 
 def _add_format(parser):
@@ -90,7 +92,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except ValueError as exc:  # a bad coupling, level or index (CouplingError too)
+    # a bad coupling, level or index (CouplingError too), or a function that
+    # cannot be evaluated at these couplings
+    except (ValueError, EvaluationError, PoleError, SpectralError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,13 +30,11 @@ from . import nonrel, planewave, rel, specfun
 from .errors import EvaluationError, PoleError
 from .opcore import (
     AnalyticFunction,
-    SampleGrid,
     commutator,
     compose,
     coordinate,
     default_grid,
     from_callable,
-    function_residual,
     gaussian,
     identity_op,
     mixed_residual,
@@ -246,18 +244,14 @@ def _random_entire_functions(rng, count: int):
     return out
 
 
-def _max_abs(f: AnalyticFunction, grid: SampleGrid) -> float:
-    return float(np.max(np.abs(f(grid.points))))
+def _max_abs(f: AnalyticFunction, pts) -> float:
+    return float(np.max(np.abs(f(pts))))
 
 
-def _eigen_residual(op, f: AnalyticFunction, eigval: float, grid: SampleGrid) -> float:
-    return mixed_residual(op(f)(grid.points), eigval * f(grid.points))
-
-
-def _worst_residual(A, B, fs, grid: SampleGrid) -> float:
+def _worst_residual(A, B, fs, pts) -> float:
     """Worst residual of A f against B f over the test functions fs; each
     operator is built once by the caller, not once per f."""
-    return max(residual(A, B, f, grid) for f in fs)
+    return max(residual(A, B, f, pts) for f in fs)
 
 
 # ---- check groups ------------------------------------------------------
@@ -311,14 +305,15 @@ def _checks_specfun(rng):
     yield "specfun_cdhahn_symmetry", {"points": 300}, worst
 
 
-def _checks_planewave(grid: SampleGrid):
+def _checks_planewave(pts):
     H0 = planewave.free_hamiltonian()
     worst = 0.0
     for chi in (0.0, 0.5, -0.5, 1.0):
         wave = planewave.plane_wave(chi)
-        worst = max(worst, _eigen_residual(H0, wave, math.cosh(chi), grid))
+        wave_vals = wave(pts)
+        worst = max(worst, mixed_residual(H0(wave)(pts), math.cosh(chi) * wave_vals))
         power = planewave.plane_wave_power_form(chi)
-        worst = max(worst, function_residual(wave, power, grid))
+        worst = max(worst, mixed_residual(wave_vals, power(pts)))
     yield "planewave_eigen", {"chi": [0.0, 0.5, -0.5, 1.0]}, worst
     worst = max(abs(planewave.make_state(chi).p0 ** 2
                     - planewave.make_state(chi).p ** 2 - 1.0)
@@ -326,7 +321,7 @@ def _checks_planewave(grid: SampleGrid):
     yield "planewave_mass_shell", {"chi_range": [-2.0, 2.0]}, worst
 
 
-def _checks_nonrel(g0: float, n_hi: int, n_ladder: int, grid: SampleGrid, rng):
+def _checks_nonrel(g0: float, n_hi: int, n_ladder: int, pts, rng):
     model = nonrel.make_model(g0)
     params = {"g0": g0, "d": model.d}
     H = nonrel.hamiltonian(model)
@@ -335,7 +330,6 @@ def _checks_nonrel(g0: float, n_hi: int, n_ladder: int, grid: SampleGrid, rng):
     K0, Km, Kp = nonrel.su11_generators(model)
     states = [nonrel.eigenfunction(model, n) for n in range(n_hi + 1)]
     rand_fs = _random_halfline_functions(rng, 20)
-    pts = grid.points
     # each state on the grid once: levels n <= n_hi cover the ladder levels
     # n <= n_ladder + 1 and the Casimir levels n <= BASE_LEVEL
     psi = [st.wavefunction(pts) for st in states]
@@ -344,34 +338,34 @@ def _checks_nonrel(g0: float, n_hi: int, n_ladder: int, grid: SampleGrid, rng):
         mixed_residual(H(st.wavefunction)(pts), st.energy * psi[st.n]) for st in states)
 
     fact = compose(c_plus, c_minus) + (model.d + 1.0) * identity_op()
-    yield "nonrel_factorization", params, _worst_residual(fact, H, rand_fs, grid)
+    yield "nonrel_factorization", params, _worst_residual(fact, H, rand_fs, pts)
 
     rhs14 = mul_op(from_callable(lambda z: 1.0 + (model.d + 0.5) / (z * z)))
     yield "nonrel_pair_commutator", params, _worst_residual(
-        commutator(c_minus, c_plus), rhs14, rand_fs[:8], grid)
+        commutator(c_minus, c_plus), rhs14, rand_fs[:8], pts)
 
     xicm = compose(mul_op(coordinate()), c_minus)
     rhs15 = -2.0 * (xicm - (1.0 / _SQRT2) * H
                     + ((model.d + 1.0) / _SQRT2) * identity_op())
     yield "nonrel_weighted_commutator", params, _worst_residual(
-        commutator(H, xicm), rhs15, rand_fs[:8], grid)
+        commutator(H, xicm), rhs15, rand_fs[:8], pts)
 
     form1, form2 = nonrel.lowering_forms(model)
     yield "nonrel_lowering_forms_agree", params, _worst_residual(
-        form1, form2, rand_fs[:8], grid)
+        form1, form2, rand_fs[:8], pts)
 
     yield "nonrel_lowering_commutator", params, _worst_residual(
-        commutator(H, A_minus), -2.0 * A_minus, rand_fs[:8], grid)
+        commutator(H, A_minus), -2.0 * A_minus, rand_fs[:8], pts)
 
     psi0 = states[0].wavefunction
     yield "nonrel_ground_annihilation", params, max(
-        _max_abs(c_minus(psi0), grid), _max_abs(A_minus(psi0), grid),
-        _max_abs(Km(psi0), grid))
+        _max_abs(c_minus(psi0), pts), _max_abs(A_minus(psi0), pts),
+        _max_abs(Km(psi0), pts))
 
     yield "nonrel_su11_closure", params, max(
-        _worst_residual(commutator(K0, Kp), Kp, rand_fs[:8], grid),
-        _worst_residual(commutator(K0, Km), -1.0 * Km, rand_fs[:8], grid),
-        _worst_residual(commutator(Km, Kp), 2.0 * K0, rand_fs[:8], grid))
+        _worst_residual(commutator(K0, Kp), Kp, rand_fs[:8], pts),
+        _worst_residual(commutator(K0, Km), -1.0 * Km, rand_fs[:8], pts),
+        _worst_residual(commutator(Km, Kp), 2.0 * K0, rand_fs[:8], pts))
 
     casimir = compose(K0, K0) - K0 - compose(Kp, Km)
     k = (model.d + 1.0) / 2.0
@@ -421,8 +415,7 @@ def _checks_nonrel(g0: float, n_hi: int, n_ladder: int, grid: SampleGrid, rng):
     yield "nonrel_spectrum_variant", params, float(np.max(np.abs(eigs - variant) / variant))
 
 
-def _checks_rel(omega0: float, g0: float, n_hi: int, n_ladder: int, grid: SampleGrid,
-                rng):
+def _checks_rel(omega0: float, g0: float, n_hi: int, n_ladder: int, pts, rng):
     model = rel.make_rel_model(omega0, g0)
     w0, a, nu = model.omega0, model.alpha, model.nu
     params = {"omega0": omega0, "g0": g0, "alpha": a, "nu": nu}
@@ -432,7 +425,6 @@ def _checks_rel(omega0: float, g0: float, n_hi: int, n_ladder: int, grid: Sample
     P = rel.momentum_P(model)
     states = [rel.eigenfunction_rel(model, n) for n in range(n_hi + 1)]
     rand_fs = _random_entire_functions(rng, 20)
-    pts = grid.points
 
     # The per-level table, one pass per level: the checks below read each
     # state and each B-+ product on the grid from here, so each is evaluated
@@ -458,11 +450,11 @@ def _checks_rel(omega0: float, g0: float, n_hi: int, n_ladder: int, grid: Sample
     yield "rel_factorization_eigen", params, max(
         mixed_residual(fact(st.wavefunction)(pts), st.energy_mc2 * psi[st.n])
         for st in states)
-    yield "rel_factorization_random", params, _worst_residual(fact, H, rand_fs, grid)
+    yield "rel_factorization_random", params, _worst_residual(fact, H, rand_fs, pts)
 
     phi0 = states[0].wavefunction
     yield "rel_ground_annihilation", params, max(
-        _max_abs(b_minus(phi0), grid), float(np.max(np.abs(Bm_vals[0])))) \
+        _max_abs(b_minus(phi0), pts), float(np.max(np.abs(Bm_vals[0])))) \
         / float(np.max(np.abs(psi[0])))
 
     comm_m = commutator(H, B_minus)
@@ -476,10 +468,10 @@ def _checks_rel(omega0: float, g0: float, n_hi: int, n_ladder: int, grid: Sample
 
     Bm_printed, _ = rel.ladder_B_printed(model)
     yield "rel_lowering_commutator_uncorrected", params, _worst_residual(
-        commutator(H, Bm_printed), -2.0 * w0 * Bm_printed, rand_fs[:3], grid)
+        commutator(H, Bm_printed), -2.0 * w0 * Bm_printed, rand_fs[:3], pts)
 
     yield "rel_momentum_commutator", params, _worst_residual(
-        commutator(mul_op(coordinate()), H), 1j * P, rand_fs[:8], grid)
+        commutator(mul_op(coordinate()), H), 1j * P, rand_fs[:8], pts)
 
     # free limit: momentum reduces to -sinh(i d/drho); measure its sign on
     # plane waves and the mass-shell operator identity
@@ -488,20 +480,20 @@ def _checks_rel(omega0: float, g0: float, n_hi: int, n_ladder: int, grid: Sample
     worst = 0.0
     for chi in (0.5, -0.5, 1.0):
         wave = planewave.plane_wave(chi)
-        worst = max(worst, _eigen_residual(P_free, wave, math.sinh(chi), grid))
+        worst = max(worst, mixed_residual(P_free(wave)(pts), math.sinh(chi) * wave(pts)))
     yield "rel_momentum_sign_free_limit", params, worst
     yield "rel_mass_shell_free", params, _worst_residual(
-        compose(H_free, H_free) - compose(P_free, P_free), identity_op(), rand_fs[:3], grid)
+        compose(H_free, H_free) - compose(P_free, P_free), identity_op(), rand_fs[:3], pts)
 
     yield "rel_pair_commutator_printed", params, _worst_residual(
-        commutator(b_minus, b_plus), rel.bb_commutator_rhs(model), rand_fs[:3], grid)
+        commutator(b_minus, b_plus), rel.bb_commutator_rhs(model), rand_fs[:3], pts)
 
     yield "rel_two_step_commutator", params, _worst_residual(
-        commutator(B_minus, B_plus), rel.BB_commutator_rhs(model), rand_fs[:3], grid)
+        commutator(B_minus, B_plus), rel.BB_commutator_rhs(model), rand_fs[:3], pts)
 
     Bm_compact, _ = rel.ladder_B_compact(model)
     yield "rel_compact_form_comparison", params, _worst_residual(
-        Bm_compact, B_minus, rand_fs[:3], grid)
+        Bm_compact, B_minus, rand_fs[:3], pts)
 
     # gauge-invariant squared ladder coefficients mu_n = b_n^2, n <= n_ladder:
     # B- B+ psi_(n-1) = mu_n psi_(n-1)
@@ -616,14 +608,14 @@ def run_suite(omega0: float, g0: float, n_max: int = 6,
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     rel.make_rel_model(omega0, g0)  # validate before running anything
     nonrel.make_model(g0)
-    grid = default_grid()
+    pts = default_grid()
     rng = np.random.default_rng(_SEED)
     n_hi, n_ladder = max(n_max, BASE_LEVEL), min(n_max, LADDER_CAP)
     report = VerificationReport(discrepancy_notes=list(DISCREPANCY_NOTES))
     measured = itertools.chain(
-        _checks_specfun(rng), _checks_planewave(grid),
-        _checks_nonrel(g0, n_hi, n_ladder, grid, rng),
-        _checks_rel(omega0, g0, n_hi, n_ladder, grid, rng))
+        _checks_specfun(rng), _checks_planewave(pts),
+        _checks_nonrel(g0, n_hi, n_ladder, pts, rng),
+        _checks_rel(omega0, g0, n_hi, n_ladder, pts, rng))
     for check_id, params, worst, *computed_note in measured:
         tolerance, gating, note = CHECKS[check_id]
         note = computed_note[0] if computed_note else note

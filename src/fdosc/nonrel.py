@@ -50,7 +50,6 @@ class NonRelEigenState:
     n: int
     energy: float
     wavefunction: AnalyticFunction
-    norm_constant: float
 
 
 def make_model(g0: float) -> NonRelModel:
@@ -135,8 +134,7 @@ def eigenfunction(model: NonRelModel, n: int) -> NonRelEigenState:
     for k, c in enumerate(lag):
         even[2 * k] = c
     wf = const(cn) * monomial(model.d + 0.5) * gaussian(1.0) * polynomial(even)
-    return NonRelEigenState(n=n, energy=energy(model, n), wavefunction=wf,
-                            norm_constant=cn)
+    return NonRelEigenState(n=n, energy=energy(model, n), wavefunction=wf)
 
 
 def matrix_oracle(model: NonRelModel) -> np.ndarray:

@@ -31,7 +31,7 @@ raises EvaluationError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -439,28 +439,12 @@ def commutator(A: DifferenceOperator, B: DifferenceOperator) -> DifferenceOperat
 # ---- grids and residuals ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class SampleGrid:
-    points: tuple = field(default_factory=tuple)
-    description: str = ""
-
-    def __post_init__(self):
-        pts = tuple(float(p) for p in self.points)
-        if any(p <= 0.0 for p in pts):
-            raise ValueError("grid points must be strictly positive")
-        object.__setattr__(self, "points", pts)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __len__(self):
-        return len(self.points)
-
-
-def default_grid(n_points: int = 32, lo: float = 0.25, hi: float = 8.0) -> SampleGrid:
-    """Logarithmically spaced grid staying off the origin."""
-    pts = np.geomspace(lo, hi, n_points)
-    return SampleGrid(tuple(pts), f"{n_points} log-spaced points in [{lo}, {hi}]")
+def default_grid(n_points: int = 32, lo: float = 0.25, hi: float = 8.0) -> np.ndarray:
+    """n_points logarithmically spaced sample points in [lo, hi], lo > 0 so
+    the grid stays off the origin."""
+    if not lo > 0.0:
+        raise ValueError(f"grid points must be strictly positive, got lo = {lo}")
+    return np.geomspace(lo, hi, n_points)
 
 
 def mixed_residual(values_a, values_b) -> float:
@@ -471,16 +455,9 @@ def mixed_residual(values_a, values_b) -> float:
 
 
 def residual(A: DifferenceOperator, B: DifferenceOperator, f: AnalyticFunction,
-             grid: SampleGrid) -> float:
-    """Mixed-norm residual of A f against B f over the grid."""
-    if len(grid) == 0:
-        raise ValueError("grid must be non-empty")
-    return function_residual(A(f), B(f), grid)
-
-
-def function_residual(f: AnalyticFunction, g: AnalyticFunction, grid: SampleGrid) -> float:
-    """Mixed-norm residual between two functions over the grid."""
-    return mixed_residual(f(grid.points), g(grid.points))
+             points) -> float:
+    """Mixed-norm residual of A f against B f at the points."""
+    return mixed_residual(A(f)(points), B(f)(points))
 
 
 def ratio_spread(values_a, values_b):
@@ -491,6 +468,6 @@ def ratio_spread(values_a, values_b):
     return mean, spread
 
 
-def grid_ratio(f: AnalyticFunction, g: AnalyticFunction, grid: SampleGrid):
-    """Pointwise ratio f/g over the grid: (mean, stddev/|mean|)."""
-    return ratio_spread(f(grid.points), g(grid.points))
+def grid_ratio(f: AnalyticFunction, g: AnalyticFunction, points):
+    """Pointwise ratio f/g at the points: (mean, stddev/|mean|)."""
+    return ratio_spread(f(points), g(points))

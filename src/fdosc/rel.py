@@ -41,6 +41,10 @@ from .specfun import cdhahn_complex, log_gamma, pochhammer
 
 _SQRT2 = math.sqrt(2.0)
 
+# Least omega0 at which nu's radicand 1 + 2(1 + r)/omega0^2 <= 1 + 4/omega0^2
+# stays finite; below it alpha and nu become nan or inf.
+OMEGA0_FLOOR = 2.0 / math.sqrt(np.finfo(float).max)  # 1.49e-154
+
 
 @dataclass(frozen=True)
 class RelModel:
@@ -55,7 +59,6 @@ class RelEigenState:
     n: int
     energy_mc2: float
     wavefunction: AnalyticFunction
-    built_by_ladder: bool = False
 
 
 def make_rel_model(omega0: float, g0: float) -> RelModel:
@@ -65,6 +68,9 @@ def make_rel_model(omega0: float, g0: float) -> RelModel:
         raise CouplingError(f"couplings must be finite, got omega0={omega0}, g0={g0}")
     if omega0 <= 0.0:
         raise CouplingError(f"omega0 must be positive, got {omega0}")
+    if omega0 < OMEGA0_FLOOR:
+        raise CouplingError(f"4/omega0^2 must be finite: omega0 = {omega0} is below "
+                            f"the floor {OMEGA0_FLOOR:.4g}")
     if g0 <= 0.0:
         raise CouplingError(f"g0 must be positive, got {g0}")
     disc = 1.0 - 8.0 * g0 * omega0 * omega0
@@ -279,16 +285,29 @@ def ladder_state(model: RelModel, n: int) -> RelEigenState:
     for _ in range(n):
         state = B_plus(state)
     wf = ladder_norm_constant(model, n) * state
-    return RelEigenState(n=n, energy_mc2=energy(model, n), wavefunction=wf,
-                         built_by_ladder=True)
+    return RelEigenState(n=n, energy_mc2=energy(model, n), wavefunction=wf)
 
 
 def nonrel_limit(g0: float, omega0_sequence) -> list[float]:
     """Deviations |(alpha + nu - 1/omega0) - (d + 1)| along an omega0 sequence.
 
     The combination alpha + nu - 1/omega0 approaches d + 1 linearly in
-    omega0 (the leading deviation is omega0 (1 - 8 g0)/8).
+    omega0 (the leading deviation is omega0 (1 - 8 g0)/8).  Both parts are
+    formed without subtracting numbers of size 1/omega0: with
+    q = 1 + sqrt(1 - 8 g0 omega0^2) and s = 2 - q = 8 g0 omega0^2 / q,
+
+        alpha - (d + 1/2)   = 4 g0 s / (q (sqrt(1 + 16 g0/q) + 2d)),
+        nu - 1/omega0 - 1/2 = omega0 (2(1 - 8 g0) - s) / (2q (sqrt(omega0^2 + 2q) + 2)).
     """
     models = [make_rel_model(w0, g0) for w0 in omega0_sequence]
     d = nonrel.make_model(g0).d  # checks g0 > -1/8 before its square root
-    return [abs((m.alpha + m.nu - 1.0 / m.omega0) - (d + 1.0)) for m in models]
+    devs = []
+    for m in models:
+        w2, g0 = m.omega0 * m.omega0, m.g0
+        q = 1.0 + math.sqrt(1.0 - 8.0 * g0 * w2)
+        s = 8.0 * g0 * w2 / q
+        alpha_part = 4.0 * g0 * s / (q * (math.sqrt(1.0 + 16.0 * g0 / q) + 2.0 * d))
+        nu_part = m.omega0 * (2.0 * (1.0 - 8.0 * g0) - s) \
+            / (2.0 * q * (math.sqrt(w2 + 2.0 * q) + 2.0))
+        devs.append(abs(alpha_part + nu_part))
+    return devs

@@ -131,47 +131,22 @@ def pochhammer(a, n: int):
 def generalized_degree(rho, lam):
     """Finite-difference power rho^(lam) = i^lam Gamma(lam - i rho) / Gamma(-i rho).
 
-    i^lam is taken on the principal branch, exp(i pi lam / 2).  For integer
-    lam >= 0 the gamma recurrence collapses the ratio to the exact product
-    prod_{k=0}^{lam-1} (rho + i k), which is used directly (it is entire,
-    so rho = 0 is not a pole in that case).  rho and lam broadcast against
+    i^lam is taken on the principal branch, exp(i pi lam / 2), and the gamma
+    ratio is formed in log space, integer lam included (at lam = 3 it gives
+    rho (rho + i)(rho + 2i) to a few ulps).  rho and lam broadcast against
     each other like the other functions here take arrays.
     """
     rho, lam = np.broadcast_arrays(np.asarray(rho, dtype=complex), np.asarray(lam, dtype=complex))
     shape = rho.shape
     rho, lam = rho.reshape(-1), lam.reshape(-1)
-    out = np.empty_like(rho)
-    whole = (lam.imag == 0.0) & (lam.real >= 0.0) & (lam.real == np.round(lam.real))
-    if whole.any():
-        r, m = rho[whole], lam.real[whole]
-        acc = np.ones_like(r)
-        for k in range(int(m.max())):
-            acc = np.where(k < m, acc * (r + 1j * k), acc)
-        out[whole] = acc
-    rest = ~whole
-    if rest.any():
-        r, m = rho[rest], lam[rest]
-        num = m - 1j * r
-        den = -1j * r
-        bad = _nonpositive_integers(num) | _nonpositive_integers(den)
-        if bad.any():
-            i = int(bad.argmax())
-            raise PoleError(f"generalized_degree pole: rho={complex(r[i])}, lam={complex(m[i])}")
-        out[rest] = np.exp(1j * math.pi * m / 2.0) * np.exp(log_gamma(num) - log_gamma(den))
+    num = lam - 1j * rho
+    den = -1j * rho
+    bad = _nonpositive_integers(num) | _nonpositive_integers(den)
+    if bad.any():
+        i = int(bad.argmax())
+        raise PoleError(f"generalized_degree pole: rho={complex(rho[i])}, lam={complex(lam[i])}")
+    out = np.exp(1j * math.pi * lam / 2.0) * np.exp(log_gamma(num) - log_gamma(den))
     return _shaped(out, shape)
-
-
-def laguerre(n: int, d: float, y):
-    """Associated Laguerre polynomial L_n^d(y) by the three-term recurrence."""
-    if n < 0:
-        raise ValueError("laguerre requires n >= 0")
-    if n == 0:
-        return 1.0 + 0.0 * y
-    prev = 1.0 + 0.0 * y          # L_0
-    cur = 1.0 + d - y             # L_1
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 + d - y) * cur - (k + d) * prev) / (k + 1)
-    return cur
 
 
 def laguerre_coefficients(n: int, d: float) -> list[float]:

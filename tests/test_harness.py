@@ -161,6 +161,11 @@ def test_cli_spectrum_rejects_negative_nmax(model, capsys):
     ["verify", "--g0", "nan"],
     ["verify", "--omega0", "nan"],
     ["limit", "--omega0-list", "1e-2,nan"],
+    # below rel.OMEGA0_FLOOR the exponents alpha, nu are not finite
+    ["verify", "--omega0", "1e-200"],
+    ["spectrum", "--model", "rel", "--omega0", "1e-154"],
+    ["wavefunction", "--model", "rel", "--omega0", "1e-200"],
+    ["limit", "--omega0-list", "1e-2,1e-200"],
 ])
 def test_cli_rejects_non_finite_couplings(argv, capsys):
     code, out = _run_cli(argv + ["--format", "json"])
@@ -201,9 +206,30 @@ def test_cli_limit_table():
     rows = json.loads(out)
     assert len(rows) == 2
     assert rows[0]["deviation"] > rows[1]["deviation"]
-    # pinned bit for bit: the table is plain double arithmetic on (g0, omega0)
-    assert [r["deviation"] for r in rows] == [0.00025296122324247605,
-                                              0.00012574282415611648]
+    # pinned bit for bit: the table is plain double arithmetic on (g0, omega0);
+    # 50-digit mpmath gives 2.5296122335777549e-4 and 1.2574282394614512e-4
+    assert [r["deviation"] for r in rows] == [0.0002529612233577755,
+                                              0.00012574282394614512]
+
+
+def test_cli_verify_reports_evaluation_error_with_exit_2(capsys):
+    # omega0 = 0.005 is in the domain, but Gamma(nu + i rho) overflows there;
+    # exit 1 would claim a hard check failed
+    code, out = _run_cli(["verify", "--omega0", "0.005", "--format", "json"])
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error: non-finite value at z = ")
+
+
+@pytest.mark.parametrize("exc", [fdosc.PoleError, fdosc.SpectralError])
+def test_cli_maps_evaluation_errors_to_exit_2(exc, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise exc("cannot evaluate here")
+
+    monkeypatch.setattr(harness, "run_suite", fail)
+    code, out = _run_cli(["verify"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: cannot evaluate here\n"
 
 
 @pytest.mark.parametrize("g0", ["-0.2", "-0.05"])

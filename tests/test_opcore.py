@@ -10,7 +10,6 @@ from fdosc import nonrel, rel
 from fdosc.errors import EvaluationError, PoleError
 from fdosc.opcore import (
     DifferenceOperator,
-    SampleGrid,
     Term,
     commutator,
     compose,
@@ -20,7 +19,6 @@ from fdosc.opcore import (
     deriv_op,
     exp_linear,
     from_callable,
-    function_residual,
     gaussian,
     grid_ratio,
     identity_op,
@@ -137,7 +135,7 @@ def test_array_evaluation_equals_pointwise():
     nr = nonrel.make_model(0.1)
     _, _, Kp = nonrel.su11_generators(nr)
     psi0 = nonrel.eigenfunction(nr, 0).wavefunction
-    pts = np.array(GRID.points)
+    pts = GRID
     for f in (rel.ladder_state(rel.make_rel_model(0.5, 0.1), 6).wavefunction, Kp(Kp(psi0))):
         values = f(pts)
         assert values.shape == pts.shape
@@ -157,9 +155,9 @@ def test_term_merging_by_shift_and_order():
 
 def test_grid_rejects_nonpositive_points():
     with pytest.raises(ValueError):
-        SampleGrid((1.0, 0.0, 2.0))
+        default_grid(4, 0.0, 2.0)
     with pytest.raises(ValueError):
-        SampleGrid((-0.5,))
+        default_grid(4, -0.5, 2.0)
 
 
 def test_default_grid_shape():
@@ -179,10 +177,26 @@ def test_mixed_residual_definition():
 def test_function_residual_and_ratio():
     f = exp_linear(0.3)
     g = 2.0 * f
-    assert function_residual(f, f, GRID) == 0.0
+    assert mixed_residual(f(GRID), f(GRID)) == 0.0
+    assert residual(identity_op(), shift_op(0.0), f, GRID) == 0.0
     mean, spread = grid_ratio(g, f, GRID)
     assert mean == pytest.approx(2.0)
     assert spread < 1e-15
+
+
+def test_default_grid_serves_pointwise_and_ratio_callers():
+    # what a caller outside the package does with the grid: len, iteration
+    # with a scalar evaluation at each point, and grid_ratio over all of it
+    grid = default_grid()
+    assert len(grid) == 32
+    assert all(isinstance(p, float) for p in grid)
+    assert grid[0] == 0.25 and grid[-1] == 8.0
+    model = rel.make_rel_model(0.6, 0.2)
+    built = rel.ladder_state(model, 3).wavefunction
+    assert all(type(built(p)) is complex for p in grid)
+    mean, spread = grid_ratio(built, rel.eigenfunction_rel(model, 3).wavefunction, grid)
+    assert type(mean) is complex and type(spread) is float
+    assert spread < 1e-10
 
 
 def test_evaluation_error_on_nonfinite():
@@ -219,7 +233,7 @@ def test_folded_constants_give_the_jets_they_replace():
     # polynomial([c]) is the same constant without the fold
     c, c_plain = const(2.0 - 1.0j), polynomial([2.0 - 1.0j])
     f = gaussian(0.8) * polynomial([1.0, 2.0, -0.5])
-    z = np.array(GRID.points) + 0.3j
+    z = GRID + 0.3j
     for folded, plain in ((c * f, c_plain * f), (f * c, f * c_plain),
                           (f + c, f + c_plain), (c - f, c_plain - f)):
         assert folded.value is None
@@ -275,7 +289,7 @@ def _chain(op, f, n):
 def test_rel_tower_equals_composed_power():
     _, B_plus = rel.ladder_B(_REL)
     phi0 = rel.eigenfunction_rel(_REL, 0).wavefunction
-    pts = np.array(GRID.points[::3])
+    pts = GRID[::3]
     product = identity_op()
     for n in range(1, 7):
         tower, chain = _tower(B_plus, phi0, n), _chain(B_plus, phi0, n)
@@ -291,7 +305,7 @@ def test_rel_tower_equals_composed_power():
 def test_nonrel_tower_jets_equal_separate_steps(order):
     _, _, K_plus = nonrel.su11_generators(_NONREL)
     psi0 = nonrel.eigenfunction(_NONREL, 0).wavefunction
-    pts = np.array(GRID.points[::2]) + 0.1j
+    pts = GRID[::2] + 0.1j
     for n in range(1, 5):
         tower, chain, product = (_tower(K_plus, psi0, n), _chain(K_plus, psi0, n),
                                  _power(K_plus, n)(psi0))
@@ -308,7 +322,7 @@ def test_nonrel_tower_jets_equal_separate_steps(order):
 def test_towers_under_another_operator():
     K0, K_minus, K_plus = nonrel.su11_generators(_NONREL)
     psi0 = nonrel.eigenfunction(_NONREL, 0).wavefunction
-    pts = np.array(GRID.points)
+    pts = GRID
     tower, chain = _tower(K_plus, psi0, 3), _chain(K_plus, psi0, 3)
     _assert_close(K_minus(tower)(pts), K_minus(chain)(pts))
     _assert_close(K0(tower).derivative()(pts), K0(chain).derivative()(pts))
@@ -356,7 +370,7 @@ def test_stacked_step_matches_each_term_built_by_hand():
         for _ in range(t.dorder):
             g = g.derivative()
         by_hand = by_hand + t.coeff * g.shifted(t.shift)
-    pts = np.array(GRID.points[::3]) + 0.2j
+    pts = GRID[::3] + 0.2j
     for K in range(3):
         _assert_close(op(f).jet(pts, K), by_hand.jet(pts, K), tol=1e-14)
         _assert_close(op(f).jet(pts[4:5], K), by_hand.jet(pts[4:5], K), tol=1e-14)
@@ -366,7 +380,7 @@ def test_stacked_step_matches_each_term_built_by_hand():
 def test_stacked_tower_matches_separate_steps(K):
     op = _mixed_operator()
     f = gaussian(0.8) * polynomial([1.0, 0.5, -0.3])
-    pts = np.array(GRID.points[::3]) + 0.2j
+    pts = GRID[::3] + 0.2j
     tower, chain = _tower(op, f, 3), _chain(op, f, 3)
     _assert_close(tower.jet(pts, K), chain.jet(pts, K), tol=1e-14)
     _assert_close(tower.jet(pts[4:5], K), chain.jet(pts[4:5], K), tol=1e-14)
@@ -385,7 +399,7 @@ def test_equal_operator_objects_do_not_fuse():
                              Term(const(0.5), -1j, 0)])
     twin = DifferenceOperator(op.terms)
     f = exp_linear(0.3)
-    pts = np.array(GRID.points)
+    pts = GRID
     fused, unfused = op(op(f)), twin(op(f))
     assert np.array_equal(unfused(pts), fused(pts))
     counts.clear()
@@ -404,7 +418,7 @@ def test_operator_without_terms_gives_zero():
 def test_scaled_tower_is_not_fused():
     _, B_plus = rel.ladder_B(_REL)
     phi0 = rel.eigenfunction_rel(_REL, 0).wavefunction
-    pts = np.array(GRID.points)
+    pts = GRID
     scaled = B_plus(2.0 * B_plus(phi0))
     _assert_close(scaled(pts), 2.0 * B_plus(B_plus(phi0))(pts), tol=1e-15)
 
@@ -437,7 +451,7 @@ def test_tower_evaluates_each_leaf_once_per_call(n):
     op = DifferenceOperator([Term(_counting(np.cos, counts, "coeff"), 1j, 0),
                              Term(const(0.5), -0.5j, 0), Term(polynomial([0.0, 1.0]), 0.0, 0)])
     tower = _tower(op, _counting(np.exp, counts, "base"), n)
-    tower(np.array(GRID.points))
+    tower(GRID)
     assert counts == {"coeff": 1, "base": 1}
     counts.clear()
     tower(1.5)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fdosc import planewave
-from fdosc.opcore import default_grid, function_residual
+from fdosc.opcore import default_grid, mixed_residual
 
 GRID = default_grid()
 
@@ -22,8 +22,8 @@ def test_plane_wave_is_cosh_eigenfunction(chi):
 
 @pytest.mark.parametrize("chi", [0.0, 0.7, -1.2])
 def test_power_form_equals_exponential_form(chi):
-    assert function_residual(planewave.plane_wave(chi),
-                             planewave.plane_wave_power_form(chi), GRID) < 1e-13
+    assert mixed_residual(planewave.plane_wave(chi)(GRID),
+                          planewave.plane_wave_power_form(chi)(GRID)) < 1e-13
 
 
 def test_mass_shell():

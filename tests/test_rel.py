@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -51,6 +52,15 @@ def test_non_finite_couplings_are_rejected(omega0, g0):
     # every comparison with NaN is false, so the range checks alone let it through
     with pytest.raises(CouplingError, match="finite"):
         rel.make_rel_model(omega0, g0)
+
+
+def test_omega0_floor():
+    # at the floor alpha and nu are finite; one ulp below, 4/omega0^2 overflows
+    m = rel.make_rel_model(rel.OMEGA0_FLOOR, 0.1)
+    assert math.isfinite(m.alpha) and math.isfinite(m.nu)
+    for omega0 in (math.nextafter(rel.OMEGA0_FLOOR, 0.0), 1e-154, 1e-200):
+        with pytest.raises(CouplingError, match="below the floor 1.492e-154"):
+            rel.make_rel_model(omega0, 0.1)
 
 
 def test_boundary_coupling_admitted():
@@ -123,7 +133,6 @@ def test_spectral_weight_rejects_nonpositive():
 def test_ladder_state_proportional_to_closed_form():
     st = rel.ladder_state(MODEL, 2)
     ref = rel.eigenfunction_rel(MODEL, 2)
-    assert st.built_by_ladder
     _, spread = grid_ratio(st.wavefunction, ref.wavefunction, GRID)
     assert spread < 1e-10
 
@@ -132,6 +141,24 @@ def test_nonrel_limit_deviation_shrinks():
     devs = rel.nonrel_limit(0.1, [1e-2, 5e-3, 2.5e-3])
     assert devs[0] > devs[1] > devs[2]
     assert devs[0] / devs[1] == pytest.approx(2.0, rel=0.05)
+
+
+def test_nonrel_limit_against_mpmath():
+    # the exact deviation |alpha + nu - 1/omega0 - (d + 1)| at 50 digits
+    omegas = [1e-2, 1e-4, 1e-6, 1e-8]
+    with mp.workdps(50):
+        g0 = mp.mpf(0.1)
+        d = mp.sqrt(1 + 8 * g0) / 2
+        refs = []
+        for w in map(mp.mpf, omegas):
+            r = mp.sqrt(1 - 8 * g0 * w * w)
+            alpha = (1 + mp.sqrt(1 + 2 / w**2 * (1 - r))) / 2
+            nu = (1 + mp.sqrt(1 + 2 / w**2 * (1 + r))) / 2
+            refs.append(float(abs(alpha + nu - 1 / w - (d + 1))))
+    for dev, ref in zip(rel.nonrel_limit(0.1, omegas), refs):
+        assert abs(dev - ref) <= 1e-12 * ref
+    # the leading term omega0 (1 - 8 g0)/8
+    assert refs[-1] / omegas[-1] == pytest.approx(0.025, rel=1e-6)
 
 
 @pytest.mark.parametrize("omega0_sequence", [[], [1e-2]])
@@ -149,8 +176,7 @@ def test_eigenfunction_rejects_negative_index():
 @pytest.mark.parametrize("n", [0, 5, 12])
 def test_eigenfunction_array_equals_pointwise(n):
     # the grid and its shifts by +-i, +-2i, evaluated in one call
-    grid = np.array(GRID.points)
-    pts = np.concatenate([grid + s for s in (0.0, 1j, -1j, 2j, -2j)])
+    pts = np.concatenate([GRID + s for s in (0.0, 1j, -1j, 2j, -2j)])
     wf = rel.eigenfunction_rel(MODEL, n).wavefunction
     values = wf(pts)
     pointwise = np.array([wf(p) for p in pts])

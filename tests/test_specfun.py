@@ -178,9 +178,16 @@ def test_pochhammer_frozen():
     assert specfun.pochhammer(1.3, 0) == 1.0
 
 
+def _laguerre_horner(coeffs, y):
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * y + c
+    return acc
+
+
 def test_laguerre_frozen_and_direct_sum():
     # L_3^{0.7}(1.25) = -0.8481458333333334 (mpmath)
-    assert specfun.laguerre(3, 0.7, 1.25) == pytest.approx(
+    assert _laguerre_horner(specfun.laguerre_coefficients(3, 0.7), 1.25) == pytest.approx(
         -0.8481458333333334, abs=1e-14)
     # direct binomial-sum oracle
     rng = np.random.default_rng(11)
@@ -191,16 +198,15 @@ def test_laguerre_frozen_and_direct_sum():
         ref = sum((-1) ** k * math.gamma(n + d + 1)
                   / (math.gamma(d + k + 1) * math.factorial(n - k))
                   * y ** k / math.factorial(k) for k in range(n + 1))
-        assert specfun.laguerre(n, d, y) == pytest.approx(ref, rel=1e-11, abs=1e-11)
+        assert _laguerre_horner(specfun.laguerre_coefficients(n, d), y) == pytest.approx(
+            ref, rel=1e-11, abs=1e-11)
 
 
 def test_laguerre_coefficients_consistent_with_evaluation():
-    coeffs = specfun.laguerre_coefficients(4, 0.7)
-    y = 1.37
-    horner = 0.0
-    for c in reversed(coeffs):
-        horner = horner * y + c
-    assert horner == pytest.approx(specfun.laguerre(4, 0.7, y), rel=1e-12)
+    for n, d, y in [(4, 0.7, 1.37), (6, 1.3, 0.4), (2, 0.5, 3.9)]:
+        ref = float(mp.laguerre(n, d, y))
+        assert _laguerre_horner(specfun.laguerre_coefficients(n, d), y) == pytest.approx(
+            ref, rel=1e-12)
 
 
 def test_cdhahn_hand_expanded_degree_one():
