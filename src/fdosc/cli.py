@@ -14,6 +14,7 @@ order, no whitespace).  All output goes to stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import harness, rel
@@ -38,16 +39,18 @@ def _model_params(args) -> dict:
     return {"omega0": args.omega0, "g0": args.g0}
 
 
-def _emit_rows(rows, fmt: str):
+def _emit_table(table: dict, fmt: str):
     if fmt == "csv":
-        sys.stdout.write(harness.rows_to_csv(rows))
+        sys.stdout.write(harness.rows_to_csv(table))
     elif fmt == "json":
-        sys.stdout.write(harness.rows_to_json(rows) + "\n")
+        sys.stdout.write(harness.rows_to_json(table) + "\n")
     else:
-        sys.stdout.write(harness.rows_to_text(rows))
+        sys.stdout.write(harness.rows_to_text(table))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `fdosc` parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="fdosc",
         description="Finite-difference relativistic linear singular "
@@ -101,8 +104,8 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "spectrum":
-        rows = harness.spectrum_table(args.model, _model_params(args), args.nmax)
-        _emit_rows(rows, args.format)
+        table = harness.spectrum_table(args.model, _model_params(args), args.nmax)
+        _emit_table(table, args.format)
         return 0
 
     if args.command == "wavefunction":
@@ -111,9 +114,9 @@ def _dispatch(args) -> int:
                   file=sys.stderr)
             return 2
         grid = default_grid(args.grid_points, args.grid_min, args.grid_max)
-        rows = harness.wavefunction_table(args.model, _model_params(args),
-                                          args.n, grid)
-        _emit_rows(rows, args.format)
+        table = harness.wavefunction_table(args.model, _model_params(args),
+                                           args.n, grid)
+        _emit_table(table, args.format)
         return 0
 
     if args.command == "verify":
@@ -138,9 +141,9 @@ def _dispatch(args) -> int:
             print("error: --omega0-list is empty", file=sys.stderr)
             return 2
         devs = rel.nonrel_limit(args.g0, seq)
-        rows = [{"omega0": w0, "deviation": dev, "deviation_over_omega0": dev / w0}
-                for w0, dev in zip(seq, devs)]
-        _emit_rows(rows, args.format)
+        table = {"omega0": seq, "deviation": devs,
+                 "deviation_over_omega0": [dev / w0 for w0, dev in zip(seq, devs)]}
+        _emit_table(table, args.format)
         return 0
 
     raise AssertionError(f"unhandled command {args.command}")

@@ -21,6 +21,7 @@ import io
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -161,6 +162,7 @@ class CheckResult:
             "max_residual": self.max_residual,
             "tolerance": self.tolerance,
             "passed": self.passed,
+            "gating": self.gating,
             "note": self.note,
         }
 
@@ -328,14 +330,15 @@ def _checks_nonrel(g0: float, n_hi: int, n_ladder: int, pts, rng):
     c_minus, c_plus = nonrel.ladder_c(model)
     A_minus, A_plus = nonrel.ladder_A(model)
     K0, Km, Kp = nonrel.su11_generators(model)
-    states = [nonrel.eigenfunction(model, n) for n in range(n_hi + 1)]
+    # each state on the grid once, for the eigen-equation levels n <= n_hi,
+    # the ladder levels n <= n_ladder + 1 and the Casimir levels n <= BASE_LEVEL
+    states = [nonrel.eigenfunction(model, n) for n in range(max(n_hi, n_ladder + 1) + 1)]
     rand_fs = _random_halfline_functions(rng, 20)
-    # each state on the grid once: levels n <= n_hi cover the ladder levels
-    # n <= n_ladder + 1 and the Casimir levels n <= BASE_LEVEL
     psi = [st.wavefunction(pts) for st in states]
 
     yield "nonrel_eigen_equation", params, max(
-        mixed_residual(H(st.wavefunction)(pts), st.energy * psi[st.n]) for st in states)
+        mixed_residual(H(st.wavefunction)(pts), st.energy * psi[st.n])
+        for st in states[: n_hi + 1])
 
     fact = compose(c_plus, c_minus) + (model.d + 1.0) * identity_op()
     yield "nonrel_factorization", params, _worst_residual(fact, H, rand_fs, pts)
@@ -423,33 +426,34 @@ def _checks_rel(omega0: float, g0: float, n_hi: int, n_ladder: int, pts, rng):
     b_minus, b_plus = rel.ladder_b(model)
     B_minus, B_plus = rel.ladder_B(model)
     P = rel.momentum_P(model)
-    states = [rel.eigenfunction_rel(model, n) for n in range(n_hi + 1)]
-    rand_fs = _random_entire_functions(rng, 20)
-
     # The per-level table, one pass per level: the checks below read each
     # state and each B-+ product on the grid from here, so each is evaluated
-    # once.  Ladder levels n <= n_ladder are a prefix of the Casimir levels
-    # n <= BASE_LEVEL, and those of the eigen-equation levels n <= n_hi.
+    # once.  It covers the eigen-equation levels n <= n_hi, the Casimir
+    # levels n <= BASE_LEVEL and the ladder levels n <= n_ladder, whose
+    # su(1,1) closure reads E_(n+1).
+    n_km = max(BASE_LEVEL, n_ladder)  # levels n that K+K- psi_n is needed at
+    states = [rel.eigenfunction_rel(model, n) for n in range(max(n_hi, n_ladder + 1) + 1)]
+    rand_fs = _random_entire_functions(rng, 20)
     E = [st.energy_mc2 for st in states]
     f_E = [rel.spectral_f(model, e) for e in E]
     k0 = [e / (2.0 * w0) for e in E]  # K0 = H/(2 omega0) eigenvalues
     psi = [st.wavefunction(pts) for st in states]
-    Bm_psi = [B_minus(st.wavefunction) for st in states[: BASE_LEVEL + 1]]
+    Bm_psi = [B_minus(st.wavefunction) for st in states[: n_km + 1]]
     Bp_psi = [B_plus(st.wavefunction) for st in states[: n_ladder + 1]]
     Bm_vals = [f(pts) for f in Bm_psi[: n_ladder + 1]]
     Bp_vals = [f(pts) for f in Bp_psi]
     BmBp = [B_minus(f)(pts) for f in Bp_psi]
     # K+K- psi_n = B+B- psi_n / f(E_n); K- annihilates the ground state
-    KpKm = [0.0] + [B_plus(Bm_psi[n])(pts) / f_E[n] for n in range(1, BASE_LEVEL + 1)]
+    KpKm = [0.0] + [B_plus(Bm_psi[n])(pts) / f_E[n] for n in range(1, n_km + 1)]
 
     yield "rel_eigen_equation", params, max(
         mixed_residual(H(st.wavefunction)(pts), st.energy_mc2 * psi[st.n])
-        for st in states), f"n <= {n_hi}"
+        for st in states[: n_hi + 1]), f"n <= {n_hi}"
 
     fact = compose(b_plus, b_minus) + (w0 * (a + nu)) * identity_op()
     yield "rel_factorization_eigen", params, max(
         mixed_residual(fact(st.wavefunction)(pts), st.energy_mc2 * psi[st.n])
-        for st in states)
+        for st in states[: n_hi + 1])
     yield "rel_factorization_random", params, _worst_residual(fact, H, rand_fs, pts)
 
     phi0 = states[0].wavefunction
@@ -629,29 +633,32 @@ def run_suite(omega0: float, g0: float, n_max: int = 6,
 
 
 # ---- tables ------------------------------------------------------------
+#
+# A table is a dict of columns: column name -> list of cells, every list one
+# row per entry, in row order.  Cells are floats, ints, strings or None (a
+# missing value).  Each writer formats a whole column at once and joins rows
+# from the formatted columns, so no per-row dict is ever built.
 
 
-def spectrum_table(model_kind: str, params: dict, n_max: int) -> list[dict]:
-    """Rows (n, E_n); energies in hbar omega (nonrel) or both units (rel)."""
+def spectrum_table(model_kind: str, params: dict, n_max: int) -> dict[str, list]:
+    """Columns (n, E_n); energies in hbar omega (nonrel) or both units (rel)."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    rows = []
+    levels = list(range(n_max + 1))
     if model_kind == "nonrel":
         model = nonrel.make_model(params["g0"])
-        for n in range(n_max + 1):
-            rows.append({"n": n, "energy_hw": nonrel.energy(model, n)})
-    elif model_kind == "rel":
+        return {"n": levels, "energy_hw": [nonrel.energy(model, n) for n in levels]}
+    if model_kind == "rel":
         model = rel.make_rel_model(params["omega0"], params["g0"])
-        for n in range(n_max + 1):
-            e = rel.energy(model, n)
-            rows.append({"n": n, "energy_mc2": e, "energy_hw": e / model.omega0})
-    else:
-        raise ValueError(f"unknown model kind: {model_kind}")
-    return rows
+        energies = [rel.energy(model, n) for n in levels]
+        return {"n": levels, "energy_mc2": energies,
+                "energy_hw": [e / model.omega0 for e in energies]}
+    raise ValueError(f"unknown model kind: {model_kind}")
 
 
-def wavefunction_table(model_kind: str, params: dict, n: int, grid) -> list[dict]:
-    """Rows (coordinate, re psi, im psi, |psi|); pole rows are marked."""
+def wavefunction_table(model_kind: str, params: dict, n: int, grid) -> dict[str, list]:
+    """Columns (coordinate, re psi, im psi, |psi|, error).  A point where psi
+    cannot be evaluated gets None values and the error message."""
     if model_kind == "nonrel":
         wf = nonrel.eigenfunction(nonrel.make_model(params["g0"]), n).wavefunction
         coord = "xi"
@@ -661,53 +668,109 @@ def wavefunction_table(model_kind: str, params: dict, n: int, grid) -> list[dict
         coord = "rho"
     else:
         raise ValueError(f"unknown model kind: {model_kind}")
-    points = [float(p) for p in grid]
+    points = np.asarray(grid, dtype=float)
     errors = (EvaluationError, PoleError, ZeroDivisionError)
     try:
-        values = list(wf(points))
-    except errors:  # some point fails: evaluate row by row to mark it
-        values = [None] * len(points)
-    rows = []
-    for p, v in zip(points, values):
+        values = wf(points)
+    except errors:  # some point fails: evaluate point by point to mark it
+        return _wavefunction_pointwise(wf, coord, points.tolist(), errors)
+    real, imag = values.real, values.imag
+    # np.hypot, not np.abs: abs(complex) is hypot, and np.abs of a complex
+    # array differs from it in the last bit at some points
+    return {coord: points.tolist(), "re": real.tolist(), "im": imag.tolist(),
+            "abs": np.hypot(real, imag).tolist(), "error": [""] * len(points)}
+
+
+def _wavefunction_pointwise(wf, coord: str, points: list, errors) -> dict[str, list]:
+    table = {coord: points, "re": [], "im": [], "abs": [], "error": []}
+    for p in points:
         try:
-            v = complex(wf(p) if v is None else v)
+            v = wf(p)
         except errors as exc:
-            rows.append({coord: p, "re": None, "im": None, "abs": None,
-                         "error": f"EvaluationError: {exc}"})
-            continue
-        rows.append({coord: p, "re": v.real, "im": v.imag, "abs": abs(v), "error": ""})
-    return rows
+            cells = (None, None, None, f"EvaluationError: {exc}")
+        else:
+            cells = (v.real, v.imag, abs(v), "")
+        for key, cell in zip(("re", "im", "abs", "error"), cells):
+            table[key].append(cell)
+    return table
 
 
-def rows_to_csv(rows: list[dict]) -> str:
-    if not rows:
+_CSV_QUOTED = re.compile(r'[,"\r\n]')  # a field holding one is quoted
+
+
+def _csv_cells(column) -> list[str] | None:
+    """Each cell as csv.writer writes it when no cell needs quoting: floats
+    by repr, ints by str, strings free of , " CR and LF as they are.  None
+    for any other column."""
+    kinds = set(map(type, column))
+    if kinds <= {float, int}:
+        return list(map(str, column))  # str is repr for a float
+    if kinds == {str} and not any(map(_CSV_QUOTED.search, set(column))):
+        return column
+    return None
+
+
+def rows_to_csv(table: dict) -> str:
+    """RFC-4180 CSV: a header of column names, then one line per row."""
+    if not any(table.values()):  # no rows
         return ""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()),
-                            quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
-    writer.writeheader()
-    writer.writerows(rows)
+    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
+    writer.writerow(table.keys())
+    cells = list(map(_csv_cells, table.values()))
+    # csv.writer quotes a row made of one empty field; two columns never make one
+    if len(cells) < 2 or None in cells:
+        writer.writerows(zip(*table.values()))
+    else:
+        buf.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
     return buf.getvalue()
 
 
-def rows_to_json(rows: list[dict]) -> str:
-    return json.dumps(rows, sort_keys=True, separators=(",", ":"))
+def _json_cells(column) -> list[str]:
+    """Each cell as `json.dumps` writes it."""
+    kinds = set(map(type, column))
+    if kinds <= {float, int, type(None)}:
+        # one C-encoder pass; no number, null, NaN or Infinity holds a comma
+        return json.dumps(column, separators=(",", ":"))[1:-1].split(",")
+    if kinds == {str}:
+        # few distinct strings: escape each once
+        escaped = {s: json.dumps(s) for s in set(column)}
+        return [escaped[s] for s in column]
+    return [json.dumps(v, sort_keys=True, separators=(",", ":")) for v in column]
 
 
-def rows_to_text(rows: list[dict]) -> str:
-    if not rows:
+def rows_to_json(table: dict) -> str:
+    """A JSON array of row objects, keys sorted, no whitespace: the bytes of
+    `json.dumps(rows, sort_keys=True, separators=(",", ":"))`."""
+    if not any(table.values()):  # no rows
+        return "[]"
+    keys = sorted(table)
+    template = "{" + ",".join(json.dumps(k).replace("%", "%%") + ":%s" for k in keys) + "}"
+    cells = zip(*(_json_cells(table[k]) for k in keys))
+    return "[" + ",".join(map(template.__mod__, cells)) + "]"
+
+
+def _text_cell(v) -> str:
+    if v is None:
+        return f"{'--':>14s}"
+    if isinstance(v, float):
+        return f"{v:14.8g}"
+    return f"{str(v):>14s}"
+
+
+def _text_cells(column) -> list[str]:
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        return list(map("%14.8g".__mod__, column))
+    if kinds == {str}:
+        return list(map("%14s".__mod__, column))
+    return [_text_cell(v) for v in column]
+
+
+def rows_to_text(table: dict) -> str:
+    """Aligned columns 14 wide: floats to 8 significant digits, None as --."""
+    if not any(table.values()):  # no rows
         return ""
-    keys = list(rows[0].keys())
-    lines = ["  ".join(f"{k:>14s}" for k in keys)]
-    for row in rows:
-        cells = []
-        for k in keys:
-            v = row[k]
-            if v is None:
-                cells.append(f"{'--':>14s}")
-            elif isinstance(v, float):
-                cells.append(f"{v:14.8g}")
-            else:
-                cells.append(f"{str(v):>14s}")
-        lines.append("  ".join(cells))
+    lines = ["  ".join(f"{k:>14s}" for k in table)]
+    lines += map("  ".join, zip(*map(_text_cells, table.values())))
     return "\n".join(lines) + "\n"

@@ -1,5 +1,6 @@
 """Report plumbing, output formats, CLI behaviour, determinism."""
 
+import csv
 import hashlib
 import io
 import json
@@ -17,6 +18,7 @@ import pytest
 import fdosc
 from fdosc import cli, harness
 from fdosc.harness import CheckResult, VerificationReport
+from fdosc.opcore import default_grid
 
 
 def _run_cli(argv):
@@ -60,7 +62,7 @@ def test_report_json_is_canonical():
     assert s == rpt.to_json()
     data = json.loads(s)
     assert set(data["results"][0]) == {
-        "check_id", "params", "max_residual", "tolerance", "passed", "note"}
+        "check_id", "params", "max_residual", "tolerance", "passed", "gating", "note"}
     assert " " not in s.split('"note"')[0].split("{")[1][:20]
 
 
@@ -85,12 +87,13 @@ def test_report_text_verdict():
 
 
 def test_spectrum_table_values():
-    rows = harness.spectrum_table("nonrel", {"g0": 0.1}, 2)
-    assert [r["n"] for r in rows] == [0, 1, 2]
-    assert rows[1]["energy_hw"] - rows[0]["energy_hw"] == pytest.approx(2.0)
-    rows = harness.spectrum_table("rel", {"omega0": 0.5, "g0": 0.1}, 1)
-    assert rows[0]["energy_mc2"] == pytest.approx(1.8443835774055741)
-    assert rows[0]["energy_hw"] == pytest.approx(rows[0]["energy_mc2"] / 0.5)
+    table = harness.spectrum_table("nonrel", {"g0": 0.1}, 2)
+    assert table["n"] == [0, 1, 2]
+    assert table["energy_hw"][1] - table["energy_hw"][0] == pytest.approx(2.0)
+    table = harness.spectrum_table("rel", {"omega0": 0.5, "g0": 0.1}, 1)
+    assert list(table) == ["n", "energy_mc2", "energy_hw"]
+    assert table["energy_mc2"][0] == pytest.approx(1.8443835774055741)
+    assert table["energy_hw"][0] == pytest.approx(table["energy_mc2"][0] / 0.5)
     with pytest.raises(ValueError):
         harness.spectrum_table("bogus", {}, 2)
 
@@ -100,28 +103,113 @@ def test_spectrum_table_values():
 def test_spectrum_table_rejects_negative_nmax(model, params):
     with pytest.raises(ValueError, match="n_max must be >= 0"):
         harness.spectrum_table(model, params, -1)
-    assert [r["n"] for r in harness.spectrum_table(model, params, 0)] == [0]
+    assert harness.spectrum_table(model, params, 0)["n"] == [0]
 
 
 def test_wavefunction_table_marks_pole_rows():
-    # log_gamma(i rho) pole at rho -> 0 shows up as an error-marked row
+    # the log_gamma(i rho) pole at rho -> 0 fails the array call, so every
+    # point is evaluated alone and only the pole row is marked
     grid = [1e-300, 1.0, 2.0]
-    rows = harness.wavefunction_table("rel", {"omega0": 0.5, "g0": 0.1}, 0, grid)
-    assert rows[0]["error"] != "" or rows[0]["abs"] is not None
-    assert rows[1]["error"] == ""
-    assert rows[1]["abs"] == pytest.approx(
-        abs(complex(rows[1]["re"], rows[1]["im"])))
+    table = harness.wavefunction_table("rel", {"omega0": 0.5, "g0": 0.1}, 0, grid)
+    assert list(table) == ["rho", "re", "im", "abs", "error"]
+    assert table["rho"] == grid
+    assert [table[k][0] for k in ("re", "im", "abs")] == [None, None, None]
+    assert table["error"][0].startswith("EvaluationError: log_gamma pole")
+    for k in (1, 2):
+        assert table["error"][k] == ""
+        re, im = table["re"][k], table["im"][k]
+        assert math.isfinite(re) and math.isfinite(im)
+        assert table["abs"][k] == abs(complex(re, im))
+
+
+@pytest.mark.parametrize("model", ["nonrel", "rel"])
+def test_wavefunction_table_columns_split_the_array_values(model):
+    # re, im and |psi| of each value as Python's complex gives them: abs() is
+    # hypot, which np.abs of a complex array misses in the last bit at some points
+    grid = default_grid(257, 0.25, 8.0)
+    table = harness.wavefunction_table(model, {"omega0": 0.5, "g0": 0.1}, 5, grid)
+    state = (harness.nonrel.eigenfunction(harness.nonrel.make_model(0.1), 5) if model == "nonrel"
+             else harness.rel.eigenfunction_rel(harness.rel.make_rel_model(0.5, 0.1), 5))
+    values = state.wavefunction(grid).tolist()
+    assert table["re"] == [v.real for v in values]
+    assert table["im"] == [v.imag for v in values]
+    assert table["abs"] == [abs(v) for v in values]
+    assert table["error"] == [""] * len(grid)
 
 
 def test_row_serializers_round_trip():
-    rows = [{"n": 0, "energy_hw": 1.5}, {"n": 1, "energy_hw": 3.5}]
-    assert json.loads(harness.rows_to_json(rows)) == rows
-    csv_out = harness.rows_to_csv(rows)
+    table = {"n": [0, 1], "energy_hw": [1.5, 3.5]}
+    assert json.loads(harness.rows_to_json(table)) == [
+        {"n": 0, "energy_hw": 1.5}, {"n": 1, "energy_hw": 3.5}]
+    csv_out = harness.rows_to_csv(table)
     assert csv_out.splitlines()[0] == "n,energy_hw"
-    text = harness.rows_to_text(rows)
+    assert [dict(r) for r in csv.DictReader(io.StringIO(csv_out))] == [
+        {"n": "0", "energy_hw": "1.5"}, {"n": "1", "energy_hw": "3.5"}]
+    text = harness.rows_to_text(table)
     assert "energy_hw" in text and "3.5" in text
-    assert harness.rows_to_csv([]) == ""
-    assert harness.rows_to_text([]) == ""
+    assert harness.rows_to_csv({"n": []}) == ""
+    assert harness.rows_to_text({"n": []}) == ""
+    assert harness.rows_to_json({"n": []}) == "[]"
+
+
+# Per-row references for the column writers: the serializers of a list of
+# row dicts that the tables were written with before they became columns.
+
+
+def _reference_csv(rows):
+    if not rows:
+        return ""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), quoting=csv.QUOTE_MINIMAL,
+                            lineterminator="\r\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _reference_text(rows):
+    if not rows:
+        return ""
+    lines = ["  ".join(f"{k:>14s}" for k in rows[0])]
+    for row in rows:
+        cells = []
+        for v in row.values():
+            if v is None:
+                cells.append(f"{'--':>14s}")
+            elif isinstance(v, float):
+                cells.append(f"{v:14.8g}")
+            else:
+                cells.append(f"{str(v):>14s}")
+        lines.append("  ".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+_AWKWARD_TABLE = {
+    "x%s": [0.25, -0.0, 1e-300, float("inf"), float("nan"), 123456789.123],
+    "y": [5e-324, -1e300, 0.1 + 0.2, 1e16, -float("inf"), 99999999.5],
+    "n": [0, 1, 2, -3, 10**20, 5],
+    "re": [1.5, None, -2.0, None, 3.0, np.float64(0.1)],
+    "flag": [True, False, 1, 1.0, "1", None],
+    "error": ["", 'say "hi", twice', "line\nbreak", "", "caf\u00e9 %d", "x\ry"],
+}
+
+
+@pytest.mark.parametrize("table", [
+    {"n": [0, 1], "energy_hw": [1.5, 3.5]},
+    {"x": [0.5, -1e-17], "n": [True, 7], "error": ["", "a; b: c'd (e)"]},
+    *({"x": [0.5, 2.0], "error": ["", f"a{c}b"]} for c in ',"\r\n'),
+    {"error": ["", "x"]},
+    _AWKWARD_TABLE,
+    {"a": [], "b": []},
+    {},
+], ids=["spectrum", "plain", "comma", "quote", "cr", "lf", "one-column", "awkward", "empty",
+        "no-columns"])
+def test_column_writers_match_per_row_serializers(table):
+    rows = [dict(zip(table, cells)) for cells in zip(*table.values())]
+    assert harness.rows_to_json(table) == json.dumps(rows, sort_keys=True,
+                                                     separators=(",", ":"))
+    assert harness.rows_to_csv(table) == _reference_csv(rows)
+    assert harness.rows_to_text(table) == _reference_text(rows)
 
 
 # ---- CLI ---------------------------------------------------------------
@@ -182,6 +270,32 @@ def test_cli_wavefunction_csv():
     lines = out.split("\r\n")
     assert lines[0] == "xi,re,im,abs,error"
     assert len([l for l in lines if l]) == 9
+
+
+_ERROR_ROWS = [("0.25", "(0.25+0j)"), ("1.4142135623730947", "(1.4142135623730947+0j)"),
+               ("8.0", "(8+0j)")]
+_ERROR_TABLE_BYTES = {
+    "csv": "rho,re,im,abs,error\r\n" + "".join(
+        f"{rho},,,,EvaluationError: non-finite value at z = {z}\r\n"
+        for rho, z in _ERROR_ROWS),
+    "json": "[" + ",".join(
+        '{"abs":null,"error":"EvaluationError: non-finite value at z = %s",'
+        '"im":null,"re":null,"rho":%s}' % (z, rho) for rho, z in _ERROR_ROWS) + "]\n",
+    "text": "           rho              re              im             abs           error\n"
+            + "".join(f"{text_rho:>14s}              --              --              --  "
+                      f"EvaluationError: non-finite value at z = {z}\n"
+                      for text_rho, (_, z) in zip(("0.25", "1.4142136", "8"), _ERROR_ROWS)),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+def test_cli_wavefunction_error_rows_golden_bytes(fmt):
+    # at omega0 = 0.005 every rel value is non-finite: missing cells are
+    # empty in CSV, null in JSON and -- in text, and each row names its point
+    code, out = _run_cli(["wavefunction", "--model", "rel", "--omega0", "0.005",
+                          "--grid-points", "3", "--format", fmt])
+    assert code == 0
+    assert out == _ERROR_TABLE_BYTES[fmt]
 
 
 def test_cli_wavefunction_rejects_bad_grid():
@@ -270,7 +384,7 @@ def test_verify_report_structure(report_data):
     assert report_data["discrepancy_notes"]
     for r in report_data["results"]:
         assert set(r) == {"check_id", "params", "max_residual", "tolerance",
-                          "passed", "note"}
+                          "passed", "gating", "note"}
 
 
 def test_report_only_checks_never_gate(check_by_id):
@@ -279,9 +393,10 @@ def test_report_only_checks_never_gate(check_by_id):
         "nonrel_spectrum_variant", "rel_pair_commutator_printed",
         "rel_lowering_commutator_uncorrected", "rel_compact_form_comparison",
         "rel_ladder_coefficient_printed"}
-    # the JSON report has no gating field: its readers tell a non-gating row
-    # by the "report-only" note prefix, so the prefix marks exactly those rows
+    # the JSON rows carry the gating flag, and the "report-only" note prefix
+    # marks exactly the non-gating rows for readers of the text and CSV forms
     for cid, check in harness.CHECKS.items():
+        assert check_by_id[cid]["gating"] is check.gating, cid
         assert check_by_id[cid]["note"].startswith("report-only") == (not check.gating), cid
 
 
@@ -318,6 +433,15 @@ def test_ladder_checks_stop_at_the_cap(readings_by_nmax):
         assert readings_by_nmax[9][cid] == readings_by_nmax[6][cid], cid
 
 
+@pytest.mark.parametrize("cap", [9, 15])
+def test_raised_ladder_cap_runs_every_check(cap, monkeypatch):
+    # the per-level tables follow the cap: n_max = cap reads psi_(cap+1) and
+    # K+K- psi_cap, above BASE_LEVEL; no verdict is asserted at these levels
+    monkeypatch.setattr(harness, "LADDER_CAP", cap)
+    report = harness.run_suite(0.5, 0.1, n_max=cap)
+    assert [r.check_id for r in report.results] == sorted(harness.CHECKS)
+
+
 def test_cli_verify_rejects_nmax_below_one(capsys):
     for nmax in ("0", "-2"):
         code, out = _run_cli(["verify", "--nmax", nmax])
@@ -341,6 +465,15 @@ def test_cli_verify_tol_overrides_hard_checks_only():
         check = harness.CHECKS[r["check_id"]]
         expected = 1e-300 if check.gating else check.tolerance
         assert r["tolerance"] == expected, r["check_id"]
+
+
+def test_cli_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+    # parsing leaves no state behind in the shared parser
+    first = cli.build_parser().parse_args(["spectrum", "--model", "rel", "--nmax", "3"])
+    again = cli.build_parser().parse_args(["spectrum", "--model", "nonrel"])
+    assert (first.model, first.nmax) == ("rel", 3)
+    assert (again.model, again.nmax, again.format) == ("nonrel", 8, "text")
 
 
 def test_cli_commands_other_than_verify_leave_scipy_unloaded():

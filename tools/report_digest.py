@@ -23,6 +23,13 @@ VERIFY_NMAX = (1, 6, 12)
 TABLE_LEVELS = (0, 3, 11)
 TABLE_POINTS = 700
 FORMATS = ("json", "csv", "text")
+# the largest table of the perfbench `tables` workload: its top level and size
+BIG_LEVEL = 12
+BIG_POINTS = 4096
+# tables with error rows: at omega0 = 0.005 every rel value is non-finite;
+# on a grid from 1e-300 the first two rows sit at the log_gamma pole
+ERROR_TABLES = (("errors", ["--omega0", "0.005"]),
+                ("poles", ["--grid-min", "1e-300", "--grid-max", "2"]))
 
 
 def runs():
@@ -44,6 +51,16 @@ def runs():
             yield f"spectrum/{model}/{fmt}", ["spectrum", "--model", model, "--format", fmt]
     for fmt in FORMATS:
         yield f"limit/{fmt}", ["limit", "--format", fmt]
+    for model in ("rel", "nonrel"):
+        for fmt in FORMATS:
+            yield (f"wavefunction/{model}/n{BIG_LEVEL}/p{BIG_POINTS}/{fmt}",
+                   ["wavefunction", "--model", model, "--n", str(BIG_LEVEL),
+                    "--grid-points", str(BIG_POINTS), "--format", fmt])
+    for name, flags in ERROR_TABLES:
+        for fmt in FORMATS:
+            yield (f"wavefunction/rel/{name}/{fmt}",
+                   ["wavefunction", "--model", "rel", *flags, "--grid-points", "3",
+                    "--format", fmt])
 
 
 def digest(argv) -> str:
