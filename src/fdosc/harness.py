@@ -43,7 +43,6 @@ from .opcore import (
     mul_op,
     polynomial,
     ratio_spread,
-    residual,
     shift_op,
 )
 
@@ -252,8 +251,9 @@ def _max_abs(f: AnalyticFunction, pts) -> float:
 
 def _worst_residual(A, B, fs, pts) -> float:
     """Worst residual of A f against B f over the test functions fs; each
-    operator is built once by the caller, not once per f."""
-    return max(residual(A, B, f, pts) for f in fs)
+    operator is built once by the caller and evaluates its coefficients
+    once for all of fs."""
+    return mixed_residual(A.values(fs, pts), B.values(fs, pts))
 
 
 # ---- check groups ------------------------------------------------------
@@ -335,10 +335,11 @@ def _checks_nonrel(g0: float, n_hi: int, n_ladder: int, pts, rng):
     states = [nonrel.eigenfunction(model, n) for n in range(max(n_hi, n_ladder + 1) + 1)]
     rand_fs = _random_halfline_functions(rng, 20)
     psi = [st.wavefunction(pts) for st in states]
+    wfs = [st.wavefunction for st in states]
 
     yield "nonrel_eigen_equation", params, max(
-        mixed_residual(H(st.wavefunction)(pts), st.energy * psi[st.n])
-        for st in states[: n_hi + 1])
+        mixed_residual(h_psi, st.energy * psi[st.n])
+        for h_psi, st in zip(H.values(wfs[: n_hi + 1], pts), states))
 
     fact = compose(c_plus, c_minus) + (model.d + 1.0) * identity_op()
     yield "nonrel_factorization", params, _worst_residual(fact, H, rand_fs, pts)
@@ -375,10 +376,9 @@ def _checks_nonrel(g0: float, n_hi: int, n_ladder: int, pts, rng):
     value = k * (k - 1.0)
     worst = 0.0
     measured = []
-    for st in states[: BASE_LEVEL + 1]:
-        c_psi = casimir(st.wavefunction)(pts)
-        worst = max(worst, mixed_residual(c_psi, value * psi[st.n]))
-        measured.append(np.mean(c_psi / psi[st.n]).real)
+    for n, c_psi in enumerate(casimir.values(wfs[: BASE_LEVEL + 1], pts)):
+        worst = max(worst, mixed_residual(c_psi, value * psi[n]))
+        measured.append(np.mean(c_psi / psi[n]).real)
     spread = float(np.max(np.abs(np.array(measured) - value)))
     yield ("nonrel_casimir", params, worst,
            f"value k(k-1)={value:.12g}, max deviation across n<={BASE_LEVEL}: {spread:.3e}")
@@ -386,12 +386,13 @@ def _checks_nonrel(g0: float, n_hi: int, n_ladder: int, pts, rng):
     # gauge-invariant ladder coefficients: K- K+ psi_n = kappa_{n+1}^2 psi_n
     worst = 0.0
     signed = []
+    kp_vals = Kp.values(wfs[: n_ladder + 1], pts)
+    km_kp_vals = Km.values([Kp(wf) for wf in wfs[: n_ladder + 1]], pts)
     for n in range(n_ladder + 1):
-        kp = Kp(states[n].wavefunction)
-        kap2, _ = ratio_spread(Km(kp)(pts), psi[n])
+        kap2, _ = ratio_spread(km_kp_vals[n], psi[n])
         expect = (n + 1) * (n + 1 + model.d)
         worst = max(worst, abs(kap2.real - expect) / expect)
-        ratio, _ = ratio_spread(kp(pts), psi[n + 1])
+        ratio, _ = ratio_spread(kp_vals[n], psi[n + 1])
         signed.append(round(ratio.real / math.sqrt(expect), 6))
     yield ("nonrel_ladder_coefficient", params, worst,
            "kappa_n = sqrt(n(n+d)); signed ratios over unit-normalized states "
@@ -438,22 +439,24 @@ def _checks_rel(omega0: float, g0: float, n_hi: int, n_ladder: int, pts, rng):
     f_E = [rel.spectral_f(model, e) for e in E]
     k0 = [e / (2.0 * w0) for e in E]  # K0 = H/(2 omega0) eigenvalues
     psi = [st.wavefunction(pts) for st in states]
-    Bm_psi = [B_minus(st.wavefunction) for st in states[: n_km + 1]]
-    Bp_psi = [B_plus(st.wavefunction) for st in states[: n_ladder + 1]]
-    Bm_vals = [f(pts) for f in Bm_psi[: n_ladder + 1]]
-    Bp_vals = [f(pts) for f in Bp_psi]
-    BmBp = [B_minus(f)(pts) for f in Bp_psi]
+    wfs = [st.wavefunction for st in states]
+    Bm_psi = [B_minus(wf) for wf in wfs[: n_km + 1]]
+    Bp_psi = [B_plus(wf) for wf in wfs[: n_ladder + 1]]
+    Bm_vals = B_minus.values(wfs[: n_ladder + 1], pts)
+    Bp_vals = B_plus.values(wfs[: n_ladder + 1], pts)
+    BmBp = B_minus.values(Bp_psi, pts)
     # K+K- psi_n = B+B- psi_n / f(E_n); K- annihilates the ground state
-    KpKm = [0.0] + [B_plus(Bm_psi[n])(pts) / f_E[n] for n in range(1, n_km + 1)]
+    KpKm = [0.0] + [BpBm / f_E[n] for n, BpBm in
+                    enumerate(B_plus.values(Bm_psi[1:], pts), start=1)]
 
     yield "rel_eigen_equation", params, max(
-        mixed_residual(H(st.wavefunction)(pts), st.energy_mc2 * psi[st.n])
-        for st in states[: n_hi + 1]), f"n <= {n_hi}"
+        mixed_residual(h_psi, st.energy_mc2 * psi[st.n])
+        for h_psi, st in zip(H.values(wfs[: n_hi + 1], pts), states)), f"n <= {n_hi}"
 
     fact = compose(b_plus, b_minus) + (w0 * (a + nu)) * identity_op()
     yield "rel_factorization_eigen", params, max(
-        mixed_residual(fact(st.wavefunction)(pts), st.energy_mc2 * psi[st.n])
-        for st in states[: n_hi + 1])
+        mixed_residual(fact_psi, st.energy_mc2 * psi[st.n])
+        for fact_psi, st in zip(fact.values(wfs[: n_hi + 1], pts), states))
     yield "rel_factorization_random", params, _worst_residual(fact, H, rand_fs, pts)
 
     phi0 = states[0].wavefunction
@@ -461,13 +464,13 @@ def _checks_rel(omega0: float, g0: float, n_hi: int, n_ladder: int, pts, rng):
         _max_abs(b_minus(phi0), pts), float(np.max(np.abs(Bm_vals[0])))) \
         / float(np.max(np.abs(psi[0])))
 
-    comm_m = commutator(H, B_minus)
-    comm_p = commutator(H, B_plus)
+    comm_m = commutator(H, B_minus).values(wfs[1: n_ladder + 1], pts)
+    comm_p = commutator(H, B_plus).values(wfs[: n_ladder + 1], pts)
     yield "rel_lowering_commutator", params, max(
-        mixed_residual(comm_m(states[n].wavefunction)(pts), -2.0 * w0 * Bm_vals[n])
+        mixed_residual(comm_m[n - 1], -2.0 * w0 * Bm_vals[n])
         for n in range(1, n_ladder + 1))
     yield "rel_raising_commutator", params, max(
-        mixed_residual(comm_p(states[n].wavefunction)(pts), 2.0 * w0 * Bp_vals[n])
+        mixed_residual(comm_p[n], 2.0 * w0 * Bp_vals[n])
         for n in range(n_ladder + 1))
 
     Bm_printed, _ = rel.ladder_B_printed(model)
@@ -523,19 +526,19 @@ def _checks_rel(omega0: float, g0: float, n_hi: int, n_ladder: int, pts, rng):
     # su(1,1) closure on the eigenbasis: K- = B- f^{-1/2}(E_n) and
     # K+ = f^{-1/2}(E_{n+1}) B+ on psi_n, the spectral weight taken at the
     # eigenvalue the operator ordering dictates
+    inv_sqrt_f = [rel.spectral_f_sqrt_inv(model, e) for e in E[: n_ladder + 2]]
+    H_kp = H.values([inv_sqrt_f[n + 1] * f for n, f in enumerate(Bp_psi)], pts)
+    H_km = H.values([inv_sqrt_f[n] * Bm_psi[n] for n in range(1, n_ladder + 1)], pts)
     worst = 0.0
     for n in range(n_ladder + 1):
         comm_vals = BmBp[n] / f_E[n + 1] - KpKm[n]
         worst = max(worst, mixed_residual(comm_vals, 2.0 * k0[n] * psi[n]))
         # [K0, K+] = K+ and [K0, K-] = -K- on the same state
-        scale = rel.spectral_f_sqrt_inv(model, E[n + 1])
-        kp, kp_vals = scale * Bp_psi[n], scale * Bp_vals[n]
-        worst = max(worst, mixed_residual((0.5 / w0) * H(kp)(pts) - k0[n] * kp_vals,
-                                          kp_vals))
+        kp_vals = inv_sqrt_f[n + 1] * Bp_vals[n]
+        worst = max(worst, mixed_residual((0.5 / w0) * H_kp[n] - k0[n] * kp_vals, kp_vals))
         if n > 0:
-            scale = rel.spectral_f_sqrt_inv(model, E[n])
-            km, km_vals = scale * Bm_psi[n], scale * Bm_vals[n]
-            worst = max(worst, mixed_residual((0.5 / w0) * H(km)(pts) - k0[n] * km_vals,
+            km_vals = inv_sqrt_f[n] * Bm_vals[n]
+            worst = max(worst, mixed_residual((0.5 / w0) * H_km[n - 1] - k0[n] * km_vals,
                                               -km_vals))
     yield "rel_su11_closure", params, worst
 
@@ -546,10 +549,13 @@ def _checks_rel(omega0: float, g0: float, n_hi: int, n_ladder: int, pts, rng):
     yield ("rel_casimir", params, float(np.max(np.abs(np.array(measured) - value))),
            f"value k(k-1)={value:.12g}, k=(alpha+nu)/2")
 
+    # N_n (B+)^n phi_0, one tower grown a level at a time
     worst = 0.0
     ratios = []
+    state = phi0
     for n in range(1, n_ladder + 1):
-        built = rel.ladder_state(model, n).wavefunction
+        state = B_plus(state)
+        built = rel.ladder_norm_constant(model, n) * state
         ratio, spread = ratio_spread(built(pts), psi[n])
         worst = max(worst, spread)
         ratios.append(float(f"{abs(ratio):.4g}"))

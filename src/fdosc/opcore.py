@@ -23,6 +23,13 @@ multiply-add over all terms.  Power 1 is the same code.  Any other
 wrapper, such as 2.0 * op(f) or a different operator object with equal
 terms, starts a new tower.
 
+``op.values(fs, points)`` applies one operator to a batch of functions: row
+i is op(fs[i]) at the points.  A tower's call splits into its coefficient
+block, the coefficient jets at z + union, and the pass of base and stencil
+steps, which takes the block as an argument.  In a batch the towers of one
+power share one block, evaluated once in the call; each row runs its own
+base and steps, so it is the same array op(fs[i])(points) gives.
+
 ``from_callable(fn)`` wraps an array function, fn(complex ndarray) ->
 values of the same shape.  Such a leaf has no derivative: evaluating one
 raises EvaluationError.
@@ -57,15 +64,7 @@ class AnalyticFunction:
     def __call__(self, z):
         """f(z) for a scalar (a complex) or a sequence or array (an ndarray)."""
         pts = np.asarray(z, dtype=complex)
-        with np.errstate(all="ignore"):
-            try:
-                w = self.jet(pts.reshape(-1), 0)[0]
-            except (ZeroDivisionError, OverflowError, ValueError) as exc:
-                where = complex(pts) if pts.ndim == 0 else f"{pts.size} points"
-                raise EvaluationError(f"evaluation failed at z = {where}: {exc}") from exc
-        bad = ~np.isfinite(w)
-        if bad.any():
-            raise EvaluationError(f"non-finite value at z = {complex(pts.reshape(-1)[bad][0])}")
+        w = _checked_values(lambda flat: self.jet(flat, 0)[0], pts)
         return complex(w[0]) if pts.ndim == 0 else w.reshape(pts.shape)
 
     def derivative(self) -> "AnalyticFunction":
@@ -136,6 +135,25 @@ class AnalyticFunction:
             return out
 
         return AnalyticFunction(jet)
+
+
+def _checked_values(evaluate, pts):
+    """evaluate(flat points) -> the values there, under the one error contract
+    of every evaluation: numpy warnings off, ZeroDivisionError, OverflowError
+    and ValueError raised as EvaluationError, and a non-finite value an
+    EvaluationError that names its point."""
+    flat = pts.reshape(-1)
+    with np.errstate(all="ignore"):
+        try:
+            w = evaluate(flat)
+        except (ZeroDivisionError, OverflowError, ValueError) as exc:
+            where = complex(pts) if pts.ndim == 0 else f"{pts.size} points"
+            raise EvaluationError(f"evaluation failed at z = {where}: {exc}") from exc
+    bad = ~np.isfinite(w)
+    if bad.any():  # the first in row order; a batch has one row per function
+        raise EvaluationError(
+            f"non-finite value at z = {complex(np.broadcast_to(flat, w.shape)[bad][0])}")
+    return w
 
 
 def _as_function(x) -> AnalyticFunction:
@@ -298,6 +316,29 @@ class DifferenceOperator:
 
     apply = __call__
 
+    def values(self, fs, points) -> np.ndarray:
+        """Row i is self(fs[i]) at the points, shape (len(fs), len(points)).
+
+        Each row is the value call of its own tower node, but the towers of
+        one power share one coefficient block, so the coefficient jets are
+        evaluated once per power, not once per function.  The error contract
+        is a function call's over the whole batch.
+        """
+        pts = np.asarray(points, dtype=complex).reshape(-1)
+
+        def rows(z):
+            out = np.empty((len(fs), len(z)), dtype=complex)
+            blocks: dict = {}  # tower power -> its coefficient block at z
+            for i, f in enumerate(fs):
+                tower = _Tower(self, _as_function(f).jet)
+                power = len(tower.steps)
+                if power not in blocks:
+                    blocks[power] = tower.coefficients(z, tower.value_rows)
+                out[i] = tower(z, 0, blocks[power])[0]
+            return out
+
+        return _checked_values(rows, pts)
+
     def __add__(self, other):
         return DifferenceOperator(self.terms + other.terms)
 
@@ -354,7 +395,8 @@ class _Tower:
         self.union = np.array(list(place), dtype=complex)
         self.base_shifts = np.array(self.last, dtype=complex)[:, None]
         # the tables a value call (K = 0) needs; a deeper jet builds its own
-        self.stencil_rows, self.stencil_scale = self._stencil((len(steps) - 1) * self.top + 1)
+        self.value_rows = (len(steps) - 1) * self.top + 1
+        self.stencil_rows, self.stencil_scale = self._stencil(self.value_rows)
 
     def _stencil(self, rows):
         """Row index and scale tables of every term's derivative jet, rows k < rows."""
@@ -364,10 +406,23 @@ class _Tower:
         return (np.array(index, dtype=np.intp).reshape(rows, len(orders), 1),
                 np.array(scale, dtype=float).reshape(rows, len(orders), 1, 1))
 
-    def __call__(self, z, K):
-        """The base once at z + S_p, each coefficient once at z + union, then
-        p stencil steps, each one gather and one stacked multiply-add over
-        all terms."""
+    def coefficients(self, z, rows):
+        """The coefficient jets at z + union on a term axis, shape (rows,
+        terms, |union|, len(z)); a constant is the jet (value, 0, 0, ...)."""
+        n = len(z)
+        points = z if len(self.union) == 1 else (z + self.union[:, None]).reshape(-1)
+        block = np.zeros((rows, len(self.op.terms), len(self.union), n), dtype=complex)
+        for i, t in enumerate(self.op.terms):
+            if t.coeff.value is None:
+                block[:, i] = t.coeff.jet(points, rows - 1).reshape(rows, len(self.union), n)
+            else:
+                block[0, i] = t.coeff.value
+        return block
+
+    def __call__(self, z, K, block=None):
+        """The base once at z + S_p, then p stencil steps, each one gather and
+        one stacked multiply-add over all terms.  `block` is the coefficient
+        block of these z and K, evaluated here when not given."""
         n, top, power = len(z), self.top, len(self.steps)
         values = self.base((z + self.base_shifts).reshape(-1), K + power * top)
         values = values.reshape(len(values), len(self.last), n)
@@ -375,15 +430,8 @@ class _Tower:
         index, scale = self.stencil_rows, self.stencil_scale
         if rows > len(index):  # a deeper jet than a value call
             index, scale = self._stencil(rows)
-        # the coefficient jets on a term axis, (rows, terms, |union|, n); a
-        # constant is the jet (value, 0, 0, ...)
-        points = z if len(self.union) == 1 else (z + self.union[:, None]).reshape(-1)
-        coeffs = np.zeros((rows, len(self.op.terms), len(self.union), n), dtype=complex)
-        for i, t in enumerate(self.op.terms):
-            if t.coeff.value is None:
-                coeffs[:, i] = t.coeff.jet(points, rows - 1).reshape(rows, len(self.union), n)
-            else:
-                coeffs[0, i] = t.coeff.value
+        if block is None:
+            block = self.coefficients(z, rows)
         for j in reversed(range(power)):
             # values holds the jets at z + S_(j+1), shape (rows, |S_(j+1)|, n);
             # derivs[k, t] is row k of term t's derivative jet at z + S_j
@@ -391,7 +439,7 @@ class _Tower:
             derivs = values[index[:rows], self.steps[j]]
             if top:  # every scale is 1 when no term differentiates
                 derivs *= scale[:rows]
-            values = _cauchy(coeffs[:rows, :, self.at_union[j]], derivs).sum(axis=1)
+            values = _cauchy(block[:rows, :, self.at_union[j]], derivs).sum(axis=1)
         return values.reshape(K + 1, n)
 
 
@@ -452,12 +500,6 @@ def mixed_residual(values_a, values_b) -> float:
     va = np.asarray(values_a, dtype=complex)
     vb = np.asarray(values_b, dtype=complex)
     return float(np.max(np.abs(va - vb) / (1.0 + np.abs(vb))))
-
-
-def residual(A: DifferenceOperator, B: DifferenceOperator, f: AnalyticFunction,
-             points) -> float:
-    """Mixed-norm residual of A f against B f at the points."""
-    return mixed_residual(A(f)(points), B(f)(points))
 
 
 def ratio_spread(values_a, values_b):

@@ -18,7 +18,7 @@ import pytest
 import fdosc
 from fdosc import cli, harness
 from fdosc.harness import CheckResult, VerificationReport
-from fdosc.opcore import default_grid
+from fdosc.opcore import DifferenceOperator, Term, default_grid, from_callable, gaussian
 
 
 def _run_cli(argv):
@@ -564,3 +564,20 @@ def test_gamma_sample_drops_points_near_poles():
     z = harness._gamma_sample(_Replay(values), 5)
     assert z.tolist() == [0.5 + 0.001j, 2.995 + 0.02j]
     assert z.tobytes() == _gamma_sample_loop(_Replay(values), 5).tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 3, 8])
+def test_worst_residual_evaluates_each_operator_coefficient_once(count):
+    calls = {}
+
+    def counting(key):
+        def leaf(z):
+            calls[key] = calls.get(key, 0) + 1
+            return np.cos(z)
+        return from_callable(leaf, note=key)
+
+    A = DifferenceOperator([Term(counting("A"), 0.5j, 0), Term(1.0, 0.0, 1)])
+    B = DifferenceOperator([Term(counting("B"), -0.5j, 0)])
+    fs = [gaussian(0.5 + 0.1 * k) for k in range(count)]
+    harness._worst_residual(A, B, fs, default_grid())
+    assert calls == {"A": 1, "B": 1}

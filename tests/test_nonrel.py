@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from fdosc import nonrel
 from fdosc.errors import CouplingError
-from fdosc.opcore import commutator, compose, default_grid, identity_op, residual
+from fdosc.opcore import commutator, compose, default_grid, identity_op, mixed_residual
 
 GRID = default_grid()
 MODEL = nonrel.make_model(0.1)
@@ -78,7 +78,7 @@ def test_factorization_closes():
 def test_lowering_forms_agree_and_annihilate_ground():
     form1, form2 = nonrel.lowering_forms(MODEL)
     wf0 = nonrel.eigenfunction(MODEL, 0).wavefunction
-    assert residual(form1, form2, wf0, GRID) < 1e-12
+    assert mixed_residual(form1(wf0)(GRID), form2(wf0)(GRID)) < 1e-12
     assert max(abs(form2(wf0)(p)) for p in GRID) < 1e-13
 
 

@@ -26,7 +26,6 @@ from fdosc.opcore import (
     monomial,
     mul_op,
     polynomial,
-    residual,
     shift_op,
 )
 
@@ -43,7 +42,7 @@ def test_shift_is_exact_argument_translation():
 def test_inverse_shifts_compose_to_identity():
     op = compose(shift_op(0.7j), shift_op(-0.7j))
     f = gaussian(0.8) * polynomial([1.0, 2.0, -0.5])
-    assert residual(op, identity_op(), f, GRID) < 1e-15
+    assert mixed_residual(op(f)(GRID), identity_op()(f)(GRID)) < 1e-15
 
 
 def test_composition_is_associative():
@@ -53,21 +52,23 @@ def test_composition_is_associative():
     f = gaussian(1.0) * polynomial([0.3, -1.0, 0.7])
     lhs = compose(compose(A, B), C)
     rhs = compose(A, compose(B, C))
-    assert residual(lhs, rhs, f, GRID) < 1e-13
+    assert mixed_residual(lhs(f)(GRID), rhs(f)(GRID)) < 1e-13
 
 
 def test_composition_order_matters():
     # [d/dz, z] = 1
     z_op = mul_op(coordinate())
     f = gaussian(1.0)
-    assert residual(commutator(deriv_op(), z_op), identity_op(), f, GRID) < 1e-14
+    lhs, rhs = commutator(deriv_op(), z_op), identity_op()
+    assert mixed_residual(lhs(f)(GRID), rhs(f)(GRID)) < 1e-14
 
 
 def test_commutator_antisymmetry():
     A = mul_op(monomial(2)) + shift_op(1j)
     B = deriv_op() + mul_op(coordinate())
     f = gaussian(0.7) * polynomial([1.0, 0.5])
-    assert residual(commutator(A, B), -1.0 * commutator(B, A), f, GRID) < 1e-13
+    lhs, rhs = commutator(A, B), -1.0 * commutator(B, A)
+    assert mixed_residual(lhs(f)(GRID), rhs(f)(GRID)) < 1e-13
 
 
 def test_leibniz_in_composition():
@@ -75,7 +76,7 @@ def test_leibniz_in_composition():
     lhs = compose(deriv_op(), mul_op(monomial(2)))
     rhs = mul_op(2.0 * coordinate()) + compose(mul_op(monomial(2)), deriv_op())
     f = gaussian(1.2)
-    assert residual(lhs, rhs, f, GRID) < 1e-13
+    assert mixed_residual(lhs(f)(GRID), rhs(f)(GRID)) < 1e-13
 
 
 def test_exact_derivatives_of_primitives():
@@ -178,7 +179,7 @@ def test_function_residual_and_ratio():
     f = exp_linear(0.3)
     g = 2.0 * f
     assert mixed_residual(f(GRID), f(GRID)) == 0.0
-    assert residual(identity_op(), shift_op(0.0), f, GRID) == 0.0
+    assert mixed_residual(identity_op()(f)(GRID), shift_op(0.0)(f)(GRID)) == 0.0
     mean, spread = grid_ratio(g, f, GRID)
     assert mean == pytest.approx(2.0)
     assert spread < 1e-15
@@ -456,3 +457,54 @@ def test_tower_evaluates_each_leaf_once_per_call(n):
     counts.clear()
     tower(1.5)
     assert counts == {"coeff": 1, "base": 1}
+
+
+# ---- batches: op.values(fs, points) --------------------------------------
+
+
+def _batch_equals_calls(op, fs, pts):
+    assert np.array_equal(op.values(fs, pts), np.array([op(f)(pts) for f in fs]))
+
+
+def test_values_equal_calls_for_a_commutator_with_derivatives():
+    _, Km, Kp = nonrel.su11_generators(_NONREL)
+    fs = [monomial(1.5) * gaussian(w) * polynomial([1.0, w]) for w in (0.7, 1.0, 1.3)]
+    _batch_equals_calls(commutator(Km, Kp), fs, GRID)
+
+
+def test_values_equal_calls_for_rel_shift_only_ladder():
+    B_minus, B_plus = rel.ladder_B(_REL)
+    fs = [rel.eigenfunction_rel(_REL, n).wavefunction for n in range(4)]
+    _batch_equals_calls(B_minus, fs, GRID)
+    _batch_equals_calls(B_plus, fs, GRID)
+
+
+def test_values_equal_calls_for_a_plain_function_and_a_tower_of_the_same_op():
+    _, B_plus = rel.ladder_B(_REL)
+    phi0 = rel.eigenfunction_rel(_REL, 0).wavefunction
+    fs = [phi0, B_plus(phi0), B_plus(B_plus(phi0)), 2.0 * phi0]
+    _batch_equals_calls(B_plus, fs, GRID)
+
+
+def test_values_of_no_functions_is_an_empty_batch():
+    assert deriv_op().values([], GRID).shape == (0, len(GRID))
+
+
+def test_values_name_the_first_nonfinite_point_of_the_batch():
+    op = mul_op(coordinate())
+    fs = [gaussian(1.0), from_callable(lambda z: 1.0 / (z - 2.0)), gaussian(0.5)]
+    with pytest.raises(EvaluationError, match=r"non-finite value at z = \(2\+0j\)"):
+        op.values(fs, [0.5, 1.0, 2.0, 3.0])
+    # the first in row order: a later row failing at an earlier point is not named
+    fs.append(from_callable(lambda z: 1.0 / (z - 1.0)))
+    with pytest.raises(EvaluationError, match=r"non-finite value at z = \(2\+0j\)"):
+        op.values(fs, [0.5, 1.0, 2.0, 3.0])
+
+
+def test_values_evaluate_each_coefficient_once_per_batch():
+    counts = {}
+    op = DifferenceOperator([Term(_counting(np.cos, counts, "coeff"), 1j, 0),
+                             Term(const(0.5), -0.5j, 1)])
+    fs = [gaussian(w) for w in (0.6, 0.8, 1.0, 1.2, 1.4)]
+    op.values(fs, GRID)
+    assert counts == {"coeff": 1}

@@ -20,6 +20,8 @@ from fdosc import cli
 
 COUPLINGS = ((0.5, 0.1), (0.9, 0.05), (0.35, 0.6), (0.6, 0.2))
 VERIFY_NMAX = (1, 6, 12)
+# the per-level tables at their largest: eigen-equation levels up to 30
+BIG_VERIFY_NMAX = 30
 TABLE_LEVELS = (0, 3, 11)
 TABLE_POINTS = 700
 FORMATS = ("json", "csv", "text")
@@ -61,6 +63,10 @@ def runs():
             yield (f"wavefunction/rel/{name}/{fmt}",
                    ["wavefunction", "--model", "rel", *flags, "--grid-points", "3",
                     "--format", fmt])
+    for w0, g0 in COUPLINGS:
+        yield (f"verify/{w0},{g0}/nmax{BIG_VERIFY_NMAX}/json",
+               ["verify", "--omega0", str(w0), "--g0", str(g0),
+                "--nmax", str(BIG_VERIFY_NMAX), "--format", "json"])
 
 
 def digest(argv) -> str:
