@@ -110,9 +110,7 @@ def _dispatch(args) -> int:
 
     if args.command == "wavefunction":
         if args.grid_points < 2 or args.grid_min <= 0 or args.grid_max <= args.grid_min:
-            print("error: grid must satisfy 0 < min < max, points >= 2",
-                  file=sys.stderr)
-            return 2
+            raise ValueError("grid must satisfy 0 < min < max, points >= 2")
         grid = default_grid(args.grid_points, args.grid_min, args.grid_max)
         table = harness.wavefunction_table(args.model, _model_params(args),
                                            args.n, grid)
@@ -134,12 +132,9 @@ def _dispatch(args) -> int:
         try:
             seq = [float(s) for s in args.omega0_list.split(",") if s.strip()]
         except ValueError:
-            print("error: --omega0-list must be comma-separated numbers",
-                  file=sys.stderr)
-            return 2
+            raise ValueError("--omega0-list must be comma-separated numbers") from None
         if not seq:
-            print("error: --omega0-list is empty", file=sys.stderr)
-            return 2
+            raise ValueError("--omega0-list is empty")
         devs = rel.nonrel_limit(args.g0, seq)
         table = {"omega0": seq, "deviation": devs,
                  "deviation_over_omega0": [dev / w0 for w0, dev in zip(seq, devs)]}

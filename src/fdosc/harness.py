@@ -55,9 +55,7 @@ BASE_LEVEL = 8
 
 # The ladder checks build levels n <= min(n_max, LADDER_CAP).  The cap is a
 # precision limit, not a cost one: at g0 = 0.1 the nonrel ladder-reconstruction
-# spread at n = 7 is 4.0e-8 (1.27e-8 with the earlier closure-tree evaluator)
-# against its 1e-8 tolerance, while that level builds in about 4 ms (43 s
-# with the closure trees) on a 2-core x86-64 VM.
+# spread at n = 7 is 4.0e-8 against its 1e-8 tolerance.
 LADDER_CAP = 6
 
 
@@ -187,20 +185,14 @@ class VerificationReport:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
-        writer.writerow(["check_id", "params", "max_residual", "tolerance",
-                         "passed", "note"])
-        for r in self.results:
-            writer.writerow([
-                r.check_id,
-                json.dumps(r.params, sort_keys=True),
-                repr(r.max_residual),
-                repr(r.tolerance),
-                str(r.passed).lower(),
-                r.note,
-            ])
-        return buf.getvalue()
+        return rows_to_csv({
+            "check_id": [r.check_id for r in self.results],
+            "params": [json.dumps(r.params, sort_keys=True) for r in self.results],
+            "max_residual": [repr(r.max_residual) for r in self.results],
+            "tolerance": [repr(r.tolerance) for r in self.results],
+            "passed": [str(r.passed).lower() for r in self.results],
+            "note": [r.note for r in self.results],
+        })
 
     def to_text(self) -> str:
         lines = []
@@ -254,6 +246,26 @@ def _worst_residual(A, B, fs, pts) -> float:
     operator is built once by the caller and evaluates its coefficients
     once for all of fs."""
     return mixed_residual(A.values(fs, pts), B.values(fs, pts))
+
+
+def _eigen_residual(op, wfs, energies, psi, pts) -> float:
+    """Worst residual of op psi_n against E_n psi_n over the states wfs."""
+    return max(mixed_residual(op_psi, e * psi_n)
+               for op_psi, e, psi_n in zip(op.values(wfs, pts), energies, psi))
+
+
+def _tower_ratios(op, base, norms, psi, pts):
+    """Worst spread and grid-constant ratios of norms[n - 1] op^n base against
+    psi[n], n = 1, 2, ..., the tower grown one level at a time."""
+    worst = 0.0
+    ratios = []
+    state = base
+    for n, norm in enumerate(norms, start=1):
+        state = op(state)
+        ratio, spread = ratio_spread((norm * state)(pts), psi[n])
+        worst = max(worst, spread)
+        ratios.append(ratio)
+    return worst, ratios
 
 
 # ---- check groups ------------------------------------------------------
@@ -337,9 +349,8 @@ def _checks_nonrel(g0: float, n_hi: int, n_ladder: int, pts, rng):
     psi = [st.wavefunction(pts) for st in states]
     wfs = [st.wavefunction for st in states]
 
-    yield "nonrel_eigen_equation", params, max(
-        mixed_residual(h_psi, st.energy * psi[st.n])
-        for h_psi, st in zip(H.values(wfs[: n_hi + 1], pts), states))
+    yield "nonrel_eigen_equation", params, _eigen_residual(
+        H, wfs[: n_hi + 1], [st.energy for st in states], psi, pts)
 
     fact = compose(c_plus, c_minus) + (model.d + 1.0) * identity_op()
     yield "nonrel_factorization", params, _worst_residual(fact, H, rand_fs, pts)
@@ -398,16 +409,10 @@ def _checks_nonrel(g0: float, n_hi: int, n_ladder: int, pts, rng):
            "kappa_n = sqrt(n(n+d)); signed ratios over unit-normalized states "
            f"carry alternating phase: {signed}")
 
-    worst = 0.0
-    ratios = []
-    state = psi0
-    for n in range(1, n_ladder + 1):
-        state = Kp(state)
-        gamma_n = 1.0 / math.sqrt(
-            math.factorial(n) * specfun.pochhammer(model.d + 1.0, n).real)
-        ratio, spread = ratio_spread((gamma_n * state)(pts), psi[n])
-        worst = max(worst, spread)
-        ratios.append(round(ratio.real, 6))
+    gammas = [1.0 / math.sqrt(math.factorial(n) * specfun.pochhammer(model.d + 1.0, n).real)
+              for n in range(1, n_ladder + 1)]
+    worst, ratios = _tower_ratios(Kp, psi0, gammas, psi, pts)
+    ratios = [round(r.real, 6) for r in ratios]
     yield ("nonrel_ladder_reconstruction", params, worst,
            f"grid-constant ratios vs closed forms: {ratios}")
 
@@ -449,14 +454,12 @@ def _checks_rel(omega0: float, g0: float, n_hi: int, n_ladder: int, pts, rng):
     KpKm = [0.0] + [BpBm / f_E[n] for n, BpBm in
                     enumerate(B_plus.values(Bm_psi[1:], pts), start=1)]
 
-    yield "rel_eigen_equation", params, max(
-        mixed_residual(h_psi, st.energy_mc2 * psi[st.n])
-        for h_psi, st in zip(H.values(wfs[: n_hi + 1], pts), states)), f"n <= {n_hi}"
+    yield "rel_eigen_equation", params, _eigen_residual(
+        H, wfs[: n_hi + 1], E, psi, pts), f"n <= {n_hi}"
 
     fact = compose(b_plus, b_minus) + (w0 * (a + nu)) * identity_op()
-    yield "rel_factorization_eigen", params, max(
-        mixed_residual(fact_psi, st.energy_mc2 * psi[st.n])
-        for fact_psi, st in zip(fact.values(wfs[: n_hi + 1], pts), states))
+    yield "rel_factorization_eigen", params, _eigen_residual(
+        fact, wfs[: n_hi + 1], E, psi, pts)
     yield "rel_factorization_random", params, _worst_residual(fact, H, rand_fs, pts)
 
     phi0 = states[0].wavefunction
@@ -550,15 +553,9 @@ def _checks_rel(omega0: float, g0: float, n_hi: int, n_ladder: int, pts, rng):
            f"value k(k-1)={value:.12g}, k=(alpha+nu)/2")
 
     # N_n (B+)^n phi_0, one tower grown a level at a time
-    worst = 0.0
-    ratios = []
-    state = phi0
-    for n in range(1, n_ladder + 1):
-        state = B_plus(state)
-        built = rel.ladder_norm_constant(model, n) * state
-        ratio, spread = ratio_spread(built(pts), psi[n])
-        worst = max(worst, spread)
-        ratios.append(float(f"{abs(ratio):.4g}"))
+    norms = [rel.ladder_norm_constant(model, n) for n in range(1, n_ladder + 1)]
+    worst, ratios = _tower_ratios(B_plus, phi0, norms, psi, pts)
+    ratios = [float(f"{abs(r):.4g}") for r in ratios]
     yield ("rel_ladder_reconstruction", params, worst,
            f"grid-constant ratio magnitudes vs closed forms: {ratios}")
 
@@ -576,7 +573,7 @@ def _checks_rel(omega0: float, g0: float, n_hi: int, n_ladder: int, pts, rng):
            f"deviation ratio {devs[0] / devs[1]:.4f}, expected 4 (linear term "
            "vanishes at g0 = 1/8)")
     m_small = rel.make_rel_model(1e-2, 0.1)
-    d = 0.5 * math.sqrt(1.0 + 8.0 * 0.1)
+    d = nonrel.make_model(0.1).d
     yield ("rel_nonrel_limit_exponent", {"g0": 0.1, "omega0": 1e-2},
            abs(m_small.alpha - (d + 0.5)), f"alpha -> d + 1/2 = {d + 0.5:.6f}")
 
@@ -675,7 +672,7 @@ def wavefunction_table(model_kind: str, params: dict, n: int, grid) -> dict[str,
     else:
         raise ValueError(f"unknown model kind: {model_kind}")
     points = np.asarray(grid, dtype=float)
-    errors = (EvaluationError, PoleError, ZeroDivisionError)
+    errors = (EvaluationError, PoleError)
     try:
         values = wf(points)
     except errors:  # some point fails: evaluate point by point to mark it

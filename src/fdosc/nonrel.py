@@ -92,11 +92,9 @@ def lowering_forms(model: NonRelModel) -> tuple[DifferenceOperator, DifferenceOp
     They agree identically; both are exposed for the cross-check.
     """
     c_minus, _ = ladder_c(model)
-    a_minus, _ = ladder_a()
     form1 = _SQRT2 * compose(mul_op(coordinate()), c_minus) - hamiltonian(model) \
         + (model.d + 1.0) * identity_op()
-    form2 = compose(a_minus, a_minus) - mul_op(model.g0 * monomial(-2))
-    return form1, form2
+    return form1, ladder_A(model)[0]
 
 
 def ladder_A(model: NonRelModel) -> tuple[DifferenceOperator, DifferenceOperator]:

@@ -71,7 +71,9 @@ class AnalyticFunction:
         if self.value is not None:
             return const(0.0)
         jet = self.jet
-        return AnalyticFunction(lambda z, K: _derivative_rows(jet(z, K + 1), 1))
+        # row j of the jet of f' is (j + 1) times row j + 1 of the jet of f
+        return AnalyticFunction(
+            lambda z, K: jet(z, K + 1)[1:] * np.arange(1.0, K + 2)[:, None])
 
     def shifted(self, a) -> "AnalyticFunction":
         a = complex(a)
@@ -172,14 +174,6 @@ def _cauchy(a, b):
     for m in range(1, len(a)):
         out[m:] += a[:-m] * b[m]
     return out
-
-
-def _derivative_rows(c, k: int):
-    """Jet of D^k f from a jet of f that is k rows longer."""
-    if k == 0:
-        return c
-    scale = [math.perm(j + k, k) for j in range(len(c) - k)]  # (j+k)!/j!
-    return c[k:] * np.array(scale, dtype=float).reshape((-1,) + (1,) * (c.ndim - 1))
 
 
 # ---- primitive functions ----------------------------------------------

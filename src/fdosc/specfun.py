@@ -48,6 +48,9 @@ _BLOCK = 256  # points per block of the Lanczos sum: a 57 KB temporary
 
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
+# |Im z| beyond which exp(pi |Im z|) passes the largest double: sin(pi z)
+# overflows there or is within a factor 2 of it
+_SIN_OVERFLOW_IM = math.log(np.finfo(float).max) / math.pi  # 225.9
 
 
 def _points(z):
@@ -88,6 +91,20 @@ def _log_gamma_right(z):
     return _LOG_SQRT_TWO_PI + (zm + 0.5) * np.log(t) - t + np.log(s)
 
 
+def _log_sin_pi(z):
+    """log sin(pi z), modulo 2 pi i.  Where |Im z| > _SIN_OVERFLOW_IM,
+    sin(pi z) = (s i / 2) exp(-s i pi z) (1 - exp(2 s i pi z)) with
+    s = sign(Im z), and the last factor is 1 to far below double precision,
+    so the log is taken from that form: s i pi (1/2 - z) - log 2."""
+    far = np.abs(z.imag) > _SIN_OVERFLOW_IM
+    if not far.any():
+        return np.log(np.sin(math.pi * z))
+    out = np.empty_like(z)
+    out[~far] = np.log(np.sin(math.pi * z[~far]))
+    out[far] = np.sign(z.imag[far]) * 1j * math.pi * (0.5 - z[far]) - math.log(2.0)
+    return out
+
+
 def log_gamma(z):
     """log Gamma(z), continuous along re(z) > 0.
 
@@ -96,6 +113,8 @@ def log_gamma(z):
     keeps the branch continuous; 1 - z where re(z) <= 0, by the reflection
     Gamma(z) Gamma(1 - z) = pi / sin(pi z).  There the imaginary part is
     only defined modulo 2*pi*i, which is harmless for exponentiated ratios.
+    The reflection stays finite at large |Im z|: where sin(pi z) would
+    overflow, log sin(pi z) is taken from its exponential form.
     """
     z, shape = _points(z)
     _reject_poles(z, "log_gamma")
@@ -105,7 +124,7 @@ def log_gamma(z):
     if strip.any():
         out[strip] -= np.log(z[strip])
     if left.any():
-        out[left] = _LOG_PI - np.log(np.sin(math.pi * z[left])) - out[left]
+        out[left] = _LOG_PI - _log_sin_pi(z[left]) - out[left]
     return _shaped(out, shape)
 
 

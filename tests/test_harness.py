@@ -12,6 +12,7 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -120,6 +121,23 @@ def test_wavefunction_table_marks_pole_rows():
         re, im = table["re"][k], table["im"][k]
         assert math.isfinite(re) and math.isfinite(im)
         assert table["abs"][k] == abs(complex(re, im))
+
+
+def test_wavefunction_table_far_out_matches_mpmath():
+    # phi_0 falls to 1e-164 at rho = 252 and 1e-265 at rho = 400, where
+    # log_gamma(i rho) takes its reflection at |Im z| > 226
+    model = harness.rel.make_rel_model(0.5, 0.1)
+    table = harness.wavefunction_table("rel", {"omega0": 0.5, "g0": 0.1}, 0,
+                                       default_grid(4, 100.0, 400.0))
+    assert table["error"] == [""] * 4
+    with mp.workdps(30):
+        a, nu = mp.mpf(model.alpha), mp.mpf(model.nu)
+        for rho, re, im, mag in zip(*(table[k] for k in ("rho", "re", "im", "abs"))):
+            irho = mp.mpc(0, rho)
+            ref = complex(mp.exp(0.5j * mp.pi * a) * mp.gamma(a + irho) / mp.gamma(irho)
+                          * mp.exp(irho * mp.log(0.5)) * mp.gamma(nu + irho))
+            assert abs(complex(re, im) - ref) <= 1e-12 * abs(ref)
+            assert abs(mag - abs(ref)) <= 1e-12 * abs(ref)
 
 
 @pytest.mark.parametrize("model", ["nonrel", "rel"])
@@ -298,10 +316,11 @@ def test_cli_wavefunction_error_rows_golden_bytes(fmt):
     assert out == _ERROR_TABLE_BYTES[fmt]
 
 
-def test_cli_wavefunction_rejects_bad_grid():
-    code, _ = _run_cli(["wavefunction", "--model", "nonrel", "--g0", "0.1",
-                        "--n", "0", "--grid-min", "2.0", "--grid-max", "1.0"])
-    assert code == 2
+def test_cli_wavefunction_rejects_bad_grid(capsys):
+    code, out = _run_cli(["wavefunction", "--model", "nonrel", "--g0", "0.1",
+                          "--n", "0", "--grid-min", "2.0", "--grid-max", "1.0"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: grid must satisfy 0 < min < max, points >= 2\n"
 
 
 @pytest.mark.parametrize("model", ["nonrel", "rel"])
@@ -354,11 +373,13 @@ def test_cli_limit_rejects_g0_outside_domain(g0, capsys):
     assert capsys.readouterr().err.startswith("error: g0 must")
 
 
-def test_cli_limit_rejects_bad_list():
-    code, _ = _run_cli(["limit", "--g0", "0.1", "--omega0-list", "abc"])
-    assert code == 2
-    code, _ = _run_cli(["limit", "--g0", "0.1", "--omega0-list", ","])
-    assert code == 2
+def test_cli_limit_rejects_bad_list(capsys):
+    code, out = _run_cli(["limit", "--g0", "0.1", "--omega0-list", "abc"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: --omega0-list must be comma-separated numbers\n"
+    code, out = _run_cli(["limit", "--g0", "0.1", "--omega0-list", ","])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: --omega0-list is empty\n"
 
 
 # ---- full verify runs (session-scoped fixtures, computed once) ----------

@@ -77,6 +77,24 @@ def test_log_gamma_array_matches_mpmath_modulo_branch():
     assert np.max(np.abs(np.exp(val) - ref) / np.abs(ref)) < 1e-13
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_log_gamma_reflection_is_finite_at_large_imaginary_part():
+    # sin(pi z) overflows for |Im z| beyond about 226; log Gamma stays finite
+    z = np.array([complex(x, s * y) for x in (0.0, -0.3, -2.5, -7.5)
+                  for y in (230.0, 300.0, 1000.0, 1e4) for s in (1, -1)])
+    val = specfun.log_gamma(z)
+    ref = np.array([complex(mp.loggamma(mp.mpc(w.real, w.imag))) for w in z])
+    diff = val - ref
+    diff -= 2j * np.pi * np.round(diff.imag / (2 * np.pi))  # modulo 2 pi i
+    assert np.max(np.abs(diff) / np.abs(ref)) < 1e-14
+    # and what is built on it, exponentiated from logs of size ~1e3: gamma at
+    # 1e-158 and rho^(lambda) at rho = 230
+    ref = complex(mp.gamma(mp.mpc(0, 230)))
+    assert abs(specfun.gamma(230j) - ref) / abs(ref) < 1e-12
+    ref = complex(mp.exp(0.75j * mp.pi) * mp.gamma(mp.mpc(1.5, -230)) / mp.gamma(mp.mpc(0, -230)))
+    assert abs(specfun.generalized_degree(230.0, 1.5) - ref) / abs(ref) < 1e-12
+
+
 def test_array_keeps_its_shape_and_scalar_gives_complex():
     z = _mixed_branch_points()[:12].reshape(3, 4)
     for fn in (specfun.gamma, specfun.log_gamma, lambda w: specfun.pochhammer(w, 3),

@@ -32,6 +32,9 @@ BIG_POINTS = 4096
 # on a grid from 1e-300 the first two rows sit at the log_gamma pole
 ERROR_TABLES = (("errors", ["--omega0", "0.005"]),
                 ("poles", ["--grid-min", "1e-300", "--grid-max", "2"]))
+# a rel table far out, where phi_0 falls to 1e-164 at rho = 252 and 1e-265 at
+# rho = 400: log_gamma's reflection is taken at |Im z| up to 400 there
+FAR_TABLE = ["--grid-min", "100", "--grid-max", "400", "--grid-points", "4"]
 
 
 def runs():
@@ -67,6 +70,9 @@ def runs():
         yield (f"verify/{w0},{g0}/nmax{BIG_VERIFY_NMAX}/json",
                ["verify", "--omega0", str(w0), "--g0", str(g0),
                 "--nmax", str(BIG_VERIFY_NMAX), "--format", "json"])
+    for fmt in FORMATS:
+        yield (f"wavefunction/rel/far/{fmt}",
+               ["wavefunction", "--model", "rel", *FAR_TABLE, "--format", fmt])
 
 
 def digest(argv) -> str:
