@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 from . import harness, rel
@@ -79,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
                         f"at {harness.LADDER_CAP}, eigen-equation checks reach "
                         f"at least {harness.BASE_LEVEL})")
     p.add_argument("--tol", type=float, default=None,
-                   help="override every hard tolerance with one value; "
-                        "report-only checks keep theirs")
+                   help="override every hard tolerance with one finite value "
+                        "> 0; report-only checks keep theirs")
     _add_format(p)
 
     p = sub.add_parser("limit", help="non-relativistic limit table")
@@ -109,7 +110,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "wavefunction":
-        if args.grid_points < 2 or args.grid_min <= 0 or args.grid_max <= args.grid_min:
+        # written so that a nan or infinite bound fails it too
+        if not (args.grid_points >= 2 and 0 < args.grid_min < args.grid_max < math.inf):
             raise ValueError("grid must satisfy 0 < min < max, points >= 2")
         grid = default_grid(args.grid_points, args.grid_min, args.grid_max)
         table = harness.wavefunction_table(args.model, _model_params(args),

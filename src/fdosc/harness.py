@@ -44,6 +44,7 @@ from .opcore import (
     polynomial,
     ratio_spread,
     shift_op,
+    stack,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -243,15 +244,17 @@ def _max_abs(f: AnalyticFunction, pts) -> float:
 
 def _worst_residual(A, B, fs, pts) -> float:
     """Worst residual of A f against B f over the test functions fs; each
-    operator is built once by the caller and evaluates its coefficients
-    once for all of fs."""
-    return mixed_residual(A.values(fs, pts), B.values(fs, pts))
+    operator is one tower pass over stack(fs), so it evaluates its
+    coefficients once for all of them."""
+    F = stack(fs)
+    return mixed_residual(A(F)(pts), B(F)(pts))
 
 
-def _eigen_residual(op, wfs, energies, psi, pts) -> float:
-    """Worst residual of op psi_n against E_n psi_n over the states wfs."""
+def _eigen_residual(op, Psi, energies, psi, pts) -> float:
+    """Worst residual of op psi_n against E_n psi_n over the rows of the
+    batched state Psi; psi[n] is psi_n on the grid."""
     return max(mixed_residual(op_psi, e * psi_n)
-               for op_psi, e, psi_n in zip(op.values(wfs, pts), energies, psi))
+               for op_psi, e, psi_n in zip(op(Psi)(pts), energies, psi))
 
 
 def _tower_ratios(op, base, norms, psi, pts):
@@ -346,11 +349,11 @@ def _checks_nonrel(g0: float, n_hi: int, n_ladder: int, pts, rng):
     # the ladder levels n <= n_ladder + 1 and the Casimir levels n <= BASE_LEVEL
     states = [nonrel.eigenfunction(model, n) for n in range(max(n_hi, n_ladder + 1) + 1)]
     rand_fs = _random_halfline_functions(rng, 20)
-    psi = [st.wavefunction(pts) for st in states]
     wfs = [st.wavefunction for st in states]
+    psi = stack(wfs)(pts)
 
     yield "nonrel_eigen_equation", params, _eigen_residual(
-        H, wfs[: n_hi + 1], [st.energy for st in states], psi, pts)
+        H, stack(wfs[: n_hi + 1]), [st.energy for st in states], psi, pts)
 
     fact = compose(c_plus, c_minus) + (model.d + 1.0) * identity_op()
     yield "nonrel_factorization", params, _worst_residual(fact, H, rand_fs, pts)
@@ -387,7 +390,7 @@ def _checks_nonrel(g0: float, n_hi: int, n_ladder: int, pts, rng):
     value = k * (k - 1.0)
     worst = 0.0
     measured = []
-    for n, c_psi in enumerate(casimir.values(wfs[: BASE_LEVEL + 1], pts)):
+    for n, c_psi in enumerate(casimir(stack(wfs[: BASE_LEVEL + 1]))(pts)):
         worst = max(worst, mixed_residual(c_psi, value * psi[n]))
         measured.append(np.mean(c_psi / psi[n]).real)
     spread = float(np.max(np.abs(np.array(measured) - value)))
@@ -397,8 +400,8 @@ def _checks_nonrel(g0: float, n_hi: int, n_ladder: int, pts, rng):
     # gauge-invariant ladder coefficients: K- K+ psi_n = kappa_{n+1}^2 psi_n
     worst = 0.0
     signed = []
-    kp_vals = Kp.values(wfs[: n_ladder + 1], pts)
-    km_kp_vals = Km.values([Kp(wf) for wf in wfs[: n_ladder + 1]], pts)
+    Kp_psi = Kp(stack(wfs[: n_ladder + 1]))
+    kp_vals, km_kp_vals = Kp_psi(pts), Km(Kp_psi)(pts)
     for n in range(n_ladder + 1):
         kap2, _ = ratio_spread(km_kp_vals[n], psi[n])
         expect = (n + 1) * (n + 1 + model.d)
@@ -432,43 +435,44 @@ def _checks_rel(omega0: float, g0: float, n_hi: int, n_ladder: int, pts, rng):
     b_minus, b_plus = rel.ladder_b(model)
     B_minus, B_plus = rel.ladder_B(model)
     P = rel.momentum_P(model)
-    # The per-level table, one pass per level: the checks below read each
-    # state and each B-+ product on the grid from here, so each is evaluated
-    # once.  It covers the eigen-equation levels n <= n_hi, the Casimir
-    # levels n <= BASE_LEVEL and the ladder levels n <= n_ladder, whose
-    # su(1,1) closure reads E_(n+1).
+    # The per-level table: the checks below read each state and each B-+
+    # product on the grid from here, so each is evaluated once.  It covers
+    # the eigen-equation levels n <= n_hi, the Casimir levels n <= BASE_LEVEL
+    # and the ladder levels n <= n_ladder, whose su(1,1) closure reads
+    # E_(n+1).  An operator meets the states as one batch, a tower pass over
+    # all rows: Phi's rows are the ladder levels n <= n_ladder, Phi_up's the
+    # levels 1..n_ladder.
     n_km = max(BASE_LEVEL, n_ladder)  # levels n that K+K- psi_n is needed at
-    states = [rel.eigenfunction_rel(model, n) for n in range(max(n_hi, n_ladder + 1) + 1)]
+    levels = range(max(n_hi, n_ladder + 1) + 1)
     rand_fs = _random_entire_functions(rng, 20)
-    E = [st.energy_mc2 for st in states]
+    E = [rel.energy(model, n) for n in levels]
     f_E = [rel.spectral_f(model, e) for e in E]
     k0 = [e / (2.0 * w0) for e in E]  # K0 = H/(2 omega0) eigenvalues
-    psi = [st.wavefunction(pts) for st in states]
-    wfs = [st.wavefunction for st in states]
-    Bm_psi = [B_minus(wf) for wf in wfs[: n_km + 1]]
-    Bp_psi = [B_plus(wf) for wf in wfs[: n_ladder + 1]]
-    Bm_vals = B_minus.values(wfs[: n_ladder + 1], pts)
-    Bp_vals = B_plus.values(wfs[: n_ladder + 1], pts)
-    BmBp = B_minus.values(Bp_psi, pts)
+    psi = rel.eigenfunctions(model, levels)(pts)
+    Phi = rel.eigenfunctions(model, range(n_ladder + 1))
+    Phi_up = rel.eigenfunctions(model, range(1, n_ladder + 1))
+    Bp_Phi = B_plus(Phi)
+    Bm_vals, Bp_vals = B_minus(Phi)(pts), Bp_Phi(pts)
+    BmBp = B_minus(Bp_Phi)(pts)
     # K+K- psi_n = B+B- psi_n / f(E_n); K- annihilates the ground state
-    KpKm = [0.0] + [BpBm / f_E[n] for n, BpBm in
-                    enumerate(B_plus.values(Bm_psi[1:], pts), start=1)]
+    BpBm = B_plus(B_minus(rel.eigenfunctions(model, range(1, n_km + 1))))(pts)
+    KpKm = [0.0] + [row / f_E[n] for n, row in enumerate(BpBm, start=1)]
 
+    Phi_hi = rel.eigenfunctions(model, range(n_hi + 1))
     yield "rel_eigen_equation", params, _eigen_residual(
-        H, wfs[: n_hi + 1], E, psi, pts), f"n <= {n_hi}"
+        H, Phi_hi, E, psi, pts), f"n <= {n_hi}"
 
     fact = compose(b_plus, b_minus) + (w0 * (a + nu)) * identity_op()
-    yield "rel_factorization_eigen", params, _eigen_residual(
-        fact, wfs[: n_hi + 1], E, psi, pts)
+    yield "rel_factorization_eigen", params, _eigen_residual(fact, Phi_hi, E, psi, pts)
     yield "rel_factorization_random", params, _worst_residual(fact, H, rand_fs, pts)
 
-    phi0 = states[0].wavefunction
+    phi0 = rel.eigenfunction_rel(model, 0).wavefunction
     yield "rel_ground_annihilation", params, max(
         _max_abs(b_minus(phi0), pts), float(np.max(np.abs(Bm_vals[0])))) \
         / float(np.max(np.abs(psi[0])))
 
-    comm_m = commutator(H, B_minus).values(wfs[1: n_ladder + 1], pts)
-    comm_p = commutator(H, B_plus).values(wfs[: n_ladder + 1], pts)
+    comm_m = commutator(H, B_minus)(Phi_up)(pts)
+    comm_p = commutator(H, B_plus)(Phi)(pts)
     yield "rel_lowering_commutator", params, max(
         mixed_residual(comm_m[n - 1], -2.0 * w0 * Bm_vals[n])
         for n in range(1, n_ladder + 1))
@@ -530,8 +534,8 @@ def _checks_rel(omega0: float, g0: float, n_hi: int, n_ladder: int, pts, rng):
     # K+ = f^{-1/2}(E_{n+1}) B+ on psi_n, the spectral weight taken at the
     # eigenvalue the operator ordering dictates
     inv_sqrt_f = [rel.spectral_f_sqrt_inv(model, e) for e in E[: n_ladder + 2]]
-    H_kp = H.values([inv_sqrt_f[n + 1] * f for n, f in enumerate(Bp_psi)], pts)
-    H_km = H.values([inv_sqrt_f[n] * Bm_psi[n] for n in range(1, n_ladder + 1)], pts)
+    H_kp = H(np.array(inv_sqrt_f[1:]) * Bp_Phi)(pts)
+    H_km = H(np.array(inv_sqrt_f[1: n_ladder + 1]) * B_minus(Phi_up))(pts)
     worst = 0.0
     for n in range(n_ladder + 1):
         comm_vals = BmBp[n] / f_E[n + 1] - KpKm[n]
@@ -608,11 +612,14 @@ def run_suite(omega0: float, g0: float, n_max: int = 6,
 
     `tol_overrides` replaces the tolerance of every hard check.  Identical
     inputs give identical residuals (fixed seed for the random test
-    functions).  Raises ValueError for n_max < 1 and CouplingError for
-    out-of-range couplings before any check runs.
+    functions).  Raises ValueError for n_max < 1 or a tol_overrides that is
+    not finite and > 0, and CouplingError for out-of-range couplings, before
+    any check runs.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if tol_overrides is not None and not 0.0 < tol_overrides < math.inf:
+        raise ValueError(f"tolerance must be finite and > 0, got {tol_overrides}")
     rel.make_rel_model(omega0, g0)  # validate before running anything
     nonrel.make_model(g0)
     pts = default_grid()

@@ -23,16 +23,21 @@ multiply-add over all terms.  Power 1 is the same code.  Any other
 wrapper, such as 2.0 * op(f) or a different operator object with equal
 terms, starts a new tower.
 
-``op.values(fs, points)`` applies one operator to a batch of functions: row
-i is op(fs[i]) at the points.  A tower's call splits into its coefficient
-block, the coefficient jets at z + union, and the pass of base and stencil
-steps, which takes the block as an argument.  In a batch the towers of one
-power share one block, evaluated once in the call; each row runs its own
-base and steps, so it is the same array op(fs[i])(points) gives.
+A function may be vector-valued: its jet then has leading batch axes,
+shape (*B, K+1, len(z)), and a call returns shape (*B, *z.shape).
+``stack(fs)`` makes one such function from scalar ones, and multiplying it
+by a 1-d array scales each row.  Primitives and operator coefficients stay
+scalar; the algebra and the towers index the order axis from the end and
+broadcast over the batch axes.  So op(stack(fs)) is one tower whose call
+evaluates the coefficients once for all rows and runs one pass of base and
+stencil steps over all of them, and A(B(stack(fs))) evaluates each of A's
+and B's coefficient blocks once.  Row i of op(stack(fs)) holds the floats
+op(fs[i]) gives, unless fs[i] is itself a tower of op: a stack is a new
+base, so its rows are not fused into their towers.
 
 ``from_callable(fn)`` wraps an array function, fn(complex ndarray) ->
-values of the same shape.  Such a leaf has no derivative: evaluating one
-raises EvaluationError.
+values of the same shape, or of shape (*B, len(z)) for a batched leaf.
+Such a leaf has no derivative: evaluating one raises EvaluationError.
 """
 
 from __future__ import annotations
@@ -50,22 +55,27 @@ class AnalyticFunction:
 
     Closed under +, -, *, scalar multiplication, argument shift and
     differentiation.  ``jet(z, K)`` maps a 1-d complex array of points to
-    the (K+1, len(z)) array of Taylor coefficients f^(k)(z)/k!.  ``value``
-    is the complex value of a constant and None otherwise; the algebra folds
+    the (*B, K+1, len(z)) array of Taylor coefficients f^(k)(z)/k!, where
+    the batch axes B are empty for a scalar function.  ``value`` is the
+    complex value of a constant and None otherwise; the algebra folds
     constants when an expression is built, so they cost no jet at run time.
     """
 
     __slots__ = ("jet", "value")
+    __array_ufunc__ = None  # ndarray * f defers to f.__rmul__
 
     def __init__(self, jet, value=None):
         self.jet = jet
         self.value = value
 
     def __call__(self, z):
-        """f(z) for a scalar (a complex) or a sequence or array (an ndarray)."""
+        """f(z) for a scalar (a complex) or a sequence or array (an ndarray);
+        a batched function gives an ndarray of shape (*B, *z.shape)."""
         pts = np.asarray(z, dtype=complex)
-        w = _checked_values(lambda flat: self.jet(flat, 0)[0], pts)
-        return complex(w[0]) if pts.ndim == 0 else w.reshape(pts.shape)
+        w = _checked_values(lambda flat: self.jet(flat, 0)[..., 0, :], pts)
+        if w.ndim == 1 and pts.ndim == 0:
+            return complex(w[0])
+        return w.reshape(w.shape[:-1] + pts.shape)
 
     def derivative(self) -> "AnalyticFunction":
         if self.value is not None:
@@ -73,7 +83,7 @@ class AnalyticFunction:
         jet = self.jet
         # row j of the jet of f' is (j + 1) times row j + 1 of the jet of f
         return AnalyticFunction(
-            lambda z, K: jet(z, K + 1)[1:] * np.arange(1.0, K + 2)[:, None])
+            lambda z, K: jet(z, K + 1)[..., 1:, :] * np.arange(1.0, K + 2)[:, None])
 
     def shifted(self, a) -> "AnalyticFunction":
         a = complex(a)
@@ -115,6 +125,10 @@ class AnalyticFunction:
                 return other * self.value
             f, g = self.jet, other.jet
             return AnalyticFunction(lambda z, K: _cauchy(f(z, K), g(z, K)))
+        if np.ndim(other) == 1:  # one factor per row of a batch
+            scale = np.asarray(other, dtype=complex)[:, None, None]
+            f = self.jet
+            return AnalyticFunction(lambda z, K: scale * f(z, K))
         c = complex(other)
         if self.value is not None:
             return const(c * self.value)
@@ -133,7 +147,7 @@ class AnalyticFunction:
 
         def jet(z, K):
             out = f(z, K).copy()
-            out[0] += c
+            out[..., 0, :] += c
             return out
 
         return AnalyticFunction(jet)
@@ -164,15 +178,21 @@ def _as_function(x) -> AnalyticFunction:
     return const(x)
 
 
-def _cauchy(a, b):
-    """Truncated Cauchy product: the jet of a product from the jets of its factors.
+def _cauchy(a, b, tail=1):
+    """Truncated Cauchy product: the jet of a product from the jets of its
+    factors, whose order axis is the one before their last `tail` axes; the
+    other axes broadcast.
 
     Row k is accumulated in a fixed order, a_k b_0 + a_(k-1) b_1 + ...; a
     numpy sum over rows would switch to pairwise order for a single point.
     """
-    out = a * b[0]
-    for m in range(1, len(a)):
-        out[m:] += a[:-m] * b[m]
+    if a.shape[-1 - tail] == 1:  # a value call: the product of the values
+        return a * b
+    rest = (slice(None),) * tail
+    out = a * b[(..., slice(0, 1), *rest)]
+    for m in range(1, a.shape[-1 - tail]):
+        out[(..., slice(m, None), *rest)] += \
+            a[(..., slice(None, -m), *rest)] * b[(..., slice(m, m + 1), *rest)]
     return out
 
 
@@ -262,12 +282,27 @@ def exp_linear(k) -> AnalyticFunction:
 
 
 def from_callable(fn, note="") -> AnalyticFunction:
-    """Leaf from an array function fn(z) -> values; it has no derivative."""
+    """Leaf from an array function fn(z) -> values of shape (*B, len(z)); it
+    has no derivative."""
 
     def jet(z, K):
         if K:
             raise EvaluationError(f"no derivative is known for {note or 'a plain callable'}")
-        return np.asarray(fn(z), dtype=complex).reshape(1, len(z))
+        w = np.asarray(fn(z), dtype=complex)
+        return w.reshape(w.shape[:-1] + (1, len(z)))
+
+    return AnalyticFunction(jet)
+
+
+def stack(fs) -> AnalyticFunction:
+    """One batched function from scalar ones: row i of its jet is fs[i]'s."""
+    jets = [_as_function(f).jet for f in fs]
+
+    def jet(z, K):
+        out = np.empty((len(jets), K + 1, len(z)), dtype=complex)
+        for row, f in zip(out, jets):
+            row[...] = f(z, K)
+        return out
 
     return AnalyticFunction(jet)
 
@@ -309,29 +344,6 @@ class DifferenceOperator:
         return AnalyticFunction(_Tower(self, _as_function(f).jet))
 
     apply = __call__
-
-    def values(self, fs, points) -> np.ndarray:
-        """Row i is self(fs[i]) at the points, shape (len(fs), len(points)).
-
-        Each row is the value call of its own tower node, but the towers of
-        one power share one coefficient block, so the coefficient jets are
-        evaluated once per power, not once per function.  The error contract
-        is a function call's over the whole batch.
-        """
-        pts = np.asarray(points, dtype=complex).reshape(-1)
-
-        def rows(z):
-            out = np.empty((len(fs), len(z)), dtype=complex)
-            blocks: dict = {}  # tower power -> its coefficient block at z
-            for i, f in enumerate(fs):
-                tower = _Tower(self, _as_function(f).jet)
-                power = len(tower.steps)
-                if power not in blocks:
-                    blocks[power] = tower.coefficients(z, tower.value_rows)
-                out[i] = tower(z, 0, blocks[power])[0]
-            return out
-
-        return _checked_values(rows, pts)
 
     def __add__(self, other):
         return DifferenceOperator(self.terms + other.terms)
@@ -389,8 +401,8 @@ class _Tower:
         self.union = np.array(list(place), dtype=complex)
         self.base_shifts = np.array(self.last, dtype=complex)[:, None]
         # the tables a value call (K = 0) needs; a deeper jet builds its own
-        self.value_rows = (len(steps) - 1) * self.top + 1
-        self.stencil_rows, self.stencil_scale = self._stencil(self.value_rows)
+        value_rows = (len(steps) - 1) * self.top + 1
+        self.stencil_rows, self.stencil_scale = self._stencil(value_rows)
 
     def _stencil(self, rows):
         """Row index and scale tables of every term's derivative jet, rows k < rows."""
@@ -402,7 +414,8 @@ class _Tower:
 
     def coefficients(self, z, rows):
         """The coefficient jets at z + union on a term axis, shape (rows,
-        terms, |union|, len(z)); a constant is the jet (value, 0, 0, ...)."""
+        terms, |union|, len(z)), shared by every row of a batched base; a
+        constant is the jet (value, 0, 0, ...)."""
         n = len(z)
         points = z if len(self.union) == 1 else (z + self.union[:, None]).reshape(-1)
         block = np.zeros((rows, len(self.op.terms), len(self.union), n), dtype=complex)
@@ -413,28 +426,26 @@ class _Tower:
                 block[0, i] = t.coeff.value
         return block
 
-    def __call__(self, z, K, block=None):
+    def __call__(self, z, K):
         """The base once at z + S_p, then p stencil steps, each one gather and
-        one stacked multiply-add over all terms.  `block` is the coefficient
-        block of these z and K, evaluated here when not given."""
+        one stacked multiply-add over all terms and all rows of a batch."""
         n, top, power = len(z), self.top, len(self.steps)
         values = self.base((z + self.base_shifts).reshape(-1), K + power * top)
-        values = values.reshape(len(values), len(self.last), n)
+        values = values.reshape(values.shape[:-1] + (len(self.last), n))
         rows = K + (power - 1) * top + 1
         index, scale = self.stencil_rows, self.stencil_scale
         if rows > len(index):  # a deeper jet than a value call
             index, scale = self._stencil(rows)
-        if block is None:
-            block = self.coefficients(z, rows)
+        block = self.coefficients(z, rows)
         for j in reversed(range(power)):
-            # values holds the jets at z + S_(j+1), shape (rows, |S_(j+1)|, n);
-            # derivs[k, t] is row k of term t's derivative jet at z + S_j
+            # values holds the jets at z + S_(j+1), shape (*B, rows, |S_(j+1)|, n);
+            # derivs[..., k, t, :, :] is row k of term t's derivative jet at z + S_j
             rows = K + j * top + 1
-            derivs = values[index[:rows], self.steps[j]]
+            derivs = values[..., index[:rows], self.steps[j], :]
             if top:  # every scale is 1 when no term differentiates
                 derivs *= scale[:rows]
-            values = _cauchy(block[:rows, :, self.at_union[j]], derivs).sum(axis=1)
-        return values.reshape(K + 1, n)
+            values = _cauchy(block[:rows, :, self.at_union[j]], derivs, 3).sum(axis=-3)
+        return values.reshape(values.shape[:-2] + (n,))
 
 
 def shift_op(a) -> DifferenceOperator:

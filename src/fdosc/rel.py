@@ -17,6 +17,14 @@ spectral_f_sqrt_inv.
 No inner product is specified for the model, so every "conjugate"
 operator is built from its printed closed form and all ladder-coefficient
 measurements are pointwise grid ratios (basis-independent).
+
+Every eigenfunction has the form phi_n(rho) = P(rho) S_n(rho^2; alpha, nu,
+1/2), with the same gamma prefactor P for every n (Koekoek, Lesky &
+Swarttouw, Hypergeometric Orthogonal Polynomials, sec. 9.3).
+``eigenfunctions(model, ns)`` is one batched leaf whose row i is phi_ns[i]:
+a call evaluates P once, with one log_gamma call, and each row is one dual
+Hahn sum times P.  ``eigenfunction_rel(model, n)`` is the same leaf with one
+degree, a scalar function; both give the same floats for the same n.
 """
 
 from __future__ import annotations
@@ -239,30 +247,47 @@ def spectral_f_sqrt_inv(model: RelModel, energy_mc2: float) -> float:
     return 1.0 / math.sqrt(val)
 
 
-def eigenfunction_rel(model: RelModel, n: int) -> RelEigenState:
-    """Closed-form eigenfunction, unnormalized:
+def _eigen_rows(model: RelModel, ns):
+    """The function z -> [phi_n(z) for n in ns], a list of arrays:
 
-    phi_n(rho) = (-rho)^(alpha) omega0^{i rho} Gamma(nu + i rho)
-                 * S_n(rho^2; alpha, nu, 1/2),
+    phi_n(rho) = P(rho) * S_n(rho^2; alpha, nu, 1/2),
+    P(rho) = (-rho)^(alpha) omega0^{i rho} Gamma(nu + i rho),
 
     with (-rho)^(alpha) = i^alpha Gamma(alpha + i rho)/Gamma(i rho).  All
-    gamma ratios are assembled in log space so the function stays
-    evaluable at the complex-shifted points the operators need; the three
-    log-gammas come from one log_gamma call on the stacked arguments.
+    gamma ratios are assembled in log space so P stays evaluable at the
+    complex-shifted points the operators need; the three log-gammas come
+    from one log_gamma call on the stacked arguments, made once per call
+    for all of ns.
     """
-    if n < 0:
+    if any(n < 0 for n in ns):
         raise ValueError("n must be >= 0")
     a, nu, w0 = model.alpha, model.nu, model.omega0
     log_w0 = math.log(w0)
     phase = 1j * math.pi * a / 2.0
 
-    def values(z):
+    def rows(z):
         iz = 1j * z
         lg_a, lg_0, lg_nu = log_gamma(np.stack((a + iz, iz, nu + iz)))
-        expo = phase + lg_a - lg_0 + iz * log_w0 + lg_nu
-        return np.exp(expo) * cdhahn_complex(n, z, a, nu, 0.5)
+        prefactor = np.exp(phase + lg_a - lg_0 + iz * log_w0 + lg_nu)
+        return [prefactor * cdhahn_complex(n, z, a, nu, 0.5) for n in ns]
 
-    wf = from_callable(values, note=f"rel eigenfunction n={n}")
+    return rows
+
+
+def eigenfunctions(model: RelModel, ns) -> AnalyticFunction:
+    """The closed-form eigenfunctions phi_n, n in ns, as one batched leaf:
+    row i of a call is phi_ns[i] (see _eigen_rows)."""
+    ns = list(ns)
+    rows = _eigen_rows(model, ns)
+    return from_callable(lambda z: np.array(rows(z)).reshape(len(ns), len(z)),
+                         note=f"rel eigenfunctions n={ns}")
+
+
+def eigenfunction_rel(model: RelModel, n: int) -> RelEigenState:
+    """Closed-form eigenfunction phi_n, unnormalized (see _eigen_rows): the
+    leaf of eigenfunctions(model, [n]) as a scalar function."""
+    rows = _eigen_rows(model, [n])
+    wf = from_callable(lambda z: rows(z)[0], note=f"rel eigenfunction n={n}")
     return RelEigenState(n=n, energy_mc2=energy(model, n), wavefunction=wf)
 
 

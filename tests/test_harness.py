@@ -2,6 +2,8 @@
 
 import csv
 import hashlib
+import importlib
+import importlib.util
 import io
 import json
 import math
@@ -11,6 +13,7 @@ import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 import mpmath as mp
 import numpy as np
@@ -323,6 +326,15 @@ def test_cli_wavefunction_rejects_bad_grid(capsys):
     assert capsys.readouterr().err == "error: grid must satisfy 0 < min < max, points >= 2\n"
 
 
+@pytest.mark.parametrize("bounds", [("0.25", "inf"), ("0.25", "nan"), ("nan", "2.0"),
+                                    ("-inf", "2.0"), ("inf", "inf")])
+def test_cli_wavefunction_rejects_non_finite_grid_bounds(bounds, capsys):
+    code, out = _run_cli(["wavefunction", "--model", "rel", f"--grid-min={bounds[0]}",
+                          f"--grid-max={bounds[1]}", "--grid-points", "3"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: grid must satisfy 0 < min < max, points >= 2\n"
+
+
 @pytest.mark.parametrize("model", ["nonrel", "rel"])
 def test_cli_wavefunction_rejects_negative_index(model, capsys):
     code, out = _run_cli(["wavefunction", "--model", model, "--n", "-1",
@@ -488,6 +500,16 @@ def test_cli_verify_tol_overrides_hard_checks_only():
         assert r["tolerance"] == expected, r["check_id"]
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_verify_rejects_a_tolerance_that_is_not_finite_and_positive(tol, capsys):
+    with pytest.raises(ValueError, match="tolerance must be finite and > 0"):
+        harness.run_suite(0.5, 0.1, tol_overrides=float(tol))
+    # exit 2, not the exit 1 of a failed physics check, and no report
+    code, out = _run_cli(["verify", "--tol", tol, "--format", "json"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.startswith("error: tolerance must be finite and > 0")
+
+
 def test_cli_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
     # parsing leaves no state behind in the shared parser
@@ -602,3 +624,22 @@ def test_worst_residual_evaluates_each_operator_coefficient_once(count):
     fs = [gaussian(0.5 + 0.1 * k) for k in range(count)]
     harness._worst_residual(A, B, fs, default_grid())
     assert calls == {"A": 1, "B": 1}
+
+
+def test_every_traced_hook_resolves_in_fdosc():
+    # perfbench/tracing.py hooks program names from outside; a hooked name
+    # that is gone drops its metric from a traced run
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", bench / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    with patch.object(sys, "path", [str(bench), *sys.path]), \
+            patch.dict(sys.modules):  # perfbench's stats module leaves with it
+        spec.loader.exec_module(tracing)
+    missing = []
+    for metric, modname, attr, _ in tracing.HOOKS:
+        owner = importlib.import_module(modname)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(metric)
+    assert tracing.HOOKS and missing == []

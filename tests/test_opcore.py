@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fdosc import nonrel, rel
+from fdosc import nonrel, opcore, rel
 from fdosc.errors import EvaluationError, PoleError
 from fdosc.opcore import (
     DifferenceOperator,
@@ -27,6 +27,7 @@ from fdosc.opcore import (
     mul_op,
     polynomial,
     shift_op,
+    stack,
 )
 
 GRID = default_grid()
@@ -459,17 +460,23 @@ def test_tower_evaluates_each_leaf_once_per_call(n):
     assert counts == {"coeff": 1, "base": 1}
 
 
-# ---- batches: op.values(fs, points) --------------------------------------
+# ---- batches: op(stack(fs))(points) ------------------------------------
 
 
-def _batch_equals_calls(op, fs, pts):
-    assert np.array_equal(op.values(fs, pts), np.array([op(f)(pts) for f in fs]))
+def _batch_equals_calls(op, fs, pts, calls=None):
+    batch = op(stack(fs))(pts)
+    assert batch.shape == (len(fs), len(pts))
+    assert np.array_equal(batch, np.array(calls or [op(f)(pts) for f in fs]))
 
 
 def test_values_equal_calls_for_a_commutator_with_derivatives():
     _, Km, Kp = nonrel.su11_generators(_NONREL)
     fs = [monomial(1.5) * gaussian(w) * polynomial([1.0, w]) for w in (0.7, 1.0, 1.3)]
     _batch_equals_calls(commutator(Km, Kp), fs, GRID)
+    # a jet deeper than a value call, row by row as well
+    F = commutator(Km, Kp)(stack(fs))
+    for row, f in zip(F.jet(GRID, 2), fs):
+        assert np.array_equal(row, commutator(Km, Kp)(f).jet(GRID, 2))
 
 
 def test_values_equal_calls_for_rel_shift_only_ladder():
@@ -477,28 +484,39 @@ def test_values_equal_calls_for_rel_shift_only_ladder():
     fs = [rel.eigenfunction_rel(_REL, n).wavefunction for n in range(4)]
     _batch_equals_calls(B_minus, fs, GRID)
     _batch_equals_calls(B_plus, fs, GRID)
+    _batch_equals_calls(B_plus, fs, GRID[::5] + 1j)
 
 
 def test_values_equal_calls_for_a_plain_function_and_a_tower_of_the_same_op():
     _, B_plus = rel.ladder_B(_REL)
+    twin = DifferenceOperator(B_plus.terms)
     phi0 = rel.eigenfunction_rel(_REL, 0).wavefunction
     fs = [phi0, B_plus(phi0), B_plus(B_plus(phi0)), 2.0 * phi0]
-    _batch_equals_calls(B_plus, fs, GRID)
+    # a row is B+ around its function, as an operator with equal terms
+    # applies it; applied to the row alone, B+ fuses the tower instead
+    _batch_equals_calls(B_plus, fs, GRID, [twin(f)(GRID) for f in fs])
+    _assert_close(B_plus(stack(fs))(GRID), np.array([B_plus(f)(GRID) for f in fs]),
+                  tol=1e-14)
+    # a scaled batch scales each row
+    scale = np.array([1.0, -2.0, 0.5j, 3.0])
+    assert np.array_equal((scale * stack(fs))(GRID)[1], -2.0 * fs[1](GRID))
+    _batch_equals_calls(B_plus, [c * f for c, f in zip(scale, fs)], GRID,
+                        list(B_plus(scale * stack(fs))(GRID)))
 
 
 def test_values_of_no_functions_is_an_empty_batch():
-    assert deriv_op().values([], GRID).shape == (0, len(GRID))
+    assert deriv_op()(stack([]))(GRID).shape == (0, len(GRID))
 
 
 def test_values_name_the_first_nonfinite_point_of_the_batch():
     op = mul_op(coordinate())
     fs = [gaussian(1.0), from_callable(lambda z: 1.0 / (z - 2.0)), gaussian(0.5)]
     with pytest.raises(EvaluationError, match=r"non-finite value at z = \(2\+0j\)"):
-        op.values(fs, [0.5, 1.0, 2.0, 3.0])
+        op(stack(fs))([0.5, 1.0, 2.0, 3.0])
     # the first in row order: a later row failing at an earlier point is not named
     fs.append(from_callable(lambda z: 1.0 / (z - 1.0)))
     with pytest.raises(EvaluationError, match=r"non-finite value at z = \(2\+0j\)"):
-        op.values(fs, [0.5, 1.0, 2.0, 3.0])
+        op(stack(fs))([0.5, 1.0, 2.0, 3.0])
 
 
 def test_values_evaluate_each_coefficient_once_per_batch():
@@ -506,5 +524,27 @@ def test_values_evaluate_each_coefficient_once_per_batch():
     op = DifferenceOperator([Term(_counting(np.cos, counts, "coeff"), 1j, 0),
                              Term(const(0.5), -0.5j, 1)])
     fs = [gaussian(w) for w in (0.6, 0.8, 1.0, 1.2, 1.4)]
-    op.values(fs, GRID)
+    op(stack(fs))(GRID)
     assert counts == {"coeff": 1}
+
+
+def test_nested_towers_over_a_batch_evaluate_each_block_once(monkeypatch):
+    B_minus, B_plus = rel.ladder_B(_REL)
+    blocks = []
+    coefficients = opcore._Tower.coefficients
+
+    def counting(tower, z, rows):
+        blocks.append(tower.op)
+        return coefficients(tower, z, rows)
+
+    monkeypatch.setattr(opcore._Tower, "coefficients", counting)
+    F = rel.eigenfunctions(_REL, range(4))
+    B_minus(B_plus(F))(GRID)
+    assert blocks.count(B_plus) == 1 and blocks.count(B_minus) == 1
+
+
+def test_a_batched_call_at_one_point_keeps_its_row_axis():
+    fs = [gaussian(1.0), exp_linear(0.5)]
+    assert stack(fs)(0.5).shape == (2,)
+    assert stack(fs)([[0.5, 1.0]]).shape == (2, 1, 2)
+    assert stack(fs)(0.5).tolist() == [f(0.5) for f in fs]

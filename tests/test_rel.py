@@ -181,3 +181,34 @@ def test_eigenfunction_array_equals_pointwise(n):
     values = wf(pts)
     pointwise = np.array([wf(p) for p in pts])
     assert np.max(np.abs(values - pointwise)) <= 1e-14 * np.max(np.abs(pointwise))
+
+
+# ---- the batched eigenfunction leaf -------------------------------------
+
+
+@pytest.mark.parametrize("shift", [0.0, 1j, -1j, 2j, -2j])
+def test_eigenfunction_rows_equal_the_scalar_leaf_bit_for_bit(shift):
+    pts = GRID + shift
+    family = rel.eigenfunctions(MODEL, range(13))(pts)
+    assert family.shape == (13, len(GRID))
+    for n, row in enumerate(family):
+        assert row.tobytes() == rel.eigenfunction_rel(MODEL, n).wavefunction(pts).tobytes()
+
+
+def test_eigenfunction_family_makes_one_log_gamma_call(monkeypatch):
+    calls = []
+    log_gamma = rel.log_gamma
+
+    def counting(z):
+        calls.append(np.shape(z))
+        return log_gamma(z)
+
+    monkeypatch.setattr(rel, "log_gamma", counting)
+    rel.eigenfunctions(MODEL, range(9))(GRID)
+    assert calls == [(3, len(GRID))]
+
+
+def test_eigenfunction_family_rejects_negative_degrees():
+    with pytest.raises(ValueError):
+        rel.eigenfunctions(MODEL, [0, -1])
+    assert rel.eigenfunctions(MODEL, [])(GRID).shape == (0, len(GRID))
