@@ -186,8 +186,8 @@ def _cauchy(a, b, tail=1):
     Row k is accumulated in a fixed order, a_k b_0 + a_(k-1) b_1 + ...; a
     numpy sum over rows would switch to pairwise order for a single point.
     """
-    if a.shape[-1 - tail] == 1:  # a value call: the product of the values
-        return a * b
+    if a.shape[-1 - tail] == 1:  # a value call: the same product, without
+        return a * b             # the index tuples (1-1.6 us a product)
     rest = (slice(None),) * tail
     out = a * b[(..., slice(0, 1), *rest)]
     for m in range(1, a.shape[-1 - tail]):

@@ -495,8 +495,10 @@ def test_values_equal_calls_for_a_plain_function_and_a_tower_of_the_same_op():
     # a row is B+ around its function, as an operator with equal terms
     # applies it; applied to the row alone, B+ fuses the tower instead
     _batch_equals_calls(B_plus, fs, GRID, [twin(f)(GRID) for f in fs])
-    _assert_close(B_plus(stack(fs))(GRID), np.array([B_plus(f)(GRID) for f in fs]),
-                  tol=1e-14)
+    batch, calls = B_plus(stack(fs))(GRID), [B_plus(f)(GRID) for f in fs]
+    for row in (0, 3):  # not towers of B+: the scalar call bit for bit
+        assert np.array_equal(batch[row], calls[row])
+    _assert_close(batch[1:3], np.array(calls[1:3]), tol=1e-14)
     # a scaled batch scales each row
     scale = np.array([1.0, -2.0, 0.5j, 3.0])
     assert np.array_equal((scale * stack(fs))(GRID)[1], -2.0 * fs[1](GRID))
