@@ -42,6 +42,7 @@ from .opcore import (
     monomial,
     mul_op,
     polynomial,
+    powers,
     ratio_spread,
     shift_op,
     stack,
@@ -56,7 +57,9 @@ BASE_LEVEL = 8
 
 # The ladder checks build levels n <= min(n_max, LADDER_CAP).  The cap is a
 # precision limit, not a cost one: at g0 = 0.1 the nonrel ladder-reconstruction
-# spread at n = 7 is 4.0e-8 against its 1e-8 tolerance.
+# spread at n = 7 is 4.0e-8 against its 1e-8 tolerance.  At cap 30,
+# run_suite(0.6, 0.2, n_max=30) takes a median 0.32 s, against 0.17-0.19 s at
+# cap 6 (tools/suite_timing.py, 21 runs, twice, on a 2-core VM).
 LADDER_CAP = 6
 
 
@@ -259,13 +262,12 @@ def _eigen_residual(op, Psi, energies, psi, pts) -> float:
 
 def _tower_ratios(op, base, norms, psi, pts):
     """Worst spread and grid-constant ratios of norms[n - 1] op^n base against
-    psi[n], n = 1, 2, ..., the tower grown one level at a time."""
+    psi[n], n = 1, 2, ..., every level read from one tower pass."""
+    levels = powers(op, base, len(norms))(pts)
     worst = 0.0
     ratios = []
-    state = base
     for n, norm in enumerate(norms, start=1):
-        state = op(state)
-        ratio, spread = ratio_spread((norm * state)(pts), psi[n])
+        ratio, spread = ratio_spread(norm * levels[n], psi[n])
         worst = max(worst, spread)
         ratios.append(ratio)
     return worst, ratios
@@ -345,15 +347,16 @@ def _checks_nonrel(g0: float, n_hi: int, n_ladder: int, pts, rng):
     c_minus, c_plus = nonrel.ladder_c(model)
     A_minus, A_plus = nonrel.ladder_A(model)
     K0, Km, Kp = nonrel.su11_generators(model)
-    # each state on the grid once, for the eigen-equation levels n <= n_hi,
-    # the ladder levels n <= n_ladder + 1 and the Casimir levels n <= BASE_LEVEL
-    states = [nonrel.eigenfunction(model, n) for n in range(max(n_hi, n_ladder + 1) + 1)]
+    # one batched leaf for the eigen-equation levels n <= n_hi, the ladder
+    # levels n <= n_ladder + 1 and the Casimir levels n <= BASE_LEVEL, each
+    # state on the grid once; an operator meets a slice of its rows as a batch
+    levels = range(max(n_hi, n_ladder + 1) + 1)
     rand_fs = _random_halfline_functions(rng, 20)
-    wfs = [st.wavefunction for st in states]
-    psi = stack(wfs)(pts)
+    Psi = nonrel.eigenfunctions(model, levels)
+    psi = Psi(pts)
 
     yield "nonrel_eigen_equation", params, _eigen_residual(
-        H, stack(wfs[: n_hi + 1]), [st.energy for st in states], psi, pts)
+        H, Psi[: n_hi + 1], [nonrel.energy(model, n) for n in levels], psi, pts)
 
     fact = compose(c_plus, c_minus) + (model.d + 1.0) * identity_op()
     yield "nonrel_factorization", params, _worst_residual(fact, H, rand_fs, pts)
@@ -375,7 +378,7 @@ def _checks_nonrel(g0: float, n_hi: int, n_ladder: int, pts, rng):
     yield "nonrel_lowering_commutator", params, _worst_residual(
         commutator(H, A_minus), -2.0 * A_minus, rand_fs[:8], pts)
 
-    psi0 = states[0].wavefunction
+    psi0 = nonrel.eigenfunction(model, 0).wavefunction
     yield "nonrel_ground_annihilation", params, max(
         _max_abs(c_minus(psi0), pts), _max_abs(A_minus(psi0), pts),
         _max_abs(Km(psi0), pts))
@@ -390,7 +393,7 @@ def _checks_nonrel(g0: float, n_hi: int, n_ladder: int, pts, rng):
     value = k * (k - 1.0)
     worst = 0.0
     measured = []
-    for n, c_psi in enumerate(casimir(stack(wfs[: BASE_LEVEL + 1]))(pts)):
+    for n, c_psi in enumerate(casimir(Psi[: BASE_LEVEL + 1])(pts)):
         worst = max(worst, mixed_residual(c_psi, value * psi[n]))
         measured.append(np.mean(c_psi / psi[n]).real)
     spread = float(np.max(np.abs(np.array(measured) - value)))
@@ -400,7 +403,7 @@ def _checks_nonrel(g0: float, n_hi: int, n_ladder: int, pts, rng):
     # gauge-invariant ladder coefficients: K- K+ psi_n = kappa_{n+1}^2 psi_n
     worst = 0.0
     signed = []
-    Kp_psi = Kp(stack(wfs[: n_ladder + 1]))
+    Kp_psi = Kp(Psi[: n_ladder + 1])
     kp_vals, km_kp_vals = Kp_psi(pts), Km(Kp_psi)(pts)
     for n in range(n_ladder + 1):
         kap2, _ = ratio_spread(km_kp_vals[n], psi[n])

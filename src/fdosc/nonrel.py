@@ -22,7 +22,6 @@ from .opcore import (
     AnalyticFunction,
     DifferenceOperator,
     compose,
-    const,
     coordinate,
     deriv_op,
     gaussian,
@@ -121,17 +120,24 @@ def norm_constant(model: NonRelModel, n: int) -> float:
     )
 
 
-def eigenfunction(model: NonRelModel, n: int) -> NonRelEigenState:
-    """c_n xi^(d+1/2) exp(-xi^2/2) L_n^d(xi^2), with exact derivatives."""
-    if n < 0:
+def eigenfunctions(model: NonRelModel, ns) -> AnalyticFunction:
+    """The closed forms psi_n = c_n xi^(d+1/2) exp(-xi^2/2) L_n^d(xi^2), n in
+    ns, with exact derivatives, as one batched leaf whose row i is psi_ns[i].
+    A call evaluates the two prefactor jets once for all rows, and the
+    L_n^d(xi^2), even polynomials in xi, in one Horner pass."""
+    ns = list(ns)
+    if any(n < 0 for n in ns):
         raise ValueError("n must be >= 0")
-    cn = norm_constant(model, n)
-    lag = laguerre_coefficients(n, model.d)
-    # L_n^d(xi^2) as an even polynomial in xi
-    even = [0.0] * (2 * n + 1)
-    for k, c in enumerate(lag):
-        even[2 * k] = c
-    wf = const(cn) * monomial(model.d + 0.5) * gaussian(1.0) * polynomial(even)
+    even = np.zeros((len(ns), 2 * max(ns, default=0) + 1))
+    for row, n in zip(even, ns):
+        row[: 2 * n + 1: 2] = laguerre_coefficients(n, model.d)
+    cn = np.array([norm_constant(model, n) for n in ns])
+    return cn * monomial(model.d + 0.5) * gaussian(1.0) * polynomial(even)
+
+
+def eigenfunction(model: NonRelModel, n: int) -> NonRelEigenState:
+    """psi_n as a scalar function: the one row of eigenfunctions(model, [n])."""
+    wf = eigenfunctions(model, [n])[0]
     return NonRelEigenState(n=n, energy=energy(model, n), wavefunction=wf)
 
 

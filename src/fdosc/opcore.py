@@ -33,7 +33,16 @@ evaluates the coefficients once for all rows and runs one pass of base and
 stencil steps over all of them, and A(B(stack(fs))) evaluates each of A's
 and B's coefficient blocks once.  Row i of op(stack(fs)) holds the floats
 op(fs[i]) gives, unless fs[i] is itself a tower of op: a stack is a new
-base, so its rows are not fused into their towers.
+base, so its rows are not fused into their towers.  F[i] is row i of a
+batched F as a function, and F[a:b] its rows a..b-1.
+
+A ladder level is an axis too.  ``powers(op, f, p)`` is op^k f for k = 0..p
+on a leading axis, from the one pass of the tower op^p f: on its way down
+that pass holds op^k f at z + S_(p-k), and an operator with a zero-shift
+term has 0 in every S_j, so each level is read there, bit for bit the
+floats of the tower op^k f.  ``polynomial`` evaluates every coefficient row
+of its jet in one Horner pass, the rows zero-padded in front to one length;
+a 2-d coefficient array gives one row of the batch per polynomial.
 
 ``from_callable(fn)`` wraps an array function, fn(complex ndarray) ->
 values of the same shape, or of shape (*B, len(z)) for a batched leaf.
@@ -42,7 +51,9 @@ Such a leaf has no derivative: evaluating one raises EvaluationError.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +87,12 @@ class AnalyticFunction:
         if w.ndim == 1 and pts.ndim == 0:
             return complex(w[0])
         return w.reshape(w.shape[:-1] + pts.shape)
+
+    def __getitem__(self, i) -> "AnalyticFunction":
+        """Row i, or the rows of a slice i, of a batched function: its first
+        batch axis indexed."""
+        jet = self.jet
+        return AnalyticFunction(lambda z, K: jet(z, K)[i])
 
     def derivative(self) -> "AnalyticFunction":
         if self.value is not None:
@@ -232,22 +249,51 @@ def monomial(p) -> AnalyticFunction:
 
 
 def polynomial(coeffs) -> AnalyticFunction:
-    """sum_k coeffs[k] z^k, every coefficient row by Horner's rule."""
-    coeffs = [complex(c) for c in coeffs]
-    # rows[k] holds the coefficients of p^(k)/k!, highest power first
-    rows = [[math.comb(j, k) * coeffs[j] for j in range(len(coeffs) - 1, k - 1, -1)]
-            for k in range(len(coeffs))]
+    """sum_k coeffs[k] z^k.  A 2-d coeffs holds one polynomial per row, zero
+    above its degree, and gives one batched function.  One Horner pass gives
+    every coefficient row of the jet, of every polynomial."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    power, binom = _horner_layout(coeffs.shape[-1] - 1)
+    # Row k of the table holds the coefficients of p^(k)/k!, C(j, k) coeffs[j],
+    # highest power j first, behind k zeros: its Horner steps meet only zeros
+    # until its first coefficient, so all rows take the same steps and each
+    # gives the floats of its own shorter sum.  columns[i] is column i of the
+    # table as (*B, rows, 1).
+    columns = (binom * coeffs.take(power, axis=-1)).swapaxes(0, -2)[..., None]
 
     def jet(z, K):
-        out = np.zeros((K + 1, len(z)), dtype=complex)
-        for k, cs in enumerate(rows[: K + 1]):
-            acc = np.full(len(z), cs[0])
-            for c in cs[1:]:
-                acc = acc * z + c
-            out[k] = acc
+        out = np.zeros(columns.shape[1:-2] + (K + 1, len(z)), dtype=complex)
+        steps = columns[..., : K + 1, :]
+        acc = out[..., : steps.shape[-2], :]  # the rows above the degree stay 0
+        if acc.size == len(z):  # one row: numpy's 1-d calls cost half as much
+            acc, steps = acc.reshape(-1), steps.reshape(-1)
+        acc[...] = steps[0]
+        for c in steps[1:]:
+            acc *= z
+            acc += c
         return out
 
     return AnalyticFunction(jet)
+
+
+@functools.cache
+def _horner_layout(top):
+    """The degree-`top` part of every polynomial's Horner table, indexed
+    [column i, row k]: the power j there, and C(j, k), 0 in front of the
+    row's coefficients."""
+    pascal = [[1]]  # exact integers: C(j, k) passes 2^53 from j = 57
+    for _ in range(top):
+        above = pascal[-1]
+        pascal.append([1, *map(operator.add, above, above[1:]), 1])
+    binom = np.zeros((top + 1, top + 1), dtype=complex)
+    for j, row in enumerate(pascal):
+        binom[j, : j + 1] = row
+    k = np.arange(top + 1)[:, None]
+    power = top + k - np.arange(top + 1)
+    power[power > top] = 0  # binom[0, k > 0] = 0
+    power, binom = power.T, binom[power, k].T
+    power.flags.writeable = binom.flags.writeable = False  # shared by every call
+    return power, binom
 
 
 def _exp_of_polynomial(coeffs) -> AnalyticFunction:
@@ -426,12 +472,17 @@ class _Tower:
                 block[0, i] = t.coeff.value
         return block
 
-    def __call__(self, z, K):
+    def __call__(self, z, K, at=None):
         """The base once at z + S_p, then p stencil steps, each one gather and
-        one stacked multiply-add over all terms and all rows of a batch."""
+        one stacked multiply-add over all terms and all rows of a batch.
+
+        With `at`, where 0 sits in each S_j, the jet of every power op^k f at
+        z, k = 0..p, read after the step that reaches it, on a leading axis."""
         n, top, power = len(z), self.top, len(self.steps)
         values = self.base((z + self.base_shifts).reshape(-1), K + power * top)
         values = values.reshape(values.shape[:-1] + (len(self.last), n))
+        if at is not None:
+            levels = [values[..., : K + 1, at[power], :]]
         rows = K + (power - 1) * top + 1
         index, scale = self.stencil_rows, self.stencil_scale
         if rows > len(index):  # a deeper jet than a value call
@@ -445,7 +496,34 @@ class _Tower:
             if top:  # every scale is 1 when no term differentiates
                 derivs *= scale[:rows]
             values = _cauchy(block[:rows, :, self.at_union[j]], derivs, 3).sum(axis=-3)
+            if at is not None:
+                levels.append(values[..., : K + 1, at[j], :])
+        if at is not None:
+            return np.stack(levels)
         return values.reshape(values.shape[:-2] + (n,))
+
+
+def powers(op: DifferenceOperator, f, p: int) -> AnalyticFunction:
+    """op^k f for k = 0..p as one batched function, k on a new leading axis,
+    from the one tower pass of op^p f.  That pass holds op^k f at z + S_(p-k)
+    on its way down, and a term with shift 0 puts 0 in every S_j, so each
+    power is read there; row k holds the floats op^k f gives.  Raises
+    ValueError for p < 1 or an operator without a zero-shift term."""
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+    zero = [i for i, t in enumerate(op.terms) if t.shift == 0]
+    if not zero:
+        raise ValueError("the powers of an operator are read at shift 0: it needs "
+                         "a term with shift 0")
+    tower = _as_function(f)
+    for _ in range(p):
+        tower = op(tower)
+    tower = tower.jet
+    at = [0]  # S_0 = [0]; the zero-shift term takes 0 in S_j to 0 in S_(j+1)
+    for step in tower.steps:
+        at.append(int(step[zero[0], at[-1]]))
+    # a tower of op as f fuses into this one: its own powers come first
+    return AnalyticFunction(lambda z, K: tower(z, K, at)[-(p + 1):])
 
 
 def shift_op(a) -> DifferenceOperator:

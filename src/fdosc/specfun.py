@@ -13,7 +13,8 @@ log_gamma, gamma, pochhammer, generalized_degree and cdhahn_complex
 evaluate arrays: a scalar argument gives a complex, an array (or sequence)
 gives an ndarray of its shape, computed by numpy calls over all points at
 once.  There is no separate scalar path.  A pole anywhere in the array
-raises PoleError naming that point.
+raises PoleError naming that point; each call scans its points once, and
+gamma and generalized_degree share log_gamma's sum but not its scan.
 """
 
 from __future__ import annotations
@@ -118,6 +119,11 @@ def log_gamma(z):
     """
     z, shape = _points(z)
     _reject_poles(z, "log_gamma")
+    return _shaped(_log_gamma(z), shape)
+
+
+def _log_gamma(z):
+    """log_gamma of a 1-d array already scanned for poles."""
     left = z.real <= 0.0
     strip = ~((z.real >= 0.5) | left)
     out = _log_gamma_right(np.where(left, 1.0 - z, np.where(strip, z + 1.0, z)))
@@ -125,7 +131,7 @@ def log_gamma(z):
         out[strip] -= np.log(z[strip])
     if left.any():
         out[left] = _LOG_PI - _log_sin_pi(z[left]) - out[left]
-    return _shaped(out, shape)
+    return out
 
 
 def gamma(z):
@@ -133,7 +139,7 @@ def gamma(z):
     1e-13 for |z| <= 50."""
     z, shape = _points(z)
     _reject_poles(z, "gamma")
-    return _shaped(np.exp(log_gamma(z)), shape)
+    return _shaped(np.exp(_log_gamma(z)), shape)
 
 
 def pochhammer(a, n: int):
@@ -164,7 +170,7 @@ def generalized_degree(rho, lam):
     if bad.any():
         i = int(bad.argmax())
         raise PoleError(f"generalized_degree pole: rho={complex(rho[i])}, lam={complex(lam[i])}")
-    out = np.exp(1j * math.pi * lam / 2.0) * np.exp(log_gamma(num) - log_gamma(den))
+    out = np.exp(1j * math.pi * lam / 2.0) * np.exp(_log_gamma(num) - _log_gamma(den))
     return _shaped(out, shape)
 
 

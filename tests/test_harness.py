@@ -20,9 +20,16 @@ import numpy as np
 import pytest
 
 import fdosc
-from fdosc import cli, harness
+from fdosc import cli, harness, nonrel, opcore, rel
 from fdosc.harness import CheckResult, VerificationReport
-from fdosc.opcore import DifferenceOperator, Term, default_grid, from_callable, gaussian
+from fdosc.opcore import (
+    DifferenceOperator,
+    Term,
+    default_grid,
+    from_callable,
+    gaussian,
+    ratio_spread,
+)
 
 
 def _run_cli(argv):
@@ -466,6 +473,18 @@ def test_ladder_checks_stop_at_the_cap(readings_by_nmax):
         assert readings_by_nmax[9][cid] == readings_by_nmax[6][cid], cid
 
 
+def _tower_ratios_level_by_level(op, base, norms, psi, pts):
+    """harness._tower_ratios with the tower grown and evaluated one level at
+    a time."""
+    worst, ratios, state = 0.0, [], base
+    for n, norm in enumerate(norms, start=1):
+        state = op(state)
+        ratio, spread = ratio_spread((norm * state)(pts), psi[n])
+        worst = max(worst, spread)
+        ratios.append(ratio)
+    return worst, ratios
+
+
 @pytest.mark.parametrize("cap", [9, 15])
 def test_raised_ladder_cap_runs_every_check(cap, monkeypatch):
     # the per-level tables follow the cap: n_max = cap reads psi_(cap+1) and
@@ -473,6 +492,38 @@ def test_raised_ladder_cap_runs_every_check(cap, monkeypatch):
     monkeypatch.setattr(harness, "LADDER_CAP", cap)
     report = harness.run_suite(0.5, 0.1, n_max=cap)
     assert [r.check_id for r in report.results] == sorted(harness.CHECKS)
+    # the levels of one tower pass read as those of towers grown level by level
+    monkeypatch.setattr(harness, "_tower_ratios", _tower_ratios_level_by_level)
+    reference = {r.check_id: r for r in harness.run_suite(0.5, 0.1, n_max=cap).results}
+    for r in report.results:
+        if r.check_id.endswith("_ladder_reconstruction"):
+            want = reference[r.check_id]
+            assert (r.max_residual, r.note) == (want.max_residual, want.note), r.check_id
+            assert r.note.count(",") == cap - 1  # one ratio per level
+
+
+def test_tower_ratios_evaluate_each_coefficient_block_once(monkeypatch):
+    blocks = []
+    coefficients = opcore._Tower.coefficients
+
+    def counting(tower, z, rows):
+        blocks.append(tower.op)
+        return coefficients(tower, z, rows)
+
+    monkeypatch.setattr(opcore._Tower, "coefficients", counting)
+    pts = default_grid()
+    model = rel.make_rel_model(0.5, 0.1)
+    _, B_plus = rel.ladder_B(model)
+    psi = rel.eigenfunctions(model, range(7))(pts)
+    norms = [rel.ladder_norm_constant(model, n) for n in range(1, 7)]
+    harness._tower_ratios(B_plus, rel.eigenfunction_rel(model, 0).wavefunction,
+                          norms, psi, pts)
+    model = nonrel.make_model(0.1)
+    _, _, K_plus = nonrel.su11_generators(model)
+    psi = nonrel.eigenfunctions(model, range(7))(pts)
+    harness._tower_ratios(K_plus, nonrel.eigenfunction(model, 0).wavefunction,
+                          [1.0] * 6, psi, pts)
+    assert blocks == [B_plus, K_plus]  # one block per check, not one per level
 
 
 def test_cli_verify_rejects_nmax_below_one(capsys):

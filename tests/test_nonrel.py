@@ -120,3 +120,22 @@ def test_norm_constant_frozen():
 def test_eigenfunction_rejects_negative_index():
     with pytest.raises(ValueError):
         nonrel.eigenfunction(MODEL, -1)
+
+
+@pytest.mark.parametrize("g0", [0.1, 0.05, 0.6, 0.2, -0.1])
+def test_batched_eigenfunctions_equal_each_level_bit_for_bit(g0):
+    model = nonrel.make_model(g0)
+    pts = np.concatenate([GRID, GRID[::4] + 0.3j])
+    batch = nonrel.eigenfunctions(model, range(13))
+    for K in range(5):
+        rows = batch.jet(pts, K)
+        assert rows.shape == (13, K + 1, len(pts))
+        for n, row in enumerate(rows):
+            assert np.array_equal(row, nonrel.eigenfunction(model, n).wavefunction.jet(pts, K))
+    # any choice and order of levels gives the same rows
+    assert np.array_equal(nonrel.eigenfunctions(model, [7, 2])(pts), batch(pts)[[7, 2]])
+
+
+def test_batched_eigenfunctions_reject_a_negative_index():
+    with pytest.raises(ValueError):
+        nonrel.eigenfunctions(MODEL, [0, 3, -1])

@@ -550,3 +550,98 @@ def test_a_batched_call_at_one_point_keeps_its_row_axis():
     assert stack(fs)(0.5).shape == (2,)
     assert stack(fs)([[0.5, 1.0]]).shape == (2, 1, 2)
     assert stack(fs)(0.5).tolist() == [f(0.5) for f in fs]
+
+
+# ---- polynomials: every coefficient row in one Horner pass -------------
+
+
+def _horner_rows(coeffs, z, K):
+    """Row k of the jet, sum_j C(j, k) coeffs[j] z^(j-k), each by its own
+    Horner sum from its highest coefficient."""
+    z = np.asarray(z, dtype=complex)
+    out = np.zeros((K + 1, len(z)), dtype=complex)
+    for k in range(min(K, len(coeffs) - 1) + 1):
+        cs = [math.comb(j, k) * complex(coeffs[j]) for j in range(len(coeffs) - 1, k - 1, -1)]
+        acc = np.full(len(z), cs[0])
+        for c in cs[1:]:
+            acc = acc * z + c
+        out[k] = acc
+    return out
+
+
+_POLYNOMIALS = [
+    [2.5],
+    [0.0, 1.0],
+    [1.0, -2.0, 0.5, 3.0, -0.25],
+    [0.3 - 1j, 2j, -0.5 + 0.25j, 1.5],
+    list(np.random.default_rng(5).uniform(-1.0, 1.0, 13)),
+]
+
+
+@pytest.mark.parametrize("coeffs", _POLYNOMIALS, ids=lambda c: f"degree{len(c) - 1}")
+def test_polynomial_jet_equals_a_horner_sum_per_row(coeffs):
+    pts = np.concatenate([GRID, GRID[::5] - 0.7j, [-1.25 + 0.5j]])
+    for K in range(len(coeffs) + 2):
+        assert np.array_equal(polynomial(coeffs).jet(pts, K), _horner_rows(coeffs, pts, K))
+
+
+def test_polynomials_in_rows_equal_each_polynomial_bit_for_bit():
+    top = max(len(c) for c in _POLYNOMIALS)
+    table = np.zeros((len(_POLYNOMIALS), top), dtype=complex)
+    for row, coeffs in zip(table, _POLYNOMIALS):
+        row[: len(coeffs)] = coeffs
+    batch = polynomial(table)
+    pts = np.concatenate([GRID, GRID[::5] - 0.7j])
+    for K in range(top + 2):
+        rows = batch.jet(pts, K)
+        assert rows.shape == (len(_POLYNOMIALS), K + 1, len(pts))
+        for coeffs, row in zip(_POLYNOMIALS, rows):
+            assert np.array_equal(row, polynomial(coeffs).jet(pts, K))
+            assert np.all(row[len(coeffs):] == 0)  # the rows above its degree
+    assert batch(0.5).tolist() == [polynomial(c)(0.5) for c in _POLYNOMIALS]
+    assert np.array_equal(batch[3](pts), polynomial(_POLYNOMIALS[3])(pts))
+    assert np.array_equal(batch[1:3].jet(pts, 2), batch.jet(pts, 2)[1:3])
+
+
+# ---- powers: every level of a tower from one pass ----------------------
+
+
+def test_powers_equal_separate_towers_bit_for_bit():
+    model = rel.make_rel_model(0.6, 0.2)
+    _, B_plus = rel.ladder_B(model)
+    phi0 = rel.eigenfunction_rel(model, 0).wavefunction
+    levels = opcore.powers(B_plus, phi0, 15)(GRID)
+    assert levels.shape == (16, len(GRID))
+    for n, row in enumerate(levels):
+        assert np.array_equal(row, _tower(B_plus, phi0, n)(GRID)), n
+
+
+@pytest.mark.parametrize("K", [0, 1, 2])
+def test_powers_carry_every_jet_row_bit_for_bit(K):
+    _, _, K_plus = nonrel.su11_generators(_NONREL)
+    psi0 = nonrel.eigenfunction(_NONREL, 0).wavefunction
+    pts = np.concatenate([GRID, GRID[::3] + 0.1j])
+    levels = opcore.powers(K_plus, psi0, 8).jet(pts, K)
+    assert levels.shape == (9, K + 1, len(pts))
+    for n, row in enumerate(levels):
+        assert np.array_equal(row, _tower(K_plus, psi0, n).jet(pts, K)), n
+
+
+def test_powers_of_a_batched_base_and_of_a_tower():
+    _, _, K_plus = nonrel.su11_generators(_NONREL)
+    base = nonrel.eigenfunctions(_NONREL, [0, 2, 5])
+    levels = opcore.powers(K_plus, base, 4)(GRID)
+    assert levels.shape == (5, 3, len(GRID))
+    for n, rows in enumerate(levels):
+        assert np.array_equal(rows, _tower(K_plus, base, n)(GRID)), n
+    # a tower of the operator as the base fuses: its level k is op^(k+2) f
+    psi0 = nonrel.eigenfunction(_NONREL, 0).wavefunction
+    fused = opcore.powers(K_plus, _tower(K_plus, psi0, 2), 3)(GRID)
+    assert np.array_equal(fused, opcore.powers(K_plus, psi0, 5)(GRID)[2:])
+
+
+def test_powers_need_a_zero_shift_term_and_one_step():
+    with pytest.raises(ValueError, match="shift 0"):
+        opcore.powers(shift_op(1j), gaussian(1.0), 3)
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        opcore.powers(identity_op(), gaussian(1.0), 0)

@@ -298,3 +298,24 @@ def test_generalized_degree_gamma_ratio_recurrence():
         lhs = specfun.generalized_degree(rho, lam + 1)
         rhs = specfun.generalized_degree(rho, lam) * 1j * (lam - 1j * rho)
         assert abs(lhs - rhs) < 1e-12 * (1.0 + abs(rhs))
+
+
+def test_gamma_scans_for_poles_once_per_call(monkeypatch):
+    scans = []
+    reject = specfun._reject_poles
+
+    def counting(z, name):
+        scans.append(name)
+        return reject(z, name)
+
+    monkeypatch.setattr(specfun, "_reject_poles", counting)
+    z = _mixed_branch_points()
+    assert np.array_equal(specfun.gamma(z), np.exp(specfun.log_gamma(z)))
+    assert scans == ["gamma", "log_gamma"]
+    scans.clear()
+    with pytest.raises(PoleError, match=r"^gamma pole at z = \(-2\+0j\)"):
+        specfun.gamma([1.5, -2.0])
+    assert scans == ["gamma"]
+    scans.clear()
+    specfun.generalized_degree([0.5, 1.5], 2.5)
+    assert scans == []  # it scans both gamma arguments itself
