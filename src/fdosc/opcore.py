@@ -34,7 +34,8 @@ stencil steps over all of them, and A(B(stack(fs))) evaluates each of A's
 and B's coefficient blocks once.  Row i of op(stack(fs)) holds the floats
 op(fs[i]) gives, unless fs[i] is itself a tower of op: a stack is a new
 base, so its rows are not fused into their towers.  F[i] is row i of a
-batched F as a function, and F[a:b] its rows a..b-1.
+batched F as a function, and F[a:b] its rows a..b-1; a row is taken
+lazily, with no end to check, so a function is not iterable.
 
 A ladder level is an axis too.  ``powers(op, f, p)`` is op^k f for k = 0..p
 on a leading axis, from the one pass of the tower op^p f: on its way down
@@ -53,7 +54,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +74,7 @@ class AnalyticFunction:
 
     __slots__ = ("jet", "value")
     __array_ufunc__ = None  # ndarray * f defers to f.__rmul__
+    __iter__ = None  # f[i] never raises IndexError, so iterating would not end
 
     def __init__(self, jet, value=None):
         self.jet = jet
@@ -228,7 +229,7 @@ def const(c) -> AnalyticFunction:
 
 
 def coordinate() -> AnalyticFunction:
-    return polynomial([0.0, 1.0])
+    return _COORDINATE
 
 
 def monomial(p) -> AnalyticFunction:
@@ -259,14 +260,12 @@ def polynomial(coeffs) -> AnalyticFunction:
     # until its first coefficient, so all rows take the same steps and each
     # gives the floats of its own shorter sum.  columns[i] is column i of the
     # table as (*B, rows, 1).
-    columns = (binom * coeffs.take(power, axis=-1)).swapaxes(0, -2)[..., None]
+    columns = (binom * coeffs.take(power, axis=-1)).swapaxes(0, -3)
 
     def jet(z, K):
         out = np.zeros(columns.shape[1:-2] + (K + 1, len(z)), dtype=complex)
         steps = columns[..., : K + 1, :]
         acc = out[..., : steps.shape[-2], :]  # the rows above the degree stay 0
-        if acc.size == len(z):  # one row: numpy's 1-d calls cost half as much
-            acc, steps = acc.reshape(-1), steps.reshape(-1)
         acc[...] = steps[0]
         for c in steps[1:]:
             acc *= z
@@ -279,21 +278,19 @@ def polynomial(coeffs) -> AnalyticFunction:
 @functools.cache
 def _horner_layout(top):
     """The degree-`top` part of every polynomial's Horner table, indexed
-    [column i, row k]: the power j there, and C(j, k), 0 in front of the
+    [column i, row k, 0]: the power j there, and C(j, k), 0 in front of the
     row's coefficients."""
-    pascal = [[1]]  # exact integers: C(j, k) passes 2^53 from j = 57
-    for _ in range(top):
-        above = pascal[-1]
-        pascal.append([1, *map(operator.add, above, above[1:]), 1])
-    binom = np.zeros((top + 1, top + 1), dtype=complex)
-    for j, row in enumerate(pascal):
-        binom[j, : j + 1] = row
-    k = np.arange(top + 1)[:, None]
-    power = top + k - np.arange(top + 1)
+    binom = np.array([[math.comb(j, k) for k in range(top + 1)] for j in range(top + 1)],
+                     dtype=complex)
+    i, k = np.ogrid[: top + 1, : top + 1]
+    power = top + k - i
     power[power > top] = 0  # binom[0, k > 0] = 0
-    power, binom = power.T, binom[power, k].T
+    power, binom = power[..., None], binom[power, k][..., None]
     power.flags.writeable = binom.flags.writeable = False  # shared by every call
     return power, binom
+
+
+_COORDINATE = polynomial([0.0, 1.0])  # functions are immutable: one serves every caller
 
 
 def _exp_of_polynomial(coeffs) -> AnalyticFunction:

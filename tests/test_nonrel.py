@@ -8,7 +8,9 @@ from scipy.integrate import quad
 
 from fdosc import nonrel
 from fdosc.errors import CouplingError
-from fdosc.opcore import commutator, compose, default_grid, identity_op, mixed_residual
+from fdosc.opcore import (
+    commutator, compose, default_grid, identity_op, mixed_residual, stack,
+)
 
 GRID = default_grid()
 MODEL = nonrel.make_model(0.1)
@@ -139,3 +141,12 @@ def test_batched_eigenfunctions_equal_each_level_bit_for_bit(g0):
 def test_batched_eigenfunctions_reject_a_negative_index():
     with pytest.raises(ValueError):
         nonrel.eigenfunctions(MODEL, [0, 3, -1])
+
+
+def test_a_batched_leaf_is_not_iterable():
+    # rows are taken lazily, so iterating would never stop at the last one
+    batch = nonrel.eigenfunctions(MODEL, [0, 1])
+    with pytest.raises(TypeError):
+        iter(batch)
+    with pytest.raises(TypeError):
+        stack(batch)
