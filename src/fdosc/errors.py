@@ -6,7 +6,8 @@ class PoleError(ArithmeticError):
 
 
 class ParameterError(ValueError):
-    """Polynomial or series parameters make a denominator vanish."""
+    """Polynomial or series parameters make a denominator vanish or leave
+    double range."""
 
 
 class CouplingError(ValueError):

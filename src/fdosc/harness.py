@@ -10,8 +10,13 @@ static note are declared.  Checks split into two classes:
   closed forms hold, without gating -- their job is adjudication, and
   their notes start with "report-only".
 
-Reports are deterministic: the random test functions come from a fixed
-seed, so identical inputs give byte-identical serialized reports.
+An operator identity is checked on the operator: a DifferenceOperator
+is a normal form, its terms merged by (shift, derivative order), so an
+identity holds exactly when every merged coefficient vanishes, and
+`_identity_residual` reads it term by term on the grid, scaled by the
+size of the parts that cancel.  Reports are deterministic: the specfun
+samples come from a fixed seed, so identical inputs give byte-identical
+serialized reports.
 """
 
 from __future__ import annotations
@@ -36,16 +41,12 @@ from .opcore import (
     coordinate,
     default_grid,
     from_callable,
-    gaussian,
     identity_op,
     mixed_residual,
-    monomial,
     mul_op,
-    polynomial,
     powers,
     ratio_spread,
     shift_op,
-    stack,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -79,7 +80,8 @@ CHECKS = {
     "specfun_degree_recurrence": Check(1e-12),
     "specfun_cdhahn_symmetry": Check(1e-12),
     "nonrel_eigen_equation": Check(1e-10),
-    "nonrel_factorization": Check(1e-10, note="20 random smooth test functions"),
+    "nonrel_factorization": Check(
+        1e-10, note="c+ c- + (d+1) = H as operators, term by term"),
     "nonrel_pair_commutator": Check(1e-10),
     "nonrel_weighted_commutator": Check(1e-9),
     "nonrel_lowering_forms_agree": Check(1e-10),
@@ -95,7 +97,8 @@ CHECKS = {
         1e-3, gating=False, note="printed variant 2d+n+1 against the oracle"),
     "rel_eigen_equation": Check(1e-8),
     "rel_factorization_eigen": Check(1e-8),
-    "rel_factorization_random": Check(1e-7, note="20 random analytic test functions"),
+    "rel_factorization_random": Check(
+        1e-7, note="b+ b- + omega0(alpha+nu) = H as operators, term by term"),
     "rel_ground_annihilation": Check(1e-10),
     "rel_lowering_commutator": Check(1e-8),
     "rel_raising_commutator": Check(1e-8),
@@ -220,37 +223,34 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _random_halfline_functions(rng, count: int):
-    """Smooth decaying functions with exact closed-form derivatives."""
-    out = []
-    for _ in range(count):
-        p = rng.uniform(0.6, 2.5)
-        width = rng.uniform(0.6, 1.4)
-        coeffs = rng.uniform(-1.0, 1.0, size=rng.integers(2, 5))
-        out.append(monomial(p) * gaussian(width) * polynomial(coeffs))
-    return out
-
-
-def _random_entire_functions(rng, count: int):
-    """Entire test functions safe to evaluate at complex-shifted points."""
-    out = []
-    for _ in range(count):
-        width = rng.uniform(0.4, 1.0)
-        coeffs = rng.uniform(-1.0, 1.0, size=rng.integers(2, 6))
-        out.append(polynomial(coeffs) * gaussian(width))
-    return out
-
-
 def _max_abs(f: AnalyticFunction, pts) -> float:
     return float(np.max(np.abs(f(pts))))
 
 
-def _worst_residual(A, B, fs, pts) -> float:
-    """Worst residual of A f against B f over the test functions fs; each
-    operator is one tower pass over stack(fs), so it evaluates its
-    coefficients once for all of them."""
-    F = stack(fs)
-    return mixed_residual(A(F)(pts), B(F)(pts))
+def _bracket(X, Y):
+    """The commutator [X, Y] as its two parts, XY and -YX."""
+    return compose(X, Y), -compose(Y, X)
+
+
+def _identity_residual(pts, *parts) -> float:
+    """Residual of the operator identity sum(parts) = 0, term by term.
+
+    Distinct shifts and powers of D are linearly independent, so the sum
+    vanishes exactly when every merged (shift, order) coefficient does.  For
+    each term: max over pts of |sum_i c_i| / (1 + sum_i |c_i|), c_i part i's
+    coefficient there, each evaluated once.  The scale is the size of the
+    parts that cancel, so products that cancel inside a commutator do not
+    count as error.
+    """
+    sums, sizes = {}, {}
+    for part in parts:
+        for t in part.terms:
+            c = t.coeff(pts)
+            key = (t.shift, t.dorder)
+            sums[key] = sums.get(key, 0.0) + c
+            sizes[key] = sizes.get(key, 0.0) + np.abs(c)
+    return max((float(np.max(np.abs(sums[k]) / (1.0 + sizes[k]))) for k in sums),
+               default=0.0)
 
 
 def _eigen_residual(op, Psi, energies, psi, pts) -> float:
@@ -275,8 +275,8 @@ def _tower_ratios(op, base, norms, psi, pts):
 
 # ---- check groups ------------------------------------------------------
 #
-# Each group is a generator of (check_id, params, residual[, computed note]),
-# in a fixed order: the groups share one random generator.
+# Each group is a generator of (check_id, params, residual[, computed note]).
+# The seeded generator serves the specfun samples only.
 
 
 def _worst_relative(values, ref) -> float:
@@ -340,7 +340,7 @@ def _checks_planewave(pts):
     yield "planewave_mass_shell", {"chi_range": [-2.0, 2.0]}, worst
 
 
-def _checks_nonrel(g0: float, n_hi: int, n_ladder: int, pts, rng):
+def _checks_nonrel(g0: float, n_hi: int, n_ladder: int, pts):
     model = nonrel.make_model(g0)
     params = {"g0": g0, "d": model.d}
     H = nonrel.hamiltonian(model)
@@ -351,32 +351,30 @@ def _checks_nonrel(g0: float, n_hi: int, n_ladder: int, pts, rng):
     # levels n <= n_ladder + 1 and the Casimir levels n <= BASE_LEVEL, each
     # state on the grid once; an operator meets a slice of its rows as a batch
     levels = range(max(n_hi, n_ladder + 1) + 1)
-    rand_fs = _random_halfline_functions(rng, 20)
     Psi = nonrel.eigenfunctions(model, levels)
     psi = Psi(pts)
 
     yield "nonrel_eigen_equation", params, _eigen_residual(
         H, Psi[: n_hi + 1], [nonrel.energy(model, n) for n in levels], psi, pts)
 
-    fact = compose(c_plus, c_minus) + (model.d + 1.0) * identity_op()
-    yield "nonrel_factorization", params, _worst_residual(fact, H, rand_fs, pts)
+    yield "nonrel_factorization", params, _identity_residual(
+        pts, compose(c_plus, c_minus), (model.d + 1.0) * identity_op(), -H)
 
     rhs14 = mul_op(from_callable(lambda z: 1.0 + (model.d + 0.5) / (z * z)))
-    yield "nonrel_pair_commutator", params, _worst_residual(
-        commutator(c_minus, c_plus), rhs14, rand_fs[:8], pts)
+    yield "nonrel_pair_commutator", params, _identity_residual(
+        pts, *_bracket(c_minus, c_plus), -rhs14)
 
     xicm = compose(mul_op(coordinate()), c_minus)
     rhs15 = -2.0 * (xicm - (1.0 / _SQRT2) * H
                     + ((model.d + 1.0) / _SQRT2) * identity_op())
-    yield "nonrel_weighted_commutator", params, _worst_residual(
-        commutator(H, xicm), rhs15, rand_fs[:8], pts)
+    yield "nonrel_weighted_commutator", params, _identity_residual(
+        pts, *_bracket(H, xicm), -rhs15)
 
     form1, form2 = nonrel.lowering_forms(model)
-    yield "nonrel_lowering_forms_agree", params, _worst_residual(
-        form1, form2, rand_fs[:8], pts)
+    yield "nonrel_lowering_forms_agree", params, _identity_residual(pts, form1, -form2)
 
-    yield "nonrel_lowering_commutator", params, _worst_residual(
-        commutator(H, A_minus), -2.0 * A_minus, rand_fs[:8], pts)
+    yield "nonrel_lowering_commutator", params, _identity_residual(
+        pts, *_bracket(H, A_minus), 2.0 * A_minus)
 
     psi0 = nonrel.eigenfunction(model, 0).wavefunction
     yield "nonrel_ground_annihilation", params, max(
@@ -384,9 +382,9 @@ def _checks_nonrel(g0: float, n_hi: int, n_ladder: int, pts, rng):
         _max_abs(Km(psi0), pts))
 
     yield "nonrel_su11_closure", params, max(
-        _worst_residual(commutator(K0, Kp), Kp, rand_fs[:8], pts),
-        _worst_residual(commutator(K0, Km), -1.0 * Km, rand_fs[:8], pts),
-        _worst_residual(commutator(Km, Kp), 2.0 * K0, rand_fs[:8], pts))
+        _identity_residual(pts, *_bracket(K0, Kp), -Kp),
+        _identity_residual(pts, *_bracket(K0, Km), Km),
+        _identity_residual(pts, *_bracket(Km, Kp), -2.0 * K0))
 
     casimir = compose(K0, K0) - K0 - compose(Kp, Km)
     k = (model.d + 1.0) / 2.0
@@ -430,7 +428,7 @@ def _checks_nonrel(g0: float, n_hi: int, n_ladder: int, pts, rng):
     yield "nonrel_spectrum_variant", params, float(np.max(np.abs(eigs - variant) / variant))
 
 
-def _checks_rel(omega0: float, g0: float, n_hi: int, n_ladder: int, pts, rng):
+def _checks_rel(omega0: float, g0: float, n_hi: int, n_ladder: int, pts):
     model = rel.make_rel_model(omega0, g0)
     w0, a, nu = model.omega0, model.alpha, model.nu
     params = {"omega0": omega0, "g0": g0, "alpha": a, "nu": nu}
@@ -447,7 +445,6 @@ def _checks_rel(omega0: float, g0: float, n_hi: int, n_ladder: int, pts, rng):
     # levels 1..n_ladder.
     n_km = max(BASE_LEVEL, n_ladder)  # levels n that K+K- psi_n is needed at
     levels = range(max(n_hi, n_ladder + 1) + 1)
-    rand_fs = _random_entire_functions(rng, 20)
     E = [rel.energy(model, n) for n in levels]
     f_E = [rel.spectral_f(model, e) for e in E]
     k0 = [e / (2.0 * w0) for e in E]  # K0 = H/(2 omega0) eigenvalues
@@ -465,9 +462,9 @@ def _checks_rel(omega0: float, g0: float, n_hi: int, n_ladder: int, pts, rng):
     yield "rel_eigen_equation", params, _eigen_residual(
         H, Phi_hi, E, psi, pts), f"n <= {n_hi}"
 
-    fact = compose(b_plus, b_minus) + (w0 * (a + nu)) * identity_op()
-    yield "rel_factorization_eigen", params, _eigen_residual(fact, Phi_hi, E, psi, pts)
-    yield "rel_factorization_random", params, _worst_residual(fact, H, rand_fs, pts)
+    bb, offset = compose(b_plus, b_minus), (w0 * (a + nu)) * identity_op()
+    yield "rel_factorization_eigen", params, _eigen_residual(bb + offset, Phi_hi, E, psi, pts)
+    yield "rel_factorization_random", params, _identity_residual(pts, bb, offset, -H)
 
     phi0 = rel.eigenfunction_rel(model, 0).wavefunction
     yield "rel_ground_annihilation", params, max(
@@ -484,11 +481,11 @@ def _checks_rel(omega0: float, g0: float, n_hi: int, n_ladder: int, pts, rng):
         for n in range(n_ladder + 1))
 
     Bm_printed, _ = rel.ladder_B_printed(model)
-    yield "rel_lowering_commutator_uncorrected", params, _worst_residual(
-        commutator(H, Bm_printed), -2.0 * w0 * Bm_printed, rand_fs[:3], pts)
+    yield "rel_lowering_commutator_uncorrected", params, _identity_residual(
+        pts, *_bracket(H, Bm_printed), 2.0 * w0 * Bm_printed)
 
-    yield "rel_momentum_commutator", params, _worst_residual(
-        commutator(mul_op(coordinate()), H), 1j * P, rand_fs[:8], pts)
+    yield "rel_momentum_commutator", params, _identity_residual(
+        pts, *_bracket(mul_op(coordinate()), H), -1j * P)
 
     # free limit: momentum reduces to -sinh(i d/drho); measure its sign on
     # plane waves and the mass-shell operator identity
@@ -499,18 +496,18 @@ def _checks_rel(omega0: float, g0: float, n_hi: int, n_ladder: int, pts, rng):
         wave = planewave.plane_wave(chi)
         worst = max(worst, mixed_residual(P_free(wave)(pts), math.sinh(chi) * wave(pts)))
     yield "rel_momentum_sign_free_limit", params, worst
-    yield "rel_mass_shell_free", params, _worst_residual(
-        compose(H_free, H_free) - compose(P_free, P_free), identity_op(), rand_fs[:3], pts)
+    yield "rel_mass_shell_free", params, _identity_residual(
+        pts, compose(H_free, H_free), -compose(P_free, P_free), -identity_op())
 
-    yield "rel_pair_commutator_printed", params, _worst_residual(
-        commutator(b_minus, b_plus), rel.bb_commutator_rhs(model), rand_fs[:3], pts)
+    yield "rel_pair_commutator_printed", params, _identity_residual(
+        pts, *_bracket(b_minus, b_plus), -rel.bb_commutator_rhs(model))
 
-    yield "rel_two_step_commutator", params, _worst_residual(
-        commutator(B_minus, B_plus), rel.BB_commutator_rhs(model), rand_fs[:3], pts)
+    yield "rel_two_step_commutator", params, _identity_residual(
+        pts, *_bracket(B_minus, B_plus), -rel.BB_commutator_rhs(model))
 
     Bm_compact, _ = rel.ladder_B_compact(model)
-    yield "rel_compact_form_comparison", params, _worst_residual(
-        Bm_compact, B_minus, rand_fs[:3], pts)
+    yield "rel_compact_form_comparison", params, _identity_residual(
+        pts, Bm_compact, -B_minus)
 
     # gauge-invariant squared ladder coefficients mu_n = b_n^2, n <= n_ladder:
     # B- B+ psi_(n-1) = mu_n psi_(n-1)
@@ -614,8 +611,8 @@ def run_suite(omega0: float, g0: float, n_max: int = 6,
     """Run every check at the given couplings and assemble the report.
 
     `tol_overrides` replaces the tolerance of every hard check.  Identical
-    inputs give identical residuals (fixed seed for the random test
-    functions).  Raises ValueError for n_max < 1 or a tol_overrides that is
+    inputs give identical residuals (fixed seed for the specfun samples).
+    Raises ValueError for n_max < 1 or a tol_overrides that is
     not finite and > 0, and CouplingError for out-of-range couplings, before
     any check runs.
     """
@@ -626,13 +623,12 @@ def run_suite(omega0: float, g0: float, n_max: int = 6,
     rel.make_rel_model(omega0, g0)  # validate before running anything
     nonrel.make_model(g0)
     pts = default_grid()
-    rng = np.random.default_rng(_SEED)
     n_hi, n_ladder = max(n_max, BASE_LEVEL), min(n_max, LADDER_CAP)
     report = VerificationReport(discrepancy_notes=list(DISCREPANCY_NOTES))
     measured = itertools.chain(
-        _checks_specfun(rng), _checks_planewave(pts),
-        _checks_nonrel(g0, n_hi, n_ladder, pts, rng),
-        _checks_rel(omega0, g0, n_hi, n_ladder, pts, rng))
+        _checks_specfun(np.random.default_rng(_SEED)), _checks_planewave(pts),
+        _checks_nonrel(g0, n_hi, n_ladder, pts),
+        _checks_rel(omega0, g0, n_hi, n_ladder, pts))
     for check_id, params, worst, *computed_note in measured:
         tolerance, gating, note = CHECKS[check_id]
         note = computed_note[0] if computed_note else note

@@ -24,17 +24,16 @@ wrapper, such as 2.0 * op(f) or a different operator object with equal
 terms, starts a new tower.
 
 A function may be vector-valued: its jet then has leading batch axes,
-shape (*B, K+1, len(z)), and a call returns shape (*B, *z.shape).
-``stack(fs)`` makes one such function from scalar ones, and multiplying it
-by a 1-d array scales each row.  Primitives and operator coefficients stay
-scalar; the algebra and the towers index the order axis from the end and
-broadcast over the batch axes.  So op(stack(fs)) is one tower whose call
-evaluates the coefficients once for all rows and runs one pass of base and
-stencil steps over all of them, and A(B(stack(fs))) evaluates each of A's
-and B's coefficient blocks once.  Row i of op(stack(fs)) holds the floats
-op(fs[i]) gives, unless fs[i] is itself a tower of op: a stack is a new
-base, so its rows are not fused into their towers.  F[i] is row i of a
-batched F as a function, and F[a:b] its rows a..b-1; a row is taken
+shape (*B, K+1, len(z)), and a call returns shape (*B, *z.shape).  A 2-d
+``polynomial``, a batched ``from_callable`` leaf and any product with one
+are such functions, and multiplying one by a 1-d array scales each row.
+Primitives and operator coefficients stay scalar; the algebra and the
+towers index the order axis from the end and broadcast over the batch
+axes.  So op(F) of a batched F is one tower whose call evaluates the
+coefficients once for all rows and runs one pass of base and stencil steps
+over all of them, and A(B(F)) evaluates each of A's and B's coefficient
+blocks once; row i of op(F) holds the floats op(F[i]) gives.  F[i] is row
+i of a batched F as a function, and F[a:b] its rows a..b-1; a row is taken
 lazily, with no end to check, so a function is not iterable.
 
 A ladder level is an axis too.  ``powers(op, f, p)`` is op^k f for k = 0..p
@@ -333,19 +332,6 @@ def from_callable(fn, note="") -> AnalyticFunction:
             raise EvaluationError(f"no derivative is known for {note or 'a plain callable'}")
         w = np.asarray(fn(z), dtype=complex)
         return w.reshape(w.shape[:-1] + (1, len(z)))
-
-    return AnalyticFunction(jet)
-
-
-def stack(fs) -> AnalyticFunction:
-    """One batched function from scalar ones: row i of its jet is fs[i]'s."""
-    jets = [_as_function(f).jet for f in fs]
-
-    def jet(z, K):
-        out = np.empty((len(jets), K + 1, len(z)), dtype=complex)
-        for row, f in zip(out, jets):
-            row[...] = f(z, K)
-        return out
 
     return AnalyticFunction(jet)
 

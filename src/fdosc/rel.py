@@ -23,8 +23,8 @@ Every eigenfunction has the form phi_n(rho) = P(rho) S_n(rho^2; alpha, nu,
 Swarttouw, Hypergeometric Orthogonal Polynomials, sec. 9.3).
 ``eigenfunctions(model, ns)`` is one batched leaf whose row i is phi_ns[i]:
 a call evaluates P once, with one log_gamma call, and each row is one dual
-Hahn sum times P.  ``eigenfunction_rel(model, n)`` is the same leaf with one
-degree, a scalar function; both give the same floats for the same n.
+Hahn sum times P.  ``eigenfunction_rel(model, n)`` is its one row for
+[n], a scalar function, as ``nonrel.eigenfunction`` is for nonrel.
 """
 
 from __future__ import annotations
@@ -247,8 +247,9 @@ def spectral_f_sqrt_inv(model: RelModel, energy_mc2: float) -> float:
     return 1.0 / math.sqrt(val)
 
 
-def _eigen_rows(model: RelModel, ns):
-    """The function z -> [phi_n(z) for n in ns], a list of arrays:
+def eigenfunctions(model: RelModel, ns) -> AnalyticFunction:
+    """The closed-form eigenfunctions phi_n, n in ns, unnormalized, as one
+    batched leaf whose row i is phi_ns[i]:
 
     phi_n(rho) = P(rho) * S_n(rho^2; alpha, nu, 1/2),
     P(rho) = (-rho)^(alpha) omega0^{i rho} Gamma(nu + i rho),
@@ -259,6 +260,7 @@ def _eigen_rows(model: RelModel, ns):
     from one log_gamma call on the stacked arguments, made once per call
     for all of ns.
     """
+    ns = list(ns)
     if any(n < 0 for n in ns):
         raise ValueError("n must be >= 0")
     a, nu, w0 = model.alpha, model.nu, model.omega0
@@ -269,25 +271,15 @@ def _eigen_rows(model: RelModel, ns):
         iz = 1j * z
         lg_a, lg_0, lg_nu = log_gamma(np.stack((a + iz, iz, nu + iz)))
         prefactor = np.exp(phase + lg_a - lg_0 + iz * log_w0 + lg_nu)
-        return [prefactor * cdhahn_complex(n, z, a, nu, 0.5) for n in ns]
+        return np.array([prefactor * cdhahn_complex(n, z, a, nu, 0.5)
+                         for n in ns]).reshape(len(ns), len(z))
 
-    return rows
-
-
-def eigenfunctions(model: RelModel, ns) -> AnalyticFunction:
-    """The closed-form eigenfunctions phi_n, n in ns, as one batched leaf:
-    row i of a call is phi_ns[i] (see _eigen_rows)."""
-    ns = list(ns)
-    rows = _eigen_rows(model, ns)
-    return from_callable(lambda z: np.array(rows(z)).reshape(len(ns), len(z)),
-                         note=f"rel eigenfunctions n={ns}")
+    return from_callable(rows, note=f"rel eigenfunctions n={ns}")
 
 
 def eigenfunction_rel(model: RelModel, n: int) -> RelEigenState:
-    """Closed-form eigenfunction phi_n, unnormalized (see _eigen_rows): the
-    leaf of eigenfunctions(model, [n]) as a scalar function."""
-    rows = _eigen_rows(model, [n])
-    wf = from_callable(lambda z: rows(z)[0], note=f"rel eigenfunction n={n}")
+    """phi_n as a scalar function: the one row of eigenfunctions(model, [n])."""
+    wf = eigenfunctions(model, [n])[0]
     return RelEigenState(n=n, energy_mc2=energy(model, n), wavefunction=wf)
 
 

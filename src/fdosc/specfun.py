@@ -174,10 +174,17 @@ def generalized_degree(rho, lam):
     return _shaped(out, shape)
 
 
+LAGUERRE_MAX_N = 170  # the largest k whose k! converts to a double
+
+
 def laguerre_coefficients(n: int, d: float) -> list[float]:
-    """Coefficients c_k of L_n^d(y) = sum_k c_k y^k."""
+    """Coefficients c_k of L_n^d(y) = sum_k c_k y^k, n <= LAGUERRE_MAX_N."""
     if n < 0:
         raise ValueError("laguerre requires n >= 0")
+    if n > LAGUERRE_MAX_N:
+        raise ParameterError(f"L_n^d power-basis coefficients divide by k! for k <= n, "
+                             f"and {LAGUERRE_MAX_N + 1}! is past the largest double: "
+                             f"n = {n} > {LAGUERRE_MAX_N}")
     lg_top = math.lgamma(n + d + 1)
     coeffs = []
     for k in range(n + 1):

@@ -73,7 +73,7 @@ def test_criterion_03_lowering_commutator(check_by_id):
 
 def test_criterion_04_momentum_relation(check_by_id):
     r, _ = _res(check_by_id, "rel_momentum_commutator")
-    _record(4, "momentum relation [rho, H] = i P on random analytic functions",
+    _record(4, "momentum relation [rho, H] = i P as operators, term by term",
             r <= 1e-10, f"residual {r:.3e}")
 
 

@@ -25,10 +25,12 @@ from fdosc.harness import CheckResult, VerificationReport
 from fdosc.opcore import (
     DifferenceOperator,
     Term,
+    coordinate,
     default_grid,
     from_callable,
-    gaussian,
+    mul_op,
     ratio_spread,
+    shift_op,
 )
 
 
@@ -351,6 +353,16 @@ def test_cli_wavefunction_rejects_negative_index(model, capsys):
     assert capsys.readouterr().err.startswith("error: n must be >= 0")
 
 
+@pytest.mark.parametrize("argv", [["wavefunction", "--model", "nonrel", "--n", "171"],
+                                  ["verify", "--nmax", "171"]])
+def test_cli_rejects_nonrel_levels_past_the_power_basis(argv, capsys):
+    # exit 2, not a traceback: for verify, exit 1 would claim a hard check failed
+    code, out = _run_cli(argv)
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: L_n^d power-basis") and "n = 171 > 170" in err
+
+
 def test_cli_limit_table():
     code, out = _run_cli(["limit", "--g0", "0.1",
                           "--omega0-list", "1e-2,5e-3", "--format", "json"])
@@ -660,8 +672,11 @@ def test_gamma_sample_drops_points_near_poles():
     assert z.tobytes() == _gamma_sample_loop(_Replay(values), 5).tobytes()
 
 
+# ---- operator identities on their coefficients -------------------------
+
+
 @pytest.mark.parametrize("count", [1, 3, 8])
-def test_worst_residual_evaluates_each_operator_coefficient_once(count):
+def test_identity_residual_evaluates_each_coefficient_once(count):
     calls = {}
 
     def counting(key):
@@ -670,11 +685,92 @@ def test_worst_residual_evaluates_each_operator_coefficient_once(count):
             return np.cos(z)
         return from_callable(leaf, note=key)
 
-    A = DifferenceOperator([Term(counting("A"), 0.5j, 0), Term(1.0, 0.0, 1)])
-    B = DifferenceOperator([Term(counting("B"), -0.5j, 0)])
-    fs = [gaussian(0.5 + 0.1 * k) for k in range(count)]
-    harness._worst_residual(A, B, fs, default_grid())
-    assert calls == {"A": 1, "B": 1}
+    parts = [DifferenceOperator([Term(counting(f"A{i}"), 0.5j, 0), Term(1.0, 0.0, 1),
+                                 Term(counting(f"B{i}"), -0.5j, 2)])
+             for i in range(count)]
+    harness._identity_residual(default_grid(), *parts)
+    assert calls == {f"{k}{i}": 1 for i in range(count) for k in "AB"}
+
+
+def test_identity_residual_scales_by_the_parts_that_cancel():
+    pts = np.array([1.0, 2.0])
+    big = 1e8 * mul_op(coordinate())
+    assert harness._identity_residual(pts, big, -big) == 0.0
+    # a term one part alone carries reads |c| / (1 + |c|)
+    assert harness._identity_residual(pts, big, -big, 3.0 * shift_op(1j)) == 0.75
+    assert harness._identity_residual(pts) == 0.0
+
+
+def _term_residuals(pts, *parts):
+    """harness._identity_residual of each (shift, derivative order) alone."""
+    keys = {(t.shift, t.dorder) for part in parts for t in part.terms}
+    return {key: harness._identity_residual(
+        pts, *(DifferenceOperator([t for t in part.terms if (t.shift, t.dorder) == key])
+               for part in parts)) for key in keys}
+
+
+DIGEST_COUPLINGS = [(0.5, 0.1), (0.9, 0.05), (0.35, 0.6), (0.6, 0.2)]
+# the corners of perfbench's box: omega0 in [0.3, 1.2], 8 g0 omega0^2 in [0.05, 0.92]
+BOX_CORNERS = [(w0, k / (8.0 * w0 * w0)) for w0 in (0.3, 1.2) for k in (0.05, 0.92)]
+
+
+@pytest.mark.parametrize("couplings", DIGEST_COUPLINGS)
+def test_each_adjudication_misses_only_at_its_named_terms(couplings):
+    model = rel.make_rel_model(*couplings)
+    H = rel.hamiltonian_rel(model)
+    B_printed, _ = rel.ladder_B_printed(model)
+    b_minus, b_plus = rel.ladder_b(model)
+    B_compact, _ = rel.ladder_B_compact(model)
+    B_minus, _ = rel.ladder_B(model)
+    pts = default_grid()
+    adjudications = [
+        # the literal H^2 tail misses by a constant: the (shift 0, order 0) term
+        ((*harness._bracket(H, B_printed), 2.0 * model.omega0 * B_printed), {0j}),
+        # the printed [b-, b+] right-hand side: its e^{i d} coefficient
+        ((*harness._bracket(b_minus, b_plus), -rel.bb_commutator_rhs(model)), {1j}),
+        # the compact form: its e^{-+i d} coefficients
+        ((B_compact, -B_minus), {1j, -1j}),
+    ]
+    for parts, missed in adjudications:
+        residuals = _term_residuals(pts, *parts)
+        assert {key for key, r in residuals.items() if r > 1e-14} == {(s, 0) for s in missed}
+        assert min(residuals[(s, 0)] for s in missed) > 0.3
+
+
+IDENTITY_CHECKS = [
+    "nonrel_factorization", "nonrel_pair_commutator", "nonrel_weighted_commutator",
+    "nonrel_lowering_forms_agree", "nonrel_lowering_commutator", "nonrel_su11_closure",
+    "rel_factorization_random", "rel_momentum_commutator", "rel_mass_shell_free",
+    "rel_two_step_commutator", "rel_lowering_commutator_uncorrected",
+    "rel_pair_commutator_printed", "rel_compact_form_comparison",
+]
+
+
+@pytest.mark.parametrize("couplings", DIGEST_COUPLINGS + BOX_CORNERS)
+def test_hard_identities_hold_to_rounding(couplings):
+    results = {r.check_id: r for r in harness.run_suite(*couplings, n_max=1).results}
+    hard = [cid for cid in IDENTITY_CHECKS if harness.CHECKS[cid].gating]
+    assert len(hard) == 10
+    assert {cid: results[cid].max_residual for cid in hard if results[cid].max_residual > 1e-13} \
+        == {}
+
+
+def _planted(monkeypatch, module, name, plant):
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: plant(original(*args)))
+
+
+@pytest.mark.parametrize("check_id", ["rel_two_step_commutator", "nonrel_su11_closure"])
+def test_a_planted_one_term_error_fails_its_check(check_id, monkeypatch):
+    error = 1e-6 * shift_op(2j)
+    if check_id == "rel_two_step_commutator":
+        _planted(monkeypatch, rel, "BB_commutator_rhs", lambda rhs: rhs + error)
+    else:  # [K-, K+] = 2 K0 and [K0, K-+] = -+K-+, with K0 off by one term
+        _planted(monkeypatch, nonrel, "su11_generators",
+                 lambda generators: (generators[0] + error, *generators[1:]))
+    results = {r.check_id: r for r in harness.run_suite(0.5, 0.1, n_max=1).results}
+    assert results[check_id].max_residual > harness.CHECKS[check_id].tolerance
+    assert not results[check_id].passed
 
 
 def test_every_traced_hook_resolves_in_fdosc():

@@ -7,9 +7,9 @@ import pytest
 from scipy.integrate import quad
 
 from fdosc import nonrel
-from fdosc.errors import CouplingError
+from fdosc.errors import CouplingError, ParameterError
 from fdosc.opcore import (
-    commutator, compose, default_grid, identity_op, mixed_residual, stack,
+    commutator, compose, default_grid, identity_op, mixed_residual,
 )
 
 GRID = default_grid()
@@ -149,4 +149,11 @@ def test_a_batched_leaf_is_not_iterable():
     with pytest.raises(TypeError):
         iter(batch)
     with pytest.raises(TypeError):
-        stack(batch)
+        list(batch)
+
+
+def test_levels_past_the_power_basis_raise_a_typed_error():
+    # 171! no longer converts to a double; n = 170 still evaluates
+    assert np.all(np.isfinite(nonrel.eigenfunction(MODEL, 170).wavefunction(GRID[:4])))
+    with pytest.raises(ParameterError, match="n = 171"):
+        nonrel.eigenfunction(MODEL, 171)

@@ -27,7 +27,6 @@ from fdosc.opcore import (
     mul_op,
     polynomial,
     shift_op,
-    stack,
 )
 
 GRID = default_grid()
@@ -460,73 +459,79 @@ def test_tower_evaluates_each_leaf_once_per_call(n):
     assert counts == {"coeff": 1, "base": 1}
 
 
-# ---- batches: op(stack(fs))(points) ------------------------------------
+# ---- batches: op(F)(points) for a batched F ---------------------------
 
 
-def _batch_equals_calls(op, fs, pts, calls=None):
-    batch = op(stack(fs))(pts)
+def _polynomial_batch(table, prefactor):
+    """prefactor * polynomial(table), one row per polynomial, and the same
+    product for each row on its own."""
+    return (prefactor * polynomial(table),
+            [prefactor * polynomial(row) for row in table])
+
+
+def _batch_equals_calls(op, F, fs, pts, calls=None):
+    batch = op(F)(pts)
     assert batch.shape == (len(fs), len(pts))
     assert np.array_equal(batch, np.array(calls or [op(f)(pts) for f in fs]))
 
 
 def test_values_equal_calls_for_a_commutator_with_derivatives():
     _, Km, Kp = nonrel.su11_generators(_NONREL)
-    fs = [monomial(1.5) * gaussian(w) * polynomial([1.0, w]) for w in (0.7, 1.0, 1.3)]
-    _batch_equals_calls(commutator(Km, Kp), fs, GRID)
+    F, fs = _polynomial_batch([[1.0, w] for w in (0.7, 1.0, 1.3)],
+                              monomial(1.5) * gaussian(1.0))
+    _batch_equals_calls(commutator(Km, Kp), F, fs, GRID)
     # a jet deeper than a value call, row by row as well
-    F = commutator(Km, Kp)(stack(fs))
-    for row, f in zip(F.jet(GRID, 2), fs):
+    for row, f in zip(commutator(Km, Kp)(F).jet(GRID, 2), fs):
         assert np.array_equal(row, commutator(Km, Kp)(f).jet(GRID, 2))
 
 
 def test_values_equal_calls_for_rel_shift_only_ladder():
     B_minus, B_plus = rel.ladder_B(_REL)
+    F = rel.eigenfunctions(_REL, range(4))
     fs = [rel.eigenfunction_rel(_REL, n).wavefunction for n in range(4)]
-    _batch_equals_calls(B_minus, fs, GRID)
-    _batch_equals_calls(B_plus, fs, GRID)
-    _batch_equals_calls(B_plus, fs, GRID[::5] + 1j)
+    _batch_equals_calls(B_minus, F, fs, GRID)
+    _batch_equals_calls(B_plus, F, fs, GRID)
+    _batch_equals_calls(B_plus, F, fs, GRID[::5] + 1j)
 
 
-def test_values_equal_calls_for_a_plain_function_and_a_tower_of_the_same_op():
+def test_a_scaled_batch_scales_each_row():
     _, B_plus = rel.ladder_B(_REL)
-    twin = DifferenceOperator(B_plus.terms)
-    phi0 = rel.eigenfunction_rel(_REL, 0).wavefunction
-    fs = [phi0, B_plus(phi0), B_plus(B_plus(phi0)), 2.0 * phi0]
-    # a row is B+ around its function, as an operator with equal terms
-    # applies it; applied to the row alone, B+ fuses the tower instead
-    _batch_equals_calls(B_plus, fs, GRID, [twin(f)(GRID) for f in fs])
-    batch, calls = B_plus(stack(fs))(GRID), [B_plus(f)(GRID) for f in fs]
-    for row in (0, 3):  # not towers of B+: the scalar call bit for bit
-        assert np.array_equal(batch[row], calls[row])
-    _assert_close(batch[1:3], np.array(calls[1:3]), tol=1e-14)
-    # a scaled batch scales each row
+    F = rel.eigenfunctions(_REL, range(4))
+    fs = [rel.eigenfunction_rel(_REL, n).wavefunction for n in range(4)]
     scale = np.array([1.0, -2.0, 0.5j, 3.0])
-    assert np.array_equal((scale * stack(fs))(GRID)[1], -2.0 * fs[1](GRID))
-    _batch_equals_calls(B_plus, [c * f for c, f in zip(scale, fs)], GRID,
-                        list(B_plus(scale * stack(fs))(GRID)))
+    assert np.array_equal((scale * F)(GRID)[1], -2.0 * fs[1](GRID))
+    _batch_equals_calls(B_plus, scale * F, [c * f for c, f in zip(scale, fs)], GRID)
 
 
 def test_values_of_no_functions_is_an_empty_batch():
-    assert deriv_op()(stack([]))(GRID).shape == (0, len(GRID))
+    assert deriv_op()(nonrel.eigenfunctions(_NONREL, []))(GRID).shape == (0, len(GRID))
+    _, B_plus = rel.ladder_B(_REL)
+    assert B_plus(rel.eigenfunctions(_REL, []))(GRID).shape == (0, len(GRID))
+
+
+def _rows(*fns):
+    """A batched leaf whose row i is fns[i](z)."""
+    return from_callable(lambda z: np.array([fn(z) for fn in fns]))
 
 
 def test_values_name_the_first_nonfinite_point_of_the_batch():
     op = mul_op(coordinate())
-    fs = [gaussian(1.0), from_callable(lambda z: 1.0 / (z - 2.0)), gaussian(0.5)]
+    fns = [np.exp, lambda z: 1.0 / (z - 2.0), np.cos]
     with pytest.raises(EvaluationError, match=r"non-finite value at z = \(2\+0j\)"):
-        op(stack(fs))([0.5, 1.0, 2.0, 3.0])
+        op(_rows(*fns))([0.5, 1.0, 2.0, 3.0])
     # the first in row order: a later row failing at an earlier point is not named
-    fs.append(from_callable(lambda z: 1.0 / (z - 1.0)))
+    fns.append(lambda z: 1.0 / (z - 1.0))
     with pytest.raises(EvaluationError, match=r"non-finite value at z = \(2\+0j\)"):
-        op(stack(fs))([0.5, 1.0, 2.0, 3.0])
+        op(_rows(*fns))([0.5, 1.0, 2.0, 3.0])
 
 
 def test_values_evaluate_each_coefficient_once_per_batch():
     counts = {}
     op = DifferenceOperator([Term(_counting(np.cos, counts, "coeff"), 1j, 0),
                              Term(const(0.5), -0.5j, 1)])
-    fs = [gaussian(w) for w in (0.6, 0.8, 1.0, 1.2, 1.4)]
-    op(stack(fs))(GRID)
+    F, _ = _polynomial_batch([[1.0, w, -w] for w in (0.6, 0.8, 1.0, 1.2, 1.4)],
+                             gaussian(0.8))
+    op(F)(GRID)
     assert counts == {"coeff": 1}
 
 
@@ -546,10 +551,10 @@ def test_nested_towers_over_a_batch_evaluate_each_block_once(monkeypatch):
 
 
 def test_a_batched_call_at_one_point_keeps_its_row_axis():
-    fs = [gaussian(1.0), exp_linear(0.5)]
-    assert stack(fs)(0.5).shape == (2,)
-    assert stack(fs)([[0.5, 1.0]]).shape == (2, 1, 2)
-    assert stack(fs)(0.5).tolist() == [f(0.5) for f in fs]
+    F, fs = _polynomial_batch([[1.0, 0.5], [0.3, -1.0]], gaussian(1.0))
+    assert F(0.5).shape == (2,)
+    assert F([[0.5, 1.0]]).shape == (2, 1, 2)
+    assert F(0.5).tolist() == [f(0.5) for f in fs] == [F[i](0.5) for i in range(2)]
 
 
 # ---- polynomials: every coefficient row in one Horner pass -------------

@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fdosc import rel
+from fdosc import rel, specfun
 from fdosc.errors import CouplingError, SpectralError
 from fdosc.opcore import default_grid, grid_ratio
 
@@ -193,6 +193,33 @@ def test_eigenfunction_rows_equal_the_scalar_leaf_bit_for_bit(shift):
     assert family.shape == (13, len(GRID))
     for n, row in enumerate(family):
         assert row.tobytes() == rel.eigenfunction_rel(MODEL, n).wavefunction(pts).tobytes()
+
+
+def _closed_form(model, n, z):
+    """phi_n at the points z, with the operations and the order of the
+    leaf's definition: one log_gamma call on the stacked arguments, then the
+    prefactor times the dual Hahn sum."""
+    a, nu = model.alpha, model.nu
+    iz = 1j * z
+    lg_a, lg_0, lg_nu = specfun.log_gamma(np.stack((a + iz, iz, nu + iz)))
+    prefactor = np.exp(1j * math.pi * a / 2.0 + lg_a - lg_0 + iz * math.log(model.omega0)
+                       + lg_nu)
+    return prefactor * specfun.cdhahn_complex(n, z, a, nu, 0.5)
+
+
+@pytest.mark.parametrize("couplings", [(0.5, 0.1), (0.9, 0.05), (0.35, 0.6), (0.6, 0.2)])
+def test_eigenfunctions_keep_the_closed_form_floats(couplings):
+    # the rel tables are digested byte by byte: the rows and the one-row
+    # leaf give the closed form's own floats, on the grid and at each point
+    model = rel.make_rel_model(*couplings)
+    pts = np.concatenate([GRID, GRID[::4] + 1j, GRID[::4] - 2j])
+    family = rel.eigenfunctions(model, range(13))(pts)
+    for n in range(13):
+        want = _closed_form(model, n, pts)
+        assert family[n].tobytes() == want.tobytes()
+        wf = rel.eigenfunction_rel(model, n).wavefunction
+        for p in pts[::5]:
+            assert wf(p) == complex(_closed_form(model, n, np.array([p]))[0])
 
 
 def test_eigenfunction_family_makes_one_log_gamma_call(monkeypatch):
