@@ -13,7 +13,6 @@ from .errors import (
     EvaluationError,
     ParameterError,
     PoleError,
-    SpectralError,
 )
 from .harness import run_suite, spectrum_table, wavefunction_table
 from .nonrel import NonRelModel, make_model
@@ -34,7 +33,6 @@ __all__ = [
     "PlaneWaveState",
     "PoleError",
     "RelModel",
-    "SpectralError",
     "default_grid",
     "make_model",
     "make_rel_model",

@@ -19,7 +19,7 @@ import math
 import sys
 
 from . import harness, rel
-from .errors import EvaluationError, PoleError, SpectralError
+from .errors import EvaluationError, PoleError
 from .opcore import default_grid
 
 
@@ -98,7 +98,7 @@ def main(argv=None) -> int:
         return _dispatch(args)
     # a bad coupling, level or index (CouplingError too), or a function that
     # cannot be evaluated at these couplings
-    except (ValueError, EvaluationError, PoleError, SpectralError) as exc:
+    except (ValueError, EvaluationError, PoleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

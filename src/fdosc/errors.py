@@ -18,9 +18,5 @@ class EvaluationError(ArithmeticError):
     """A function or operator could not be evaluated at the requested point."""
 
 
-class SpectralError(ArithmeticError):
-    """Spectral scalar (e.g. f(E)) is non-positive where a square root is needed."""
-
-
 class ConvergenceError(RuntimeError):
     """An iterative eigensolver failed to converge."""

@@ -10,9 +10,12 @@ builds the half-shift factorization pair b-+, the two-step ladder pair
 B-+, the generalized momentum, the spectral weight f(E) of the su(1,1)
 construction, and the continuous dual Hahn eigenfunctions.  The su(1,1)
 generators act on the eigenbasis only: K-+ = B-+ / sqrt(f(E)), with f at
-the eigenvalue the operator ordering dictates, and K0 = H/(2 omega0).  The
-harness check rel_su11_closure forms them inline from B-+ and
-spectral_f_sqrt_inv.
+the eigenvalue the operator ordering dictates, and K0 = H/(2 omega0).
+f(E_n) = 4 omega0^2 (n + alpha - 1/2)(n + nu - 1/2) is positive at every
+level, since alpha, nu >= 1.  On psi_n each K-+ is a scalar times B-+, so
+[K0, K-+] = -+K-+ follows from the operator identities [H, B-+] =
+-+2 omega0 B-+, which the harness checks term by term; it reads only
+[K-, K+] = 2 K0 and the Casimir on the eigenbasis.
 
 No inner product is specified for the model, so every "conjugate"
 operator is built from its printed closed form and all ladder-coefficient
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nonrel
-from .errors import CouplingError, SpectralError
+from .errors import CouplingError
 from .opcore import (
     AnalyticFunction,
     DifferenceOperator,
@@ -238,13 +241,6 @@ def spectral_f(model: RelModel, energy_mc2: float) -> float:
     """f(E) = [E + omega0(alpha-nu-1)][E + omega0(nu-alpha-1)] (E in mc^2)."""
     w0, a, nu = model.omega0, model.alpha, model.nu
     return (energy_mc2 + w0 * (a - nu - 1.0)) * (energy_mc2 + w0 * (nu - a - 1.0))
-
-
-def spectral_f_sqrt_inv(model: RelModel, energy_mc2: float) -> float:
-    val = spectral_f(model, energy_mc2)
-    if val <= 0.0:
-        raise SpectralError(f"f(E) = {val} <= 0 at E = {energy_mc2}")
-    return 1.0 / math.sqrt(val)
 
 
 def eigenfunctions(model: RelModel, ns) -> AnalyticFunction:

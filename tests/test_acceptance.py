@@ -67,7 +67,7 @@ def test_criterion_02_rel_factorization(check_by_id):
 
 def test_criterion_03_lowering_commutator(check_by_id):
     r, _ = _res(check_by_id, "rel_lowering_commutator")
-    _record(3, "lowering-operator commutator [H,B-] = -2 omega0 B-, n <= 6",
+    _record(3, "lowering-operator commutator [H,B-] = -2 omega0 B- as operators, term by term",
             r <= 1e-8, f"residual {r:.3e}")
 
 

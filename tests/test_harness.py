@@ -385,7 +385,7 @@ def test_cli_verify_reports_evaluation_error_with_exit_2(capsys):
     assert capsys.readouterr().err.startswith("error: non-finite value at z = ")
 
 
-@pytest.mark.parametrize("exc", [fdosc.PoleError, fdosc.SpectralError])
+@pytest.mark.parametrize("exc", [fdosc.PoleError])
 def test_cli_maps_evaluation_errors_to_exit_2(exc, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise exc("cannot evaluate here")
@@ -470,15 +470,16 @@ def readings_by_nmax(check_by_id):
 
 
 def test_casimir_checks_cover_base_levels_at_every_nmax(readings_by_nmax):
+    # the identities read on the operator involve no level at all, and
+    # rel_casimir reads the levels n <= BASE_LEVEL whatever n_max is
     assert harness.LADDER_CAP < harness.BASE_LEVEL < 9
-    for cid in ("rel_casimir", "nonrel_casimir"):
+    for cid in (*IDENTITY_CHECKS, "rel_casimir"):
         assert readings_by_nmax[1][cid] == readings_by_nmax[6][cid] \
             == readings_by_nmax[9][cid], cid
 
 
 def test_ladder_checks_stop_at_the_cap(readings_by_nmax):
-    for cid in ("rel_lowering_commutator", "rel_raising_commutator",
-                "rel_ladder_consistency", "rel_ladder_coefficient",
+    for cid in ("rel_ladder_consistency", "rel_ladder_coefficient",
                 "rel_ladder_coefficient_printed", "rel_su11_closure",
                 "rel_ladder_reconstruction", "nonrel_ladder_coefficient",
                 "nonrel_ladder_reconstruction"):
@@ -619,6 +620,27 @@ def test_report_digest_tool_prints_md5_and_label():
     assert proc.returncode == 2 and proc.stdout == ""
 
 
+def test_suite_timing_tool_times_and_restores_the_cap(monkeypatch, capsys):
+    path = Path(__file__).resolve().parents[1] / "tools" / "suite_timing.py"
+    spec = importlib.util.spec_from_file_location("suite_timing", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.main(["0"]) == 2
+    assert capsys.readouterr().err == "error: REPEATS must be >= 1\n"
+    default = harness.LADDER_CAP
+    times = tool.timings(1, default, 1)
+    assert len(times) == 1 and times[0] > 0.0
+
+    def fail(*args, **kwargs):
+        assert harness.LADDER_CAP == default + 3
+        raise RuntimeError("run_suite failed")
+
+    monkeypatch.setattr(harness, "run_suite", fail)
+    with pytest.raises(RuntimeError, match="run_suite failed"):
+        tool.timings(1, default + 3, 1)
+    assert harness.LADDER_CAP == default
+
+
 def test_version_matches_pyproject():
     # a regex, not tomllib: Python 3.10 has no tomllib
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
@@ -743,6 +765,7 @@ IDENTITY_CHECKS = [
     "rel_factorization_random", "rel_momentum_commutator", "rel_mass_shell_free",
     "rel_two_step_commutator", "rel_lowering_commutator_uncorrected",
     "rel_pair_commutator_printed", "rel_compact_form_comparison",
+    "rel_lowering_commutator", "rel_raising_commutator", "nonrel_casimir",
 ]
 
 
@@ -750,7 +773,7 @@ IDENTITY_CHECKS = [
 def test_hard_identities_hold_to_rounding(couplings):
     results = {r.check_id: r for r in harness.run_suite(*couplings, n_max=1).results}
     hard = [cid for cid in IDENTITY_CHECKS if harness.CHECKS[cid].gating]
-    assert len(hard) == 10
+    assert len(hard) == 13
     assert {cid: results[cid].max_residual for cid in hard if results[cid].max_residual > 1e-13} \
         == {}
 
@@ -760,14 +783,20 @@ def _planted(monkeypatch, module, name, plant):
     monkeypatch.setattr(module, name, lambda *args: plant(original(*args)))
 
 
-@pytest.mark.parametrize("check_id", ["rel_two_step_commutator", "nonrel_su11_closure"])
+@pytest.mark.parametrize("check_id", [
+    "rel_two_step_commutator", "nonrel_su11_closure", "nonrel_casimir",
+    "rel_lowering_commutator", "rel_raising_commutator"])
 def test_a_planted_one_term_error_fails_its_check(check_id, monkeypatch):
     error = 1e-6 * shift_op(2j)
     if check_id == "rel_two_step_commutator":
         _planted(monkeypatch, rel, "BB_commutator_rhs", lambda rhs: rhs + error)
-    else:  # [K-, K+] = 2 K0 and [K0, K-+] = -+K-+, with K0 off by one term
+    elif check_id.startswith("nonrel"):  # K0 off by one term
         _planted(monkeypatch, nonrel, "su11_generators",
                  lambda generators: (generators[0] + error, *generators[1:]))
+    elif check_id == "rel_lowering_commutator":  # B- off by one term
+        _planted(monkeypatch, rel, "ladder_B", lambda pair: (pair[0] + error, pair[1]))
+    else:  # B+ off by one term
+        _planted(monkeypatch, rel, "ladder_B", lambda pair: (pair[0], pair[1] + error))
     results = {r.check_id: r for r in harness.run_suite(0.5, 0.1, n_max=1).results}
     assert results[check_id].max_residual > harness.CHECKS[check_id].tolerance
     assert not results[check_id].passed

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fdosc import rel, specfun
-from fdosc.errors import CouplingError, SpectralError
+from fdosc.errors import CouplingError
 from fdosc.opcore import default_grid, grid_ratio
 
 GRID = default_grid()
@@ -123,11 +123,6 @@ def test_spectral_weight_positive_on_spectrum():
     for n in range(4):
         assert rel.spectral_f(MODEL, rel.energy(MODEL, n)) == pytest.approx(
             4.0 * w0**2 * (n + a - 0.5) * (n + nu - 0.5), rel=1e-12)
-
-
-def test_spectral_weight_rejects_nonpositive():
-    with pytest.raises(SpectralError):
-        rel.spectral_f_sqrt_inv(MODEL, 0.0)
 
 
 def test_ladder_state_proportional_to_closed_form():
