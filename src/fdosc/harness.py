@@ -64,10 +64,10 @@ BASE_LEVEL = 8
 
 # The ladder checks build levels n <= min(n_max, LADDER_CAP).  The cap is a
 # precision limit, not a cost one: at g0 = 0.1 the nonrel ladder-reconstruction
-# spread at n = 7 is 4.0e-8 against its 1e-8 tolerance.  At cap 30,
-# run_suite(0.6, 0.2, n_max=30) takes a median 0.14-0.20 s, against
-# 0.10-0.13 s at cap 6 (tools/suite_timing.py, 21 runs, three runs, on a
-# shared 2-core VM).
+# spread at n = 7 is 4.0e-8 against its 1e-8 tolerance, and at cap 30 it is the
+# one check that fails.  At cap 30, run_suite(0.6, 0.2, n_max=30) takes a
+# median 0.135-0.150 s, against 0.092-0.105 s at cap 6 (tools/suite_timing.py,
+# 21 runs, two runs, on a shared 2-core VM).
 LADDER_CAP = 6
 
 
@@ -316,8 +316,7 @@ def _checks_specfun(rng):
     yield "specfun_gamma_recurrence", {"points": n_pts}, worst_rec
     yield "specfun_gamma_reflection", {"points": n_pts}, worst_ref
 
-    samples = [(rng.uniform(0.1, 6.0), rng.uniform(-2.0, 3.0)) for _ in range(500)]
-    rho, lam = np.array(samples).T
+    rho, lam = rng.uniform((0.1, -2.0), (6.0, 3.0), size=(500, 2)).T
     lhs = specfun.generalized_degree(rho, lam + 1)
     rhs = specfun.generalized_degree(rho, lam) * (lam - 1j * rho) * 1j
     yield "specfun_degree_recurrence", {"points": 500}, mixed_residual(lhs, rhs)
@@ -325,12 +324,16 @@ def _checks_specfun(rng):
     samples = [(int(rng.integers(0, 7)), rng.uniform(0.0, 4.0), rng.uniform(0.2, 2.0),
                 rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0)) for _ in range(300)]
     degree, x, a, b, c = np.array(samples).T
+    degree = degree.astype(int)
+    # the recurrence S_n(x; a, b, c) against the terminating sum with b and c
+    # swapped: the b <-> c symmetry and the recurrence, each read against an
+    # independent form
+    rows = specfun.cdhahn_rows(6, x, a, b, c)[degree, np.arange(len(x))].real
     worst = 0.0
     for n in np.unique(degree):
         at = degree == n
-        s1 = specfun.cdhahn_complex(int(n), x[at], a[at], b[at], c[at]).real
-        s2 = specfun.cdhahn_complex(int(n), x[at], a[at], c[at], b[at]).real
-        worst = max(worst, mixed_residual(s1, s2))
+        sums = specfun.cdhahn_complex(int(n), x[at], a[at], c[at], b[at]).real
+        worst = max(worst, mixed_residual(rows[at], sums))
     yield "specfun_cdhahn_symmetry", {"points": 300}, worst
 
 

@@ -28,9 +28,7 @@ from .opcore import (
     identity_op,
     monomial,
     mul_op,
-    polynomial,
 )
-from .specfun import laguerre_coefficients
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -120,19 +118,53 @@ def norm_constant(model: NonRelModel, n: int) -> float:
     )
 
 
+def _laguerre_rows(ns, d: float) -> AnalyticFunction:
+    """L_n^d(xi^2), n in ns, as one batched function of xi with exact
+    derivatives, every row from one pass of the three-term recurrence
+    (Koekoek, Lesky & Swarttouw, sec. 9.12)
+
+        (k+1) L_(k+1) = (2k+1+d - y) L_k - (k+d) L_(k-1),   y = xi^2,
+
+    run on jets.  The jet of y has the rows (xi^2, 2 xi, 1), so row m of
+    y L_k is xi^2 L_k,m + 2 xi L_k,m-1 + L_k,m-2, exactly.  Row n depends on
+    levels 0..n only, so it holds the same floats whatever ns is."""
+    top, at = max(ns, default=0), np.array(ns, dtype=int)
+
+    def jet(z, K):
+        out = np.empty((len(ns), K + 1, len(z)), dtype=complex)
+        y, two_z = z * z, 2.0 * z
+        low = np.zeros((K + 1, len(z)), dtype=complex)
+        low[0] = 1.0
+        for k in range(top):
+            out[at == k] = low
+            nxt = (2 * k + 1 + d - y) * low
+            if K:  # the derivative rows of y L_k
+                nxt[1:] -= two_z * low[:-1]
+                nxt[2:] -= low[:-2]
+            if k:
+                nxt -= (k + d) * prev
+            # the (re, im) pairs divided by k + 1: one rounding each, where
+            # numpy's complex quotient multiplies by a rounded reciprocal
+            pairs = nxt.view(float)
+            pairs /= k + 1
+            prev, low = low, nxt
+        out[at == top] = low
+        return out
+
+    return AnalyticFunction(jet)
+
+
 def eigenfunctions(model: NonRelModel, ns) -> AnalyticFunction:
     """The closed forms psi_n = c_n xi^(d+1/2) exp(-xi^2/2) L_n^d(xi^2), n in
     ns, with exact derivatives, as one batched leaf whose row i is psi_ns[i].
-    A call evaluates the two prefactor jets once for all rows, and the
-    L_n^d(xi^2), even polynomials in xi, in one Horner pass."""
+    A call evaluates the two prefactor jets once for all rows, and every
+    L_n^d(xi^2) jet in one pass of the Laguerre recurrence in n, which holds
+    its precision at any n."""
     ns = list(ns)
     if any(n < 0 for n in ns):
         raise ValueError("n must be >= 0")
-    even = np.zeros((len(ns), 2 * max(ns, default=0) + 1))
-    for row, n in zip(even, ns):
-        row[: 2 * n + 1: 2] = laguerre_coefficients(n, model.d)
     cn = np.array([norm_constant(model, n) for n in ns])
-    return cn * monomial(model.d + 0.5) * gaussian(1.0) * polynomial(even)
+    return cn * monomial(model.d + 0.5) * gaussian(1.0) * _laguerre_rows(ns, model.d)
 
 
 def eigenfunction(model: NonRelModel, n: int) -> NonRelEigenState:

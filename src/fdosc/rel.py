@@ -25,9 +25,10 @@ Every eigenfunction has the form phi_n(rho) = P(rho) S_n(rho^2; alpha, nu,
 1/2), with the same gamma prefactor P for every n (Koekoek, Lesky &
 Swarttouw, Hypergeometric Orthogonal Polynomials, sec. 9.3).
 ``eigenfunctions(model, ns)`` is one batched leaf whose row i is phi_ns[i]:
-a call evaluates P once, with one log_gamma call, and each row is one dual
-Hahn sum times P.  ``eigenfunction_rel(model, n)`` is its one row for
-[n], a scalar function, as ``nonrel.eigenfunction`` is for nonrel.
+a call evaluates P once, with one log_gamma call, and every S_n row in one
+pass of the dual Hahn three-term recurrence in n.
+``eigenfunction_rel(model, n)`` is its one row for [n], a scalar function,
+as ``nonrel.eigenfunction`` is for nonrel.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .opcore import (
     mul_op,
     shift_op,
 )
-from .specfun import cdhahn_complex, log_gamma, pochhammer
+from .specfun import cdhahn_rows, log_gamma, pochhammer
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -90,7 +91,8 @@ def make_rel_model(omega0: float, g0: float) -> RelModel:
             f"8 g0 omega0^2 = {8 * g0 * omega0**2} > 1: exponents become complex"
         )
     root = math.sqrt(disc)
-    alpha = 0.5 + 0.5 * math.sqrt(1.0 + 2.0 / omega0**2 * (1.0 - root))
+    # 2 (1 - root)/omega0^2 = 16 g0/(1 + root): no 1 - root to cancel at small omega0
+    alpha = 0.5 + 0.5 * math.sqrt(1.0 + 16.0 * g0 / (1.0 + root))
     nu = 0.5 + 0.5 * math.sqrt(1.0 + 2.0 / omega0**2 * (1.0 + root))
     return RelModel(omega0=omega0, g0=g0, alpha=alpha, nu=nu)
 
@@ -254,7 +256,10 @@ def eigenfunctions(model: RelModel, ns) -> AnalyticFunction:
     gamma ratios are assembled in log space so P stays evaluable at the
     complex-shifted points the operators need; the three log-gammas come
     from one log_gamma call on the stacked arguments, made once per call
-    for all of ns.
+    for all of ns.  Every S_n row comes from one cdhahn_rows pass of the
+    dual Hahn recurrence up to max(ns); row n holds the same floats
+    whatever the other levels are, and a leaf of phi_0 alone runs no
+    recurrence.
     """
     ns = list(ns)
     if any(n < 0 for n in ns):
@@ -263,12 +268,17 @@ def eigenfunctions(model: RelModel, ns) -> AnalyticFunction:
     log_w0 = math.log(w0)
     phase = 1j * math.pi * a / 2.0
 
+    top = max(ns, default=0)
+
     def rows(z):
         iz = 1j * z
         lg_a, lg_0, lg_nu = log_gamma(np.stack((a + iz, iz, nu + iz)))
         prefactor = np.exp(phase + lg_a - lg_0 + iz * log_w0 + lg_nu)
-        return np.array([prefactor * cdhahn_complex(n, z, a, nu, 0.5)
-                         for n in ns]).reshape(len(ns), len(z))
+        s_rows = cdhahn_rows(top, z, a, nu, 0.5)
+        # one 1-d product per row: at one point numpy rounds a complex product
+        # of 2-d operands differently, and a row's floats would then depend
+        # on the shape of the call
+        return np.array([prefactor * s_rows[n] for n in ns]).reshape(len(ns), len(z))
 
     return from_callable(rows, note=f"rel eigenfunctions n={ns}")
 

@@ -9,12 +9,20 @@ to one Lanczos argument and runs one Lanczos sum over all of them, in
 blocks of _BLOCK points; the strip and reflection terms are then applied
 under masks.
 
-log_gamma, gamma, pochhammer, generalized_degree and cdhahn_complex
-evaluate arrays: a scalar argument gives a complex, an array (or sequence)
-gives an ndarray of its shape, computed by numpy calls over all points at
-once.  There is no separate scalar path.  A pole anywhere in the array
-raises PoleError naming that point; each call scans its points once, and
-gamma and generalized_degree share log_gamma's sum but not its scan.
+log_gamma, gamma, pochhammer, generalized_degree, cdhahn_complex and
+cdhahn_rows evaluate arrays: a scalar argument gives a complex, an array
+(or sequence) gives an ndarray of its shape, computed by numpy calls over
+all points at once.  There is no separate scalar path.  A pole anywhere in
+the array raises PoleError naming that point; each call scans its points
+once, and gamma and generalized_degree share log_gamma's sum but not its
+scan.
+
+The continuous dual Hahn polynomials come two ways.  cdhahn_rows gives
+S_0 .. S_n on a leading axis from one pass of their three-term recurrence
+in n, stable in double precision at least to n = 30; the closed-form
+eigenfunctions use it.  cdhahn_complex sums the terminating hypergeometric
+series for one n, whose alternating terms cancel as n grows; it is kept as
+the independent form that the recurrence is checked against.
 """
 
 from __future__ import annotations
@@ -178,7 +186,11 @@ LAGUERRE_MAX_N = 170  # the largest k whose k! converts to a double
 
 
 def laguerre_coefficients(n: int, d: float) -> list[float]:
-    """Coefficients c_k of L_n^d(y) = sum_k c_k y^k, n <= LAGUERRE_MAX_N."""
+    """Coefficients c_k of L_n^d(y) = sum_k c_k y^k, n <= LAGUERRE_MAX_N.
+
+    The nonrel eigenfunctions do not use them: their alternating sum loses
+    every digit past n ~ 30 on the default grid, where the three-term
+    recurrence in nonrel.eigenfunctions does not."""
     if n < 0:
         raise ValueError("laguerre requires n >= 0")
     if n > LAGUERRE_MAX_N:
@@ -233,3 +245,39 @@ def cdhahn_complex(n: int, z, a, b, c):
     total = np.cumsum(terms, axis=0, out=terms)[-1]
     return _shaped(pochhammer(a + b, n) * pochhammer(a + c, n) * total, shape)
 
+
+def cdhahn_rows(n_top: int, z, a, b, c):
+    """S_n(z^2; a, b, c) for n = 0..n_top on a leading axis, shape
+    (n_top + 1, *z.shape), from one pass of the three-term recurrence
+    (Koekoek, Lesky & Swarttouw, sec. 9.3):
+
+        -(a^2 + z^2) S~_n = A_n S~_(n+1) - (A_n + C_n) S~_n + C_n S~_(n-1),
+
+    S~_n = S_n / ((a+b)_n (a+c)_n), A_n = (n+a+b)(n+a+c), C_n = n(n+b+c-1).
+    It runs with the scale folded in: since (a+b)_(n+1) (a+c)_(n+1) =
+    A_n (a+b)_n (a+c)_n,
+
+        S_(n+1) = (A_n + C_n - a^2 - z^2) S_n - A_(n-1) C_n S_(n-1),
+
+    with no division, so no parameter makes it singular.  Row n depends on
+    rows 0..n only, so it holds the same floats whatever n_top is.  z is
+    complex, a, b, c real scalars or arrays of z's shape.  For n_top = 0 the
+    one row is exactly 1 and no recurrence runs.
+    """
+    if n_top < 0:
+        raise ValueError("cdhahn requires n >= 0")
+    z, shape = _points(z)
+    rows = np.ones((n_top + 1, len(z)), dtype=complex)
+    if n_top:
+        a, b, c = (np.asarray(p, dtype=float).reshape(-1) for p in (a, b, c))
+        n = np.arange(n_top)[:, None]
+        A = (n + a + b) * (n + a + c)
+        C = n * (n + b + c - 1.0)
+        diagonal, below = A + C, A[:-1] * C[1:]  # below[n - 1] multiplies S_(n-1)
+        u = a * a + z * z
+        np.subtract(diagonal[0], u, out=rows[1])  # C_0 = 0
+        for k in range(1, n_top):
+            nxt = np.subtract(diagonal[k], u, out=rows[k + 1])
+            nxt *= rows[k]
+            nxt -= below[k - 1] * rows[k - 1]
+    return rows.reshape((n_top + 1,) + shape)

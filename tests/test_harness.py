@@ -353,14 +353,35 @@ def test_cli_wavefunction_rejects_negative_index(model, capsys):
     assert capsys.readouterr().err.startswith("error: n must be >= 0")
 
 
-@pytest.mark.parametrize("argv", [["wavefunction", "--model", "nonrel", "--n", "171"],
-                                  ["verify", "--nmax", "171"]])
-def test_cli_rejects_nonrel_levels_past_the_power_basis(argv, capsys):
-    # exit 2, not a traceback: for verify, exit 1 would claim a hard check failed
-    code, out = _run_cli(argv)
+def test_cli_nonrel_table_past_the_power_basis_evaluates(capsys):
+    # the power basis stopped at n = 170; the recurrence evaluates n = 171,
+    # and test_nonrel checks those values against mpmath
+    code, out = _run_cli(["wavefunction", "--model", "nonrel", "--n", "171",
+                          "--format", "json"])
+    assert (code, capsys.readouterr().err) == (0, "")
+    rows = json.loads(out)
+    want = nonrel.eigenfunction(nonrel.make_model(0.1), 171).wavefunction(default_grid())
+    assert [r["xi"] for r in rows] == default_grid().tolist()
+    assert [r["re"] for r in rows] == want.real.tolist()
+    assert {r["error"] for r in rows} == {""}
+
+
+def test_cli_verify_past_the_double_range_exits_2(capsys):
+    # exit 2, not a traceback: the unnormalised rel closed form passes the
+    # largest double from n = 97 on, and exit 1 would claim a hard check failed
+    code, out = _run_cli(["verify", "--nmax", "171"])
     assert (code, out) == (2, "")
-    err = capsys.readouterr().err
-    assert err.startswith("error: L_n^d power-basis") and "n = 171 > 170" in err
+    assert capsys.readouterr().err.startswith("error: non-finite value at z = ")
+
+
+@pytest.mark.parametrize("couplings", [(0.5, 0.1), (0.9, 0.05), (0.35, 0.6), (0.6, 0.2)])
+def test_cli_verify_nmax_30_passes(couplings):
+    # the terminating sums failed from --nmax 12 on; the recurrences hold to 30
+    code, out = _run_cli(["verify", "--omega0", str(couplings[0]), "--g0", str(couplings[1]),
+                          "--nmax", "30", "--format", "json"])
+    report = json.loads(out)
+    failed = [r["check_id"] for r in report["results"] if r["gating"] and not r["passed"]]
+    assert (code, failed, report["all_hard_passed"]) == (0, [], True)
 
 
 def test_cli_limit_table():

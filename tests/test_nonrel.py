@@ -2,12 +2,13 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fdosc import nonrel
-from fdosc.errors import CouplingError, ParameterError
+from fdosc import nonrel, specfun
+from fdosc.errors import CouplingError
 from fdosc.opcore import (
     commutator, compose, default_grid, identity_op, mixed_residual,
 )
@@ -152,8 +153,47 @@ def test_a_batched_leaf_is_not_iterable():
         list(batch)
 
 
-def test_levels_past_the_power_basis_raise_a_typed_error():
-    # 171! no longer converts to a double; n = 170 still evaluates
-    assert np.all(np.isfinite(nonrel.eigenfunction(MODEL, 170).wavefunction(GRID[:4])))
-    with pytest.raises(ParameterError, match="n = 171"):
-        nonrel.eigenfunction(MODEL, 171)
+@pytest.mark.parametrize("g0", [0.1, -0.1])
+def test_laguerre_jets_match_mpmath_to_level_32(g0):
+    # rows f, f' and f''/2 of f(xi) = L_n^d(xi^2), from dL_n^d/dy = -L_(n-1)^(d+1)
+    d = nonrel.make_model(g0).d
+    pts = np.concatenate([GRID[::2], GRID[1::8] + 0.3j])
+    jets = nonrel._laguerre_rows(range(33), d).jet(pts, 2)
+    assert jets.shape == (33, 3, len(pts))
+    with mp.workdps(30):
+        d = mp.mpf(d)
+        for n in range(33):
+            ref = np.zeros((3, len(pts)), dtype=complex)
+            for j, p in enumerate(pts):
+                x = mp.mpc(p.real, p.imag)
+                y = x * x
+                l1 = -mp.laguerre(n - 1, d + 1, y) if n >= 1 else 0
+                l2 = mp.laguerre(n - 2, d + 2, y) if n >= 2 else 0
+                ref[:, j] = [complex(mp.laguerre(n, d, y)), complex(2 * x * l1),
+                             complex(l1 + 2 * y * l2)]
+            for order in range(3):
+                scale = np.max(np.abs(ref[order]))
+                assert np.max(np.abs(jets[n, order] - ref[order])) <= 1e-12 * scale, (n, order)
+
+
+def test_levels_past_the_power_basis_match_mpmath():
+    # the power basis lost every digit here (max |psi_170| read 1.9e49) and
+    # stopped at n = 170; the recurrence has no largest n
+    for n in (40, 60, 170, 171):
+        vals = nonrel.eigenfunction(MODEL, n).wavefunction(GRID)
+        with mp.workdps(30):
+            d = mp.mpf(MODEL.d)
+            cn = mp.sqrt(2 * mp.factorial(n) / mp.gamma(n + d + 1))
+            ref = np.array([float(cn * mp.mpf(x) ** (d + 0.5) * mp.exp(-mp.mpf(x) ** 2 / 2)
+                                  * mp.laguerre(n, d, mp.mpf(x) ** 2)) for x in GRID])
+        assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref)), n
+
+
+def test_eigenfunctions_use_no_power_basis(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("laguerre_coefficients called")
+
+    assert not hasattr(nonrel, "laguerre_coefficients")
+    monkeypatch.setattr(specfun, "laguerre_coefficients", refuse)
+    assert nonrel.eigenfunctions(MODEL, range(9)).jet(GRID, 2).shape == (9, 3, len(GRID))
+    assert nonrel.eigenfunctions(MODEL, [])(GRID).shape == (0, len(GRID))

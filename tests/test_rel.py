@@ -132,6 +132,17 @@ def test_ladder_state_proportional_to_closed_form():
     assert spread < 1e-10
 
 
+def test_alpha_against_mpmath_at_small_omega0():
+    # alpha = 1/2 + 1/2 sqrt(1 + 16 g0/(1 + sqrt(1 - 8 g0 omega0^2))); written
+    # as 2(1 - sqrt(...))/omega0^2 it cancels, 0.19 relative off at 1e-8
+    for omega0 in (1e-2, 1e-4, 1e-6, 1e-8):
+        with mp.workdps(40):
+            g0, w = mp.mpf(0.1), mp.mpf(omega0)
+            ref = (1 + mp.sqrt(1 + 2 / w**2 * (1 - mp.sqrt(1 - 8 * g0 * w * w)))) / 2
+        alpha = rel.make_rel_model(omega0, 0.1).alpha
+        assert abs(alpha - ref) <= 1e-14 * ref, omega0
+
+
 def test_nonrel_limit_deviation_shrinks():
     devs = rel.nonrel_limit(0.1, [1e-2, 5e-3, 2.5e-3])
     assert devs[0] > devs[1] > devs[2]
@@ -193,19 +204,35 @@ def test_eigenfunction_rows_equal_the_scalar_leaf_bit_for_bit(shift):
 def _closed_form(model, n, z):
     """phi_n at the points z, with the operations and the order of the
     leaf's definition: one log_gamma call on the stacked arguments, then the
-    prefactor times the dual Hahn sum."""
+    prefactor times row n of the dual Hahn recurrence."""
     a, nu = model.alpha, model.nu
     iz = 1j * z
     lg_a, lg_0, lg_nu = specfun.log_gamma(np.stack((a + iz, iz, nu + iz)))
     prefactor = np.exp(1j * math.pi * a / 2.0 + lg_a - lg_0 + iz * math.log(model.omega0)
                        + lg_nu)
-    return prefactor * specfun.cdhahn_complex(n, z, a, nu, 0.5)
+    return prefactor * specfun.cdhahn_rows(n, z, a, nu, 0.5)[n]
+
+
+def _mp_closed_form(model, n, z):
+    """phi_n at the points z from 30-digit gammas and the terminating series."""
+    with mp.workdps(30):
+        a, nu, w0 = (mp.mpf(v) for v in (model.alpha, model.nu, model.omega0))
+        out = []
+        for p in z:
+            ir = 1j * mp.mpc(p.real, p.imag)
+            prefactor = (mp.expjpi(a / 2) * mp.gamma(a + ir) / mp.gamma(ir)
+                         * mp.exp(ir * mp.log(w0)) * mp.gamma(nu + ir))
+            s_n = mp.rf(a + nu, n) * mp.rf(a + 0.5, n) * mp.hyp3f2(-n, a + ir, a - ir, a + nu,
+                                                                    a + 0.5, 1)
+            out.append(complex(prefactor * s_n))
+        return np.array(out)
 
 
 @pytest.mark.parametrize("couplings", [(0.5, 0.1), (0.9, 0.05), (0.35, 0.6), (0.6, 0.2)])
 def test_eigenfunctions_keep_the_closed_form_floats(couplings):
     # the rel tables are digested byte by byte: the rows and the one-row
-    # leaf give the closed form's own floats, on the grid and at each point
+    # leaf give the closed form's own floats, on the grid and at each point,
+    # and those floats are phi_n to ~1e-13
     model = rel.make_rel_model(*couplings)
     pts = np.concatenate([GRID, GRID[::4] + 1j, GRID[::4] - 2j])
     family = rel.eigenfunctions(model, range(13))(pts)
@@ -213,21 +240,31 @@ def test_eigenfunctions_keep_the_closed_form_floats(couplings):
         want = _closed_form(model, n, pts)
         assert family[n].tobytes() == want.tobytes()
         wf = rel.eigenfunction_rel(model, n).wavefunction
+        assert wf(pts).tobytes() == want.tobytes()
         for p in pts[::5]:
             assert wf(p) == complex(_closed_form(model, n, np.array([p]))[0])
+    for n in (0, 1, 6, 12):
+        ref = _mp_closed_form(model, n, pts[::3])
+        assert np.max(np.abs(family[n, ::3] - ref)) <= 1e-12 * np.max(np.abs(ref)), n
 
 
 def test_eigenfunction_family_makes_one_log_gamma_call(monkeypatch):
     calls = []
-    log_gamma = rel.log_gamma
+    log_gamma, cdhahn_rows = rel.log_gamma, rel.cdhahn_rows
 
-    def counting(z):
+    def counting_log_gamma(z):
         calls.append(np.shape(z))
         return log_gamma(z)
 
-    monkeypatch.setattr(rel, "log_gamma", counting)
-    rel.eigenfunctions(MODEL, range(9))(GRID)
-    assert calls == [(3, len(GRID))]
+    def counting_rows(n_top, z, a, b, c):
+        calls.append(n_top)
+        return cdhahn_rows(n_top, z, a, b, c)
+
+    monkeypatch.setattr(rel, "log_gamma", counting_log_gamma)
+    monkeypatch.setattr(rel, "cdhahn_rows", counting_rows)
+    monkeypatch.delattr(specfun, "cdhahn_complex")  # no per-row sum
+    rel.eigenfunctions(MODEL, [3, 8, 0])(GRID)
+    assert calls == [(3, len(GRID)), 8]
 
 
 def test_eigenfunction_family_rejects_negative_degrees():

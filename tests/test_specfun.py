@@ -8,8 +8,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fdosc import specfun
+from fdosc import rel, specfun
 from fdosc.errors import ParameterError, PoleError
+from fdosc.opcore import default_grid
 
 mp.mp.dps = 40
 
@@ -271,6 +272,51 @@ def test_cdhahn_degree_zero_is_one():
     assert np.array_equal(vals, np.ones(z.shape, dtype=complex))
     with pytest.raises(ValueError):
         specfun.cdhahn_complex(-1, z, 0.5, 1.0, 1.5)
+
+
+def _mp_cdhahn(n, w, a, b, c):
+    """S_n(w^2; a, b, c) from the terminating series at 50 digits."""
+    with mp.workdps(50):
+        a, b, c = mp.mpf(a), mp.mpf(b), mp.mpf(c)
+        w = mp.mpc(w.real, w.imag)
+        return complex(mp.rf(a + b, n) * mp.rf(a + c, n)
+                       * mp.hyp3f2(-n, a + 1j * w, a - 1j * w, a + b, a + c, 1))
+
+
+@pytest.mark.parametrize("couplings", [(0.5, 0.1), (0.9, 0.05), (0.35, 0.6), (0.6, 0.2)])
+def test_cdhahn_rows_match_mpmath_to_level_30(couplings):
+    # the rel leaf's parameters (alpha, nu, 1/2), on grid points and at
+    # rho + k i, |k| <= 4, where nested towers evaluate the rows
+    model = rel.make_rel_model(*couplings)
+    grid = default_grid()
+    z = np.concatenate([grid[::2]] + [grid[1::8] + 1j * k for k in (1, -1, 2, -2, 3, -3, 4, -4)])
+    rows = specfun.cdhahn_rows(30, z, model.alpha, model.nu, 0.5)
+    assert rows.shape == (31, len(z))
+    for n in (0, 1, 2, 5, 9, 14, 20, 25, 30):
+        ref = np.array([_mp_cdhahn(n, w, model.alpha, model.nu, 0.5) for w in z])
+        assert np.max(np.abs(rows[n] - ref)) <= 1e-14 * np.max(np.abs(ref)), n
+
+
+def test_cdhahn_rows_agree_with_the_sum_and_keep_each_row():
+    rng = np.random.default_rng(37)
+    z = rng.uniform(0.0, 4.0, 30) + 1j * rng.uniform(-2.0, 2.0, 30)
+    a, b, c = (rng.uniform(0.2, 2.5, 30) for _ in range(3))
+    rows = specfun.cdhahn_rows(6, z, a, b, c)
+    for n in range(7):
+        # the terminating sum is good to ~1e-14 at these degrees
+        ref = specfun.cdhahn_complex(n, z, a, b, c)
+        assert np.max(np.abs(rows[n] - ref) / (1.0 + np.abs(ref))) < 1e-12
+        # row n holds the same floats whatever the top level is
+        assert np.array_equal(specfun.cdhahn_rows(n, z, a, b, c), rows[: n + 1])
+    # shapes follow cdhahn_complex's, with the level axis in front
+    assert specfun.cdhahn_rows(3, z.reshape(5, 6), 0.7, 1.1, 0.4).shape == (4, 5, 6)
+    scalar = specfun.cdhahn_rows(3, 1.3, 0.7, 1.1, 0.4)
+    assert scalar.shape == (4,) and scalar[3].real == pytest.approx(-52.666, abs=1e-9)
+    # degree 0 is exactly 1 and needs no recurrence
+    ones = specfun.cdhahn_rows(0, z.reshape(5, 6), 0.5, 1.0, 1.5)
+    assert ones.shape == (1, 5, 6) and np.array_equal(ones, np.ones((1, 5, 6), dtype=complex))
+    with pytest.raises(ValueError):
+        specfun.cdhahn_rows(-1, z, 0.5, 1.0, 1.5)
 
 
 def test_cdhahn_rejects_vanishing_denominator():

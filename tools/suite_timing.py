@@ -4,8 +4,8 @@
 
 Times run_suite(0.6, 0.2) at three settings: n_max 6, n_max 30, and n_max
 30 with `harness.LADDER_CAP` raised to 30 in this process only, which is
-the cost the ladder checks would add at a lifted cap (nine hard checks fail
-there; only the time is read).  Each setting runs once as a warm-up, then
+the cost the ladder checks would add at a lifted cap (nonrel_ladder_reconstruction
+fails there; only the time is read).  Each setting runs once as a warm-up, then
 REPEATS times (default 11).  Run it on two source trees to compare them.
 """
 
