@@ -99,7 +99,7 @@ CHECKS = {
     "nonrel_ladder_coefficient": Check(1e-8),
     "nonrel_ladder_reconstruction": Check(1e-8),
     "nonrel_spectrum_oracle": Check(
-        1e-3, note="independent tridiagonal diagonalization vs 2n+d+1"),
+        1e-11, note="independent sinc-collocation spectrum vs 2n+d+1"),
     "nonrel_spectrum_variant": Check(
         1e-3, gating=False, note="printed variant 2d+n+1 against the oracle"),
     "rel_eigen_equation": Check(1e-8),
@@ -571,7 +571,7 @@ def _checks_rel(omega0: float, g0: float, n_hi: int, n_ladder: int, pts):
 DISCREPANCY_NOTES = [
     "non-relativistic spectrum: the printed closed form 2d+n+1 disagrees with "
     "both the ladder spacing (steps of 2 per level) and the independent "
-    "tridiagonal diagonalization; the spectrum is E_n = 2n+d+1 (in units "
+    "sinc-collocation spectrum; the spectrum is E_n = 2n+d+1 (in units "
     "hbar omega)",
     "two-step lowering operator: the printed H^2/(2 omega0) scalar tail must "
     "be (H^2-1)/(2 omega0); without the rest-energy subtraction the defining "

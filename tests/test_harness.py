@@ -604,26 +604,38 @@ def test_cli_parser_is_built_once():
     assert (again.model, again.nmax, again.format) == ("nonrel", 8, "text")
 
 
-def test_cli_commands_other_than_verify_leave_scipy_unloaded():
-    # only nonrel.matrix_oracle imports scipy; tier-1 already has scipy loaded
-    # in this process, so the commands run in a fresh interpreter
+def test_import_and_every_cli_command_load_no_scipy():
+    # tier-1 has scipy loaded in this process, so this runs in a fresh one
     script = """
 import contextlib, io, json, sys
+import fdosc
+loaded = [m for m in sys.modules if m.partition(".")[0] == "scipy"]
 from fdosc import cli
-cli.build_parser()
 argvs = [["spectrum", "--model", "nonrel"], ["spectrum", "--model", "rel"],
          ["wavefunction", "--model", "nonrel", "--n", "2"],
-         ["wavefunction", "--model", "rel", "--n", "2"], ["limit"]]
+         ["wavefunction", "--model", "rel", "--n", "2"], ["limit"],
+         ["verify", "--nmax", "1", "--format", "json"]]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in argvs]
-print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m == "scipy"
-                                                  or m.startswith("scipy."))}))
+loaded += [m for m in sys.modules if m.partition(".")[0] == "scipy"]
+print(json.dumps({"codes": codes, "scipy": sorted(set(loaded))}))
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
-    assert json.loads(proc.stdout) == {"codes": [0] * 5, "scipy": []}
+    assert json.loads(proc.stdout) == {"codes": [0] * 6, "scipy": []}
+
+
+def test_spectrum_oracle_check_sees_a_relative_1e_9_error(monkeypatch):
+    # a spectrum off by 1e-9 is 100x the tolerance and ~1e5x the oracle's
+    # own error at this coupling (3e-15)
+    exact = nonrel.energy
+    monkeypatch.setattr(nonrel, "energy", lambda model, n: exact(model, n) * (1.0 + 1e-9))
+    results = {r.check_id: r for r in harness.run_suite(0.5, 0.1, n_max=1).results}
+    oracle = results["nonrel_spectrum_oracle"]
+    assert not oracle.passed
+    assert oracle.max_residual == pytest.approx(1e-9, rel=1e-3)
 
 
 def test_report_digest_tool_prints_md5_and_label():
@@ -650,6 +662,8 @@ def test_suite_timing_tool_times_and_restores_the_cap(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: REPEATS must be >= 1\n"
     default = harness.LADDER_CAP
     times = tool.timings(1, default, 1)
+    assert len(times) == 1 and times[0] > 0.0
+    times = tool.process_timings(1)
     assert len(times) == 1 and times[0] > 0.0
 
     def fail(*args, **kwargs):

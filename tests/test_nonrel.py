@@ -105,13 +105,33 @@ def test_su11_commutation_on_states():
 
 def test_matrix_oracle_frozen_ground_value():
     eigs = nonrel.matrix_oracle(MODEL)
-    assert eigs[0] == pytest.approx(1.6708203932499369, rel=2e-4)
+    assert eigs[0] == pytest.approx(1.6708203932499369, rel=1e-11)
 
 
 def test_matrix_oracle_spacing_is_two():
     eigs = nonrel.matrix_oracle(MODEL)
     gaps = np.diff(eigs)
-    assert np.all(np.abs(gaps - 2.0) < 1e-3)
+    assert np.all(np.abs(gaps - 2.0) < 1e-11)
+
+
+# the four digest couplings, the attractive side and the edges of the
+# couplings the perfbench verify workload draws
+@pytest.mark.parametrize("g0", [0.1, 0.05, 0.6, 0.2, -0.1, -0.12, 0.00434, 1.28, 50.0])
+def test_matrix_oracle_agrees_with_the_spectrum(g0):
+    model = nonrel.make_model(g0)
+    exact = 2.0 * np.arange(5) + 0.5 * math.sqrt(1.0 + 8.0 * g0) + 1.0
+    np.testing.assert_allclose(nonrel.matrix_oracle(model), exact, rtol=1e-11, atol=0.0)
+
+
+# the docstring's declared accuracy where the left end stops at s = -300
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("g0, bound", [(-0.1249, 1e-5), (-0.12499999, 1e-2)])
+def test_matrix_oracle_near_the_collapse_threshold(g0, bound):
+    model = nonrel.make_model(g0)
+    exact = 2.0 * np.arange(5) + model.d + 1.0
+    eigs = nonrel.matrix_oracle(model)
+    assert np.all(np.isfinite(eigs))
+    assert np.max(np.abs(eigs - exact) / exact) < bound
 
 
 def test_norm_constant_frozen():
