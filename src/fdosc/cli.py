@@ -19,7 +19,7 @@ import math
 import sys
 
 from . import harness, rel
-from .errors import EvaluationError, PoleError
+from .errors import EvaluationError
 from .opcore import default_grid
 
 
@@ -97,8 +97,8 @@ def main(argv=None) -> int:
     try:
         return _dispatch(args)
     # a bad coupling, level or index (CouplingError too), or a function that
-    # cannot be evaluated at these couplings
-    except (ValueError, EvaluationError, PoleError) as exc:
+    # cannot be evaluated at these couplings (PoleError too)
+    except (ValueError, EvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

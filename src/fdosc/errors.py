@@ -1,10 +1,6 @@
 """Exception types shared across the toolkit."""
 
 
-class PoleError(ArithmeticError):
-    """Gamma-type function evaluated at a pole (non-positive integer)."""
-
-
 class ParameterError(ValueError):
     """Polynomial or series parameters make a denominator vanish or leave
     double range."""
@@ -16,6 +12,10 @@ class CouplingError(ValueError):
 
 class EvaluationError(ArithmeticError):
     """A function or operator could not be evaluated at the requested point."""
+
+
+class PoleError(EvaluationError):
+    """Gamma-type function evaluated at a pole (non-positive integer)."""
 
 
 class ConvergenceError(RuntimeError):

@@ -51,7 +51,10 @@ def make_model(g0: float) -> NonRelModel:
         raise CouplingError(f"g0 must be finite, got {g0}")
     if g0 <= -0.125:
         raise CouplingError(f"g0 must exceed -1/8, got {g0}")
-    return NonRelModel(g0=g0, d=0.5 * math.sqrt(1.0 + 8.0 * g0))
+    d = 0.5 * math.sqrt(1.0 + 8.0 * g0)
+    if not math.isfinite(d):  # 8 g0 overflows above ~2.25e307
+        raise CouplingError(f"g0 = {g0} is too large: d = sqrt(1 + 8 g0)/2 must be finite")
+    return NonRelModel(g0=g0, d=d)
 
 
 def hamiltonian(model: NonRelModel) -> DifferenceOperator:

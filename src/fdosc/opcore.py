@@ -3,8 +3,10 @@
 An AnalyticFunction evaluates on an array of points as a truncated Taylor
 jet, the coefficients f^(k)(z)/k! for k = 0..K (Taylor-mode propagation;
 Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).  The
-primitives give their jets in closed form, so derivatives are exact.
-Nothing is cached: a call evaluates the expression once on all its points.
+primitives give their jets in closed form, so derivatives are exact;
+``polynomial`` gives every coefficient row of its jet from one Horner pass,
+the rows zero-padded in front to one length.  Nothing is cached: a call
+evaluates the expression once on all its points.
 
 A DifferenceOperator is a finite sum of terms coeff(z) * D^k f(z + shift);
 shifts act exactly as argument translation, so operator identities can be
@@ -24,25 +26,24 @@ wrapper, such as 2.0 * op(f) or a different operator object with equal
 terms, starts a new tower.
 
 A function may be vector-valued: its jet then has leading batch axes,
-shape (*B, K+1, len(z)), and a call returns shape (*B, *z.shape).  A 2-d
-``polynomial``, a batched ``from_callable`` leaf and any product with one
-are such functions, and multiplying one by a 1-d array scales each row.
-Primitives and operator coefficients stay scalar; the algebra and the
-towers index the order axis from the end and broadcast over the batch
-axes.  So op(F) of a batched F is one tower whose call evaluates the
-coefficients once for all rows and runs one pass of base and stencil steps
-over all of them, and A(B(F)) evaluates each of A's and B's coefficient
-blocks once; row i of op(F) holds the floats op(F[i]) gives.  F[i] is row
-i of a batched F as a function, and F[a:b] its rows a..b-1; a row is taken
-lazily, with no end to check, so a function is not iterable.
+shape (*B, K+1, len(z)), and a call returns shape (*B, *z.shape).  Batches
+come from batched leaves, such as ``nonrel.eigenfunctions``,
+``rel.eigenfunctions`` and a batched ``from_callable``, and from products
+with one; multiplying one by a 1-d array scales each row.  Primitives and
+operator coefficients stay scalar; the algebra and the towers index the
+order axis from the end and broadcast over the batch axes.  So op(F) of a
+batched F is one tower whose call evaluates the coefficients once for all
+rows and runs one pass of base and stencil steps over all of them, and
+A(B(F)) evaluates each of A's and B's coefficient blocks once; row i of
+op(F) holds the floats op(F[i]) gives.  F[i] is row i of a batched F as a
+function, and F[a:b] its rows a..b-1; a row is taken lazily, with no end to
+check, so a function is not iterable.
 
 A ladder level is an axis too.  ``powers(op, f, p)`` is op^k f for k = 0..p
 on a leading axis, from the one pass of the tower op^p f: on its way down
 that pass holds op^k f at z + S_(p-k), and an operator with a zero-shift
 term has 0 in every S_j, so each level is read there, bit for bit the
-floats of the tower op^k f.  ``polynomial`` evaluates every coefficient row
-of its jet in one Horner pass, the rows zero-padded in front to one length;
-a 2-d coefficient array gives one row of the batch per polynomial.
+floats of the tower op^k f.
 
 ``from_callable(fn)`` wraps an array function, fn(complex ndarray) ->
 values of the same shape, or of shape (*B, len(z)) for a batched leaf.
@@ -51,7 +52,6 @@ Such a leaf has no derivative: evaluating one raises EvaluationError.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -63,7 +63,7 @@ from .errors import EvaluationError
 class AnalyticFunction:
     """Deterministic complex function of one complex variable.
 
-    Closed under +, -, *, scalar multiplication, argument shift and
+    Closed under +, negation, *, scalar multiplication, argument shift and
     differentiation.  ``jet(z, K)`` maps a 1-d complex array of points to
     the (*B, K+1, len(z)) array of Taylor coefficients f^(k)(z)/k!, where
     the batch axes B are empty for a scalar function.  ``value`` is the
@@ -121,12 +121,6 @@ class AnalyticFunction:
         return AnalyticFunction(lambda z, K: f(z, K) + g(z, K))
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-_as_function(other))
-
-    def __rsub__(self, other):
-        return _as_function(other) + (-self)
 
     def __neg__(self):
         if self.value is not None:
@@ -249,22 +243,23 @@ def monomial(p) -> AnalyticFunction:
 
 
 def polynomial(coeffs) -> AnalyticFunction:
-    """sum_k coeffs[k] z^k.  A 2-d coeffs holds one polynomial per row, zero
-    above its degree, and gives one batched function.  One Horner pass gives
-    every coefficient row of the jet, of every polynomial."""
+    """sum_k coeffs[k] z^k.  One Horner pass gives every coefficient row of
+    the jet."""
     coeffs = np.asarray(coeffs, dtype=complex)
-    power, binom = _horner_layout(coeffs.shape[-1] - 1)
+    top = len(coeffs) - 1
     # Row k of the table holds the coefficients of p^(k)/k!, C(j, k) coeffs[j],
     # highest power j first, behind k zeros: its Horner steps meet only zeros
     # until its first coefficient, so all rows take the same steps and each
     # gives the floats of its own shorter sum.  columns[i] is column i of the
-    # table as (*B, rows, 1).
-    columns = (binom * coeffs.take(power, axis=-1)).swapaxes(0, -3)
+    # table as (rows, 1).
+    columns = np.zeros((top + 1, top + 1, 1), dtype=complex)
+    for k in range(top + 1):
+        columns[k:, k, 0] = coeffs[k:][::-1] * [math.comb(j, k) for j in range(top, k - 1, -1)]
 
     def jet(z, K):
-        out = np.zeros(columns.shape[1:-2] + (K + 1, len(z)), dtype=complex)
-        steps = columns[..., : K + 1, :]
-        acc = out[..., : steps.shape[-2], :]  # the rows above the degree stay 0
+        out = np.zeros((K + 1, len(z)), dtype=complex)
+        steps = columns[:, : K + 1]
+        acc = out[: steps.shape[1]]  # the rows above the degree stay 0
         acc[...] = steps[0]
         for c in steps[1:]:
             acc *= z
@@ -272,21 +267,6 @@ def polynomial(coeffs) -> AnalyticFunction:
         return out
 
     return AnalyticFunction(jet)
-
-
-@functools.cache
-def _horner_layout(top):
-    """The degree-`top` part of every polynomial's Horner table, indexed
-    [column i, row k, 0]: the power j there, and C(j, k), 0 in front of the
-    row's coefficients."""
-    binom = np.array([[math.comb(j, k) for k in range(top + 1)] for j in range(top + 1)],
-                     dtype=complex)
-    i, k = np.ogrid[: top + 1, : top + 1]
-    power = top + k - i
-    power[power > top] = 0  # binom[0, k > 0] = 0
-    power, binom = power[..., None], binom[power, k][..., None]
-    power.flags.writeable = binom.flags.writeable = False  # shared by every call
-    return power, binom
 
 
 _COORDINATE = polynomial([0.0, 1.0])  # functions are immutable: one serves every caller
@@ -544,10 +524,6 @@ def compose(A: DifferenceOperator, B: DifferenceOperator) -> DifferenceOperator:
                 if k < ta.dorder:
                     cb_k = cb_k.derivative()
     return DifferenceOperator(terms)
-
-
-def commutator(A: DifferenceOperator, B: DifferenceOperator) -> DifferenceOperator:
-    return compose(A, B) - compose(B, A)
 
 
 # ---- grids and residuals ----------------------------------------------

@@ -284,6 +284,9 @@ def test_cli_spectrum_rejects_negative_nmax(model, capsys):
     ["spectrum", "--model", "rel", "--omega0", "1e-154"],
     ["wavefunction", "--model", "rel", "--omega0", "1e-200"],
     ["limit", "--omega0-list", "1e-2,1e-200"],
+    # 8 g0 overflows: d = sqrt(1 + 8 g0)/2 would be inf
+    ["spectrum", "--model", "nonrel", "--g0", "1e308"],
+    ["wavefunction", "--model", "nonrel", "--g0", "1e308", "--grid-points", "2"],
 ])
 def test_cli_rejects_non_finite_couplings(argv, capsys):
     code, out = _run_cli(argv + ["--format", "json"])
@@ -406,7 +409,7 @@ def test_cli_verify_reports_evaluation_error_with_exit_2(capsys):
     assert capsys.readouterr().err.startswith("error: non-finite value at z = ")
 
 
-@pytest.mark.parametrize("exc", [fdosc.PoleError])
+@pytest.mark.parametrize("exc", [fdosc.PoleError, fdosc.EvaluationError])
 def test_cli_maps_evaluation_errors_to_exit_2(exc, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise exc("cannot evaluate here")
@@ -674,6 +677,22 @@ def test_suite_timing_tool_times_and_restores_the_cap(monkeypatch, capsys):
     with pytest.raises(RuntimeError, match="run_suite failed"):
         tool.timings(1, default + 3, 1)
     assert harness.LADDER_CAP == default
+
+
+def test_src_size_tool_prints_each_module_and_their_total(capsys):
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("src_size", root / "tools" / "src_size.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.counted_lines('"""Doc\n\n  line."""\n# note\n   # indented note\nx = 1  # kept\n\n') == 3
+    assert tool.main() == 0
+    *modules, total = [re.fullmatch(r"(\w+) (\d+)", line).groups()
+                       for line in capsys.readouterr().out.splitlines()]
+    assert total[0] == "total"
+    assert {name for name, _ in modules} == {p.stem for p in (root / "src" / "fdosc").glob("*.py")}
+    counts = [int(n) for _, n in modules]
+    assert counts == sorted(counts, reverse=True)
+    assert int(total[1]) == sum(counts)
 
 
 def test_version_matches_pyproject():

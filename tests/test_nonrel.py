@@ -9,9 +9,7 @@ from scipy.integrate import quad
 
 from fdosc import nonrel, specfun
 from fdosc.errors import CouplingError
-from fdosc.opcore import (
-    commutator, compose, default_grid, identity_op, mixed_residual,
-)
+from fdosc.opcore import compose, default_grid, identity_op, mixed_residual
 
 GRID = default_grid()
 MODEL = nonrel.make_model(0.1)
@@ -29,9 +27,11 @@ def test_coupling_validation():
         nonrel.make_model(-1.0)
     # attractive but above the collapse threshold is fine
     assert nonrel.make_model(-0.1).d == pytest.approx(0.5 * math.sqrt(0.2))
+    # 8 g0 overflows above ~2.25e307 (1e308 is rejected)
+    assert math.isfinite(nonrel.make_model(2e307).d)
 
 
-@pytest.mark.parametrize("g0", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("g0", [math.nan, math.inf, -math.inf, 1e308])
 def test_non_finite_coupling_is_rejected(g0):
     with pytest.raises(CouplingError, match="finite"):
         nonrel.make_model(g0)
@@ -99,7 +99,8 @@ def test_su11_commutation_on_states():
     K0, Km, Kp = nonrel.su11_generators(MODEL)
     st = nonrel.eigenfunction(MODEL, 2)
     f = st.wavefunction
-    worst = max(abs(commutator(Km, Kp)(f)(p) - 2.0 * K0(f)(p)) for p in GRID)
+    bracket = compose(Km, Kp) - compose(Kp, Km)
+    worst = max(abs(bracket(f)(p) - 2.0 * K0(f)(p)) for p in GRID)
     assert worst < 1e-10
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fdosc import rel, specfun
-from fdosc.errors import ParameterError, PoleError
+from fdosc.errors import EvaluationError, ParameterError, PoleError
 from fdosc.opcore import default_grid
 
 mp.mp.dps = 40
@@ -137,6 +137,13 @@ def test_log_gamma_of_stacked_rows_equals_row_calls():
     assert stacked.shape == rows.shape
     for got, row in zip(stacked, rows):
         assert np.array_equal(got, specfun.log_gamma(row))
+
+
+def test_a_log_gamma_pole_is_caught_as_an_evaluation_error():
+    # one except clause serves every point that cannot be evaluated
+    with pytest.raises(EvaluationError, match=r"^log_gamma pole at z = \(-3\+0j\)"):
+        specfun.log_gamma([0.5, -3.0])
+    assert issubclass(PoleError, ArithmeticError)
 
 
 @pytest.mark.parametrize("pole", [0.0, -1.0, -7.0, -3.0 + 1e-13j])
