@@ -455,18 +455,19 @@ def _checks_rel(omega0: float, g0: float, n_hi: int, n_ladder: int, pts):
     E = [rel.energy(model, n) for n in levels]
     f_E = [rel.spectral_f(model, e) for e in E]
     k0 = [e / (2.0 * w0) for e in E]  # K0 = H/(2 omega0) eigenvalues
-    psi = rel.eigenfunctions(model, levels)(pts)
-    BmBp = B_minus(B_plus(rel.eigenfunctions(model, range(n_ladder + 1))))(pts)
+    Phi = rel.eigenfunctions(model, levels)
+    psi = Phi(pts)
+    BmBp = B_minus(B_plus(Phi[: n_ladder + 1]))(pts)
     # K+K- psi_n = B+B- psi_n / f(E_n); K- annihilates the ground state
-    BpBm = B_plus(B_minus(rel.eigenfunctions(model, range(1, n_km + 1))))(pts)
+    BpBm = B_plus(B_minus(Phi[1: n_km + 1]))(pts)
     KpKm = [0.0] + [row / f_E[n] for n, row in enumerate(BpBm, start=1)]
 
-    Phi_hi = rel.eigenfunctions(model, range(n_hi + 1))
     yield "rel_eigen_equation", params, _eigen_residual(
-        H, Phi_hi, E, psi, pts), f"n <= {n_hi}"
+        H, Phi[: n_hi + 1], E, psi, pts), f"n <= {n_hi}"
 
     bb, offset = compose(b_plus, b_minus), (w0 * (a + nu)) * identity_op()
-    yield "rel_factorization_eigen", params, _eigen_residual(bb + offset, Phi_hi, E, psi, pts)
+    yield "rel_factorization_eigen", params, _eigen_residual(
+        bb + offset, Phi[: n_hi + 1], E, psi, pts)
     yield "rel_factorization_random", params, _identity_residual(pts, bb, offset, -H)
 
     phi0 = rel.eigenfunction_rel(model, 0).wavefunction
@@ -653,7 +654,7 @@ def spectrum_table(model_kind: str, params: dict, n_max: int) -> dict[str, list]
 
 def wavefunction_table(model_kind: str, params: dict, n: int, grid) -> dict[str, list]:
     """Columns (coordinate, re psi, im psi, |psi|, error).  A point where psi
-    cannot be evaluated gets None values and the error message."""
+    cannot be evaluated gets None values and the message psi raises there."""
     if model_kind == "nonrel":
         wf = nonrel.eigenfunction(nonrel.make_model(params["g0"]), n).wavefunction
         coord = "xi"
@@ -664,28 +665,33 @@ def wavefunction_table(model_kind: str, params: dict, n: int, grid) -> dict[str,
     else:
         raise ValueError(f"unknown model kind: {model_kind}")
     points = np.asarray(grid, dtype=float)
-    try:
-        values = wf(points)
-    except EvaluationError:  # some point fails: evaluate point by point to mark it
-        return _wavefunction_pointwise(wf, coord, points.tolist())
-    real, imag = values.real, values.imag
+    values = np.zeros(len(points), dtype=complex)  # a failed slot stays 0 for np.hypot
+    failed = {}  # row -> error message
+
+    # The whole grid is one call.  A call that raises is split into at most
+    # 64 parts, each called alike, down to the lone points that still fail.
+    # One failing point costs about 2 * 64 calls, a grid where every point
+    # fails about one call per point (halving would cost two).  A lone point
+    # is called as a scalar: an error raised there names the point, where an
+    # array call's error may name only the number of points.
+    def evaluate(at):
+        try:
+            values[at] = wf(points[at] if at.size != 1 else points[at[0]])
+        except EvaluationError as exc:
+            if at.size == 1:
+                failed[at[0]] = f"EvaluationError: {exc}"
+                return
+            for part in np.array_split(at, min(at.size, 64)):
+                evaluate(part)
+
+    evaluate(np.arange(len(points)))
     # np.hypot, not np.abs: abs(complex) is hypot, and np.abs of a complex
     # array differs from it in the last bit at some points
-    return {coord: points.tolist(), "re": real.tolist(), "im": imag.tolist(),
-            "abs": np.hypot(real, imag).tolist(), "error": [""] * len(points)}
-
-
-def _wavefunction_pointwise(wf, coord: str, points: list) -> dict[str, list]:
-    table = {coord: points, "re": [], "im": [], "abs": [], "error": []}
-    for p in points:
-        try:
-            v = wf(p)
-        except EvaluationError as exc:
-            cells = (None, None, None, f"EvaluationError: {exc}")
-        else:
-            cells = (v.real, v.imag, abs(v), "")
-        for key, cell in zip(("re", "im", "abs", "error"), cells):
-            table[key].append(cell)
+    table = {coord: points.tolist(), "re": values.real.tolist(), "im": values.imag.tolist(),
+             "abs": np.hypot(values.real, values.imag).tolist(), "error": [""] * len(points)}
+    for i, message in failed.items():
+        table["re"][i] = table["im"][i] = table["abs"][i] = None
+        table["error"][i] = message
     return table
 
 

@@ -88,7 +88,7 @@ def make_rel_model(omega0: float, g0: float) -> RelModel:
     disc = 1.0 - 8.0 * g0 * omega0 * omega0
     if disc < 0.0:
         raise CouplingError(
-            f"8 g0 omega0^2 = {8 * g0 * omega0**2} > 1: exponents become complex"
+            f"8 g0 omega0^2 = {8 * g0 * (omega0 * omega0)} > 1: exponents become complex"
         )
     root = math.sqrt(disc)
     # 2 (1 - root)/omega0^2 = 16 g0/(1 + root): no 1 - root to cancel at small omega0
@@ -122,9 +122,8 @@ def hamiltonian_rel(model: RelModel) -> DifferenceOperator:
 
 
 def momentum_P(model: RelModel) -> DifferenceOperator:
-    """-[sinh(i d/drho) + interaction * e^{i d/drho}], in units mc."""
-    return -(0.5 * shift_op(1j) - 0.5 * shift_op(-1j)
-             + compose(mul_op(_interaction(model)), shift_op(1j)))
+    """-[sinh(i d/drho) + interaction * e^{i d/drho}] = e^{-i d/drho} - H, in units mc."""
+    return shift_op(-1j) - hamiltonian_rel(model)
 
 
 def ladder_b(model: RelModel) -> tuple[DifferenceOperator, DifferenceOperator]:

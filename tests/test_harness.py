@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import fdosc
-from fdosc import cli, harness, nonrel, opcore, rel
+from fdosc import cli, harness, nonrel, opcore, rel, specfun
 from fdosc.harness import CheckResult, VerificationReport
 from fdosc.opcore import (
     DifferenceOperator,
@@ -120,8 +120,8 @@ def test_spectrum_table_rejects_negative_nmax(model, params):
 
 
 def test_wavefunction_table_marks_pole_rows():
-    # the log_gamma(i rho) pole at rho -> 0 fails the array call, so every
-    # point is evaluated alone and only the pole row is marked
+    # the log_gamma(i rho) pole at rho -> 0 fails the array call, so the grid
+    # is split until the pole row stands alone, and only that row is marked
     grid = [1e-300, 1.0, 2.0]
     table = harness.wavefunction_table("rel", {"omega0": 0.5, "g0": 0.1}, 0, grid)
     assert list(table) == ["rho", "re", "im", "abs", "error"]
@@ -150,6 +150,49 @@ def test_wavefunction_table_far_out_matches_mpmath():
                           * mp.exp(irho * mp.log(0.5)) * mp.gamma(nu + irho))
             assert abs(complex(re, im) - ref) <= 1e-12 * abs(ref)
             assert abs(mag - abs(ref)) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("grid_min,omega0,most_calls,failed", [
+    (1e-12, 0.5, 200, 1),  # one pole row: split into parts, not swept point by point
+    (0.25, 0.5, 1, 0),  # a clean grid is one call
+    (0.25, 0.005, 1.05 * 4097, 4096),  # every row fails: about one call per row
+])
+def test_wavefunction_table_leaf_calls(grid_min, omega0, most_calls, failed, monkeypatch):
+    calls = []
+
+    def counted(z):
+        calls.append(z)
+        return specfun.log_gamma(z)
+
+    monkeypatch.setattr(rel, "log_gamma", counted)
+    table = harness.wavefunction_table("rel", {"omega0": omega0, "g0": 0.1}, 3,
+                                       default_grid(4096, grid_min, 8.0))
+    assert len(calls) <= most_calls
+    assert sum(map(bool, table["error"])) == failed
+
+
+def test_wavefunction_table_error_rows_at_random_positions():
+    # pole points scattered over a clean grid: the good rows hold the floats of
+    # one array call at those points, each error row the message of its point
+    # called alone
+    rng = np.random.default_rng(23)
+    grid = default_grid(700, 0.25, 8.0)
+    bad = np.sort(rng.choice(len(grid), size=40, replace=False))
+    grid[bad] = rng.choice([1e-300, 1e-13, 1e-12], size=len(bad))
+    good = np.setdiff1d(np.arange(len(grid)), bad)
+    table = harness.wavefunction_table("rel", {"omega0": 0.5, "g0": 0.1}, 3, grid)
+    wf = rel.eigenfunction_rel(rel.make_rel_model(0.5, 0.1), 3).wavefunction
+    values = wf(grid[good]).tolist()
+    assert [table["re"][i] for i in good] == [v.real for v in values]
+    assert [table["im"][i] for i in good] == [v.imag for v in values]
+    assert [table["abs"][i] for i in good] == [abs(v) for v in values]
+    assert [i for i, e in enumerate(table["error"]) if e] == bad.tolist()
+    for i in bad:
+        with pytest.raises(fdosc.EvaluationError) as exc:
+            wf(grid[i])
+        assert table["error"][i] == f"EvaluationError: {exc.value}"
+        assert [table[k][i] for k in ("re", "im", "abs")] == [None, None, None]
+    assert table["rho"] == grid.tolist()
 
 
 @pytest.mark.parametrize("model", ["nonrel", "rel"])
@@ -293,6 +336,21 @@ def test_cli_rejects_non_finite_couplings(argv, capsys):
     assert code == 2
     assert out == ""
     assert re.match(r"error: .*must be finite", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--model", "rel", "--omega0", "1e200", "--g0", "0.1"],
+    ["limit", "--omega0-list", "1e200"],
+    ["verify", "--omega0", "1e200"],
+])
+def test_cli_rejects_an_overflowing_rel_coupling(argv, capsys):
+    # 8 g0 omega0^2 overflows to inf: a CouplingError, not an OverflowError
+    # raised while its message is formatted
+    code, out = _run_cli(argv + ["--format", "json"])
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == (
+        "error: 8 g0 omega0^2 = inf > 1: exponents become complex\n")
 
 
 def test_cli_wavefunction_csv():

@@ -35,6 +35,10 @@ ERROR_TABLES = (("errors", ["--omega0", "0.005"]),
 # a rel table far out, where phi_0 falls to 1e-164 at rho = 252 and 1e-265 at
 # rho = 400: log_gamma's reflection is taken at |Im z| up to 400 there
 FAR_TABLE = ["--grid-min", "100", "--grid-max", "400", "--grid-points", "4"]
+# a 4096-point rel table whose first row sits at the log_gamma pole: the one
+# failing row is found by splitting the grid, the other rows evaluate in parts
+POLE_TABLE = ["--n", "3", "--grid-min", "1e-12", "--grid-max", "8",
+              "--grid-points", str(BIG_POINTS)]
 
 
 def runs():
@@ -73,6 +77,9 @@ def runs():
     for fmt in FORMATS:
         yield (f"wavefunction/rel/far/{fmt}",
                ["wavefunction", "--model", "rel", *FAR_TABLE, "--format", fmt])
+    for fmt in FORMATS:
+        yield (f"wavefunction/rel/pole{BIG_POINTS}/{fmt}",
+               ["wavefunction", "--model", "rel", *POLE_TABLE, "--format", fmt])
 
 
 def digest(argv) -> str:
