@@ -457,9 +457,11 @@ def _checks_rel(omega0: float, g0: float, n_hi: int, n_ladder: int, pts):
     k0 = [e / (2.0 * w0) for e in E]  # K0 = H/(2 omega0) eigenvalues
     Phi = rel.eigenfunctions(model, levels)
     psi = Phi(pts)
-    BmBp = B_minus(B_plus(Phi[: n_ladder + 1]))(pts)
+    # The ladder products get leaves of their own levels: a slice of Phi
+    # would still evaluate every row of Phi at each shifted point.
+    BmBp = B_minus(B_plus(rel.eigenfunctions(model, range(n_ladder + 1))))(pts)
     # K+K- psi_n = B+B- psi_n / f(E_n); K- annihilates the ground state
-    BpBm = B_plus(B_minus(Phi[1: n_km + 1]))(pts)
+    BpBm = B_plus(B_minus(rel.eigenfunctions(model, range(1, n_km + 1))))(pts)
     KpKm = [0.0] + [row / f_E[n] for n, row in enumerate(BpBm, start=1)]
 
     yield "rel_eigen_equation", params, _eigen_residual(
@@ -674,17 +676,16 @@ def wavefunction_table(model_kind: str, params: dict, n: int, grid) -> dict[str,
     # fails about one call per point (halving would cost two).  A lone point
     # is called as a scalar: an error raised there names the point, where an
     # array call's error may name only the number of points.
-    def evaluate(at):
+    pending = [np.arange(len(points))]
+    while pending:
+        at = pending.pop()
         try:
             values[at] = wf(points[at] if at.size != 1 else points[at[0]])
         except EvaluationError as exc:
-            if at.size == 1:
+            if at.size != 1:
+                pending += np.array_split(at, min(at.size, 64))
+            else:
                 failed[at[0]] = f"EvaluationError: {exc}"
-                return
-            for part in np.array_split(at, min(at.size, 64)):
-                evaluate(part)
-
-    evaluate(np.arange(len(points)))
     # np.hypot, not np.abs: abs(complex) is hypot, and np.abs of a complex
     # array differs from it in the last bit at some points
     table = {coord: points.tolist(), "re": values.real.tolist(), "im": values.imag.tolist(),

@@ -122,8 +122,9 @@ def hamiltonian_rel(model: RelModel) -> DifferenceOperator:
 
 
 def momentum_P(model: RelModel) -> DifferenceOperator:
-    """-[sinh(i d/drho) + interaction * e^{i d/drho}] = e^{-i d/drho} - H, in units mc."""
-    return shift_op(-1j) - hamiltonian_rel(model)
+    """-[sinh(i d/drho) + interaction * e^{i d/drho}], in units mc."""
+    return -(0.5 * shift_op(1j) - 0.5 * shift_op(-1j)
+             + compose(mul_op(_interaction(model)), shift_op(1j)))
 
 
 def ladder_b(model: RelModel) -> tuple[DifferenceOperator, DifferenceOperator]:
