@@ -213,16 +213,29 @@ def cdhahn_complex(n: int, z, a, b, c):
                                              / [(a+b)_k (a+c)_k k!].
     Polynomial in z^2, so the analytic continuation off the real axis is
     just the same finite sum.  The real parameters a, b, c are scalars or
-    arrays of z's shape.  The term ratios form one (n, points) array and
-    the terms are its running product down the rows.  For n = 0 the sum
-    holds only its k = 0 term and both prefactors are empty products, so
-    S_0 = 1 exactly and no table is built.
+    arrays of z's shape.  The terms come from _cdhahn_terms.  For n = 0 the
+    sum holds only its k = 0 term and both prefactors are empty products,
+    so S_0 = 1 exactly and no table is built.
     """
     if n < 0:
         raise ValueError("cdhahn requires n >= 0")
     z, shape = _points(z)
     if n == 0:
         return _shaped(np.ones_like(z), shape)
+    prefactor, terms = _cdhahn_terms(n, z, a, b, c)
+    # cumsum adds the terms in order whatever the number of points
+    total = np.cumsum(terms, axis=0, out=terms)[-1]
+    return _shaped(prefactor * total, shape)
+
+
+def _cdhahn_terms(n: int, z, a, b, c):
+    """The prefactor (a+b)_n (a+c)_n of cdhahn_complex's sum, and its terms
+    k = 0..n as the rows of an (n + 1, points) array, for a 1-d z.
+
+    The term ratios fill rows 1..n and the terms are their running product
+    down the rows.  |prefactor| * sum_k |term k| is the size of what the
+    sum cancels, the scale its rounding error is measured against.
+    """
     a, b, c = (np.asarray(p, dtype=float).reshape(-1) for p in (a, b, c))
     k = np.arange(n)[:, None]
     ab, ac = a + b + k, a + c + k
@@ -241,9 +254,7 @@ def cdhahn_complex(n: int, z, a, b, c):
     ratios *= ak - iz
     ratios *= -(n - k) / (ab * ac * (k + 1))
     np.cumprod(terms, axis=0, out=terms)
-    # cumsum adds the terms in order whatever the number of points
-    total = np.cumsum(terms, axis=0, out=terms)[-1]
-    return _shaped(pochhammer(a + b, n) * pochhammer(a + c, n) * total, shape)
+    return pochhammer(a + b, n) * pochhammer(a + c, n), terms
 
 
 def cdhahn_rows(n_top: int, z, a, b, c):

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -666,11 +667,15 @@ def test_cli_parser_is_built_once():
 
 
 def test_import_and_every_cli_command_load_no_scipy():
-    # tier-1 has scipy loaded in this process, so this runs in a fresh one
+    # tier-1 has scipy and numpy.random loaded in this process, so this runs
+    # in a fresh one; numpy.random is not loaded by `import numpy` itself
     script = """
 import contextlib, io, json, sys
+def unwanted():
+    return [m for m in sys.modules
+            if m.partition(".")[0] == "scipy" or m.startswith("numpy.random")]
 import fdosc
-loaded = [m for m in sys.modules if m.partition(".")[0] == "scipy"]
+loaded = unwanted()
 from fdosc import cli
 argvs = [["spectrum", "--model", "nonrel"], ["spectrum", "--model", "rel"],
          ["wavefunction", "--model", "nonrel", "--n", "2"],
@@ -678,14 +683,14 @@ argvs = [["spectrum", "--model", "nonrel"], ["spectrum", "--model", "rel"],
          ["verify", "--nmax", "1", "--format", "json"]]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in argvs]
-loaded += [m for m in sys.modules if m.partition(".")[0] == "scipy"]
-print(json.dumps({"codes": codes, "scipy": sorted(set(loaded))}))
+loaded += unwanted()
+print(json.dumps({"codes": codes, "loaded": sorted(set(loaded))}))
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
-    assert json.loads(proc.stdout) == {"codes": [0] * 6, "scipy": []}
+    assert json.loads(proc.stdout) == {"codes": [0] * 6, "loaded": []}
 
 
 def test_spectrum_oracle_check_sees_a_relative_1e_9_error(monkeypatch):
@@ -724,8 +729,9 @@ def test_suite_timing_tool_times_and_restores_the_cap(monkeypatch, capsys):
     default = harness.LADDER_CAP
     times = tool.timings(1, default, 1)
     assert len(times) == 1 and times[0] > 0.0
-    times = tool.process_timings(1)
+    times, peaks = tool.process_timings(1)
     assert len(times) == 1 and times[0] > 0.0
+    assert len(peaks) == 1 and 1.0 < peaks[0] < 1000.0  # MB
 
     def fail(*args, **kwargs):
         assert harness.LADDER_CAP == default + 3
@@ -765,10 +771,14 @@ def test_version_matches_pyproject():
 
 
 def _gamma_sample_loop(rng, count):
-    """Reference for harness._gamma_sample: one scalar draw per coordinate."""
+    """Reference for harness._gamma_sample: one scalar draw per coordinate,
+    the top 53 bits of an 8-byte little-endian word."""
+    def draw():
+        return -20.0 + 40.0 * ((int.from_bytes(rng.randbytes(8), "little") >> 11) * 2.0**-53)
+
     zs = []
     for _ in range(count):
-        z = complex(rng.uniform(-20, 20), rng.uniform(-20, 20))
+        z = complex(draw(), draw())
         if abs(z.imag) < 1e-2 and abs(z.real - round(z.real)) < 1e-2:
             continue
         zs.append(z)
@@ -777,33 +787,69 @@ def _gamma_sample_loop(rng, count):
 
 @pytest.mark.parametrize("seed", [harness._SEED, 12345])
 def test_gamma_sample_matches_scalar_draws(seed):
-    rng, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)
+    rng, rng_loop = random.Random(seed), random.Random(seed)
     for _ in range(3):
         z = harness._gamma_sample(rng, 1000)
         assert z.tobytes() == _gamma_sample_loop(rng_loop, 1000).tobytes()
-    assert rng.bit_generator.state == rng_loop.bit_generator.state
+    assert rng.getstate() == rng_loop.getstate()
+    # one seed, one sample: a fresh generator gives the same bytes again
+    again = random.Random(seed)
+    for _ in range(2):
+        harness._gamma_sample(again, 1000)
+    assert harness._gamma_sample(again, 1000).tobytes() == z.tobytes()
 
 
 class _Replay:
-    """Stands in for a generator: uniform() hands out fixed numbers in order."""
+    """Stands in for random.Random: randbytes() hands out, in order, the
+    53-bit words that harness._uniform maps to fixed numbers on [-20, 20)."""
 
     def __init__(self, values):
-        self.values = list(values)
+        words = [round((v + 20.0) / 40.0 * 2**53) << 11 for v in values]
+        self.data = b"".join(w.to_bytes(8, "little") for w in words)
 
-    def uniform(self, low, high, size=None):
-        if size is None:
-            return self.values.pop(0)
-        n = math.prod(size)
-        out, self.values = self.values[:n], self.values[n:]
-        return np.array(out).reshape(size)
+    def randbytes(self, n):
+        out, self.data = self.data[:n], self.data[n:]
+        return out
 
 
 def test_gamma_sample_drops_points_near_poles():
     # (re, im) pairs: near 3, kept, near -2, kept (im too large), at -7
     values = [3.004, 0.001, 0.5, 0.001, -2.0, -0.009, 2.995, 0.02, -7.0, 0.0]
     z = harness._gamma_sample(_Replay(values), 5)
-    assert z.tolist() == [0.5 + 0.001j, 2.995 + 0.02j]
+    assert z == pytest.approx([0.5 + 0.001j, 2.995 + 0.02j], rel=0, abs=1e-14)
     assert z.tobytes() == _gamma_sample_loop(_Replay(values), 5).tobytes()
+
+
+def _specfun_residuals(seed):
+    return {check_id: worst for check_id, _, worst in harness._checks_specfun(seed)}
+
+
+def test_specfun_checks_pass_at_30_seeds_of_their_sample_distribution():
+    # the verdict rests on the identities, not on the one sample set that
+    # _SEED draws: read as |recurrence - sum| / (1 + |sum|) against 1e-12,
+    # cdhahn symmetry fails at about a third of such seeds
+    for seed in range(30):
+        for check_id, worst in _specfun_residuals(seed).items():
+            assert worst <= harness.CHECKS[check_id].tolerance, (seed, check_id, worst)
+
+
+@pytest.mark.parametrize("relative", [5e-14, 2e-13])
+@pytest.mark.parametrize("row", range(1, 7))
+def test_cdhahn_symmetry_sees_a_small_relative_error_in_one_row(monkeypatch, row, relative):
+    # read as |recurrence - sum| / (1 + |sum|) against 1e-12, the check let a
+    # 2e-13 relative error in every row pass, on a sample set of this
+    # distribution where it read 6.8e-14 unplanted
+    exact = specfun.cdhahn_rows
+
+    def planted(*args):
+        rows = exact(*args)
+        rows[row] *= 1.0 + relative
+        return rows
+
+    tolerance = harness.CHECKS["specfun_cdhahn_symmetry"].tolerance
+    assert _specfun_residuals(harness._SEED)["specfun_cdhahn_symmetry"] <= tolerance
+    monkeypatch.setattr(specfun, "cdhahn_rows", planted)
+    assert _specfun_residuals(harness._SEED)["specfun_cdhahn_symmetry"] > tolerance
 
 
 # ---- operator identities on their coefficients -------------------------

@@ -8,7 +8,8 @@ Times run_suite(0.6, 0.2) at three settings: n_max 6, n_max 30, and n_max
 the cost the ladder checks would add at a lifted cap (nonrel_ladder_reconstruction
 fails there; only the time is read).  Then times a fresh
 `python -m fdosc.cli verify --format json` process, imports included, on the
-fdosc this script imported.  Each setting runs once as a warm-up, then
+fdosc this script imported, and reads each process's peak RSS from
+os.wait4.  Each setting runs once as a warm-up, then
 REPEATS times (default 11).  Run it on two source trees to compare them.
 """
 
@@ -45,24 +46,30 @@ def timings(n_max: int, cap: int, repeats: int) -> list[float]:
         harness.LADDER_CAP = default
 
 
-def process_timings(repeats: int) -> list[float]:
-    """Seconds of `repeats` fresh `verify --format json` processes, after one
-    warm-up process; a nonzero exit raises CalledProcessError."""
+def process_timings(repeats: int) -> tuple[list[float], list[float]]:
+    """Seconds and peak RSS in MB (ru_maxrss from os.wait4) of `repeats`
+    fresh `verify --format json` processes, after one warm-up process; a
+    nonzero exit raises CalledProcessError."""
     src = str(Path(harness.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     argv = [sys.executable, "-m", "fdosc.cli", "verify", "--format", "json"]
-    out = []
+    secs, peaks = [], []
     for _ in range(repeats + 1):
         t0 = time.perf_counter()
-        subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, check=True)
-        out.append(time.perf_counter() - t0)
-    return out[1:]
+        proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        secs.append(time.perf_counter() - t0)
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by proc
+        if proc.returncode:
+            raise subprocess.CalledProcessError(proc.returncode, argv)
+        peaks.append(usage.ru_maxrss / 1024.0)  # KB on Linux
+    return secs[1:], peaks[1:]
 
 
-def _summary(label: str, secs: list[float]) -> str:
-    q1, median, q3 = 1e3 * np.percentile(secs, [25, 50, 75])
-    return (f"{label}  median {median:7.1f} ms  quartiles {q1:7.1f} .. {q3:7.1f} ms  "
-            f"({len(secs)} runs)")
+def _summary(label: str, values: list[float], unit: str = "ms", scale: float = 1e3) -> str:
+    q1, median, q3 = scale * np.percentile(values, [25, 50, 75])
+    return (f"{label}  median {median:7.1f} {unit}  quartiles {q1:7.1f} .. {q3:7.1f} {unit}  "
+            f"({len(values)} runs)")
 
 
 def main(argv) -> int:
@@ -73,8 +80,9 @@ def main(argv) -> int:
     for n_max, cap in SETTINGS:
         print(_summary(f"n_max {n_max:2d}  LADDER_CAP {cap:2d}",
                        timings(n_max, cap, repeats)), flush=True)
-    print(_summary("verify process, fresh interpreter", process_timings(repeats)),
-          flush=True)
+    secs, peaks = process_timings(repeats)
+    print(_summary("verify process, fresh interpreter", secs), flush=True)
+    print(_summary("verify process, peak RSS         ", peaks, "MB", 1.0), flush=True)
     return 0
 
 
