@@ -78,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, default=6,
                    help="highest level n to check, >= 1 (ladder checks stop "
                         f"at {harness.LADDER_CAP}, eigen-equation checks reach "
-                        f"at least {harness.BASE_LEVEL})")
+                        f"at least {harness.BASE_LEVEL}; each result's params "
+                        "give its levels as [first, last])")
     p.add_argument("--tol", type=float, default=None,
                    help="override every hard tolerance with one finite value "
                         "> 0; report-only checks keep theirs")

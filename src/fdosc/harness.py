@@ -1,14 +1,14 @@
 """Verification suite and report assembly.
 
 Every identity the toolkit claims is bound to a named, tolerance-tagged
-check.  `CHECKS` is the one place where a check's tolerance, gating and
-static note are declared.  Checks split into two classes:
-
-* hard checks (gating=True) decide the overall pass/fail of a run; a
-  tolerance override (`verify --tol`) applies to these only;
-* report-only checks (gating=False) record how well possibly-misprinted
-  closed forms hold, without gating -- their job is adjudication, and
-  their notes start with "report-only".
+check, declared once as its `CHECKS` row: tolerance, gating, static note
+and level rule.  `run_suite` resolves each level rule once per run, hands
+the ranges to the check groups and records them in the result's params.
+Hard checks (gating=True) decide the overall pass/fail of a run, and a
+tolerance override (`verify --tol`) applies to these only.  Report-only
+checks (gating=False) adjudicate possibly-misprinted closed forms: their
+notes start with "report-only" and state the verdict, and the report's
+discrepancy notes say whether each one's residual shows the discrepancy.
 
 An operator identity is checked on the operator: a DifferenceOperator
 is a normal form, its terms merged by (shift, derivative order), so an
@@ -62,11 +62,11 @@ from .opcore import (
 _SQRT2 = math.sqrt(2.0)
 _SEED = 20260824
 
-# The eigen-equation checks cover levels n <= max(n_max, BASE_LEVEL);
-# rel_casimir covers n <= BASE_LEVEL whatever n_max is.
+# The eigen-equation checks read levels n <= max(n_max, BASE_LEVEL);
+# rel_casimir reads n <= BASE_LEVEL whatever n_max is.
 BASE_LEVEL = 8
 
-# The ladder checks build levels n <= min(n_max, LADDER_CAP).  The cap is a
+# The ladder checks read levels n <= min(n_max, LADDER_CAP).  The cap is a
 # precision limit, not a cost one: at g0 = 0.1 the nonrel ladder-reconstruction
 # spread at n = 7 is 4.0e-8 against its 1e-8 tolerance, and at cap 30 it is the
 # one check that fails.  At cap 30, run_suite(0.6, 0.2, n_max=30) takes a
@@ -75,14 +75,32 @@ BASE_LEVEL = 8
 LADDER_CAP = 6
 
 
+class Levels(NamedTuple):
+    """A level rule: at n_max, the levels first <= n <= min(max(n_max, floor), cap)."""
+    first: int = 0
+    floor: int = 0
+    cap: float = math.inf
+
+    def at(self, n_max: int) -> range:
+        return range(self.first, min(max(n_max, self.floor), self.cap) + 1)
+
+
+_EIGEN = Levels(floor=BASE_LEVEL)
+_LADDER = Levels(cap=LADDER_CAP)
+_LADDER_STEPS = Levels(1, cap=LADDER_CAP)  # the coefficients and towers from n = 1
+_GROUND = Levels(cap=0)
+_ORACLE = Levels(floor=4, cap=4)  # the lowest five levels nonrel.matrix_oracle returns
+
+
 class Check(NamedTuple):
     tolerance: float
     gating: bool = True
     note: str = ""  # used when the check yields no computed note
+    levels: Levels | None = None  # None: the check reads no level n
 
 
-# Report-only checks record residuals of possibly-misprinted closed forms;
-# `run_suite` prefixes their notes with "report-only; ".
+# Report-only checks record residuals of possibly-misprinted closed forms, and
+# their notes state the verdict; `run_suite` prefixes them with "report-only; ".
 CHECKS = {
     "planewave_eigen": Check(1e-13),
     "planewave_mass_shell": Check(1e-14),
@@ -90,34 +108,35 @@ CHECKS = {
     "specfun_gamma_reflection": Check(1e-11),
     "specfun_degree_recurrence": Check(1e-12),
     "specfun_cdhahn_symmetry": Check(1e-14),  # 4.8x its worst, 2.1e-15, over 1000 seeds
-    "nonrel_eigen_equation": Check(1e-10),
+    "nonrel_eigen_equation": Check(1e-10, levels=_EIGEN),
     "nonrel_factorization": Check(
         1e-10, note="c+ c- + (d+1) = H as operators, term by term"),
     "nonrel_pair_commutator": Check(1e-10),
     "nonrel_weighted_commutator": Check(1e-9),
     "nonrel_lowering_forms_agree": Check(1e-10),
     "nonrel_lowering_commutator": Check(1e-9),
-    "nonrel_ground_annihilation": Check(1e-12),
+    "nonrel_ground_annihilation": Check(1e-12, levels=_GROUND),
     "nonrel_su11_closure": Check(1e-9),
     "nonrel_casimir": Check(1e-9),
-    "nonrel_ladder_coefficient": Check(1e-8),
-    "nonrel_ladder_reconstruction": Check(1e-8),
+    "nonrel_ladder_coefficient": Check(1e-8, levels=_LADDER),
+    "nonrel_ladder_reconstruction": Check(1e-8, levels=_LADDER_STEPS),
     "nonrel_spectrum_oracle": Check(
-        1e-11, note="independent sinc-collocation spectrum vs 2n+d+1"),
+        1e-11, note="independent sinc-collocation spectrum vs 2n+d+1", levels=_ORACLE),
     "nonrel_spectrum_variant": Check(
-        1e-3, gating=False, note="printed variant 2d+n+1 against the oracle"),
-    "rel_eigen_equation": Check(1e-8),
-    "rel_factorization_eigen": Check(1e-8),
+        1e-3, gating=False, levels=_ORACLE,
+        note="printed variant 2d+n+1 against the oracle: it disagrees with it and with "
+             "the ladder spacing of 2; the spectrum is E_n = 2n+d+1 (hbar omega)"),
+    "rel_eigen_equation": Check(1e-8, levels=_EIGEN),
+    "rel_factorization_eigen": Check(1e-8, levels=_EIGEN),
     "rel_factorization_random": Check(
         1e-7, note="b+ b- + omega0(alpha+nu) = H as operators, term by term"),
-    "rel_ground_annihilation": Check(1e-10),
+    "rel_ground_annihilation": Check(1e-10, levels=_GROUND),
     "rel_lowering_commutator": Check(1e-8),
     "rel_raising_commutator": Check(1e-8),
     "rel_lowering_commutator_uncorrected": Check(
         1e-8, gating=False,
-        note="two-step lowering form with the literal H^2 term misses by the "
-             "constant 1: the H^2 must enter as H^2 - 1 (rest energy "
-             "subtracted), i.e. an extra scalar 1/(2 omega0)"),
+        note="printed two-step lowering form: with its H^2/(2 omega0) tail the commutator "
+             "misses by the constant 1; the tail must be (H^2-1)/(2 omega0)"),
     "rel_momentum_commutator": Check(1e-10),
     "rel_momentum_sign_free_limit": Check(
         1e-13, note="free-limit momentum eigenvalue is +sinh(chi): sign agrees "
@@ -125,31 +144,34 @@ CHECKS = {
     "rel_mass_shell_free": Check(1e-12),
     "rel_pair_commutator_printed": Check(
         1e-10, gating=False,
-        note="printed half-shift commutator right-hand side as stated, "
-             "residual recorded"),
+        note="printed half-shift pair commutator right-hand side, as stated and "
+             "never patched: it does not hold as an operator identity"),
     "rel_two_step_commutator": Check(
         1e-10, note="omega0 H (1 + 2(H^2-1)/omega0^2), exact operator identity"),
-    "rel_ladder_consistency": Check(
-        1e-6, note="b_{n+1}^2 - b_n^2 against the two-step commutator scalar at E_n"),
+    "rel_ladder_consistency": Check(1e-6, levels=_LADDER_STEPS, note=(
+        "b_n^2 - b_(n-1)^2 against the two-step commutator scalar at E_(n-1)")),
     "rel_compact_form_comparison": Check(
         1e-10, gating=False,
-        note="compact (omega0 rho -+ iP)^2 form vs primary closed form, "
-             "discrepancy recorded"),
+        note="compact (omega0 rho -+ iP)^2 ladder form vs the primary closed "
+             "form: with the 2 g0/(rho^2+1) denominator as printed it does not "
+             "reproduce the two-step ladder pair"),
     "rel_su11_closure": Check(
-        1e-6, note="[K-, K+] = 2 K0 on psi_n; [K0, K+-] = +-K+- follows from "
-                   "rel_raising_commutator and rel_lowering_commutator, its residual "
-                   "on psi_n being c_n/(2 omega0) ([H, B+-] -+ 2 omega0 B+-) psi_n"),
-    "rel_casimir": Check(1e-8),
-    "rel_ladder_coefficient": Check(
-        1e-6, note="measured kappa_n matches sqrt(n(n+alpha+nu-1)), the form "
-                   "forced by su(1,1) closure"),
+        1e-6, levels=_LADDER,
+        note="[K-, K+] = 2 K0 on psi_n; [K0, K+-] = +-K+- follows from "
+             "rel_raising_commutator and rel_lowering_commutator, its residual "
+             "on psi_n being c_n/(2 omega0) ([H, B+-] -+ 2 omega0 B+-) psi_n"),
+    "rel_casimir": Check(1e-8, levels=Levels(floor=BASE_LEVEL, cap=BASE_LEVEL)),
+    "rel_ladder_coefficient": Check(1e-6, levels=_LADDER_STEPS, note=(
+        "measured kappa_n matches sqrt(n(n+alpha+nu-1)), the form forced by su(1,1) "
+        "closure")),
     "rel_ladder_coefficient_printed": Check(
-        1e-6, gating=False,
+        1e-6, gating=False, levels=_LADDER_STEPS,
         note="measured b_n^2 against the printed "
              "2 omega0 sqrt(n(n+alpha+nu)(n+alpha-1/2)(n+nu-1/2)): the "
-             "(n+alpha+nu) factor is measured as (n+alpha+nu-1)"),
-    "rel_ladder_reconstruction": Check(1e-6),
-    "rel_energies_above_rest": Check(0.0),
+             "(n+alpha+nu) factor is measured as (n+alpha+nu-1), and "
+             "kappa_n = sqrt(n(n+alpha+nu-1)) is the form su(1,1) closure forces"),
+    "rel_ladder_reconstruction": Check(1e-6, levels=_LADDER_STEPS),
+    "rel_energies_above_rest": Check(0.0, levels=_EIGEN),
     "rel_nonrel_limit_linear": Check(0.2),
     "rel_nonrel_limit_quadratic": Check(0.2),
     "rel_nonrel_limit_exponent": Check(1e-3),
@@ -174,21 +196,12 @@ class CheckResult:
         return self.max_residual <= self.tolerance
 
     def to_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "params": self.params,
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "gating": self.gating,
-            "note": self.note,
-        }
+        return {**vars(self), "passed": self.passed}  # the fields, in order, then passed
 
 
 @dataclass
 class VerificationReport:
     results: list = field(default_factory=list)
-    discrepancy_notes: list = field(default_factory=list)
 
     def sort(self):
         self.results.sort(key=lambda r: r.check_id)
@@ -197,10 +210,18 @@ class VerificationReport:
     def all_hard_passed(self) -> bool:
         return all(r.passed for r in self.results if r.gating)
 
+    @property
+    def discrepancy_notes(self) -> list[str]:
+        """Per report-only result, its residual against its tolerance and
+        whether the discrepancy its note states shows."""
+        return [f"{r.check_id}: residual {r.max_residual:.3e} {'<=' if r.passed else '>'} "
+                f"tol {r.tolerance:.1e}, discrepancy {'not seen' if r.passed else 'shows'}"
+                for r in self.results if not r.gating]
+
     def to_json(self) -> str:
         payload = {
             "results": [r.to_dict() for r in self.results],
-            "discrepancy_notes": list(self.discrepancy_notes),
+            "discrepancy_notes": self.discrepancy_notes,
             "all_hard_passed": self.all_hard_passed,
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -226,11 +247,9 @@ class VerificationReport:
                 line += f"  ({r.note})"
             lines.append(line)
         lines.append("")
-        if self.discrepancy_notes:
-            lines.append("discrepancies adjudicated:")
-            for note in self.discrepancy_notes:
-                lines.append(f"  - {note}")
-            lines.append("")
+        notes = self.discrepancy_notes
+        if notes:
+            lines += ["discrepancies adjudicated:", *(f"  - {note}" for note in notes), ""]
         verdict = "ALL HARD CHECKS PASSED" if self.all_hard_passed \
             else "HARD CHECK FAILURES PRESENT"
         lines.append(verdict)
@@ -267,11 +286,11 @@ def _identity_residual(pts, *parts) -> float:
                default=0.0)
 
 
-def _eigen_residual(op, Psi, energies, psi, pts) -> float:
-    """Worst residual of op psi_n against E_n psi_n over the rows of the
-    batched state Psi; psi[n] is psi_n on the grid."""
-    return max(mixed_residual(op_psi, e * psi_n)
-               for op_psi, e, psi_n in zip(op(Psi)(pts), energies, psi))
+def _eigen_residual(op, Psi, levels, energies, psi, pts) -> float:
+    """Worst residual of op psi_n against E_n psi_n over the levels n of the
+    batched state Psi, its row n psi_n; psi[n] is psi_n on the grid."""
+    return max(mixed_residual(op_psi, energies[n] * psi[n])
+               for n, op_psi in zip(levels, op(Psi[levels.start: levels.stop])(pts)))
 
 
 def _tower_ratios(op, base, norms, psi, pts):
@@ -375,23 +394,35 @@ def _checks_planewave(pts):
                 for chi in np.linspace(-2.0, 2.0, 41))
     yield "planewave_mass_shell", {"chi_range": [-2.0, 2.0]}, worst
 
+    # free limit of the rel momentum, -sinh(i d/drho): its sign on plane
+    # waves, and the mass-shell operator identity
+    P_free = -(0.5 * shift_op(1j) - 0.5 * shift_op(-1j))
+    worst = 0.0
+    for chi in (0.5, -0.5, 1.0):
+        wave = planewave.plane_wave(chi)
+        worst = max(worst, mixed_residual(P_free(wave)(pts), math.sinh(chi) * wave(pts)))
+    yield "rel_momentum_sign_free_limit", {"chi": [0.5, -0.5, 1.0]}, worst
+    yield "rel_mass_shell_free", {}, _identity_residual(
+        pts, compose(H0, H0), -compose(P_free, P_free), -identity_op())
 
-def _checks_nonrel(g0: float, n_hi: int, n_ladder: int, pts):
+
+def _checks_nonrel(g0: float, levels: dict, pts):
     model = nonrel.make_model(g0)
     params = {"g0": g0, "d": model.d}
     H = nonrel.hamiltonian(model)
     c_minus, c_plus = nonrel.ladder_c(model)
     A_minus, A_plus = nonrel.ladder_A(model)
     K0, Km, Kp = nonrel.su11_generators(model)
-    # one batched leaf for the eigen-equation levels n <= n_hi and the ladder
-    # levels n <= n_ladder + 1, each state on the grid once; an operator
-    # meets a slice of its rows as a batch
-    levels = range(max(n_hi, n_ladder + 1) + 1)
-    Psi = nonrel.eigenfunctions(model, levels)
+    eigen, ladder = levels["nonrel_eigen_equation"], levels["nonrel_ladder_coefficient"]
+    # one batched leaf for the eigen-equation and the ladder levels, the
+    # ladder coefficients reading one level above theirs, each state on the
+    # grid once; an operator meets a slice of its rows as a batch
+    table = range(max(eigen[-1], ladder[-1] + 1) + 1)
+    Psi = nonrel.eigenfunctions(model, table)
     psi = Psi(pts)
 
     yield "nonrel_eigen_equation", params, _eigen_residual(
-        H, Psi[: n_hi + 1], [nonrel.energy(model, n) for n in levels], psi, pts)
+        H, Psi, eigen, [nonrel.energy(model, n) for n in table], psi, pts)
 
     yield "nonrel_factorization", params, _identity_residual(
         pts, compose(c_plus, c_minus), (model.d + 1.0) * identity_op(), -H)
@@ -414,7 +445,8 @@ def _checks_nonrel(g0: float, n_hi: int, n_ladder: int, pts):
 
     # K- = A-/2 scales every coefficient by a power of two, so |K- psi_0| is
     # exactly half of |A- psi_0| and is not read
-    psi0 = nonrel.eigenfunction(model, 0).wavefunction
+    (ground,) = levels["nonrel_ground_annihilation"]
+    psi0 = nonrel.eigenfunction(model, ground).wavefunction
     yield "nonrel_ground_annihilation", params, max(
         _max_abs(c_minus(psi0), pts), _max_abs(A_minus(psi0), pts))
 
@@ -432,34 +464,34 @@ def _checks_nonrel(g0: float, n_hi: int, n_ladder: int, pts):
     # gauge-invariant ladder coefficients: K- K+ psi_n = kappa_{n+1}^2 psi_n
     worst = 0.0
     signed = []
-    Kp_psi = Kp(Psi[: n_ladder + 1])
+    Kp_psi = Kp(Psi[ladder.start: ladder.stop])
     kp_vals, km_kp_vals = Kp_psi(pts), Km(Kp_psi)(pts)
-    for n in range(n_ladder + 1):
-        kap2, _ = ratio_spread(km_kp_vals[n], psi[n])
+    for n, kp, km_kp in zip(ladder, kp_vals, km_kp_vals):
+        kap2, _ = ratio_spread(km_kp, psi[n])
         expect = (n + 1) * (n + 1 + model.d)
         worst = max(worst, abs(kap2.real - expect) / expect)
-        ratio, _ = ratio_spread(kp_vals[n], psi[n + 1])
+        ratio, _ = ratio_spread(kp, psi[n + 1])
         signed.append(round(ratio.real / math.sqrt(expect), 6))
     yield ("nonrel_ladder_coefficient", params, worst,
-           "kappa_n = sqrt(n(n+d)); signed ratios over unit-normalized states "
-           f"carry alternating phase: {signed}")
+           "K- K+ psi_n = kappa_(n+1)^2 psi_n, kappa_n = sqrt(n(n+d)); signed "
+           f"ratios over unit-normalized states carry alternating phase: {signed}")
 
     gammas = [1.0 / math.sqrt(math.factorial(n) * specfun.pochhammer(model.d + 1.0, n).real)
-              for n in range(1, n_ladder + 1)]
+              for n in levels["nonrel_ladder_reconstruction"]]
     worst, ratios = _tower_ratios(Kp, psi0, gammas, psi, pts)
     ratios = [round(r.real, 6) for r in ratios]
     yield ("nonrel_ladder_reconstruction", params, worst,
            f"grid-constant ratios vs closed forms: {ratios}")
 
     eigs = nonrel.matrix_oracle(model)
-    exact = np.array([nonrel.energy(model, n) for n in range(len(eigs))])
+    exact = np.array([nonrel.energy(model, n) for n in levels["nonrel_spectrum_oracle"]])
     yield "nonrel_spectrum_oracle", params, _worst_relative(eigs, exact)
 
-    variant = np.array([2.0 * model.d + n + 1.0 for n in range(len(eigs))])
+    variant = np.array([2.0 * model.d + n + 1.0 for n in levels["nonrel_spectrum_variant"]])
     yield "nonrel_spectrum_variant", params, _worst_relative(eigs, variant)
 
 
-def _checks_rel(omega0: float, g0: float, n_hi: int, n_ladder: int, pts):
+def _checks_rel(omega0: float, g0: float, levels: dict, pts):
     model = rel.make_rel_model(omega0, g0)
     w0, a, nu = model.omega0, model.alpha, model.nu
     params = {"omega0": omega0, "g0": g0, "alpha": a, "nu": nu}
@@ -467,38 +499,40 @@ def _checks_rel(omega0: float, g0: float, n_hi: int, n_ladder: int, pts):
     b_minus, b_plus = rel.ladder_b(model)
     B_minus, B_plus = rel.ladder_B(model)
     P = rel.momentum_P(model)
+    eigen, casimir = levels["rel_eigen_equation"], levels["rel_casimir"]
+    closure, steps = levels["rel_su11_closure"], levels["rel_ladder_coefficient"]
     # The per-level table: the eigenstate checks below read each state and
     # each B-+ product on the grid from here, so each is evaluated once.  It
-    # covers the eigen-equation levels n <= n_hi, the rel_casimir levels
-    # n <= BASE_LEVEL and the ladder levels n <= n_ladder, whose su(1,1)
-    # closure reads E_(n+1).  An operator meets the states as one batch, a
-    # tower pass over all rows.
-    n_km = max(BASE_LEVEL, n_ladder)  # levels n that K+K- psi_n is needed at
-    levels = range(max(n_hi, n_ladder + 1) + 1)
-    E = [rel.energy(model, n) for n in levels]
+    # covers the eigen-equation, the rel_casimir and the ladder levels, the
+    # su(1,1) closure reading E_(n+1).  An operator meets the states as one
+    # batch, a tower pass over all rows.
+    table = range(max(eigen[-1], casimir[-1], closure[-1] + 1) + 1)
+    E = [rel.energy(model, n) for n in table]
     f_E = [rel.spectral_f(model, e) for e in E]
     k0 = [e / (2.0 * w0) for e in E]  # K0 = H/(2 omega0) eigenvalues
-    Phi = rel.eigenfunctions(model, levels)
+    Phi = rel.eigenfunctions(model, table)
     psi = Phi(pts)
     # The ladder products get leaves of their own levels: a slice of Phi
     # would still evaluate every row of Phi at each shifted point.
-    BmBp = B_minus(B_plus(rel.eigenfunctions(model, range(n_ladder + 1))))(pts)
-    # K+K- psi_n = B+B- psi_n / f(E_n); K- annihilates the ground state
-    BpBm = B_plus(B_minus(rel.eigenfunctions(model, range(1, n_km + 1))))(pts)
+    BmBp = B_minus(B_plus(rel.eigenfunctions(model, closure)))(pts)
+    # K+K- psi_n = B+B- psi_n / f(E_n), for the closure and the Casimir
+    # levels; K- annihilates the ground state
+    BpBm = B_plus(B_minus(rel.eigenfunctions(
+        model, range(1, max(casimir[-1], closure[-1]) + 1))))(pts)
     KpKm = [0.0] + [row / f_E[n] for n, row in enumerate(BpBm, start=1)]
 
-    yield "rel_eigen_equation", params, _eigen_residual(
-        H, Phi[: n_hi + 1], E, psi, pts), f"n <= {n_hi}"
+    yield "rel_eigen_equation", params, _eigen_residual(H, Phi, eigen, E, psi, pts)
 
     bb, offset = compose(b_plus, b_minus), (w0 * (a + nu)) * identity_op()
     yield "rel_factorization_eigen", params, _eigen_residual(
-        bb + offset, Phi[: n_hi + 1], E, psi, pts)
+        bb + offset, Phi, levels["rel_factorization_eigen"], E, psi, pts)
     yield "rel_factorization_random", params, _identity_residual(pts, bb, offset, -H)
 
-    phi0 = rel.eigenfunction_rel(model, 0).wavefunction
+    (ground,) = levels["rel_ground_annihilation"]
+    phi0 = rel.eigenfunction_rel(model, ground).wavefunction
     yield "rel_ground_annihilation", params, max(
         _max_abs(b_minus(phi0), pts), _max_abs(B_minus(phi0), pts)) \
-        / float(np.max(np.abs(psi[0])))
+        / float(np.max(np.abs(psi[ground])))
 
     yield "rel_lowering_commutator", params, _identity_residual(
         pts, *_bracket(H, B_minus), 2.0 * w0 * B_minus)
@@ -512,18 +546,6 @@ def _checks_rel(omega0: float, g0: float, n_hi: int, n_ladder: int, pts):
     yield "rel_momentum_commutator", params, _identity_residual(
         pts, *_bracket(mul_op(coordinate()), H), -1j * P)
 
-    # free limit: momentum reduces to -sinh(i d/drho); measure its sign on
-    # plane waves and the mass-shell operator identity
-    P_free = -(0.5 * shift_op(1j) - 0.5 * shift_op(-1j))
-    H_free = planewave.free_hamiltonian()
-    worst = 0.0
-    for chi in (0.5, -0.5, 1.0):
-        wave = planewave.plane_wave(chi)
-        worst = max(worst, mixed_residual(P_free(wave)(pts), math.sinh(chi) * wave(pts)))
-    yield "rel_momentum_sign_free_limit", params, worst
-    yield "rel_mass_shell_free", params, _identity_residual(
-        pts, compose(H_free, H_free), -compose(P_free, P_free), -identity_op())
-
     yield "rel_pair_commutator_printed", params, _identity_residual(
         pts, *_bracket(b_minus, b_plus), -rel.bb_commutator_rhs(model))
 
@@ -534,19 +556,20 @@ def _checks_rel(omega0: float, g0: float, n_hi: int, n_ladder: int, pts):
     yield "rel_compact_form_comparison", params, _identity_residual(
         pts, Bm_compact, -B_minus)
 
-    # gauge-invariant squared ladder coefficients mu_n = b_n^2, n <= n_ladder:
+    # gauge-invariant squared ladder coefficients mu_n = b_n^2:
     # B- B+ psi_(n-1) = mu_n psi_(n-1)
-    mu = [0.0] + [np.mean(BmBp[n] / psi[n]).real for n in range(n_ladder)]
+    mu = [0.0] + [np.mean(BmBp[n - 1] / psi[n - 1]).real for n in steps]
 
     worst = 0.0
-    for n in range(n_ladder):
-        scalar = w0 * E[n] * (1.0 + 2.0 / w0**2 * (E[n] * E[n] - 1.0))
-        worst = max(worst, abs(mu[n + 1] - mu[n] - scalar) / abs(scalar))
+    for n in levels["rel_ladder_consistency"]:
+        e = E[n - 1]
+        scalar = w0 * e * (1.0 + 2.0 / w0**2 * (e * e - 1.0))
+        worst = max(worst, abs(mu[n] - mu[n - 1] - scalar) / abs(scalar))
     yield "rel_ladder_consistency", params, worst
 
     worst_forced = 0.0
     worst_printed = 0.0
-    for n in range(1, n_ladder + 1):
+    for n in steps:
         kappa2 = mu[n] / f_E[n]
         forced = n * (n + a + nu - 1.0)
         worst_forced = max(worst_forced, abs(kappa2 - forced) / forced)
@@ -558,24 +581,24 @@ def _checks_rel(omega0: float, g0: float, n_hi: int, n_ladder: int, pts):
     # [K-, K+] = 2 K0 on the eigenbasis: K- K+ psi_n = B- B+ psi_n / f(E_(n+1)),
     # the spectral weight taken at the eigenvalue the operator ordering dictates
     yield "rel_su11_closure", params, max(
-        mixed_residual(BmBp[n] / f_E[n + 1] - KpKm[n], 2.0 * k0[n] * psi[n])
-        for n in range(n_ladder + 1))
+        mixed_residual(row / f_E[n + 1] - KpKm[n], 2.0 * k0[n] * psi[n])
+        for n, row in zip(closure, BmBp))
 
     k = (a + nu) / 2.0
     value = k * (k - 1.0)
     measured = [np.mean((k0[n] * (k0[n] - 1.0) * psi[n] - KpKm[n]) / psi[n]).real
-                for n in range(BASE_LEVEL + 1)]
+                for n in casimir]
     yield ("rel_casimir", params, float(np.max(np.abs(np.array(measured) - value))),
            f"value k(k-1)={value:.12g}, k=(alpha+nu)/2")
 
     # N_n (B+)^n phi_0, one tower grown a level at a time
-    norms = [rel.ladder_norm_constant(model, n) for n in range(1, n_ladder + 1)]
+    norms = [rel.ladder_norm_constant(model, n) for n in levels["rel_ladder_reconstruction"]]
     worst, ratios = _tower_ratios(B_plus, phi0, norms, psi, pts)
     ratios = [float(f"{abs(r):.4g}") for r in ratios]
     yield ("rel_ladder_reconstruction", params, worst,
            f"grid-constant ratio magnitudes vs closed forms: {ratios}")
 
-    lowest = min(E)
+    lowest = min(E[n] for n in levels["rel_energies_above_rest"])
     yield ("rel_energies_above_rest", params, max(0.0, 1.0 - lowest),
            f"E_0 = {lowest:.12g} mc^2")
 
@@ -594,39 +617,15 @@ def _checks_rel(omega0: float, g0: float, n_hi: int, n_ladder: int, pts):
            abs(m_small.alpha - (d + 0.5)), f"alpha -> d + 1/2 = {d + 0.5:.6f}")
 
 
-DISCREPANCY_NOTES = [
-    "non-relativistic spectrum: the printed closed form 2d+n+1 disagrees with "
-    "both the ladder spacing (steps of 2 per level) and the independent "
-    "sinc-collocation spectrum; the spectrum is E_n = 2n+d+1 (in units "
-    "hbar omega)",
-    "two-step lowering operator: the printed H^2/(2 omega0) scalar tail must "
-    "be (H^2-1)/(2 omega0); without the rest-energy subtraction the defining "
-    "commutator misses by the constant 1 (see "
-    "rel_lowering_commutator_uncorrected)",
-    "half-shift pair commutator: the printed right-hand side does not hold as "
-    "an operator identity; the residual is recorded in "
-    "rel_pair_commutator_printed and never patched",
-    "compact (omega0 rho -+ iP)^2 ladder form: differs from the primary "
-    "closed form (rel_compact_form_comparison); the 2 g0/(rho^2+1) "
-    "denominator as printed does not reproduce the two-step ladder pair",
-    "ladder coefficients: the measured b_n^2 carries (n+alpha+nu-1) where "
-    "the printed formula has (n+alpha+nu); the measured kappa_n = "
-    "sqrt(n(n+alpha+nu-1)) agrees with the form forced by su(1,1) closure",
-    "generalized momentum: in the free limit the momentum operator has "
-    "eigenvalue +mc sinh(chi) on plane waves; no sign discrepancy against "
-    "p = mc sinh(chi)",
-]
-
-
 def run_suite(omega0: float, g0: float, n_max: int = 6,
               tol_overrides: float | None = None) -> VerificationReport:
     """Run every check at the given couplings and assemble the report.
 
     `tol_overrides` replaces the tolerance of every hard check.  Identical
     inputs give identical residuals (fixed seed for the specfun samples).
-    Raises ValueError for n_max < 1 or a tol_overrides that is
-    not finite and > 0, and CouplingError for out-of-range couplings, before
-    any check runs.
+    Raises ValueError for n_max < 1 or a tol_overrides that is not finite
+    and > 0, and CouplingError for out-of-range couplings, before any check
+    runs.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -635,19 +634,22 @@ def run_suite(omega0: float, g0: float, n_max: int = 6,
     rel.make_rel_model(omega0, g0)  # validate before running anything
     nonrel.make_model(g0)
     pts = default_grid()
-    n_hi, n_ladder = max(n_max, BASE_LEVEL), min(n_max, LADDER_CAP)
-    report = VerificationReport(discrepancy_notes=list(DISCREPANCY_NOTES))
+    # every level rule resolved once: the groups read these ranges, and each
+    # result records its own in its params
+    levels = {cid: c.levels.at(n_max) for cid, c in CHECKS.items() if c.levels}
+    report = VerificationReport()
     measured = itertools.chain(
         _checks_specfun(_SEED), _checks_planewave(pts),
-        _checks_nonrel(g0, n_hi, n_ladder, pts),
-        _checks_rel(omega0, g0, n_hi, n_ladder, pts))
+        _checks_nonrel(g0, levels, pts), _checks_rel(omega0, g0, levels, pts))
     for check_id, params, worst, *computed_note in measured:
-        tolerance, gating, note = CHECKS[check_id]
+        tolerance, gating, note, _ = CHECKS[check_id]
         note = computed_note[0] if computed_note else note
         if not gating:
             note = "report-only; " + note
         elif tol_overrides is not None:
             tolerance = tol_overrides
+        if check_id in levels:
+            params = {**params, "levels": [levels[check_id][0], levels[check_id][-1]]}
         report.results.append(CheckResult(check_id, params, worst, tolerance, note, gating))
     report.sort()
     return report

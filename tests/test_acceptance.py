@@ -48,10 +48,8 @@ def test_criterion_01_rel_eigen_equation_all_couplings():
             H = rel.hamiltonian_rel(model)
             for n in range(9):
                 st = rel.eigenfunction_rel(model, n)
-                out = H(st.wavefunction)
                 worst = max(worst, mixed_residual(
-                    [out(p) for p in GRID],
-                    [st.energy_mc2 * st.wavefunction(p) for p in GRID]))
+                    H(st.wavefunction)(GRID), st.energy_mc2 * st.wavefunction(GRID)))
     _record(1, "relativistic eigen-equation, 4 coupling pairs, n <= 8",
             worst <= 1e-8, f"worst residual {worst:.3e}")
 
@@ -146,7 +144,7 @@ def test_criterion_11_special_functions(check_by_id):
     r_ref, _ = _res(check_by_id, "specfun_gamma_reflection")
     r_sym, _ = _res(check_by_id, "specfun_cdhahn_symmetry")
     r_deg, _ = _res(check_by_id, "specfun_degree_recurrence")
-    ok = (r_rec <= 1e-11 and r_ref <= 1e-11 and r_sym <= 1e-12
+    ok = (r_rec <= 1e-11 and r_ref <= 1e-11 and r_sym <= 1e-14
           and r_deg <= 1e-12)
     _record(11, "special functions: gamma recurrence/reflection, cdhahn "
                 "symmetry, degree recurrence", ok,

@@ -516,7 +516,12 @@ def test_verify_report_structure(report_data):
     assert len(ids) == len(set(ids))
     # every declared check is run and reported exactly once
     assert ids == sorted(harness.CHECKS)
-    assert report_data["discrepancy_notes"]
+    # one discrepancy line per report-only row, read from its residual: every
+    # printed form the report-only checks adjudicate misses at this coupling
+    report_only = sorted(cid for cid, c in harness.CHECKS.items() if not c.gating)
+    notes = report_data["discrepancy_notes"]
+    assert [line.partition(":")[0] for line in notes] == report_only
+    assert all(line.endswith(", discrepancy shows") for line in notes)
     for r in report_data["results"]:
         assert set(r) == {"check_id", "params", "max_residual", "tolerance",
                           "passed", "gating", "note"}
@@ -535,6 +540,24 @@ def test_report_only_checks_never_gate(check_by_id):
         assert check_by_id[cid]["note"].startswith("report-only") == (not check.gating), cid
 
 
+def test_a_discrepancy_that_stops_showing_says_so(monkeypatch):
+    # with the corrected two-step pair in place of the printed one, the
+    # uncorrected commutator holds to rounding, and the report's line for it
+    # is read from that residual, not from a fixed string
+    monkeypatch.setattr(rel, "ladder_B_printed", rel.ladder_B)
+    report = harness.run_suite(0.5, 0.1, n_max=1)
+    row = {r.check_id: r for r in report.results}["rel_lowering_commutator_uncorrected"]
+    assert row.max_residual < 1e-15  # reads 3e-16
+    lines = {line.partition(":")[0]: line for line in report.discrepancy_notes}
+    assert lines["rel_lowering_commutator_uncorrected"] == (
+        f"rel_lowering_commutator_uncorrected: residual {row.max_residual:.3e} <= tol "
+        "1.0e-08, discrepancy not seen")
+    assert f"  - {lines['rel_lowering_commutator_uncorrected']}\n" in report.to_text()
+    assert json.loads(report.to_json())["discrepancy_notes"] == report.discrepancy_notes
+    del lines["rel_lowering_commutator_uncorrected"]
+    assert all(line.endswith(", discrepancy shows") for line in lines.values())
+
+
 def test_run_suite_rejects_nmax_below_one():
     for n_max in (0, -2):
         with pytest.raises(ValueError, match="n_max"):
@@ -543,13 +566,42 @@ def test_run_suite_rejects_nmax_below_one():
 
 @pytest.fixture(scope="module")
 def readings_by_nmax(check_by_id):
-    """(max_residual, note) per check at n_max 1, 6 (the session report) and
-    9: below the ladder cap, at it, and above both it and BASE_LEVEL."""
-    readings = {6: {cid: (r["max_residual"], r["note"]) for cid, r in check_by_id.items()}}
+    """(max_residual, note, levels) per check at n_max 1, 6 (the session
+    report) and 9: below the ladder cap, at it, and above both it and
+    BASE_LEVEL.  levels is the [first, last] of the result's params, or None."""
+    readings = {6: {cid: (r["max_residual"], r["note"], r["params"].get("levels"))
+                    for cid, r in check_by_id.items()}}
     for n_max in (1, 9):
         report = harness.run_suite(0.5, 0.1, n_max=n_max)
-        readings[n_max] = {r.check_id: (r.max_residual, r.note) for r in report.results}
+        readings[n_max] = {r.check_id: (r.max_residual, r.note, r.params.get("levels"))
+                           for r in report.results}
     return readings
+
+
+# [first, last] levels at n_max 1, 6 and 9, by check; a check not named
+# here reads no level and its params carry none
+LEVELS_BY_NMAX = {
+    **dict.fromkeys(("nonrel_eigen_equation", "rel_eigen_equation",
+                     "rel_factorization_eigen", "rel_energies_above_rest"),
+                    ([0, 8], [0, 8], [0, 9])),
+    **dict.fromkeys(("nonrel_ladder_coefficient", "rel_su11_closure"),
+                    ([0, 1], [0, 6], [0, 6])),
+    **dict.fromkeys(("nonrel_ladder_reconstruction", "rel_ladder_reconstruction",
+                     "rel_ladder_consistency", "rel_ladder_coefficient",
+                     "rel_ladder_coefficient_printed"),
+                    ([1, 1], [1, 6], [1, 6])),
+    "rel_casimir": ([0, 8], [0, 8], [0, 8]),
+    **dict.fromkeys(("nonrel_ground_annihilation", "rel_ground_annihilation"),
+                    ([0, 0], [0, 0], [0, 0])),
+    **dict.fromkeys(("nonrel_spectrum_oracle", "nonrel_spectrum_variant"),
+                    ([0, 4], [0, 4], [0, 4])),
+}
+
+
+def test_each_result_names_the_levels_it_read(readings_by_nmax):
+    for cid in harness.CHECKS:
+        levels = tuple(readings_by_nmax[n_max][cid][2] for n_max in (1, 6, 9))
+        assert levels == LEVELS_BY_NMAX.get(cid, (None, None, None)), cid
 
 
 def test_casimir_checks_cover_base_levels_at_every_nmax(readings_by_nmax):
@@ -581,13 +633,25 @@ def _tower_ratios_level_by_level(op, base, norms, psi, pts):
     return worst, ratios
 
 
+def _ladder_cap_raised(cap: int) -> dict:
+    """harness.CHECKS with every level rule capped at LADDER_CAP capped at
+    `cap` instead."""
+    return {cid: c._replace(levels=c.levels._replace(cap=cap))
+            if c.levels is not None and c.levels.cap == harness.LADDER_CAP else c
+            for cid, c in harness.CHECKS.items()}
+
+
 @pytest.mark.parametrize("cap", [9, 15])
 def test_raised_ladder_cap_runs_every_check(cap, monkeypatch):
     # the per-level tables follow the cap: n_max = cap reads psi_(cap+1) and
     # K+K- psi_cap, above BASE_LEVEL; no verdict is asserted at these levels
-    monkeypatch.setattr(harness, "LADDER_CAP", cap)
+    monkeypatch.setattr(harness, "CHECKS", _ladder_cap_raised(cap))
     report = harness.run_suite(0.5, 0.1, n_max=cap)
     assert [r.check_id for r in report.results] == sorted(harness.CHECKS)
+    results = {r.check_id: r for r in report.results}
+    for cid, (_, _, at_9) in LEVELS_BY_NMAX.items():
+        if at_9[1] == harness.LADDER_CAP:  # a ladder check, held at the cap at n_max 9
+            assert results[cid].params["levels"] == [at_9[0], cap], cid
     # the levels of one tower pass read as those of towers grown level by level
     monkeypatch.setattr(harness, "_tower_ratios", _tower_ratios_level_by_level)
     reference = {r.check_id: r for r in harness.run_suite(0.5, 0.1, n_max=cap).results}
@@ -726,21 +790,23 @@ def test_suite_timing_tool_times_and_restores_the_cap(monkeypatch, capsys):
     spec.loader.exec_module(tool)
     assert tool.main(["0"]) == 2
     assert capsys.readouterr().err == "error: REPEATS must be >= 1\n"
-    default = harness.LADDER_CAP
-    times = tool.timings(1, default, 1)
+    default = harness.CHECKS
+    times = tool.timings(1, harness.LADDER_CAP, 1)
     assert len(times) == 1 and times[0] > 0.0
+    assert harness.CHECKS is default
     times, peaks = tool.process_timings(1)
     assert len(times) == 1 and times[0] > 0.0
     assert len(peaks) == 1 and 1.0 < peaks[0] < 1000.0  # MB
 
     def fail(*args, **kwargs):
-        assert harness.LADDER_CAP == default + 3
+        # the cap is raised in the CHECKS rows, for the ladder checks alone
+        assert harness.CHECKS == _ladder_cap_raised(harness.LADDER_CAP + 3) != default
         raise RuntimeError("run_suite failed")
 
     monkeypatch.setattr(harness, "run_suite", fail)
     with pytest.raises(RuntimeError, match="run_suite failed"):
-        tool.timings(1, default + 3, 1)
-    assert harness.LADDER_CAP == default
+        tool.timings(1, harness.LADDER_CAP + 3, 1)
+    assert harness.CHECKS is default
 
 
 def test_src_size_tool_prints_each_module_and_their_total(capsys):

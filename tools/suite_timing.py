@@ -4,13 +4,16 @@ process, median and quartiles.
     PYTHONPATH=src python3 tools/suite_timing.py [REPEATS]
 
 Times run_suite(0.6, 0.2) at three settings: n_max 6, n_max 30, and n_max
-30 with `harness.LADDER_CAP` raised to 30 in this process only, which is
-the cost the ladder checks would add at a lifted cap (nonrel_ladder_reconstruction
-fails there; only the time is read).  Then times a fresh
-`python -m fdosc.cli verify --format json` process, imports included, on the
-fdosc this script imported, and reads each process's peak RSS from
-os.wait4.  Each setting runs once as a warm-up, then
-REPEATS times (default 11).  Run it on two source trees to compare them.
+30 with the ladder cap raised to 30 in this process only, which is the cost
+the ladder checks would add at a lifted cap (nonrel_ladder_reconstruction
+fails there; only the time is read).  The cap is raised where it is
+declared: each `harness.CHECKS` row whose level rule is capped at
+`harness.LADDER_CAP` gets the new cap, and the table is put back
+afterwards.  Then times a fresh `python -m fdosc.cli verify --format json`
+process, imports included, on the fdosc this script imported, and reads
+each process's peak RSS from os.wait4.  Each setting runs once as a
+warm-up, then REPEATS times (default 11).  Run it on two source trees to
+compare them.
 """
 
 from __future__ import annotations
@@ -30,10 +33,13 @@ SETTINGS = ((6, harness.LADDER_CAP), (30, harness.LADDER_CAP), (30, 30))
 
 
 def timings(n_max: int, cap: int, repeats: int) -> list[float]:
-    """Seconds of `repeats` run_suite calls at n_max with LADDER_CAP = cap,
-    after one warm-up call; LADDER_CAP is restored afterwards."""
-    default = harness.LADDER_CAP
-    harness.LADDER_CAP = cap
+    """Seconds of `repeats` run_suite calls at n_max with the ladder checks
+    capped at `cap`, after one warm-up call; harness.CHECKS is restored
+    afterwards."""
+    default = harness.CHECKS
+    harness.CHECKS = {cid: c._replace(levels=c.levels._replace(cap=cap))
+                      if c.levels is not None and c.levels.cap == harness.LADDER_CAP else c
+                      for cid, c in default.items()}
     try:
         harness.run_suite(*COUPLING, n_max=n_max)
         out = []
@@ -43,7 +49,7 @@ def timings(n_max: int, cap: int, repeats: int) -> list[float]:
             out.append(time.perf_counter() - t0)
         return out
     finally:
-        harness.LADDER_CAP = default
+        harness.CHECKS = default
 
 
 def process_timings(repeats: int) -> tuple[list[float], list[float]]:
