@@ -8,7 +8,7 @@ pytest's capture.
 
 import pytest
 
-from fdosc import rel
+from fdosc import harness, rel
 from fdosc.opcore import default_grid, mixed_residual
 
 GRID = default_grid()
@@ -140,15 +140,13 @@ def test_criterion_10_plane_waves(check_by_id):
 
 
 def test_criterion_11_special_functions(check_by_id):
-    r_rec, _ = _res(check_by_id, "specfun_gamma_recurrence")
-    r_ref, _ = _res(check_by_id, "specfun_gamma_reflection")
-    r_sym, _ = _res(check_by_id, "specfun_cdhahn_symmetry")
-    r_deg, _ = _res(check_by_id, "specfun_degree_recurrence")
-    ok = (r_rec <= 1e-11 and r_ref <= 1e-11 and r_sym <= 1e-14
-          and r_deg <= 1e-12)
+    ids = ("specfun_gamma_recurrence", "specfun_gamma_reflection",
+           "specfun_cdhahn_symmetry", "specfun_degree_recurrence")
+    residuals = [check_by_id[cid]["max_residual"] for cid in ids]
+    ok = all(r <= harness.CHECKS[cid].tolerance for cid, r in zip(ids, residuals))
     _record(11, "special functions: gamma recurrence/reflection, cdhahn "
                 "symmetry, degree recurrence", ok,
-            f"{r_rec:.1e}/{r_ref:.1e}/{r_sym:.1e}/{r_deg:.1e}")
+            "/".join(f"{r:.1e}" for r in residuals))
 
 
 def test_criterion_12_determinism(verify_json_runs):

@@ -899,6 +899,30 @@ def test_specfun_checks_pass_at_30_seeds_of_their_sample_distribution():
             assert worst <= harness.CHECKS[check_id].tolerance, (seed, check_id, worst)
 
 
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_gamma_checks_see_a_relative_1e12_error_in_a_lanczos_coefficient(monkeypatch, k):
+    # at 1e-11 both checks let each of these plants pass: on _SEED's 1000
+    # points they read 1.5e-12 (k = 0), 8.4e-12 (k = 1) and 2.0e-12 (k = 3)
+    gamma_checks = ("specfun_gamma_recurrence", "specfun_gamma_reflection")
+    exact = _specfun_residuals(harness._SEED)
+    coefficients = list(specfun._LANCZOS_C)
+    coefficients[k] *= 1.0 + 1e-12
+    monkeypatch.setattr(specfun, "_LANCZOS_C", tuple(coefficients))
+    monkeypatch.setattr(specfun, "_LANCZOS_TAIL", np.array(coefficients[1:]))
+    planted = _specfun_residuals(harness._SEED)
+    for check_id in gamma_checks:
+        tolerance = harness.CHECKS[check_id].tolerance
+        assert exact[check_id] <= tolerance < planted[check_id], (check_id, planted)
+
+
+def test_gamma_checks_report_the_points_they_read():
+    # seed 10 draws one of its 1000 points within 1e-2 of a pole
+    assert len(harness._gamma_sample(random.Random(10), 1000)) == 999
+    params = {check_id: p for check_id, p, _ in harness._checks_specfun(10)}
+    assert params["specfun_gamma_recurrence"]["points"] == 999
+    assert params["specfun_gamma_reflection"]["points"] == 999
+
+
 @pytest.mark.parametrize("relative", [5e-14, 2e-13])
 @pytest.mark.parametrize("row", range(1, 7))
 def test_cdhahn_symmetry_sees_a_small_relative_error_in_one_row(monkeypatch, row, relative):

@@ -9,7 +9,10 @@ the ladder checks would add at a lifted cap (nonrel_ladder_reconstruction
 fails there; only the time is read).  The cap is raised where it is
 declared: each `harness.CHECKS` row whose level rule is capped at
 `harness.LADDER_CAP` gets the new cap, and the table is put back
-afterwards.  Then times a fresh `python -m fdosc.cli verify --format json`
+afterwards.  Then splits run_suite(0.6, 0.2) at n_max 6 by check group
+(specfun, planewave, nonrel, rel): each group function is wrapped, in this
+process only, to read its whole generator when run_suite calls it and
+time that.  Then times a fresh `python -m fdosc.cli verify --format json`
 process, imports included, on the fdosc this script imported, and reads
 each process's peak RSS from os.wait4.  Each setting runs once as a
 warm-up, then REPEATS times (default 11).  Run it on two source trees to
@@ -30,6 +33,7 @@ from fdosc import harness
 
 COUPLING = (0.6, 0.2)
 SETTINGS = ((6, harness.LADDER_CAP), (30, harness.LADDER_CAP), (30, 30))
+GROUPS = ("specfun", "planewave", "nonrel", "rel")  # harness._checks_<group>
 
 
 def timings(n_max: int, cap: int, repeats: int) -> list[float]:
@@ -50,6 +54,31 @@ def timings(n_max: int, cap: int, repeats: int) -> list[float]:
         return out
     finally:
         harness.CHECKS = default
+
+
+def group_timings(repeats: int) -> dict[str, list[float]]:
+    """Seconds each check group takes in `repeats` run_suite calls at n_max 6,
+    after one warm-up call; the group functions are restored afterwards."""
+    spent = {group: [] for group in GROUPS}
+
+    def timed(group, check_group):
+        def read_whole(*args):
+            t0 = time.perf_counter()
+            rows = list(check_group(*args))
+            spent[group].append(time.perf_counter() - t0)
+            return iter(rows)
+        return read_whole
+
+    default = {group: getattr(harness, f"_checks_{group}") for group in GROUPS}
+    for group, check_group in default.items():
+        setattr(harness, f"_checks_{group}", timed(group, check_group))
+    try:
+        for _ in range(repeats + 1):
+            harness.run_suite(*COUPLING)
+    finally:
+        for group, check_group in default.items():
+            setattr(harness, f"_checks_{group}", check_group)
+    return {group: seconds[1:] for group, seconds in spent.items()}
 
 
 def process_timings(repeats: int) -> tuple[list[float], list[float]]:
@@ -86,6 +115,8 @@ def main(argv) -> int:
     for n_max, cap in SETTINGS:
         print(_summary(f"n_max {n_max:2d}  LADDER_CAP {cap:2d}",
                        timings(n_max, cap, repeats)), flush=True)
+    for group, seconds in group_timings(repeats).items():
+        print(_summary(f"n_max  6  group {group:9s}", seconds), flush=True)
     secs, peaks = process_timings(repeats)
     print(_summary("verify process, fresh interpreter", secs), flush=True)
     print(_summary("verify process, peak RSS         ", peaks, "MB", 1.0), flush=True)
