@@ -12,15 +12,17 @@ discrepancy notes say whether each one's residual shows the discrepancy.
 
 An operator identity is checked on the operator: a DifferenceOperator
 is a normal form, its terms merged by (shift, derivative order), so an
-identity holds exactly when every merged coefficient vanishes, and
-`_identity_residual` reads it term by term on the grid, scaled by the
-size of the parts that cancel.  Every factorization, commutator and
-Casimir that holds as operators is checked that way.  The checks that
-read eigenstates on the grid are those that need the spectrum (the eigen
-equations, ground-state annihilation, the ladder coefficients and
-towers, and the rel [K-, K+] = 2 K0 and Casimir, whose generators
-K-+ = B-+/sqrt(f(E)) exist on the eigenbasis only) and
-rel_factorization_eigen, the eigenstate reading of rel_factorization_random.
+identity holds exactly when every merged coefficient vanishes.
+`_reduce` reads it per key, scaled by the size of the parts that cancel:
+`_identity_residual` feeds it the rel and plane-wave coefficients on the
+grid, `_laurent_residual` the nonrel Laurent coefficients, with no grid.
+Every factorization, commutator and Casimir that holds as operators is
+checked that way.  The checks that read eigenstates are those that need
+the spectrum (the eigen equations, ground-state annihilation, the ladder
+coefficients and towers, and the rel [K-, K+] = 2 K0 and Casimir, whose
+generators K-+ = B-+/sqrt(f(E)) exist on the eigenbasis only) and
+rel_factorization_eigen.  The rel ones read the grid, the nonrel ones the
+coefficients of L_n^d(xi^2) in the ground-state gauge psi = psi_0 g.
 
 Reports are deterministic: the specfun samples come from the stdlib
 random.Random at the fixed seed _SEED, so identical inputs give
@@ -47,13 +49,16 @@ from . import nonrel, planewave, rel, specfun
 from .errors import EvaluationError
 from .opcore import (
     AnalyticFunction,
+    DifferenceOperator,
     compose,
+    const,
     coordinate,
     default_grid,
-    from_callable,
     identity_op,
     mixed_residual,
+    monomial,
     mul_op,
+    polynomial,
     powers,
     ratio_spread,
     shift_op,
@@ -66,13 +71,15 @@ _SEED = 20260824
 # rel_casimir reads n <= BASE_LEVEL whatever n_max is.
 BASE_LEVEL = 8
 
-# The ladder checks read levels n <= min(n_max, LADDER_CAP).  The cap is a
-# precision limit, not a cost one: at g0 = 0.1 the nonrel ladder-reconstruction
-# spread at n = 7 is 4.0e-8 against its 1e-8 tolerance, and at cap 30 it is the
-# one check that fails.  At cap 30, run_suite(0.6, 0.2, n_max=30) takes a
-# median 0.077-0.119 s, against 0.042-0.069 s at cap 6, 1.4-1.8x within a run
-# (tools/suite_timing.py, 21 calls, four runs, on a shared 2-core VM whose
-# speed varied by 1.6x between runs).
+# The ladder checks read levels n <= min(n_max, LADDER_CAP).  At cap 30 every
+# hard check passes at the four digest couplings: the nonrel ladder checks,
+# read on coefficients, at <= 3.5e-15 there and at g0 in {-0.1, 5, 1e3}, and
+# rel_ladder_reconstruction and rel_su11_closure at <= 5.7e-12 and 3.5e-12.
+# Raising the cap is a change of its own: run_suite(0.6, 0.2, n_max=30) takes
+# a median 89 ms at cap 30 against 39-40 ms at cap 6 (tools/suite_timing.py,
+# two runs of 11 calls on a shared 2-core VM), and the nonrel tower's xi^-2k
+# coefficients, seeded by the rounding of p(p-1) = 2 g0 in the gauge, grow as
+# g0 -> 0: nonrel_ladder_reconstruction reads 1.7e-13 at g0 = 1e-6 and cap 30.
 LADDER_CAP = 6
 
 
@@ -110,20 +117,25 @@ CHECKS = {
     # coefficient 0, 1 or 3 reads 1.5e-12 to 8.6e-12 in both
     "specfun_gamma_recurrence": Check(4e-13),
     "specfun_gamma_reflection": Check(3.5e-13),
-    "specfun_degree_recurrence": Check(1e-12),
+    # 5.4x its worst, 9.3e-15 (seed 27), over 1000 seeds
+    "specfun_degree_recurrence": Check(5e-14),
     "specfun_cdhahn_symmetry": Check(1e-14),  # 5.3x its worst, 1.9e-15, over 1000 seeds
-    "nonrel_eigen_equation": Check(1e-10, levels=_EIGEN),
+    # the nonrel eigenstate checks read Laurent coefficients; each tolerance is
+    # a multiple of its worst over the four digest couplings and g0 in {-0.1,
+    # 5, 1e3}, with the ladder cap at 30: 20x 5.0e-14 (at n <= 170), 80x
+    # 1.25e-16, 29x 3.5e-15 and 41x 2.5e-15
+    "nonrel_eigen_equation": Check(1e-12, levels=_EIGEN),
     "nonrel_factorization": Check(
         1e-10, note="c+ c- + (d+1) = H as operators, term by term"),
     "nonrel_pair_commutator": Check(1e-10),
     "nonrel_weighted_commutator": Check(1e-9),
     "nonrel_lowering_forms_agree": Check(1e-10),
     "nonrel_lowering_commutator": Check(1e-9),
-    "nonrel_ground_annihilation": Check(1e-12, levels=_GROUND),
+    "nonrel_ground_annihilation": Check(1e-14, levels=_GROUND),
     "nonrel_su11_closure": Check(1e-9),
     "nonrel_casimir": Check(1e-9),
-    "nonrel_ladder_coefficient": Check(1e-8, levels=_LADDER),
-    "nonrel_ladder_reconstruction": Check(1e-8, levels=_LADDER_STEPS),
+    "nonrel_ladder_coefficient": Check(1e-13, levels=_LADDER),
+    "nonrel_ladder_reconstruction": Check(1e-13, levels=_LADDER_STEPS),
     "nonrel_spectrum_oracle": Check(
         1e-11, note="independent sinc-collocation spectrum vs 2n+d+1", levels=_ORACLE),
     "nonrel_spectrum_variant": Check(
@@ -269,25 +281,33 @@ def _bracket(X, Y):
     return compose(X, Y), -compose(Y, X)
 
 
-def _identity_residual(pts, *parts) -> float:
-    """Residual of the operator identity sum(parts) = 0, term by term.
-
-    Distinct shifts and powers of D are linearly independent, so the sum
-    vanishes exactly when every merged (shift, order) coefficient does.  For
-    each term: max over pts of |sum_i c_i| / (1 + sum_i |c_i|), c_i part i's
-    coefficient there, each evaluated once.  The scale is the size of the
-    parts that cancel, so products that cancel inside a commutator do not
-    count as error.
-    """
+def _reduce(readings) -> float:
+    """max over keys of |sum c| / (1 + sum size) over (key, c, size)
+    readings, c a number or an array read pointwise, size |c| or the size of
+    what went into c: the parts that cancel do not count as error."""
     sums, sizes = {}, {}
-    for part in parts:
-        for t in part.terms:
-            c = t.coeff(pts)
-            key = (t.shift, t.dorder)
-            sums[key] = sums.get(key, 0.0) + c
-            sizes[key] = sizes.get(key, 0.0) + np.abs(c)
+    for key, c, size in readings:
+        sums[key] = sums.get(key, 0.0) + c
+        sizes[key] = sizes.get(key, 0.0) + size
     return max((float(np.max(np.abs(sums[k]) / (1.0 + sizes[k]))) for k in sums),
                default=0.0)
+
+
+def _identity_residual(pts, *parts) -> float:
+    """Residual of the operator identity sum(parts) = 0 on pts, keyed by
+    (shift, order), each coefficient evaluated once."""
+    return _reduce(((t.shift, t.dorder), c, np.abs(c))
+                   for part in parts for t in part.terms for c in [t.coeff(pts)])
+
+
+def _laurent_residual(*parts) -> float:
+    """Residual of the operator identity sum(parts) = 0 on its Laurent
+    coefficients, keyed by (shift, order, power); ValueError for any other."""
+    terms = [t for part in parts for t in part.terms]
+    if any(t.coeff.powers is None for t in terms):
+        raise ValueError("a coefficient reading needs Laurent coefficients")
+    return _reduce(((t.shift, t.dorder, p), c, abs(c))
+                   for t in terms for p, c in t.coeff.powers.items())
 
 
 def _eigen_residual(op, Psi, levels, energies, psi, pts) -> float:
@@ -403,7 +423,49 @@ def _checks_planewave(pts):
         pts, compose(H0, H0), -compose(P_free, P_free), -identity_op())
 
 
-def _checks_nonrel(g0: float, levels: dict, pts):
+def _gauged_terms(model, op):
+    """psi_0^-1 t psi_0 for each term t of op, kept apart: the gauge's xi^-2
+    coefficients, g0 against p(p-1)/2, p = d + 1/2, cancel to rounding."""
+    return [nonrel.gauged(model, DifferenceOperator([t])) for t in op.terms]
+
+
+def _apply(parts, state):
+    """The parts applied to a state (g, sizes), or to a Laurent sum g: the
+    image, and per power the sum of |c_q r(r-1)...(r-m+1)| sizes_r over the
+    terms c_q xi^q D^m and powers r that reach it, so a coefficient that
+    cancels down a tower keeps the size of what it cancelled."""
+    g, size = state if isinstance(state, tuple) else (state, _sizes(state))
+    out: dict = {}
+    for part in parts:
+        for t in part.terms:
+            for r, s in size.items():
+                falling = abs(math.prod(r - i for i in range(t.dorder)))
+                for q, c in t.coeff.powers.items():
+                    out[r - t.dorder + q] = out.get(r - t.dorder + q, 0.0) + abs(c) * falling * s
+    return sum((nonrel.act(part, g) for part in parts), const(0.0)), out
+
+
+def _ratio(a, b) -> complex:
+    """The least-squares ratio of Laurent sums a/b over b's powers."""
+    return sum(c.conjugate() * a.powers.get(p, 0) for p, c in b.powers.items()) \
+        / sum(abs(c) ** 2 for c in b.powers.values())
+
+
+def _sizes(g) -> dict:
+    return {p: abs(c) for p, c in g.powers.items()}
+
+
+def _state_residual(state, reference) -> float:
+    """|g_p - ref_p| / (N + sizes_p + |ref_p|) over every power of a state
+    and a Laurent sum, N the largest |ref_p| (1 for a zero reference)."""
+    g, size = state
+    ref = reference.powers
+    scale = max(map(abs, ref.values()), default=1.0)
+    return _reduce((p, (g.powers.get(p, 0) - ref.get(p, 0)) / scale,
+                    (size.get(p, 0.0) + abs(ref.get(p, 0))) / scale) for p in {*size, *ref})
+
+
+def _checks_nonrel(g0: float, levels: dict):
     model = nonrel.make_model(g0)
     params = {"g0": g0, "d": model.d}
     H = nonrel.hamiltonian(model)
@@ -411,72 +473,80 @@ def _checks_nonrel(g0: float, levels: dict, pts):
     A_minus, A_plus = nonrel.ladder_A(model)
     K0, Km, Kp = nonrel.su11_generators(model)
     eigen, ladder = levels["nonrel_eigen_equation"], levels["nonrel_ladder_coefficient"]
-    # one batched leaf for the eigen-equation and the ladder levels, the
-    # ladder coefficients reading one level above theirs, each state on the
-    # grid once; an operator meets a slice of its rows as a batch
-    table = range(max(eigen[-1], ladder[-1] + 1) + 1)
-    Psi = nonrel.eigenfunctions(model, table)
-    psi = Psi(pts)
+    # psi_n = (c_n / c_0) psi_0 L_n^d(xi^2): the eigenstate checks read the
+    # gauged operators on L_n, for the eigen-equation and the ladder levels,
+    # the ladder coefficients reading one level above theirs
+    L = []
+    for n in range(max(eigen[-1], ladder[-1] + 1) + 1):
+        coeffs = specfun.laguerre_coefficients(n, model.d)  # of L_n^d(y), y = xi^2
+        L.append(polynomial([coeffs[j // 2] if j % 2 == 0 else 0.0 for j in range(2 * n + 1)]))
 
-    yield "nonrel_eigen_equation", params, _eigen_residual(
-        H, Psi, eigen, [nonrel.energy(model, n) for n in table], psi, pts)
+    H_parts = _gauged_terms(model, H)
+    yield "nonrel_eigen_equation", params, max(
+        _state_residual(_apply(H_parts, L[n]), nonrel.energy(model, n) * L[n])
+        for n in eigen)
 
-    yield "nonrel_factorization", params, _identity_residual(
-        pts, compose(c_plus, c_minus), (model.d + 1.0) * identity_op(), -H)
+    yield "nonrel_factorization", params, _laurent_residual(
+        compose(c_plus, c_minus), (model.d + 1.0) * identity_op(), -H)
 
-    rhs14 = mul_op(from_callable(lambda z: 1.0 + (model.d + 0.5) / (z * z)))
-    yield "nonrel_pair_commutator", params, _identity_residual(
-        pts, *_bracket(c_minus, c_plus), -rhs14)
+    rhs14 = mul_op(1.0 + (model.d + 0.5) * monomial(-2))
+    yield "nonrel_pair_commutator", params, _laurent_residual(
+        *_bracket(c_minus, c_plus), -rhs14)
 
     xicm = compose(mul_op(coordinate()), c_minus)
     rhs15 = -2.0 * (xicm - (1.0 / _SQRT2) * H
                     + ((model.d + 1.0) / _SQRT2) * identity_op())
-    yield "nonrel_weighted_commutator", params, _identity_residual(
-        pts, *_bracket(H, xicm), -rhs15)
+    yield "nonrel_weighted_commutator", params, _laurent_residual(
+        *_bracket(H, xicm), -rhs15)
 
     form1, form2 = nonrel.lowering_forms(model)
-    yield "nonrel_lowering_forms_agree", params, _identity_residual(pts, form1, -form2)
+    yield "nonrel_lowering_forms_agree", params, _laurent_residual(form1, -form2)
 
-    yield "nonrel_lowering_commutator", params, _identity_residual(
-        pts, *_bracket(H, A_minus), 2.0 * A_minus)
+    yield "nonrel_lowering_commutator", params, _laurent_residual(
+        *_bracket(H, A_minus), 2.0 * A_minus)
 
-    # K- = A-/2 scales every coefficient by a power of two, so |K- psi_0| is
-    # exactly half of |A- psi_0| and is not read
+    # K- = A-/2 scales every coefficient by a power of two, so K- psi_0 reads
+    # as A- psi_0 does and is not read
     (ground,) = levels["nonrel_ground_annihilation"]
-    psi0 = nonrel.eigenfunction(model, ground).wavefunction
     yield "nonrel_ground_annihilation", params, max(
-        _max_abs(c_minus(psi0), pts), _max_abs(A_minus(psi0), pts))
+        _state_residual(_apply(_gauged_terms(model, op), L[ground]), const(0.0))
+        for op in (c_minus, A_minus))
 
     yield "nonrel_su11_closure", params, max(
-        _identity_residual(pts, *_bracket(K0, Kp), -Kp),
-        _identity_residual(pts, *_bracket(K0, Km), Km),
-        _identity_residual(pts, *_bracket(Km, Kp), -2.0 * K0))
+        _laurent_residual(*_bracket(K0, Kp), -Kp),
+        _laurent_residual(*_bracket(K0, Km), Km),
+        _laurent_residual(*_bracket(Km, Kp), -2.0 * K0))
 
     k = (model.d + 1.0) / 2.0
     value = k * (k - 1.0)
-    yield ("nonrel_casimir", params, _identity_residual(
-        pts, compose(K0, K0), -K0, -compose(Kp, Km), -value * identity_op()),
+    yield ("nonrel_casimir", params, _laurent_residual(
+        compose(K0, K0), -K0, -compose(Kp, Km), -value * identity_op()),
         f"value k(k-1)={value:.12g}")
 
     # gauge-invariant ladder coefficients: K- K+ psi_n = kappa_{n+1}^2 psi_n
+    Kp_parts, Km_parts = _gauged_terms(model, Kp), _gauged_terms(model, Km)
     worst = 0.0
     signed = []
-    Kp_psi = Kp(Psi[ladder.start: ladder.stop])
-    kp_vals, km_kp_vals = Kp_psi(pts), Km(Kp_psi)(pts)
-    for n, kp, km_kp in zip(ladder, kp_vals, km_kp_vals):
-        kap2, _ = ratio_spread(km_kp, psi[n])
+    for n in ladder:
+        raised = _apply(Kp_parts, L[n])
         expect = (n + 1) * (n + 1 + model.d)
-        worst = max(worst, abs(kap2.real - expect) / expect)
-        ratio, _ = ratio_spread(kp, psi[n + 1])
-        signed.append(round(ratio.real / math.sqrt(expect), 6))
+        worst = max(worst, _state_residual(_apply(Km_parts, raised), expect * L[n]))
+        # c_n / c_(n+1) = sqrt((n+1+d)/(n+1)) = kappa_(n+1) / (n+1)
+        signed.append(round(_ratio(raised[0], L[n + 1]).real / (n + 1), 6))
     yield ("nonrel_ladder_coefficient", params, worst,
            "K- K+ psi_n = kappa_(n+1)^2 psi_n, kappa_n = sqrt(n(n+d)); signed "
            f"ratios over unit-normalized states carry alternating phase: {signed}")
 
-    gammas = [1.0 / math.sqrt(math.factorial(n) * specfun.pochhammer(model.d + 1.0, n).real)
-              for n in levels["nonrel_ladder_reconstruction"]]
-    worst, ratios = _tower_ratios(Kp, psi0, gammas, psi, pts)
-    ratios = [round(r.real, 6) for r in ratios]
+    # gamma_n (K+)^n psi_0 against psi_n, the tower grown a level at a time;
+    # each level is read after its ratio to L_n is taken out.  With
+    # gamma_n = 1/sqrt(n! (d+1)_n) and c_0/c_n = sqrt((d+1)_n/n!), the ratio
+    # of gamma_n (K+)^n psi_0 to psi_n is that ratio over n!
+    worst, ratios, state = 0.0, [], (L[0], _sizes(L[0]))
+    for n in levels["nonrel_ladder_reconstruction"]:
+        state = _apply(Kp_parts, state)
+        ratio = _ratio(state[0], L[n])
+        worst = max(worst, _state_residual(state, ratio * L[n]))
+        ratios.append(round(ratio.real / math.factorial(n), 6))
     yield ("nonrel_ladder_reconstruction", params, worst,
            f"grid-constant ratios vs closed forms: {ratios}")
 
@@ -637,7 +707,7 @@ def run_suite(omega0: float, g0: float, n_max: int = 6,
     report = VerificationReport()
     measured = itertools.chain(
         _checks_specfun(_SEED), _checks_planewave(pts),
-        _checks_nonrel(g0, levels, pts), _checks_rel(omega0, g0, levels, pts))
+        _checks_nonrel(g0, levels), _checks_rel(omega0, g0, levels, pts))
     for check_id, params, worst, *computed_note in measured:
         tolerance, gating, note, _ = CHECKS[check_id]
         note = computed_note[0] if computed_note else note

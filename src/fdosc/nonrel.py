@@ -8,6 +8,12 @@ with exponent d = 1/2 sqrt(1 + 8 g0).  The module builds the ladder
 factorization, the su(1,1) generators, the closed-form Laguerre
 eigenfunctions and an independent sinc-collocation oracle for the spectrum
 E_n = 2n + d + 1.
+
+Every operator has Laurent coefficients in xi.  In the ground-state gauge
+psi = psi_0 g, psi_0 = xi^(d+1/2) exp(-xi^2/2) (Turbiner, Commun. Math.
+Phys. 118 (1988) 467), ``gauged`` gives psi_0^-1 op psi_0 and ``act``
+applies it to a Laurent sum g by the algebra, exactly; psi_n is psi_0
+times L_n^d(xi^2), up to c_n/c_0.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from .opcore import (
     AnalyticFunction,
     DifferenceOperator,
     compose,
+    const,
     coordinate,
     deriv_op,
     gaussian,
@@ -106,6 +113,43 @@ def su11_generators(model: NonRelModel):
     return 0.5 * hamiltonian(model), 0.5 * A_minus, 0.5 * A_plus
 
 
+def ground_log_derivative(model: NonRelModel) -> AnalyticFunction:
+    """w = psi_0'/psi_0 = (d+1/2)/xi - xi, a Laurent sum."""
+    return (model.d + 0.5) * monomial(-1) + -coordinate()
+
+
+def _shift_free(op: DifferenceOperator) -> DifferenceOperator:
+    """op, or ValueError for a term with a shift, which would go unread."""
+    if any(t.shift != 0 for t in op.terms):
+        raise ValueError("a nonrel operator acts at shift 0, and a term of this one "
+                         "has a shift")
+    return op
+
+
+def gauged(model: NonRelModel, op: DifferenceOperator) -> DifferenceOperator:
+    """psi_0^-1 op psi_0: each D^m of op replaced by (D + w)^m, by compose."""
+    step = deriv_op() + mul_op(ground_log_derivative(model))
+    steps = [identity_op()]
+    terms = []
+    for t in _shift_free(op).terms:
+        while len(steps) <= t.dorder:
+            steps.append(compose(step, steps[-1]))
+        terms += compose(mul_op(t.coeff), steps[t.dorder]).terms
+    return DifferenceOperator(terms)
+
+
+def act(op: DifferenceOperator, g: AnalyticFunction) -> AnalyticFunction:
+    """op g = sum of coeff * D^m g, by the algebra: a Laurent sum for a
+    Laurent sum g."""
+    out = const(0.0)
+    for t in _shift_free(op).terms:
+        h = g
+        for _ in range(t.dorder):
+            h = h.derivative()
+        out = out + t.coeff * h
+    return out
+
+
 def energy(model: NonRelModel, n: int) -> float:
     return 2.0 * n + model.d + 1.0
 
@@ -118,28 +162,23 @@ def norm_constant(model: NonRelModel, n: int) -> float:
 
 
 def _laguerre_rows(ns, d: float) -> AnalyticFunction:
-    """L_n^d(xi^2), n in ns, as one batched function of xi with exact
-    derivatives, every row from one pass of the three-term recurrence
-    (Koekoek, Lesky & Swarttouw, sec. 9.12)
+    """L_n^d(xi^2), n in ns, as one batched function of xi, every row from
+    one pass of the three-term recurrence (Koekoek, Lesky & Swarttouw,
+    sec. 9.12)
 
-        (k+1) L_(k+1) = (2k+1+d - y) L_k - (k+d) L_(k-1),   y = xi^2,
+        (k+1) L_(k+1) = (2k+1+d - y) L_k - (k+d) L_(k-1),   y = xi^2.
 
-    run on jets.  The jet of y has the rows (xi^2, 2 xi, 1), so row m of
-    y L_k is xi^2 L_k,m + 2 xi L_k,m-1 + L_k,m-2, exactly.  Row n depends on
-    levels 0..n only, so it holds the same floats whatever ns is."""
+    Row n depends on levels 0..n only, so it holds the same floats whatever
+    ns is."""
     top, at = max(ns, default=0), np.array(ns, dtype=int)
 
-    def jet(z, K):
-        out = np.empty((len(ns), K + 1, len(z)), dtype=complex)
-        y, two_z = z * z, 2.0 * z
-        low = np.zeros((K + 1, len(z)), dtype=complex)
-        low[0] = 1.0
+    def values(z):
+        out = np.empty((len(ns), len(z)), dtype=complex)
+        y = z * z
+        low = np.ones(len(z), dtype=complex)
         for k in range(top):
             out[at == k] = low
             nxt = (2 * k + 1 + d - y) * low
-            if K:  # the derivative rows of y L_k
-                nxt[1:] -= two_z * low[:-1]
-                nxt[2:] -= low[:-2]
             if k:
                 nxt -= (k + d) * prev
             # the (re, im) pairs divided by k + 1: one rounding each, where
@@ -150,19 +189,20 @@ def _laguerre_rows(ns, d: float) -> AnalyticFunction:
         out[at == top] = low
         return out
 
-    return AnalyticFunction(jet)
+    return AnalyticFunction(values)
 
 
 def eigenfunctions(model: NonRelModel, ns) -> AnalyticFunction:
     """The closed forms psi_n = c_n xi^(d+1/2) exp(-xi^2/2) L_n^d(xi^2), n in
-    ns, with exact derivatives, as one batched leaf whose row i is psi_ns[i].
-    A call evaluates the two prefactor jets once for all rows, and every
-    L_n^d(xi^2) jet in one pass of the Laguerre recurrence in n, which holds
-    its precision at any n."""
+    ns, as one batched leaf whose row i is psi_ns[i].  A call evaluates the
+    two prefactors once for all rows, and every L_n^d(xi^2) in one pass of
+    the Laguerre recurrence in n, which holds its precision at any n."""
     ns = list(ns)
     if any(n < 0 for n in ns):
         raise ValueError("n must be >= 0")
     cn = np.array([norm_constant(model, n) for n in ns])
+    # the wavefunction tables print these floats: grouped otherwise, the
+    # products round differently in the last bit
     return cn * monomial(model.d + 0.5) * gaussian(1.0) * _laguerre_rows(ns, model.d)
 
 

@@ -1,53 +1,44 @@
 """Analytic-function and shift-operator algebra.
 
-An AnalyticFunction evaluates on an array of points as a truncated Taylor
-jet, the coefficients f^(k)(z)/k! for k = 0..K (Taylor-mode propagation;
-Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).  The
-primitives give their jets in closed form, so derivatives are exact;
-``polynomial`` gives every coefficient row of its jet from one Horner pass,
-the rows zero-padded in front to one length.  Nothing is cached: a call
-evaluates the expression once on all its points.
+An AnalyticFunction evaluates on an array of points, ``values(z)``.  A
+Laurent sum sum_p c_p z^p, each power p real (principal branch), also holds
+its coefficients, ``powers`` = {p: c_p}: +, *, scaling and ``derivative``
+fold two Laurent sums into one when an expression is built, so their
+coefficients are exact algebra; a constant is {0: c}.  Only a Laurent sum
+has a derivative; asking any other function for one raises
+EvaluationError.  Nothing is cached: a call evaluates the expression once
+on all its points.
 
 A DifferenceOperator is a finite sum of terms coeff(z) * D^k f(z + shift);
 shifts act exactly as argument translation, so operator identities can be
-verified to machine precision.
+verified to machine precision.  ``compose`` expands products with the
+Leibniz rule, so an operator with a derivative term needs Laurent
+coefficients, and its products are Laurent sums again.
 
-Applying an operator gives one tower node.  Applied to the output of the
-same operator object, it gives one node for op^(p+1) f over the same base f
-instead of a node around a node, so a ladder state (B^+)^n phi_0 is one
-node.  A call evaluates f once at z + S_p, where S_p holds the distinct
-shift sums of p applications, and each coefficient once, at z plus the
-union of S_0..S_(p-1), stacked on a term axis.  Points are not merged
-across z: a point given twice, or two points one shift apart, are
-evaluated twice.  Then p stencil steps carry the jets from z + S_p down to
-z, each one gather of every term's derivative rows and one stacked
-multiply-add over all terms.  Power 1 is the same code.  Any other
-wrapper, such as 2.0 * op(f) or a different operator object with equal
-terms, starts a new tower.
+Applying an operator gives one tower node, which acts on values: an
+operator with a derivative term raises ValueError there.  Applied to the
+output of the same operator object, it gives one node for op^(p+1) f over
+the same base f, so a ladder state (B^+)^n phi_0 is one node.  A call
+evaluates f once at z + S_p, S_p the distinct shift sums of p
+applications, and each coefficient once, at z plus the union of
+S_0..S_(p-1), stacked on a term axis; points are not merged across z.
+Then p steps carry the values from z + S_p down to z, each one gather of
+every term's shifted values and one stacked multiply-add.  Any other
+wrapper, such as 2.0 * op(f) or an operator object with equal terms,
+starts a new tower.
 
-A function may be vector-valued: its jet then has leading batch axes,
-shape (*B, K+1, len(z)), and a call returns shape (*B, *z.shape).  Batches
-come from batched leaves, such as ``nonrel.eigenfunctions``,
-``rel.eigenfunctions`` and a batched ``from_callable``, and from products
-with one; multiplying one by a 1-d array scales each row.  Primitives and
-operator coefficients stay scalar; the algebra and the towers index the
-order axis from the end and broadcast over the batch axes.  So op(F) of a
-batched F is one tower whose call evaluates the coefficients once for all
-rows and runs one pass of base and stencil steps over all of them, and
-A(B(F)) evaluates each of A's and B's coefficient blocks once; row i of
-op(F) holds the floats op(F[i]) gives.  F[i] is row i of a batched F as a
-function, and F[a:b] its rows a..b-1; a row is taken lazily, with no end to
-check, so a function is not iterable.
+A function may be vector-valued, with values of shape (*B, len(z)): the
+batched leaves (``nonrel.eigenfunctions``, ``rel.eigenfunctions``, a
+batched ``from_callable``) and products with one; multiplying one by a
+1-d array scales each row.  op(F) of a batched F is one tower whose call
+evaluates the coefficients once for all rows, and row i of op(F) holds the
+floats op(F[i]) gives.  F[i] is row i as a function and F[a:b] rows
+a..b-1, taken lazily, so a function is not iterable.
 
-A ladder level is an axis too.  ``powers(op, f, p)`` is op^k f for k = 0..p
-on a leading axis, from the one pass of the tower op^p f: on its way down
-that pass holds op^k f at z + S_(p-k), and an operator with a zero-shift
-term has 0 in every S_j, so each level is read there, bit for bit the
-floats of the tower op^k f.
-
-``from_callable(fn)`` wraps an array function, fn(complex ndarray) ->
-values of the same shape, or of shape (*B, len(z)) for a batched leaf.
-Such a leaf has no derivative: evaluating one raises EvaluationError.
+``powers(op, f, p)`` is op^k f for k = 0..p on a leading axis, from the
+one pass of the tower op^p f: that pass holds op^k f at z + S_(p-k), and a
+zero-shift term puts 0 in every S_j, so each level is read there, bit for
+bit the floats of the tower op^k f.
 """
 
 from __future__ import annotations
@@ -61,29 +52,24 @@ from .errors import EvaluationError
 
 
 class AnalyticFunction:
-    """Deterministic complex function of one complex variable.
+    """Deterministic complex function of one complex variable: ``values(z)``
+    maps a 1-d complex array of points to the (*B, len(z)) array of values,
+    B empty for a scalar function; ``powers`` is {p: c_p} for a Laurent sum
+    sum_p c_p z^p and None otherwise."""
 
-    Closed under +, negation, *, scalar multiplication, argument shift and
-    differentiation.  ``jet(z, K)`` maps a 1-d complex array of points to
-    the (*B, K+1, len(z)) array of Taylor coefficients f^(k)(z)/k!, where
-    the batch axes B are empty for a scalar function.  ``value`` is the
-    complex value of a constant and None otherwise; the algebra folds
-    constants when an expression is built, so they cost no jet at run time.
-    """
-
-    __slots__ = ("jet", "value")
+    __slots__ = ("values", "powers")
     __array_ufunc__ = None  # ndarray * f defers to f.__rmul__
     __iter__ = None  # f[i] never raises IndexError, so iterating would not end
 
-    def __init__(self, jet, value=None):
-        self.jet = jet
-        self.value = value
+    def __init__(self, values, powers=None):
+        self.values = values
+        self.powers = powers
 
     def __call__(self, z):
         """f(z) for a scalar (a complex) or a sequence or array (an ndarray);
         a batched function gives an ndarray of shape (*B, *z.shape)."""
         pts = np.asarray(z, dtype=complex)
-        w = _checked_values(lambda flat: self.jet(flat, 0)[..., 0, :], pts)
+        w = _checked_values(self.values, pts)
         if w.ndim == 1 and pts.ndim == 0:
             return complex(w[0])
         return w.reshape(w.shape[:-1] + pts.shape)
@@ -91,77 +77,76 @@ class AnalyticFunction:
     def __getitem__(self, i) -> "AnalyticFunction":
         """Row i, or the rows of a slice i, of a batched function: its first
         batch axis indexed."""
-        jet = self.jet
-        return AnalyticFunction(lambda z, K: jet(z, K)[i])
+        values = self.values
+        return AnalyticFunction(lambda z: values(z)[i])
 
     def derivative(self) -> "AnalyticFunction":
-        if self.value is not None:
-            return const(0.0)
-        jet = self.jet
-        # row j of the jet of f' is (j + 1) times row j + 1 of the jet of f
-        return AnalyticFunction(
-            lambda z, K: jet(z, K + 1)[..., 1:, :] * np.arange(1.0, K + 2)[:, None])
+        """The derivative of a Laurent sum, term by term; EvaluationError for
+        any other function."""
+        if self.powers is None:
+            raise EvaluationError("no derivative is known for a function that is "
+                                  "not a Laurent sum")
+        return _laurent({p - 1: p * c for p, c in self.powers.items()})
 
     def shifted(self, a) -> "AnalyticFunction":
         a = complex(a)
-        if a == 0 or self.value is not None:
+        if a == 0 or _constant(self) is not None:
             return self
-        jet = self.jet
-        return AnalyticFunction(lambda z, K: jet(z + a, K))
+        values = self.values
+        return AnalyticFunction(lambda z: values(z + a))
 
     # ---- algebra -------------------------------------------------------
 
     def __add__(self, other):
         other = _as_function(other)
-        if other.value is not None:
-            return self._plus_const(other.value)
-        if self.value is not None:
-            return other._plus_const(self.value)
-        f, g = self.jet, other.jet
-        return AnalyticFunction(lambda z, K: f(z, K) + g(z, K))
+        if self.powers is not None and other.powers is not None:
+            total = dict(self.powers)
+            for p, v in other.powers.items():
+                total[p] = total.get(p, 0) + v
+            return _laurent(total)
+        if _constant(self) is not None:
+            self, other = other, self
+        f, g, c = self.values, other.values, _constant(other)
+        if c is not None:
+            return AnalyticFunction(lambda z: f(z) + c)
+        return AnalyticFunction(lambda z: f(z) + g(z))
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.value is not None:
-            return const(-self.value)
-        f = self.jet
-        return AnalyticFunction(lambda z, K: -f(z, K))
+        if self.powers is not None:
+            return _laurent({p: -c for p, c in self.powers.items()})
+        f = self.values
+        return AnalyticFunction(lambda z: -f(z))
 
     def __mul__(self, other):
         if isinstance(other, AnalyticFunction):
-            if other.value is not None:
-                return self * other.value
-            if self.value is not None:
-                return other * self.value
-            f, g = self.jet, other.jet
-            return AnalyticFunction(lambda z, K: _cauchy(f(z, K), g(z, K)))
-        if np.ndim(other) == 1:  # one factor per row of a batch
-            scale = np.asarray(other, dtype=complex)[:, None, None]
-            f = self.jet
-            return AnalyticFunction(lambda z, K: scale * f(z, K))
+            c, d = _constant(self), _constant(other)
+            if d is not None:
+                return self * d
+            if c is not None:
+                return other * c
+            if self.powers is not None and other.powers is not None:
+                product: dict = {}
+                for p, u in self.powers.items():
+                    for q, v in other.powers.items():
+                        product[p + q] = product.get(p + q, 0) + u * v
+                return _laurent(product)
+            f, g = self.values, other.values
+            return AnalyticFunction(lambda z: f(z) * g(z))
+        if not isinstance(other, (int, float, complex)) and np.ndim(other) == 1:
+            scale = np.asarray(other, dtype=complex)[:, None]  # one factor per row of a batch
+            f = self.values
+            return AnalyticFunction(lambda z: scale * f(z))
         c = complex(other)
-        if self.value is not None:
-            return const(c * self.value)
+        if self.powers is not None:
+            return _laurent({p: c * v for p, v in self.powers.items()})
         if c == 1:
             return self
-        f = self.jet
-        return AnalyticFunction(lambda z, K: c * f(z, K))
+        f = self.values
+        return AnalyticFunction(lambda z: c * f(z))
 
     __rmul__ = __mul__
-
-    def _plus_const(self, c: complex) -> "AnalyticFunction":
-        """self + c: a constant adds to the value row only."""
-        if self.value is not None:
-            return const(self.value + c)
-        f = self.jet
-
-        def jet(z, K):
-            out = f(z, K).copy()
-            out[..., 0, :] += c
-            return out
-
-        return AnalyticFunction(jet)
 
 
 def _checked_values(evaluate, pts):
@@ -189,131 +174,67 @@ def _as_function(x) -> AnalyticFunction:
     return const(x)
 
 
-def _cauchy(a, b, tail=1):
-    """Truncated Cauchy product: the jet of a product from the jets of its
-    factors, whose order axis is the one before their last `tail` axes; the
-    other axes broadcast.
-
-    Row k is accumulated in a fixed order, a_k b_0 + a_(k-1) b_1 + ...; a
-    numpy sum over rows would switch to pairwise order for a single point.
-    """
-    if a.shape[-1 - tail] == 1:  # a value call: the same product, without
-        return a * b             # the index tuples (1-1.6 us a product)
-    rest = (slice(None),) * tail
-    out = a * b[(..., slice(0, 1), *rest)]
-    for m in range(1, a.shape[-1 - tail]):
-        out[(..., slice(m, None), *rest)] += \
-            a[(..., slice(None, -m), *rest)] * b[(..., slice(m, m + 1), *rest)]
-    return out
+def _constant(f: AnalyticFunction):
+    """The value of a constant function, None for any other."""
+    if f.powers is not None and f.powers.keys() <= {0}:
+        return f.powers.get(0, 0j)
+    return None
 
 
 # ---- primitive functions ----------------------------------------------
 
 
-def const(c) -> AnalyticFunction:
-    c = complex(c)
+def _laurent(powers) -> AnalyticFunction:
+    """The Laurent sum sum_p c_p z^p of {p: c_p}, a zero c_p dropped; its
+    values sum c_p z^p in increasing p."""
+    powers = {p: complex(c) for p, c in powers.items() if c != 0}
+    if powers.keys() <= {0}:  # a constant
+        c = powers.get(0, 0j)
+        return AnalyticFunction(lambda z: np.full(len(z), c), powers)
 
-    def jet(z, K):
-        out = np.zeros((K + 1, len(z)), dtype=complex)
-        out[0] = c
+    def values(z):
+        (p, c), *rest = sorted(powers.items())
+        out = c * z ** complex(p)
+        for p, c in rest:
+            out = out + c * z ** complex(p)
         return out
 
-    return AnalyticFunction(jet, value=c)
+    return AnalyticFunction(values, powers)
+
+
+def const(c) -> AnalyticFunction:
+    return _laurent({0: c})
 
 
 def coordinate() -> AnalyticFunction:
-    return _COORDINATE
+    return _laurent({1: 1.0})
 
 
 def monomial(p) -> AnalyticFunction:
-    """z**p on the principal branch; the k-th coefficient is C(p, k) z**(p-k)."""
-    p = complex(p)
-
-    def jet(z, K):
-        out = np.zeros((K + 1, len(z)), dtype=complex)
-        binom = 1.0
-        for k in range(K + 1):
-            if binom == 0:  # integer p >= 0: the rest vanish
-                break
-            out[k] = binom * z ** (p - k)
-            binom *= (p - k) / (k + 1)
-        return out
-
-    return AnalyticFunction(jet)
+    """z**p on the principal branch."""
+    return _laurent({p: 1.0})
 
 
 def polynomial(coeffs) -> AnalyticFunction:
-    """sum_k coeffs[k] z^k.  One Horner pass gives every coefficient row of
-    the jet."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    top = len(coeffs) - 1
-    # Row k of the table holds the coefficients of p^(k)/k!, C(j, k) coeffs[j],
-    # highest power j first, behind k zeros: its Horner steps meet only zeros
-    # until its first coefficient, so all rows take the same steps and each
-    # gives the floats of its own shorter sum.  columns[i] is column i of the
-    # table as (rows, 1).
-    columns = np.zeros((top + 1, top + 1, 1), dtype=complex)
-    for k in range(top + 1):
-        columns[k:, k, 0] = coeffs[k:][::-1] * [math.comb(j, k) for j in range(top, k - 1, -1)]
-
-    def jet(z, K):
-        out = np.zeros((K + 1, len(z)), dtype=complex)
-        steps = columns[:, : K + 1]
-        acc = out[: steps.shape[1]]  # the rows above the degree stay 0
-        acc[...] = steps[0]
-        for c in steps[1:]:
-            acc *= z
-            acc += c
-        return out
-
-    return AnalyticFunction(jet)
-
-
-_COORDINATE = polynomial([0.0, 1.0])  # functions are immutable: one serves every caller
-
-
-def _exp_of_polynomial(coeffs) -> AnalyticFunction:
-    """exp(u), u a polynomial of degree d: e_k = sum_{j<=min(k,d)} j u_j e_{k-j} / k."""
-    u_jet = polynomial(coeffs).jet
-    degree = len(coeffs) - 1
-
-    def jet(z, K):
-        u = u_jet(z, K)
-        out = np.empty_like(u)
-        out[0] = np.exp(u[0])
-        for k in range(1, K + 1):
-            acc = u[1] * out[k - 1]
-            for j in range(2, min(k, degree) + 1):
-                acc += j * u[j] * out[k - j]
-            out[k] = acc / k
-        return out
-
-    return AnalyticFunction(jet)
+    """sum_k coeffs[k] z^k."""
+    return _laurent(dict(enumerate(coeffs)))
 
 
 def gaussian(a=1.0) -> AnalyticFunction:
     """exp(-a z^2 / 2)."""
     a = complex(a)
-    return _exp_of_polynomial([0.0, 0.0, -a / 2.0])
+    return AnalyticFunction(lambda z: np.exp(-a / 2.0 * z * z))
 
 
 def exp_linear(k) -> AnalyticFunction:
     """exp(k z)."""
     k = complex(k)
-    return _exp_of_polynomial([0.0, k])
+    return AnalyticFunction(lambda z: np.exp(k * z))
 
 
-def from_callable(fn, note="") -> AnalyticFunction:
-    """Leaf from an array function fn(z) -> values of shape (*B, len(z)); it
-    has no derivative."""
-
-    def jet(z, K):
-        if K:
-            raise EvaluationError(f"no derivative is known for {note or 'a plain callable'}")
-        w = np.asarray(fn(z), dtype=complex)
-        return w.reshape(w.shape[:-1] + (1, len(z)))
-
-    return AnalyticFunction(jet)
+def from_callable(fn) -> AnalyticFunction:
+    """Leaf from an array function fn(z) -> values of shape (*B, len(z))."""
+    return AnalyticFunction(lambda z: np.asarray(fn(z), dtype=complex))
 
 
 # ---- operators ---------------------------------------------------------
@@ -350,7 +271,7 @@ class DifferenceOperator:
 
     def __call__(self, f: AnalyticFunction) -> AnalyticFunction:
         """One tower node: self applied to f, or once more to a tower of self."""
-        return AnalyticFunction(_Tower(self, _as_function(f).jet))
+        return AnalyticFunction(_Tower(self, _as_function(f).values))
 
     apply = __call__
 
@@ -373,29 +294,27 @@ class DifferenceOperator:
 
 
 class _Tower:
-    """Jet of op^p f: p applications of one operator object as one node.
+    """Values of op^p f: p applications of one operator object as one node.
 
-    S_j is the list of distinct shift sums of j applications, S_0 = [0] and
+    S_j lists the distinct shift sums of j applications, S_0 = [0] and
     S_(j+1) = S_j + shifts; steps[j][t, k] is the index of S_j[k] plus the
     shift of term t in S_(j+1), so one gather reads every term's shifted
-    rows.  The base acts at z + S_p, point by point: points are not merged
-    across z, even where two of them coincide.  The coefficients act at
-    z + union, union = S_0 | ... | S_(p-1) in order of first appearance;
-    at_union[j] places S_j in it, as a slice when S_j is a prefix (S_0
-    always is).  The stencil tables give row k of term t's derivative jet
-    as row stencil_rows[k, t] of its shifted jet, times stencil_scale[k, t]
-    = (k+d)!/k! for derivative order d.
+    values.  The base acts at z + S_p, the coefficients at z + union, union
+    = S_0 | ... | S_(p-1) in order of first appearance; at_union[j] places
+    S_j in it, as a slice when S_j is a prefix (S_0 always is).
     """
 
-    def __init__(self, op: DifferenceOperator, f_jet):
+    def __init__(self, op: DifferenceOperator, f_values):
+        if any(t.dorder for t in op.terms):
+            raise ValueError("a tower acts on values, and this operator has a derivative "
+                             "term: apply it to a Laurent sum by the algebra")
         self.op = op
-        inner = f_jet if isinstance(f_jet, _Tower) and f_jet.op is op else None
+        inner = f_values if isinstance(f_values, _Tower) and f_values.op is op else None
         if inner is None:
-            self.base = f_jet
-            self.top = max((t.dorder for t in op.terms), default=0)
+            self.base = f_values
             last, steps, place, at_union = [0j], [], {}, []
         else:
-            self.base, self.top = inner.base, inner.top
+            self.base = inner.base
             last, steps, place, at_union = (
                 inner.last, list(inner.steps), dict(inner.place), list(inner.at_union))
         where = [place.setdefault(s, len(place)) for s in last]
@@ -409,58 +328,34 @@ class _Tower:
         self.last, self.steps, self.place, self.at_union = list(following), steps, place, at_union
         self.union = np.array(list(place), dtype=complex)
         self.base_shifts = np.array(self.last, dtype=complex)[:, None]
-        # the tables a value call (K = 0) needs; a deeper jet builds its own
-        value_rows = (len(steps) - 1) * self.top + 1
-        self.stencil_rows, self.stencil_scale = self._stencil(value_rows)
 
-    def _stencil(self, rows):
-        """Row index and scale tables of every term's derivative jet, rows k < rows."""
-        orders = [t.dorder for t in self.op.terms]
-        index = [[k + d for d in orders] for k in range(rows)]
-        scale = [[math.perm(k + d, d) for d in orders] for k in range(rows)]
-        return (np.array(index, dtype=np.intp).reshape(rows, len(orders), 1),
-                np.array(scale, dtype=float).reshape(rows, len(orders), 1, 1))
-
-    def coefficients(self, z, rows):
-        """The coefficient jets at z + union on a term axis, shape (rows,
-        terms, |union|, len(z)), shared by every row of a batched base; a
-        constant is the jet (value, 0, 0, ...)."""
+    def coefficients(self, z):
+        """The coefficient values at z + union on a term axis, shape (terms,
+        |union|, len(z)), shared by every row of a batched base."""
         n = len(z)
         points = z if len(self.union) == 1 else (z + self.union[:, None]).reshape(-1)
-        block = np.zeros((rows, len(self.op.terms), len(self.union), n), dtype=complex)
+        block = np.zeros((len(self.op.terms), len(self.union), n), dtype=complex)
         for i, t in enumerate(self.op.terms):
-            if t.coeff.value is None:
-                block[:, i] = t.coeff.jet(points, rows - 1).reshape(rows, len(self.union), n)
-            else:
-                block[0, i] = t.coeff.value
+            c = _constant(t.coeff)
+            block[i] = t.coeff.values(points).reshape(len(self.union), n) if c is None else c
         return block
 
-    def __call__(self, z, K, at=None):
-        """The base once at z + S_p, then p stencil steps, each one gather and
-        one stacked multiply-add over all terms and all rows of a batch.
-
-        With `at`, where 0 sits in each S_j, the jet of every power op^k f at
-        z, k = 0..p, read after the step that reaches it, on a leading axis."""
-        n, top, power = len(z), self.top, len(self.steps)
-        values = self.base((z + self.base_shifts).reshape(-1), K + power * top)
+    def __call__(self, z, at=None):
+        """The base once at z + S_p, then p steps over all terms and rows;
+        with `at`, where 0 sits in each S_j, every power op^k f at z, k =
+        0..p, read after the step that reaches it, on a leading axis."""
+        n, power = len(z), len(self.steps)
+        values = self.base((z + self.base_shifts).reshape(-1))
         values = values.reshape(values.shape[:-1] + (len(self.last), n))
         if at is not None:
-            levels = [values[..., : K + 1, at[power], :]]
-        rows = K + (power - 1) * top + 1
-        index, scale = self.stencil_rows, self.stencil_scale
-        if rows > len(index):  # a deeper jet than a value call
-            index, scale = self._stencil(rows)
-        block = self.coefficients(z, rows)
+            levels = [values[..., at[power], :]]
+        block = self.coefficients(z)
         for j in reversed(range(power)):
-            # values holds the jets at z + S_(j+1), shape (*B, rows, |S_(j+1)|, n);
-            # derivs[..., k, t, :, :] is row k of term t's derivative jet at z + S_j
-            rows = K + j * top + 1
-            derivs = values[..., index[:rows], self.steps[j], :]
-            if top:  # every scale is 1 when no term differentiates
-                derivs *= scale[:rows]
-            values = _cauchy(block[:rows, :, self.at_union[j]], derivs, 3).sum(axis=-3)
+            # values holds the values at z + S_(j+1), shape (*B, |S_(j+1)|, n);
+            # the gather gives term t's shifted values at z + S_j on axis -3
+            values = (block[:, self.at_union[j]] * values[..., self.steps[j], :]).sum(axis=-3)
             if at is not None:
-                levels.append(values[..., : K + 1, at[j], :])
+                levels.append(values[..., at[j], :])
         if at is not None:
             return np.stack(levels)
         return values.reshape(values.shape[:-2] + (n,))
@@ -481,12 +376,12 @@ def powers(op: DifferenceOperator, f, p: int) -> AnalyticFunction:
     tower = _as_function(f)
     for _ in range(p):
         tower = op(tower)
-    tower = tower.jet
+    tower = tower.values
     at = [0]  # S_0 = [0]; the zero-shift term takes 0 in S_j to 0 in S_(j+1)
     for step in tower.steps:
         at.append(int(step[zero[0], at[-1]]))
     # a tower of op as f fuses into this one: its own powers come first
-    return AnalyticFunction(lambda z, K: tower(z, K, at)[-(p + 1):])
+    return AnalyticFunction(lambda z: tower(z, at)[-(p + 1):])
 
 
 def shift_op(a) -> DifferenceOperator:

@@ -31,7 +31,7 @@ def make_state(chi: float) -> PlaneWaveState:
 
 
 def plane_wave(chi: float) -> AnalyticFunction:
-    """exp(i rho chi), carrying its exact derivative."""
+    """exp(i rho chi)."""
     return exp_linear(1j * float(chi))
 
 
@@ -43,8 +43,7 @@ def plane_wave_power_form(chi: float) -> AnalyticFunction:
     """
     base = math.cosh(chi) - math.sinh(chi)
     log_base = math.log(base)
-    return from_callable(lambda z: np.exp(-1j * z * log_base),
-                         note=f"(p0-p)^(-i rho), chi={chi}")
+    return from_callable(lambda z: np.exp(-1j * z * log_base))
 
 
 def free_hamiltonian() -> DifferenceOperator:

@@ -109,10 +109,7 @@ def _interaction(model: RelModel) -> AnalyticFunction:
     """omega0^2/2 rho(rho+i) + g0 / (rho(rho+i)); singular at rho = 0, -i."""
     w2 = 0.5 * model.omega0**2
     g0 = model.g0
-    return from_callable(
-        lambda z: w2 * z * (z + 1j) + g0 / (z * (z + 1j)),
-        note="interaction coefficient",
-    )
+    return from_callable(lambda z: w2 * z * (z + 1j) + g0 / (z * (z + 1j)))
 
 
 def hamiltonian_rel(model: RelModel) -> DifferenceOperator:
@@ -134,8 +131,8 @@ def ladder_b(model: RelModel) -> tuple[DifferenceOperator, DifferenceOperator]:
     b^+ = [e^{-i/2 d} - omega0 (nu - i rho)(1 - alpha/(i rho)) e^{+i/2 d}]/sqrt(2)
     """
     a, nu, w0 = model.alpha, model.nu, model.omega0
-    u = from_callable(lambda z: (nu + 1j * z) * (1.0 + a / (1j * z)), note="b- coeff")
-    v = from_callable(lambda z: (nu - 1j * z) * (1.0 - a / (1j * z)), note="b+ coeff")
+    u = from_callable(lambda z: (nu + 1j * z) * (1.0 + a / (1j * z)))
+    v = from_callable(lambda z: (nu - 1j * z) * (1.0 - a / (1j * z)))
     b_minus = (1.0 / _SQRT2) * (
         shift_op(-0.5j) - w0 * compose(shift_op(0.5j), mul_op(u))
     )
@@ -149,8 +146,8 @@ def _ladder_B_from_tail(model: RelModel, tail_constant: float):
     w0, a, nu = model.omega0, model.alpha, model.nu
     H = hamiltonian_rel(model)
     b_minus, b_plus = ladder_b(model)
-    irho = mul_op(from_callable(lambda z: 1j * z, note="i rho"))
-    neg_irho = mul_op(from_callable(lambda z: -1j * z, note="-i rho"))
+    irho = mul_op(from_callable(lambda z: 1j * z))
+    neg_irho = mul_op(from_callable(lambda z: -1j * z))
     scalar_tail = 0.5 * H - (0.5 / w0) * compose(H, H) + tail_constant * identity_op()
     bracket_minus = _SQRT2 * compose(shift_op(-0.5j), b_minus) - H \
         + (w0 * (a + nu)) * identity_op()
@@ -197,9 +194,8 @@ def ladder_B_compact(model: RelModel) -> tuple[DifferenceOperator, DifferenceOpe
     """
     w0 = model.omega0
     P = momentum_P(model)
-    w0rho = mul_op(from_callable(lambda z: w0 * z, note="omega0 rho"))
-    sing = mul_op(from_callable(lambda z: 2.0 * model.g0 / (z * z + 1.0),
-                                note="2 g0/(rho^2+1)"))
+    w0rho = mul_op(from_callable(lambda z: w0 * z))
+    sing = mul_op(from_callable(lambda z: 2.0 * model.g0 / (z * z + 1.0)))
     inner_minus = w0rho - 1j * P
     inner_plus = w0rho + 1j * P
     B_minus = (0.5 / w0) * (compose(inner_minus, inner_minus) - sing)
@@ -215,8 +211,7 @@ def bb_commutator_rhs(model: RelModel) -> DifferenceOperator:
             + alpha nu [ -(alpha-1)(nu-1)/rho^(2) + alpha nu/((rho+i/2)^(2)) ].
     """
     a, nu, w0 = model.alpha, model.nu, model.omega0
-    local = from_callable(lambda z: 0.5 * w0 * (1.0 + a * nu / (z * z + 0.25)),
-                          note="local part")
+    local = from_callable(lambda z: 0.5 * w0 * (1.0 + a * nu / (z * z + 0.25)))
 
     def delta(z):
         r2 = z * (z + 1j)
@@ -225,8 +220,7 @@ def bb_commutator_rhs(model: RelModel) -> DifferenceOperator:
             -(a - 1.0) * (nu - 1.0) / r2 + a * nu / r2_half
         )
 
-    shifted_part = compose(mul_op(from_callable(lambda z: 0.5 * w0 * w0 * delta(z),
-                                                note="Delta coeff")),
+    shifted_part = compose(mul_op(from_callable(lambda z: 0.5 * w0 * w0 * delta(z))),
                            shift_op(1j))
     return mul_op(local) + shifted_part
 
@@ -280,7 +274,7 @@ def eigenfunctions(model: RelModel, ns) -> AnalyticFunction:
         # on the shape of the call
         return np.array([prefactor * s_rows[n] for n in ns]).reshape(len(ns), len(z))
 
-    return from_callable(rows, note=f"rel eigenfunctions n={ns}")
+    return from_callable(rows)
 
 
 def eigenfunction_rel(model: RelModel, n: int) -> RelEigenState:

@@ -188,9 +188,9 @@ LAGUERRE_MAX_N = 170  # the largest k whose k! converts to a double
 def laguerre_coefficients(n: int, d: float) -> list[float]:
     """Coefficients c_k of L_n^d(y) = sum_k c_k y^k, n <= LAGUERRE_MAX_N.
 
-    The nonrel eigenfunctions do not use them: their alternating sum loses
-    every digit past n ~ 30 on the default grid, where the three-term
-    recurrence in nonrel.eigenfunctions does not."""
+    The nonrel eigenstate checks read L_n^d(xi^2) on them, as coefficients.
+    The nonrel eigenfunctions do not evaluate them: their alternating sum
+    loses every digit past n ~ 30 on the default grid."""
     if n < 0:
         raise ValueError("laguerre requires n >= 0")
     if n > LAGUERRE_MAX_N:

@@ -28,7 +28,10 @@ from fdosc.opcore import (
     Term,
     coordinate,
     default_grid,
+    deriv_op,
     from_callable,
+    identity_op,
+    monomial,
     mul_op,
     ratio_spread,
     shift_op,
@@ -429,11 +432,28 @@ def test_cli_nonrel_table_past_the_power_basis_evaluates(capsys):
 
 
 def test_cli_verify_past_the_double_range_exits_2(capsys):
-    # exit 2, not a traceback: the unnormalised rel closed form passes the
-    # largest double from n = 97 on, and exit 1 would claim a hard check failed
+    # exit 2, not a traceback, and exit 1 would claim a hard check failed: the
+    # nonrel checks, which run first, read L_n^d on power-basis coefficients,
+    # which divide by n! and stop at n = 170; the unnormalised rel closed
+    # form passes the largest double from n = 97 on
     code, out = _run_cli(["verify", "--nmax", "171"])
     assert (code, out) == (2, "")
+    assert capsys.readouterr().err.startswith(
+        "error: L_n^d power-basis coefficients divide by k! for k <= n")
+    code, out = _run_cli(["verify", "--nmax", "170"])
+    assert (code, out) == (2, "")
     assert capsys.readouterr().err.startswith("error: non-finite value at z = ")
+
+
+def test_cli_verify_nmax_96_passes():
+    # the largest n_max at which the rel closed form stays in double range;
+    # nonrel_eigen_equation reads L_96^d on its coefficients
+    code, out = _run_cli(["verify", "--omega0", "0.5", "--g0", "0.1", "--nmax", "96",
+                          "--format", "json"])
+    report = json.loads(out)
+    assert (code, report["all_hard_passed"]) == (0, True)
+    results = {r["check_id"]: r for r in report["results"]}
+    assert results["nonrel_eigen_equation"]["params"]["levels"] == [0, 96]
 
 
 @pytest.mark.parametrize("couplings", [(0.5, 0.1), (0.9, 0.05), (0.35, 0.6), (0.6, 0.2)])
@@ -666,9 +686,9 @@ def test_tower_ratios_evaluate_each_coefficient_block_once(monkeypatch):
     blocks = []
     coefficients = opcore._Tower.coefficients
 
-    def counting(tower, z, rows):
+    def counting(tower, z):
         blocks.append(tower.op)
-        return coefficients(tower, z, rows)
+        return coefficients(tower, z)
 
     monkeypatch.setattr(opcore._Tower, "coefficients", counting)
     pts = default_grid()
@@ -678,12 +698,7 @@ def test_tower_ratios_evaluate_each_coefficient_block_once(monkeypatch):
     norms = [rel.ladder_norm_constant(model, n) for n in range(1, 7)]
     harness._tower_ratios(B_plus, rel.eigenfunction_rel(model, 0).wavefunction,
                           norms, psi, pts)
-    model = nonrel.make_model(0.1)
-    _, _, K_plus = nonrel.su11_generators(model)
-    psi = nonrel.eigenfunctions(model, range(7))(pts)
-    harness._tower_ratios(K_plus, nonrel.eigenfunction(model, 0).wavefunction,
-                          [1.0] * 6, psi, pts)
-    assert blocks == [B_plus, K_plus]  # one block per check, not one per level
+    assert blocks == [B_plus]  # one block per check, not one per level
 
 
 def test_cli_verify_rejects_nmax_below_one(capsys):
@@ -901,9 +916,11 @@ def test_specfun_checks_pass_at_30_seeds_of_their_sample_distribution():
 
 @pytest.mark.parametrize("k", [0, 1, 3])
 def test_gamma_checks_see_a_relative_1e12_error_in_a_lanczos_coefficient(monkeypatch, k):
-    # at 1e-11 both checks let each of these plants pass: on _SEED's 1000
-    # points they read 1.5e-12 (k = 0), 8.4e-12 (k = 1) and 2.0e-12 (k = 3)
-    gamma_checks = ("specfun_gamma_recurrence", "specfun_gamma_reflection")
+    # at 1e-11 both gamma checks let each of these plants pass: on _SEED's
+    # 1000 points they read 1.5e-12 (k = 0), 8.4e-12 (k = 1) and 2.0e-12
+    # (k = 3); at 1e-12 the degree recurrence let k = 0 pass, at 1.6e-13
+    gamma_checks = ("specfun_gamma_recurrence", "specfun_gamma_reflection",
+                    "specfun_degree_recurrence")
     exact = _specfun_residuals(harness._SEED)
     coefficients = list(specfun._LANCZOS_C)
     coefficients[k] *= 1.0 + 1e-12
@@ -953,7 +970,7 @@ def test_identity_residual_evaluates_each_coefficient_once(count):
         def leaf(z):
             calls[key] = calls.get(key, 0) + 1
             return np.cos(z)
-        return from_callable(leaf, note=key)
+        return from_callable(leaf)
 
     parts = [DifferenceOperator([Term(counting(f"A{i}"), 0.5j, 0), Term(1.0, 0.0, 1),
                                  Term(counting(f"B{i}"), -0.5j, 2)])
@@ -1038,9 +1055,10 @@ def test_a_planted_one_term_error_fails_its_check(check_id, monkeypatch):
     error = 1e-6 * shift_op(2j)
     if check_id == "rel_two_step_commutator":
         _planted(monkeypatch, rel, "BB_commutator_rhs", lambda rhs: rhs + error)
-    elif check_id.startswith("nonrel"):  # K0 off by one term
+    elif check_id.startswith("nonrel"):  # K0 off by one term, a nonrel one: xi^2
         _planted(monkeypatch, nonrel, "su11_generators",
-                 lambda generators: (generators[0] + error, *generators[1:]))
+                 lambda generators: (generators[0] + 1e-6 * mul_op(monomial(2)),
+                                     *generators[1:]))
     elif check_id == "rel_lowering_commutator":  # B- off by one term
         _planted(monkeypatch, rel, "ladder_B", lambda pair: (pair[0] + error, pair[1]))
     else:  # B+ off by one term
@@ -1048,6 +1066,59 @@ def test_a_planted_one_term_error_fails_its_check(check_id, monkeypatch):
     results = {r.check_id: r for r in harness.run_suite(0.5, 0.1, n_max=1).results}
     assert results[check_id].max_residual > harness.CHECKS[check_id].tolerance
     assert not results[check_id].passed
+
+
+def test_a_planted_shift_in_a_nonrel_operator_raises(monkeypatch):
+    # a nonrel identity is read on Laurent coefficients: a shifted term has
+    # none, and raises rather than pass unread
+    _planted(monkeypatch, nonrel, "su11_generators",
+             lambda generators: (generators[0] + 1e-6 * shift_op(2j), *generators[1:]))
+    with pytest.raises(ValueError, match="Laurent coefficients"):
+        harness.run_suite(0.5, 0.1, n_max=1)
+
+
+# The smallest one-term error, of each kind, that each nonrel eigenstate
+# check caught before it read coefficients (grid readings at (0.5, 0.1),
+# n_max 6): H for the eigen equation, c- for ground annihilation, K+ for
+# the ladder checks.  That check caught a xi^-2 error in K+ from 1e-14, its
+# value-space tower amplifying the 1/xi^2 term near xi = 0.25; the
+# coefficient reading takes it from 1e-12.
+_PLANTS = {
+    "nonrel_eigen_equation": ("hamiltonian", {"1": 1e-9, "xi2": 1e-10, "xi-2": 1e-10, "D": 1e-10}),
+    "nonrel_ground_annihilation": ("ladder_c", {"1": 1e-11, "xi2": 1e-12, "xi-2": 1e-12,
+                                                "D": 1e-12}),
+    "nonrel_ladder_coefficient": ("su11_generators", {"1": 1e-7, "xi2": 1e-8, "xi-2": 1e-8,
+                                                      "D": 1e-7}),
+    "nonrel_ladder_reconstruction": ("su11_generators", {"1": 1e-8, "xi2": 1e-9, "xi-2": 1e-12,
+                                                         "D": 1e-12}),
+}
+_TERMS = {"1": identity_op(), "xi2": mul_op(monomial(2)), "xi-2": mul_op(monomial(-2)),
+          "D": deriv_op()}
+
+
+def _nonrel_reading(check_id):
+    levels = {cid: c.levels.at(6) for cid, c in harness.CHECKS.items() if c.levels}
+    for cid, _, worst, *_ in harness._checks_nonrel(0.1, levels):
+        if cid == check_id:
+            return worst
+
+
+@pytest.mark.parametrize("check_id", sorted(_PLANTS))
+@pytest.mark.parametrize("term", sorted(_TERMS))
+def test_a_planted_error_fails_each_nonrel_eigenstate_check(check_id, term, monkeypatch):
+    name, sizes = _PLANTS[check_id]
+    tolerance = harness.CHECKS[check_id].tolerance
+    assert _nonrel_reading(check_id) <= tolerance
+    for scale in (1.0, 10.0, 1e3):
+        error = sizes[term] * scale * _TERMS[term]
+        with monkeypatch.context() as patch:
+            if name == "hamiltonian":
+                _planted(patch, nonrel, name, lambda H: H + error)
+            elif name == "ladder_c":
+                _planted(patch, nonrel, name, lambda pair: (pair[0] + error, pair[1]))
+            else:  # K+
+                _planted(patch, nonrel, name, lambda gens: (*gens[:2], gens[2] + error))
+            assert _nonrel_reading(check_id) > tolerance, scale
 
 
 def test_every_traced_hook_resolves_in_fdosc():

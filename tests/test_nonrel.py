@@ -9,10 +9,32 @@ from scipy.integrate import quad
 
 from fdosc import nonrel, specfun
 from fdosc.errors import CouplingError
-from fdosc.opcore import compose, default_grid, identity_op, mixed_residual
+from fdosc.opcore import compose, const, default_grid, identity_op, polynomial, shift_op
 
 GRID = default_grid()
 MODEL = nonrel.make_model(0.1)
+
+
+def _laguerre(n, d=MODEL.d):
+    """L_n^d(xi^2) as a Laurent sum in xi."""
+    c = specfun.laguerre_coefficients(n, d)
+    return polynomial([c[j // 2] if j % 2 == 0 else 0.0 for j in range(2 * n + 1)])
+
+
+def _in_gauge(op, g, model=MODEL):
+    """psi_0^-1 op psi_0 applied to the Laurent sum g: psi = psi_0 g."""
+    return nonrel.act(nonrel.gauged(model, op), g)
+
+
+def _largest_gap(a, b) -> float:
+    """max |a_p - b_p| over the powers of either Laurent sum."""
+    return max((abs(a.powers.get(p, 0) - b.powers.get(p, 0)) for p in {*a.powers, *b.powers}),
+               default=0.0)
+
+
+def _assert_same_sum(a, b, tol):
+    """a and b agree coefficient by coefficient to tol of b's largest."""
+    assert _largest_gap(a, b) <= tol * max(map(abs, b.powers.values()))
 
 
 def test_exponent_value():
@@ -49,11 +71,45 @@ def test_ground_energy_frozen():
 
 @pytest.mark.parametrize("n", range(6))
 def test_eigen_equation(n):
+    # psi_n = (c_n/c_0) psi_0 L_n^d(xi^2), so H psi_n = E_n psi_n reads
+    # H~ L_n = E_n L_n in the gauge, on coefficients
+    L = _laguerre(n)
+    _assert_same_sum(_in_gauge(nonrel.hamiltonian(MODEL), L),
+                     nonrel.energy(MODEL, n) * L, 1e-13)
+
+
+@pytest.mark.parametrize("g0", [0.1, -0.1, 5.0])
+def test_ground_log_derivative_matches_mpmath(g0):
+    model = nonrel.make_model(g0)
+    w = nonrel.ground_log_derivative(model)
+    pts = np.concatenate([GRID[::3], GRID[1::8] + 0.3j])
+    with mp.workdps(30):
+        p = mp.mpf(model.d) + mp.mpf(0.5)
+        want = [complex(mp.diff(lambda x: mp.log(x ** p * mp.exp(-x * x / 2)), mp.mpc(z)))
+                for z in pts]
+    assert np.max(np.abs(w(pts) - want) / np.abs(want)) <= 1e-14
+
+
+def test_gauged_raising_operator_has_its_closed_form():
+    # psi_0^-1 A+ psi_0 = 1/2 D^2 + (p/xi - 2 xi) D + (2 xi^2 - 2p - 1), p = d + 1/2,
+    # which uses p(p-1) = 2 g0: its xi^-2 coefficient is that rounding alone
+    p = MODEL.d + 0.5
+    gauged = {t.dorder: t.coeff.powers for t in nonrel.gauged(MODEL, nonrel.ladder_A(MODEL)[1]).terms}
+    want = {0: {2: 2.0, 0: -2.0 * p - 1.0}, 1: {-1: p, 1: -2.0}, 2: {0: 0.5}}
+    assert gauged.keys() == want.keys()
+    for order, powers in want.items():
+        got = gauged[order]
+        assert set(got) - set(powers) <= {-2} and abs(got.get(-2, 0)) <= 1e-15 * MODEL.g0
+        assert all(abs(got[k] - v) <= 1e-15 * abs(v) for k, v in powers.items()), order
+
+
+def test_gauge_and_action_refuse_a_shift():
+    # the Laurent algebra acts at shift 0: a shifted term would not be read
     H = nonrel.hamiltonian(MODEL)
-    st = nonrel.eigenfunction(MODEL, n)
-    out = H(st.wavefunction)
-    worst = max(abs(out(p) - st.energy * st.wavefunction(p)) for p in GRID)
-    assert worst < 1e-10
+    with pytest.raises(ValueError, match="shift"):
+        nonrel.gauged(MODEL, H + 1e-6 * shift_op(2j))
+    with pytest.raises(ValueError, match="shift"):
+        nonrel.act(shift_op(2j), _laguerre(2))
 
 
 @pytest.mark.parametrize("n", [0, 1, 3])
@@ -73,35 +129,30 @@ def test_factorization_closes():
     c_minus, c_plus = nonrel.ladder_c(MODEL)
     H = nonrel.hamiltonian(MODEL)
     fact = compose(c_plus, c_minus) + (MODEL.d + 1.0) * identity_op()
-    st = nonrel.eigenfunction(MODEL, 2)
-    worst = max(abs(fact(st.wavefunction)(p) - H(st.wavefunction)(p)) for p in GRID)
-    assert worst < 1e-12
+    L = _laguerre(2)
+    _assert_same_sum(_in_gauge(fact, L), _in_gauge(H, L), 1e-13)
 
 
 def test_lowering_forms_agree_and_annihilate_ground():
     form1, form2 = nonrel.lowering_forms(MODEL)
-    wf0 = nonrel.eigenfunction(MODEL, 0).wavefunction
-    assert mixed_residual(form1(wf0)(GRID), form2(wf0)(GRID)) < 1e-12
-    assert max(abs(form2(wf0)(p)) for p in GRID) < 1e-13
+    L = _laguerre(2)
+    _assert_same_sum(_in_gauge(form1, L), _in_gauge(form2, L), 1e-13)
+    for form in (form1, form2):
+        assert _largest_gap(_in_gauge(form, const(1.0)), const(0.0)) < 1e-15
 
 
 def test_two_step_ladder_shifts_by_two_levels():
     _, A_plus = nonrel.ladder_A(MODEL)
-    H = nonrel.hamiltonian(MODEL)
-    st = nonrel.eigenfunction(MODEL, 1)
-    raised = A_plus(st.wavefunction)
-    out = H(raised)
-    worst = max(abs(out(p) - (st.energy + 2.0) * raised(p)) for p in GRID)
-    assert worst < 1e-10
+    raised = _in_gauge(A_plus, _laguerre(1))
+    _assert_same_sum(_in_gauge(nonrel.hamiltonian(MODEL), raised),
+                     (nonrel.energy(MODEL, 1) + 2.0) * raised, 1e-13)
 
 
 def test_su11_commutation_on_states():
     K0, Km, Kp = nonrel.su11_generators(MODEL)
-    st = nonrel.eigenfunction(MODEL, 2)
-    f = st.wavefunction
+    L = _laguerre(2)
     bracket = compose(Km, Kp) - compose(Kp, Km)
-    worst = max(abs(bracket(f)(p) - 2.0 * K0(f)(p)) for p in GRID)
-    assert worst < 1e-10
+    _assert_same_sum(_in_gauge(bracket, L), 2.0 * _in_gauge(K0, L), 1e-13)
 
 
 def test_matrix_oracle_frozen_ground_value():
@@ -151,11 +202,10 @@ def test_batched_eigenfunctions_equal_each_level_bit_for_bit(g0):
     model = nonrel.make_model(g0)
     pts = np.concatenate([GRID, GRID[::4] + 0.3j])
     batch = nonrel.eigenfunctions(model, range(13))
-    for K in range(5):
-        rows = batch.jet(pts, K)
-        assert rows.shape == (13, K + 1, len(pts))
-        for n, row in enumerate(rows):
-            assert np.array_equal(row, nonrel.eigenfunction(model, n).wavefunction.jet(pts, K))
+    rows = batch(pts)
+    assert rows.shape == (13, len(pts))
+    for n, row in enumerate(rows):
+        assert np.array_equal(row, nonrel.eigenfunction(model, n).wavefunction(pts))
     # any choice and order of levels gives the same rows
     assert np.array_equal(nonrel.eigenfunctions(model, [7, 2])(pts), batch(pts)[[7, 2]])
 
@@ -175,26 +225,18 @@ def test_a_batched_leaf_is_not_iterable():
 
 
 @pytest.mark.parametrize("g0", [0.1, -0.1])
-def test_laguerre_jets_match_mpmath_to_level_32(g0):
-    # rows f, f' and f''/2 of f(xi) = L_n^d(xi^2), from dL_n^d/dy = -L_(n-1)^(d+1)
+def test_laguerre_rows_match_mpmath_to_level_32(g0):
+    # the leaf's L_n^d(xi^2) rows, which the nonrel eigenstate checks no
+    # longer evaluate: they read L_n on its coefficients
     d = nonrel.make_model(g0).d
     pts = np.concatenate([GRID[::2], GRID[1::8] + 0.3j])
-    jets = nonrel._laguerre_rows(range(33), d).jet(pts, 2)
-    assert jets.shape == (33, 3, len(pts))
+    rows = nonrel._laguerre_rows(range(33), d)(pts)
+    assert rows.shape == (33, len(pts))
     with mp.workdps(30):
         d = mp.mpf(d)
         for n in range(33):
-            ref = np.zeros((3, len(pts)), dtype=complex)
-            for j, p in enumerate(pts):
-                x = mp.mpc(p.real, p.imag)
-                y = x * x
-                l1 = -mp.laguerre(n - 1, d + 1, y) if n >= 1 else 0
-                l2 = mp.laguerre(n - 2, d + 2, y) if n >= 2 else 0
-                ref[:, j] = [complex(mp.laguerre(n, d, y)), complex(2 * x * l1),
-                             complex(l1 + 2 * y * l2)]
-            for order in range(3):
-                scale = np.max(np.abs(ref[order]))
-                assert np.max(np.abs(jets[n, order] - ref[order])) <= 1e-12 * scale, (n, order)
+            ref = np.array([complex(mp.laguerre(n, d, mp.mpc(p.real, p.imag) ** 2)) for p in pts])
+            assert np.max(np.abs(rows[n] - ref)) <= 1e-12 * np.max(np.abs(ref)), n
 
 
 def test_levels_past_the_power_basis_match_mpmath():
@@ -216,5 +258,5 @@ def test_eigenfunctions_use_no_power_basis(monkeypatch):
 
     assert not hasattr(nonrel, "laguerre_coefficients")
     monkeypatch.setattr(specfun, "laguerre_coefficients", refuse)
-    assert nonrel.eigenfunctions(MODEL, range(9)).jet(GRID, 2).shape == (9, 3, len(GRID))
+    assert nonrel.eigenfunctions(MODEL, range(9))(GRID).shape == (9, len(GRID))
     assert nonrel.eigenfunctions(MODEL, [])(GRID).shape == (0, len(GRID))

@@ -1,4 +1,5 @@
-"""Function/operator algebra: shifts act exactly, composition is associative."""
+"""Function/operator algebra: shifts act exactly, composition is associative,
+Laurent sums fold exactly."""
 
 import math
 
@@ -38,6 +39,27 @@ def test_shift_is_exact_argument_translation():
         assert g(p) == f(p + 1.5j)
 
 
+def _coefficients(op, pts):
+    """{(shift, order): coefficient on pts} of op's nonzero terms."""
+    return {(t.shift, t.dorder): t.coeff(pts) for t in op.terms
+            if t.coeff.powers is None or t.coeff.powers}
+
+
+def _assert_same_operator(A, B, tol=1e-13):
+    """A and B have the same terms, each coefficient equal on a grid off the
+    real axis; a term one of them lacks is zero in the other."""
+    pts = GRID + 0.1j
+    a, b = _coefficients(A, pts), _coefficients(B, pts)
+    for key in {*a, *b}:
+        ca, cb = a.get(key, np.zeros(len(pts))), b.get(key, np.zeros(len(pts)))
+        assert np.max(np.abs(ca - cb)) <= tol * (1.0 + np.max(np.abs(cb))), key
+
+
+def _laurent_terms(op):
+    """{(shift, order): powers} of op's nonzero terms, each a Laurent sum."""
+    return {(t.shift, t.dorder): t.coeff.powers for t in op.terms if t.coeff.powers}
+
+
 def test_inverse_shifts_compose_to_identity():
     op = compose(shift_op(0.7j), shift_op(-0.7j))
     f = gaussian(0.8) * polynomial([1.0, 2.0, -0.5])
@@ -48,34 +70,28 @@ def test_composition_is_associative():
     A = mul_op(coordinate()) + shift_op(0.5j)
     B = deriv_op() - 2.0 * identity_op()
     C = shift_op(-1j) + mul_op(monomial(2))
-    f = gaussian(1.0) * polynomial([0.3, -1.0, 0.7])
-    lhs = compose(compose(A, B), C)
-    rhs = compose(A, compose(B, C))
-    assert mixed_residual(lhs(f)(GRID), rhs(f)(GRID)) < 1e-13
+    _assert_same_operator(compose(compose(A, B), C), compose(A, compose(B, C)))
 
 
 def test_composition_order_matters():
-    # [d/dz, z] = 1
+    # [d/dz, z] = 1, exactly: the coefficients fold to numbers
     z_op = mul_op(coordinate())
-    f = gaussian(1.0)
-    lhs, rhs = compose(deriv_op(), z_op) - compose(z_op, deriv_op()), identity_op()
-    assert mixed_residual(lhs(f)(GRID), rhs(f)(GRID)) < 1e-14
+    lhs = compose(deriv_op(), z_op) - compose(z_op, deriv_op())
+    assert _laurent_terms(lhs) == {(0j, 0): {0: 1.0}}
 
 
 def test_commutator_antisymmetry():
     A = mul_op(monomial(2)) + shift_op(1j)
     B = deriv_op() + mul_op(coordinate())
-    f = gaussian(0.7) * polynomial([1.0, 0.5])
     lhs, rhs = compose(A, B) - compose(B, A), -1.0 * (compose(B, A) - compose(A, B))
-    assert mixed_residual(lhs(f)(GRID), rhs(f)(GRID)) < 1e-13
+    _assert_same_operator(lhs, rhs)
 
 
 def test_leibniz_in_composition():
-    # d/dz (z^2 f) = 2 z f + z^2 f'
+    # d/dz (z^2 f) = 2 z f + z^2 f', exactly
     lhs = compose(deriv_op(), mul_op(monomial(2)))
     rhs = mul_op(2.0 * coordinate()) + compose(mul_op(monomial(2)), deriv_op())
-    f = gaussian(1.2)
-    assert mixed_residual(lhs(f)(GRID), rhs(f)(GRID)) < 1e-13
+    assert _laurent_terms(lhs) == _laurent_terms(rhs) == {(0j, 0): {1: 2.0}, (0j, 1): {2: 1.0}}
 
 
 def test_exact_derivatives_of_primitives():
@@ -83,10 +99,9 @@ def test_exact_derivatives_of_primitives():
     df = f.derivative()
     for p in (0.5, 1.5, 3.0):
         assert df(p) == pytest.approx(-2.0 + 6.0 * p, abs=1e-14)
-    g = gaussian(0.9)
-    dg = g.derivative()
-    for p in (0.4, 2.0):
-        assert abs(dg(p) - (-0.9 * p * g(p))) < 1e-14
+    # only a Laurent sum has a derivative
+    with pytest.raises(EvaluationError, match="not a Laurent sum"):
+        gaussian(0.9).derivative()
     h = monomial(1.7)
     dh = h.derivative()
     for p in (0.5, 2.5):
@@ -94,22 +109,24 @@ def test_exact_derivatives_of_primitives():
 
 
 def test_callable_leaf_has_no_derivative():
-    f = from_callable(np.cos, note="cos")
+    f = from_callable(np.cos)
     assert f(0.7) == pytest.approx(math.cos(0.7))
-    df = f.derivative()
     with pytest.raises(EvaluationError):
-        df(0.7)
-    with pytest.raises(EvaluationError):
-        deriv_op()(f)(0.7)
+        f.derivative()
+    # nor does a tower take one: it acts on values
+    with pytest.raises(ValueError, match="derivative term"):
+        deriv_op()(f)
 
 
-_LEAVES = [
+_LAURENT_LEAVES = [
     ("const", const(1.5 - 0.5j), lambda z: mp.mpc(1.5, -0.5)),
     ("coordinate", coordinate(), lambda z: z),
     ("monomial", monomial(1.7), lambda z: z ** mp.mpf(1.7)),
     ("monomial_negative", monomial(-2), lambda z: z ** -2),
     ("polynomial", polynomial([1.0, -2.0, 0.5, 3.0, -0.25]),
      lambda z: 1 - 2 * z + mp.mpf(0.5) * z**2 + 3 * z**3 - mp.mpf(0.25) * z**4),
+]
+_LEAVES = _LAURENT_LEAVES + [
     ("gaussian", gaussian(0.9), lambda z: mp.exp(-mp.mpf(0.9) * z**2 / 2)),
     ("exp_linear", exp_linear(0.3 + 0.4j), lambda z: mp.exp(mp.mpc(0.3, 0.4) * z)),
     ("product_of_shifted",
@@ -121,7 +138,17 @@ _LEAVES = [
 
 
 @pytest.mark.parametrize("name,f,ref", _LEAVES, ids=[leaf[0] for leaf in _LEAVES])
+def test_leaf_values_match_mpmath(name, f, ref):
+    pts = np.array([0.8 + 0.3j, 2.1 - 0.6j, 1.3 + 1.1j])
+    with mp.workdps(30):
+        want = np.array([complex(ref(mp.mpc(p))) for p in pts])
+    assert np.max(np.abs(f(pts) - want) / (1.0 + np.abs(want))) <= 1e-15, name
+
+
+@pytest.mark.parametrize("name,f,ref", _LAURENT_LEAVES, ids=[leaf[0] for leaf in _LAURENT_LEAVES])
 def test_jet_derivatives_match_mpmath(name, f, ref):
+    # the Taylor rows a jet carried are the derivatives of a Laurent sum,
+    # now its exact term-by-term derivatives
     with mp.workdps(30):
         for p in (0.8 + 0.3j, 2.1 - 0.6j, 1.3 + 1.1j):
             df = f
@@ -132,11 +159,12 @@ def test_jet_derivatives_match_mpmath(name, f, ref):
 
 
 def test_array_evaluation_equals_pointwise():
-    nr = nonrel.make_model(0.1)
-    _, _, Kp = nonrel.su11_generators(nr)
-    psi0 = nonrel.eigenfunction(nr, 0).wavefunction
+    model = rel.make_rel_model(0.5, 0.1)
+    H = rel.hamiltonian_rel(model)
+    _, B_plus = rel.ladder_B(model)
+    phi0 = rel.eigenfunction_rel(model, 0).wavefunction
     pts = GRID
-    for f in (rel.ladder_state(rel.make_rel_model(0.5, 0.1), 6).wavefunction, Kp(Kp(psi0))):
+    for f in (rel.ladder_state(model, 6).wavefunction, H(B_plus(B_plus(phi0)))):
         values = f(pts)
         assert values.shape == pts.shape
         pointwise = [f(p) for p in pts]
@@ -217,30 +245,47 @@ def test_scalar_and_const_coefficients():
 
 def test_constants_fold_when_built():
     c = const(2.0 - 1.0j)
-    assert (c + const(3.0)).value == 5.0 - 1.0j
-    assert (c + -1.0).value == 1.0 - 1.0j
-    assert (-c).value == -2.0 + 1.0j
-    assert (3.0 * c).value == (c * const(3.0)).value == 6.0 - 3.0j
+    assert (c + const(3.0)).powers == {0: 5.0 - 1.0j}
+    assert (c + -1.0).powers == {0: 1.0 - 1.0j}
+    assert (-c).powers == {0: -2.0 + 1.0j}
+    assert (3.0 * c).powers == (c * const(3.0)).powers == {0: 6.0 - 3.0j}
     assert c.shifted(1j) is c
-    assert c.derivative().value == 0.0
-    assert coordinate().value is None
+    assert c.derivative().powers == {}
+    assert coordinate().powers == {1: 1.0}
+    assert gaussian(1.0).powers is None
     # operator coefficients stay constants through merging and composition
     op = compose(shift_op(0.5j), 2.0 * shift_op(-0.5j)) + identity_op()
-    assert [t.coeff.value for t in op.terms] == [3.0]
+    assert [t.coeff.powers for t in op.terms] == [{0: 3.0}]
+
+
+def test_laurent_sums_fold_when_built():
+    # +, *, scaling and derivative fold two Laurent sums into one; a term
+    # that cancels is dropped
+    xi, inv2 = coordinate(), monomial(-2)
+    assert (xi * xi + 0.5 * inv2).powers == {2: 1.0, -2: 0.5}
+    assert ((xi + 1.0) * (xi + -1.0)).powers == {2: 1.0, 0: -1.0}
+    assert (xi + -xi).powers == {}
+    assert (monomial(1.5) * monomial(-0.5)).powers == {1.0: 1.0}
+    assert polynomial([1.0, 0.0, 3.0]).derivative().powers == {1: 6.0}
+    assert inv2.derivative().derivative().powers == {-4: 6.0}
+    # a shift, or a product with any other function, leaves the Laurent sums
+    assert xi.shifted(1j).powers is None and (xi * gaussian(1.0)).powers is None
 
 
 def test_folded_constants_give_the_jets_they_replace():
-    # polynomial([c]) is the same constant without the fold
-    c, c_plain = const(2.0 - 1.0j), polynomial([2.0 - 1.0j])
+    # a folded constant gives the values of the same constant as a leaf
+    c = const(2.0 - 1.0j)
+    c_plain = from_callable(lambda z: np.full(len(z), 2.0 - 1.0j))
     f = gaussian(0.8) * polynomial([1.0, 2.0, -0.5])
     z = GRID + 0.3j
     for folded, plain in ((c * f, c_plain * f), (f * c, f * c_plain),
                           (f + c, f + c_plain), (c + -f, c_plain + -f)):
-        assert folded.value is None
-        assert np.array_equal(folded.jet(z, 3), plain.jet(z, 3))
-    folded_op = 2.0 * shift_op(1j) + mul_op(c) + deriv_op()
-    plain_op = compose(mul_op(polynomial([2.0])), shift_op(1j)) + mul_op(c_plain) + deriv_op()
-    assert np.array_equal(folded_op(f).jet(z, 2), plain_op(f).jet(z, 2))
+        assert folded.powers is None
+        assert np.array_equal(folded(z), plain(z))
+    folded_op = 2.0 * shift_op(1j) + mul_op(c)
+    plain_op = compose(mul_op(from_callable(lambda z: np.full(len(z), 2.0))),
+                       shift_op(1j)) + mul_op(c_plain)
+    assert np.array_equal(folded_op(f)(z), plain_op(f)(z))
 
 
 def test_scaling_by_zero_still_reports_nonfinite():
@@ -303,32 +348,29 @@ def test_rel_tower_equals_composed_power():
 
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_nonrel_tower_jets_equal_separate_steps(order):
+    # a differential operator acts on a Laurent sum by the algebra: K+ taken
+    # n times, then differentiated `order` times, gives the coefficients of
+    # its composed power applied once, to rounding
     _, _, K_plus = nonrel.su11_generators(_NONREL)
-    psi0 = nonrel.eigenfunction(_NONREL, 0).wavefunction
-    pts = GRID[::2] + 0.1j
+    g = polynomial([1.0, 0.0, -0.5, 0.0, 0.25])
+    steps = g
     for n in range(1, 5):
-        tower, chain, product = (_tower(K_plus, psi0, n), _chain(K_plus, psi0, n),
-                                 _power(K_plus, n)(psi0))
+        steps = nonrel.act(K_plus, steps)
+        a, b = steps, nonrel.act(_power(K_plus, n), g)
         for _ in range(order):
-            tower, chain, product = tower.derivative(), chain.derivative(), product.derivative()
-        _assert_close(tower(pts), chain(pts))
-        _assert_close(tower(pts[3]), chain(pts[3]))
-        _assert_close(tower.jet(pts, 2), chain.jet(pts, 2))
-        # compose expands K+^n into coefficients that cancel: against the
-        # separate steps it is off by up to 1.6e-11 normwise at n = 4, order 2
-        _assert_close(tower(pts), product(pts), tol=1e-13 if n < 3 else 1e-10)
+            a, b = a.derivative(), b.derivative()
+        scale = max(map(abs, b.powers.values()))
+        assert max(abs(a.powers.get(p, 0) - b.powers.get(p, 0))
+                   for p in {*a.powers, *b.powers}) <= 1e-14 * scale, n
 
 
 def test_towers_under_another_operator():
-    K0, K_minus, K_plus = nonrel.su11_generators(_NONREL)
-    psi0 = nonrel.eigenfunction(_NONREL, 0).wavefunction
-    pts = GRID
-    tower, chain = _tower(K_plus, psi0, 3), _chain(K_plus, psi0, 3)
-    _assert_close(K_minus(tower)(pts), K_minus(chain)(pts))
-    _assert_close(K0(tower).derivative()(pts), K0(chain).derivative()(pts))
-    _, B_plus = rel.ladder_B(_REL)
+    B_minus, B_plus = rel.ladder_B(_REL)
     H = rel.hamiltonian_rel(_REL)
     phi0 = rel.eigenfunction_rel(_REL, 0).wavefunction
+    pts = GRID
+    tower, chain = _tower(B_plus, phi0, 3), _chain(B_plus, phi0, 3)
+    _assert_close(B_minus(tower)(pts), B_minus(chain)(pts))
     _assert_close(H(_tower(B_plus, phi0, 5))(pts), H(_chain(B_plus, phi0, 5))(pts))
 
 
@@ -341,9 +383,9 @@ def test_tower_on_coincident_points_equals_distinct_and_single_points():
     distinct, where = np.unique(pts, return_inverse=True)
     assert np.array_equal(got, f(distinct)[where])
     assert np.array_equal(got, [f(p) for p in pts])
-    # a tower whose terms share one shift and differ in derivative order
-    _, _, K_plus = nonrel.su11_generators(_NONREL)
-    g = _tower(K_plus, nonrel.eigenfunction(_NONREL, 0).wavefunction, 3)
+    # a fused tower, whose shift sums reach each point from several terms
+    _, B_plus = rel.ladder_B(_REL)
+    g = _tower(B_plus, rel.eigenfunction_rel(_REL, 0).wavefunction, 3)
     pts = np.array([1.0, 1.0, 2.5, 0.5 + 0.1j, 2.5])
     distinct, where = np.unique(pts, return_inverse=True)
     assert np.array_equal(g(pts), g(distinct)[where])
@@ -351,13 +393,13 @@ def test_tower_on_coincident_points_equals_distinct_and_single_points():
 
 
 def _mixed_operator():
-    """Terms with a constant and function coefficients, derivative orders 0, 1, 2."""
+    """Terms with a constant and function coefficients, at five shifts."""
     return DifferenceOperator([
-        Term(const(0.7 - 0.2j), 0.5j, 0),
-        Term(polynomial([0.3, -1.1, 0.4]), -0.5j, 1),
-        Term(exp_linear(0.2 + 0.1j), 0.0, 2),
-        Term(const(-1.3), 1j, 2),
-        Term(gaussian(0.4), 0.25, 1),
+        Term(const(0.7 - 0.2j), 0.5j),
+        Term(polynomial([0.3, -1.1, 0.4]), -0.5j),
+        Term(exp_linear(0.2 + 0.1j), 0.0),
+        Term(const(-1.3), 1j),
+        Term(gaussian(0.4), 0.25),
     ])
 
 
@@ -366,31 +408,26 @@ def test_stacked_step_matches_each_term_built_by_hand():
     f = gaussian(0.8) * polynomial([1.0, 0.5, -0.3])
     by_hand = const(0.0)
     for t in op.terms:
-        g = f
-        for _ in range(t.dorder):
-            g = g.derivative()
-        by_hand = by_hand + t.coeff * g.shifted(t.shift)
+        by_hand = by_hand + t.coeff * f.shifted(t.shift)
     pts = GRID[::3] + 0.2j
-    for K in range(3):
-        _assert_close(op(f).jet(pts, K), by_hand.jet(pts, K), tol=1e-14)
-        _assert_close(op(f).jet(pts[4:5], K), by_hand.jet(pts[4:5], K), tol=1e-14)
+    _assert_close(op(f)(pts), by_hand(pts), tol=1e-14)
+    _assert_close(op(f)(pts[4:5]), by_hand(pts[4:5]), tol=1e-14)
 
 
-@pytest.mark.parametrize("K", [0, 1, 2])
-def test_stacked_tower_matches_separate_steps(K):
+def test_stacked_tower_matches_separate_steps():
     op = _mixed_operator()
     f = gaussian(0.8) * polynomial([1.0, 0.5, -0.3])
     pts = GRID[::3] + 0.2j
     tower, chain = _tower(op, f, 3), _chain(op, f, 3)
-    _assert_close(tower.jet(pts, K), chain.jet(pts, K), tol=1e-14)
-    _assert_close(tower.jet(pts[4:5], K), chain.jet(pts[4:5], K), tol=1e-14)
+    _assert_close(tower(pts), chain(pts), tol=1e-14)
+    _assert_close(tower(pts[4:5]), chain(pts[4:5]), tol=1e-14)
 
 
 def _counting(fn, counts, key):
     def leaf(z):
         counts[key] = counts.get(key, 0) + 1
         return fn(z)
-    return from_callable(leaf, note=key)
+    return from_callable(leaf)
 
 
 def test_equal_operator_objects_do_not_fuse():
@@ -434,15 +471,15 @@ def test_tower_lattice_on_a_pole_raises_like_the_product():
             _tower(B_plus, phi0, 2)(z)
 
 
-def test_callable_coefficient_in_tower_needs_no_derivative_until_asked():
-    op = mul_op(from_callable(np.cos, note="cos")) + deriv_op()
-    f = gaussian(0.8)
-    assert op(f)(0.7) == pytest.approx(math.cos(0.7) * f(0.7) + f.derivative()(0.7))
-    # a second application differentiates the coefficient of the first
-    with pytest.raises(EvaluationError):
-        op(op(f))(0.7)
-    with pytest.raises(EvaluationError):
-        op(op(f))([0.7, 1.2])
+def test_tower_refuses_a_derivative_term():
+    # a tower acts on values: an operator with a derivative term acts on a
+    # Laurent sum by the algebra (nonrel.act), never as a tower
+    op = mul_op(from_callable(np.cos)) + deriv_op()
+    for f in (gaussian(0.8), coordinate()):
+        with pytest.raises(ValueError, match="derivative term"):
+            op(f)
+    with pytest.raises(ValueError, match="derivative term"):
+        opcore.powers(op, gaussian(0.8), 2)
 
 
 @pytest.mark.parametrize("n", [1, 4, 8])
@@ -461,11 +498,11 @@ def test_tower_evaluates_each_leaf_once_per_call(n):
 # ---- batches: op(F)(points) for a batched F ---------------------------
 
 
-def _nonrel_batch(ns):
-    """The nonrel closed forms psi_n, n in ns, as one batched leaf with
-    derivative jets, and each psi_n as its own function."""
-    return (nonrel.eigenfunctions(_NONREL, ns),
-            [nonrel.eigenfunction(_NONREL, n).wavefunction for n in ns])
+def _rel_batch(ns):
+    """The rel closed forms phi_n, n in ns, as one batched leaf, and each
+    phi_n as its own function."""
+    return (rel.eigenfunctions(_REL, ns),
+            [rel.eigenfunction_rel(_REL, n).wavefunction for n in ns])
 
 
 def _batch_equals_calls(op, F, fs, pts, calls=None):
@@ -474,20 +511,17 @@ def _batch_equals_calls(op, F, fs, pts, calls=None):
     assert np.array_equal(batch, np.array(calls or [op(f)(pts) for f in fs]))
 
 
-def test_values_equal_calls_for_a_commutator_with_derivatives():
-    _, Km, Kp = nonrel.su11_generators(_NONREL)
-    bracket = compose(Km, Kp) - compose(Kp, Km)
-    F, fs = _nonrel_batch([0, 2, 5])
+def test_values_equal_calls_for_a_commutator():
+    B_minus, B_plus = rel.ladder_B(_REL)
+    bracket = compose(B_minus, B_plus) - compose(B_plus, B_minus)
+    F, fs = _rel_batch([0, 2, 5])
     _batch_equals_calls(bracket, F, fs, GRID)
-    # a jet deeper than a value call, row by row as well
-    for row, f in zip(bracket(F).jet(GRID, 2), fs):
-        assert np.array_equal(row, bracket(f).jet(GRID, 2))
+    _batch_equals_calls(bracket, F, fs, GRID[::5] + 0.3j)
 
 
 def test_values_equal_calls_for_rel_shift_only_ladder():
     B_minus, B_plus = rel.ladder_B(_REL)
-    F = rel.eigenfunctions(_REL, range(4))
-    fs = [rel.eigenfunction_rel(_REL, n).wavefunction for n in range(4)]
+    F, fs = _rel_batch(range(4))
     _batch_equals_calls(B_minus, F, fs, GRID)
     _batch_equals_calls(B_plus, F, fs, GRID)
     _batch_equals_calls(B_plus, F, fs, GRID[::5] + 1j)
@@ -495,15 +529,15 @@ def test_values_equal_calls_for_rel_shift_only_ladder():
 
 def test_a_scaled_batch_scales_each_row():
     _, B_plus = rel.ladder_B(_REL)
-    F = rel.eigenfunctions(_REL, range(4))
-    fs = [rel.eigenfunction_rel(_REL, n).wavefunction for n in range(4)]
+    F, fs = _rel_batch(range(4))
     scale = np.array([1.0, -2.0, 0.5j, 3.0])
     assert np.array_equal((scale * F)(GRID)[1], -2.0 * fs[1](GRID))
     _batch_equals_calls(B_plus, scale * F, [c * f for c, f in zip(scale, fs)], GRID)
 
 
 def test_values_of_no_functions_is_an_empty_batch():
-    assert deriv_op()(nonrel.eigenfunctions(_NONREL, []))(GRID).shape == (0, len(GRID))
+    assert mul_op(coordinate())(nonrel.eigenfunctions(_NONREL, []))(GRID).shape \
+        == (0, len(GRID))
     _, B_plus = rel.ladder_B(_REL)
     assert B_plus(rel.eigenfunctions(_REL, []))(GRID).shape == (0, len(GRID))
 
@@ -527,7 +561,7 @@ def test_values_name_the_first_nonfinite_point_of_the_batch():
 def test_values_evaluate_each_coefficient_once_per_batch():
     counts = {}
     op = DifferenceOperator([Term(_counting(np.cos, counts, "coeff"), 1j, 0),
-                             Term(const(0.5), -0.5j, 1)])
+                             Term(const(0.5), -0.5j, 0)])
     op(nonrel.eigenfunctions(_NONREL, range(5)))(GRID)
     assert counts == {"coeff": 1}
 
@@ -537,9 +571,9 @@ def test_nested_towers_over_a_batch_evaluate_each_block_once(monkeypatch):
     blocks = []
     coefficients = opcore._Tower.coefficients
 
-    def counting(tower, z, rows):
+    def counting(tower, z):
         blocks.append(tower.op)
-        return coefficients(tower, z, rows)
+        return coefficients(tower, z)
 
     monkeypatch.setattr(opcore._Tower, "coefficients", counting)
     F = rel.eigenfunctions(_REL, range(4))
@@ -548,16 +582,17 @@ def test_nested_towers_over_a_batch_evaluate_each_block_once(monkeypatch):
 
 
 def test_a_batched_call_at_one_point_keeps_its_row_axis():
-    F, fs = _nonrel_batch([0, 1, 3, 4])
+    F = nonrel.eigenfunctions(_NONREL, [0, 1, 3, 4])
+    fs = [nonrel.eigenfunction(_NONREL, n).wavefunction for n in (0, 1, 3, 4)]
     assert F(0.5).shape == (4,)
     assert F([[0.5, 1.0]]).shape == (4, 1, 2)
     assert F(0.5).tolist() == [f(0.5) for f in fs] == [F[i](0.5) for i in range(4)]
     pts = np.concatenate([GRID, GRID[::5] - 0.7j])
     assert np.array_equal(F[3](pts), fs[3](pts))
-    assert np.array_equal(F[1:3].jet(pts, 2), F.jet(pts, 2)[1:3])
+    assert np.array_equal(F[1:3](pts), F(pts)[1:3])
 
 
-# ---- polynomials: every coefficient row in one Horner pass -------------
+# ---- polynomials: exact derivatives -----------------------------------
 
 
 def _horner_rows(coeffs, z, K):
@@ -585,9 +620,17 @@ _POLYNOMIALS = [
 
 @pytest.mark.parametrize("coeffs", _POLYNOMIALS, ids=lambda c: f"degree{len(c) - 1}")
 def test_polynomial_jet_equals_a_horner_sum_per_row(coeffs):
+    # row k of the Taylor jet, p^(k)/k!, from the exact derivatives of the
+    # Laurent sum, against its own Horner sum: equal to the rounding of the
+    # terms, rows past the degree exactly 0
     pts = np.concatenate([GRID, GRID[::5] - 0.7j, [-1.25 + 0.5j]])
-    for K in range(len(coeffs) + 2):
-        assert np.array_equal(polynomial(coeffs).jet(pts, K), _horner_rows(coeffs, pts, K))
+    rows = _horner_rows(coeffs, pts, len(coeffs) + 1)
+    f = polynomial(coeffs)
+    for k, row in enumerate(rows):
+        size = sum(math.comb(j, k) * abs(complex(c)) * np.abs(pts) ** (j - k)
+                   for j, c in enumerate(coeffs) if j >= k)
+        assert np.all(np.abs(f(pts) / math.factorial(k) - row) <= 1e-14 * (1.0 + size)), k
+        f = f.derivative()
 
 
 # ---- powers: every level of a tower from one pass ----------------------
@@ -603,28 +646,17 @@ def test_powers_equal_separate_towers_bit_for_bit():
         assert np.array_equal(row, _tower(B_plus, phi0, n)(GRID)), n
 
 
-@pytest.mark.parametrize("K", [0, 1, 2])
-def test_powers_carry_every_jet_row_bit_for_bit(K):
-    _, _, K_plus = nonrel.su11_generators(_NONREL)
-    psi0 = nonrel.eigenfunction(_NONREL, 0).wavefunction
-    pts = np.concatenate([GRID, GRID[::3] + 0.1j])
-    levels = opcore.powers(K_plus, psi0, 8).jet(pts, K)
-    assert levels.shape == (9, K + 1, len(pts))
-    for n, row in enumerate(levels):
-        assert np.array_equal(row, _tower(K_plus, psi0, n).jet(pts, K)), n
-
-
 def test_powers_of_a_batched_base_and_of_a_tower():
-    _, _, K_plus = nonrel.su11_generators(_NONREL)
-    base = nonrel.eigenfunctions(_NONREL, [0, 2, 5])
-    levels = opcore.powers(K_plus, base, 4)(GRID)
+    _, B_plus = rel.ladder_B(_REL)
+    base = rel.eigenfunctions(_REL, [0, 2, 5])
+    levels = opcore.powers(B_plus, base, 4)(GRID)
     assert levels.shape == (5, 3, len(GRID))
     for n, rows in enumerate(levels):
-        assert np.array_equal(rows, _tower(K_plus, base, n)(GRID)), n
+        assert np.array_equal(rows, _tower(B_plus, base, n)(GRID)), n
     # a tower of the operator as the base fuses: its level k is op^(k+2) f
-    psi0 = nonrel.eigenfunction(_NONREL, 0).wavefunction
-    fused = opcore.powers(K_plus, _tower(K_plus, psi0, 2), 3)(GRID)
-    assert np.array_equal(fused, opcore.powers(K_plus, psi0, 5)(GRID)[2:])
+    phi0 = rel.eigenfunction_rel(_REL, 0).wavefunction
+    fused = opcore.powers(B_plus, _tower(B_plus, phi0, 2), 3)(GRID)
+    assert np.array_equal(fused, opcore.powers(B_plus, phi0, 5)(GRID)[2:])
 
 
 def test_powers_need_a_zero_shift_term_and_one_step():

@@ -5,8 +5,7 @@ process, median and quartiles.
 
 Times run_suite(0.6, 0.2) at three settings: n_max 6, n_max 30, and n_max
 30 with the ladder cap raised to 30 in this process only, which is the cost
-the ladder checks would add at a lifted cap (nonrel_ladder_reconstruction
-fails there; only the time is read).  The cap is raised where it is
+the ladder checks would add at a lifted cap (only the time is read).  The cap is raised where it is
 declared: each `harness.CHECKS` row whose level rule is capped at
 `harness.LADDER_CAP` gets the new cap, and the table is put back
 afterwards.  Then splits run_suite(0.6, 0.2) at n_max 6 by check group
