@@ -414,11 +414,13 @@ def test_stacked_step_matches_each_term_built_by_hand():
     _assert_close(op(f)(pts[4:5]), by_hand(pts[4:5]), tol=1e-14)
 
 
-def test_stacked_tower_matches_separate_steps():
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_stacked_tower_matches_separate_steps(k):
+    """Towers of depth 2, 3 and 4, fused against unfused."""
     op = _mixed_operator()
     f = gaussian(0.8) * polynomial([1.0, 0.5, -0.3])
     pts = GRID[::3] + 0.2j
-    tower, chain = _tower(op, f, 3), _chain(op, f, 3)
+    tower, chain = _tower(op, f, 2 + k), _chain(op, f, 2 + k)
     _assert_close(tower(pts), chain(pts), tol=1e-14)
     _assert_close(tower(pts[4:5]), chain(pts[4:5]), tol=1e-14)
 
