@@ -16,6 +16,10 @@ identity holds exactly when every merged coefficient vanishes.
 `_reduce` reads it per key, scaled by the size of the parts that cancel:
 `_identity_residual` feeds it the rel and plane-wave coefficients on the
 grid, `_laurent_residual` the nonrel Laurent coefficients, with no grid.
+On the grid `_commutator_residual` reads a rel commutator's products XY
+and YX unfolded, each merged coefficient the sum over term pairs of
+X_a(z) Y_b(z + a), off X's and Y's coefficient batches: folding [B-, B+]
+into its ~380 monomials would cost more than the one reading it serves.
 Every factorization, commutator and Casimir that holds as operators is
 checked that way.  The checks that read eigenstates are those that need
 the spectrum (the eigen equations, ground-state annihilation, the ladder
@@ -62,6 +66,7 @@ from .opcore import (
     powers,
     ratio_spread,
     shift_op,
+    stacked,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -284,20 +289,56 @@ def _bracket(X, Y):
 def _reduce(readings) -> float:
     """max over keys of |sum c| / (1 + sum size) over (key, c, size)
     readings, c a number or an array read pointwise, size |c| or the size of
-    what went into c: the parts that cancel do not count as error."""
+    what went into c: the parts that cancel do not count as error.  The
+    sums are compared in one array pass."""
     sums, sizes = {}, {}
     for key, c, size in readings:
         sums[key] = sums.get(key, 0.0) + c
         sizes[key] = sizes.get(key, 0.0) + size
-    return max((float(np.max(np.abs(sums[k]) / (1.0 + sizes[k]))) for k in sums),
-               default=0.0)
+    if not sums:
+        return 0.0
+    return float(np.max(np.abs(np.array(list(sums.values())))
+                        / (1.0 + np.array(list(sizes.values())))))
+
+
+def _operator_readings(pts, parts) -> list:
+    """(key, c, |c|) for each term of the operators, keyed by (shift,
+    order), every coefficient on pts read in one batch."""
+    terms = [t for part in parts for t in part.terms]
+    return [((t.shift, t.dorder), c, np.abs(c))
+            for t, c in zip(terms, stacked(t.coeff for t in terms)(pts))]
+
+
+def _product_readings(pts, X, Y, sign) -> list:
+    """(key, c, |c|) for each merged coefficient of sign X Y, X and Y
+    shift-only, keyed by (shift, 0): the sum over term pairs of
+    X_a(z) Y_b(z + a) on pts, from one call of each operator's coefficient
+    batch, with no product folded."""
+    if any(t.dorder for t in (*X.terms, *Y.terms)):
+        raise ValueError("an unfolded product reads shift-only operators")
+    shifts = np.array([t.shift for t in X.terms])[:, None]
+    x = AnalyticFunction(X.coefficient_batch)(pts)
+    y = AnalyticFunction(Y.coefficient_batch)((pts + shifts).reshape(-1)).reshape(
+        len(Y.terms), len(shifts), len(pts))
+    merged: dict = {}
+    for a, ta in enumerate(X.terms):
+        for b, tb in enumerate(Y.terms):
+            key = (ta.shift + tb.shift, 0)
+            merged[key] = merged.get(key, 0.0) + sign * x[a] * y[b, a]
+    return [(key, c, np.abs(c)) for key, c in merged.items()]
 
 
 def _identity_residual(pts, *parts) -> float:
-    """Residual of the operator identity sum(parts) = 0 on pts, keyed by
-    (shift, order), each coefficient evaluated once."""
-    return _reduce(((t.shift, t.dorder), c, np.abs(c))
-                   for part in parts for t in part.terms for c in [t.coeff(pts)])
+    """Residual of the operator identity sum(parts) = 0 on pts."""
+    return _reduce(_operator_readings(pts, parts))
+
+
+def _commutator_residual(pts, X, Y, *parts) -> float:
+    """Residual of [X, Y] + sum(parts) = 0 on pts, X and Y shift-only: XY
+    and -YX are read unfolded, since folding [B-, B+] into its ~380
+    monomials would cost more than the one reading it serves."""
+    return _reduce(_product_readings(pts, X, Y, 1.0) + _product_readings(pts, Y, X, -1.0)
+                   + _operator_readings(pts, parts))
 
 
 def _laurent_residual(*parts) -> float:
@@ -601,23 +642,23 @@ def _checks_rel(omega0: float, g0: float, levels: dict, pts):
         _max_abs(b_minus(phi0), pts), _max_abs(B_minus(phi0), pts)) \
         / float(np.max(np.abs(psi[ground])))
 
-    yield "rel_lowering_commutator", params, _identity_residual(
-        pts, *_bracket(H, B_minus), 2.0 * w0 * B_minus)
-    yield "rel_raising_commutator", params, _identity_residual(
-        pts, *_bracket(H, B_plus), -2.0 * w0 * B_plus)
+    yield "rel_lowering_commutator", params, _commutator_residual(
+        pts, H, B_minus, 2.0 * w0 * B_minus)
+    yield "rel_raising_commutator", params, _commutator_residual(
+        pts, H, B_plus, -2.0 * w0 * B_plus)
 
     Bm_printed, _ = rel.ladder_B_printed(model)
-    yield "rel_lowering_commutator_uncorrected", params, _identity_residual(
-        pts, *_bracket(H, Bm_printed), 2.0 * w0 * Bm_printed)
+    yield "rel_lowering_commutator_uncorrected", params, _commutator_residual(
+        pts, H, Bm_printed, 2.0 * w0 * Bm_printed)
 
-    yield "rel_momentum_commutator", params, _identity_residual(
-        pts, *_bracket(mul_op(coordinate()), H), -1j * P)
+    yield "rel_momentum_commutator", params, _commutator_residual(
+        pts, mul_op(coordinate()), H, -1j * P)
 
-    yield "rel_pair_commutator_printed", params, _identity_residual(
-        pts, *_bracket(b_minus, b_plus), -rel.bb_commutator_rhs(model))
+    yield "rel_pair_commutator_printed", params, _commutator_residual(
+        pts, b_minus, b_plus, -rel.bb_commutator_rhs(model))
 
-    yield "rel_two_step_commutator", params, _identity_residual(
-        pts, *_bracket(B_minus, B_plus), -rel.BB_commutator_rhs(model))
+    yield "rel_two_step_commutator", params, _commutator_residual(
+        pts, B_minus, B_plus, -rel.BB_commutator_rhs(model))
 
     Bm_compact, _ = rel.ladder_B_compact(model)
     yield "rel_compact_form_comparison", params, _identity_residual(

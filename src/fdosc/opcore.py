@@ -1,13 +1,26 @@
 """Analytic-function and shift-operator algebra.
 
 An AnalyticFunction evaluates on an array of points, ``values(z)``.  A
-Laurent sum sum_p c_p z^p, each power p real (principal branch), also holds
-its coefficients, ``powers`` = {p: c_p}: +, *, scaling and ``derivative``
-fold two Laurent sums into one when an expression is built, so their
-coefficients are exact algebra; a constant is {0: c}.  Only a Laurent sum
-has a derivative; asking any other function for one raises
-EvaluationError.  Nothing is cached: a call evaluates the expression once
-on all its points.
+rational sum sum_m c_m prod_(q, p) in m (z - q)^p, each monomial m a
+frozenset of (pole q, real power p) factors (principal branch), also holds
+its coefficients, ``monomials`` = {m: c_m}: +, *, scaling and ``shifted``
+fold rational sums into one when an expression is built, so their
+coefficients are exact algebra.  A product multiplies monomials, adding
+the exponents at a shared pole, and f.shifted(a) relabels each pole q as
+q - a; no sum is ever split into partial fractions.  ``monomial(p, at=q)``
+is (z - q)^p.  A rational sum whose only pole is 0 is a Laurent sum
+sum_p c_p z^p, and ``powers`` = {p: c_p} is that view (None when any other
+pole appears; a constant is {0: c}); Laurent sums fold on their powers and
+evaluate as sum_p c_p z^p, and only a Laurent sum has a derivative: asking
+any other function for one raises EvaluationError.  Nothing is cached: a
+call evaluates the expression once on all its points.
+
+``stacked(fns)`` is one batched function whose row i is fns[i].  When every
+one is a rational sum it holds one coefficient matrix over the union of
+their monomials: a call evaluates each factor (z - q)^p once, each monomial
+as the product of its factors, and each row as its monomials summed in
+order, a point's values never depending on the other points of the call;
+otherwise it stacks their values.
 
 A DifferenceOperator is a finite sum of terms coeff(z) * D^k f(z + shift);
 shifts act exactly as argument translation, so operator identities can be
@@ -20,8 +33,10 @@ operator with a derivative term raises ValueError there.  Applied to the
 output of the same operator object, it gives one node for op^(p+1) f over
 the same base f, so a ladder state (B^+)^n phi_0 is one node.  A call
 evaluates f once at z + S_p, S_p the distinct shift sums of p
-applications, and each coefficient once, at z plus the union of
-S_0..S_(p-1), stacked on a term axis; points are not merged across z.
+applications, and every coefficient in one call of the operator's
+``coefficient_batch`` (its terms' coefficients ``stacked``, built at its
+first tower), at z plus the union of S_0..S_(p-1), on a term axis; points
+are not merged across z.
 Then p steps carry the values from z + S_p down to z, each one gather of
 every term's shifted values and one stacked multiply-add.  Any other
 wrapper, such as 2.0 * op(f) or an operator object with equal terms,
@@ -43,27 +58,44 @@ bit the floats of the tower op^k f.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from dataclasses import dataclass
+import operator
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EvaluationError
 
+_ONE = frozenset()  # the monomial of a constant, no factor
+_BLOCK = 2**12  # complex entries of one pass's (slot, sum, point) block of a rational batch
+
 
 class AnalyticFunction:
     """Deterministic complex function of one complex variable: ``values(z)``
     maps a 1-d complex array of points to the (*B, len(z)) array of values,
-    B empty for a scalar function; ``powers`` is {p: c_p} for a Laurent sum
-    sum_p c_p z^p and None otherwise."""
+    B empty for a scalar function.  ``monomials`` is {m: c_m} for a rational
+    sum sum_m c_m prod_(q, p) in m (z - q)^p, m a frozenset of (pole q,
+    exponent p) pairs, and None otherwise; ``powers`` is its pole-0 view
+    {p: c_p}, a Laurent sum sum_p c_p z^p, and None when any other pole
+    appears."""
 
-    __slots__ = ("values", "powers")
+    __slots__ = ("values", "powers", "_monomials")
     __array_ufunc__ = None  # ndarray * f defers to f.__rmul__
     __iter__ = None  # f[i] never raises IndexError, so iterating would not end
 
-    def __init__(self, values, powers=None):
+    def __init__(self, values, powers=None, monomials=None):
         self.values = values
         self.powers = powers
+        self._monomials = monomials  # None for a Laurent sum: read off its powers
+
+    @property
+    def monomials(self):
+        """{m: c_m} of a rational sum, a Laurent sum's read off its powers."""
+        if self.powers is not None:
+            return {frozenset({(0j, p)}) if p else _ONE: c for p, c in self.powers.items()}
+        return self._monomials
 
     def __call__(self, z):
         """f(z) for a scalar (a complex) or a sequence or array (an ndarray);
@@ -89,9 +121,14 @@ class AnalyticFunction:
         return _laurent({p - 1: p * c for p, c in self.powers.items()})
 
     def shifted(self, a) -> "AnalyticFunction":
+        """f(z + a): a rational sum relabels each pole q as q - a, exactly."""
         a = complex(a)
         if a == 0 or _constant(self) is not None:
             return self
+        monomials = self.monomials
+        if monomials is not None:
+            return _rational({frozenset([(q - a, p) for q, p in m]): c
+                              for m, c in monomials.items()})
         values = self.values
         return AnalyticFunction(lambda z: values(z + a))
 
@@ -100,10 +137,10 @@ class AnalyticFunction:
     def __add__(self, other):
         other = _as_function(other)
         if self.powers is not None and other.powers is not None:
-            total = dict(self.powers)
-            for p, v in other.powers.items():
-                total[p] = total.get(p, 0) + v
-            return _laurent(total)
+            return _laurent(_folded_sum(self.powers, other.powers))
+        a, b = self.monomials, other.monomials
+        if a is not None and b is not None:
+            return _rational(_folded_sum(a, b))
         if _constant(self) is not None:
             self, other = other, self
         f, g, c = self.values, other.values, _constant(other)
@@ -116,6 +153,8 @@ class AnalyticFunction:
     def __neg__(self):
         if self.powers is not None:
             return _laurent({p: -c for p, c in self.powers.items()})
+        if self._monomials is not None:
+            return _rational({m: -c for m, c in self._monomials.items()})
         f = self.values
         return AnalyticFunction(lambda z: -f(z))
 
@@ -127,11 +166,10 @@ class AnalyticFunction:
             if c is not None:
                 return other * c
             if self.powers is not None and other.powers is not None:
-                product: dict = {}
-                for p, u in self.powers.items():
-                    for q, v in other.powers.items():
-                        product[p + q] = product.get(p + q, 0) + u * v
-                return _laurent(product)
+                return _laurent(_folded_product(self.powers, other.powers, operator.add))
+            a, b = self.monomials, other.monomials
+            if a is not None and b is not None:
+                return _rational(_folded_product(a, b, _times))
             f, g = self.values, other.values
             return AnalyticFunction(lambda z: f(z) * g(z))
         if not isinstance(other, (int, float, complex)) and np.ndim(other) == 1:
@@ -139,14 +177,50 @@ class AnalyticFunction:
             f = self.values
             return AnalyticFunction(lambda z: scale * f(z))
         c = complex(other)
-        if self.powers is not None:
-            return _laurent({p: c * v for p, v in self.powers.items()})
         if c == 1:
             return self
+        if self.powers is not None:
+            return _laurent({p: c * v for p, v in self.powers.items()})
+        if self._monomials is not None:
+            return _rational({m: c * v for m, v in self._monomials.items()})
         f = self.values
         return AnalyticFunction(lambda z: c * f(z))
 
     __rmul__ = __mul__
+
+
+def _folded_sum(a: dict, b: dict) -> dict:
+    """{key: a_key + b_key}, keys in order of first appearance."""
+    total = dict(a)
+    for k, v in b.items():
+        total[k] = total.get(k, 0) + v
+    return total
+
+
+def _folded_product(a: dict, b: dict, times) -> dict:
+    """{times(k, l): sum of a_k b_l}, accumulated in the order of a, then b."""
+    product: dict = {}
+    get = product.get
+    for k, u in a.items():
+        for l, v in b.items():
+            kl = times(k, l)
+            product[kl] = get(kl, 0) + u * v
+    return product
+
+
+def _times(m: frozenset, n: frozenset) -> frozenset:
+    """The monomial m n: exponents at a shared pole add, and a pole whose
+    exponent sums to 0 drops out."""
+    if not m:
+        return n
+    if not n:
+        return m
+    out = dict(m)
+    for q, p in n:
+        p += out.pop(q, 0)
+        if p:
+            out[q] = p
+    return frozenset(out.items())
 
 
 def _checked_values(evaluate, pts):
@@ -202,6 +276,78 @@ def _laurent(powers) -> AnalyticFunction:
     return AnalyticFunction(values, powers)
 
 
+def _rational(monomials) -> AnalyticFunction:
+    """The rational sum of {m: c_m}, a zero c_m dropped; one whose only pole
+    is 0 is the Laurent sum of its powers."""
+    if 0 in monomials.values():
+        monomials = {m: c for m, c in monomials.items() if c != 0}
+    if all(q == 0 for m in monomials for q, _ in m):
+        return _laurent({dict(m).get(0, 0): c for m, c in monomials.items()})
+    return AnalyticFunction(lambda z: _rational_rows([monomials])(z)[0], None, monomials)
+
+
+def _rational_rows(sums):
+    """z -> the values of the rational sums at z, shape (len(sums), len(z)):
+    one coefficient matrix over the union of their monomials, held as each
+    sum's (monomial, coefficient) pairs in its own order.
+
+    Each monomial is the product of its factors (z - q)^p in order of pole,
+    never split into partial fractions.  Each row sums its monomials in
+    order, so a point's values do not depend on the other points of the
+    call; the points are taken in passes of at most _BLOCK products."""
+    # the union of the monomials, the constant first: it pads the shorter rows
+    index = dict(zip(dict.fromkeys(itertools.chain([_ONE], *sums)), itertools.count()))
+    slots = _padded([[index[m] for m in s] for s in sums], np.intp).T
+    coeffs = _padded([list(s.values()) for s in sums], complex).T[:, :, None]
+    # the factor table in order of pole, after row 0, z^0 = 1, which pads
+    # the shorter monomials: each multiplies its factors in row order
+    factors = [(0j, 0)] + sorted(frozenset().union(*index), key=_factor_order)
+    row = dict(zip(factors[1:], itertools.count(1)))
+    where = _padded([sorted(row[f] for f in m) for m in index], np.intp)
+    poles = np.array([q for q, _ in factors], dtype=complex)[:, None]
+    exponents = np.array([p for _, p in factors], dtype=complex)[:, None]
+
+    def chunk(z):
+        # ufunc calls, not operators: for a large temporary operand numpy
+        # computes a * b as b * a in place, and its complex product is not
+        # commutative in the last bit
+        table = np.power(z - poles, exponents)
+        values = table[where[:, 0]]
+        for column in where.T[1:]:
+            values = np.multiply(values, table[column])
+        # summed over monomials on the float view: its inner (re, im) axis
+        # keeps numpy's reduction sequential, where for one sum at one point
+        # it would be pairwise
+        terms = values[slots]
+        np.multiply(coeffs, terms, out=terms)
+        return np.add.reduce(terms.view(float), axis=0).view(complex)
+
+    step = max(1, _BLOCK // (slots.size or 1))
+
+    def rows(z):
+        if len(z) <= step:
+            return chunk(z)
+        out = np.empty((len(sums), len(z)), dtype=complex)
+        for start in range(0, len(z), step):
+            out[:, start:start + step] = chunk(z[start:start + step])
+        return out
+
+    return rows
+
+
+def _padded(rows, dtype) -> np.ndarray:
+    """The rows as one array, each padded with zeros to the longest, at
+    least 1."""
+    width = max(map(len, rows), default=0) or 1
+    return np.array([row + [0] * (width - len(row)) for row in rows],
+                    dtype=dtype).reshape(len(rows), width)
+
+
+def _factor_order(factor):
+    q, p = factor
+    return (*_shift_order(q), p)
+
+
 def const(c) -> AnalyticFunction:
     return _laurent({0: c})
 
@@ -210,9 +356,10 @@ def coordinate() -> AnalyticFunction:
     return _laurent({1: 1.0})
 
 
-def monomial(p) -> AnalyticFunction:
-    """z**p on the principal branch."""
-    return _laurent({p: 1.0})
+def monomial(p, at=0.0) -> AnalyticFunction:
+    """(z - at)**p on the principal branch: z**p, a Laurent sum, at the
+    default pole 0."""
+    return _rational({frozenset({(complex(at), p)}) if p else _ONE: 1.0 + 0j})
 
 
 def polynomial(coeffs) -> AnalyticFunction:
@@ -240,8 +387,7 @@ def from_callable(fn) -> AnalyticFunction:
 # ---- operators ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     coeff: AnalyticFunction
     shift: complex
     dorder: int = 0
@@ -258,16 +404,17 @@ class DifferenceOperator:
         merged: dict = {}
         for t in terms:
             coeff = _as_function(t.coeff)
-            key = (complex(t.shift).real, complex(t.shift).imag, t.dorder)
-            if key in merged:
-                merged[key] = merged[key] + coeff
-            else:
-                merged[key] = coeff
-        self.terms = tuple(
-            Term(coeff, complex(k[0], k[1]), k[2]) for k, coeff in sorted(
-                merged.items(), key=lambda kv: (kv[0][2], kv[0][1], kv[0][0])
-            )
-        )
+            key = (complex(t.shift), t.dorder)
+            merged[key] = merged[key] + coeff if key in merged else coeff
+        self.terms = tuple(Term(coeff, shift, dorder) for (shift, dorder), coeff
+                           in sorted(merged.items(), key=_term_order))
+
+    @functools.cached_property
+    def coefficient_batch(self):
+        """Every term's coefficient as one batched function, z -> (terms,
+        len(z)) values: the batch `stacked` builds, once, at the operator's
+        first tower."""
+        return stacked(t.coeff for t in self.terms).values
 
     def __call__(self, f: AnalyticFunction) -> AnalyticFunction:
         """One tower node: self applied to f, or once more to a tower of self."""
@@ -293,15 +440,27 @@ class DifferenceOperator:
     __rmul__ = __mul__
 
 
+def _term_order(item):
+    """Terms in order of derivative order, then of shift."""
+    (shift, dorder), _ = item
+    return dorder, shift.imag, shift.real
+
+
+def _shift_order(shift):
+    """Shifts, and poles, in order of imaginary part, then of real part."""
+    return shift.imag, shift.real
+
+
 class _Tower:
     """Values of op^p f: p applications of one operator object as one node.
 
     S_j lists the distinct shift sums of j applications, S_0 = [0] and
-    S_(j+1) = S_j + shifts; steps[j][t, k] is the index of S_j[k] plus the
-    shift of term t in S_(j+1), so one gather reads every term's shifted
-    values.  The base acts at z + S_p, the coefficients at z + union, union
-    = S_0 | ... | S_(p-1) in order of first appearance; at_union[j] places
-    S_j in it, as a slice when S_j is a prefix (S_0 always is).
+    S_(j+1) = S_j + shifts, each in order of shift (_shift_order);
+    steps[j][t, k] is the index of S_j[k] plus the shift of term t in
+    S_(j+1), so one gather reads every term's shifted values.  The base acts
+    at z + S_p, the coefficients at z + union, union = S_0 | ... | S_(p-1) in
+    the same order; at_union[j] places S_j in it, as a slice when S_j is a
+    run of it, as it is for shifts along one line.
     """
 
     def __init__(self, op: DifferenceOperator, f_values):
@@ -311,34 +470,30 @@ class _Tower:
         self.op = op
         inner = f_values if isinstance(f_values, _Tower) and f_values.op is op else None
         if inner is None:
-            self.base = f_values
-            last, steps, place, at_union = [0j], [], {}, []
+            self.base, levels, steps = f_values, [[0j]], []
         else:
-            self.base = inner.base
-            last, steps, place, at_union = (
-                inner.last, list(inner.steps), dict(inner.place), list(inner.at_union))
-        where = [place.setdefault(s, len(place)) for s in last]
-        at_union.append(slice(0, len(where)) if where == list(range(len(where)))
-                        else np.array(where))
+            self.base, levels, steps = inner.base, list(inner.levels), list(inner.steps)
+        last = levels[-1]
         # terms that share a shift share their entries of S_(j+1)
-        following: dict = {}
-        step = [[following.setdefault(s + t.shift, len(following)) for s in last]
-                for t in op.terms]
-        steps.append(np.array(step, dtype=np.intp).reshape(len(op.terms), len(last)))
-        self.last, self.steps, self.place, self.at_union = list(following), steps, place, at_union
-        self.union = np.array(list(place), dtype=complex)
-        self.base_shifts = np.array(self.last, dtype=complex)[:, None]
+        following = sorted({s + t.shift for t in op.terms for s in last}, key=_shift_order)
+        index = dict(zip(following, itertools.count()))
+        steps.append(np.array([[index[s + t.shift] for s in last] for t in op.terms],
+                              dtype=np.intp).reshape(len(op.terms), len(last)))
+        levels.append(following)
+        union = sorted(set().union(*levels[:-1]), key=_shift_order)
+        place = dict(zip(union, itertools.count()))
+        self.levels, self.steps = levels, steps
+        self.at_union = [_run([place[s] for s in level]) for level in levels[:-1]]
+        self.union = np.array(union, dtype=complex)
+        self.base_shifts = np.array(following, dtype=complex)[:, None]
 
     def coefficients(self, z):
         """The coefficient values at z + union on a term axis, shape (terms,
-        |union|, len(z)), shared by every row of a batched base."""
+        |union|, len(z)), shared by every row of a batched base: one call of
+        the operator's coefficient_batch."""
         n = len(z)
         points = z if len(self.union) == 1 else (z + self.union[:, None]).reshape(-1)
-        block = np.zeros((len(self.op.terms), len(self.union), n), dtype=complex)
-        for i, t in enumerate(self.op.terms):
-            c = _constant(t.coeff)
-            block[i] = t.coeff.values(points).reshape(len(self.union), n) if c is None else c
-        return block
+        return self.op.coefficient_batch(points).reshape(len(self.op.terms), len(self.union), n)
 
     def __call__(self, z, at=None):
         """The base once at z + S_p, then p steps over all terms and rows;
@@ -346,19 +501,41 @@ class _Tower:
         0..p, read after the step that reaches it, on a leading axis."""
         n, power = len(z), len(self.steps)
         values = self.base((z + self.base_shifts).reshape(-1))
-        values = values.reshape(values.shape[:-1] + (len(self.last), n))
+        values = values.reshape(values.shape[:-1] + (len(self.base_shifts), n))
         if at is not None:
             levels = [values[..., at[power], :]]
         block = self.coefficients(z)
         for j in reversed(range(power)):
             # values holds the values at z + S_(j+1), shape (*B, |S_(j+1)|, n);
             # the gather gives term t's shifted values at z + S_j on axis -3
-            values = (block[:, self.at_union[j]] * values[..., self.steps[j], :]).sum(axis=-3)
+            # (a ufunc call, not *: see _rational_rows)
+            values = np.add.reduce(np.multiply(block[:, self.at_union[j]],
+                                               values[..., self.steps[j], :]), axis=-3)
             if at is not None:
                 levels.append(values[..., at[j], :])
         if at is not None:
             return np.stack(levels)
         return values.reshape(values.shape[:-2] + (n,))
+
+
+def _run(where):
+    """Indices as a slice when they run consecutively, else as an array."""
+    start = where[0] if where else 0
+    if where == list(range(start, start + len(where))):
+        return slice(start, start + len(where))
+    return np.array(where, dtype=np.intp)
+
+
+def stacked(fns) -> AnalyticFunction:
+    """One batched function whose row i is fns[i], each a scalar function: one
+    coefficient matrix over their monomials when every one is a rational
+    sum, else their values stacked."""
+    fns = list(fns)
+    sums = [f.monomials for f in fns]
+    if all(s is not None for s in sums):
+        return AnalyticFunction(_rational_rows(sums))
+    return AnalyticFunction(lambda z: np.array([f.values(z) for f in fns],
+                                               dtype=complex).reshape(len(fns), len(z)))
 
 
 def powers(op: DifferenceOperator, f, p: int) -> AnalyticFunction:

@@ -17,6 +17,13 @@ level, since alpha, nu >= 1.  On psi_n each K-+ is a scalar times B-+, so
 -+2 omega0 B-+, which the harness checks term by term; it reads only
 [K-, K+] = 2 K0 and the Casimir on the eigenbasis.
 
+Every coefficient of H, P, b-+ and B-+, and of the printed and compact
+forms and commutator right-hand sides, is a rational sum of monomials
+c prod (rho - q)^p with every pole q on the lattice (i/2)Z: the
+interaction is omega0^2/2 rho^(2) + g0/rho^(2), rho^(2) = rho (rho + i)
+one monomial with poles at 0 and -i, and compose folds the products
+exactly (see opcore).  Only the eigenfunction leaves are callables.
+
 No inner product is specified for the model, so every "conjugate"
 operator is built from its printed closed form and all ladder-coefficient
 measurements are pointwise grid ratios (basis-independent).
@@ -44,9 +51,12 @@ from .opcore import (
     AnalyticFunction,
     DifferenceOperator,
     compose,
+    coordinate,
     from_callable,
     identity_op,
+    monomial,
     mul_op,
+    polynomial,
     shift_op,
 )
 from .specfun import cdhahn_rows, log_gamma, pochhammer
@@ -105,11 +115,15 @@ def energy(model: RelModel, n: int) -> float:
 # ---- coefficient functions ---------------------------------------------
 
 
+def _generalized_square(p, at=0.0) -> AnalyticFunction:
+    """((rho - at)(rho - at + i))^p, the generalized second-degree power
+    (rho - at)^(2) to the p: one monomial with poles at `at` and at - i."""
+    return monomial(p, at=at) * monomial(p, at=at - 1j)
+
+
 def _interaction(model: RelModel) -> AnalyticFunction:
     """omega0^2/2 rho(rho+i) + g0 / (rho(rho+i)); singular at rho = 0, -i."""
-    w2 = 0.5 * model.omega0**2
-    g0 = model.g0
-    return from_callable(lambda z: w2 * z * (z + 1j) + g0 / (z * (z + 1j)))
+    return 0.5 * model.omega0**2 * _generalized_square(1) + model.g0 * _generalized_square(-1)
 
 
 def hamiltonian_rel(model: RelModel) -> DifferenceOperator:
@@ -131,8 +145,9 @@ def ladder_b(model: RelModel) -> tuple[DifferenceOperator, DifferenceOperator]:
     b^+ = [e^{-i/2 d} - omega0 (nu - i rho)(1 - alpha/(i rho)) e^{+i/2 d}]/sqrt(2)
     """
     a, nu, w0 = model.alpha, model.nu, model.omega0
-    u = from_callable(lambda z: (nu + 1j * z) * (1.0 + a / (1j * z)))
-    v = from_callable(lambda z: (nu - 1j * z) * (1.0 - a / (1j * z)))
+    # Laurent sums in rho: alpha/(i rho) = -i alpha rho^-1
+    u = polynomial([nu, 1j]) * (1.0 + -1j * a * monomial(-1))
+    v = polynomial([nu, -1j]) * (1.0 + 1j * a * monomial(-1))
     b_minus = (1.0 / _SQRT2) * (
         shift_op(-0.5j) - w0 * compose(shift_op(0.5j), mul_op(u))
     )
@@ -146,8 +161,8 @@ def _ladder_B_from_tail(model: RelModel, tail_constant: float):
     w0, a, nu = model.omega0, model.alpha, model.nu
     H = hamiltonian_rel(model)
     b_minus, b_plus = ladder_b(model)
-    irho = mul_op(from_callable(lambda z: 1j * z))
-    neg_irho = mul_op(from_callable(lambda z: -1j * z))
+    irho = mul_op(1j * coordinate())
+    neg_irho = mul_op(-1j * coordinate())
     scalar_tail = 0.5 * H - (0.5 / w0) * compose(H, H) + tail_constant * identity_op()
     bracket_minus = _SQRT2 * compose(shift_op(-0.5j), b_minus) - H \
         + (w0 * (a + nu)) * identity_op()
@@ -194,8 +209,8 @@ def ladder_B_compact(model: RelModel) -> tuple[DifferenceOperator, DifferenceOpe
     """
     w0 = model.omega0
     P = momentum_P(model)
-    w0rho = mul_op(from_callable(lambda z: w0 * z))
-    sing = mul_op(from_callable(lambda z: 2.0 * model.g0 / (z * z + 1.0)))
+    w0rho = mul_op(w0 * coordinate())
+    sing = mul_op(2.0 * model.g0 * monomial(-1, at=1j) * monomial(-1, at=-1j))
     inner_minus = w0rho - 1j * P
     inner_plus = w0rho + 1j * P
     B_minus = (0.5 / w0) * (compose(inner_minus, inner_minus) - sing)
@@ -211,18 +226,11 @@ def bb_commutator_rhs(model: RelModel) -> DifferenceOperator:
             + alpha nu [ -(alpha-1)(nu-1)/rho^(2) + alpha nu/((rho+i/2)^(2)) ].
     """
     a, nu, w0 = model.alpha, model.nu, model.omega0
-    local = from_callable(lambda z: 0.5 * w0 * (1.0 + a * nu / (z * z + 0.25)))
-
-    def delta(z):
-        r2 = z * (z + 1j)
-        r2_half = (z + 0.5j) * (z + 1.5j)
-        return a + nu - 0.25 + a * nu * (
-            -(a - 1.0) * (nu - 1.0) / r2 + a * nu / r2_half
-        )
-
-    shifted_part = compose(mul_op(from_callable(lambda z: 0.5 * w0 * w0 * delta(z))),
-                           shift_op(1j))
-    return mul_op(local) + shifted_part
+    # rho^2 + 1/4 = (rho - i/2)^(2)
+    local = 0.5 * w0 * (1.0 + a * nu * _generalized_square(-1, at=0.5j))
+    delta = a + nu - 0.25 + a * nu * (-(a - 1.0) * (nu - 1.0) * _generalized_square(-1)
+                                      + a * nu * _generalized_square(-1, at=-0.5j))
+    return mul_op(local) + compose(mul_op(0.5 * w0 * w0 * delta), shift_op(1j))
 
 
 def BB_commutator_rhs(model: RelModel) -> DifferenceOperator:

@@ -812,6 +812,11 @@ def test_suite_timing_tool_times_and_restores_the_cap(monkeypatch, capsys):
     times, peaks = tool.process_timings(1)
     assert len(times) == 1 and times[0] > 0.0
     assert len(peaks) == 1 and 1.0 < peaks[0] < 1000.0  # MB
+    layers = tool.tower_layers(1)
+    assert list(layers) == list(tool.TOWER_LEVELS)
+    for level in layers.values():
+        assert list(level) == ["call", "leaf", "coefficients", "steps"]
+        assert min(level["call"] + level["leaf"] + level["coefficients"]) > 0.0
 
     def fail(*args, **kwargs):
         # the cap is raised in the CHECKS rows, for the ladder checks alone
@@ -986,6 +991,23 @@ def test_identity_residual_scales_by_the_parts_that_cancel():
     # a term one part alone carries reads |c| / (1 + |c|)
     assert harness._identity_residual(pts, big, -big, 3.0 * shift_op(1j)) == 0.75
     assert harness._identity_residual(pts) == 0.0
+
+
+@pytest.mark.parametrize("pointwise", [False, True])
+def test_reduce_reads_every_key_in_one_array_pass(pointwise):
+    # the same floats as a max over keys of np.abs(sum) / (1 + size), key by
+    # key: scalar Laurent readings and readings on a grid alike
+    rng = random.Random(3)
+    draw = (lambda: rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) if not pointwise else (
+        lambda: np.array([rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1) for _ in range(5)]))
+    readings = [(rng.randrange(7), c, np.abs(c)) for c in (draw() for _ in range(40))]
+    sums, sizes = {}, {}
+    for key, c, size in readings:
+        sums[key] = sums.get(key, 0.0) + c
+        sizes[key] = sizes.get(key, 0.0) + size
+    by_key = max(float(np.max(np.abs(sums[k]) / (1.0 + sizes[k]))) for k in sums)
+    assert harness._reduce(readings) == by_key
+    assert harness._reduce([]) == 0.0
 
 
 def _term_residuals(pts, *parts):

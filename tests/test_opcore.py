@@ -10,6 +10,7 @@ import pytest
 from fdosc import nonrel, opcore, rel
 from fdosc.errors import EvaluationError
 from fdosc.opcore import (
+    AnalyticFunction,
     DifferenceOperator,
     Term,
     compose,
@@ -27,6 +28,7 @@ from fdosc.opcore import (
     mul_op,
     polynomial,
     shift_op,
+    stacked,
 )
 
 GRID = default_grid()
@@ -272,6 +274,71 @@ def test_laurent_sums_fold_when_built():
     assert xi.shifted(1j).powers is None and (xi * gaussian(1.0)).powers is None
 
 
+def _poles(f):
+    return {q for m in f.monomials for q, _ in m}
+
+
+def test_rational_sums_fold_when_built():
+    # (z - q)^p monomials fold like Laurent sums: exponents at a shared pole
+    # add, a pole whose exponent sums to 0 drops out, and a sum whose only
+    # pole is 0 is a Laurent sum again
+    r2 = monomial(1) * monomial(1, at=-1j)  # rho (rho + i)
+    assert r2.powers is None
+    assert r2.monomials == {frozenset({(0j, 1), (-1j, 1)}): 1.0}
+    assert (r2 * monomial(-1, at=-1j)).powers == {1: 1.0}
+    assert (r2 * monomial(-1) * monomial(-1, at=-1j)).powers == {0: 1.0}
+    assert (2.0 * r2 + -r2 + -r2).powers == {}
+    assert (r2 + 3.0).monomials == {frozenset({(0j, 1), (-1j, 1)}): 1.0, frozenset(): 3.0}
+    assert monomial(0, at=2j).powers == {0: 1.0}
+    # only a Laurent sum has a derivative, and a product with any other
+    # function is no rational sum
+    with pytest.raises(EvaluationError, match="not a Laurent sum"):
+        r2.derivative()
+    assert (r2 * gaussian(1.0)).monomials is None
+
+
+def test_shifted_keeps_a_rational_sum_rational():
+    f = 2.0 * monomial(-1, at=0.5j) * monomial(2) + (1.0 - 1j) * monomial(-2, at=-1j) + 3.0
+    g = f.shifted(0.75j)
+    # exact: each pole q relabelled q - a, each coefficient kept
+    assert g.monomials == {frozenset((q - 0.75j, p) for q, p in m): c
+                           for m, c in f.monomials.items()}
+    assert _poles(g) == {q - 0.75j for q in _poles(f)}
+    pts = GRID + 0.3j
+    assert np.max(np.abs(g(pts) - f(pts + 0.75j)) / np.abs(f(pts + 0.75j))) < 1e-15
+    # a Laurent sum shifted off 0 is a rational sum, and shifted back it is
+    # the same Laurent sum
+    xi = polynomial([1.0, -2.0, 0.5])
+    assert xi.shifted(1j).powers is None and xi.shifted(1j).monomials is not None
+    assert xi.shifted(1j).shifted(-1j).powers == xi.powers
+
+
+def test_a_product_of_poles_is_read_as_a_product():
+    # 1/prod_k (z + k i/2), k = 0..5, at z = 30: read as partial fractions
+    # its terms cancel to a 1.4e-8 relative error; read as one product of its
+    # factors it holds double precision
+    f = const(1.0)
+    for k in range(6):
+        f = f * monomial(-1, at=-0.5j * k)
+    assert len(f.monomials) == 1
+    with mp.workdps(50):
+        ref = 1 / mp.fprod(mp.mpf(30) + mp.mpc(0, 0.5 * k) for k in range(6))
+        assert abs(f(30.0) - complex(ref)) <= 1e-15 * abs(complex(ref))
+
+
+def test_a_rational_batch_reads_each_point_alone():
+    # a point's values do not depend on the other points of the call, so a
+    # tower's powers stay bit for bit: the rows of B+'s coefficients, and one
+    # folded coefficient, at each point alone, at a few points, and at many
+    B_minus, B_plus = rel.ladder_B(_REL)
+    pts = np.concatenate([(GRID + 0.5j * np.arange(-8, 9)[:, None]).reshape(-1), [30.0]])
+    for batch in (B_plus.coefficient_batch, stacked([compose(B_minus, B_plus).terms[4].coeff]).values):
+        every = batch(pts)
+        assert np.array_equal(every[:, :7], batch(pts[:7]))
+        assert np.array_equal(every, np.stack([batch(pts[i:i + 1])[:, 0]
+                                               for i in range(len(pts))], axis=1))
+
+
 def test_folded_constants_give_the_jets_they_replace():
     # a folded constant gives the values of the same constant as a leaf
     c = const(2.0 - 1.0j)
@@ -331,18 +398,31 @@ def _chain(op, f, n):
     return f
 
 
+def _opaque(op):
+    """op with each coefficient known by its values only: compose then
+    multiplies coefficients as products of values, where rational sums fold."""
+    return DifferenceOperator(Term(AnalyticFunction(t.coeff.values), t.shift, t.dorder)
+                              for t in op.terms)
+
+
 def test_rel_tower_equals_composed_power():
     _, B_plus = rel.ladder_B(_REL)
+    opaque = _opaque(B_plus)
     phi0 = rel.eigenfunction_rel(_REL, 0).wavefunction
     pts = GRID[::3]
-    product = identity_op()
+    folded, product = identity_op(), identity_op()
     for n in range(1, 7):
         tower, chain = _tower(B_plus, phi0, n), _chain(B_plus, phi0, n)
         _assert_close(tower(pts), chain(pts))
         _assert_close([tower(p) for p in pts[::4]], chain(pts[::4]))
-        # the coefficient trees of compose grow as 5^n: n = 6 takes ~1 s
+        # folded, the coefficients of B+^n grow ~13x a power (B+^3 holds
+        # 4762 monomials, B+^4 ~60 000); as products of values they grow as
+        # 5^n, and n = 6 takes ~1 s
+        if n <= 3:
+            folded = compose(B_plus, folded)
+            _assert_close(tower(pts), folded(phi0)(pts))
         if n <= 5:
-            product = compose(B_plus, product)
+            product = compose(opaque, product)
             _assert_close(tower(pts), product(phi0)(pts))
 
 
@@ -581,6 +661,32 @@ def test_nested_towers_over_a_batch_evaluate_each_block_once(monkeypatch):
     F = rel.eigenfunctions(_REL, range(4))
     B_minus(B_plus(F))(GRID)
     assert blocks.count(B_plus) == 1 and blocks.count(B_minus) == 1
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_a_tower_call_makes_one_coefficient_call(n, monkeypatch):
+    # every path: rational coefficients read as one coefficient matrix, and
+    # any others stacked; a batched base and a tower under another operator
+    rational = rel.ladder_B(_REL)[1]
+    mixed = _mixed_operator()
+    calls = []
+    batch = DifferenceOperator.coefficient_batch.func
+
+    def counting(op):
+        rows = batch(op)
+        return lambda z: calls.append(op) or rows(z)
+
+    monkeypatch.setattr(DifferenceOperator, "coefficient_batch", property(counting))
+    for op, base in ((rational, rel.eigenfunctions(_REL, range(3))), (mixed, gaussian(0.8))):
+        tower = _tower(op, base, n)
+        for z in (1.5, GRID):
+            calls.clear()
+            tower(z)
+            assert calls == [op]
+        calls.clear()
+        H = rel.hamiltonian_rel(_REL)
+        H(tower)(GRID)
+        assert calls == [op, H]  # the base tower first
 
 
 def test_a_batched_call_at_one_point_keeps_its_row_axis():

@@ -8,7 +8,15 @@ import pytest
 
 from fdosc import rel, specfun
 from fdosc.errors import CouplingError
-from fdosc.opcore import default_grid, grid_ratio
+from fdosc.opcore import (
+    compose,
+    default_grid,
+    from_callable,
+    grid_ratio,
+    identity_op,
+    mul_op,
+    shift_op,
+)
 
 GRID = default_grid()
 MODEL = rel.make_rel_model(0.5, 0.1)
@@ -213,9 +221,9 @@ def _closed_form(model, n, z):
     return prefactor * specfun.cdhahn_rows(n, z, a, nu, 0.5)[n]
 
 
-def _mp_closed_form(model, n, z):
-    """phi_n at the points z from 30-digit gammas and the terminating series."""
-    with mp.workdps(30):
+def _mp_closed_form(model, n, z, dps=30):
+    """phi_n at the points z from dps-digit gammas and the terminating series."""
+    with mp.workdps(dps):
         a, nu, w0 = (mp.mpf(v) for v in (model.alpha, model.nu, model.omega0))
         out = []
         for p in z:
@@ -271,3 +279,102 @@ def test_eigenfunction_family_rejects_negative_degrees():
     with pytest.raises(ValueError):
         rel.eigenfunctions(MODEL, [0, -1])
     assert rel.eigenfunctions(MODEL, [])(GRID).shape == (0, len(GRID))
+
+
+# ---- folded coefficients ------------------------------------------------
+
+
+def _operators(model):
+    """Every rel operator by name, as the module builds it."""
+    B_printed, B_compact = rel.ladder_B_printed(model), rel.ladder_B_compact(model)
+    return {"H": rel.hamiltonian_rel(model), "P": rel.momentum_P(model),
+            **dict(zip(("b-", "b+"), rel.ladder_b(model))),
+            **dict(zip(("B-", "B+"), rel.ladder_B(model))),
+            "B-printed": B_printed[0], "B+printed": B_printed[1],
+            "B-compact": B_compact[0], "B+compact": B_compact[1],
+            "bb_rhs": rel.bb_commutator_rhs(model), "BB_rhs": rel.BB_commutator_rhs(model)}
+
+
+def _lambda_operators(model):
+    """The same operators with each coefficient a lambda of its printed closed
+    form, composed as products of values: the reference the folded rational
+    sums must reproduce."""
+    a, nu, w0, g0 = model.alpha, model.nu, model.omega0, model.g0
+    sqrt2 = math.sqrt(2.0)
+    V = from_callable(lambda z: 0.5 * w0**2 * z * (z + 1j) + g0 / (z * (z + 1j)))
+    H = 0.5 * shift_op(1j) + 0.5 * shift_op(-1j) + compose(mul_op(V), shift_op(1j))
+    P = -(0.5 * shift_op(1j) - 0.5 * shift_op(-1j) + compose(mul_op(V), shift_op(1j)))
+    u = from_callable(lambda z: (nu + 1j * z) * (1.0 + a / (1j * z)))
+    v = from_callable(lambda z: (nu - 1j * z) * (1.0 - a / (1j * z)))
+    b_minus = (1.0 / sqrt2) * (shift_op(-0.5j) - w0 * compose(shift_op(0.5j), mul_op(u)))
+    b_plus = (1.0 / sqrt2) * (shift_op(-0.5j) - w0 * compose(mul_op(v), shift_op(0.5j)))
+
+    def pair(tail):
+        scalar_tail = 0.5 * H - (0.5 / w0) * compose(H, H) + tail * identity_op()
+        minus = sqrt2 * compose(shift_op(-0.5j), b_minus) - H + (w0 * (a + nu)) * identity_op()
+        plus = sqrt2 * compose(b_plus, shift_op(-0.5j)) - H + (w0 * (a + nu)) * identity_op()
+        return (compose(mul_op(from_callable(lambda z: 1j * z)), minus) + scalar_tail,
+                compose(plus, mul_op(from_callable(lambda z: -1j * z))) + scalar_tail)
+
+    w0rho = mul_op(from_callable(lambda z: w0 * z))
+    sing = mul_op(from_callable(lambda z: 2.0 * g0 / (z * z + 1.0)))
+    inner_minus, inner_plus = w0rho - 1j * P, w0rho + 1j * P
+    local = from_callable(lambda z: 0.5 * w0 * (1.0 + a * nu / (z * z + 0.25)))
+    delta = from_callable(lambda z: 0.5 * w0 * w0 * (a + nu - 0.25 + a * nu * (
+        -(a - 1.0) * (nu - 1.0) / (z * (z + 1j)) + a * nu / ((z + 0.5j) * (z + 1.5j)))))
+    H2 = compose(H, H)
+    (B_minus, B_plus), (Bp_minus, Bp_plus) = pair(w0 * a * nu + 0.5 / w0), pair(w0 * a * nu)
+    return {"H": H, "P": P, "b-": b_minus, "b+": b_plus, "B-": B_minus, "B+": B_plus,
+            "B-printed": Bp_minus, "B+printed": Bp_plus,
+            "B-compact": (0.5 / w0) * (compose(inner_minus, inner_minus) - sing),
+            "B+compact": (0.5 / w0) * (compose(inner_plus, inner_plus) - sing),
+            "bb_rhs": mul_op(local) + compose(mul_op(delta), shift_op(1j)),
+            "BB_rhs": w0 * (H + (2.0 / w0**2) * (compose(H2, H) - H))}
+
+
+def test_no_rel_coefficient_is_a_lambda():
+    # every coefficient of every operator is a rational sum, exact algebra;
+    # a lambda serves the eigenfunction leaves only
+    for name, op in _operators(MODEL).items():
+        assert all(t.coeff.monomials is not None for t in op.terms), name
+    assert rel.eigenfunctions(MODEL, [0]).monomials is None
+
+
+# the folded coefficients against the lambdas, pointwise relative, over the
+# four digest couplings and (0.5914, 0.0648): worst 9.4e-14 (the printed B-+),
+# 3.1e-14 (B-+), 2.4e-14 (BB_rhs), 8.9e-15 (compact), 4.4e-15 (b-+), 2.2e-15
+# (bb_rhs) and 7.9e-16 (H, P); the tolerance is 3.2x the worst
+_FOLD_TOL = 3e-13
+
+
+@pytest.mark.parametrize("couplings", [(0.5, 0.1), (0.9, 0.05), (0.35, 0.6), (0.6, 0.2),
+                                       (0.5914, 0.0648)])
+def test_folded_coefficients_match_their_closed_forms(couplings):
+    # on the grid and at grid + k i/2, |k| <= 56: every point the coefficient
+    # block of a 14-level B+ tower reads, and the half steps of b-+
+    model = rel.make_rel_model(*couplings)
+    pts = (GRID + 0.5j * np.arange(-56, 57)[:, None]).reshape(-1)
+    folded, lambdas = _operators(model), _lambda_operators(model)
+    for name, op in folded.items():
+        ref = {(t.shift, t.dorder): t.coeff(pts) for t in lambdas[name].terms}
+        got = {(t.shift, t.dorder): t.coeff(pts) for t in op.terms}
+        assert got.keys() == ref.keys(), name
+        for key, want in ref.items():
+            assert np.max(np.abs(got[key] - want) / np.abs(want)) <= _FOLD_TOL, (name, key)
+
+
+# At the points a 14-level B+ tower reads, grid + k i with |k| <= 28, the
+# leaf is off by up to 4.4e-14 relative (4.3e-14 at (0.6, 0.2), 3.6e-14 at
+# (0.5, 0.1), both at |k| >= 24; median 5e-15), all of it its gamma
+# prefactor P: at z in {0.25, 1.3, 8} + k i, |k| <= 30, P stepped from z by
+# the exact ratio P(z+i)/P(z) = (iz-1)/((alpha+iz-1)(nu+iz-1) omega0) reads
+# 3.3e-15 and 6.8e-15 there, the leaf 3.7e-14 and 3.6e-14.  The tolerance is
+# 2.3x the worst over the four digest couplings.
+@pytest.mark.parametrize("couplings,ns", [((0.6, 0.2), (0, 3)), ((0.5, 0.1), (0,))])
+def test_eigenfunctions_match_mpmath_on_the_tower_lattice(couplings, ns):
+    model = rel.make_rel_model(*couplings)
+    pts = (GRID[::4] + 1j * np.arange(-28, 29)[:, None]).reshape(-1)
+    rows = rel.eigenfunctions(model, ns)(pts)
+    for n, row in zip(ns, rows):
+        ref = _mp_closed_form(model, n, pts, dps=40)
+        assert np.max(np.abs(row - ref) / np.abs(ref)) <= 1e-13, n

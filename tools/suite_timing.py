@@ -11,11 +11,15 @@ declared: each `harness.CHECKS` row whose level rule is capped at
 afterwards.  Then splits run_suite(0.6, 0.2) at n_max 6 by check group
 (specfun, planewave, nonrel, rel): each group function is wrapped, in this
 process only, to read its whole generator when run_suite calls it and
-time that.  Then times a fresh `python -m fdosc.cli verify --format json`
-process, imports included, on the fdosc this script imported, and reads
-each process's peak RSS from os.wait4.  Each setting runs once as a
-warm-up, then REPEATS times (default 11).  Run it on two source trees to
-compare them.
+time that.  Then times one scalar B+ tower call at rho = 1.3 at levels 1, 7
+and 14, split into the leaf (the base at its shifted points), the
+coefficient block (one call of the operator's batched coefficients) and
+the steps (the rest of the call), each the mean over 20 calls, and one
+`rel.ladder_B` build.  Then times a fresh `python -m fdosc.cli verify
+--format json` process, imports included, on the fdosc this script
+imported, and reads each process's peak RSS from os.wait4.  Each setting
+runs once as a warm-up, then REPEATS times (default 11).  Run it on two
+source trees to compare them.
 """
 
 from __future__ import annotations
@@ -28,9 +32,12 @@ from pathlib import Path
 
 import numpy as np
 
-from fdosc import harness
+from fdosc import harness, rel
 
 COUPLING = (0.6, 0.2)
+TOWER_LEVELS = (1, 7, 14)
+TOWER_POINT = 1.3
+CALLS = 20  # calls per timed repeat of one tower layer
 SETTINGS = ((6, harness.LADDER_CAP), (30, harness.LADDER_CAP), (30, 30))
 GROUPS = ("specfun", "planewave", "nonrel", "rel")  # harness._checks_<group>
 
@@ -80,6 +87,41 @@ def group_timings(repeats: int) -> dict[str, list[float]]:
     return {group: seconds[1:] for group, seconds in spent.items()}
 
 
+def _per_call(fn, repeats: int) -> list[float]:
+    """Seconds per call of fn, the mean over CALLS calls, `repeats` times
+    after one warm-up call."""
+    fn()
+    out = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for _ in range(CALLS):
+            fn()
+        out.append((time.perf_counter() - t0) / CALLS)
+    return out
+
+
+def tower_layers(repeats: int) -> dict[int, dict[str, list[float]]]:
+    """Seconds of one scalar B+ tower call at each of TOWER_LEVELS, by layer:
+    the whole call, its leaf, its coefficient block and its steps, the call
+    less the other two repeat by repeat."""
+    model = rel.make_rel_model(*COUPLING)
+    _, B_plus = rel.ladder_B(model)
+    f = rel.eigenfunction_rel(model, 0).wavefunction
+    z = np.array([complex(TOWER_POINT)])
+    layers = {}
+    for level in range(1, max(TOWER_LEVELS) + 1):
+        f = B_plus(f)
+        if level in TOWER_LEVELS:
+            tower = f.values
+            points = (z + tower.base_shifts).reshape(-1)
+            call = _per_call(lambda: tower(z), repeats)
+            leaf = _per_call(lambda: tower.base(points), repeats)
+            block = _per_call(lambda: tower.coefficients(z), repeats)
+            steps = [c - a - b for c, a, b in zip(call, leaf, block)]
+            layers[level] = {"call": call, "leaf": leaf, "coefficients": block, "steps": steps}
+    return layers
+
+
 def process_timings(repeats: int) -> tuple[list[float], list[float]]:
     """Seconds and peak RSS in MB (ru_maxrss from os.wait4) of `repeats`
     fresh `verify --format json` processes, after one warm-up process; a
@@ -116,6 +158,13 @@ def main(argv) -> int:
                        timings(n_max, cap, repeats)), flush=True)
     for group, seconds in group_timings(repeats).items():
         print(_summary(f"n_max  6  group {group:9s}", seconds), flush=True)
+    for level, layers in tower_layers(repeats).items():
+        for layer, seconds in layers.items():
+            print(_summary(f"B+ tower level {level:2d}  {layer:12s}", seconds, "us", 1e6),
+                  flush=True)
+    model = rel.make_rel_model(*COUPLING)
+    print(_summary("rel.ladder_B build               ",
+                   _per_call(lambda: rel.ladder_B(model), repeats), "us", 1e6), flush=True)
     secs, peaks = process_timings(repeats)
     print(_summary("verify process, fresh interpreter", secs), flush=True)
     print(_summary("verify process, peak RSS         ", peaks, "MB", 1.0), flush=True)
