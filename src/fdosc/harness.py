@@ -55,14 +55,12 @@ from .opcore import (
     AnalyticFunction,
     DifferenceOperator,
     compose,
-    const,
     coordinate,
     default_grid,
     identity_op,
     mixed_residual,
     monomial,
     mul_op,
-    polynomial,
     powers,
     ratio_spread,
     shift_op,
@@ -471,38 +469,57 @@ def _gauged_terms(model, op):
 
 
 def _apply(parts, state):
-    """The parts applied to a state (g, sizes), or to a Laurent sum g: the
-    image, and per power the sum of |c_q r(r-1)...(r-m+1)| sizes_r over the
-    terms c_q xi^q D^m and powers r that reach it, so a coefficient that
-    cancels down a tower keeps the size of what it cancelled."""
+    """The parts applied to a state (g, sizes), or to a Laurent sum g, as
+    {power: coefficient} dicts: the image, and per power the sum of
+    |c_q r(r-1)...(r-m+1)| sizes_r over the terms c_q xi^q D^m and powers r
+    that reach it, so a coefficient that cancels down a tower keeps the size
+    of what it cancelled.  One walk over (term, coefficient power, state
+    power): a term's image is summed coefficient-major, then the terms in
+    order, then the parts, and the sizes power-major."""
     g, size = state if isinstance(state, tuple) else (state, _sizes(state))
-    out: dict = {}
+    derivatives = [g]  # D^m g for m = 0, 1, ...: a constant term drops out
+    image, sizes = {}, {}
     for part in parts:
+        total = {}
         for t in part.terms:
+            m, coeff = t.dorder, t.coeff.powers
+            while len(derivatives) <= m:
+                derivatives.append({p - 1: p * c for p, c in derivatives[-1].items() if p})
+            term = {}
+            for q, c in coeff.items():
+                for p, v in derivatives[m].items():
+                    term[q + p] = term.get(q + p, 0) + c * v
+            for p, v in term.items():
+                total[p] = total.get(p, 0) + v
             for r, s in size.items():
-                falling = abs(math.prod(r - i for i in range(t.dorder)))
-                for q, c in t.coeff.powers.items():
-                    out[r - t.dorder + q] = out.get(r - t.dorder + q, 0.0) + abs(c) * falling * s
-    return sum((nonrel.act(part, g) for part in parts), const(0.0)), out
+                falling = abs(math.prod(r - i for i in range(m)))
+                for q, c in coeff.items():
+                    sizes[r - m + q] = sizes.get(r - m + q, 0.0) + abs(c) * falling * s
+        for p, v in total.items():
+            image[p] = image.get(p, 0) + v
+    return {p: c for p, c in image.items() if c != 0}, sizes
 
 
-def _ratio(a, b) -> complex:
+def _scaled(c, g: dict) -> dict:
+    return {p: c * v for p, v in g.items()}
+
+
+def _ratio(a: dict, b: dict) -> complex:
     """The least-squares ratio of Laurent sums a/b over b's powers."""
-    return sum(c.conjugate() * a.powers.get(p, 0) for p, c in b.powers.items()) \
-        / sum(abs(c) ** 2 for c in b.powers.values())
+    return sum(c.conjugate() * a.get(p, 0) for p, c in b.items()) \
+        / sum(abs(c) ** 2 for c in b.values())
 
 
-def _sizes(g) -> dict:
-    return {p: abs(c) for p, c in g.powers.items()}
+def _sizes(g: dict) -> dict:
+    return {p: abs(c) for p, c in g.items()}
 
 
-def _state_residual(state, reference) -> float:
+def _state_residual(state, ref: dict) -> float:
     """|g_p - ref_p| / (N + sizes_p + |ref_p|) over every power of a state
     and a Laurent sum, N the largest |ref_p| (1 for a zero reference)."""
     g, size = state
-    ref = reference.powers
     scale = max(map(abs, ref.values()), default=1.0)
-    return _reduce((p, (g.powers.get(p, 0) - ref.get(p, 0)) / scale,
+    return _reduce((p, (g.get(p, 0) - ref.get(p, 0)) / scale,
                     (size.get(p, 0.0) + abs(ref.get(p, 0))) / scale) for p in {*size, *ref})
 
 
@@ -520,11 +537,11 @@ def _checks_nonrel(g0: float, levels: dict):
     L = []
     for n in range(max(eigen[-1], ladder[-1] + 1) + 1):
         coeffs = specfun.laguerre_coefficients(n, model.d)  # of L_n^d(y), y = xi^2
-        L.append(polynomial([coeffs[j // 2] if j % 2 == 0 else 0.0 for j in range(2 * n + 1)]))
+        L.append({2 * j: complex(c) for j, c in enumerate(coeffs) if c != 0})
 
     H_parts = _gauged_terms(model, H)
     yield "nonrel_eigen_equation", params, max(
-        _state_residual(_apply(H_parts, L[n]), nonrel.energy(model, n) * L[n])
+        _state_residual(_apply(H_parts, L[n]), _scaled(nonrel.energy(model, n), L[n]))
         for n in eigen)
 
     yield "nonrel_factorization", params, _laurent_residual(
@@ -550,7 +567,7 @@ def _checks_nonrel(g0: float, levels: dict):
     # as A- psi_0 does and is not read
     (ground,) = levels["nonrel_ground_annihilation"]
     yield "nonrel_ground_annihilation", params, max(
-        _state_residual(_apply(_gauged_terms(model, op), L[ground]), const(0.0))
+        _state_residual(_apply(_gauged_terms(model, op), L[ground]), {})
         for op in (c_minus, A_minus))
 
     yield "nonrel_su11_closure", params, max(
@@ -571,7 +588,7 @@ def _checks_nonrel(g0: float, levels: dict):
     for n in ladder:
         raised = _apply(Kp_parts, L[n])
         expect = (n + 1) * (n + 1 + model.d)
-        worst = max(worst, _state_residual(_apply(Km_parts, raised), expect * L[n]))
+        worst = max(worst, _state_residual(_apply(Km_parts, raised), _scaled(expect, L[n])))
         # c_n / c_(n+1) = sqrt((n+1+d)/(n+1)) = kappa_(n+1) / (n+1)
         signed.append(round(_ratio(raised[0], L[n + 1]).real / (n + 1), 6))
     yield ("nonrel_ladder_coefficient", params, worst,
@@ -586,7 +603,7 @@ def _checks_nonrel(g0: float, levels: dict):
     for n in levels["nonrel_ladder_reconstruction"]:
         state = _apply(Kp_parts, state)
         ratio = _ratio(state[0], L[n])
-        worst = max(worst, _state_residual(state, ratio * L[n]))
+        worst = max(worst, _state_residual(state, _scaled(ratio, L[n])))
         ratios.append(round(ratio.real / math.factorial(n), 6))
     yield ("nonrel_ladder_reconstruction", params, worst,
            f"grid-constant ratios vs closed forms: {ratios}")

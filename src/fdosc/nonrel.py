@@ -11,9 +11,9 @@ E_n = 2n + d + 1.
 
 Every operator has Laurent coefficients in xi.  In the ground-state gauge
 psi = psi_0 g, psi_0 = xi^(d+1/2) exp(-xi^2/2) (Turbiner, Commun. Math.
-Phys. 118 (1988) 467), ``gauged`` gives psi_0^-1 op psi_0 and ``act``
-applies it to a Laurent sum g by the algebra, exactly; psi_n is psi_0
-times L_n^d(xi^2), up to c_n/c_0.
+Phys. 118 (1988) 467), ``gauged`` gives psi_0^-1 op psi_0, an operator
+with Laurent coefficients again, so it maps a Laurent sum g to one
+exactly; psi_n is psi_0 times L_n^d(xi^2), up to c_n/c_0.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .opcore import (
     AnalyticFunction,
     DifferenceOperator,
     compose,
-    const,
     coordinate,
     deriv_op,
     gaussian,
@@ -118,36 +117,20 @@ def ground_log_derivative(model: NonRelModel) -> AnalyticFunction:
     return (model.d + 0.5) * monomial(-1) + -coordinate()
 
 
-def _shift_free(op: DifferenceOperator) -> DifferenceOperator:
-    """op, or ValueError for a term with a shift, which would go unread."""
+def gauged(model: NonRelModel, op: DifferenceOperator) -> DifferenceOperator:
+    """psi_0^-1 op psi_0: each D^m of op replaced by (D + w)^m, by compose;
+    ValueError for a term with a shift, which would go unread."""
     if any(t.shift != 0 for t in op.terms):
         raise ValueError("a nonrel operator acts at shift 0, and a term of this one "
                          "has a shift")
-    return op
-
-
-def gauged(model: NonRelModel, op: DifferenceOperator) -> DifferenceOperator:
-    """psi_0^-1 op psi_0: each D^m of op replaced by (D + w)^m, by compose."""
     step = deriv_op() + mul_op(ground_log_derivative(model))
     steps = [identity_op()]
     terms = []
-    for t in _shift_free(op).terms:
+    for t in op.terms:
         while len(steps) <= t.dorder:
             steps.append(compose(step, steps[-1]))
         terms += compose(mul_op(t.coeff), steps[t.dorder]).terms
     return DifferenceOperator(terms)
-
-
-def act(op: DifferenceOperator, g: AnalyticFunction) -> AnalyticFunction:
-    """op g = sum of coeff * D^m g, by the algebra: a Laurent sum for a
-    Laurent sum g."""
-    out = const(0.0)
-    for t in _shift_free(op).terms:
-        h = g
-        for _ in range(t.dorder):
-            h = h.derivative()
-        out = out + t.coeff * h
-    return out
 
 
 def energy(model: NonRelModel, n: int) -> float:

@@ -9,11 +9,12 @@ coefficients are exact algebra.  A product multiplies monomials, adding
 the exponents at a shared pole, and f.shifted(a) relabels each pole q as
 q - a; no sum is ever split into partial fractions.  ``monomial(p, at=q)``
 is (z - q)^p.  A rational sum whose only pole is 0 is a Laurent sum
-sum_p c_p z^p, and ``powers`` = {p: c_p} is that view (None when any other
-pole appears; a constant is {0: c}); Laurent sums fold on their powers and
-evaluate as sum_p c_p z^p, and only a Laurent sum has a derivative: asking
-any other function for one raises EvaluationError.  Nothing is cached: a
-call evaluates the expression once on all its points.
+sum_p c_p z^p: it folds and evaluates as any rational sum, and ``powers``
+= {p: c_p}, read off its monomials when asked, is that view (None for any
+other function; a constant is {0: c}).  Only a Laurent sum has a
+derivative: asking any other function for one raises EvaluationError.  A
+call evaluates the expression once on all its points; what outlives a call
+is an operator's ``coefficient_batch``, built at its first tower.
 
 ``stacked(fns)`` is one batched function whose row i is fns[i].  When every
 one is a rational sum it holds one coefficient matrix over the union of
@@ -36,11 +37,11 @@ evaluates f once at z + S_p, S_p the distinct shift sums of p
 applications, and every coefficient in one call of the operator's
 ``coefficient_batch`` (its terms' coefficients ``stacked``, built at its
 first tower), at z plus the union of S_0..S_(p-1), on a term axis; points
-are not merged across z.
-Then p steps carry the values from z + S_p down to z, each one gather of
-every term's shifted values and one stacked multiply-add.  Any other
-wrapper, such as 2.0 * op(f) or an operator object with equal terms,
-starts a new tower.
+are not merged across z.  Then p steps carry the values from z + S_p down
+to z, each one gather of every term's shifted values and one stacked
+multiply-add, summed over the terms in order, so a point's values do not
+depend on the other points of the call.  Any other wrapper, such as
+2.0 * op(f) or an operator object with equal terms, starts a new tower.
 
 A function may be vector-valued, with values of shape (*B, len(z)): the
 batched leaves (``nonrel.eigenfunctions``, ``rel.eigenfunctions``, a
@@ -61,7 +62,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -77,25 +77,24 @@ class AnalyticFunction:
     maps a 1-d complex array of points to the (*B, len(z)) array of values,
     B empty for a scalar function.  ``monomials`` is {m: c_m} for a rational
     sum sum_m c_m prod_(q, p) in m (z - q)^p, m a frozenset of (pole q,
-    exponent p) pairs, and None otherwise; ``powers`` is its pole-0 view
-    {p: c_p}, a Laurent sum sum_p c_p z^p, and None when any other pole
-    appears."""
+    exponent p) pairs, and None otherwise."""
 
-    __slots__ = ("values", "powers", "_monomials")
+    __slots__ = ("values", "monomials")
     __array_ufunc__ = None  # ndarray * f defers to f.__rmul__
     __iter__ = None  # f[i] never raises IndexError, so iterating would not end
 
-    def __init__(self, values, powers=None, monomials=None):
+    def __init__(self, values, monomials=None):
         self.values = values
-        self.powers = powers
-        self._monomials = monomials  # None for a Laurent sum: read off its powers
+        self.monomials = monomials
 
     @property
-    def monomials(self):
-        """{m: c_m} of a rational sum, a Laurent sum's read off its powers."""
-        if self.powers is not None:
-            return {frozenset({(0j, p)}) if p else _ONE: c for p, c in self.powers.items()}
-        return self._monomials
+    def powers(self):
+        """{p: c_p} of a rational sum whose only pole is 0, the Laurent sum
+        sum_p c_p z^p, read off its monomials; None for any other function."""
+        monomials = self.monomials
+        if monomials is None or any(q != 0 for m in monomials for q, _ in m):
+            return None
+        return {dict(m).get(0j, 0): c for m, c in monomials.items()}
 
     def __call__(self, z):
         """f(z) for a scalar (a complex) or a sequence or array (an ndarray);
@@ -115,20 +114,20 @@ class AnalyticFunction:
     def derivative(self) -> "AnalyticFunction":
         """The derivative of a Laurent sum, term by term; EvaluationError for
         any other function."""
-        if self.powers is None:
+        powers = self.powers
+        if powers is None:
             raise EvaluationError("no derivative is known for a function that is "
                                   "not a Laurent sum")
-        return _laurent({p - 1: p * c for p, c in self.powers.items()})
+        return _rational({_monomial(p - 1): p * c for p, c in powers.items()})
 
     def shifted(self, a) -> "AnalyticFunction":
         """f(z + a): a rational sum relabels each pole q as q - a, exactly."""
         a = complex(a)
         if a == 0 or _constant(self) is not None:
             return self
-        monomials = self.monomials
-        if monomials is not None:
+        if self.monomials is not None:
             return _rational({frozenset([(q - a, p) for q, p in m]): c
-                              for m, c in monomials.items()})
+                              for m, c in self.monomials.items()})
         values = self.values
         return AnalyticFunction(lambda z: values(z + a))
 
@@ -136,8 +135,6 @@ class AnalyticFunction:
 
     def __add__(self, other):
         other = _as_function(other)
-        if self.powers is not None and other.powers is not None:
-            return _laurent(_folded_sum(self.powers, other.powers))
         a, b = self.monomials, other.monomials
         if a is not None and b is not None:
             return _rational(_folded_sum(a, b))
@@ -151,10 +148,8 @@ class AnalyticFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        if self.powers is not None:
-            return _laurent({p: -c for p, c in self.powers.items()})
-        if self._monomials is not None:
-            return _rational({m: -c for m, c in self._monomials.items()})
+        if self.monomials is not None:
+            return _rational({m: -c for m, c in self.monomials.items()})
         f = self.values
         return AnalyticFunction(lambda z: -f(z))
 
@@ -165,11 +160,9 @@ class AnalyticFunction:
                 return self * d
             if c is not None:
                 return other * c
-            if self.powers is not None and other.powers is not None:
-                return _laurent(_folded_product(self.powers, other.powers, operator.add))
             a, b = self.monomials, other.monomials
             if a is not None and b is not None:
-                return _rational(_folded_product(a, b, _times))
+                return _rational(_folded_product(a, b))
             f, g = self.values, other.values
             return AnalyticFunction(lambda z: f(z) * g(z))
         if not isinstance(other, (int, float, complex)) and np.ndim(other) == 1:
@@ -179,10 +172,8 @@ class AnalyticFunction:
         c = complex(other)
         if c == 1:
             return self
-        if self.powers is not None:
-            return _laurent({p: c * v for p, v in self.powers.items()})
-        if self._monomials is not None:
-            return _rational({m: c * v for m, v in self._monomials.items()})
+        if self.monomials is not None:
+            return _rational({m: c * v for m, v in self.monomials.items()})
         f = self.values
         return AnalyticFunction(lambda z: c * f(z))
 
@@ -197,13 +188,14 @@ def _folded_sum(a: dict, b: dict) -> dict:
     return total
 
 
-def _folded_product(a: dict, b: dict, times) -> dict:
-    """{times(k, l): sum of a_k b_l}, accumulated in the order of a, then b."""
+def _folded_product(a: dict, b: dict) -> dict:
+    """{k l: sum of a_k b_l} of two rational sums, accumulated in the order
+    of a, then b."""
     product: dict = {}
     get = product.get
     for k, u in a.items():
         for l, v in b.items():
-            kl = times(k, l)
+            kl = _times(k, l)
             product[kl] = get(kl, 0) + u * v
     return product
 
@@ -250,40 +242,24 @@ def _as_function(x) -> AnalyticFunction:
 
 def _constant(f: AnalyticFunction):
     """The value of a constant function, None for any other."""
-    if f.powers is not None and f.powers.keys() <= {0}:
-        return f.powers.get(0, 0j)
+    if f.monomials is not None and f.monomials.keys() <= {_ONE}:
+        return f.monomials.get(_ONE, 0j)
     return None
 
 
 # ---- primitive functions ----------------------------------------------
 
 
-def _laurent(powers) -> AnalyticFunction:
-    """The Laurent sum sum_p c_p z^p of {p: c_p}, a zero c_p dropped; its
-    values sum c_p z^p in increasing p."""
-    powers = {p: complex(c) for p, c in powers.items() if c != 0}
-    if powers.keys() <= {0}:  # a constant
-        c = powers.get(0, 0j)
-        return AnalyticFunction(lambda z: np.full(len(z), c), powers)
-
-    def values(z):
-        (p, c), *rest = sorted(powers.items())
-        out = c * z ** complex(p)
-        for p, c in rest:
-            out = out + c * z ** complex(p)
-        return out
-
-    return AnalyticFunction(values, powers)
+def _monomial(p, at=0j) -> frozenset:
+    """The monomial (z - at)^p: one factor, none for p = 0."""
+    return frozenset({(complex(at), p)}) if p else _ONE
 
 
 def _rational(monomials) -> AnalyticFunction:
-    """The rational sum of {m: c_m}, a zero c_m dropped; one whose only pole
-    is 0 is the Laurent sum of its powers."""
+    """The rational sum of {m: c_m}, a zero c_m dropped."""
     if 0 in monomials.values():
         monomials = {m: c for m, c in monomials.items() if c != 0}
-    if all(q == 0 for m in monomials for q, _ in m):
-        return _laurent({dict(m).get(0, 0): c for m, c in monomials.items()})
-    return AnalyticFunction(lambda z: _rational_rows([monomials])(z)[0], None, monomials)
+    return AnalyticFunction(lambda z: _rational_rows([monomials])(z)[0], monomials)
 
 
 def _rational_rows(sums):
@@ -315,12 +291,9 @@ def _rational_rows(sums):
         values = table[where[:, 0]]
         for column in where.T[1:]:
             values = np.multiply(values, table[column])
-        # summed over monomials on the float view: its inner (re, im) axis
-        # keeps numpy's reduction sequential, where for one sum at one point
-        # it would be pairwise
         terms = values[slots]
         np.multiply(coeffs, terms, out=terms)
-        return np.add.reduce(terms.view(float), axis=0).view(complex)
+        return _summed(terms, 0)
 
     step = max(1, _BLOCK // (slots.size or 1))
 
@@ -333,6 +306,14 @@ def _rational_rows(sums):
         return out
 
     return rows
+
+
+def _summed(terms, axis) -> np.ndarray:
+    """The complex array summed over one axis, term after term, whatever the
+    other axes' lengths: reduced on its float view, whose inner (re, im) axis
+    keeps numpy's reduction sequential, where over the only axis longer than
+    1 it would add pairwise."""
+    return np.add.reduce(terms.view(float), axis=axis).view(complex)
 
 
 def _padded(rows, dtype) -> np.ndarray:
@@ -349,22 +330,22 @@ def _factor_order(factor):
 
 
 def const(c) -> AnalyticFunction:
-    return _laurent({0: c})
+    return _rational({_ONE: complex(c)})
 
 
 def coordinate() -> AnalyticFunction:
-    return _laurent({1: 1.0})
+    return monomial(1)
 
 
 def monomial(p, at=0.0) -> AnalyticFunction:
     """(z - at)**p on the principal branch: z**p, a Laurent sum, at the
     default pole 0."""
-    return _rational({frozenset({(complex(at), p)}) if p else _ONE: 1.0 + 0j})
+    return _rational({_monomial(p, at): 1.0 + 0j})
 
 
 def polynomial(coeffs) -> AnalyticFunction:
     """sum_k coeffs[k] z^k."""
-    return _laurent(dict(enumerate(coeffs)))
+    return _rational({_monomial(k): complex(c) for k, c in enumerate(coeffs)})
 
 
 def gaussian(a=1.0) -> AnalyticFunction:
@@ -508,9 +489,9 @@ class _Tower:
         for j in reversed(range(power)):
             # values holds the values at z + S_(j+1), shape (*B, |S_(j+1)|, n);
             # the gather gives term t's shifted values at z + S_j on axis -3
-            # (a ufunc call, not *: see _rational_rows)
-            values = np.add.reduce(np.multiply(block[:, self.at_union[j]],
-                                               values[..., self.steps[j], :]), axis=-3)
+            # (a ufunc call, not *: see _rational_rows), summed over terms in order
+            values = _summed(np.multiply(block[:, self.at_union[j]],
+                                         values[..., self.steps[j], :]), -3)
             if at is not None:
                 levels.append(values[..., at[j], :])
         if at is not None:

@@ -26,6 +26,7 @@ from fdosc.harness import CheckResult, VerificationReport
 from fdosc.opcore import (
     DifferenceOperator,
     Term,
+    const,
     coordinate,
     default_grid,
     deriv_op,
@@ -33,9 +34,11 @@ from fdosc.opcore import (
     identity_op,
     monomial,
     mul_op,
+    polynomial,
     ratio_spread,
     shift_op,
 )
+from test_nonrel import _act
 
 
 def _run_cli(argv):
@@ -798,6 +801,25 @@ def test_report_digest_tool_prints_md5_and_label():
     assert proc.returncode == 2 and proc.stdout == ""
 
 
+def test_report_digest_tool_reads_its_deep_runs_at_cap_30(capsys):
+    path = Path(__file__).resolve().parents[1] / "tools" / "report_digest.py"
+    spec = importlib.util.spec_from_file_location("report_digest", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    default = harness.CHECKS
+    argv = ["verify", "--omega0", "0.6", "--g0", "0.2", "--nmax", "30", "--format", "json"]
+    with tool.ladder_cap(30):
+        _, deep = _run_cli(argv)
+    assert harness.CHECKS is default
+    levels = {r["check_id"]: r["params"].get("levels") for r in json.loads(deep)["results"]}
+    assert levels["nonrel_ladder_reconstruction"] == levels["rel_ladder_reconstruction"] == [1, 30]
+    assert tool.main(["verify/0.6,0.2/nmax30/cap30/json"]) == 0
+    assert harness.CHECKS is default
+    assert capsys.readouterr().out.split()[0] == hashlib.md5(deep.encode()).hexdigest()
+    _, capped = _run_cli(argv)
+    assert capped != deep
+
+
 def test_suite_timing_tool_times_and_restores_the_cap(monkeypatch, capsys):
     path = Path(__file__).resolve().parents[1] / "tools" / "suite_timing.py"
     spec = importlib.util.spec_from_file_location("suite_timing", path)
@@ -1141,6 +1163,35 @@ def test_a_planted_error_fails_each_nonrel_eigenstate_check(check_id, term, monk
             else:  # K+
                 _planted(patch, nonrel, name, lambda gens: (*gens[:2], gens[2] + error))
             assert _nonrel_reading(check_id) > tolerance, scale
+
+
+# the g0 of the four digest couplings, and three far from them
+@pytest.mark.parametrize("g0", [0.1, 0.05, 0.6, 0.2, -0.1, 5.0, 1e3])
+def test_apply_walk_equals_the_algebra(g0):
+    # _apply walks plain coefficient dicts; the algebra applies each gauged
+    # part through derivative() and products of Laurent sums, term by term
+    # and part by part: the two give the same image, bit for bit
+    model = nonrel.make_model(g0)
+    _, Km, Kp = nonrel.su11_generators(model)
+    ops = (nonrel.hamiltonian(model), nonrel.ladder_c(model)[0],
+           nonrel.ladder_A(model)[0], Km, Kp)
+    by_op = [harness._gauged_terms(model, op) for op in ops]
+
+    def algebra(parts, g):
+        return sum((_act(part, g) for part in parts), const(0.0))
+
+    for n in range(0, 31, 3):
+        coeffs = specfun.laguerre_coefficients(n, model.d)
+        L = polynomial([coeffs[j // 2] if j % 2 == 0 else 0.0 for j in range(2 * n + 1)])
+        for parts in by_op:
+            image, _ = harness._apply(parts, L.powers)
+            want = algebra(parts, L).powers
+            assert image == want, n
+    # along the K+ tower, each image fed back with its sizes
+    state, g = ({0: 1 + 0j}, {0: 1.0}), const(1.0)
+    for n in range(1, 31):
+        state, g = harness._apply(by_op[-1], state), algebra(by_op[-1], g)
+        assert state[0] == g.powers, n
 
 
 def test_every_traced_hook_resolves_in_fdosc():

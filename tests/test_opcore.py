@@ -30,6 +30,7 @@ from fdosc.opcore import (
     shift_op,
     stacked,
 )
+from test_nonrel import _act
 
 GRID = default_grid()
 
@@ -161,19 +162,21 @@ def test_jet_derivatives_match_mpmath(name, f, ref):
 
 
 def test_array_evaluation_equals_pointwise():
-    model = rel.make_rel_model(0.5, 0.1)
-    H = rel.hamiltonian_rel(model)
-    _, B_plus = rel.ladder_B(model)
-    phi0 = rel.eigenfunction_rel(model, 0).wavefunction
-    pts = GRID
-    for f in (rel.ladder_state(model, 6).wavefunction, H(B_plus(B_plus(phi0)))):
-        values = f(pts)
-        assert values.shape == pts.shape
-        pointwise = [f(p) for p in pts]
-        assert all(type(v) is complex for v in pointwise)
-        # numpy's vectorised complex multiply rounds differently from its
-        # one-element loop, so the two agree to rounding, normwise
-        assert np.max(np.abs(values - pointwise)) <= 1e-14 * np.max(np.abs(values))
+    # a tower sums its terms in order at any number of points, so a point
+    # alone gives the floats it gives inside an array, bit for bit
+    for omega0, g0 in ((0.6, 0.2), (0.5, 0.1)):
+        model = rel.make_rel_model(omega0, g0)
+        H = rel.hamiltonian_rel(model)
+        _, B_plus = rel.ladder_B(model)
+        state = rel.eigenfunction_rel(model, 0).wavefunction
+        for n in range(10):
+            for f in (state, H(state)):
+                values = f(GRID)
+                assert values.shape == GRID.shape
+                pointwise = [f(p) for p in GRID]
+                assert all(type(v) is complex for v in pointwise)
+                assert np.array_equal(values, pointwise), (omega0, g0, n)
+            state = B_plus(state)
 
 
 def test_term_merging_by_shift_and_order():
@@ -435,8 +438,8 @@ def test_nonrel_tower_jets_equal_separate_steps(order):
     g = polynomial([1.0, 0.0, -0.5, 0.0, 0.25])
     steps = g
     for n in range(1, 5):
-        steps = nonrel.act(K_plus, steps)
-        a, b = steps, nonrel.act(_power(K_plus, n), g)
+        steps = _act(K_plus, steps)
+        a, b = steps, _act(_power(K_plus, n), g)
         for _ in range(order):
             a, b = a.derivative(), b.derivative()
         scale = max(map(abs, b.powers.values()))
@@ -463,13 +466,16 @@ def test_tower_on_coincident_points_equals_distinct_and_single_points():
     distinct, where = np.unique(pts, return_inverse=True)
     assert np.array_equal(got, f(distinct)[where])
     assert np.array_equal(got, [f(p) for p in pts])
-    # a fused tower, whose shift sums reach each point from several terms
-    _, B_plus = rel.ladder_B(_REL)
-    g = _tower(B_plus, rel.eigenfunction_rel(_REL, 0).wavefunction, 3)
+    # fused towers, whose shift sums reach each point from several terms
     pts = np.array([1.0, 1.0, 2.5, 0.5 + 0.1j, 2.5])
     distinct, where = np.unique(pts, return_inverse=True)
-    assert np.array_equal(g(pts), g(distinct)[where])
-    _assert_close(g(pts), [g(p) for p in pts], tol=1e-15)
+    for model in (rel.make_rel_model(0.6, 0.2), _REL):
+        _, B_plus = rel.ladder_B(model)
+        g = rel.eigenfunction_rel(model, 0).wavefunction
+        for n in range(1, 10):
+            g = B_plus(g)
+            assert np.array_equal(g(pts), g(distinct)[where]), n
+            assert np.array_equal(g(pts), [g(p) for p in pts]), n
 
 
 def _mixed_operator():
@@ -555,7 +561,7 @@ def test_tower_lattice_on_a_pole_raises_like_the_product():
 
 def test_tower_refuses_a_derivative_term():
     # a tower acts on values: an operator with a derivative term acts on a
-    # Laurent sum by the algebra (nonrel.act), never as a tower
+    # Laurent sum by the algebra (the harness's nonrel checks), never as a tower
     op = mul_op(from_callable(np.cos)) + deriv_op()
     for f in (gaussian(0.8), coordinate()):
         with pytest.raises(ValueError, match="derivative term"):
