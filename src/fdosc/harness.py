@@ -11,11 +11,12 @@ notes start with "report-only" and state the verdict, and the report's
 discrepancy notes say whether each one's residual shows the discrepancy.
 
 An operator identity is checked on the operator: a DifferenceOperator
-is a normal form, its terms merged by (shift, derivative order), so an
-identity holds exactly when every merged coefficient vanishes.
-`_reduce` reads it per key, scaled by the size of the parts that cancel:
-`_identity_residual` feeds it the rel and plane-wave coefficients on the
-grid, `_laurent_residual` the nonrel Laurent coefficients, with no grid.
+is a normal form, its terms merged by shift, and a nonrel operator is one
+too, its coefficients keyed by (order of D, power of xi), so an identity
+holds exactly when every merged coefficient vanishes.  `_reduce` reads it
+per key, scaled by the size of the parts that cancel: `_identity_residual`
+feeds it the rel and plane-wave coefficients on the grid,
+`_laurent_residual` the nonrel coefficients, with no grid.
 On the grid `_commutator_residual` reads a rel commutator's products XY
 and YX unfolded, each merged coefficient the sum over term pairs of
 X_a(z) Y_b(z + a), off X's and Y's coefficient batches: folding [B-, B+]
@@ -53,13 +54,11 @@ from . import nonrel, planewave, rel, specfun
 from .errors import EvaluationError
 from .opcore import (
     AnalyticFunction,
-    DifferenceOperator,
     compose,
     coordinate,
     default_grid,
     identity_op,
     mixed_residual,
-    monomial,
     mul_op,
     powers,
     ratio_spread,
@@ -280,8 +279,8 @@ def _max_abs(f: AnalyticFunction, pts) -> float:
 
 
 def _bracket(X, Y):
-    """The commutator [X, Y] as its two parts, XY and -YX."""
-    return compose(X, Y), -compose(Y, X)
+    """The commutator [X, Y] of nonrel operators as its two parts, XY and -YX."""
+    return nonrel.compose(X, Y), nonrel.scaled(-1.0, nonrel.compose(Y, X))
 
 
 def _reduce(readings) -> float:
@@ -300,20 +299,17 @@ def _reduce(readings) -> float:
 
 
 def _operator_readings(pts, parts) -> list:
-    """(key, c, |c|) for each term of the operators, keyed by (shift,
-    order), every coefficient on pts read in one batch."""
+    """(shift, c, |c|) for each term of the operators, every coefficient on
+    pts read in one batch."""
     terms = [t for part in parts for t in part.terms]
-    return [((t.shift, t.dorder), c, np.abs(c))
+    return [(t.shift, c, np.abs(c))
             for t, c in zip(terms, stacked(t.coeff for t in terms)(pts))]
 
 
 def _product_readings(pts, X, Y, sign) -> list:
-    """(key, c, |c|) for each merged coefficient of sign X Y, X and Y
-    shift-only, keyed by (shift, 0): the sum over term pairs of
-    X_a(z) Y_b(z + a) on pts, from one call of each operator's coefficient
-    batch, with no product folded."""
-    if any(t.dorder for t in (*X.terms, *Y.terms)):
-        raise ValueError("an unfolded product reads shift-only operators")
+    """(shift, c, |c|) for each merged coefficient of sign X Y: the sum over
+    term pairs of X_a(z) Y_b(z + a) on pts, from one call of each
+    operator's coefficient batch, with no product folded."""
     shifts = np.array([t.shift for t in X.terms])[:, None]
     x = AnalyticFunction(X.coefficient_batch)(pts)
     y = AnalyticFunction(Y.coefficient_batch)((pts + shifts).reshape(-1)).reshape(
@@ -321,7 +317,7 @@ def _product_readings(pts, X, Y, sign) -> list:
     merged: dict = {}
     for a, ta in enumerate(X.terms):
         for b, tb in enumerate(Y.terms):
-            key = (ta.shift + tb.shift, 0)
+            key = ta.shift + tb.shift
             merged[key] = merged.get(key, 0.0) + sign * x[a] * y[b, a]
     return [(key, c, np.abs(c)) for key, c in merged.items()]
 
@@ -332,21 +328,16 @@ def _identity_residual(pts, *parts) -> float:
 
 
 def _commutator_residual(pts, X, Y, *parts) -> float:
-    """Residual of [X, Y] + sum(parts) = 0 on pts, X and Y shift-only: XY
-    and -YX are read unfolded, since folding [B-, B+] into its ~380
+    """Residual of [X, Y] + sum(parts) = 0 on pts: XY and -YX are read unfolded, since folding [B-, B+] into its ~380
     monomials would cost more than the one reading it serves."""
     return _reduce(_product_readings(pts, X, Y, 1.0) + _product_readings(pts, Y, X, -1.0)
                    + _operator_readings(pts, parts))
 
 
 def _laurent_residual(*parts) -> float:
-    """Residual of the operator identity sum(parts) = 0 on its Laurent
-    coefficients, keyed by (shift, order, power); ValueError for any other."""
-    terms = [t for part in parts for t in part.terms]
-    if any(t.coeff.powers is None for t in terms):
-        raise ValueError("a coefficient reading needs Laurent coefficients")
-    return _reduce(((t.shift, t.dorder, p), c, abs(c))
-                   for t in terms for p, c in t.coeff.powers.items())
+    """Residual of the nonrel operator identity sum(parts) = 0 on its
+    coefficients, keyed by (order, power)."""
+    return _reduce((key, c, abs(c)) for part in parts for key, c in part.items())
 
 
 def _eigen_residual(op, Psi, levels, energies, psi, pts) -> float:
@@ -463,38 +454,33 @@ def _checks_planewave(pts):
 
 
 def _gauged_terms(model, op):
-    """psi_0^-1 t psi_0 for each term t of op, kept apart: the gauge's xi^-2
-    coefficients, g0 against p(p-1)/2, p = d + 1/2, cancel to rounding."""
-    return [nonrel.gauged(model, DifferenceOperator([t])) for t in op.terms]
+    """psi_0^-1 t psi_0 for each order m of op, t its terms c xi^p D^m, kept
+    apart: the gauge's xi^-2 coefficients, g0 against p(p-1)/2, p = d + 1/2,
+    cancel to rounding."""
+    return [nonrel.gauged(model, {(m, p): c for (m, p), c in op.items() if m == order})
+            for order in sorted({m for m, _ in op})]
 
 
 def _apply(parts, state):
-    """The parts applied to a state (g, sizes), or to a Laurent sum g, as
-    {power: coefficient} dicts: the image, and per power the sum of
-    |c_q r(r-1)...(r-m+1)| sizes_r over the terms c_q xi^q D^m and powers r
+    """The nonrel parts applied to a state (g, sizes), or to a Laurent sum
+    g, as {power: coefficient} dicts: the image, and per power the sum of
+    |c r(r-1)...(r-m+1)| sizes_r over the terms c xi^q D^m and powers r
     that reach it, so a coefficient that cancels down a tower keeps the size
-    of what it cancelled.  One walk over (term, coefficient power, state
-    power): a term's image is summed coefficient-major, then the terms in
-    order, then the parts, and the sizes power-major."""
+    of what it cancelled.  One walk over (term, state power): the image is
+    summed term by term in order, then part by part."""
     g, size = state if isinstance(state, tuple) else (state, _sizes(state))
     derivatives = [g]  # D^m g for m = 0, 1, ...: a constant term drops out
     image, sizes = {}, {}
     for part in parts:
         total = {}
-        for t in part.terms:
-            m, coeff = t.dorder, t.coeff.powers
+        for (m, q), c in part.items():
             while len(derivatives) <= m:
                 derivatives.append({p - 1: p * c for p, c in derivatives[-1].items() if p})
-            term = {}
-            for q, c in coeff.items():
-                for p, v in derivatives[m].items():
-                    term[q + p] = term.get(q + p, 0) + c * v
-            for p, v in term.items():
-                total[p] = total.get(p, 0) + v
+            for p, v in derivatives[m].items():
+                total[q + p] = total.get(q + p, 0) + c * v
             for r, s in size.items():
                 falling = abs(math.prod(r - i for i in range(m)))
-                for q, c in coeff.items():
-                    sizes[r - m + q] = sizes.get(r - m + q, 0.0) + abs(c) * falling * s
+                sizes[r - m + q] = sizes.get(r - m + q, 0.0) + abs(c) * falling * s
         for p, v in total.items():
             image[p] = image.get(p, 0) + v
     return {p: c for p, c in image.items() if c != 0}, sizes
@@ -545,23 +531,24 @@ def _checks_nonrel(g0: float, levels: dict):
         for n in eigen)
 
     yield "nonrel_factorization", params, _laurent_residual(
-        compose(c_plus, c_minus), (model.d + 1.0) * identity_op(), -H)
+        nonrel.compose(c_plus, c_minus), {(0, 0): model.d + 1.0}, nonrel.scaled(-1.0, H))
 
-    rhs14 = mul_op(1.0 + (model.d + 0.5) * monomial(-2))
+    rhs14 = {(0, 0): 1.0, (0, -2): model.d + 0.5}
     yield "nonrel_pair_commutator", params, _laurent_residual(
-        *_bracket(c_minus, c_plus), -rhs14)
+        *_bracket(c_minus, c_plus), nonrel.scaled(-1.0, rhs14))
 
-    xicm = compose(mul_op(coordinate()), c_minus)
-    rhs15 = -2.0 * (xicm - (1.0 / _SQRT2) * H
-                    + ((model.d + 1.0) / _SQRT2) * identity_op())
+    xicm = nonrel.compose({(0, 1): 1.0}, c_minus)
+    rhs15 = nonrel.scaled(-2.0, nonrel.added(
+        xicm, nonrel.scaled(-1.0 / _SQRT2, H), {(0, 0): (model.d + 1.0) / _SQRT2}))
     yield "nonrel_weighted_commutator", params, _laurent_residual(
-        *_bracket(H, xicm), -rhs15)
+        *_bracket(H, xicm), nonrel.scaled(-1.0, rhs15))
 
     form1, form2 = nonrel.lowering_forms(model)
-    yield "nonrel_lowering_forms_agree", params, _laurent_residual(form1, -form2)
+    yield "nonrel_lowering_forms_agree", params, _laurent_residual(
+        form1, nonrel.scaled(-1.0, form2))
 
     yield "nonrel_lowering_commutator", params, _laurent_residual(
-        *_bracket(H, A_minus), 2.0 * A_minus)
+        *_bracket(H, A_minus), nonrel.scaled(2.0, A_minus))
 
     # K- = A-/2 scales every coefficient by a power of two, so K- psi_0 reads
     # as A- psi_0 does and is not read
@@ -571,14 +558,15 @@ def _checks_nonrel(g0: float, levels: dict):
         for op in (c_minus, A_minus))
 
     yield "nonrel_su11_closure", params, max(
-        _laurent_residual(*_bracket(K0, Kp), -Kp),
+        _laurent_residual(*_bracket(K0, Kp), nonrel.scaled(-1.0, Kp)),
         _laurent_residual(*_bracket(K0, Km), Km),
-        _laurent_residual(*_bracket(Km, Kp), -2.0 * K0))
+        _laurent_residual(*_bracket(Km, Kp), nonrel.scaled(-2.0, K0)))
 
     k = (model.d + 1.0) / 2.0
     value = k * (k - 1.0)
     yield ("nonrel_casimir", params, _laurent_residual(
-        compose(K0, K0), -K0, -compose(Kp, Km), -value * identity_op()),
+        nonrel.compose(K0, K0), nonrel.scaled(-1.0, K0),
+        nonrel.scaled(-1.0, nonrel.compose(Kp, Km)), {(0, 0): -value}),
         f"value k(k-1)={value:.12g}")
 
     # gauge-invariant ladder coefficients: K- K+ psi_n = kappa_{n+1}^2 psi_n
@@ -606,7 +594,7 @@ def _checks_nonrel(g0: float, levels: dict):
         worst = max(worst, _state_residual(state, _scaled(ratio, L[n])))
         ratios.append(round(ratio.real / math.factorial(n), 6))
     yield ("nonrel_ladder_reconstruction", params, worst,
-           f"grid-constant ratios vs closed forms: {ratios}")
+           f"ratios of gamma_n (K+)^n psi_0 to psi_n on L_n^d coefficients: {ratios}")
 
     eigs = nonrel.matrix_oracle(model)
     exact = np.array([nonrel.energy(model, n) for n in levels["nonrel_spectrum_oracle"]])

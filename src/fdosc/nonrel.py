@@ -9,11 +9,15 @@ factorization, the su(1,1) generators, the closed-form Laguerre
 eigenfunctions and an independent sinc-collocation oracle for the spectrum
 E_n = 2n + d + 1.
 
-Every operator has Laurent coefficients in xi.  In the ground-state gauge
-psi = psi_0 g, psi_0 = xi^(d+1/2) exp(-xi^2/2) (Turbiner, Commun. Math.
-Phys. 118 (1988) 467), ``gauged`` gives psi_0^-1 op psi_0, an operator
-with Laurent coefficients again, so it maps a Laurent sum g to one
-exactly; psi_n is psi_0 times L_n^d(xi^2), up to c_n/c_0.
+An operator is its exact normal form, a dict {(m, p): c} meaning
+sum c xi^p D^m, D = d/dxi: ``added`` sums operators, ``scaled`` scales one
+and ``compose`` multiplies two by D^m xi^b = sum_j C(m, j) b(b-1)...(b-j+1)
+xi^(b-j) D^(m-j), so every coefficient is exact algebra.  In the
+ground-state gauge psi = psi_0 g, psi_0 = xi^(d+1/2) exp(-xi^2/2)
+(Turbiner, Commun. Math. Phys. 118 (1988) 467), ``gauged`` gives
+psi_0^-1 op psi_0 = sum c xi^p (D + w)^m, w = psi_0'/psi_0, in the same
+form, so it maps a Laurent sum g to one exactly; psi_n is psi_0 times
+L_n^d(xi^2), up to c_n/c_0.
 """
 
 from __future__ import annotations
@@ -24,17 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, CouplingError
-from .opcore import (
-    AnalyticFunction,
-    DifferenceOperator,
-    compose,
-    coordinate,
-    deriv_op,
-    gaussian,
-    identity_op,
-    monomial,
-    mul_op,
-)
+from .opcore import AnalyticFunction, gaussian, monomial
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -63,30 +57,54 @@ def make_model(g0: float) -> NonRelModel:
     return NonRelModel(g0=g0, d=d)
 
 
-def hamiltonian(model: NonRelModel) -> DifferenceOperator:
+def added(*ops) -> dict:
+    """The sum of the operators, key by key in order of first appearance;
+    a coefficient that sums to 0 is dropped."""
+    total: dict = {}
+    for op in ops:
+        for key, c in op.items():
+            total[key] = total.get(key, 0) + c
+    return {key: c for key, c in total.items() if c != 0}
+
+
+def scaled(c, op: dict) -> dict:
+    """c op, coefficient by coefficient."""
+    return {key: c * v for key, v in op.items()}
+
+
+def compose(A: dict, B: dict) -> dict:
+    """The product A B (apply B first): each a xi^p D^m of A times each
+    b xi^q D^n of B is a b sum_j C(m, j) q(q-1)...(q-j+1) xi^(p+q-j) D^(m+n-j),
+    summed key by key."""
+    terms = []
+    for (m, p), a in A.items():
+        for (n, q), b in B.items():
+            falling = 1  # q(q-1)...(q-j+1)
+            for j in range(m + 1):
+                terms.append({(m + n - j, p + q - j): a * b * math.comb(m, j) * falling})
+                falling *= q - j
+    return added(*terms)
+
+
+def hamiltonian(model: NonRelModel) -> dict:
     """-1/2 D^2 + 1/2 xi^2 + g0/xi^2."""
-    potential = 0.5 * coordinate() * coordinate() + model.g0 * monomial(-2)
-    return -0.5 * deriv_op(2) + mul_op(potential)
+    return added({(2, 0): -0.5, (0, 2): 0.5, (0, -2): model.g0})
 
 
-def ladder_a() -> tuple[DifferenceOperator, DifferenceOperator]:
+def ladder_a() -> tuple[dict, dict]:
     """Plain oscillator ladder pair a-+ = (xi +- D)/sqrt(2)."""
-    xi = mul_op(coordinate())
-    a_minus = (1.0 / _SQRT2) * (xi + deriv_op())
-    a_plus = (1.0 / _SQRT2) * (xi - deriv_op())
-    return a_minus, a_plus
+    s = 1.0 / _SQRT2
+    return {(0, 1): s, (1, 0): s}, {(0, 1): s, (1, 0): -s}
 
 
-def ladder_c(model: NonRelModel) -> tuple[DifferenceOperator, DifferenceOperator]:
+def ladder_c(model: NonRelModel) -> tuple[dict, dict]:
     """Singular-oscillator pair c-+ = (xi +- D - (d+1/2)/xi)/sqrt(2)."""
-    xi = mul_op(coordinate())
-    sing = mul_op((model.d + 0.5) * monomial(-1))
-    c_minus = (1.0 / _SQRT2) * (xi + deriv_op() - sing)
-    c_plus = (1.0 / _SQRT2) * (xi - deriv_op() - sing)
-    return c_minus, c_plus
+    s = 1.0 / _SQRT2
+    sing = {(0, 1): s, (0, -1): -(model.d + 0.5) * s}
+    return added(sing, {(1, 0): s}), added(sing, {(1, 0): -s})
 
 
-def lowering_forms(model: NonRelModel) -> tuple[DifferenceOperator, DifferenceOperator]:
+def lowering_forms(model: NonRelModel) -> tuple[dict, dict]:
     """The two printed closed forms of the lowering operator.
 
     Form 1: sqrt(2) xi c^- - H + (d+1).
@@ -94,43 +112,40 @@ def lowering_forms(model: NonRelModel) -> tuple[DifferenceOperator, DifferenceOp
     They agree identically; both are exposed for the cross-check.
     """
     c_minus, _ = ladder_c(model)
-    form1 = _SQRT2 * compose(mul_op(coordinate()), c_minus) - hamiltonian(model) \
-        + (model.d + 1.0) * identity_op()
+    form1 = added(scaled(_SQRT2, compose({(0, 1): 1.0}, c_minus)),
+                  scaled(-1.0, hamiltonian(model)), {(0, 0): model.d + 1.0})
     return form1, ladder_A(model)[0]
 
 
-def ladder_A(model: NonRelModel) -> tuple[DifferenceOperator, DifferenceOperator]:
+def ladder_A(model: NonRelModel) -> tuple[dict, dict]:
     """Two-step lowering/raising pair A-+ = (a-+)^2 - g0/xi^2."""
     a_minus, a_plus = ladder_a()
-    sing = mul_op(model.g0 * monomial(-2))
-    return compose(a_minus, a_minus) - sing, compose(a_plus, a_plus) - sing
+    sing = {(0, -2): -model.g0}
+    return added(compose(a_minus, a_minus), sing), added(compose(a_plus, a_plus), sing)
 
 
-def su11_generators(model: NonRelModel):
+def su11_generators(model: NonRelModel) -> tuple[dict, dict, dict]:
     """(K0, K-, K+) with K0 = H/2 and K-+ = A-+/2."""
     A_minus, A_plus = ladder_A(model)
-    return 0.5 * hamiltonian(model), 0.5 * A_minus, 0.5 * A_plus
+    return scaled(0.5, hamiltonian(model)), scaled(0.5, A_minus), scaled(0.5, A_plus)
 
 
-def ground_log_derivative(model: NonRelModel) -> AnalyticFunction:
-    """w = psi_0'/psi_0 = (d+1/2)/xi - xi, a Laurent sum."""
-    return (model.d + 0.5) * monomial(-1) + -coordinate()
+def ground_log_derivative(model: NonRelModel) -> dict:
+    """w = psi_0'/psi_0 = (d+1/2)/xi - xi, as the operator multiplying by it."""
+    return {(0, -1): model.d + 0.5, (0, 1): -1.0}
 
 
-def gauged(model: NonRelModel, op: DifferenceOperator) -> DifferenceOperator:
-    """psi_0^-1 op psi_0: each D^m of op replaced by (D + w)^m, by compose;
-    ValueError for a term with a shift, which would go unread."""
-    if any(t.shift != 0 for t in op.terms):
-        raise ValueError("a nonrel operator acts at shift 0, and a term of this one "
-                         "has a shift")
-    step = deriv_op() + mul_op(ground_log_derivative(model))
-    steps = [identity_op()]
+def gauged(model: NonRelModel, op: dict) -> dict:
+    """psi_0^-1 op psi_0 = sum c xi^p (D + w)^m over the terms c xi^p D^m
+    of op, each power (D + w)^m built once by compose."""
+    step = added({(1, 0): 1.0}, ground_log_derivative(model))
+    steps = [{(0, 0): 1.0}]
     terms = []
-    for t in op.terms:
-        while len(steps) <= t.dorder:
+    for (m, p), c in op.items():
+        while len(steps) <= m:
             steps.append(compose(step, steps[-1]))
-        terms += compose(mul_op(t.coeff), steps[t.dorder]).terms
-    return DifferenceOperator(terms)
+        terms.append(compose({(0, p): c}, steps[m]))
+    return added(*terms)
 
 
 def energy(model: NonRelModel, n: int) -> float:

@@ -9,12 +9,10 @@ coefficients are exact algebra.  A product multiplies monomials, adding
 the exponents at a shared pole, and f.shifted(a) relabels each pole q as
 q - a; no sum is ever split into partial fractions.  ``monomial(p, at=q)``
 is (z - q)^p.  A rational sum whose only pole is 0 is a Laurent sum
-sum_p c_p z^p: it folds and evaluates as any rational sum, and ``powers``
-= {p: c_p}, read off its monomials when asked, is that view (None for any
-other function; a constant is {0: c}).  Only a Laurent sum has a
-derivative: asking any other function for one raises EvaluationError.  A
-call evaluates the expression once on all its points; what outlives a call
-is an operator's ``coefficient_batch``, built at its first tower.
+sum_p c_p z^p; only a Laurent sum has a derivative, and asking any other
+function for one raises EvaluationError.  A call evaluates the expression
+once on all its points; what outlives a call is an operator's
+``coefficient_batch``, built at its first tower.
 
 ``stacked(fns)`` is one batched function whose row i is fns[i].  When every
 one is a rational sum it holds one coefficient matrix over the union of
@@ -23,25 +21,24 @@ as the product of its factors, and each row as its monomials summed in
 order, a point's values never depending on the other points of the call;
 otherwise it stacks their values.
 
-A DifferenceOperator is a finite sum of terms coeff(z) * D^k f(z + shift);
+A DifferenceOperator is a finite sum of terms coeff(z) * f(z + shift);
 shifts act exactly as argument translation, so operator identities can be
-verified to machine precision.  ``compose`` expands products with the
-Leibniz rule, so an operator with a derivative term needs Laurent
-coefficients, and its products are Laurent sums again.
+verified to machine precision.  ``compose`` gives the product
+sum_(s, t) a_s(z) b_t(z + s) T(s + t) of A = sum_s a_s T(s) and
+B = sum_t b_t T(t), T(s) the shift by s.
 
-Applying an operator gives one tower node, which acts on values: an
-operator with a derivative term raises ValueError there.  Applied to the
-output of the same operator object, it gives one node for op^(p+1) f over
-the same base f, so a ladder state (B^+)^n phi_0 is one node.  A call
-evaluates f once at z + S_p, S_p the distinct shift sums of p
-applications, and every coefficient in one call of the operator's
-``coefficient_batch`` (its terms' coefficients ``stacked``, built at its
-first tower), at z plus the union of S_0..S_(p-1), on a term axis; points
-are not merged across z.  Then p steps carry the values from z + S_p down
-to z, each one gather of every term's shifted values and one stacked
-multiply-add, summed over the terms in order, so a point's values do not
-depend on the other points of the call.  Any other wrapper, such as
-2.0 * op(f) or an operator object with equal terms, starts a new tower.
+Applying an operator gives one tower node.  Applied to the output of the
+same operator object, it gives one node for op^(p+1) f over the same base
+f, so a ladder state (B^+)^n phi_0 is one node.  A call evaluates f once
+at z + S_p, S_p the distinct shift sums of p applications, and every
+coefficient in one call of the operator's ``coefficient_batch`` (its
+terms' coefficients ``stacked``, built at its first tower), at z plus the
+union of S_0..S_(p-1), on a term axis; points are not merged across z.
+Then p steps carry the values from z + S_p down to z, each one gather of
+every term's shifted values and one stacked multiply-add, summed over the
+terms in order, so a point's values do not depend on the other points of
+the call.  Any other wrapper, such as 2.0 * op(f) or an operator object
+with equal terms, starts a new tower.
 
 A function may be vector-valued, with values of shape (*B, len(z)): the
 batched leaves (``nonrel.eigenfunctions``, ``rel.eigenfunctions``, a
@@ -87,15 +84,6 @@ class AnalyticFunction:
         self.values = values
         self.monomials = monomials
 
-    @property
-    def powers(self):
-        """{p: c_p} of a rational sum whose only pole is 0, the Laurent sum
-        sum_p c_p z^p, read off its monomials; None for any other function."""
-        monomials = self.monomials
-        if monomials is None or any(q != 0 for m in monomials for q, _ in m):
-            return None
-        return {dict(m).get(0j, 0): c for m, c in monomials.items()}
-
     def __call__(self, z):
         """f(z) for a scalar (a complex) or a sequence or array (an ndarray);
         a batched function gives an ndarray of shape (*B, *z.shape)."""
@@ -114,11 +102,12 @@ class AnalyticFunction:
     def derivative(self) -> "AnalyticFunction":
         """The derivative of a Laurent sum, term by term; EvaluationError for
         any other function."""
-        powers = self.powers
-        if powers is None:
+        monomials = self.monomials
+        if monomials is None or any(q != 0 for m in monomials for q, _ in m):
             raise EvaluationError("no derivative is known for a function that is "
                                   "not a Laurent sum")
-        return _rational({_monomial(p - 1): p * c for p, c in powers.items()})
+        # each monomial of a Laurent sum is one factor z^p, a constant none
+        return _rational({_monomial(p - 1): p * c for m, c in monomials.items() for _, p in m})
 
     def shifted(self, a) -> "AnalyticFunction":
         """f(z + a): a rational sum relabels each pole q as q - a, exactly."""
@@ -371,24 +360,23 @@ def from_callable(fn) -> AnalyticFunction:
 class Term(NamedTuple):
     coeff: AnalyticFunction
     shift: complex
-    dorder: int = 0
 
 
 class DifferenceOperator:
-    """Finite sum of terms f(z) -> coeff(z) * (D^k f)(z + shift).
+    """Finite sum of terms f(z) -> coeff(z) * f(z + shift).
 
-    Immutable; terms with identical (shift, dorder) are merged by adding
-    their coefficient functions.
+    Immutable; terms with identical shift are merged by adding their
+    coefficient functions, and kept in order of shift (_shift_order).
     """
 
     def __init__(self, terms):
         merged: dict = {}
         for t in terms:
             coeff = _as_function(t.coeff)
-            key = (complex(t.shift), t.dorder)
-            merged[key] = merged[key] + coeff if key in merged else coeff
-        self.terms = tuple(Term(coeff, shift, dorder) for (shift, dorder), coeff
-                           in sorted(merged.items(), key=_term_order))
+            shift = complex(t.shift)
+            merged[shift] = merged[shift] + coeff if shift in merged else coeff
+        self.terms = tuple(Term(merged[shift], shift)
+                           for shift in sorted(merged, key=_shift_order))
 
     @functools.cached_property
     def coefficient_batch(self):
@@ -410,21 +398,13 @@ class DifferenceOperator:
         return self + (-other)
 
     def __neg__(self):
-        return DifferenceOperator(Term(-t.coeff, t.shift, t.dorder) for t in self.terms)
+        return DifferenceOperator(Term(-t.coeff, t.shift) for t in self.terms)
 
     def __mul__(self, scalar):
         scalar = complex(scalar)
-        return DifferenceOperator(
-            Term(scalar * t.coeff, t.shift, t.dorder) for t in self.terms
-        )
+        return DifferenceOperator(Term(scalar * t.coeff, t.shift) for t in self.terms)
 
     __rmul__ = __mul__
-
-
-def _term_order(item):
-    """Terms in order of derivative order, then of shift."""
-    (shift, dorder), _ = item
-    return dorder, shift.imag, shift.real
 
 
 def _shift_order(shift):
@@ -445,9 +425,6 @@ class _Tower:
     """
 
     def __init__(self, op: DifferenceOperator, f_values):
-        if any(t.dorder for t in op.terms):
-            raise ValueError("a tower acts on values, and this operator has a derivative "
-                             "term: apply it to a Laurent sum by the algebra")
         self.op = op
         inner = f_values if isinstance(f_values, _Tower) and f_values.op is op else None
         if inner is None:
@@ -544,19 +521,12 @@ def powers(op: DifferenceOperator, f, p: int) -> AnalyticFunction:
 
 def shift_op(a) -> DifferenceOperator:
     """Operator f(z) -> f(z + a)."""
-    return DifferenceOperator([Term(const(1.0), complex(a), 0)])
+    return DifferenceOperator([Term(const(1.0), complex(a))])
 
 
 def mul_op(c) -> DifferenceOperator:
     """Multiplication by the function (or scalar) c."""
-    return DifferenceOperator([Term(_as_function(c), 0.0, 0)])
-
-
-def deriv_op(order: int = 1) -> DifferenceOperator:
-    """d^order/dz^order."""
-    if order < 0:
-        raise ValueError("derivative order must be >= 0")
-    return DifferenceOperator([Term(const(1.0), 0.0, order)])
+    return DifferenceOperator([Term(_as_function(c), 0.0)])
 
 
 def identity_op() -> DifferenceOperator:
@@ -564,19 +534,10 @@ def identity_op() -> DifferenceOperator:
 
 
 def compose(A: DifferenceOperator, B: DifferenceOperator) -> DifferenceOperator:
-    """Operator product A B (apply B first)."""
-    terms = []
-    for ta in A.terms:
-        for tb in B.terms:
-            # D^{da} [ cb(z) g(z + sb) ] expanded with the Leibniz rule,
-            # then shifted by sa and scaled by ca(z).
-            cb_k = tb.coeff
-            for k in range(ta.dorder + 1):
-                coeff = ta.coeff * math.comb(ta.dorder, k) * cb_k.shifted(ta.shift)
-                terms.append(Term(coeff, ta.shift + tb.shift, ta.dorder - k + tb.dorder))
-                if k < ta.dorder:
-                    cb_k = cb_k.derivative()
-    return DifferenceOperator(terms)
+    """Operator product A B (apply B first): sum over term pairs of
+    a_s(z) b_t(z + s) T(s + t)."""
+    return DifferenceOperator(Term(ta.coeff * tb.coeff.shifted(ta.shift), ta.shift + tb.shift)
+                              for ta in A.terms for tb in B.terms)
 
 
 # ---- grids and residuals ----------------------------------------------

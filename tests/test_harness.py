@@ -26,19 +26,17 @@ from fdosc.harness import CheckResult, VerificationReport
 from fdosc.opcore import (
     DifferenceOperator,
     Term,
+    compose,
     const,
     coordinate,
     default_grid,
-    deriv_op,
     from_callable,
-    identity_op,
-    monomial,
     mul_op,
     polynomial,
     ratio_spread,
     shift_op,
 )
-from test_nonrel import _act
+from test_nonrel import _act, _powers
 
 
 def _run_cli(argv):
@@ -834,6 +832,16 @@ def test_suite_timing_tool_times_and_restores_the_cap(monkeypatch, capsys):
     times, peaks = tool.process_timings(1)
     assert len(times) == 1 and times[0] > 0.0
     assert len(peaks) == 1 and 1.0 < peaks[0] < 1000.0  # MB
+    groups = {group: getattr(harness, f"_checks_{group}") for group in tool.GROUPS}
+    checks = tool.check_timings(1)
+    # every check id once, under the group that yields it, one time per run
+    assert list(checks) == list(tool.GROUPS)
+    assert sorted(cid for by_id in checks.values() for cid in by_id) == sorted(harness.CHECKS)
+    assert list(checks["nonrel"])[0] == "nonrel_eigen_equation"
+    assert "rel_momentum_sign_free_limit" in checks["planewave"]
+    assert all(len(seconds) == 1 and seconds[0] > 0.0
+               for by_id in checks.values() for seconds in by_id.values())
+    assert all(getattr(harness, f"_checks_{group}") is groups[group] for group in tool.GROUPS)
     layers = tool.tower_layers(1)
     assert list(layers) == list(tool.TOWER_LEVELS)
     for level in layers.values():
@@ -999,8 +1007,8 @@ def test_identity_residual_evaluates_each_coefficient_once(count):
             return np.cos(z)
         return from_callable(leaf)
 
-    parts = [DifferenceOperator([Term(counting(f"A{i}"), 0.5j, 0), Term(1.0, 0.0, 1),
-                                 Term(counting(f"B{i}"), -0.5j, 2)])
+    parts = [DifferenceOperator([Term(counting(f"A{i}"), 0.5j), Term(1.0, 0.0),
+                                 Term(counting(f"B{i}"), -0.5j)])
              for i in range(count)]
     harness._identity_residual(default_grid(), *parts)
     assert calls == {f"{k}{i}": 1 for i in range(count) for k in "AB"}
@@ -1033,11 +1041,16 @@ def test_reduce_reads_every_key_in_one_array_pass(pointwise):
 
 
 def _term_residuals(pts, *parts):
-    """harness._identity_residual of each (shift, derivative order) alone."""
-    keys = {(t.shift, t.dorder) for part in parts for t in part.terms}
-    return {key: harness._identity_residual(
-        pts, *(DifferenceOperator([t for t in part.terms if (t.shift, t.dorder) == key])
-               for part in parts)) for key in keys}
+    """harness._identity_residual of each shift alone."""
+    shifts = {t.shift for part in parts for t in part.terms}
+    return {shift: harness._identity_residual(
+        pts, *(DifferenceOperator([t for t in part.terms if t.shift == shift])
+               for part in parts)) for shift in shifts}
+
+
+def _rel_bracket(X, Y):
+    """The commutator [X, Y] of rel operators as its two parts, XY and -YX."""
+    return compose(X, Y), -compose(Y, X)
 
 
 DIGEST_COUPLINGS = [(0.5, 0.1), (0.9, 0.05), (0.35, 0.6), (0.6, 0.2)]
@@ -1055,17 +1068,17 @@ def test_each_adjudication_misses_only_at_its_named_terms(couplings):
     B_minus, _ = rel.ladder_B(model)
     pts = default_grid()
     adjudications = [
-        # the literal H^2 tail misses by a constant: the (shift 0, order 0) term
-        ((*harness._bracket(H, B_printed), 2.0 * model.omega0 * B_printed), {0j}),
+        # the literal H^2 tail misses by a constant: the shift-0 term
+        ((*_rel_bracket(H, B_printed), 2.0 * model.omega0 * B_printed), {0j}),
         # the printed [b-, b+] right-hand side: its e^{i d} coefficient
-        ((*harness._bracket(b_minus, b_plus), -rel.bb_commutator_rhs(model)), {1j}),
+        ((*_rel_bracket(b_minus, b_plus), -rel.bb_commutator_rhs(model)), {1j}),
         # the compact form: its e^{-+i d} coefficients
         ((B_compact, -B_minus), {1j, -1j}),
     ]
     for parts, missed in adjudications:
         residuals = _term_residuals(pts, *parts)
-        assert {key for key, r in residuals.items() if r > 1e-14} == {(s, 0) for s in missed}
-        assert min(residuals[(s, 0)] for s in missed) > 0.3
+        assert {shift for shift, r in residuals.items() if r > 1e-14} == missed
+        assert min(residuals[s] for s in missed) > 0.3
 
 
 IDENTITY_CHECKS = [
@@ -1101,7 +1114,7 @@ def test_a_planted_one_term_error_fails_its_check(check_id, monkeypatch):
         _planted(monkeypatch, rel, "BB_commutator_rhs", lambda rhs: rhs + error)
     elif check_id.startswith("nonrel"):  # K0 off by one term, a nonrel one: xi^2
         _planted(monkeypatch, nonrel, "su11_generators",
-                 lambda generators: (generators[0] + 1e-6 * mul_op(monomial(2)),
+                 lambda generators: (nonrel.added(generators[0], {(0, 2): 1e-6}),
                                      *generators[1:]))
     elif check_id == "rel_lowering_commutator":  # B- off by one term
         _planted(monkeypatch, rel, "ladder_B", lambda pair: (pair[0] + error, pair[1]))
@@ -1110,15 +1123,6 @@ def test_a_planted_one_term_error_fails_its_check(check_id, monkeypatch):
     results = {r.check_id: r for r in harness.run_suite(0.5, 0.1, n_max=1).results}
     assert results[check_id].max_residual > harness.CHECKS[check_id].tolerance
     assert not results[check_id].passed
-
-
-def test_a_planted_shift_in_a_nonrel_operator_raises(monkeypatch):
-    # a nonrel identity is read on Laurent coefficients: a shifted term has
-    # none, and raises rather than pass unread
-    _planted(monkeypatch, nonrel, "su11_generators",
-             lambda generators: (generators[0] + 1e-6 * shift_op(2j), *generators[1:]))
-    with pytest.raises(ValueError, match="Laurent coefficients"):
-        harness.run_suite(0.5, 0.1, n_max=1)
 
 
 # The smallest one-term error, of each kind, that each nonrel eigenstate
@@ -1136,8 +1140,7 @@ _PLANTS = {
     "nonrel_ladder_reconstruction": ("su11_generators", {"1": 1e-8, "xi2": 1e-9, "xi-2": 1e-12,
                                                          "D": 1e-12}),
 }
-_TERMS = {"1": identity_op(), "xi2": mul_op(monomial(2)), "xi-2": mul_op(monomial(-2)),
-          "D": deriv_op()}
+_TERMS = {"1": {(0, 0): 1.0}, "xi2": {(0, 2): 1.0}, "xi-2": {(0, -2): 1.0}, "D": {(1, 0): 1.0}}
 
 
 def _nonrel_reading(check_id):
@@ -1154,14 +1157,16 @@ def test_a_planted_error_fails_each_nonrel_eigenstate_check(check_id, term, monk
     tolerance = harness.CHECKS[check_id].tolerance
     assert _nonrel_reading(check_id) <= tolerance
     for scale in (1.0, 10.0, 1e3):
-        error = sizes[term] * scale * _TERMS[term]
+        error = nonrel.scaled(sizes[term] * scale, _TERMS[term])
         with monkeypatch.context() as patch:
             if name == "hamiltonian":
-                _planted(patch, nonrel, name, lambda H: H + error)
+                _planted(patch, nonrel, name, lambda H: nonrel.added(H, error))
             elif name == "ladder_c":
-                _planted(patch, nonrel, name, lambda pair: (pair[0] + error, pair[1]))
+                _planted(patch, nonrel, name,
+                         lambda pair: (nonrel.added(pair[0], error), pair[1]))
             else:  # K+
-                _planted(patch, nonrel, name, lambda gens: (*gens[:2], gens[2] + error))
+                _planted(patch, nonrel, name,
+                         lambda gens: (*gens[:2], nonrel.added(gens[2], error)))
             assert _nonrel_reading(check_id) > tolerance, scale
 
 
@@ -1184,14 +1189,14 @@ def test_apply_walk_equals_the_algebra(g0):
         coeffs = specfun.laguerre_coefficients(n, model.d)
         L = polynomial([coeffs[j // 2] if j % 2 == 0 else 0.0 for j in range(2 * n + 1)])
         for parts in by_op:
-            image, _ = harness._apply(parts, L.powers)
-            want = algebra(parts, L).powers
+            image, _ = harness._apply(parts, _powers(L))
+            want = _powers(algebra(parts, L))
             assert image == want, n
     # along the K+ tower, each image fed back with its sizes
     state, g = ({0: 1 + 0j}, {0: 1.0}), const(1.0)
     for n in range(1, 31):
         state, g = harness._apply(by_op[-1], state), algebra(by_op[-1], g)
-        assert state[0] == g.powers, n
+        assert state[0] == _powers(g), n
 
 
 def test_every_traced_hook_resolves_in_fdosc():

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 from fdosc import nonrel, specfun
 from fdosc.errors import CouplingError
-from fdosc.opcore import compose, const, default_grid, identity_op, polynomial, shift_op
+from fdosc.opcore import const, default_grid, monomial, polynomial
 
 GRID = default_grid()
 MODEL = nonrel.make_model(0.1)
@@ -21,16 +21,25 @@ def _laguerre(n, d=MODEL.d):
     return polynomial([c[j // 2] if j % 2 == 0 else 0.0 for j in range(2 * n + 1)])
 
 
+def _powers(f):
+    """{p: c_p} of a Laurent sum sum_p c_p z^p, read off its monomials; None
+    for any other function."""
+    monomials = f.monomials
+    if monomials is None or any(q != 0 for m in monomials for q, _ in m):
+        return None
+    return {dict(m).get(0j, 0): c for m, c in monomials.items()}
+
+
 def _act(op, g):
-    """op g = sum of coeff * D^m g by the algebra, through derivative() and
-    products of Laurent sums: the reference for the harness's walk over
-    coefficient dicts."""
+    """op g = sum of c xi^p D^m g over the terms of the nonrel operator op,
+    by the algebra, through derivative() and products of Laurent sums: the
+    reference for the harness's walk over coefficient dicts."""
     out = const(0.0)
-    for t in op.terms:
+    for (m, p), c in op.items():
         h = g
-        for _ in range(t.dorder):
+        for _ in range(m):
             h = h.derivative()
-        out = out + t.coeff * h
+        out = out + c * monomial(p) * h
     return out
 
 
@@ -41,13 +50,13 @@ def _in_gauge(op, g, model=MODEL):
 
 def _largest_gap(a, b) -> float:
     """max |a_p - b_p| over the powers of either Laurent sum."""
-    return max((abs(a.powers.get(p, 0) - b.powers.get(p, 0)) for p in {*a.powers, *b.powers}),
-               default=0.0)
+    a, b = _powers(a), _powers(b)
+    return max((abs(a.get(p, 0) - b.get(p, 0)) for p in {*a, *b}), default=0.0)
 
 
 def _assert_same_sum(a, b, tol):
     """a and b agree coefficient by coefficient to tol of b's largest."""
-    assert _largest_gap(a, b) <= tol * max(map(abs, b.powers.values()))
+    assert _largest_gap(a, b) <= tol * max(map(abs, _powers(b).values()))
 
 
 def test_exponent_value():
@@ -94,33 +103,28 @@ def test_eigen_equation(n):
 @pytest.mark.parametrize("g0", [0.1, -0.1, 5.0])
 def test_ground_log_derivative_matches_mpmath(g0):
     model = nonrel.make_model(g0)
-    w = nonrel.ground_log_derivative(model)
     pts = np.concatenate([GRID[::3], GRID[1::8] + 0.3j])
+    w = sum(c * pts ** p for (_, p), c in nonrel.ground_log_derivative(model).items())
     with mp.workdps(30):
         p = mp.mpf(model.d) + mp.mpf(0.5)
         want = [complex(mp.diff(lambda x: mp.log(x ** p * mp.exp(-x * x / 2)), mp.mpc(z)))
                 for z in pts]
-    assert np.max(np.abs(w(pts) - want) / np.abs(want)) <= 1e-14
+    assert np.max(np.abs(w - want) / np.abs(want)) <= 1e-14
 
 
 def test_gauged_raising_operator_has_its_closed_form():
     # psi_0^-1 A+ psi_0 = 1/2 D^2 + (p/xi - 2 xi) D + (2 xi^2 - 2p - 1), p = d + 1/2,
     # which uses p(p-1) = 2 g0: its xi^-2 coefficient is that rounding alone
     p = MODEL.d + 0.5
-    gauged = {t.dorder: t.coeff.powers for t in nonrel.gauged(MODEL, nonrel.ladder_A(MODEL)[1]).terms}
+    gauged = {}
+    for (m, power), c in nonrel.gauged(MODEL, nonrel.ladder_A(MODEL)[1]).items():
+        gauged.setdefault(m, {})[power] = c
     want = {0: {2: 2.0, 0: -2.0 * p - 1.0}, 1: {-1: p, 1: -2.0}, 2: {0: 0.5}}
     assert gauged.keys() == want.keys()
     for order, powers in want.items():
         got = gauged[order]
         assert set(got) - set(powers) <= {-2} and abs(got.get(-2, 0)) <= 1e-15 * MODEL.g0
         assert all(abs(got[k] - v) <= 1e-15 * abs(v) for k, v in powers.items()), order
-
-
-def test_gauge_and_action_refuse_a_shift():
-    # the Laurent algebra acts at shift 0: a shifted term would not be read
-    H = nonrel.hamiltonian(MODEL)
-    with pytest.raises(ValueError, match="shift"):
-        nonrel.gauged(MODEL, H + 1e-6 * shift_op(2j))
 
 
 @pytest.mark.parametrize("n", [0, 1, 3])
@@ -139,7 +143,7 @@ def test_wavefunction_boundary_decay():
 def test_factorization_closes():
     c_minus, c_plus = nonrel.ladder_c(MODEL)
     H = nonrel.hamiltonian(MODEL)
-    fact = compose(c_plus, c_minus) + (MODEL.d + 1.0) * identity_op()
+    fact = nonrel.added(nonrel.compose(c_plus, c_minus), {(0, 0): MODEL.d + 1.0})
     L = _laguerre(2)
     _assert_same_sum(_in_gauge(fact, L), _in_gauge(H, L), 1e-13)
 
@@ -162,8 +166,25 @@ def test_two_step_ladder_shifts_by_two_levels():
 def test_su11_commutation_on_states():
     K0, Km, Kp = nonrel.su11_generators(MODEL)
     L = _laguerre(2)
-    bracket = compose(Km, Kp) - compose(Kp, Km)
+    bracket = nonrel.added(nonrel.compose(Km, Kp), nonrel.scaled(-1.0, nonrel.compose(Kp, Km)))
     _assert_same_sum(_in_gauge(bracket, L), 2.0 * _in_gauge(K0, L), 1e-13)
+
+
+# the g0 of the four digest couplings, and three far from them
+@pytest.mark.parametrize("g0", [0.1, 0.05, 0.6, 0.2, -0.1, 5.0, 1e3])
+def test_compose_equals_one_operator_after_the_other(g0):
+    # nonrel.compose(A, B) g against A (B g), each product applied through
+    # derivative() and products of Laurent sums, never through compose
+    model = nonrel.make_model(g0)
+    A_minus, A_plus = nonrel.ladder_A(model)
+    _, K_minus, K_plus = nonrel.su11_generators(model)
+    ops = [nonrel.hamiltonian(model), *nonrel.ladder_c(model), A_minus, A_plus,
+           K_minus, K_plus, {(0, -2): 1.0}]
+    g = polynomial([1.0, -0.5, 0.25, 0.0, 2.0]) + 0.75 * monomial(-1)
+    images = [_act(B, g) for B in ops]
+    for A in ops:
+        for B, image in zip(ops, images):
+            _assert_same_sum(_act(nonrel.compose(A, B), g), _act(A, image), 1e-14)
 
 
 def test_matrix_oracle_frozen_ground_value():

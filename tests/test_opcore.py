@@ -17,7 +17,6 @@ from fdosc.opcore import (
     const,
     coordinate,
     default_grid,
-    deriv_op,
     exp_linear,
     from_callable,
     gaussian,
@@ -30,7 +29,7 @@ from fdosc.opcore import (
     shift_op,
     stacked,
 )
-from test_nonrel import _act
+from test_nonrel import _act, _powers
 
 GRID = default_grid()
 
@@ -43,9 +42,8 @@ def test_shift_is_exact_argument_translation():
 
 
 def _coefficients(op, pts):
-    """{(shift, order): coefficient on pts} of op's nonzero terms."""
-    return {(t.shift, t.dorder): t.coeff(pts) for t in op.terms
-            if t.coeff.powers is None or t.coeff.powers}
+    """{shift: coefficient on pts} of op's terms, a folded zero left out."""
+    return {t.shift: t.coeff(pts) for t in op.terms if t.coeff.monomials != {}}
 
 
 def _assert_same_operator(A, B, tol=1e-13):
@@ -58,9 +56,9 @@ def _assert_same_operator(A, B, tol=1e-13):
         assert np.max(np.abs(ca - cb)) <= tol * (1.0 + np.max(np.abs(cb))), key
 
 
-def _laurent_terms(op):
-    """{(shift, order): powers} of op's nonzero terms, each a Laurent sum."""
-    return {(t.shift, t.dorder): t.coeff.powers for t in op.terms if t.coeff.powers}
+def _minus(A, B):
+    """A - B of nonrel operators {(m, p): c} = sum c xi^p D^m."""
+    return nonrel.added(A, nonrel.scaled(-1.0, B))
 
 
 def test_inverse_shifts_compose_to_identity():
@@ -71,30 +69,44 @@ def test_inverse_shifts_compose_to_identity():
 
 def test_composition_is_associative():
     A = mul_op(coordinate()) + shift_op(0.5j)
-    B = deriv_op() - 2.0 * identity_op()
+    B = shift_op(0.25j) - 2.0 * identity_op()
     C = shift_op(-1j) + mul_op(monomial(2))
     _assert_same_operator(compose(compose(A, B), C), compose(A, compose(B, C)))
+    # nonrel operators, exactly: xi + xi^-1 D/2, D - 2 and D^2 + xi^2
+    A, B, C = {(0, 1): 1.0, (1, -1): 0.5}, {(1, 0): 1.0, (0, 0): -2.0}, {(2, 0): 1.0, (0, 2): 1.0}
+    assert nonrel.compose(nonrel.compose(A, B), C) == nonrel.compose(A, nonrel.compose(B, C))
 
 
 def test_composition_order_matters():
-    # [d/dz, z] = 1, exactly: the coefficients fold to numbers
+    # [T(i), z] = i T(i): the shift moves the coordinate
     z_op = mul_op(coordinate())
-    lhs = compose(deriv_op(), z_op) - compose(z_op, deriv_op())
-    assert _laurent_terms(lhs) == {(0j, 0): {0: 1.0}}
+    _assert_same_operator(compose(shift_op(1j), z_op) - compose(z_op, shift_op(1j)),
+                          1j * shift_op(1j))
+    # [D, xi] = 1, exactly
+    D, xi = {(1, 0): 1.0}, {(0, 1): 1.0}
+    assert _minus(nonrel.compose(D, xi), nonrel.compose(xi, D)) == {(0, 0): 1.0}
 
 
 def test_commutator_antisymmetry():
     A = mul_op(monomial(2)) + shift_op(1j)
-    B = deriv_op() + mul_op(coordinate())
+    B = shift_op(-0.5j) + mul_op(coordinate())
     lhs, rhs = compose(A, B) - compose(B, A), -1.0 * (compose(B, A) - compose(A, B))
     _assert_same_operator(lhs, rhs)
+    A, B = {(0, 2): 1.0, (1, 0): 0.5}, {(1, 0): 1.0, (0, 1): 1.0}  # xi^2 + D/2, D + xi
+    AB, BA = nonrel.compose(A, B), nonrel.compose(B, A)
+    assert _minus(AB, BA) == nonrel.scaled(-1.0, _minus(BA, AB)) != {}
 
 
 def test_leibniz_in_composition():
-    # d/dz (z^2 f) = 2 z f + z^2 f', exactly
-    lhs = compose(deriv_op(), mul_op(monomial(2)))
-    rhs = mul_op(2.0 * coordinate()) + compose(mul_op(monomial(2)), deriv_op())
-    assert _laurent_terms(lhs) == _laurent_terms(rhs) == {(0j, 0): {1: 2.0}, (0j, 1): {2: 1.0}}
+    # D (xi^2 f) = 2 xi f + xi^2 D f, exactly
+    assert nonrel.compose({(1, 0): 1.0}, {(0, 2): 1.0}) == {(1, 2): 1.0, (0, 1): 2.0}
+    # D^m xi^b = sum_j C(m, j) b(b-1)...(b-j+1) xi^(b-j) D^(m-j): a falling
+    # factorial that ends at j = b for b = 0, 1, 2, ..., and runs to j = m else
+    assert nonrel.compose({(3, 0): 1.0}, {(0, 4): 1.0}) == {
+        (3, 4): 1.0, (2, 3): 12.0, (1, 2): 36.0, (0, 1): 24.0}
+    assert nonrel.compose({(3, 0): 1.0}, {(0, 1): 1.0}) == {(3, 1): 1.0, (2, 0): 3.0}
+    assert nonrel.compose({(2, 0): 1.0}, {(0, -1): 1.0}) == {
+        (2, -1): 1.0, (1, -2): -2.0, (0, -3): 2.0}
 
 
 def test_exact_derivatives_of_primitives():
@@ -116,9 +128,6 @@ def test_callable_leaf_has_no_derivative():
     assert f(0.7) == pytest.approx(math.cos(0.7))
     with pytest.raises(EvaluationError):
         f.derivative()
-    # nor does a tower take one: it acts on values
-    with pytest.raises(ValueError, match="derivative term"):
-        deriv_op()(f)
 
 
 _LAURENT_LEAVES = [
@@ -184,6 +193,10 @@ def test_term_merging_by_shift_and_order():
     assert len(op.terms) == 1
     f = exp_linear(0.2)
     assert abs(op(f)(1.0) - 2.0 * f(1.0 + 1j)) < 1e-15
+    # a nonrel operator merges by (order of D, power of xi), a sum that
+    # cancels dropped
+    assert nonrel.added({(1, 2): 1.0, (0, 0): 2.0}, {(0, 0): -2.0, (1, 2): 0.5, (1, 0): 1.0}) \
+        == {(1, 2): 1.5, (1, 0): 1.0}
 
 
 def test_grid_rejects_nonpositive_points():
@@ -250,31 +263,31 @@ def test_scalar_and_const_coefficients():
 
 def test_constants_fold_when_built():
     c = const(2.0 - 1.0j)
-    assert (c + const(3.0)).powers == {0: 5.0 - 1.0j}
-    assert (c + -1.0).powers == {0: 1.0 - 1.0j}
-    assert (-c).powers == {0: -2.0 + 1.0j}
-    assert (3.0 * c).powers == (c * const(3.0)).powers == {0: 6.0 - 3.0j}
+    assert _powers(c + const(3.0)) == {0: 5.0 - 1.0j}
+    assert _powers(c + -1.0) == {0: 1.0 - 1.0j}
+    assert _powers(-c) == {0: -2.0 + 1.0j}
+    assert _powers(3.0 * c) == _powers(c * const(3.0)) == {0: 6.0 - 3.0j}
     assert c.shifted(1j) is c
-    assert c.derivative().powers == {}
-    assert coordinate().powers == {1: 1.0}
-    assert gaussian(1.0).powers is None
+    assert _powers(c.derivative()) == {}
+    assert _powers(coordinate()) == {1: 1.0}
+    assert _powers(gaussian(1.0)) is None
     # operator coefficients stay constants through merging and composition
     op = compose(shift_op(0.5j), 2.0 * shift_op(-0.5j)) + identity_op()
-    assert [t.coeff.powers for t in op.terms] == [{0: 3.0}]
+    assert [_powers(t.coeff) for t in op.terms] == [{0: 3.0}]
 
 
 def test_laurent_sums_fold_when_built():
     # +, *, scaling and derivative fold two Laurent sums into one; a term
     # that cancels is dropped
     xi, inv2 = coordinate(), monomial(-2)
-    assert (xi * xi + 0.5 * inv2).powers == {2: 1.0, -2: 0.5}
-    assert ((xi + 1.0) * (xi + -1.0)).powers == {2: 1.0, 0: -1.0}
-    assert (xi + -xi).powers == {}
-    assert (monomial(1.5) * monomial(-0.5)).powers == {1.0: 1.0}
-    assert polynomial([1.0, 0.0, 3.0]).derivative().powers == {1: 6.0}
-    assert inv2.derivative().derivative().powers == {-4: 6.0}
+    assert _powers(xi * xi + 0.5 * inv2) == {2: 1.0, -2: 0.5}
+    assert _powers((xi + 1.0) * (xi + -1.0)) == {2: 1.0, 0: -1.0}
+    assert _powers(xi + -xi) == {}
+    assert _powers(monomial(1.5) * monomial(-0.5)) == {1.0: 1.0}
+    assert _powers(polynomial([1.0, 0.0, 3.0]).derivative()) == {1: 6.0}
+    assert _powers(inv2.derivative().derivative()) == {-4: 6.0}
     # a shift, or a product with any other function, leaves the Laurent sums
-    assert xi.shifted(1j).powers is None and (xi * gaussian(1.0)).powers is None
+    assert _powers(xi.shifted(1j)) is None and _powers(xi * gaussian(1.0)) is None
 
 
 def _poles(f):
@@ -286,13 +299,13 @@ def test_rational_sums_fold_when_built():
     # add, a pole whose exponent sums to 0 drops out, and a sum whose only
     # pole is 0 is a Laurent sum again
     r2 = monomial(1) * monomial(1, at=-1j)  # rho (rho + i)
-    assert r2.powers is None
+    assert _powers(r2) is None
     assert r2.monomials == {frozenset({(0j, 1), (-1j, 1)}): 1.0}
-    assert (r2 * monomial(-1, at=-1j)).powers == {1: 1.0}
-    assert (r2 * monomial(-1) * monomial(-1, at=-1j)).powers == {0: 1.0}
-    assert (2.0 * r2 + -r2 + -r2).powers == {}
+    assert _powers(r2 * monomial(-1, at=-1j)) == {1: 1.0}
+    assert _powers(r2 * monomial(-1) * monomial(-1, at=-1j)) == {0: 1.0}
+    assert _powers(2.0 * r2 + -r2 + -r2) == {}
     assert (r2 + 3.0).monomials == {frozenset({(0j, 1), (-1j, 1)}): 1.0, frozenset(): 3.0}
-    assert monomial(0, at=2j).powers == {0: 1.0}
+    assert _powers(monomial(0, at=2j)) == {0: 1.0}
     # only a Laurent sum has a derivative, and a product with any other
     # function is no rational sum
     with pytest.raises(EvaluationError, match="not a Laurent sum"):
@@ -312,8 +325,8 @@ def test_shifted_keeps_a_rational_sum_rational():
     # a Laurent sum shifted off 0 is a rational sum, and shifted back it is
     # the same Laurent sum
     xi = polynomial([1.0, -2.0, 0.5])
-    assert xi.shifted(1j).powers is None and xi.shifted(1j).monomials is not None
-    assert xi.shifted(1j).shifted(-1j).powers == xi.powers
+    assert _powers(xi.shifted(1j)) is None and xi.shifted(1j).monomials is not None
+    assert _powers(xi.shifted(1j).shifted(-1j)) == _powers(xi)
 
 
 def test_a_product_of_poles_is_read_as_a_product():
@@ -350,7 +363,7 @@ def test_folded_constants_give_the_jets_they_replace():
     z = GRID + 0.3j
     for folded, plain in ((c * f, c_plain * f), (f * c, f * c_plain),
                           (f + c, f + c_plain), (c + -f, c_plain + -f)):
-        assert folded.powers is None
+        assert _powers(folded) is None
         assert np.array_equal(folded(z), plain(z))
     folded_op = 2.0 * shift_op(1j) + mul_op(c)
     plain_op = compose(mul_op(from_callable(lambda z: np.full(len(z), 2.0))),
@@ -404,7 +417,7 @@ def _chain(op, f, n):
 def _opaque(op):
     """op with each coefficient known by its values only: compose then
     multiplies coefficients as products of values, where rational sums fold."""
-    return DifferenceOperator(Term(AnalyticFunction(t.coeff.values), t.shift, t.dorder)
+    return DifferenceOperator(Term(AnalyticFunction(t.coeff.values), t.shift)
                               for t in op.terms)
 
 
@@ -436,15 +449,15 @@ def test_nonrel_tower_jets_equal_separate_steps(order):
     # its composed power applied once, to rounding
     _, _, K_plus = nonrel.su11_generators(_NONREL)
     g = polynomial([1.0, 0.0, -0.5, 0.0, 0.25])
-    steps = g
+    steps, power = g, {(0, 0): 1.0}
     for n in range(1, 5):
-        steps = _act(K_plus, steps)
-        a, b = steps, _act(_power(K_plus, n), g)
+        steps, power = _act(K_plus, steps), nonrel.compose(K_plus, power)
+        a, b = steps, _act(power, g)
         for _ in range(order):
             a, b = a.derivative(), b.derivative()
-        scale = max(map(abs, b.powers.values()))
-        assert max(abs(a.powers.get(p, 0) - b.powers.get(p, 0))
-                   for p in {*a.powers, *b.powers}) <= 1e-14 * scale, n
+        a, b = _powers(a), _powers(b)
+        scale = max(map(abs, b.values()))
+        assert max(abs(a.get(p, 0) - b.get(p, 0)) for p in {*a, *b}) <= 1e-14 * scale, n
 
 
 def test_towers_under_another_operator():
@@ -520,8 +533,8 @@ def _counting(fn, counts, key):
 
 def test_equal_operator_objects_do_not_fuse():
     counts = {}
-    op = DifferenceOperator([Term(_counting(np.cos, counts, "coeff"), 1j, 0),
-                             Term(const(0.5), -1j, 0)])
+    op = DifferenceOperator([Term(_counting(np.cos, counts, "coeff"), 1j),
+                             Term(const(0.5), -1j)])
     twin = DifferenceOperator(op.terms)
     f = exp_linear(0.3)
     pts = GRID
@@ -559,22 +572,11 @@ def test_tower_lattice_on_a_pole_raises_like_the_product():
             _tower(B_plus, phi0, 2)(z)
 
 
-def test_tower_refuses_a_derivative_term():
-    # a tower acts on values: an operator with a derivative term acts on a
-    # Laurent sum by the algebra (the harness's nonrel checks), never as a tower
-    op = mul_op(from_callable(np.cos)) + deriv_op()
-    for f in (gaussian(0.8), coordinate()):
-        with pytest.raises(ValueError, match="derivative term"):
-            op(f)
-    with pytest.raises(ValueError, match="derivative term"):
-        opcore.powers(op, gaussian(0.8), 2)
-
-
 @pytest.mark.parametrize("n", [1, 4, 8])
 def test_tower_evaluates_each_leaf_once_per_call(n):
     counts = {}
-    op = DifferenceOperator([Term(_counting(np.cos, counts, "coeff"), 1j, 0),
-                             Term(const(0.5), -0.5j, 0), Term(polynomial([0.0, 1.0]), 0.0, 0)])
+    op = DifferenceOperator([Term(_counting(np.cos, counts, "coeff"), 1j),
+                             Term(const(0.5), -0.5j), Term(polynomial([0.0, 1.0]), 0.0)])
     tower = _tower(op, _counting(np.exp, counts, "base"), n)
     tower(GRID)
     assert counts == {"coeff": 1, "base": 1}
@@ -648,8 +650,8 @@ def test_values_name_the_first_nonfinite_point_of_the_batch():
 
 def test_values_evaluate_each_coefficient_once_per_batch():
     counts = {}
-    op = DifferenceOperator([Term(_counting(np.cos, counts, "coeff"), 1j, 0),
-                             Term(const(0.5), -0.5j, 0)])
+    op = DifferenceOperator([Term(_counting(np.cos, counts, "coeff"), 1j),
+                             Term(const(0.5), -0.5j)])
     op(nonrel.eigenfunctions(_NONREL, range(5)))(GRID)
     assert counts == {"coeff": 1}
 

@@ -9,9 +9,11 @@ the ladder checks would add at a lifted cap (only the time is read).  The cap is
 declared: each `harness.CHECKS` row whose level rule is capped at
 `harness.LADDER_CAP` gets the new cap, and the table is put back
 afterwards.  Then splits run_suite(0.6, 0.2) at n_max 6 by check group
-(specfun, planewave, nonrel, rel): each group function is wrapped, in this
-process only, to read its whole generator when run_suite calls it and
-time that.  Then times one scalar B+ tower call at rho = 1.3 at levels 1, 7
+(specfun, planewave, nonrel, rel) and, within each group, by check id: each
+group function is wrapped, in this process only, to time every step of its
+generator.  A check's time runs from the previous yield of its group's
+generator to its own, so the group's set-up counts in its first check, and
+a group's time is the sum of its checks'.  Then times one scalar B+ tower call at rho = 1.3 at levels 1, 7
 and 14, split into the leaf (the base at its shifted points), the
 coefficient block (one call of the operator's batched coefficients) and
 the steps (the rest of the call), each the mean over 20 calls, and one
@@ -62,18 +64,24 @@ def timings(n_max: int, cap: int, repeats: int) -> list[float]:
         harness.CHECKS = default
 
 
-def group_timings(repeats: int) -> dict[str, list[float]]:
-    """Seconds each check group takes in `repeats` run_suite calls at n_max 6,
-    after one warm-up call; the group functions are restored afterwards."""
-    spent = {group: [] for group in GROUPS}
+def check_timings(repeats: int) -> dict[str, dict[str, list[float]]]:
+    """Seconds each check takes in `repeats` run_suite calls at n_max 6, by
+    group and check id, after one warm-up call: from the previous yield of
+    its group's generator to its own, the group's set-up counting in its
+    first check.  The group functions are restored afterwards."""
+    spent = {group: {} for group in GROUPS}
 
     def timed(group, check_group):
-        def read_whole(*args):
-            t0 = time.perf_counter()
-            rows = list(check_group(*args))
-            spent[group].append(time.perf_counter() - t0)
-            return iter(rows)
-        return read_whole
+        def split(*args):
+            rows = check_group(*args)
+            while True:
+                t0 = time.perf_counter()
+                row = next(rows, None)
+                if row is None:
+                    return
+                spent[group].setdefault(row[0], []).append(time.perf_counter() - t0)
+                yield row
+        return split
 
     default = {group: getattr(harness, f"_checks_{group}") for group in GROUPS}
     for group, check_group in default.items():
@@ -84,7 +92,8 @@ def group_timings(repeats: int) -> dict[str, list[float]]:
     finally:
         for group, check_group in default.items():
             setattr(harness, f"_checks_{group}", check_group)
-    return {group: seconds[1:] for group, seconds in spent.items()}
+    return {group: {check_id: seconds[1:] for check_id, seconds in checks.items()}
+            for group, checks in spent.items()}
 
 
 def _per_call(fn, repeats: int) -> list[float]:
@@ -156,8 +165,13 @@ def main(argv) -> int:
     for n_max, cap in SETTINGS:
         print(_summary(f"n_max {n_max:2d}  LADDER_CAP {cap:2d}",
                        timings(n_max, cap, repeats)), flush=True)
-    for group, seconds in group_timings(repeats).items():
-        print(_summary(f"n_max  6  group {group:9s}", seconds), flush=True)
+    print("a check's time runs from the previous yield of its group's generator to its "
+          "own: the group's set-up counts in its first check", flush=True)
+    for group, checks in check_timings(repeats).items():
+        print(_summary(f"n_max  6  group {group:9s}", np.sum(list(checks.values()), axis=0)),
+              flush=True)
+        for check_id, seconds in checks.items():
+            print(_summary(f"n_max  6  check {check_id:36s}", seconds), flush=True)
     for level, layers in tower_layers(repeats).items():
         for layer, seconds in layers.items():
             print(_summary(f"B+ tower level {level:2d}  {layer:12s}", seconds, "us", 1e6),
