@@ -26,8 +26,12 @@ checked that way.  The checks that read eigenstates are those that need
 the spectrum (the eigen equations, ground-state annihilation, the ladder
 coefficients and towers, and the rel [K-, K+] = 2 K0 and Casimir, whose
 generators K-+ = B-+/sqrt(f(E)) exist on the eigenbasis only) and
-rel_factorization_eigen.  The rel ones read the grid, the nonrel ones the
-coefficients of L_n^d(xi^2) in the ground-state gauge psi = psi_0 g.
+rel_factorization_eigen.  The nonrel ones read the coefficients of
+L_n^d(xi^2) in the ground-state gauge psi = psi_0 g, and the rel ones,
+but for the half-shift readings rel_factorization_eigen and b- phi_0, the
+coefficients of S_n(rho^2) in the P gauge phi = P S (see "the P gauge"
+below); the leaf phi_n itself stays under test on the grid inside
+rel_eigen_equation.
 
 Reports are deterministic: the specfun samples come from the stdlib
 random.Random at the fixed seed _SEED, so identical inputs give
@@ -60,8 +64,6 @@ from .opcore import (
     identity_op,
     mixed_residual,
     mul_op,
-    powers,
-    ratio_spread,
     shift_op,
     stacked,
 )
@@ -171,7 +173,8 @@ CHECKS = {
     "rel_compact_form_comparison": Check(
         1e-10, gating=False,
         note="compact (omega0 rho -+ iP)^2 ladder form vs the primary closed "
-             "form: with the 2 g0/(rho^2+1) denominator as printed it does not "
+             "form: it agrees at shift 0, where its 2 g0/(rho^2+1) term acts, and "
+             "misses at shifts +-i, at -i by exactly -(i rho + 1/2): it does not "
              "reproduce the two-step ladder pair"),
     "rel_su11_closure": Check(
         1e-6, levels=_LADDER,
@@ -347,17 +350,144 @@ def _eigen_residual(op, Psi, levels, energies, psi, pts) -> float:
                for n, op_psi in zip(levels, op(Psi[levels.start: levels.stop])(pts)))
 
 
-def _tower_ratios(op, base, norms, psi, pts):
-    """Worst spread and grid-constant ratios of norms[n - 1] op^n base against
-    psi[n], n = 1, 2, ..., every level read from one tower pass."""
-    levels = powers(op, base, len(norms))(pts)
-    worst = 0.0
-    ratios = []
-    for n, norm in enumerate(norms, start=1):
-        ratio, spread = ratio_spread(norm * levels[n], psi[n])
-        worst = max(worst, spread)
-        ratios.append(ratio)
-    return worst, ratios
+# ---- the P gauge ---------------------------------------------------------
+#
+# phi_n = P S_n(rho^2; alpha, nu, 1/2), so an operator X meets phi_n as the
+# gauged X~ = P^-1 X P (rel.gauged) meets S_n, a polynomial: X~ S_n is
+# sum_k c_k(rho) S_n(rho + k i), each c_k rational.  Multiplied through by D,
+# the least common denominator of the c_k, it is a polynomial, compared
+# power by power with the polynomial it should be: c D S_m, for the eigenvalue
+# or ladder ratio c and the level m it maps to.
+
+
+def _convolving(c, width: int) -> np.ndarray:
+    """The matrix of v -> c * v (polynomial product) on vectors of `width`
+    coefficients, [r, m] = c[r - m]: a strided view of c padded with zeros."""
+    padded = np.zeros(len(c) + 2 * (width - 1), dtype=c.dtype)
+    padded[width - 1:width - 1 + len(c)] = c
+    step = padded.strides[0]
+    return np.lib.stride_tricks.as_strided(padded[width - 1:], (len(c) + width - 1, width),
+                                           (step, -step), writeable=False)
+
+
+def _from_roots(poles: dict, less: dict | None = None):
+    """The coefficients of prod (rho - q) over the poles q = i(x + j), each
+    (x, j) -> order as rel.gauged keys them, less the orders in `less`:
+    rho^0 first, and those of prod (rho + |q|), their sizes."""
+    less = less or {}
+    poly, size = [1.0 + 0j], [1.0]
+    for (x, j), e in poles.items():
+        q = 1j * (x + j)
+        for _ in range(e - less.get((x, j), 0)):  # (rho - q) p: p_(k-1) - q p_k at rho^k
+            poly = [low - q * high for low, high in zip([0j, *poly], [*poly, 0j])]
+            size = [low + abs(q) * high for low, high in zip([0.0, *size], [*size, 0.0])]
+    return np.array(poly), np.array(size)
+
+
+class _Image(NamedTuple):
+    """A gauged operator's image of polynomial rows, multiplied through by
+    the least common denominator D of its terms: the image rows and their
+    sizes, and D's coefficients and sizes."""
+    rows: np.ndarray
+    sizes: np.ndarray
+    denominator: np.ndarray
+    denominator_sizes: np.ndarray
+
+    def at(self, which) -> "_Image":
+        """The image of the rows `which` indexes."""
+        return self._replace(rows=self.rows[which], sizes=self.sizes[which])
+
+
+def _images(ops) -> list:
+    """For each (gauged operator (rel.gauged), rows of polynomial
+    coefficients) of ops, the operator applied to every row, multiplied
+    through by the least common denominator D of its terms: term k i, over
+    poles d_k, meets the rows at rho + k i times D/d_k.  Column m of an
+    operator's matrix is the image of rho^m, sum_k n_k(rho) (rho + k i)^m,
+    n_k = numerator_k D/d_k, every term of every operator built a power at a
+    time in one pass; the sizes sum the same products over absolute values."""
+    width = max(rows.shape[1] for _, rows in ops)
+    numerators, shifts, denominators, first = [], [], [], [0]
+    for op, _ in ops:
+        common = {}
+        for _, _, poles in op.values():
+            for q, e in poles.items():
+                common[q] = max(common.get(q, 0), e)
+        for shift, (numerator, sizes, poles) in op.items():
+            cofactor, cofactor_sizes = _from_roots(common, poles)
+            numerators.append((np.convolve(numerator, cofactor),
+                               np.convolve(sizes, cofactor_sizes)))
+            shifts.append(round(shift.imag))
+        denominators.append(_from_roots(common))
+        first.append(len(numerators))
+    # planes: values, sizes; then terms, powers
+    power = np.zeros((2, len(numerators), max(len(n) for n, _ in numerators) + width - 1),
+                     dtype=complex)
+    for t, (numerator, sizes) in enumerate(numerators):
+        power[0, t, :len(numerator)] = numerator
+        power[1, t, :len(sizes)] = sizes
+    k = np.array(shifts)
+    step = np.stack((1j * k, np.abs(k)))[:, :, None]
+    matrices = np.empty((width, 2, len(ops), power.shape[2]), dtype=complex)
+    for m in range(width):
+        matrices[m] = np.add.reduceat(power, first[:-1], axis=1)  # each operator's terms
+        power[:, :, 1:] = power[:, :, :-1] + step * power[:, :, 1:]  # times (rho + k i)
+        power[:, :, 0] *= step[:, :, 0]
+    return [_Image(_product(rows, matrices[:rows.shape[1], 0, i]),
+                   _product(np.abs(rows), matrices[:rows.shape[1], 1, i]).real, *denominator)
+            for i, ((_, rows), denominator) in enumerate(zip(ops, denominators))]
+
+
+def _product(a, b) -> np.ndarray:
+    """The matrix product a b, complex, summed by np.einsum in complex
+    arithmetic: these products are small, and a verify that never calls BLAS
+    (as matmul does, and einsum on real operands) never allocates its
+    buffers, about 0.6 MB of peak RSS."""
+    return np.einsum("ij,jk->ik", a, b, dtype=complex)
+
+
+def _step(image: _Image, reference, ratio=None, unit=None):
+    """Row by row, an image (_images) against c D S, S the reference rows: the
+    least-squares ratio c (or the given one), and the max over powers p of
+    |image - c D S|_p over a scale: the size of u D S there, sum_j |u s_j|
+    size(D)_(p-j), u = c unless a unit u is given, plus the image's sizes
+    there, scaled to the same largest value.  So each power is read
+    relative to the side the identity maps to, and where that side is small
+    beside what cancels at the power (a power it does not reach, or a low
+    power of D made small by a root of D near 0), relative to the rounding
+    of what cancels."""
+    rows, sizes, denominator, denominator_sizes = image
+    width = reference.shape[1]
+    lifted = np.zeros(rows.shape, dtype=complex)  # the image reaches powers c D S does not
+    scale = np.zeros(rows.shape)
+    reach = len(denominator) + width - 1
+    lifted[:, :reach] = _product(reference, _convolving(denominator, width).T)
+    scale[:, :reach] = _product(np.abs(reference), _convolving(denominator_sizes, width).T).real
+    if ratio is None:
+        ratio = np.sum(lifted.conj() * rows, axis=1) / np.sum(np.abs(lifted) ** 2, axis=1)
+    ratio = np.reshape(ratio, (-1, 1))
+    scale = np.abs(ratio if unit is None else unit) * scale
+    scale = scale + sizes * (np.max(scale, axis=1) / np.max(sizes, axis=1))[:, None]
+    residual = np.abs(rows - ratio * lifted) / np.where(scale > 0.0, scale, 1.0)
+    return ratio[:, 0], np.max(residual, axis=1)
+
+
+def _leaf_residual(model, psi, s_rows, exponents, pts) -> float:
+    """The leaf under test: the gauge identity P(z + i) = r+(z) P(z) in log
+    space, modulo 2 pi i, at z on the grid moved by k i, k = -2..1, where
+    P(rho + s)/P(rho) of the gauged operators reads P; and each row psi_n of
+    the leaf against P S_n(rho^2) from the coefficients S_n = 2^exponents[n]
+    s_rows[n] (in powers of rho^2), as |psi_n/(P 2^e) - S^_n| over
+    sum_j |s_j| rho^(2j)."""
+    moved = pts + 1j * np.arange(-2, 3)[:, None]
+    log_p = rel.log_prefactor(model, moved.reshape(-1)).reshape(moved.shape)
+    step = log_p[1:] - log_p[:-1] - np.log(rel.step_ratio(model, moved[:-1]))
+    gauge = np.abs(step - 2j * math.pi * np.round(step.imag / (2.0 * math.pi)))
+    y = np.asarray(pts, dtype=float) ** 2
+    powers = y[:, None] ** np.arange(s_rows.shape[1])
+    scaled = psi * np.ldexp(1.0, -exponents)[:, None] / np.exp(log_p[2])
+    rows = np.abs(scaled - _product(s_rows, powers.T)) / _product(np.abs(s_rows), powers.T).real
+    return float(max(np.max(gauge), np.max(rows)))
 
 
 # ---- check groups ------------------------------------------------------
@@ -614,38 +744,50 @@ def _checks_rel(omega0: float, g0: float, levels: dict, pts):
     P = rel.momentum_P(model)
     eigen, casimir = levels["rel_eigen_equation"], levels["rel_casimir"]
     closure, steps = levels["rel_su11_closure"], levels["rel_ladder_coefficient"]
-    # The per-level table: the eigenstate checks below read each state and
-    # each B-+ product on the grid from here, so each is evaluated once.  It
-    # covers the eigen-equation, the rel_casimir and the ladder levels, the
-    # su(1,1) closure reading E_(n+1).  An operator meets the states as one
-    # batch, a tower pass over all rows.
-    table = range(max(eigen[-1], casimir[-1], closure[-1] + 1) + 1)
-    E = [rel.energy(model, n) for n in table]
+    # phi_n = P S_n: every eigenstate check but two reads S_n's coefficients
+    # in the P gauge, on rows covering the eigen-equation levels, and the
+    # rel_casimir and ladder levels up to top, the su(1,1) closure reading
+    # E_(n+1).  A row holds S_n / 2^exponents[n] in powers of rho.
+    top = max(casimir[-1], closure[-1] + 1)
+    E = [rel.energy(model, n) for n in range(max(top, eigen[-1]) + 1)]
     f_E = [rel.spectral_f(model, e) for e in E]
     k0 = [e / (2.0 * w0) for e in E]  # K0 = H/(2 omega0) eigenvalues
-    Phi = rel.eigenfunctions(model, table)
-    psi = Phi(pts)
-    # The ladder products get leaves of their own levels: a slice of Phi
-    # would still evaluate every row of Phi at each shifted point.
-    BmBp = B_minus(B_plus(rel.eigenfunctions(model, closure)))(pts)
-    # K+K- psi_n = B+B- psi_n / f(E_n), for the closure and the Casimir
-    # levels; K- annihilates the ground state
-    BpBm = B_plus(B_minus(rel.eigenfunctions(
-        model, range(1, max(casimir[-1], closure[-1]) + 1))))(pts)
-    KpKm = [0.0] + [row / f_E[n] for n, row in enumerate(BpBm, start=1)]
+    s_rows, exponents = specfun.cdhahn_coefficients(len(E) - 1, a, nu, 0.5)
+    S = np.zeros((len(E), 2 * len(E) - 1), dtype=complex)
+    S[:, ::2] = s_rows
 
-    yield "rel_eigen_equation", params, _eigen_residual(H, Phi, eigen, E, psi, pts)
+    # the leaf, phi_n on the grid, feeds rel_factorization_eigen and b- phi_0,
+    # whose half shifts cannot be gauged, and is read against P S_n
+    Phi = rel.eigenfunctions(model, eigen)
+    psi = Phi(pts)
+    # the eigen-equation rows' images under H, the ladder rows' under B-+
+    at, ladder = slice(eigen.start, eigen.stop), S[:top + 1, :2 * top + 1]
+    images = _images([(rel.gauged(model, H), S[at]), (rel.gauged(model, B_plus), ladder[:-1]),
+                      (rel.gauged(model, B_minus), ladder)])
+    _, eigen_rows = _step(images[0], S[at], E[at], 1.0)
+    yield "rel_eigen_equation", params, max(
+        float(np.max(eigen_rows)), _leaf_residual(model, psi, s_rows[at], exponents[at], pts))
 
     bb, offset = compose(b_plus, b_minus), (w0 * (a + nu)) * identity_op()
     yield "rel_factorization_eigen", params, _eigen_residual(
         bb + offset, Phi, levels["rel_factorization_eigen"], E, psi, pts)
     yield "rel_factorization_random", params, _identity_residual(pts, bb, offset, -H)
 
+    # B+ S_n = c+_n S_(n+1) and B- S_n = c-_n S_(n-1), with B- S_0 = 0: each
+    # ratio measured, and each image read against its ratio times S_(n+-1)
+    up, down = images[1:]
+    raised, raised_rows = _step(up, ladder[1:])
+    lowered, lowered_rows = _step(down.at(slice(1, None)), ladder[:-1])
+    _, ground_row = _step(down.at(slice(0, 1)), ladder[:1], 0.0, 1.0)
+    # b_n^2 = mu_n: B- B+ phi_(n-1) = mu_n phi_(n-1), mu_0 = 0; the scales
+    # 2^exponents cancel in the product.  shape[n]: the readings behind mu_n
+    mu = np.concatenate(([0.0], raised * lowered))
+    shape = np.concatenate((ground_row, np.maximum(raised_rows, lowered_rows)))
+
     (ground,) = levels["rel_ground_annihilation"]
     phi0 = rel.eigenfunction_rel(model, ground).wavefunction
     yield "rel_ground_annihilation", params, max(
-        _max_abs(b_minus(phi0), pts), _max_abs(B_minus(phi0), pts)) \
-        / float(np.max(np.abs(psi[ground])))
+        _max_abs(b_minus(phi0), pts) / float(np.max(np.abs(psi[ground]))), ground_row[0])
 
     yield "rel_lowering_commutator", params, _commutator_residual(
         pts, H, B_minus, 2.0 * w0 * B_minus)
@@ -669,47 +811,50 @@ def _checks_rel(omega0: float, g0: float, levels: dict, pts):
     yield "rel_compact_form_comparison", params, _identity_residual(
         pts, Bm_compact, -B_minus)
 
-    # gauge-invariant squared ladder coefficients mu_n = b_n^2:
-    # B- B+ psi_(n-1) = mu_n psi_(n-1)
-    mu = [0.0] + [np.mean(BmBp[n - 1] / psi[n - 1]).real for n in steps]
+    def against(measured, expected, levels, unit=None):
+        """max over the levels of |measured - expected| / |unit| (the
+        expected values by default) and of the readings behind each
+        measured mu_n."""
+        n = np.arange(levels.start, levels.stop)
+        unit = expected if unit is None else unit
+        return float(max(np.max(np.abs((np.asarray(measured) - expected) / unit)),
+                         np.max(shape[n]), np.max(shape[np.maximum(n - 1, 0)])))
 
-    worst = 0.0
-    for n in levels["rel_ladder_consistency"]:
-        e = E[n - 1]
-        scalar = w0 * e * (1.0 + 2.0 / w0**2 * (e * e - 1.0))
-        worst = max(worst, abs(mu[n] - mu[n - 1] - scalar) / abs(scalar))
-    yield "rel_ladder_consistency", params, worst
+    n = np.arange(steps.start, steps.stop)
+    e = np.array(E)[n - 1]
+    yield "rel_ladder_consistency", params, against(
+        mu[n] - mu[n - 1], w0 * e * (1.0 + 2.0 / w0**2 * (e * e - 1.0)), steps)
 
-    worst_forced = 0.0
-    worst_printed = 0.0
-    for n in steps:
-        kappa2 = mu[n] / f_E[n]
-        forced = n * (n + a + nu - 1.0)
-        worst_forced = max(worst_forced, abs(kappa2 - forced) / forced)
-        printed_b2 = (2.0 * w0) ** 2 * n * (n + a + nu) * (n + a - 0.5) * (n + nu - 0.5)
-        worst_printed = max(worst_printed, abs(mu[n] - printed_b2) / printed_b2)
-    yield "rel_ladder_coefficient", params, worst_forced
-    yield "rel_ladder_coefficient_printed", params, worst_printed
+    f = np.array(f_E)
+    yield "rel_ladder_coefficient", params, against(
+        mu[n] / f[n], n * (n + a + nu - 1.0), steps)
+    yield "rel_ladder_coefficient_printed", params, against(
+        mu[n], (2.0 * w0) ** 2 * n * (n + a + nu) * (n + a - 0.5) * (n + nu - 0.5), steps)
 
     # [K-, K+] = 2 K0 on the eigenbasis: K- K+ psi_n = B- B+ psi_n / f(E_(n+1)),
     # the spectral weight taken at the eigenvalue the operator ordering dictates
-    yield "rel_su11_closure", params, max(
-        mixed_residual(row / f_E[n + 1] - KpKm[n], 2.0 * k0[n] * psi[n])
-        for n, row in zip(closure, BmBp))
+    n = np.arange(closure.start, closure.stop)
+    yield "rel_su11_closure", params, against(
+        mu[n + 1] / f[n + 1] - mu[n] / f[n], 2.0 * np.array(k0)[n], range(n[0], n[-1] + 2), 1.0)
 
     k = (a + nu) / 2.0
     value = k * (k - 1.0)
-    measured = [np.mean((k0[n] * (k0[n] - 1.0) * psi[n] - KpKm[n]) / psi[n]).real
-                for n in casimir]
-    yield ("rel_casimir", params, float(np.max(np.abs(np.array(measured) - value))),
+    n = np.arange(casimir.start, casimir.stop)
+    c = np.array(k0)[n]
+    yield ("rel_casimir", params, against(c * (c - 1.0) - mu[n] / f[n], value, casimir, 1.0),
            f"value k(k-1)={value:.12g}, k=(alpha+nu)/2")
 
-    # N_n (B+)^n phi_0, one tower grown a level at a time
-    norms = [rel.ladder_norm_constant(model, n) for n in levels["rel_ladder_reconstruction"]]
-    worst, ratios = _tower_ratios(B_plus, phi0, norms, psi, pts)
-    ratios = [float(f"{abs(r):.4g}") for r in ratios]
-    yield ("rel_ladder_reconstruction", params, worst,
-           f"grid-constant ratio magnitudes vs closed forms: {ratios}")
+    # (B+)^n phi_0 = (-2 omega0)^n phi_n: each step B+ phi_(n-1) = -2 omega0 phi_n
+    # read on the coefficients, and the tower's ratio, the product of the
+    # steps' measured ratios, against (-2 omega0)^n
+    n = np.arange(steps.start, steps.stop)
+    expected = -np.ldexp(2.0 * w0, exponents[n] - exponents[n - 1])
+    _, step_rows = _step(up.at(n - 1), ladder[n], expected)
+    tower = np.cumprod(raised[n - 1] / expected)
+    ratios = [float(f"{r:.6g}") for r in tower.real]
+    yield ("rel_ladder_reconstruction", params,
+           float(max(np.max(step_rows), np.max(np.abs(tower - 1.0)))),
+           f"ratios of (B+)^n phi_0 to (-2 omega0)^n phi_n on S_n coefficients: {ratios}")
 
     lowest = min(E[n] for n in levels["rel_energies_above_rest"])
     yield ("rel_energies_above_rest", params, max(0.0, 1.0 - lowest),

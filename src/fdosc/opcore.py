@@ -12,7 +12,8 @@ is (z - q)^p.  A rational sum whose only pole is 0 is a Laurent sum
 sum_p c_p z^p; only a Laurent sum has a derivative, and asking any other
 function for one raises EvaluationError.  A call evaluates the expression
 once on all its points; what outlives a call is an operator's
-``coefficient_batch``, built at its first tower.
+``coefficient_batch``, built at its first tower, and a rational sum's
+own evaluation tables, built at its first call.
 
 ``stacked(fns)`` is one batched function whose row i is fns[i].  When every
 one is a rational sum it holds one coefficient matrix over the union of
@@ -47,11 +48,6 @@ batched ``from_callable``) and products with one; multiplying one by a
 evaluates the coefficients once for all rows, and row i of op(F) holds the
 floats op(F[i]) gives.  F[i] is row i as a function and F[a:b] rows
 a..b-1, taken lazily, so a function is not iterable.
-
-``powers(op, f, p)`` is op^k f for k = 0..p on a leading axis, from the
-one pass of the tower op^p f: that pass holds op^k f at z + S_(p-k), and a
-zero-shift term puts 0 in every S_j, so each level is read there, bit for
-bit the floats of the tower op^k f.
 """
 
 from __future__ import annotations
@@ -245,10 +241,19 @@ def _monomial(p, at=0j) -> frozenset:
 
 
 def _rational(monomials) -> AnalyticFunction:
-    """The rational sum of {m: c_m}, a zero c_m dropped."""
+    """The rational sum of {m: c_m}, a zero c_m dropped.  Its
+    _rational_rows tables are built at its first call and kept by it."""
     if 0 in monomials.values():
         monomials = {m: c for m, c in monomials.items() if c != 0}
-    return AnalyticFunction(lambda z: _rational_rows([monomials])(z)[0], monomials)
+    rows = None
+
+    def values(z):
+        nonlocal rows
+        if rows is None:
+            rows = _rational_rows([monomials])
+        return rows(z)[0]
+
+    return AnalyticFunction(values, monomials)
 
 
 def _rational_rows(sums):
@@ -453,26 +458,18 @@ class _Tower:
         points = z if len(self.union) == 1 else (z + self.union[:, None]).reshape(-1)
         return self.op.coefficient_batch(points).reshape(len(self.op.terms), len(self.union), n)
 
-    def __call__(self, z, at=None):
-        """The base once at z + S_p, then p steps over all terms and rows;
-        with `at`, where 0 sits in each S_j, every power op^k f at z, k =
-        0..p, read after the step that reaches it, on a leading axis."""
-        n, power = len(z), len(self.steps)
+    def __call__(self, z):
+        """The base once at z + S_p, then p steps over all terms and rows."""
+        n = len(z)
         values = self.base((z + self.base_shifts).reshape(-1))
         values = values.reshape(values.shape[:-1] + (len(self.base_shifts), n))
-        if at is not None:
-            levels = [values[..., at[power], :]]
         block = self.coefficients(z)
-        for j in reversed(range(power)):
+        for j in reversed(range(len(self.steps))):
             # values holds the values at z + S_(j+1), shape (*B, |S_(j+1)|, n);
             # the gather gives term t's shifted values at z + S_j on axis -3
             # (a ufunc call, not *: see _rational_rows), summed over terms in order
             values = _summed(np.multiply(block[:, self.at_union[j]],
                                          values[..., self.steps[j], :]), -3)
-            if at is not None:
-                levels.append(values[..., at[j], :])
-        if at is not None:
-            return np.stack(levels)
         return values.reshape(values.shape[:-2] + (n,))
 
 
@@ -494,29 +491,6 @@ def stacked(fns) -> AnalyticFunction:
         return AnalyticFunction(_rational_rows(sums))
     return AnalyticFunction(lambda z: np.array([f.values(z) for f in fns],
                                                dtype=complex).reshape(len(fns), len(z)))
-
-
-def powers(op: DifferenceOperator, f, p: int) -> AnalyticFunction:
-    """op^k f for k = 0..p as one batched function, k on a new leading axis,
-    from the one tower pass of op^p f.  That pass holds op^k f at z + S_(p-k)
-    on its way down, and a term with shift 0 puts 0 in every S_j, so each
-    power is read there; row k holds the floats op^k f gives.  Raises
-    ValueError for p < 1 or an operator without a zero-shift term."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    zero = [i for i, t in enumerate(op.terms) if t.shift == 0]
-    if not zero:
-        raise ValueError("the powers of an operator are read at shift 0: it needs "
-                         "a term with shift 0")
-    tower = _as_function(f)
-    for _ in range(p):
-        tower = op(tower)
-    tower = tower.values
-    at = [0]  # S_0 = [0]; the zero-shift term takes 0 in S_j to 0 in S_(j+1)
-    for step in tower.steps:
-        at.append(int(step[zero[0], at[-1]]))
-    # a tower of op as f fuses into this one: its own powers come first
-    return AnalyticFunction(lambda z: tower(z, at)[-(p + 1):])
 
 
 def shift_op(a) -> DifferenceOperator:

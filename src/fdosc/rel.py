@@ -25,12 +25,19 @@ one monomial with poles at 0 and -i, and compose folds the products
 exactly (see opcore).  Only the eigenfunction leaves are callables.
 
 No inner product is specified for the model, so every "conjugate"
-operator is built from its printed closed form and all ladder-coefficient
-measurements are pointwise grid ratios (basis-independent).
+operator is built from its printed closed form, and every ladder
+coefficient is measured as a ratio between eigenstates (basis-independent).
 
 Every eigenfunction has the form phi_n(rho) = P(rho) S_n(rho^2; alpha, nu,
 1/2), with the same gamma prefactor P for every n (Koekoek, Lesky &
-Swarttouw, Hypergeometric Orthogonal Polynomials, sec. 9.3).
+Swarttouw, Hypergeometric Orthogonal Polynomials, sec. 9.3).  For a whole
+step, P(rho + i)/P(rho) is rational (``step_ratio``), so an operator whose
+shifts are whole multiples of i, such as H and B-+, becomes in the P gauge
+a difference operator with rational coefficients that maps polynomials to
+rational functions: ``gauged(model, op)`` is P^-1 op P, exact numerators
+over their poles, and the harness reads the eigenstate identities on the
+coefficients of S_n (Turbiner, Commun. Math. Phys. 118 (1988) 467, for the
+same gauge in the nonrel model).
 ``eigenfunctions(model, ns)`` is one batched leaf whose row i is phi_ns[i]:
 a call evaluates P once, with one log_gamma call, and every S_n row in one
 pass of the dual Hahn three-term recurrence in n.
@@ -266,16 +273,11 @@ def eigenfunctions(model: RelModel, ns) -> AnalyticFunction:
     ns = list(ns)
     if any(n < 0 for n in ns):
         raise ValueError("n must be >= 0")
-    a, nu, w0 = model.alpha, model.nu, model.omega0
-    log_w0 = math.log(w0)
-    phase = 1j * math.pi * a / 2.0
-
+    a, nu = model.alpha, model.nu
     top = max(ns, default=0)
 
     def rows(z):
-        iz = 1j * z
-        lg_a, lg_0, lg_nu = log_gamma(np.stack((a + iz, iz, nu + iz)))
-        prefactor = np.exp(phase + lg_a - lg_0 + iz * log_w0 + lg_nu)
+        prefactor = np.exp(log_prefactor(model, z))
         s_rows = cdhahn_rows(top, z, a, nu, 0.5)
         # one 1-d product per row: at one point numpy rounds a complex product
         # of 2-d operands differently, and a row's floats would then depend
@@ -283,6 +285,116 @@ def eigenfunctions(model: RelModel, ns) -> AnalyticFunction:
         return np.array([prefactor * s_rows[n] for n in ns]).reshape(len(ns), len(z))
 
     return from_callable(rows)
+
+
+def log_prefactor(model: RelModel, z):
+    """log P(z) of the eigenfunctions' gamma prefactor at a 1-d array of
+    points: i pi alpha/2 + log Gamma(alpha + iz) - log Gamma(iz)
+    + iz log omega0 + log Gamma(nu + iz), from one log_gamma call."""
+    a, nu, w0 = model.alpha, model.nu, model.omega0
+    iz = 1j * z
+    lg_a, lg_0, lg_nu = log_gamma(np.stack((a + iz, iz, nu + iz)))
+    return 1j * math.pi * a / 2.0 + lg_a - lg_0 + iz * math.log(w0) + lg_nu
+
+
+def step_ratio(model: RelModel, z):
+    """r+(z) = P(z + i)/P(z) = (iz - 1)/((alpha + iz - 1)(nu + iz - 1) omega0),
+    exactly: the gamma ratios of P step by one factor each."""
+    iz = 1j * z
+    return (iz - 1.0) / ((model.alpha + iz - 1.0) * (model.nu + iz - 1.0) * model.omega0)
+
+
+def gauged(model: RelModel, op: DifferenceOperator) -> dict:
+    """P^-1 op P for an operator whose shifts are whole multiples of i, P the
+    gamma prefactor every eigenfunction shares: {shift: (numerator, sizes,
+    poles)}, the coefficient of T(shift) being numerator(rho) over
+    prod (rho - q)^order, q = i(x + j) for each pole (x, j) -> order, x one
+    of 0, alpha and nu and j an integer, so a shift by k i moves pole (x, j)
+    to (x, j - k) exactly.  numerator holds the coefficients of rho^0,
+    rho^1, ..., and sizes the same sums taken over absolute values, the
+    scale their rounding is measured against.
+
+    The term c(rho) T(k i) becomes c(rho) P(rho + k i)/P(rho) T(k i), the
+    ratio a product of k factors r+(rho + j i), j < k, for k > 0, and of -k
+    factors r-(rho - j i) for k < 0:
+
+        r+(rho) = -i (rho + i) / (omega0 (rho - i(alpha - 1)) (rho - i(nu - 1))),
+        r-(rho) = i omega0 (rho - i alpha) (rho - i nu) / rho.
+
+    c's rational sum, each monomial's poles on the lattice iZ, gives its
+    numerator over its poles, every monomial lifted to their common
+    denominator; a zero of the ratio at a pole of c cancels one order of it.
+    Raises ValueError for any other shift or pole, or a power that is not
+    whole."""
+    a, nu, w0 = model.alpha, model.nu, model.omega0
+    factors, weights, terms = [], [], []
+    for t in op.terms:
+        k = _whole(t.shift)
+        lift = {}  # pole -> its order in the common denominator
+        for m in t.coeff.monomials:
+            for q, p in m:
+                if p != int(p):
+                    raise ValueError(f"a gauged coefficient has a power that is not whole: {p}")
+                lift[q] = max(lift.get(q, 0), -int(p))
+        lift = {(q, _whole(q)): e for q, e in lift.items()}  # each pole i j on the lattice
+        if k > 0:
+            scale = (-1j / w0) ** k
+            zeros = [(0.0, -j - 1) for j in range(k)]
+            poles = [(x, -j - 1) for j in range(k) for x in (a, nu)]
+        else:
+            scale = (1j * w0) ** -k
+            zeros = [(x, j) for j in range(-k) for x in (a, nu)]
+            poles = [(0.0, j) for j in range(-k)]
+        order = {(0.0, j): e for (_, j), e in lift.items() if e > 0}
+        kept = []
+        for q in zeros:
+            if order.get(q):
+                order[q] -= 1
+            else:
+                kept.append(1j * (q[0] + q[1]))
+        for q in poles:
+            order[q] = order.get(q, 0) + 1
+        first = len(factors)
+        for m, c in t.coeff.monomials.items():
+            m = dict(m)
+            factors.append([1j * j for (q, j), e in lift.items()
+                            for _ in range(int(m.get(q, 0)) + e)] + kept)
+            weights.append(scale * c)
+        terms.append((t.shift, first, len(factors), {q: e for q, e in order.items() if e}))
+    # one row per monomial, the product of its factors (rho - q) taken one at
+    # a time over all rows, a row short of factors multiplied by 1; its sizes
+    # alike from the factors (rho + |q|), on the second plane
+    depth = max(map(len, factors))
+    low = np.array([[-q for q in roots] + [1.0] * (depth - len(roots)) for roots in factors]).T
+    high = np.array([[1.0] * len(roots) + [0.0] * (depth - len(roots)) for roots in factors]).T
+    low, high = np.stack((low, np.abs(low)), axis=1), high[:, None]
+    rows = np.zeros((2, len(factors), depth + 1), dtype=complex)
+    rows[:, :, 0] = 1.0
+    for u, v in zip(low, high):
+        rows[:, :, 1:] = u[..., None] * rows[:, :, 1:] + v[..., None] * rows[:, :, :-1]
+        rows[:, :, 0] *= u
+    rows, sizes = rows[0], rows[1]
+    # each term's monomials summed with their weights, in one product (in
+    # complex arithmetic, where np.einsum calls no BLAS)
+    summing = np.zeros((len(terms), len(factors)), dtype=complex)
+    for t, (_, first, last, _) in enumerate(terms):
+        summing[t, first:last] = weights[first:last]
+    numerators = np.einsum("tm,mj->tj", summing, rows)
+    sizes = np.einsum("tm,mj->tj", np.abs(summing), sizes, dtype=complex).real
+    out = {}
+    for t, (shift, first, last, poles) in enumerate(terms):
+        width = 1 + max(len(f) for f in factors[first:last])
+        out[shift] = (numerators[t, :width], sizes[t, :width], poles)
+    return out
+
+
+def _whole(shift) -> int:
+    """The integer k of shift = k i; ValueError for any other shift."""
+    k = round(shift.imag)
+    if shift != 1j * k:
+        raise ValueError(f"only shifts and poles at whole multiples of i can be gauged, "
+                         f"got {shift}")
+    return k
 
 
 def eigenfunction_rel(model: RelModel, n: int) -> RelEigenState:

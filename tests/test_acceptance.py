@@ -77,8 +77,8 @@ def test_criterion_04_momentum_relation(check_by_id):
 
 def test_criterion_05_ladder_reconstruction(check_by_id):
     r, _ = _res(check_by_id, "rel_ladder_reconstruction")
-    _record(5, "ladder reconstruction N_n (B+)^n phi_0 proportional to phi_n",
-            r <= 1e-6, f"ratio spread {r:.3e}")
+    _record(5, "ladder reconstruction (B+)^n phi_0 = (-2 omega0)^n phi_n",
+            r <= 1e-6, f"residual {r:.3e}")
 
 
 def test_criterion_06_su11_closure_and_casimir(check_by_id):

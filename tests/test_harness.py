@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import fdosc
-from fdosc import cli, harness, nonrel, opcore, rel, specfun
+from fdosc import cli, harness, nonrel, rel, specfun
 from fdosc.harness import CheckResult, VerificationReport
 from fdosc.opcore import (
     DifferenceOperator,
@@ -33,7 +33,6 @@ from fdosc.opcore import (
     from_callable,
     mul_op,
     polynomial,
-    ratio_spread,
     shift_op,
 )
 from test_nonrel import _act, _powers
@@ -642,18 +641,6 @@ def test_ladder_checks_stop_at_the_cap(readings_by_nmax):
         assert readings_by_nmax[9][cid] == readings_by_nmax[6][cid], cid
 
 
-def _tower_ratios_level_by_level(op, base, norms, psi, pts):
-    """harness._tower_ratios with the tower grown and evaluated one level at
-    a time."""
-    worst, ratios, state = 0.0, [], base
-    for n, norm in enumerate(norms, start=1):
-        state = op(state)
-        ratio, spread = ratio_spread((norm * state)(pts), psi[n])
-        worst = max(worst, spread)
-        ratios.append(ratio)
-    return worst, ratios
-
-
 def _ladder_cap_raised(cap: int) -> dict:
     """harness.CHECKS with every level rule capped at LADDER_CAP capped at
     `cap` instead."""
@@ -664,8 +651,8 @@ def _ladder_cap_raised(cap: int) -> dict:
 
 @pytest.mark.parametrize("cap", [9, 15])
 def test_raised_ladder_cap_runs_every_check(cap, monkeypatch):
-    # the per-level tables follow the cap: n_max = cap reads psi_(cap+1) and
-    # K+K- psi_cap, above BASE_LEVEL; no verdict is asserted at these levels
+    # the coefficient rows follow the cap: n_max = cap reads S_(cap+1) and
+    # b_(cap+1)^2, above BASE_LEVEL; no verdict is asserted at these levels
     monkeypatch.setattr(harness, "CHECKS", _ladder_cap_raised(cap))
     report = harness.run_suite(0.5, 0.1, n_max=cap)
     assert [r.check_id for r in report.results] == sorted(harness.CHECKS)
@@ -673,33 +660,8 @@ def test_raised_ladder_cap_runs_every_check(cap, monkeypatch):
     for cid, (_, _, at_9) in LEVELS_BY_NMAX.items():
         if at_9[1] == harness.LADDER_CAP:  # a ladder check, held at the cap at n_max 9
             assert results[cid].params["levels"] == [at_9[0], cap], cid
-    # the levels of one tower pass read as those of towers grown level by level
-    monkeypatch.setattr(harness, "_tower_ratios", _tower_ratios_level_by_level)
-    reference = {r.check_id: r for r in harness.run_suite(0.5, 0.1, n_max=cap).results}
-    for r in report.results:
-        if r.check_id.endswith("_ladder_reconstruction"):
-            want = reference[r.check_id]
-            assert (r.max_residual, r.note) == (want.max_residual, want.note), r.check_id
-            assert r.note.count(",") == cap - 1  # one ratio per level
-
-
-def test_tower_ratios_evaluate_each_coefficient_block_once(monkeypatch):
-    blocks = []
-    coefficients = opcore._Tower.coefficients
-
-    def counting(tower, z):
-        blocks.append(tower.op)
-        return coefficients(tower, z)
-
-    monkeypatch.setattr(opcore._Tower, "coefficients", counting)
-    pts = default_grid()
-    model = rel.make_rel_model(0.5, 0.1)
-    _, B_plus = rel.ladder_B(model)
-    psi = rel.eigenfunctions(model, range(7))(pts)
-    norms = [rel.ladder_norm_constant(model, n) for n in range(1, 7)]
-    harness._tower_ratios(B_plus, rel.eigenfunction_rel(model, 0).wavefunction,
-                          norms, psi, pts)
-    assert blocks == [B_plus]  # one block per check, not one per level
+    for cid in ("nonrel_ladder_reconstruction", "rel_ladder_reconstruction"):
+        assert results[cid].note.count(",") == cap - 1, cid  # one ratio per level
 
 
 def test_cli_verify_rejects_nmax_below_one(capsys):
@@ -747,13 +709,15 @@ def test_cli_parser_is_built_once():
 
 
 def test_import_and_every_cli_command_load_no_scipy():
-    # tier-1 has scipy and numpy.random loaded in this process, so this runs
-    # in a fresh one; numpy.random is not loaded by `import numpy` itself
+    # tier-1 has scipy, mpmath, sympy, numpy.random and numpy.polynomial loaded
+    # in this process, so this runs in a fresh one; `import numpy` loads
+    # neither numpy submodule, and numpy.polynomial alone costs milliseconds
     script = """
 import contextlib, io, json, sys
 def unwanted():
     return [m for m in sys.modules
-            if m.partition(".")[0] == "scipy" or m.startswith("numpy.random")]
+            if m.partition(".")[0] in ("scipy", "mpmath", "sympy")
+            or m.startswith(("numpy.random", "numpy.polynomial"))]
 import fdosc
 loaded = unwanted()
 from fdosc import cli
@@ -1168,6 +1132,119 @@ def test_a_planted_error_fails_each_nonrel_eigenstate_check(check_id, term, monk
                 _planted(patch, nonrel, name,
                          lambda gens: (*gens[:2], nonrel.added(gens[2], error)))
             assert _nonrel_reading(check_id) > tolerance, scale
+
+
+# The smallest constant one-term error that each rel eigenstate check caught
+# while it read grid towers (at (0.5, 0.1), n_max 6, decades from 1e-3 down),
+# by cell: "B-@2i" is 2i-shift error c T(2i) added to B-.  B-+ are built from
+# H, so an error planted in H reaches every check.  At the cells of
+# _REL_LOOSER the coefficient readings catch ten times that size: the grid
+# read each point relative to |psi_n| there, and beside a node of psi_n a
+# plant read up to ~10x what it reads on S_n's coefficients, which have no
+# node.
+_REL_PLANTS = {
+    "rel_eigen_equation": {"H@0": 1e-07, "H@i": 1e-09, "H@-i": 1e-09, "H@2i": 1e-10,
+                           "H@-2i": 1e-11},
+    "rel_ground_annihilation": {"H@0": 1e-10, "H@i": 1e-10, "H@-i": 1e-10, "H@2i": 1e-11,
+                                "H@-2i": 1e-11, "B-@0": 1e-10, "B-@i": 1e-10, "B-@-i": 1e-10,
+                                "B-@2i": 1e-10, "B-@-2i": 1e-10},
+    "rel_ladder_coefficient": {"H@0": 1e-06, "H@i": 1e-06, "H@-i": 1e-06, "H@2i": 1e-06,
+                               "H@-2i": 1e-07, "B-@0": 1e-05, "B-@i": 1e-04, "B-@-i": 1e-05,
+                               "B-@2i": 1e-06, "B-@-2i": 1e-06, "B+@0": 1e-04, "B+@i": 1e-04,
+                               "B+@-i": 1e-05, "B+@2i": 1e-05, "B+@-2i": 1e-06},
+    "rel_ladder_consistency": {"H@0": 1e-06, "H@i": 1e-06, "H@-i": 1e-06, "H@2i": 1e-06,
+                               "H@-2i": 1e-07, "B-@0": 1e-05, "B-@i": 1e-05, "B-@-i": 1e-05,
+                               "B-@2i": 1e-06, "B-@-2i": 1e-06, "B+@0": 1e-04, "B+@i": 1e-04,
+                               "B+@-i": 1e-05, "B+@2i": 1e-05, "B+@-2i": 1e-06},
+    "rel_su11_closure": {"H@0": 1e-07, "H@i": 1e-07, "H@-i": 1e-07, "H@2i": 1e-08,
+                         "H@-2i": 1e-08, "B-@0": 1e-06, "B-@i": 1e-07, "B-@-i": 1e-06,
+                         "B-@2i": 1e-08, "B-@-2i": 1e-07, "B+@0": 1e-06, "B+@i": 1e-06,
+                         "B+@-i": 1e-06, "B+@2i": 1e-07, "B+@-2i": 1e-07},
+    "rel_casimir": {"H@0": 1e-09, "H@i": 1e-10, "H@-i": 1e-10, "H@2i": 1e-10, "H@-2i": 1e-11,
+                    "B-@0": 1e-08, "B-@i": 1e-09, "B-@-i": 1e-09, "B-@2i": 1e-09,
+                    "B-@-2i": 1e-10, "B+@0": 1e-08, "B+@i": 1e-08, "B+@-i": 1e-08,
+                    "B+@2i": 1e-10, "B+@-2i": 1e-09},
+    "rel_ladder_reconstruction": {"H@0": 1e-06, "H@i": 1e-06, "H@-i": 1e-07, "H@2i": 1e-07,
+                                  "H@-2i": 1e-08, "B+@0": 1e-06, "B+@i": 1e-05,
+                                  "B+@-i": 1e-06, "B+@2i": 1e-06, "B+@-2i": 1e-07},
+}
+_REL_LOOSER = {
+    ("rel_eigen_equation", "H@i"), ("rel_ground_annihilation", "B-@0"),
+    ("rel_ground_annihilation", "B-@i"), ("rel_su11_closure", "H@0"),
+    ("rel_su11_closure", "B-@0"), ("rel_su11_closure", "B-@i"), ("rel_su11_closure", "B-@2i"),
+    ("rel_su11_closure", "B+@0"), ("rel_su11_closure", "B+@2i"), ("rel_casimir", "H@i"),
+    ("rel_casimir", "B-@0"), ("rel_casimir", "B-@i"), ("rel_casimir", "B+@2i"),
+    ("rel_ladder_reconstruction", "B+@0"),
+}
+_REL_SHIFTS = {"0": 0j, "i": 1j, "-i": -1j, "2i": 2j, "-2i": -2j}
+
+
+def _rel_readings():
+    levels = {cid: c.levels.at(6) for cid, c in harness.CHECKS.items() if c.levels}
+    return {cid: worst for cid, _, worst, *_ in harness._checks_rel(0.5, 0.1, levels,
+                                                                     default_grid())}
+
+
+def test_the_rel_eigenstate_checks_pass_unplanted():
+    readings = _rel_readings()
+    assert all(readings[cid] <= harness.CHECKS[cid].tolerance for cid in _REL_PLANTS)
+
+
+@pytest.mark.parametrize("cell", sorted({cell for cells in _REL_PLANTS.values()
+                                         for cell in cells}))
+def test_a_planted_error_fails_each_rel_eigenstate_check(cell, monkeypatch):
+    name, shift = cell.split("@")
+    by_size = {}
+    for cid, cells in _REL_PLANTS.items():
+        if cell in cells:
+            size = cells[cell] * (10.0 if (cid, cell) in _REL_LOOSER else 1.0)
+            by_size.setdefault(size, []).append(cid)
+    for size, cids in by_size.items():
+        error = size * shift_op(_REL_SHIFTS[shift])
+        with monkeypatch.context() as patch:
+            if name == "H":
+                _planted(patch, rel, "hamiltonian_rel", lambda H: H + error)
+            elif name == "B-":
+                _planted(patch, rel, "ladder_B", lambda pair: (pair[0] + error, pair[1]))
+            else:
+                _planted(patch, rel, "ladder_B", lambda pair: (pair[0], pair[1] + error))
+            readings = _rel_readings()
+        for cid in cids:
+            assert readings[cid] > harness.CHECKS[cid].tolerance, (cid, size)
+
+
+@pytest.mark.parametrize("planted", ["one row", "every row"])
+def test_a_relative_error_in_the_leaf_rows_fails_the_eigen_equation(planted, monkeypatch):
+    # the leaf is read against P S_n: 1e-7 relative, ten times the tolerance,
+    # in row 3 alone and constant (which no eigen equation sees), or in every
+    # row and varying with the point
+    leaf = rel.eigenfunctions
+
+    def wrong(model, ns):
+        values = leaf(model, ns).values
+        if planted == "one row":
+            scale = np.array([1.0 + 1e-7 if n == 3 else 1.0 for n in ns])[:, None]
+            return from_callable(lambda z: values(z) * scale)
+        return from_callable(lambda z: values(z) * (1.0 + 1e-7 * z / 8.0))
+
+    monkeypatch.setattr(rel, "eigenfunctions", wrong)
+    assert _rel_readings()["rel_eigen_equation"] > harness.CHECKS["rel_eigen_equation"].tolerance
+
+
+@pytest.mark.parametrize("couplings", DIGEST_COUPLINGS)
+def test_the_compact_form_misses_at_shifts_plus_and_minus_i_alone(couplings):
+    # B_compact - B-, shift by shift: rounding at shift 0, where the printed
+    # 2 g0/(rho^2 + 1) term acts, 0 at +-2i, and a miss of order 1 at +-i; at
+    # -i the difference is -(i rho + 1/2), with no coupling in it
+    model = rel.make_rel_model(*couplings)
+    B_compact, _ = rel.ladder_B_compact(model)
+    B_minus, _ = rel.ladder_B(model)
+    pts = default_grid()
+    residuals = _term_residuals(pts, B_compact, -B_minus)
+    assert residuals[0j] < 1e-15 and residuals[2j] == residuals[-2j] == 0.0
+    assert min(residuals[1j], residuals[-1j]) > 0.8
+    (missed,) = [t.coeff for t in (B_compact - B_minus).terms if t.shift == -1j]
+    assert np.max(np.abs(missed(pts) + (1j * pts + 0.5))) <= 1e-15 * np.max(np.abs(pts))
 
 
 # the g0 of the four digest couplings, and three far from them

@@ -747,36 +747,3 @@ def test_polynomial_jet_equals_a_horner_sum_per_row(coeffs):
                    for j, c in enumerate(coeffs) if j >= k)
         assert np.all(np.abs(f(pts) / math.factorial(k) - row) <= 1e-14 * (1.0 + size)), k
         f = f.derivative()
-
-
-# ---- powers: every level of a tower from one pass ----------------------
-
-
-def test_powers_equal_separate_towers_bit_for_bit():
-    model = rel.make_rel_model(0.6, 0.2)
-    _, B_plus = rel.ladder_B(model)
-    phi0 = rel.eigenfunction_rel(model, 0).wavefunction
-    levels = opcore.powers(B_plus, phi0, 15)(GRID)
-    assert levels.shape == (16, len(GRID))
-    for n, row in enumerate(levels):
-        assert np.array_equal(row, _tower(B_plus, phi0, n)(GRID)), n
-
-
-def test_powers_of_a_batched_base_and_of_a_tower():
-    _, B_plus = rel.ladder_B(_REL)
-    base = rel.eigenfunctions(_REL, [0, 2, 5])
-    levels = opcore.powers(B_plus, base, 4)(GRID)
-    assert levels.shape == (5, 3, len(GRID))
-    for n, rows in enumerate(levels):
-        assert np.array_equal(rows, _tower(B_plus, base, n)(GRID)), n
-    # a tower of the operator as the base fuses: its level k is op^(k+2) f
-    phi0 = rel.eigenfunction_rel(_REL, 0).wavefunction
-    fused = opcore.powers(B_plus, _tower(B_plus, phi0, 2), 3)(GRID)
-    assert np.array_equal(fused, opcore.powers(B_plus, phi0, 5)(GRID)[2:])
-
-
-def test_powers_need_a_zero_shift_term_and_one_step():
-    with pytest.raises(ValueError, match="shift 0"):
-        opcore.powers(shift_op(1j), gaussian(1.0), 3)
-    with pytest.raises(ValueError, match="p must be >= 1"):
-        opcore.powers(identity_op(), gaussian(1.0), 0)

@@ -378,3 +378,37 @@ def test_eigenfunctions_match_mpmath_on_the_tower_lattice(couplings, ns):
     for n, row in zip(ns, rows):
         ref = _mp_closed_form(model, n, pts, dps=40)
         assert np.max(np.abs(row - ref) / np.abs(ref)) <= 1e-13, n
+
+
+@pytest.mark.parametrize("couplings", [(0.5, 0.1), (0.9, 0.05), (0.35, 0.6), (0.6, 0.2)])
+def test_gauged_terms_are_the_operator_in_the_p_gauge(couplings):
+    # P^-1 op P term by term: numerator over its poles against c_s(z) times
+    # P(z + s)/P(z), P from the leaf's own log prefactor, at points off the
+    # grid and off the imaginary axis; the worst reads 3.0e-15
+    model = rel.make_rel_model(*couplings)
+    z = np.array([0.3, 1.1 + 0.2j, 2.5, 4.0 - 0.7j])
+    B_minus, B_plus = rel.ladder_B(model)
+    for op in (rel.hamiltonian_rel(model), B_minus, B_plus):
+        gauged = rel.gauged(model, op)
+        assert list(gauged) == [t.shift for t in op.terms]
+        for t in op.terms:
+            numerator, sizes, poles = gauged[t.shift]
+            assert np.all(sizes >= np.abs(numerator))
+            denominator = np.prod([(z - 1j * (x + j)) ** e for (x, j), e in poles.items()], axis=0)
+            got = np.polynomial.polynomial.polyval(z, numerator) / denominator
+            want = t.coeff(z) * np.exp(rel.log_prefactor(model, z + t.shift)
+                                       - rel.log_prefactor(model, z))
+            assert np.max(np.abs(got / want - 1.0)) < 1e-14, t.shift
+
+
+def test_gauge_step_is_the_prefactor_ratio():
+    # r+(z) = P(z + i)/P(z), exactly the rational factor the gauge divides by
+    z = np.array([0.25, 1.3, 8.0, 2.0 + 0.5j])
+    step = np.exp(rel.log_prefactor(MODEL, z + 1j) - rel.log_prefactor(MODEL, z))
+    assert np.max(np.abs(rel.step_ratio(MODEL, z) / step - 1.0)) < 1e-14
+
+
+def test_gauged_refuses_half_shifts():
+    b_minus, _ = rel.ladder_b(MODEL)
+    with pytest.raises(ValueError, match="whole multiples of i"):
+        rel.gauged(MODEL, b_minus)
