@@ -8,30 +8,20 @@ Hard checks (gating=True) decide the overall pass/fail of a run, and a
 tolerance override (`verify --tol`) applies to these only.  Report-only
 checks (gating=False) adjudicate possibly-misprinted closed forms: their
 notes start with "report-only" and state the verdict, and the report's
-discrepancy notes say whether each one's residual shows the discrepancy.
+discrepancy notes say whether each one's residual shows it.
 
-An operator identity is checked on the operator: a DifferenceOperator
-is a normal form, its terms merged by shift, and a nonrel operator is one
-too, its coefficients keyed by (order of D, power of xi), so an identity
-holds exactly when every merged coefficient vanishes.  `_reduce` reads it
-per key, scaled by the size of the parts that cancel: `_identity_residual`
-feeds it the rel and plane-wave coefficients on the grid,
-`_laurent_residual` the nonrel coefficients, with no grid.
-On the grid `_commutator_residual` reads a rel commutator's products XY
-and YX unfolded, each merged coefficient the sum over term pairs of
-X_a(z) Y_b(z + a), off X's and Y's coefficient batches: folding [B-, B+]
-into its ~380 monomials would cost more than the one reading it serves.
-Every factorization, commutator and Casimir that holds as operators is
-checked that way.  The checks that read eigenstates are those that need
-the spectrum (the eigen equations, ground-state annihilation, the ladder
-coefficients and towers, and the rel [K-, K+] = 2 K0 and Casimir, whose
-generators K-+ = B-+/sqrt(f(E)) exist on the eigenbasis only) and
-rel_factorization_eigen.  The nonrel ones read the coefficients of
-L_n^d(xi^2) in the ground-state gauge psi = psi_0 g, and the rel ones,
-but for the half-shift readings rel_factorization_eigen and b- phi_0, the
-coefficients of S_n(rho^2) in the P gauge phi = P S (see "the P gauge"
-below); the leaf phi_n itself stays under test on the grid inside
-rel_eigen_equation.
+An operator identity is read on the operator, with no grid: a rel
+DifferenceOperator is merged by shift, each coefficient rational in one
+canonical form (opcore), and a nonrel operator is a dict keyed by (order
+of D, power of xi), so an identity holds exactly when every merged
+coefficient vanishes.  `_reduce` reads it per key, scaled by the size of
+the parts that cancel: `_operator_residual` feeds it the rel and
+plane-wave coefficients keyed by (shift, power), `_laurent_residual` the
+nonrel ones.  The eigenstate checks read coefficients too: of L_n^d(xi^2)
+in the ground-state gauge psi = psi_0 g, and of S_n(rho^2) in the P gauge
+phi = P S (see "the P gauge" below), but for the half-shift readings
+rel_factorization_eigen and b- phi_0, and the leaf phi_n itself, which
+rel_eigen_equation reads on the grid.
 
 Reports are deterministic: the specfun samples come from the stdlib
 random.Random at the fixed seed _SEED, so identical inputs give
@@ -57,15 +47,17 @@ import numpy as np
 from . import nonrel, planewave, rel, specfun
 from .errors import EvaluationError
 from .opcore import (
-    AnalyticFunction,
+    DifferenceOperator,
     compose,
     coordinate,
     default_grid,
+    expanded,
     identity_op,
+    lifted,
     mixed_residual,
     mul_op,
+    products,
     shift_op,
-    stacked,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -76,14 +68,11 @@ _SEED = 20260824
 BASE_LEVEL = 8
 
 # The ladder checks read levels n <= min(n_max, LADDER_CAP).  At cap 30 every
-# hard check passes at the four digest couplings: the nonrel ladder checks,
-# read on coefficients, at <= 3.5e-15 there and at g0 in {-0.1, 5, 1e3}, and
-# rel_ladder_reconstruction and rel_su11_closure at <= 5.7e-12 and 3.5e-12.
-# Raising the cap is a change of its own: run_suite(0.6, 0.2, n_max=30) takes
-# a median 89 ms at cap 30 against 39-40 ms at cap 6 (tools/suite_timing.py,
-# two runs of 11 calls on a shared 2-core VM), and the nonrel tower's xi^-2k
-# coefficients, seeded by the rounding of p(p-1) = 2 g0 in the gauge, grow as
-# g0 -> 0: nonrel_ladder_reconstruction reads 1.7e-13 at g0 = 1e-6 and cap 30.
+# hard check passes at the four digest couplings, the rel ladder checks at
+# <= 1.8e-12 and the nonrel ones at <= 3.5e-15.  The cap stays 6 for the
+# nonrel tower: its xi^-2k coefficients, seeded by the rounding of
+# p(p-1) = 2 g0 in the gauge, grow as g0 -> 0, and at cap 30
+# nonrel_ladder_reconstruction reads 1.7e-13 at (0.5, 1e-6), past its 1e-13.
 LADDER_CAP = 6
 
 
@@ -277,20 +266,20 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _max_abs(f: AnalyticFunction, pts) -> float:
-    return float(np.max(np.abs(f(pts))))
-
-
 def _bracket(X, Y):
     """The commutator [X, Y] of nonrel operators as its two parts, XY and -YX."""
     return nonrel.compose(X, Y), nonrel.scaled(-1.0, nonrel.compose(Y, X))
 
 
+def _rel_bracket(X, Y) -> list:
+    """The terms of [X, Y] = XY + (-Y)X for rel operators, not yet merged."""
+    return [*products(X, Y), *products(-Y, X)]
+
+
 def _reduce(readings) -> float:
     """max over keys of |sum c| / (1 + sum size) over (key, c, size)
-    readings, c a number or an array read pointwise, size |c| or the size of
-    what went into c: the parts that cancel do not count as error.  The
-    sums are compared in one array pass."""
+    readings, c a number or an array read pointwise, size that of what went
+    into c: what cancels is no error.  One array pass compares the sums."""
     sums, sizes = {}, {}
     for key, c, size in readings:
         sums[key] = sums.get(key, 0.0) + c
@@ -301,40 +290,13 @@ def _reduce(readings) -> float:
                         / (1.0 + np.array(list(sizes.values())))))
 
 
-def _operator_readings(pts, parts) -> list:
-    """(shift, c, |c|) for each term of the operators, every coefficient on
-    pts read in one batch."""
-    terms = [t for part in parts for t in part.terms]
-    return [(t.shift, c, np.abs(c))
-            for t, c in zip(terms, stacked(t.coeff for t in terms)(pts))]
-
-
-def _product_readings(pts, X, Y, sign) -> list:
-    """(shift, c, |c|) for each merged coefficient of sign X Y: the sum over
-    term pairs of X_a(z) Y_b(z + a) on pts, from one call of each
-    operator's coefficient batch, with no product folded."""
-    shifts = np.array([t.shift for t in X.terms])[:, None]
-    x = AnalyticFunction(X.coefficient_batch)(pts)
-    y = AnalyticFunction(Y.coefficient_batch)((pts + shifts).reshape(-1)).reshape(
-        len(Y.terms), len(shifts), len(pts))
-    merged: dict = {}
-    for a, ta in enumerate(X.terms):
-        for b, tb in enumerate(Y.terms):
-            key = ta.shift + tb.shift
-            merged[key] = merged.get(key, 0.0) + sign * x[a] * y[b, a]
-    return [(key, c, np.abs(c)) for key, c in merged.items()]
-
-
-def _identity_residual(pts, *parts) -> float:
-    """Residual of the operator identity sum(parts) = 0 on pts."""
-    return _reduce(_operator_readings(pts, parts))
-
-
-def _commutator_residual(pts, X, Y, *parts) -> float:
-    """Residual of [X, Y] + sum(parts) = 0 on pts: XY and -YX are read unfolded, since folding [B-, B+] into its ~380
-    monomials would cost more than the one reading it serves."""
-    return _reduce(_product_readings(pts, X, Y, 1.0) + _product_readings(pts, Y, X, -1.0)
-                   + _operator_readings(pts, parts))
+def _operator_residual(*parts) -> float:
+    """Residual of the rel identity sum(parts) = 0, each part an operator's
+    terms or _rel_bracket's, keyed by (shift, power): the terms at a shift
+    summed over their common denominator, with the sizes of their algebra."""
+    total = DifferenceOperator(t for part in parts for t in part)
+    return _reduce(((t.shift, p), c, size.real) for t in total.terms
+                   for p, (c, size) in enumerate(zip(*t.coeff.rational.rows.tolist())))
 
 
 def _laurent_residual(*parts) -> float:
@@ -370,20 +332,6 @@ def _convolving(c, width: int) -> np.ndarray:
                                            (step, -step), writeable=False)
 
 
-def _from_roots(poles: dict, less: dict | None = None):
-    """The coefficients of prod (rho - q) over the poles q = i(x + j), each
-    (x, j) -> order as rel.gauged keys them, less the orders in `less`:
-    rho^0 first, and those of prod (rho + |q|), their sizes."""
-    less = less or {}
-    poly, size = [1.0 + 0j], [1.0]
-    for (x, j), e in poles.items():
-        q = 1j * (x + j)
-        for _ in range(e - less.get((x, j), 0)):  # (rho - q) p: p_(k-1) - q p_k at rho^k
-            poly = [low - q * high for low, high in zip([0j, *poly], [*poly, 0j])]
-            size = [low + abs(q) * high for low, high in zip([0.0, *size], [*size, 0.0])]
-    return np.array(poly), np.array(size)
-
-
 class _Image(NamedTuple):
     """A gauged operator's image of polynomial rows, multiplied through by
     the least common denominator D of its terms: the image rows and their
@@ -401,31 +349,25 @@ class _Image(NamedTuple):
 def _images(ops) -> list:
     """For each (gauged operator (rel.gauged), rows of polynomial
     coefficients) of ops, the operator applied to every row, multiplied
-    through by the least common denominator D of its terms: term k i, over
-    poles d_k, meets the rows at rho + k i times D/d_k.  Column m of an
-    operator's matrix is the image of rho^m, sum_k n_k(rho) (rho + k i)^m,
-    n_k = numerator_k D/d_k, every term of every operator built a power at a
-    time in one pass; the sizes sum the same products over absolute values."""
+    through by the common denominator D of its terms (opcore.lifted): term
+    k i, n_k / D, meets the rows at rho + k i.  Column m of an operator's
+    matrix is the image of rho^m, sum_k n_k(rho) (rho + k i)^m, every term
+    of every operator built a power at a time in one pass; the sizes sum
+    the same products over absolute values."""
     width = max(rows.shape[1] for _, rows in ops)
     numerators, shifts, denominators, first = [], [], [], [0]
     for op, _ in ops:
-        common = {}
-        for _, _, poles in op.values():
-            for q, e in poles.items():
-                common[q] = max(common.get(q, 0), e)
-        for shift, (numerator, sizes, poles) in op.items():
-            cofactor, cofactor_sizes = _from_roots(common, poles)
-            numerators.append((np.convolve(numerator, cofactor),
-                               np.convolve(sizes, cofactor_sizes)))
-            shifts.append(round(shift.imag))
-        denominators.append(_from_roots(common))
+        lifts, poles = lifted([t.coeff.rational for t in op.terms])
+        numerators += lifts
+        shifts += [round(t.shift.imag) for t in op.terms]
+        denominator = expanded(poles)
+        denominators.append((denominator[0], denominator[1].real))
         first.append(len(numerators))
     # planes: values, sizes; then terms, powers
-    power = np.zeros((2, len(numerators), max(len(n) for n, _ in numerators) + width - 1),
+    power = np.zeros((2, len(numerators), max(n.shape[1] for n in numerators) + width - 1),
                      dtype=complex)
-    for t, (numerator, sizes) in enumerate(numerators):
-        power[0, t, :len(numerator)] = numerator
-        power[1, t, :len(sizes)] = sizes
+    for t, rows in enumerate(numerators):
+        power[:, t, :rows.shape[1]] = rows
     k = np.array(shifts)
     step = np.stack((1j * k, np.abs(k)))[:, :, None]
     matrices = np.empty((width, 2, len(ops), power.shape[2]), dtype=complex)
@@ -579,8 +521,8 @@ def _checks_planewave(pts):
         wave = planewave.plane_wave(chi)
         worst = max(worst, mixed_residual(P_free(wave)(pts), math.sinh(chi) * wave(pts)))
     yield "rel_momentum_sign_free_limit", {"chi": [0.5, -0.5, 1.0]}, worst
-    yield "rel_mass_shell_free", {}, _identity_residual(
-        pts, compose(H0, H0), -compose(P_free, P_free), -identity_op())
+    yield "rel_mass_shell_free", {}, _operator_residual(
+        products(H0, H0), products(-P_free, P_free), (-identity_op()).terms)
 
 
 def _gauged_terms(model, op):
@@ -771,7 +713,8 @@ def _checks_rel(omega0: float, g0: float, levels: dict, pts):
     bb, offset = compose(b_plus, b_minus), (w0 * (a + nu)) * identity_op()
     yield "rel_factorization_eigen", params, _eigen_residual(
         bb + offset, Phi, levels["rel_factorization_eigen"], E, psi, pts)
-    yield "rel_factorization_random", params, _identity_residual(pts, bb, offset, -H)
+    yield "rel_factorization_random", params, _operator_residual(
+        bb.terms, offset.terms, (-H).terms)
 
     # B+ S_n = c+_n S_(n+1) and B- S_n = c-_n S_(n-1), with B- S_0 = 0: each
     # ratio measured, and each image read against its ratio times S_(n+-1)
@@ -787,29 +730,29 @@ def _checks_rel(omega0: float, g0: float, levels: dict, pts):
     (ground,) = levels["rel_ground_annihilation"]
     phi0 = rel.eigenfunction_rel(model, ground).wavefunction
     yield "rel_ground_annihilation", params, max(
-        _max_abs(b_minus(phi0), pts) / float(np.max(np.abs(psi[ground]))), ground_row[0])
+        float(np.max(np.abs(b_minus(phi0)(pts)) / np.max(np.abs(psi[ground])))), ground_row[0])
 
-    yield "rel_lowering_commutator", params, _commutator_residual(
-        pts, H, B_minus, 2.0 * w0 * B_minus)
-    yield "rel_raising_commutator", params, _commutator_residual(
-        pts, H, B_plus, -2.0 * w0 * B_plus)
+    yield "rel_lowering_commutator", params, _operator_residual(
+        _rel_bracket(H, B_minus), (2.0 * w0 * B_minus).terms)
+    yield "rel_raising_commutator", params, _operator_residual(
+        _rel_bracket(H, B_plus), (-2.0 * w0 * B_plus).terms)
 
-    Bm_printed, _ = rel.ladder_B_printed(model)
-    yield "rel_lowering_commutator_uncorrected", params, _commutator_residual(
-        pts, H, Bm_printed, 2.0 * w0 * Bm_printed)
+    Bm_printed = B_minus + rel.printed_tail(model)  # rel.ladder_B_printed's, not built anew
+    yield "rel_lowering_commutator_uncorrected", params, _operator_residual(
+        _rel_bracket(H, Bm_printed), (2.0 * w0 * Bm_printed).terms)
 
-    yield "rel_momentum_commutator", params, _commutator_residual(
-        pts, mul_op(coordinate()), H, -1j * P)
+    yield "rel_momentum_commutator", params, _operator_residual(
+        _rel_bracket(mul_op(coordinate()), H), (-1j * P).terms)
 
-    yield "rel_pair_commutator_printed", params, _commutator_residual(
-        pts, b_minus, b_plus, -rel.bb_commutator_rhs(model))
+    yield "rel_pair_commutator_printed", params, _operator_residual(
+        _rel_bracket(b_minus, b_plus), (-rel.bb_commutator_rhs(model)).terms)
 
-    yield "rel_two_step_commutator", params, _commutator_residual(
-        pts, B_minus, B_plus, -rel.BB_commutator_rhs(model))
+    yield "rel_two_step_commutator", params, _operator_residual(
+        _rel_bracket(B_minus, B_plus), (-rel.BB_commutator_rhs(model)).terms)
 
     Bm_compact, _ = rel.ladder_B_compact(model)
-    yield "rel_compact_form_comparison", params, _identity_residual(
-        pts, Bm_compact, -B_minus)
+    yield "rel_compact_form_comparison", params, _operator_residual(
+        Bm_compact.terms, (-B_minus).terms)
 
     def against(measured, expected, levels, unit=None):
         """max over the levels of |measured - expected| / |unit| (the

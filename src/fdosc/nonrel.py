@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, CouplingError
-from .opcore import AnalyticFunction, gaussian, monomial
+from .opcore import AnalyticFunction, from_callable, gaussian
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -199,9 +199,11 @@ def eigenfunctions(model: NonRelModel, ns) -> AnalyticFunction:
     if any(n < 0 for n in ns):
         raise ValueError("n must be >= 0")
     cn = np.array([norm_constant(model, n) for n in ns])
+    power = complex(model.d + 0.5)  # not whole, so a plain power, principal branch
     # the wavefunction tables print these floats: grouped otherwise, the
     # products round differently in the last bit
-    return cn * monomial(model.d + 0.5) * gaussian(1.0) * _laguerre_rows(ns, model.d)
+    return cn * from_callable(lambda z: np.power(z, power)) * gaussian(1.0) \
+        * _laguerre_rows(ns, model.d)
 
 
 def eigenfunction(model: NonRelModel, n: int) -> NonRelEigenState:

@@ -1,53 +1,30 @@
 """Analytic-function and shift-operator algebra.
 
 An AnalyticFunction evaluates on an array of points, ``values(z)``.  A
-rational sum sum_m c_m prod_(q, p) in m (z - q)^p, each monomial m a
-frozenset of (pole q, real power p) factors (principal branch), also holds
-its coefficients, ``monomials`` = {m: c_m}: +, *, scaling and ``shifted``
-fold rational sums into one when an expression is built, so their
-coefficients are exact algebra.  A product multiplies monomials, adding
-the exponents at a shared pole, and f.shifted(a) relabels each pole q as
-q - a; no sum is ever split into partial fractions.  ``monomial(p, at=q)``
-is (z - q)^p.  A rational sum whose only pole is 0 is a Laurent sum
-sum_p c_p z^p; only a Laurent sum has a derivative, and asking any other
-function for one raises EvaluationError.  A call evaluates the expression
-once on all its points; what outlives a call is an operator's
-``coefficient_batch``, built at its first tower, and a rational sum's
-own evaluation tables, built at its first call.
+rational function also holds its canonical form, ``rational``: a Rational
+N(z) / prod_q (z - q)^k_q, its rows N's coefficients (z^0 first) and their
+sizes, the same sums over absolute values through every step that built
+it.  A product convolves the numerators and adds the pole orders, a
+linear factor meeting a pole cancelling one order of it; a sum lifts its
+parts to their common denominator (``lifted``); ``shifted(a)``
+Taylor-shifts N and moves each pole q to q - a.  A rational function whose
+only pole is 0 is a Laurent sum, the only kind with a ``derivative``.
+``stacked(fns)`` is one batched function whose row i is fns[i]: rational
+rows as their numerators over their expanded denominators, all on one
+table of powers of z in one np.einsum, so a point's values never depend on
+the other points of the call.
 
-``stacked(fns)`` is one batched function whose row i is fns[i].  When every
-one is a rational sum it holds one coefficient matrix over the union of
-their monomials: a call evaluates each factor (z - q)^p once, each monomial
-as the product of its factors, and each row as its monomials summed in
-order, a point's values never depending on the other points of the call;
-otherwise it stacks their values.
-
-A DifferenceOperator is a finite sum of terms coeff(z) * f(z + shift);
-shifts act exactly as argument translation, so operator identities can be
-verified to machine precision.  ``compose`` gives the product
-sum_(s, t) a_s(z) b_t(z + s) T(s + t) of A = sum_s a_s T(s) and
-B = sum_t b_t T(t), T(s) the shift by s.
-
-Applying an operator gives one tower node.  Applied to the output of the
-same operator object, it gives one node for op^(p+1) f over the same base
-f, so a ladder state (B^+)^n phi_0 is one node.  A call evaluates f once
-at z + S_p, S_p the distinct shift sums of p applications, and every
-coefficient in one call of the operator's ``coefficient_batch`` (its
-terms' coefficients ``stacked``, built at its first tower), at z plus the
-union of S_0..S_(p-1), on a term axis; points are not merged across z.
-Then p steps carry the values from z + S_p down to z, each one gather of
-every term's shifted values and one stacked multiply-add, summed over the
-terms in order, so a point's values do not depend on the other points of
-the call.  Any other wrapper, such as 2.0 * op(f) or an operator object
-with equal terms, starts a new tower.
-
-A function may be vector-valued, with values of shape (*B, len(z)): the
-batched leaves (``nonrel.eigenfunctions``, ``rel.eigenfunctions``, a
-batched ``from_callable``) and products with one; multiplying one by a
-1-d array scales each row.  op(F) of a batched F is one tower whose call
-evaluates the coefficients once for all rows, and row i of op(F) holds the
-floats op(F[i]) gives.  F[i] is row i as a function and F[a:b] rows
-a..b-1, taken lazily, so a function is not iterable.
+A DifferenceOperator is a finite sum of terms coeff(z) f(z + shift), merged
+by shift; ``compose(A, B)`` = sum_(s, t) a_s(z) b_t(z + s) T(s + t), T(s)
+the shift by s.  Applying an operator gives one tower node, and applying
+the same operator object to it again extends the node, so (B^+)^n phi_0 is
+one node: a call evaluates phi_0 once at z + S_n, S_n the shift sums, and
+the operator's ``coefficient_batch`` once at z plus every shift sum below
+n, then steps down to z, each step one gather and one multiply-add over
+all terms, summed in order.  A function may be batched, values (*B,
+len(z)): op(F) evaluates the coefficients once for all rows, and its row i
+holds the floats op(F[i]) gives; F[i] and F[a:b] are rows taken lazily, so
+a function is not iterable.
 """
 
 from __future__ import annotations
@@ -61,24 +38,28 @@ import numpy as np
 
 from .errors import EvaluationError
 
-_ONE = frozenset()  # the monomial of a constant, no factor
-_BLOCK = 2**12  # complex entries of one pass's (slot, sum, point) block of a rational batch
+
+class Rational(NamedTuple):
+    """N(z) / prod (z - q)^k over the poles ((q, k), ...) in pole order:
+    rows[0] holds N's coefficients, z^0 first, and rows[1] their sizes, one
+    complex array so that every step treats both at once."""
+    rows: np.ndarray
+    poles: tuple = ()
 
 
 class AnalyticFunction:
     """Deterministic complex function of one complex variable: ``values(z)``
     maps a 1-d complex array of points to the (*B, len(z)) array of values,
-    B empty for a scalar function.  ``monomials`` is {m: c_m} for a rational
-    sum sum_m c_m prod_(q, p) in m (z - q)^p, m a frozenset of (pole q,
-    exponent p) pairs, and None otherwise."""
+    B empty for a scalar function.  ``rational`` is its Rational for a
+    rational function, and None otherwise."""
 
-    __slots__ = ("values", "monomials")
+    __slots__ = ("values", "rational")
     __array_ufunc__ = None  # ndarray * f defers to f.__rmul__
     __iter__ = None  # f[i] never raises IndexError, so iterating would not end
 
-    def __init__(self, values, monomials=None):
+    def __init__(self, values, rational=None):
         self.values = values
-        self.monomials = monomials
+        self.rational = rational
 
     def __call__(self, z):
         """f(z) for a scalar (a complex) or a sequence or array (an ndarray);
@@ -98,21 +79,28 @@ class AnalyticFunction:
     def derivative(self) -> "AnalyticFunction":
         """The derivative of a Laurent sum, term by term; EvaluationError for
         any other function."""
-        monomials = self.monomials
-        if monomials is None or any(q != 0 for m in monomials for q, _ in m):
+        r = self.rational
+        if r is None or any(q != 0 for q, _ in r.poles):
             raise EvaluationError("no derivative is known for a function that is "
                                   "not a Laurent sum")
-        # each monomial of a Laurent sum is one factor z^p, a constant none
-        return _rational({_monomial(p - 1): p * c for m, c in monomials.items() for _, p in m})
+        # N z^-k has the derivative sum_j (j - k) n_j z^(j-k-1)
+        k = r.poles[0][1] if r.poles else 0
+        order = np.arange(r.rows.shape[1]) - k
+        rows = np.stack((order, np.abs(order))) * r.rows
+        if k:
+            return _function(rows, ((0j, k + 1),))
+        return _function(rows[:, 1:] if len(order) > 1 else rows)  # the constant term drops out
 
     def shifted(self, a) -> "AnalyticFunction":
-        """f(z + a): a rational sum relabels each pole q as q - a, exactly."""
+        """f(z + a): a rational function Taylor-shifts its numerator and
+        moves each pole q to q - a, exactly."""
         a = complex(a)
         if a == 0 or _constant(self) is not None:
             return self
-        if self.monomials is not None:
-            return _rational({frozenset([(q - a, p) for q, p in m]): c
-                              for m, c in self.monomials.items()})
+        r = self.rational
+        if r is not None:
+            return _function(np.einsum("rkj,rj->rk", _taylor(r.rows.shape[1], a), r.rows),
+                             tuple((q - a, k) for q, k in r.poles))
         values = self.values
         return AnalyticFunction(lambda z: values(z + a))
 
@@ -120,9 +108,8 @@ class AnalyticFunction:
 
     def __add__(self, other):
         other = _as_function(other)
-        a, b = self.monomials, other.monomials
-        if a is not None and b is not None:
-            return _rational(_folded_sum(a, b))
+        if self.rational is not None and other.rational is not None:
+            return _sum([self.rational, other.rational])
         if _constant(self) is not None:
             self, other = other, self
         f, g, c = self.values, other.values, _constant(other)
@@ -133,21 +120,22 @@ class AnalyticFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        if self.monomials is not None:
-            return _rational({m: -c for m, c in self.monomials.items()})
+        if self.rational is not None:
+            r = self.rational
+            return _function(r.rows * _NEGATED, r.poles)
         f = self.values
         return AnalyticFunction(lambda z: -f(z))
 
     def __mul__(self, other):
         if isinstance(other, AnalyticFunction):
+            a, b = self.rational, other.rational
+            if a is not None and b is not None:
+                return _function(*_product(a, b))
             c, d = _constant(self), _constant(other)
             if d is not None:
                 return self * d
             if c is not None:
                 return other * c
-            a, b = self.monomials, other.monomials
-            if a is not None and b is not None:
-                return _rational(_folded_product(a, b))
             f, g = self.values, other.values
             return AnalyticFunction(lambda z: f(z) * g(z))
         if not isinstance(other, (int, float, complex)) and np.ndim(other) == 1:
@@ -157,47 +145,101 @@ class AnalyticFunction:
         c = complex(other)
         if c == 1:
             return self
-        if self.monomials is not None:
-            return _rational({m: c * v for m, v in self.monomials.items()})
+        if self.rational is not None:
+            r = self.rational
+            return _function(r.rows * np.array([[c], [abs(c)]]), r.poles)
         f = self.values
         return AnalyticFunction(lambda z: c * f(z))
 
     __rmul__ = __mul__
 
 
-def _folded_sum(a: dict, b: dict) -> dict:
-    """{key: a_key + b_key}, keys in order of first appearance."""
-    total = dict(a)
-    for k, v in b.items():
-        total[k] = total.get(k, 0) + v
-    return total
+_NEGATED = np.array([[-1.0], [1.0]])  # -N, with N's sizes
 
 
-def _folded_product(a: dict, b: dict) -> dict:
-    """{k l: sum of a_k b_l} of two rational sums, accumulated in the order
-    of a, then b."""
-    product: dict = {}
-    get = product.get
-    for k, u in a.items():
-        for l, v in b.items():
-            kl = _times(k, l)
-            product[kl] = get(kl, 0) + u * v
-    return product
+def _sum(rationals) -> AnalyticFunction:
+    """The sum of rational functions: each lifted to their common
+    denominator, then the numerators and sizes added in order."""
+    lifts, poles = lifted(rationals)
+    total = np.zeros((2, max(rows.shape[1] for rows in lifts)), dtype=complex)
+    for rows in lifts:
+        total[:, :rows.shape[1]] += rows
+    return _function(total, poles)
 
 
-def _times(m: frozenset, n: frozenset) -> frozenset:
-    """The monomial m n: exponents at a shared pole add, and a pole whose
-    exponent sums to 0 drops out."""
-    if not m:
-        return n
-    if not n:
-        return m
-    out = dict(m)
-    for q, p in n:
-        p += out.pop(q, 0)
-        if p:
-            out[q] = p
-    return frozenset(out.items())
+def _product(a: Rational, b: Rational) -> Rational:
+    """The product a b: a linear factor c (z - r) of one, with no pole,
+    cancels one order of the other's pole r; otherwise the numerators and
+    their sizes convolve and the pole orders add."""
+    for x, y in ((a, b), (b, a)):
+        orders = dict(y.poles)
+        if x.rows.shape[1] == 2 and not x.poles and x.rows[0, 1] != 0 \
+                and (root := complex(-x.rows[0, 0] / x.rows[0, 1])) in orders:
+            orders[root] -= 1
+            return Rational(x.rows[:, 1:] * y.rows, tuple((q, k) for q, k in orders.items() if k))
+    if not (a.poles and b.poles):  # already in order
+        return Rational(_convolved(a.rows, b.rows), a.poles or b.poles)
+    orders = dict(a.poles)
+    for q, k in b.poles:
+        orders[q] = orders.get(q, 0) + k
+    return Rational(_convolved(a.rows, b.rows), _ordered(orders))
+
+
+def _convolved(a, b) -> np.ndarray:
+    """Row by row, the coefficients of the product of two polynomials."""
+    if a.shape[1] == 1 or b.shape[1] == 1:
+        return a * b
+    return np.array([np.convolve(a[0], b[0]), np.convolve(a[1], b[1])])
+
+
+def lifted(rationals) -> tuple[list, tuple]:
+    """Rational functions (Rationals) over their common denominator D, the
+    least product of their poles: each one's numerator and sizes over D as
+    its rows, and D's poles.  A part whose poles are D's is not lifted."""
+    poles = rationals[0].poles
+    if any(r.poles != poles for r in rationals):
+        orders: dict = {}
+        for r in rationals:
+            for q, k in r.poles:
+                orders[q] = max(orders.get(q, 0), k)
+        poles = _ordered(orders)
+    return [r.rows if r.poles == poles else _lift(r, poles) for r in rationals], poles
+
+
+def _lift(r: Rational, poles) -> np.ndarray:
+    """r's rows over the poles, which hold its own: times the product of
+    the factors (z - q) they add."""
+    own = dict(r.poles)
+    return _convolved(r.rows, expanded(
+        tuple((q, k - own.get(q, 0)) for q, k in poles if k > own.get(q, 0))))
+
+
+@functools.lru_cache(maxsize=256)
+def expanded(poles) -> np.ndarray:
+    """The coefficients of prod (z - q)^k over the poles ((q, k), ...), z^0
+    first, and in row 1 those of prod (z + |q|)^k, their sizes."""
+    rows = np.ones((2, 1), dtype=complex)
+    for q, k in poles:
+        for _ in range(k):
+            rows = _convolved(rows, np.array([[-q, 1.0], [abs(q), 1.0]]))
+    rows.flags.writeable = False  # shared by every caller
+    return rows
+
+
+@functools.lru_cache(maxsize=256)
+def _taylor(n: int, a: complex) -> np.ndarray:
+    """The matrices [k, j] that take the n coefficients of N and their
+    sizes to those of N(z + a): C(j, k) a^(j-k) and C(j, k) |a|^(j-k)."""
+    binomial = np.array([[math.comb(j, k) for j in range(n)] for k in range(n)], dtype=float)
+    steps = np.array([[a], [abs(a)]]) ** np.arange(n)
+    matrices = binomial * steps[:, np.maximum(np.subtract.outer(range(n), range(n)).T, 0)]
+    matrices.flags.writeable = False  # shared by every caller
+    return matrices
+
+
+def _ordered(orders: dict) -> tuple:
+    """The (pole, order) items in pole order."""
+    return tuple(sorted(orders.items(), key=_key_order))
 
 
 def _checked_values(evaluate, pts):
@@ -227,77 +269,45 @@ def _as_function(x) -> AnalyticFunction:
 
 def _constant(f: AnalyticFunction):
     """The value of a constant function, None for any other."""
-    if f.monomials is not None and f.monomials.keys() <= {_ONE}:
-        return f.monomials.get(_ONE, 0j)
+    r = f.rational
+    if r is not None and not r.poles and r.rows.shape[1] == 1:
+        return complex(r.rows[0, 0])
     return None
 
 
 # ---- primitive functions ----------------------------------------------
 
 
-def _monomial(p, at=0j) -> frozenset:
-    """The monomial (z - at)^p: one factor, none for p = 0."""
-    return frozenset({(complex(at), p)}) if p else _ONE
-
-
-def _rational(monomials) -> AnalyticFunction:
-    """The rational sum of {m: c_m}, a zero c_m dropped.  Its
-    _rational_rows tables are built at its first call and kept by it."""
-    if 0 in monomials.values():
-        monomials = {m: c for m, c in monomials.items() if c != 0}
-    rows = None
+def _function(rows, poles=()) -> AnalyticFunction:
+    """The rational function of the Rational (rows, poles); its tables are
+    built at its first call and kept by it."""
+    r = Rational(rows, poles)
+    batch = None
 
     def values(z):
-        nonlocal rows
-        if rows is None:
-            rows = _rational_rows([monomials])
-        return rows(z)[0]
+        nonlocal batch
+        if batch is None:
+            batch = _evaluator([r])
+        return batch(z)[0]
 
-    return AnalyticFunction(values, monomials)
+    return AnalyticFunction(values, r)
 
 
-def _rational_rows(sums):
-    """z -> the values of the rational sums at z, shape (len(sums), len(z)):
-    one coefficient matrix over the union of their monomials, held as each
-    sum's (monomial, coefficient) pairs in its own order.
-
-    Each monomial is the product of its factors (z - q)^p in order of pole,
-    never split into partial fractions.  Each row sums its monomials in
-    order, so a point's values do not depend on the other points of the
-    call; the points are taken in passes of at most _BLOCK products."""
-    # the union of the monomials, the constant first: it pads the shorter rows
-    index = dict(zip(dict.fromkeys(itertools.chain([_ONE], *sums)), itertools.count()))
-    slots = _padded([[index[m] for m in s] for s in sums], np.intp).T
-    coeffs = _padded([list(s.values()) for s in sums], complex).T[:, :, None]
-    # the factor table in order of pole, after row 0, z^0 = 1, which pads
-    # the shorter monomials: each multiplies its factors in row order
-    factors = [(0j, 0)] + sorted(frozenset().union(*index), key=_factor_order)
-    row = dict(zip(factors[1:], itertools.count(1)))
-    where = _padded([sorted(row[f] for f in m) for m in index], np.intp)
-    poles = np.array([q for q, _ in factors], dtype=complex)[:, None]
-    exponents = np.array([p for _, p in factors], dtype=complex)[:, None]
-
-    def chunk(z):
-        # ufunc calls, not operators: for a large temporary operand numpy
-        # computes a * b as b * a in place, and its complex product is not
-        # commutative in the last bit
-        table = np.power(z - poles, exponents)
-        values = table[where[:, 0]]
-        for column in where.T[1:]:
-            values = np.multiply(values, table[column])
-        terms = values[slots]
-        np.multiply(coeffs, terms, out=terms)
-        return _summed(terms, 0)
-
-    step = max(1, _BLOCK // (slots.size or 1))
+def _evaluator(rationals):
+    """z -> the values of the rational functions at z, (len(rationals),
+    len(z)): numerators and expanded denominators on one table of powers of
+    z, in one np.einsum (complex: no BLAS)."""
+    polys = [r.rows[0] for r in rationals] + [expanded(r.poles)[0] for r in rationals]
+    width = max(map(len, polys), default=1)
+    matrix = np.zeros((len(polys), width), dtype=complex)
+    for row, p in zip(matrix, polys):
+        row[:len(p)] = p
 
     def rows(z):
-        if len(z) <= step:
-            return chunk(z)
-        out = np.empty((len(sums), len(z)), dtype=complex)
-        for start in range(0, len(z), step):
-            out[:, start:start + step] = chunk(z[start:start + step])
-        return out
+        powers = np.empty((width, len(z)), dtype=complex)  # 1, z, z^2, ... by running products
+        powers[0], powers[1:] = 1.0, z
+        values = np.einsum("tj,jz->tz", matrix, np.cumprod(powers, axis=0, out=powers))
+        return values[:len(rationals)] / values[len(rationals):]
 
     return rows
 
@@ -310,36 +320,30 @@ def _summed(terms, axis) -> np.ndarray:
     return np.add.reduce(terms.view(float), axis=axis).view(complex)
 
 
-def _padded(rows, dtype) -> np.ndarray:
-    """The rows as one array, each padded with zeros to the longest, at
-    least 1."""
-    width = max(map(len, rows), default=0) or 1
-    return np.array([row + [0] * (width - len(row)) for row in rows],
-                    dtype=dtype).reshape(len(rows), width)
-
-
-def _factor_order(factor):
-    q, p = factor
-    return (*_shift_order(q), p)
-
-
 def const(c) -> AnalyticFunction:
-    return _rational({_ONE: complex(c)})
+    c = complex(c)
+    return _function(np.array([[c], [abs(c)]]))
 
 
 def coordinate() -> AnalyticFunction:
     return monomial(1)
 
 
-def monomial(p, at=0.0) -> AnalyticFunction:
-    """(z - at)**p on the principal branch: z**p, a Laurent sum, at the
-    default pole 0."""
-    return _rational({_monomial(p, at): 1.0 + 0j})
+def monomial(p: int, at=0.0) -> AnalyticFunction:
+    """(z - at)**p for a whole power p: z**p, a Laurent sum, at the default
+    pole 0.  ValueError for any other power."""
+    if p != int(p):
+        raise ValueError(f"a monomial has a whole power, got {p}")
+    p, at = int(p), complex(at)
+    if p < 0:
+        return _function(np.ones((2, 1), dtype=complex), ((at, -p),))
+    return _function(expanded(((at, p),)))
 
 
 def polynomial(coeffs) -> AnalyticFunction:
     """sum_k coeffs[k] z^k."""
-    return _rational({_monomial(k): complex(c) for k, c in enumerate(coeffs)})
+    coeffs = np.array(coeffs, dtype=complex).reshape(-1)
+    return _function(np.array([coeffs, np.abs(coeffs)]))
 
 
 def gaussian(a=1.0) -> AnalyticFunction:
@@ -377,11 +381,9 @@ class DifferenceOperator:
     def __init__(self, terms):
         merged: dict = {}
         for t in terms:
-            coeff = _as_function(t.coeff)
-            shift = complex(t.shift)
-            merged[shift] = merged[shift] + coeff if shift in merged else coeff
-        self.terms = tuple(Term(merged[shift], shift)
-                           for shift in sorted(merged, key=_shift_order))
+            merged.setdefault(complex(t.shift), []).append(_as_function(t.coeff))
+        self.terms = tuple([Term(coeffs[0] if len(coeffs) == 1 else _merged(coeffs), shift)
+                            for shift, coeffs in sorted(merged.items(), key=_key_order)])
 
     @functools.cached_property
     def coefficient_batch(self):
@@ -400,7 +402,7 @@ class DifferenceOperator:
         return DifferenceOperator(self.terms + other.terms)
 
     def __sub__(self, other):
-        return self + (-other)
+        return DifferenceOperator([*self.terms, *(Term(-t.coeff, t.shift) for t in other.terms)])
 
     def __neg__(self):
         return DifferenceOperator(Term(-t.coeff, t.shift) for t in self.terms)
@@ -412,9 +414,22 @@ class DifferenceOperator:
     __rmul__ = __mul__
 
 
+def _merged(coeffs) -> AnalyticFunction:
+    """The sum of the coefficients that share a shift, in order: at once
+    over their common denominator when every one is rational."""
+    if all(c.rational is not None for c in coeffs):
+        return _sum([c.rational for c in coeffs])
+    return functools.reduce(AnalyticFunction.__add__, coeffs)
+
+
 def _shift_order(shift):
     """Shifts, and poles, in order of imaginary part, then of real part."""
     return shift.imag, shift.real
+
+
+def _key_order(item):
+    """(shift or pole, value) items in order of their key (_shift_order)."""
+    return item[0].imag, item[0].real
 
 
 class _Tower:
@@ -467,7 +482,9 @@ class _Tower:
         for j in reversed(range(len(self.steps))):
             # values holds the values at z + S_(j+1), shape (*B, |S_(j+1)|, n);
             # the gather gives term t's shifted values at z + S_j on axis -3
-            # (a ufunc call, not *: see _rational_rows), summed over terms in order
+            # (a ufunc call, not *: for a large temporary operand numpy computes
+            # a * b as b * a in place, and its complex product is not commutative
+            # in the last bit), summed over terms in order
             values = _summed(np.multiply(block[:, self.at_union[j]],
                                          values[..., self.steps[j], :]), -3)
         return values.reshape(values.shape[:-2] + (n,))
@@ -482,13 +499,12 @@ def _run(where):
 
 
 def stacked(fns) -> AnalyticFunction:
-    """One batched function whose row i is fns[i], each a scalar function: one
-    coefficient matrix over their monomials when every one is a rational
-    sum, else their values stacked."""
+    """One batched function whose row i is fns[i], each a scalar function:
+    their Rationals evaluated in one batch when every one is rational, else
+    their values stacked."""
     fns = list(fns)
-    sums = [f.monomials for f in fns]
-    if all(s is not None for s in sums):
-        return AnalyticFunction(_rational_rows(sums))
+    if all(f.rational is not None for f in fns):
+        return AnalyticFunction(_evaluator([f.rational for f in fns]))
     return AnalyticFunction(lambda z: np.array([f.values(z) for f in fns],
                                                dtype=complex).reshape(len(fns), len(z)))
 
@@ -510,8 +526,14 @@ def identity_op() -> DifferenceOperator:
 def compose(A: DifferenceOperator, B: DifferenceOperator) -> DifferenceOperator:
     """Operator product A B (apply B first): sum over term pairs of
     a_s(z) b_t(z + s) T(s + t)."""
-    return DifferenceOperator(Term(ta.coeff * tb.coeff.shifted(ta.shift), ta.shift + tb.shift)
-                              for ta in A.terms for tb in B.terms)
+    return DifferenceOperator(products(A, B))
+
+
+def products(A: DifferenceOperator, B: DifferenceOperator):
+    """The terms a_s(z) b_t(z + s) T(s + t) of A B, one per term pair, not
+    yet merged by shift."""
+    return (Term(ta.coeff * tb.coeff.shifted(ta.shift), ta.shift + tb.shift)
+            for ta in A.terms for tb in B.terms)
 
 
 # ---- grids and residuals ----------------------------------------------

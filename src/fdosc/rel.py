@@ -5,44 +5,30 @@ omega0 = hbar*omega/mc^2 and g0 = m*g/hbar^2 the Hamiltonian is
 
     H = cosh(i d/drho) + [ omega0^2/2 * rho(rho+i) + g0/(rho(rho+i)) ] e^{i d/drho},
 
-where rho(rho+i) is the generalized second-degree power.  The module
-builds the half-shift factorization pair b-+, the two-step ladder pair
-B-+, the generalized momentum, the spectral weight f(E) of the su(1,1)
-construction, and the continuous dual Hahn eigenfunctions.  The su(1,1)
-generators act on the eigenbasis only: K-+ = B-+ / sqrt(f(E)), with f at
-the eigenvalue the operator ordering dictates, and K0 = H/(2 omega0).
-f(E_n) = 4 omega0^2 (n + alpha - 1/2)(n + nu - 1/2) is positive at every
-level, since alpha, nu >= 1.  On psi_n each K-+ is a scalar times B-+, so
-[K0, K-+] = -+K-+ follows from the operator identities [H, B-+] =
--+2 omega0 B-+, which the harness checks term by term; it reads only
-[K-, K+] = 2 K0 and the Casimir on the eigenbasis.
+rho(rho+i) the generalized second-degree power.  The module builds the
+half-shift factorization pair b-+, the two-step ladder pair B-+, the
+generalized momentum, the spectral weight f(E) of the su(1,1) construction
+and the continuous dual Hahn eigenfunctions.  The su(1,1) generators act on
+the eigenbasis only: K-+ = B-+ / sqrt(f(E)), f at the eigenvalue the
+operator ordering dictates, and K0 = H/(2 omega0), so [K0, K-+] = -+K-+
+follows from [H, B-+] = -+2 omega0 B-+ as operators; f(E_n) = 4 omega0^2
+(n + alpha - 1/2)(n + nu - 1/2) > 0 since alpha, nu >= 1.  Every operator
+coefficient is a rational function in opcore's canonical form, its poles on
+the lattice (i/2)Z; only the eigenfunction leaves are callables.  No inner
+product is specified, so every "conjugate" operator is built from its
+printed closed form, and every ladder coefficient is measured as a ratio
+between eigenstates.
 
-Every coefficient of H, P, b-+ and B-+, and of the printed and compact
-forms and commutator right-hand sides, is a rational sum of monomials
-c prod (rho - q)^p with every pole q on the lattice (i/2)Z: the
-interaction is omega0^2/2 rho^(2) + g0/rho^(2), rho^(2) = rho (rho + i)
-one monomial with poles at 0 and -i, and compose folds the products
-exactly (see opcore).  Only the eigenfunction leaves are callables.
-
-No inner product is specified for the model, so every "conjugate"
-operator is built from its printed closed form, and every ladder
-coefficient is measured as a ratio between eigenstates (basis-independent).
-
-Every eigenfunction has the form phi_n(rho) = P(rho) S_n(rho^2; alpha, nu,
-1/2), with the same gamma prefactor P for every n (Koekoek, Lesky &
-Swarttouw, Hypergeometric Orthogonal Polynomials, sec. 9.3).  For a whole
-step, P(rho + i)/P(rho) is rational (``step_ratio``), so an operator whose
-shifts are whole multiples of i, such as H and B-+, becomes in the P gauge
-a difference operator with rational coefficients that maps polynomials to
-rational functions: ``gauged(model, op)`` is P^-1 op P, exact numerators
-over their poles, and the harness reads the eigenstate identities on the
-coefficients of S_n (Turbiner, Commun. Math. Phys. 118 (1988) 467, for the
-same gauge in the nonrel model).
-``eigenfunctions(model, ns)`` is one batched leaf whose row i is phi_ns[i]:
-a call evaluates P once, with one log_gamma call, and every S_n row in one
-pass of the dual Hahn three-term recurrence in n.
-``eigenfunction_rel(model, n)`` is its one row for [n], a scalar function,
-as ``nonrel.eigenfunction`` is for nonrel.
+phi_n(rho) = P(rho) S_n(rho^2; alpha, nu, 1/2), one gamma prefactor P for
+every n (Koekoek, Lesky & Swarttouw, sec. 9.3).  P(rho + i)/P(rho) is
+rational (``step_ratio``), so ``gauged(model, op)`` = P^-1 op P of an
+operator with whole shifts, such as H and B-+, has rational coefficients
+and maps polynomials to rational functions: the harness reads the
+eigenstate identities on the coefficients of S_n (Turbiner, Commun. Math.
+Phys. 118 (1988) 467, for the same gauge in the nonrel model).
+``eigenfunctions(model, ns)`` is one batched leaf: a call evaluates P once,
+with one log_gamma call, and every S_n row in one pass of the dual Hahn
+recurrence; ``eigenfunction_rel(model, n)`` is its row for [n].
 """
 
 from __future__ import annotations
@@ -57,10 +43,10 @@ from .errors import CouplingError
 from .opcore import (
     AnalyticFunction,
     DifferenceOperator,
+    Term,
     compose,
     coordinate,
     from_callable,
-    identity_op,
     monomial,
     mul_op,
     polynomial,
@@ -124,7 +110,7 @@ def energy(model: RelModel, n: int) -> float:
 
 def _generalized_square(p, at=0.0) -> AnalyticFunction:
     """((rho - at)(rho - at + i))^p, the generalized second-degree power
-    (rho - at)^(2) to the p: one monomial with poles at `at` and at - i."""
+    (rho - at)^(2) to the p: for p < 0, poles at `at` and at - i."""
     return monomial(p, at=at) * monomial(p, at=at - 1j)
 
 
@@ -135,14 +121,12 @@ def _interaction(model: RelModel) -> AnalyticFunction:
 
 def hamiltonian_rel(model: RelModel) -> DifferenceOperator:
     """cosh(i d/drho) + interaction * e^{i d/drho}, in units mc^2."""
-    return 0.5 * shift_op(1j) + 0.5 * shift_op(-1j) \
-        + compose(mul_op(_interaction(model)), shift_op(1j))
+    return DifferenceOperator([Term(0.5, -1j), Term(0.5 + _interaction(model), 1j)])
 
 
 def momentum_P(model: RelModel) -> DifferenceOperator:
     """-[sinh(i d/drho) + interaction * e^{i d/drho}], in units mc."""
-    return -(0.5 * shift_op(1j) - 0.5 * shift_op(-1j)
-             + compose(mul_op(_interaction(model)), shift_op(1j)))
+    return DifferenceOperator([Term(0.5, -1j), Term(-(0.5 + _interaction(model)), 1j)])
 
 
 def ladder_b(model: RelModel) -> tuple[DifferenceOperator, DifferenceOperator]:
@@ -150,34 +134,16 @@ def ladder_b(model: RelModel) -> tuple[DifferenceOperator, DifferenceOperator]:
 
     b^- = [e^{-i/2 d} - omega0 e^{+i/2 d} (nu + i rho)(1 + alpha/(i rho))]/sqrt(2)
     b^+ = [e^{-i/2 d} - omega0 (nu - i rho)(1 - alpha/(i rho)) e^{+i/2 d}]/sqrt(2)
+
+    so e^{+i/2 d} u(rho) = u(rho + i/2) e^{+i/2 d} in b^-.
     """
     a, nu, w0 = model.alpha, model.nu, model.omega0
     # Laurent sums in rho: alpha/(i rho) = -i alpha rho^-1
     u = polynomial([nu, 1j]) * (1.0 + -1j * a * monomial(-1))
     v = polynomial([nu, -1j]) * (1.0 + 1j * a * monomial(-1))
-    b_minus = (1.0 / _SQRT2) * (
-        shift_op(-0.5j) - w0 * compose(shift_op(0.5j), mul_op(u))
-    )
-    b_plus = (1.0 / _SQRT2) * (
-        shift_op(-0.5j) - w0 * compose(mul_op(v), shift_op(0.5j))
-    )
-    return b_minus, b_plus
-
-
-def _ladder_B_from_tail(model: RelModel, tail_constant: float):
-    w0, a, nu = model.omega0, model.alpha, model.nu
-    H = hamiltonian_rel(model)
-    b_minus, b_plus = ladder_b(model)
-    irho = mul_op(1j * coordinate())
-    neg_irho = mul_op(-1j * coordinate())
-    scalar_tail = 0.5 * H - (0.5 / w0) * compose(H, H) + tail_constant * identity_op()
-    bracket_minus = _SQRT2 * compose(shift_op(-0.5j), b_minus) - H \
-        + (w0 * (a + nu)) * identity_op()
-    bracket_plus = _SQRT2 * compose(b_plus, shift_op(-0.5j)) - H \
-        + (w0 * (a + nu)) * identity_op()
-    B_minus = compose(irho, bracket_minus) + scalar_tail
-    B_plus = compose(bracket_plus, neg_irho) + scalar_tail
-    return B_minus, B_plus
+    scale = 1.0 / _SQRT2
+    return (DifferenceOperator([Term(scale, -0.5j), Term(-w0 * scale * u.shifted(0.5j), 0.5j)]),
+            DifferenceOperator([Term(scale, -0.5j), Term(-w0 * scale * v, 0.5j)]))
 
 
 def ladder_B(model: RelModel) -> tuple[DifferenceOperator, DifferenceOperator]:
@@ -198,31 +164,43 @@ def ladder_B(model: RelModel) -> tuple[DifferenceOperator, DifferenceOperator]:
           + H/2 - (H^2 - 1)/(2 omega0) + omega0 alpha nu.
     """
     w0, a, nu = model.omega0, model.alpha, model.nu
-    return _ladder_B_from_tail(model, w0 * a * nu + 0.5 / w0)
+    H = hamiltonian_rel(model)
+    b_minus, b_plus = ladder_b(model)
+    centre = mul_op(w0 * (a + nu)) - H  # in both brackets
+    scalar_tail = 0.5 * H - (0.5 / w0) * compose(H, H) + mul_op(w0 * a * nu + 0.5 / w0)
+    bracket_minus = _SQRT2 * compose(shift_op(-0.5j), b_minus) + centre
+    bracket_plus = _SQRT2 * compose(b_plus, shift_op(-0.5j)) + centre
+    return (compose(mul_op(1j * coordinate()), bracket_minus) + scalar_tail,
+            compose(bracket_plus, mul_op(-1j * coordinate())) + scalar_tail)
 
 
 def ladder_B_printed(model: RelModel) -> tuple[DifferenceOperator, DifferenceOperator]:
     """The same pair with the H^2 term taken literally (no rest-energy
-    subtraction); differs from ladder_B by the scalar 1/(2 omega0)."""
-    w0, a, nu = model.omega0, model.alpha, model.nu
-    return _ladder_B_from_tail(model, w0 * a * nu)
+    subtraction): ladder_B plus printed_tail."""
+    tail = printed_tail(model)
+    return tuple(B + tail for B in ladder_B(model))
+
+
+def printed_tail(model: RelModel) -> DifferenceOperator:
+    """What the literal H^2/(2 omega0) tail adds to B-+: -1/(2 omega0)."""
+    return mul_op(-0.5 / model.omega0)
 
 
 def ladder_B_compact(model: RelModel) -> tuple[DifferenceOperator, DifferenceOperator]:
     """Cross-check forms B-+ = [(omega0 rho -+ iP)^2 - 2 g0/(rho^2+1)] / (2 omega0).
 
     Kept exactly as printed (including the rho^2 + 1 denominator) so the
-    discrepancy against the primary forms can be measured, not assumed.
+    discrepancy against the primary forms can be measured, not assumed; the
+    square is expanded, (omega0 rho)^2 -+ i omega0 (rho P + P rho) - P^2, so
+    the pair shares its products.
     """
     w0 = model.omega0
     P = momentum_P(model)
     w0rho = mul_op(w0 * coordinate())
-    sing = mul_op(2.0 * model.g0 * monomial(-1, at=1j) * monomial(-1, at=-1j))
-    inner_minus = w0rho - 1j * P
-    inner_plus = w0rho + 1j * P
-    B_minus = (0.5 / w0) * (compose(inner_minus, inner_minus) - sing)
-    B_plus = (0.5 / w0) * (compose(inner_plus, inner_plus) - sing)
-    return B_minus, B_plus
+    even = compose(w0rho, w0rho) - compose(P, P) - mul_op(
+        2.0 * model.g0 * monomial(-1, at=1j) * monomial(-1, at=-1j))
+    odd = 1j * (compose(w0rho, P) + compose(P, w0rho))
+    return (0.5 / w0) * (even - odd), (0.5 / w0) * (even + odd)
 
 
 def bb_commutator_rhs(model: RelModel) -> DifferenceOperator:
@@ -304,97 +282,33 @@ def step_ratio(model: RelModel, z):
     return (iz - 1.0) / ((model.alpha + iz - 1.0) * (model.nu + iz - 1.0) * model.omega0)
 
 
-def gauged(model: RelModel, op: DifferenceOperator) -> dict:
+def gauged(model: RelModel, op: DifferenceOperator) -> DifferenceOperator:
     """P^-1 op P for an operator whose shifts are whole multiples of i, P the
-    gamma prefactor every eigenfunction shares: {shift: (numerator, sizes,
-    poles)}, the coefficient of T(shift) being numerator(rho) over
-    prod (rho - q)^order, q = i(x + j) for each pole (x, j) -> order, x one
-    of 0, alpha and nu and j an integer, so a shift by k i moves pole (x, j)
-    to (x, j - k) exactly.  numerator holds the coefficients of rho^0,
-    rho^1, ..., and sizes the same sums taken over absolute values, the
-    scale their rounding is measured against.
-
-    The term c(rho) T(k i) becomes c(rho) P(rho + k i)/P(rho) T(k i), the
-    ratio a product of k factors r+(rho + j i), j < k, for k > 0, and of -k
-    factors r-(rho - j i) for k < 0:
+    gamma prefactor every eigenfunction shares: the term c(rho) T(k i)
+    becomes c(rho) P(rho + k i)/P(rho) T(k i), the ratio a product of k
+    factors r+(rho + j i), j < k, for k > 0, and of -k factors r-(rho - j i)
+    for k < 0:
 
         r+(rho) = -i (rho + i) / (omega0 (rho - i(alpha - 1)) (rho - i(nu - 1))),
-        r-(rho) = i omega0 (rho - i alpha) (rho - i nu) / rho.
+        r-(rho) = i omega0 (rho - i alpha) (rho - i nu) / rho,
 
-    c's rational sum, each monomial's poles on the lattice iZ, gives its
-    numerator over its poles, every monomial lifted to their common
-    denominator; a zero of the ratio at a pole of c cancels one order of it.
-    Raises ValueError for any other shift or pole, or a power that is not
-    whole."""
+    multiplied in as rational functions, so a zero of the ratio at a pole
+    of c cancels one order of it.  ValueError for any other shift."""
     a, nu, w0 = model.alpha, model.nu, model.omega0
-    factors, weights, terms = [], [], []
+    terms = []
     for t in op.terms:
-        k = _whole(t.shift)
-        lift = {}  # pole -> its order in the common denominator
-        for m in t.coeff.monomials:
-            for q, p in m:
-                if p != int(p):
-                    raise ValueError(f"a gauged coefficient has a power that is not whole: {p}")
-                lift[q] = max(lift.get(q, 0), -int(p))
-        lift = {(q, _whole(q)): e for q, e in lift.items()}  # each pole i j on the lattice
-        if k > 0:
-            scale = (-1j / w0) ** k
-            zeros = [(0.0, -j - 1) for j in range(k)]
-            poles = [(x, -j - 1) for j in range(k) for x in (a, nu)]
-        else:
-            scale = (1j * w0) ** -k
-            zeros = [(x, j) for j in range(-k) for x in (a, nu)]
-            poles = [(0.0, j) for j in range(-k)]
-        order = {(0.0, j): e for (_, j), e in lift.items() if e > 0}
-        kept = []
-        for q in zeros:
-            if order.get(q):
-                order[q] -= 1
+        k, c = round(t.shift.imag), t.coeff
+        if t.shift != 1j * k:
+            raise ValueError(f"only shifts at whole multiples of i can be gauged, got {t.shift}")
+        for j in range(abs(k)):
+            if k > 0:
+                c = c * polynomial([1j * (j + 1), 1.0]) * monomial(-1, at=1j * (a - (j + 1))) \
+                    * monomial(-1, at=1j * (nu - (j + 1)))
             else:
-                kept.append(1j * (q[0] + q[1]))
-        for q in poles:
-            order[q] = order.get(q, 0) + 1
-        first = len(factors)
-        for m, c in t.coeff.monomials.items():
-            m = dict(m)
-            factors.append([1j * j for (q, j), e in lift.items()
-                            for _ in range(int(m.get(q, 0)) + e)] + kept)
-            weights.append(scale * c)
-        terms.append((t.shift, first, len(factors), {q: e for q, e in order.items() if e}))
-    # one row per monomial, the product of its factors (rho - q) taken one at
-    # a time over all rows, a row short of factors multiplied by 1; its sizes
-    # alike from the factors (rho + |q|), on the second plane
-    depth = max(map(len, factors))
-    low = np.array([[-q for q in roots] + [1.0] * (depth - len(roots)) for roots in factors]).T
-    high = np.array([[1.0] * len(roots) + [0.0] * (depth - len(roots)) for roots in factors]).T
-    low, high = np.stack((low, np.abs(low)), axis=1), high[:, None]
-    rows = np.zeros((2, len(factors), depth + 1), dtype=complex)
-    rows[:, :, 0] = 1.0
-    for u, v in zip(low, high):
-        rows[:, :, 1:] = u[..., None] * rows[:, :, 1:] + v[..., None] * rows[:, :, :-1]
-        rows[:, :, 0] *= u
-    rows, sizes = rows[0], rows[1]
-    # each term's monomials summed with their weights, in one product (in
-    # complex arithmetic, where np.einsum calls no BLAS)
-    summing = np.zeros((len(terms), len(factors)), dtype=complex)
-    for t, (_, first, last, _) in enumerate(terms):
-        summing[t, first:last] = weights[first:last]
-    numerators = np.einsum("tm,mj->tj", summing, rows)
-    sizes = np.einsum("tm,mj->tj", np.abs(summing), sizes, dtype=complex).real
-    out = {}
-    for t, (shift, first, last, poles) in enumerate(terms):
-        width = 1 + max(len(f) for f in factors[first:last])
-        out[shift] = (numerators[t, :width], sizes[t, :width], poles)
-    return out
-
-
-def _whole(shift) -> int:
-    """The integer k of shift = k i; ValueError for any other shift."""
-    k = round(shift.imag)
-    if shift != 1j * k:
-        raise ValueError(f"only shifts and poles at whole multiples of i can be gauged, "
-                         f"got {shift}")
-    return k
+                c = c * polynomial([-1j * (a + j), 1.0]) * polynomial([-1j * (nu + j), 1.0]) \
+                    * monomial(-1, at=1j * j)
+        terms.append(Term((-1j / w0) ** k * c if k > 0 else (1j * w0) ** -k * c, t.shift))
+    return DifferenceOperator(terms)
 
 
 def eigenfunction_rel(model: RelModel, n: int) -> RelEigenState:
@@ -404,11 +318,12 @@ def eigenfunction_rel(model: RelModel, n: int) -> RelEigenState:
 
 
 def ladder_norm_constant(model: RelModel, n: int) -> float:
-    """N_n^{-1} = (2 omega0)^n sqrt(n! (alpha+nu+1)_n (alpha+1/2)_n (nu+1/2)_n)."""
+    """N_n^{-1} = (2 omega0)^n sqrt(n! (alpha+nu)_n (alpha+1/2)_n (nu+1/2)_n),
+    so that ||N_n (B^+)^n phi_0|| = ||phi_0|| under d rho on (0, inf)."""
     a, nu, w0 = model.alpha, model.nu, model.omega0
     inv = (2.0 * w0) ** n * math.sqrt(
         math.factorial(n)
-        * pochhammer(a + nu + 1.0, n).real
+        * pochhammer(a + nu, n).real
         * pochhammer(a + 0.5, n).real
         * pochhammer(nu + 0.5, n).real
     )

@@ -22,12 +22,13 @@ def _laguerre(n, d=MODEL.d):
 
 
 def _powers(f):
-    """{p: c_p} of a Laurent sum sum_p c_p z^p, read off its monomials; None
-    for any other function."""
-    monomials = f.monomials
-    if monomials is None or any(q != 0 for m in monomials for q, _ in m):
+    """{p: c_p} of a Laurent sum sum_p c_p z^p, c_p != 0, read off its
+    numerator over z^k; None for any other function."""
+    r = f.rational
+    if r is None or any(q != 0 for q, _ in r.poles):
         return None
-    return {dict(m).get(0j, 0): c for m, c in monomials.items()}
+    k = r.poles[0][1] if r.poles else 0
+    return {j - k: complex(c) for j, c in enumerate(r.rows[0]) if c != 0}
 
 
 def _act(op, g):

@@ -17,7 +17,7 @@ a group's time is the sum of its checks'.  Then times one scalar B+ tower call a
 and 14, split into the leaf (the base at its shifted points), the
 coefficient block (one call of the operator's batched coefficients) and
 the steps (the rest of the call), each the mean over 20 calls, and one
-`rel.ladder_B` build.  Then times a fresh `python -m fdosc.cli verify
+build of every rel operator the suite reads (`rel_operators`).  Then times a fresh `python -m fdosc.cli verify
 --format json` process, imports included, on the fdosc this script
 imported, and reads each process's peak RSS from os.wait4.  Each setting
 runs once as a warm-up, then REPEATS times (default 11).  Run it on two
@@ -94,6 +94,15 @@ def check_timings(repeats: int) -> dict[str, dict[str, list[float]]]:
             setattr(harness, f"_checks_{group}", check_group)
     return {group: {check_id: seconds[1:] for check_id, seconds in checks.items()}
             for group, checks in spent.items()}
+
+
+def rel_operators(model) -> tuple:
+    """Every rel operator the suite reads, built as it builds them: H, P,
+    b-+, B-+, the printed and compact forms, and the right-hand sides of
+    the two printed commutators."""
+    return (rel.hamiltonian_rel(model), rel.momentum_P(model), rel.ladder_b(model),
+            rel.ladder_B(model), rel.printed_tail(model), rel.ladder_B_compact(model),
+            rel.bb_commutator_rhs(model), rel.BB_commutator_rhs(model))
 
 
 def _per_call(fn, repeats: int) -> list[float]:
@@ -177,8 +186,8 @@ def main(argv) -> int:
             print(_summary(f"B+ tower level {level:2d}  {layer:12s}", seconds, "us", 1e6),
                   flush=True)
     model = rel.make_rel_model(*COUPLING)
-    print(_summary("rel.ladder_B build               ",
-                   _per_call(lambda: rel.ladder_B(model), repeats), "us", 1e6), flush=True)
+    print(_summary("rel operators build              ",
+                   _per_call(lambda: rel_operators(model), repeats), "us", 1e6), flush=True)
     secs, peaks = process_timings(repeats)
     print(_summary("verify process, fresh interpreter", secs), flush=True)
     print(_summary("verify process, peak RSS         ", peaks, "MB", 1.0), flush=True)
