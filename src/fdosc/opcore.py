@@ -402,7 +402,7 @@ class DifferenceOperator:
         return DifferenceOperator(self.terms + other.terms)
 
     def __sub__(self, other):
-        return DifferenceOperator([*self.terms, *(Term(-t.coeff, t.shift) for t in other.terms)])
+        return self + (-other)
 
     def __neg__(self):
         return DifferenceOperator(Term(-t.coeff, t.shift) for t in self.terms)
