@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import fdosc
-from fdosc import cli, harness, nonrel, planewave, rel, specfun
+from fdosc import cli, harness, nonrel, opcore, planewave, rel, specfun
 from fdosc.harness import CheckResult, VerificationReport
 from fdosc.opcore import (
     DifferenceOperator,
@@ -1005,6 +1005,21 @@ def test_identity_residual_scales_by_the_parts_that_cancel():
                 mul_op(-(1.0 + d) * 1j * monomial(-1) * monomial(-1, at=-1j)).terms)
     assert harness._operator_residual(*parts(0.0)) == 0.0
     assert harness._operator_residual(*parts(1e-3)) == pytest.approx(1e-3 / 3.001, rel=1e-12)
+
+
+def test_operator_identities_read_no_grid(monkeypatch):
+    # the rel and plane-wave identities read coefficients alone: no rational
+    # function is evaluated at any point on the way
+    def refuse(rationals):
+        raise AssertionError("an identity evaluated a coefficient")
+
+    monkeypatch.setattr(opcore, "_evaluator", refuse)
+    model = rel.make_rel_model(0.6, 0.2)
+    H, (B_minus, B_plus) = rel.hamiltonian_rel(model), rel.ladder_B(model)
+    assert harness._operator_residual(
+        harness._rel_bracket(H, B_minus), (2.0 * model.omega0 * B_minus).terms) < 1e-15
+    assert harness._operator_residual(
+        harness._rel_bracket(B_minus, B_plus), (-rel.BB_commutator_rhs(model)).terms) < 1e-15
 
 
 @pytest.mark.parametrize("pointwise", [False, True])
