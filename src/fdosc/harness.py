@@ -14,14 +14,14 @@ An operator identity is read on the operator, with no grid: a rel
 DifferenceOperator is merged by shift, each coefficient rational in one
 canonical form (opcore), and a nonrel operator is a dict keyed by (order
 of D, power of xi), so an identity holds exactly when every merged
-coefficient vanishes.  `_reduce` reads it per key, scaled by the size of
-the parts that cancel: `_operator_residual` feeds it the rel and
-plane-wave coefficients keyed by (shift, power), `_laurent_residual` the
-nonrel ones.  The eigenstate checks read coefficients too: of L_n^d(xi^2)
-in the ground-state gauge psi = psi_0 g, and of S_n(rho^2) in the P gauge
-phi = P S (see "the P gauge" below), but for the half-shift readings
-rel_factorization_eigen and b- phi_0, and the leaf phi_n itself, which
-rel_eigen_equation reads on the grid.
+coefficient vanishes.  Each power of a merged coefficient is read over
+the parts that cancel there: `_operator_residual` reads the rel and
+plane-wave ones, `_laurent_residual` the nonrel ones.  The eigenstate
+checks read coefficients too: of L_n^d(xi^2) in the ground-state gauge
+psi = psi_0 g, and of S_n(rho^2) in the P gauge phi = P S (see "the P
+gauge" below), but for the half-shift readings rel_factorization_eigen and
+b- phi_0, and the leaf phi_n itself, which rel_eigen_equation reads on the
+grid.
 
 Reports are deterministic: the specfun samples come from the stdlib
 random.Random at the fixed seed _SEED, so identical inputs give
@@ -47,7 +47,6 @@ import numpy as np
 from . import nonrel, planewave, rel, specfun
 from .errors import EvaluationError
 from .opcore import (
-    DifferenceOperator,
     compose,
     coordinate,
     default_grid,
@@ -62,6 +61,11 @@ from .opcore import (
 
 _SQRT2 = math.sqrt(2.0)
 _SEED = 20260824
+
+# What a rel coefficient's rounding can leave of an exact identity, per unit
+# of its sizes: 1.1 eps at most over 68 couplings (omega0 0.01 to 3, g0
+# 1e-9 to 1000) in the five hard rel identities
+_ROUNDING = 16.0 * np.finfo(float).eps
 
 # The eigen-equation checks read levels n <= max(n_max, BASE_LEVEL);
 # rel_casimir reads n <= BASE_LEVEL whatever n_max is.
@@ -271,9 +275,9 @@ def _bracket(X, Y):
     return nonrel.compose(X, Y), nonrel.scaled(-1.0, nonrel.compose(Y, X))
 
 
-def _rel_bracket(X, Y) -> list:
-    """The terms of [X, Y] = XY + (-Y)X for rel operators, not yet merged."""
-    return [*products(X, Y), *products(-Y, X)]
+def _rel_bracket(X, Y) -> tuple:
+    """[X, Y] of rel operators as the unmerged terms of XY and of (-Y)X."""
+    return list(products(X, Y)), list(products(-Y, X))
 
 
 def _reduce(readings) -> float:
@@ -291,12 +295,23 @@ def _reduce(readings) -> float:
 
 
 def _operator_residual(*parts) -> float:
-    """Residual of the rel identity sum(parts) = 0, each part an operator's
-    terms or _rel_bracket's, keyed by (shift, power): the terms at a shift
-    summed over their common denominator, with the sizes of their algebra."""
-    total = DifferenceOperator(t for part in parts for t in part)
-    return _reduce(((t.shift, p), c, size.real) for t in total.terms
-                   for p, (c, size) in enumerate(zip(*t.coeff.rational.rows.tolist())))
+    """Residual of the rel identity sum(parts) = 0, parts of terms summed
+    part by part over each shift's common denominator (opcore.lifted): each
+    power's sum over its sizes, as _reduce reads, or, less the rounding they
+    allow (_ROUNDING), over the parts' magnitudes, whichever reads larger."""
+    at: dict = {}
+    for i, t in [(i, t) for i, part in enumerate(parts) for t in part]:
+        at.setdefault(t.shift, []).append((i, t.coeff.rational))
+    worst = 0.0
+    for items in at.values():
+        lifts, _ = lifted([r for _, r in items])
+        sums = np.zeros((len(parts), 2, max(rows.shape[1] for rows in lifts)), dtype=complex)
+        for (i, _), rows in zip(items, lifts):  # each part's numerator and sizes
+            sums[i, :, :rows.shape[1]] += rows
+        total, sizes = np.abs(sums[:, 0].sum(axis=0)), sums[:, 1].real.sum(axis=0)
+        excess = np.maximum(total - _ROUNDING * sizes, 0.0) / (1.0 + np.abs(sums[:, 0]).sum(axis=0))
+        worst = max(worst, np.max(np.maximum(excess, total / (1.0 + sizes))))
+    return float(worst)
 
 
 def _laurent_residual(*parts) -> float:
@@ -713,8 +728,7 @@ def _checks_rel(omega0: float, g0: float, levels: dict, pts):
     bb, offset = compose(b_plus, b_minus), (w0 * (a + nu)) * identity_op()
     yield "rel_factorization_eigen", params, _eigen_residual(
         bb + offset, Phi, levels["rel_factorization_eigen"], E, psi, pts)
-    yield "rel_factorization_random", params, _operator_residual(
-        bb.terms, offset.terms, (-H).terms)
+    yield "rel_factorization_random", params, _operator_residual(bb.terms, offset.terms, (-H).terms)
 
     # B+ S_n = c+_n S_(n+1) and B- S_n = c-_n S_(n-1), with B- S_0 = 0: each
     # ratio measured, and each image read against its ratio times S_(n+-1)
@@ -733,26 +747,25 @@ def _checks_rel(omega0: float, g0: float, levels: dict, pts):
         float(np.max(np.abs(b_minus(phi0)(pts)) / np.max(np.abs(psi[ground])))), ground_row[0])
 
     yield "rel_lowering_commutator", params, _operator_residual(
-        _rel_bracket(H, B_minus), (2.0 * w0 * B_minus).terms)
+        *_rel_bracket(H, B_minus), (2.0 * w0 * B_minus).terms)
     yield "rel_raising_commutator", params, _operator_residual(
-        _rel_bracket(H, B_plus), (-2.0 * w0 * B_plus).terms)
+        *_rel_bracket(H, B_plus), (-2.0 * w0 * B_plus).terms)
 
-    Bm_printed = B_minus + rel.printed_tail(model)  # rel.ladder_B_printed's, not built anew
+    Bm_printed = B_minus + rel.printed_tail(model)  # the printed pair's B-
     yield "rel_lowering_commutator_uncorrected", params, _operator_residual(
-        _rel_bracket(H, Bm_printed), (2.0 * w0 * Bm_printed).terms)
+        *_rel_bracket(H, Bm_printed), (2.0 * w0 * Bm_printed).terms)
 
     yield "rel_momentum_commutator", params, _operator_residual(
-        _rel_bracket(mul_op(coordinate()), H), (-1j * P).terms)
+        *_rel_bracket(mul_op(coordinate()), H), (-1j * P).terms)
 
     yield "rel_pair_commutator_printed", params, _operator_residual(
-        _rel_bracket(b_minus, b_plus), (-rel.bb_commutator_rhs(model)).terms)
+        *_rel_bracket(b_minus, b_plus), (-rel.bb_commutator_rhs(model)).terms)
 
     yield "rel_two_step_commutator", params, _operator_residual(
-        _rel_bracket(B_minus, B_plus), (-rel.BB_commutator_rhs(model)).terms)
+        *_rel_bracket(B_minus, B_plus), (-rel.BB_commutator_rhs(model)).terms)
 
-    Bm_compact, _ = rel.ladder_B_compact(model)
     yield "rel_compact_form_comparison", params, _operator_residual(
-        Bm_compact.terms, (-B_minus).terms)
+        rel.ladder_B_compact(model)[0].terms, (-B_minus).terms)
 
     def against(measured, expected, levels, unit=None):
         """max over the levels of |measured - expected| / |unit| (the

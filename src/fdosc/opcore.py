@@ -172,11 +172,11 @@ def _product(a: Rational, b: Rational) -> Rational:
     cancels one order of the other's pole r; otherwise the numerators and
     their sizes convolve and the pole orders add."""
     for x, y in ((a, b), (b, a)):
-        orders = dict(y.poles)
-        if x.rows.shape[1] == 2 and not x.poles and x.rows[0, 1] != 0 \
-                and (root := complex(-x.rows[0, 0] / x.rows[0, 1])) in orders:
-            orders[root] -= 1
-            return Rational(x.rows[:, 1:] * y.rows, tuple((q, k) for q, k in orders.items() if k))
+        if y.poles and x.rows.shape[1] == 2 and not x.poles and x.rows[0, 1] != 0:
+            orders, root = dict(y.poles), complex(-x.rows[0, 0] / x.rows[0, 1])
+            if root in orders:
+                orders[root] -= 1
+                return Rational(x.rows[:, 1:] * y.rows, tuple(p for p in orders.items() if p[1]))
     if not (a.poles and b.poles):  # already in order
         return Rational(_convolved(a.rows, b.rows), a.poles or b.poles)
     orders = dict(a.poles)
@@ -238,8 +238,8 @@ def _taylor(n: int, a: complex) -> np.ndarray:
 
 
 def _ordered(orders: dict) -> tuple:
-    """The (pole, order) items in pole order."""
-    return tuple(sorted(orders.items(), key=_key_order))
+    """The items of a dict keyed by shift or pole, in their order (_shift_order)."""
+    return tuple(sorted(orders.items(), key=lambda item: _shift_order(item[0])))
 
 
 def _checked_values(evaluate, pts):
@@ -383,7 +383,7 @@ class DifferenceOperator:
         for t in terms:
             merged.setdefault(complex(t.shift), []).append(_as_function(t.coeff))
         self.terms = tuple([Term(coeffs[0] if len(coeffs) == 1 else _merged(coeffs), shift)
-                            for shift, coeffs in sorted(merged.items(), key=_key_order)])
+                            for shift, coeffs in _ordered(merged)])
 
     @functools.cached_property
     def coefficient_batch(self):
@@ -425,11 +425,6 @@ def _merged(coeffs) -> AnalyticFunction:
 def _shift_order(shift):
     """Shifts, and poles, in order of imaginary part, then of real part."""
     return shift.imag, shift.real
-
-
-def _key_order(item):
-    """(shift or pole, value) items in order of their key (_shift_order)."""
-    return item[0].imag, item[0].real
 
 
 class _Tower:

@@ -154,8 +154,7 @@ def ladder_B(model: RelModel) -> tuple[DifferenceOperator, DifferenceOperator]:
 
     The H^2 term must enter with the rest energy subtracted, (H^2 - 1);
     without the extra scalar 1/(2 omega0) the commutator [H, B^-] misses
-    -2 omega0 B^- by exactly that constant (see ladder_B_printed for the
-    uncorrected variant, kept for the discrepancy report).
+    -2 omega0 B^- by exactly that constant (printed_tail).
 
     B^+ is the formal conjugate under the natural pairing where e^{-i/2 d}
     and H are self-adjoint and (i rho)* = -i rho:
@@ -174,15 +173,8 @@ def ladder_B(model: RelModel) -> tuple[DifferenceOperator, DifferenceOperator]:
             compose(bracket_plus, mul_op(-1j * coordinate())) + scalar_tail)
 
 
-def ladder_B_printed(model: RelModel) -> tuple[DifferenceOperator, DifferenceOperator]:
-    """The same pair with the H^2 term taken literally (no rest-energy
-    subtraction): ladder_B plus printed_tail."""
-    tail = printed_tail(model)
-    return tuple(B + tail for B in ladder_B(model))
-
-
 def printed_tail(model: RelModel) -> DifferenceOperator:
-    """What the literal H^2/(2 omega0) tail adds to B-+: -1/(2 omega0)."""
+    """-1/(2 omega0): B-+ plus this is the printed pair, its H^2 tail literal."""
     return mul_op(-0.5 / model.omega0)
 
 

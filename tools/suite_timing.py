@@ -17,9 +17,10 @@ a group's time is the sum of its checks'.  Then times one scalar B+ tower call a
 and 14, split into the leaf (the base at its shifted points), the
 coefficient block (one call of the operator's batched coefficients) and
 the steps (the rest of the call), each the mean over 20 calls, and one
-build of every rel operator the suite reads (`rel_operators`).  Then times a fresh `python -m fdosc.cli verify
---format json` process, imports included, on the fdosc this script
-imported, and reads each process's peak RSS from os.wait4.  Each setting
+build of every rel operator the suite reads (`rel_operators`).  Then times
+a fresh `python -m fdosc.cli verify --format json` process, imports
+included, on the fdosc this script imported, and reads each process's
+peak RSS from os.wait4.  Each setting
 runs once as a warm-up, then REPEATS times (default 11).  Run it on two
 source trees to compare them.
 """
