@@ -557,6 +557,7 @@ def _apply(parts, state):
     summed term by term in order, then part by part."""
     g, size = state if isinstance(state, tuple) else (state, _sizes(state))
     derivatives = [g]  # D^m g for m = 0, 1, ...: a constant term drops out
+    falling = {}  # order m -> |r(r-1)...(r-m+1)| for each power r of size, in order
     image, sizes = {}, {}
     for part in parts:
         total = {}
@@ -565,9 +566,10 @@ def _apply(parts, state):
                 derivatives.append({p - 1: p * c for p, c in derivatives[-1].items() if p})
             for p, v in derivatives[m].items():
                 total[q + p] = total.get(q + p, 0) + c * v
-            for r, s in size.items():
-                falling = abs(math.prod(r - i for i in range(m)))
-                sizes[r - m + q] = sizes.get(r - m + q, 0.0) + abs(c) * falling * s
+            if m not in falling:
+                falling[m] = [abs(math.prod(r - i for i in range(m))) for r in size]
+            for (r, s), f in zip(size.items(), falling[m]):
+                sizes[r - m + q] = sizes.get(r - m + q, 0.0) + abs(c) * f * s
         for p, v in total.items():
             image[p] = image.get(p, 0) + v
     return {p: c for p, c in image.items() if c != 0}, sizes

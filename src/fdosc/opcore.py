@@ -21,10 +21,12 @@ the same operator object to it again extends the node, so (B^+)^n phi_0 is
 one node: a call evaluates phi_0 once at z + S_n, S_n the shift sums, and
 the operator's ``coefficient_batch`` once at z plus every shift sum below
 n, then steps down to z, each step one gather and one multiply-add over
-all terms, summed in order.  A function may be batched, values (*B,
-len(z)): op(F) evaluates the coefficients once for all rows, and its row i
-holds the floats op(F[i]) gives; F[i] and F[a:b] are rows taken lazily, so
-a function is not iterable.
+all terms, summed in order.  A node keeps one shift set and one gather
+per application and is laid out at its first call, so building (B^+)^n
+phi_0 level by level lays out only the node that is called.  A function
+may be batched, values (*B, len(z)): op(F) evaluates the coefficients once
+for all rows, and its row i holds the floats op(F[i]) gives; F[i] and
+F[a:b] are rows taken lazily, so a function is not iterable.
 """
 
 from __future__ import annotations
@@ -427,61 +429,78 @@ def _shift_order(shift):
     return shift.imag, shift.real
 
 
+class _Layout(NamedTuple):
+    """Where a tower's values sit: the shift sums the coefficients act at
+    (union), those the base acts at (base_shifts, a column), and the steps in
+    the order they run, from level p - 1 down to 0, each (the place of S_j
+    in union, the gather from S_(j+1))."""
+    union: np.ndarray
+    base_shifts: np.ndarray
+    plan: tuple
+
+
 class _Tower:
     """Values of op^p f: p applications of one operator object as one node.
 
     S_j lists the distinct shift sums of j applications, S_0 = [0] and
     S_(j+1) = S_j + shifts, each in order of shift (_shift_order);
     steps[j][t, k] is the index of S_j[k] plus the shift of term t in
-    S_(j+1), so one gather reads every term's shifted values.  The base acts
-    at z + S_p, the coefficients at z + union, union = S_0 | ... | S_(p-1) in
-    the same order; at_union[j] places S_j in it, as a slice when S_j is a
-    run of it, as it is for shifts along one line.
+    S_(j+1), so one gather reads every term's shifted values.  A node keeps
+    only these, one level and one step per application, and is laid out
+    (``layout``) at its first call: the base acts at z + S_p, the
+    coefficients at z + union, union = S_0 | ... | S_(p-1) in the same
+    order, and each S_j is placed in it, as a slice when S_j is a run of it,
+    as it is for shifts along one line.  So a node p applications deep is
+    laid out once, not once per application.
     """
 
     def __init__(self, op: DifferenceOperator, f_values):
         self.op = op
         inner = f_values if isinstance(f_values, _Tower) and f_values.op is op else None
         if inner is None:
-            self.base, levels, steps = f_values, [[0j]], []
+            self.base, levels, steps = f_values, ((0j,),), ()
         else:
-            self.base, levels, steps = inner.base, list(inner.levels), list(inner.steps)
+            self.base, levels, steps = inner.base, inner.levels, inner.steps
         last = levels[-1]
         # terms that share a shift share their entries of S_(j+1)
-        following = sorted({s + t.shift for t in op.terms for s in last}, key=_shift_order)
+        following = tuple(sorted({s + t.shift for t in op.terms for s in last}, key=_shift_order))
         index = dict(zip(following, itertools.count()))
-        steps.append(np.array([[index[s + t.shift] for s in last] for t in op.terms],
-                              dtype=np.intp).reshape(len(op.terms), len(last)))
-        levels.append(following)
-        union = sorted(set().union(*levels[:-1]), key=_shift_order)
+        self.levels = levels + (following,)
+        self.steps = steps + (np.array([[index[s + t.shift] for s in last] for t in op.terms],
+                                       dtype=np.intp).reshape(len(op.terms), len(last)),)
+
+    @functools.cached_property
+    def layout(self) -> _Layout:
+        """The node's _Layout, built at its first call and kept."""
+        union = sorted(set().union(*self.levels[:-1]), key=_shift_order)
         place = dict(zip(union, itertools.count()))
-        self.levels, self.steps = levels, steps
-        self.at_union = [_run([place[s] for s in level]) for level in levels[:-1]]
-        self.union = np.array(union, dtype=complex)
-        self.base_shifts = np.array(following, dtype=complex)[:, None]
+        at_union = [_run([place[s] for s in level]) for level in self.levels[:-1]]
+        return _Layout(np.array(union, dtype=complex),
+                       np.array(self.levels[-1], dtype=complex)[:, None],
+                       tuple(zip(at_union, self.steps))[::-1])
 
     def coefficients(self, z):
         """The coefficient values at z + union on a term axis, shape (terms,
         |union|, len(z)), shared by every row of a batched base: one call of
         the operator's coefficient_batch."""
-        n = len(z)
-        points = z if len(self.union) == 1 else (z + self.union[:, None]).reshape(-1)
-        return self.op.coefficient_batch(points).reshape(len(self.op.terms), len(self.union), n)
+        n, union = len(z), self.layout.union
+        points = z if len(union) == 1 else (z + union[:, None]).reshape(-1)
+        return self.op.coefficient_batch(points).reshape(len(self.op.terms), len(union), n)
 
     def __call__(self, z):
         """The base once at z + S_p, then p steps over all terms and rows."""
         n = len(z)
-        values = self.base((z + self.base_shifts).reshape(-1))
-        values = values.reshape(values.shape[:-1] + (len(self.base_shifts), n))
+        _, base_shifts, plan = self.layout
+        values = self.base((z + base_shifts).reshape(-1))
+        values = values.reshape(values.shape[:-1] + (len(base_shifts), n))
         block = self.coefficients(z)
-        for j in reversed(range(len(self.steps))):
+        for at, step in plan:
             # values holds the values at z + S_(j+1), shape (*B, |S_(j+1)|, n);
             # the gather gives term t's shifted values at z + S_j on axis -3
             # (a ufunc call, not *: for a large temporary operand numpy computes
             # a * b as b * a in place, and its complex product is not commutative
             # in the last bit), summed over terms in order
-            values = _summed(np.multiply(block[:, self.at_union[j]],
-                                         values[..., self.steps[j], :]), -3)
+            values = _summed(np.multiply(block[:, at], values[..., step, :]), -3)
         return values.reshape(values.shape[:-2] + (n,))
 
 

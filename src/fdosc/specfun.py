@@ -5,17 +5,20 @@ approximation (g = 607/128, 15 coefficients; Lanczos, SIAM J. Numer.
 Anal. B 1 (1964) 86-96) with reflection for the left half-plane, and keeps
 a continuous branch for re(z) > 0 so that ratios of huge gamma values can
 be formed in log space; gamma is exp(log_gamma).  A call maps every point
-to one Lanczos argument and runs one Lanczos sum over all of them, in
-blocks of _BLOCK points; the strip and reflection terms are then applied
-under masks.
+to one Lanczos argument and runs one Lanczos sum over all of them, one
+block for a call of at most _BLOCK points and blocks of _BLOCK points for
+a longer one.  Only the branches that some point takes cost anything: the
+argument is z itself when every point is right of the strip, and the strip
+and reflection terms are formed for the points that take them alone.
 
 log_gamma, gamma, pochhammer, generalized_degree, cdhahn_complex and
 cdhahn_rows evaluate arrays: a scalar argument gives a complex, an array
 (or sequence) gives an ndarray of its shape, computed by numpy calls over
-all points at once.  There is no separate scalar path.  A pole anywhere in
-the array raises PoleError naming that point; each call scans its points
-once, and gamma and generalized_degree share log_gamma's sum but not its
-scan.
+all points at once.  There is no separate scalar path, and a point's value
+never depends on the other points of the call.  A pole anywhere in the
+array raises PoleError naming the first pole; only the points within
+1e-12 of the real axis are looked at for poles.  gamma and
+generalized_degree share log_gamma's sum but not its pole scan.
 
 The continuous dual Hahn polynomials come two ways.  cdhahn_rows gives
 S_0 .. S_n on a leading axis from one pass of their three-term recurrence
@@ -75,28 +78,41 @@ def _shaped(w, shape):
     return complex(w[0]) if shape == () else w.reshape(shape)
 
 
-def _nonpositive_integers(z, tol: float = 1e-12):
-    """Mask of the points within tol of 0, -1, -2, ..."""
-    return (np.abs(z.imag) <= tol) & (z.real <= tol) & (np.abs(z.real - np.round(z.real)) <= tol)
+def _first_pole(z, tol: float = 1e-12):
+    """The index of the first point within tol of 0, -1, -2, ..., or None.
+    Only the points within tol of the real axis are looked at further."""
+    near = (np.abs(z.imag) <= tol).nonzero()[0]
+    if len(near):
+        x = z.real[near]
+        bad = near[(x <= tol) & (np.abs(x - np.round(x)) <= tol)]
+        if len(bad):
+            return int(bad[0])
+    return None
 
 
 def _reject_poles(z, name: str):
-    bad = _nonpositive_integers(z)
-    if bad.any():
-        raise PoleError(f"{name} pole at z = {complex(z[bad][0])}")
+    i = _first_pole(z)
+    if i is not None:
+        raise PoleError(f"{name} pole at z = {complex(z[i])}")
 
 
 def _log_gamma_right(z):
     # Lanczos series, valid for re(z) >= 0.5.  The (points, 14) broadcast
     # of the sum is formed _BLOCK points at a time, so its temporary stays
-    # at most _BLOCK * 14 complex values however many points come in.
+    # at most _BLOCK * 14 complex values however many points come in; a
+    # call of at most _BLOCK points is that one block, with no buffer to
+    # fill.  Either way each row is summed alone, by the same reduction.
     zm = z - 1.0
-    s = np.empty_like(zm)
-    buf = np.empty((min(len(zm), _BLOCK), len(_LANCZOS_TAIL)), dtype=complex)
-    for lo in range(0, len(zm), _BLOCK):
-        part = zm[lo:lo + _BLOCK]
-        terms = np.add(part[:, None], _LANCZOS_K, out=buf[:len(part)])
-        np.divide(_LANCZOS_TAIL, terms, out=terms).sum(axis=1, out=s[lo:lo + len(part)])
+    if len(zm) <= _BLOCK:
+        terms = zm[:, None] + _LANCZOS_K
+        s = np.divide(_LANCZOS_TAIL, terms, out=terms).sum(axis=1)
+    else:
+        s = np.empty_like(zm)
+        buf = np.empty((_BLOCK, len(_LANCZOS_TAIL)), dtype=complex)
+        for lo in range(0, len(zm), _BLOCK):
+            part = zm[lo:lo + _BLOCK]
+            terms = np.add(part[:, None], _LANCZOS_K, out=buf[:len(part)])
+            np.divide(_LANCZOS_TAIL, terms, out=terms).sum(axis=1, out=s[lo:lo + len(part)])
     s += _LANCZOS_C[0]
     t = zm + _LANCZOS_G + 0.5
     return _LOG_SQRT_TWO_PI + (zm + 0.5) * np.log(t) - t + np.log(s)
@@ -133,13 +149,23 @@ def log_gamma(z):
 
 
 def _log_gamma(z):
-    """log_gamma of a 1-d array already scanned for poles."""
-    left = z.real <= 0.0
-    strip = ~((z.real >= 0.5) | left)
-    out = _log_gamma_right(np.where(left, 1.0 - z, np.where(strip, z + 1.0, z)))
-    if strip.any():
+    """log_gamma of a 1-d array already scanned for poles.  A branch that no
+    point takes costs nothing: the Lanczos argument is z itself when every
+    point is right of the strip, and the strip and reflection terms are
+    formed only for the points that take them."""
+    x = z.real
+    left = x <= 0.0
+    strip = ~((x >= 0.5) | left)
+    in_strip, in_left = strip.any(), left.any()
+    w = z
+    if in_strip:
+        w = np.where(strip, z + 1.0, w)
+    if in_left:
+        w = np.where(left, 1.0 - z, w)
+    out = _log_gamma_right(w)
+    if in_strip:
         out[strip] -= np.log(z[strip])
-    if left.any():
+    if in_left:
         out[left] = _LOG_PI - _log_sin_pi(z[left]) - out[left]
     return out
 
@@ -176,9 +202,9 @@ def generalized_degree(rho, lam):
     rho, lam = rho.reshape(-1), lam.reshape(-1)
     num = lam - 1j * rho
     den = -1j * rho
-    bad = _nonpositive_integers(num) | _nonpositive_integers(den)
-    if bad.any():
-        i = int(bad.argmax())
+    poles = [i for i in (_first_pole(num), _first_pole(den)) if i is not None]
+    if poles:
+        i = min(poles)
         raise PoleError(f"generalized_degree pole: rho={complex(rho[i])}, lam={complex(lam[i])}")
     out = np.exp(1j * math.pi * lam / 2.0) * np.exp(_log_gamma(num) - _log_gamma(den))
     return _shaped(out, shape)

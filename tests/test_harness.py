@@ -811,6 +811,13 @@ def test_suite_timing_tool_times_and_restores_the_cap(monkeypatch, capsys):
     for level in layers.values():
         assert list(level) == ["call", "leaf", "coefficients", "steps"]
         assert min(level["call"] + level["leaf"] + level["coefficients"]) > 0.0
+    states = tool.ladder_states(1)
+    assert list(states) == list(tool.TOWER_LEVELS)
+    for parts in states.values():
+        assert list(parts) == ["build", "first call"]
+        assert all(len(seconds) == 1 and seconds[0] > 0.0 for seconds in parts.values())
+    leaf = tool.leaf_call(1)
+    assert len(leaf) == 1 and leaf[0] > 0.0
     # the build line times every rel operator builder, a function of the
     # model alone, that the rel checks call
     def builders(run):

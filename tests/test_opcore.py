@@ -176,14 +176,15 @@ def test_jet_derivatives_match_mpmath(name, f, ref):
 
 def test_array_evaluation_equals_pointwise():
     # a tower sums its terms in order at any number of points, so a point
-    # alone gives the floats it gives inside an array, bit for bit
+    # alone gives the floats it gives inside an array, bit for bit; up to
+    # the rel-tower benchmark's top level, with the node it reads there
     for omega0, g0 in ((0.6, 0.2), (0.5, 0.1)):
         model = rel.make_rel_model(omega0, g0)
         H = rel.hamiltonian_rel(model)
         _, B_plus = rel.ladder_B(model)
         state = rel.eigenfunction_rel(model, 0).wavefunction
-        for n in range(10):
-            for f in (state, H(state)):
+        for n in range(15):
+            for f in (state, H(state), H(rel.ladder_norm_constant(model, n) * state)):
                 values = f(GRID)
                 assert values.shape == GRID.shape
                 pointwise = [f(p) for p in GRID]

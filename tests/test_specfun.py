@@ -139,6 +139,43 @@ def test_log_gamma_of_stacked_rows_equals_row_calls():
         assert np.array_equal(got, specfun.log_gamma(row))
 
 
+def _branch_batches():
+    """Batches of log_gamma points by the branches they take: right of the
+    strip, on it, left of it, all three, longer than a Lanczos block, and
+    with points within 1e-12 of the real axis that are not poles."""
+    rng = np.random.default_rng(41)
+    im = rng.uniform(-30.0, 30.0, 40)
+    right = rng.uniform(0.5, 12.0, 40) + 1j * im
+    strip = rng.uniform(0.01, 0.49, 40) + 1j * im
+    left = rng.uniform(-12.0, 0.0, 40) + 1j * im
+    mixed = rng.permutation(np.concatenate([right[:10], strip[:10], left[:10]]))
+    long = rng.permutation(np.concatenate([right, strip, left] * 3))
+    assert len(long) > specfun._BLOCK
+    near = np.array([-2.5, 0.3, -2.5 + 1e-13j, 0.3 - 1e-13j, -7.5 - 1e-12j])
+    return {"right": right, "strip": strip, "left": left, "mixed": mixed, "long": long,
+            "near axis": near, "near axis mixed": np.concatenate([near, mixed])}
+
+
+@pytest.mark.parametrize("kind", list(_branch_batches()))
+def test_log_gamma_gives_a_point_alone_its_bits_in_a_batch(kind):
+    z = _branch_batches()[kind]
+    alone = np.array([specfun.log_gamma(p) for p in z])
+    assert specfun.log_gamma(z).tobytes() == alone.tobytes()
+
+
+def test_a_batch_names_its_first_pole():
+    with pytest.raises(PoleError, match=r"^log_gamma pole at z = \(-3\+0j\)$"):
+        specfun.log_gamma([0.5 + 1j, -3.0])
+    with pytest.raises(PoleError, match=r"^log_gamma pole at z = \(-1\+1e-13j\)$"):
+        specfun.log_gamma([-2.5, 0.3 + 1e-13j, -1.0 + 1e-13j, 0.0])
+    # the first of the two gamma arguments' poles: Gamma(lam - i rho) at
+    # rho = i, lam = -3, and Gamma(-i rho) at rho = 0
+    with pytest.raises(PoleError, match=r"rho=1j, lam=\(-3\+0j\)$"):
+        specfun.generalized_degree([0.5, 1j, 0.0], [1.0, -3.0, 1.0])
+    with pytest.raises(PoleError, match=r"rho=0j, lam=\(1\+0j\)$"):
+        specfun.generalized_degree([0.0, 1j], [1.0, -3.0])
+
+
 def test_a_log_gamma_pole_is_caught_as_an_evaluation_error():
     # one except clause serves every point that cannot be evaluated
     with pytest.raises(EvaluationError, match=r"^log_gamma pole at z = \(-3\+0j\)"):

@@ -18,6 +18,10 @@ and 14, split into the leaf (the base at its shifted points), the
 coefficient block (one call of the operator's batched coefficients) and
 the steps (the rest of the call), each the mean over 20 calls, and one
 build of every rel operator the suite reads (`rel_operators`).  Then times
+`rel.ladder_state(model, n)` at n = 1, 7 and 14, the build alone and the
+build with the state's first call at rho = 1.3, where its tower is laid
+out, and one lone-point call of the rel leaf, phi_0 at rho = 1.3, each the
+mean over 20 calls.  Then times
 a fresh `python -m fdosc.cli verify --format json` process, imports
 included, on the fdosc this script imported, and reads each process's
 peak RSS from os.wait4.  Each setting
@@ -132,13 +136,30 @@ def tower_layers(repeats: int) -> dict[int, dict[str, list[float]]]:
         f = B_plus(f)
         if level in TOWER_LEVELS:
             tower = f.values
-            points = (z + tower.base_shifts).reshape(-1)
+            points = (z + tower.layout.base_shifts).reshape(-1)
             call = _per_call(lambda: tower(z), repeats)
             leaf = _per_call(lambda: tower.base(points), repeats)
             block = _per_call(lambda: tower.coefficients(z), repeats)
             steps = [c - a - b for c, a, b in zip(call, leaf, block)]
             layers[level] = {"call": call, "leaf": leaf, "coefficients": block, "steps": steps}
     return layers
+
+
+def ladder_states(repeats: int) -> dict[int, dict[str, list[float]]]:
+    """Seconds of rel.ladder_state(model, n) at each of TOWER_LEVELS: the
+    build alone (B+, n tower nodes and the norm constant), and the build
+    with the state's first call at TOWER_POINT, which lays its tower out."""
+    model = rel.make_rel_model(*COUPLING)
+    return {n: {"build": _per_call(lambda: rel.ladder_state(model, n), repeats),
+                "first call": _per_call(
+                    lambda: rel.ladder_state(model, n).wavefunction(TOWER_POINT), repeats)}
+            for n in TOWER_LEVELS}
+
+
+def leaf_call(repeats: int) -> list[float]:
+    """Seconds of one lone-point call of the rel leaf: phi_0 at TOWER_POINT."""
+    wf = rel.eigenfunction_rel(rel.make_rel_model(*COUPLING), 0).wavefunction
+    return _per_call(lambda: wf(TOWER_POINT), repeats)
 
 
 def process_timings(repeats: int) -> tuple[list[float], list[float]]:
@@ -189,6 +210,12 @@ def main(argv) -> int:
     model = rel.make_rel_model(*COUPLING)
     print(_summary("rel operators build              ",
                    _per_call(lambda: rel_operators(model), repeats), "us", 1e6), flush=True)
+    for n, parts in ladder_states(repeats).items():
+        for part, seconds in parts.items():
+            print(_summary(f"ladder_state n {n:2d}  {part:12s}  ", seconds, "us", 1e6),
+                  flush=True)
+    print(_summary("rel leaf phi_0 at one point       ", leaf_call(repeats), "us", 1e6),
+          flush=True)
     secs, peaks = process_timings(repeats)
     print(_summary("verify process, fresh interpreter", secs), flush=True)
     print(_summary("verify process, peak RSS         ", peaks, "MB", 1.0), flush=True)
