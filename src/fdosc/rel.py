@@ -28,8 +28,7 @@ eigenstate identities on the coefficients of S_n (Turbiner, Commun. Math.
 Phys. 118 (1988) 467, for the same gauge in the nonrel model).
 ``eigenfunctions(model, ns)`` is one batched leaf: a call evaluates P once,
 with one log_gamma call, and every S_n row in one pass of the dual Hahn
-recurrence, which a leaf of phi_0 alone does not run;
-``eigenfunction_rel(model, n)`` is its row for [n].
+recurrence; ``eigenfunction_rel(model, n)`` is its row for [n].
 """
 
 from __future__ import annotations
@@ -235,13 +234,11 @@ def eigenfunctions(model: RelModel, ns) -> AnalyticFunction:
     with (-rho)^(alpha) = i^alpha Gamma(alpha + i rho)/Gamma(i rho).  All
     gamma ratios are assembled in log space so P stays evaluable at the
     complex-shifted points the operators need; the three log-gammas come
-    from one log_gamma call on their arguments, formed in one sum, made
-    once per call for all of ns.  Every S_n row comes from one cdhahn_rows
-    pass of the dual Hahn recurrence up to max(ns); row n holds the same
-    floats whatever the other levels are.  A leaf of phi_0 alone runs no
-    recurrence and builds no list of rows: its one row is P times 1, the
-    product kept because it maps the signed zeros of an underflowed P as
-    the product with the row S_0 of ones does.
+    from one log_gamma call on the stacked arguments, made once per call
+    for all of ns.  Every S_n row comes from one cdhahn_rows pass of the
+    dual Hahn recurrence up to max(ns); row n holds the same floats
+    whatever the other levels are, and a leaf of phi_0 alone runs no
+    recurrence.
     """
     ns = list(ns)
     if any(n < 0 for n in ns):
@@ -251,8 +248,6 @@ def eigenfunctions(model: RelModel, ns) -> AnalyticFunction:
 
     def rows(z):
         prefactor = np.exp(log_prefactor(model, z))
-        if ns == [0]:
-            return (prefactor * 1.0)[None]
         s_rows = cdhahn_rows(top, z, a, nu, 0.5)
         # one 1-d product per row: at one point numpy rounds a complex product
         # of 2-d operands differently, and a row's floats would then depend
@@ -268,8 +263,7 @@ def log_prefactor(model: RelModel, z):
     + iz log omega0 + log Gamma(nu + iz), from one log_gamma call."""
     a, nu, w0 = model.alpha, model.nu, model.omega0
     iz = 1j * z
-    # the three arguments in one sum; adding -0 - 0i leaves iz bit for bit
-    lg_a, lg_0, lg_nu = log_gamma(iz + np.array([[a], [complex(-0.0, -0.0)], [nu]]))
+    lg_a, lg_0, lg_nu = log_gamma(np.stack((a + iz, iz, nu + iz)))
     return 1j * math.pi * a / 2.0 + lg_a - lg_0 + iz * math.log(w0) + lg_nu
 
 

@@ -5,11 +5,11 @@ approximation (g = 607/128, 15 coefficients; Lanczos, SIAM J. Numer.
 Anal. B 1 (1964) 86-96) with reflection for the left half-plane, and keeps
 a continuous branch for re(z) > 0 so that ratios of huge gamma values can
 be formed in log space; gamma is exp(log_gamma).  A call maps every point
-to one Lanczos argument and runs one Lanczos sum over all of them, one
-block for a call of at most _BLOCK points and blocks of _BLOCK points for
-a longer one.  Only the branches that some point takes cost anything: the
-argument is z itself when every point is right of the strip, and the strip
-and reflection terms are formed for the points that take them alone.
+to one Lanczos argument and runs one Lanczos sum over all of them, in
+blocks of _BLOCK points.  Only the branches that some point takes cost
+anything: the argument is z itself when every point is right of the
+strip, and the strip and reflection terms are formed for the points that
+take them alone.
 
 log_gamma, gamma, pochhammer, generalized_degree, cdhahn_complex and
 cdhahn_rows evaluate arrays: a scalar argument gives a complex, an array
@@ -99,20 +99,12 @@ def _reject_poles(z, name: str):
 def _log_gamma_right(z):
     # Lanczos series, valid for re(z) >= 0.5.  The (points, 14) broadcast
     # of the sum is formed _BLOCK points at a time, so its temporary stays
-    # at most _BLOCK * 14 complex values however many points come in; a
-    # call of at most _BLOCK points is that one block, with no buffer to
-    # fill.  Either way each row is summed alone, by the same reduction.
+    # at most _BLOCK * 14 complex values however many points come in.
     zm = z - 1.0
-    if len(zm) <= _BLOCK:
-        terms = zm[:, None] + _LANCZOS_K
-        s = np.divide(_LANCZOS_TAIL, terms, out=terms).sum(axis=1)
-    else:
-        s = np.empty_like(zm)
-        buf = np.empty((_BLOCK, len(_LANCZOS_TAIL)), dtype=complex)
-        for lo in range(0, len(zm), _BLOCK):
-            part = zm[lo:lo + _BLOCK]
-            terms = np.add(part[:, None], _LANCZOS_K, out=buf[:len(part)])
-            np.divide(_LANCZOS_TAIL, terms, out=terms).sum(axis=1, out=s[lo:lo + len(part)])
+    s = np.empty_like(zm)
+    for lo in range(0, len(zm), _BLOCK):
+        terms = zm[lo:lo + _BLOCK, None] + _LANCZOS_K
+        np.divide(_LANCZOS_TAIL, terms, out=terms).sum(axis=1, out=s[lo:lo + _BLOCK])
     s += _LANCZOS_C[0]
     t = zm + _LANCZOS_G + 0.5
     return _LOG_SQRT_TWO_PI + (zm + 0.5) * np.log(t) - t + np.log(s)

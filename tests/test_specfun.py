@@ -120,14 +120,29 @@ def _long_mixed_branch_points():
     return z
 
 
+def _branch_batches():
+    """Batches of points by the branches they take: right of the strip, on
+    it, left of it, and with points within 1e-12 of the real axis that are
+    not poles, alone and among points of all three branches."""
+    rng = np.random.default_rng(41)
+    im = rng.uniform(-30.0, 30.0, 40)
+    right = rng.uniform(0.5, 12.0, 40) + 1j * im
+    strip = rng.uniform(0.01, 0.49, 40) + 1j * im
+    left = rng.uniform(-12.0, 0.0, 40) + 1j * im
+    near = np.array([-2.5, 0.3, -2.5 + 1e-13j, 0.3 - 1e-13j, -7.5 - 1e-12j])
+    mixed = rng.permutation(np.concatenate([right[:10], strip[:10], left[:10], near]))
+    return [right, strip, left, near, mixed]
+
+
 @pytest.mark.parametrize("fn", [specfun.gamma, specfun.log_gamma])
 def test_long_array_equals_short_slices_bit_for_bit(fn):
-    # the Lanczos sum runs in blocks: no point may see its neighbours or its block
-    z = _long_mixed_branch_points()
-    whole = fn(z)
-    for width in (1, 7):
-        sliced = np.concatenate([fn(z[i:i + width]) for i in range(0, len(z), width)])
-        assert np.array_equal(whole, sliced)
+    # the Lanczos sum runs in blocks and a call forms only the branches its
+    # points take: no point may see its neighbours, its block or their branches
+    for z in [_long_mixed_branch_points(), *_branch_batches()]:
+        whole = fn(z)
+        for width in (1, 7):
+            sliced = np.concatenate([fn(z[i:i + width]) for i in range(0, len(z), width)])
+            assert whole.tobytes() == sliced.tobytes()
 
 
 def test_log_gamma_of_stacked_rows_equals_row_calls():
@@ -137,30 +152,6 @@ def test_log_gamma_of_stacked_rows_equals_row_calls():
     assert stacked.shape == rows.shape
     for got, row in zip(stacked, rows):
         assert np.array_equal(got, specfun.log_gamma(row))
-
-
-def _branch_batches():
-    """Batches of log_gamma points by the branches they take: right of the
-    strip, on it, left of it, all three, longer than a Lanczos block, and
-    with points within 1e-12 of the real axis that are not poles."""
-    rng = np.random.default_rng(41)
-    im = rng.uniform(-30.0, 30.0, 40)
-    right = rng.uniform(0.5, 12.0, 40) + 1j * im
-    strip = rng.uniform(0.01, 0.49, 40) + 1j * im
-    left = rng.uniform(-12.0, 0.0, 40) + 1j * im
-    mixed = rng.permutation(np.concatenate([right[:10], strip[:10], left[:10]]))
-    long = rng.permutation(np.concatenate([right, strip, left] * 3))
-    assert len(long) > specfun._BLOCK
-    near = np.array([-2.5, 0.3, -2.5 + 1e-13j, 0.3 - 1e-13j, -7.5 - 1e-12j])
-    return {"right": right, "strip": strip, "left": left, "mixed": mixed, "long": long,
-            "near axis": near, "near axis mixed": np.concatenate([near, mixed])}
-
-
-@pytest.mark.parametrize("kind", list(_branch_batches()))
-def test_log_gamma_gives_a_point_alone_its_bits_in_a_batch(kind):
-    z = _branch_batches()[kind]
-    alone = np.array([specfun.log_gamma(p) for p in z])
-    assert specfun.log_gamma(z).tobytes() == alone.tobytes()
 
 
 def test_a_batch_names_its_first_pole():
