@@ -443,13 +443,20 @@ def test_cli_verify_past_the_double_range_exits_2(capsys):
     code, out = _run_cli(["verify", "--nmax", "170"])
     assert (code, out) == (2, "")
     assert capsys.readouterr().err.startswith("error: non-finite value at z = ")
+    # rel_factorization_eigen applies its operator to phi_n on the grid: at
+    # (0.35, 0.6) phi_96 at rho +- i passes the largest double
+    code, out = _run_cli(["verify", "--omega0", "0.35", "--g0", "0.6", "--nmax", "96"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: non-finite value at z = (0.25+0j)\n"
 
 
-def test_cli_verify_nmax_96_passes():
+# at (0.35, 0.6) --nmax 96 exits 2 (test_cli_verify_past_the_double_range_exits_2)
+@pytest.mark.parametrize("couplings", [(0.5, 0.1), (0.9, 0.05), (0.6, 0.2)])
+def test_cli_verify_nmax_96_passes(couplings):
     # the largest n_max at which the rel closed form stays in double range;
     # nonrel_eigen_equation reads L_96^d on its coefficients
-    code, out = _run_cli(["verify", "--omega0", "0.5", "--g0", "0.1", "--nmax", "96",
-                          "--format", "json"])
+    code, out = _run_cli(["verify", "--omega0", str(couplings[0]), "--g0", str(couplings[1]),
+                          "--nmax", "96", "--format", "json"])
     report = json.loads(out)
     assert (code, report["all_hard_passed"]) == (0, True)
     results = {r["check_id"]: r for r in report["results"]}
@@ -776,6 +783,8 @@ def test_report_digest_tool_reads_its_deep_runs_at_cap_30(capsys):
     levels = {r["check_id"]: r["params"].get("levels") for r in json.loads(deep)["results"]}
     assert levels["nonrel_ladder_reconstruction"] == levels["rel_ladder_reconstruction"] == [1, 30]
     assert tool.main(["verify/0.6,0.2/nmax30/cap30/json"]) == 0
+    assert [label for label in dict(tool.runs()) if "nmax96" in label] == [
+        f"verify/{w0},{g0}/nmax96/json" for w0, g0 in tool.COUPLINGS]
     assert harness.CHECKS is default
     assert capsys.readouterr().out.split()[0] == hashlib.md5(deep.encode()).hexdigest()
     _, capped = _run_cli(argv)
@@ -1262,9 +1271,9 @@ _REL_LOOSER = {
 _REL_SHIFTS = {"0": 0j, "i": 1j, "-i": -1j, "2i": 2j, "-2i": -2j}
 
 
-def _rel_readings():
+def _rel_readings(couplings=(0.5, 0.1)):
     levels = {cid: c.levels.at(6) for cid, c in harness.CHECKS.items() if c.levels}
-    return {cid: worst for cid, _, worst, *_ in harness._checks_rel(0.5, 0.1, levels,
+    return {cid: worst for cid, _, worst, *_ in harness._checks_rel(*couplings, levels,
                                                                      default_grid())}
 
 
@@ -1294,6 +1303,67 @@ def test_a_planted_error_fails_each_rel_eigenstate_check(cell, monkeypatch):
             readings = _rel_readings()
         for cid in cids:
             assert readings[cid] > harness.CHECKS[cid].tolerance, (cid, size)
+
+
+# The smallest one-term error c T(+-i/2) planted in b+ or b- (rel.ladder_b,
+# so B-+ carry it too) that each half-shift reading caught on the grid, at
+# n_max 6 and decades from 1e-3 down, by coupling in DIGEST_COUPLINGS order.
+# rel_factorization_eigen still reads the grid.  rel_ground_annihilation reads
+# b- phi_0 as T(-i/2) b- S_0 on coefficients and keeps these decades: B- S_0,
+# which carries the b- error too, reads each of them at least as the grid did.
+_HALF_SHIFT_PLANTS = {
+    "rel_factorization_eigen": {
+        "b+@i/2": (1e-9, 1e-8, 1e-10, 1e-8), "b+@-i/2": (1e-9, 1e-9, 1e-10, 1e-9),
+        "b-@i/2": (1e-9, 1e-9, 1e-10, 1e-9), "b-@-i/2": (1e-9, 1e-9, 1e-10, 1e-9)},
+    "rel_ground_annihilation": {"b-@i/2": (1e-10,) * 4, "b-@-i/2": (1e-11,) * 4},
+}
+
+
+@pytest.mark.parametrize("couplings", DIGEST_COUPLINGS)
+@pytest.mark.parametrize("cell", ["b+@i/2", "b+@-i/2", "b-@i/2", "b-@-i/2"])
+def test_a_planted_half_shift_error_fails_each_half_shift_reading(cell, couplings, monkeypatch):
+    name, shift = cell.split("@")
+    error_at = {"i/2": 0.5j, "-i/2": -0.5j}[shift]
+    for cid, cells in _HALF_SHIFT_PLANTS.items():
+        if cell not in cells:
+            continue
+        error = cells[cell][DIGEST_COUPLINGS.index(couplings)] * shift_op(error_at)
+        with monkeypatch.context() as patch:
+            _planted(patch, rel, "ladder_b", lambda pair: (
+                (pair[0] + error, pair[1]) if name == "b-" else (pair[0], pair[1] + error)))
+            reading = _rel_readings(couplings)[cid]
+        assert reading > harness.CHECKS[cid].tolerance, (cid, reading)
+
+
+@pytest.mark.parametrize("couplings", DIGEST_COUPLINGS)
+def test_b_minus_phi0_alone_sees_a_half_shift_error_in_b_minus(couplings, monkeypatch):
+    # with B-+ kept exact, c T(+-i/2) in b- reaches rel_ground_annihilation
+    # through T(-i/2) b- S_0 alone, which catches it from the decades the
+    # grid's b- phi_0 caught alone: 1e-9 at +i/2 (it reads 0.50c to 0.59c
+    # there), 1e-10 at -i/2 (2.65c to 3.40c)
+    exact = rel.ladder_B(rel.make_rel_model(*couplings))
+    monkeypatch.setattr(rel, "ladder_B", lambda model: exact)
+    tolerance = harness.CHECKS["rel_ground_annihilation"].tolerance
+    assert _rel_readings(couplings)["rel_ground_annihilation"] <= tolerance
+    for error in (1e-9 * shift_op(0.5j), 1e-10 * shift_op(-0.5j)):
+        with monkeypatch.context() as patch:
+            _planted(patch, rel, "ladder_b", lambda pair: (pair[0] + error, pair[1]))
+            assert _rel_readings(couplings)["rel_ground_annihilation"] > tolerance, error.terms
+
+
+def test_checks_rel_applies_one_operator_to_a_function(monkeypatch):
+    # every rel eigenstate check reads S_n's coefficients but
+    # rel_factorization_eigen, which applies b+ b- + omega0(alpha+nu) to the
+    # leaf on the grid; b- phi_0 is read as T(-i/2) b- S_0
+    applied, call = [], opcore.DifferenceOperator.__call__
+
+    def recording(op, f):
+        applied.append([t.shift for t in op.terms])
+        return call(op, f)
+
+    monkeypatch.setattr(opcore.DifferenceOperator, "__call__", recording)
+    _rel_readings()  # the whole group
+    assert applied == [[-1j, 0j, 1j]]
 
 
 @pytest.mark.parametrize("planted", ["one row", "every row"])

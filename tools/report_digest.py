@@ -10,6 +10,12 @@ gets cap 30 for that run, and the table is put back afterwards.  Run it
 on two source trees and `diff` the outputs: an empty diff means a change left
 every report and table byte-identical.  It needs nothing beyond the
 standard library and fdosc itself.
+
+The `nmax96` runs read the deepest level whose S_n stays in double range
+(it passes the largest double from n = 97), so each change is compared
+bytewise there too.  At (0.35, 0.6) that run exits 2 and prints nothing
+while rel_factorization_eigen evaluates phi_96 at rho +- i on the grid: its
+digest is that of empty output until that reading leaves the grid.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ VERIFY_NMAX = (1, 6, 12)
 BIG_VERIFY_NMAX = 30
 # the ladder checks at that depth too: K+ and B+ towers up to level 30
 DEEP_LADDER_CAP = 30
+# the eigen-equation levels as deep as S_n stays in double range
+DEEPEST_VERIFY_NMAX = 96
 TABLE_LEVELS = (0, 3, 11)
 TABLE_POINTS = 700
 FORMATS = ("json", "csv", "text")
@@ -86,6 +94,10 @@ def runs():
     for fmt in FORMATS:
         yield (f"wavefunction/rel/pole{BIG_POINTS}/{fmt}",
                ["wavefunction", "--model", "rel", *POLE_TABLE, "--format", fmt])
+    for w0, g0 in COUPLINGS:
+        yield (f"verify/{w0},{g0}/nmax{DEEPEST_VERIFY_NMAX}/json",
+               ["verify", "--omega0", str(w0), "--g0", str(g0),
+                "--nmax", str(DEEPEST_VERIFY_NMAX), "--format", "json"])
 
 
 def deep_runs():
