@@ -17,11 +17,13 @@ of D, power of xi), so an identity holds exactly when every merged
 coefficient vanishes.  Each power of a merged coefficient is read over
 the parts that cancel there: `_operator_residual` reads the rel and
 plane-wave ones, `_laurent_residual` the nonrel ones.  The eigenstate
-checks read coefficients too: of L_n^d(xi^2) in the ground-state gauge
-psi = psi_0 g, and of S_n(rho^2) in the P gauge phi = P S (see "the P
-gauge" below), b- phi_0 as T(-i/2) b- S_0, but for rel_factorization_eigen
-(its CHECKS row says why) and the leaf phi_n itself, which
-rel_eigen_equation reads on the grid.
+checks read coefficients too, held as arrays, one row per level and one
+column per power: of L_n^d(xi^2) in the ground-state gauge psi = psi_0 g,
+each gauged term c xi^q D^m adding its slice of the rows (`_applied`), and
+of S_n(rho^2) in the P gauge phi = P S (see "the P gauge" below), b- phi_0
+as T(-i/2) b- S_0.  Only rel_factorization_eigen (its CHECKS row says why)
+and the leaf phi_n itself, which rel_eigen_equation reads, are read on the
+grid.
 
 Reports are deterministic: the specfun samples come from the stdlib
 random.Random at the fixed seed _SEED, so identical inputs give
@@ -73,7 +75,7 @@ BASE_LEVEL = 8
 
 # The ladder checks read levels n <= min(n_max, LADDER_CAP).  At cap 30 every
 # hard check passes at the four digest couplings, the rel ladder checks at
-# <= 1.8e-12 and the nonrel ones at <= 3.5e-15.  The cap stays 6 for the
+# <= 1.9e-12 and the nonrel ones at <= 3.5e-15.  The cap stays 6 for the
 # nonrel tower: its xi^-2k coefficients, seeded by the rounding of
 # p(p-1) = 2 g0 in the gauge, grow as g0 -> 0, and at cap 30
 # nonrel_ladder_reconstruction reads 1.7e-13 at (0.5, 1e-6), past its 1e-13.
@@ -120,7 +122,7 @@ CHECKS = {
     # the nonrel eigenstate checks read Laurent coefficients; each tolerance is
     # a multiple of its worst over the four digest couplings and g0 in {-0.1,
     # 5, 1e3}, with the ladder cap at 30: 20x 5.0e-14 (at n <= 170), 80x
-    # 1.25e-16, 29x 3.5e-15 and 41x 2.5e-15
+    # 1.25e-16, 28x 3.6e-15 and 41x 2.5e-15
     "nonrel_eigen_equation": Check(1e-12, levels=_EIGEN),
     "nonrel_factorization": Check(
         1e-10, note="c+ c- + (d+1) = H as operators, term by term"),
@@ -285,25 +287,11 @@ def _rel_bracket(X, Y) -> tuple:
     return list(products(X, Y)), list(products(-Y, X))
 
 
-def _reduce(readings) -> float:
-    """max over keys of |sum c| / (1 + sum size) over (key, c, size)
-    readings, c a number or an array read pointwise, size that of what went
-    into c: what cancels is no error.  One array pass compares the sums."""
-    sums, sizes = {}, {}
-    for key, c, size in readings:
-        sums[key] = sums.get(key, 0.0) + c
-        sizes[key] = sizes.get(key, 0.0) + size
-    if not sums:
-        return 0.0
-    return float(np.max(np.abs(np.array(list(sums.values())))
-                        / (1.0 + np.array(list(sizes.values())))))
-
-
 def _operator_residual(*parts) -> float:
     """Residual of the rel identity sum(parts) = 0, parts of terms summed
     part by part over each shift's common denominator (opcore.lifted): each
-    power's sum over its sizes, as _reduce reads, or, less the rounding they
-    allow (_ROUNDING), over the parts' magnitudes, whichever reads larger."""
+    power's sum over 1 + its sizes, or, less the rounding they allow
+    (_ROUNDING), over the parts' magnitudes, whichever reads larger."""
     at: dict = {}
     for i, t in [(i, t) for i, part in enumerate(parts) for t in part]:
         at.setdefault(t.shift, []).append((i, t.coeff.rational))
@@ -321,8 +309,17 @@ def _operator_residual(*parts) -> float:
 
 def _laurent_residual(*parts) -> float:
     """Residual of the nonrel operator identity sum(parts) = 0 on its
-    coefficients, keyed by (order, power)."""
-    return _reduce((key, c, abs(c)) for part in parts for key, c in part.items())
+    coefficients, keyed by (order, power): the max over keys of |sum c| /
+    (1 + sum |c|), what cancels being no error, in one array pass."""
+    sums, sizes = {}, {}
+    for part in parts:
+        for key, c in part.items():
+            sums[key] = sums.get(key, 0.0) + c
+            sizes[key] = sizes.get(key, 0.0) + abs(c)
+    if not sums:
+        return 0.0
+    return float(np.max(np.abs(np.array(list(sums.values())))
+                        / (1.0 + np.array(list(sizes.values())))))
 
 
 def _eigen_residual(op, Psi, levels, energies, psi, pts) -> float:
@@ -408,6 +405,11 @@ def _product(a, b) -> np.ndarray:
     return np.einsum("ij,jk->ik", a, b, dtype=complex)
 
 
+def _ratio(rows, reference) -> np.ndarray:
+    """Row by row, the least-squares ratio of rows to reference rows."""
+    return np.sum(reference.conj() * rows, axis=1) / np.sum(np.abs(reference) ** 2, axis=1)
+
+
 def _step(image: _Image, reference, ratio=None, unit=None):
     """Row by row, an image (_images) against c D S, S the reference rows: the
     least-squares ratio c (or the given one), and the max over powers p of
@@ -426,7 +428,7 @@ def _step(image: _Image, reference, ratio=None, unit=None):
     lifted[:, :reach] = _product(reference, _convolving(denominator, width).T)
     scale[:, :reach] = _product(np.abs(reference), _convolving(denominator_sizes, width).T).real
     if ratio is None:
-        ratio = np.sum(lifted.conj() * rows, axis=1) / np.sum(np.abs(lifted) ** 2, axis=1)
+        ratio = _ratio(rows, lifted)
     ratio = np.reshape(ratio, (-1, 1))
     scale = np.abs(ratio if unit is None else unit) * scale
     scale = scale + sizes * (np.max(scale, axis=1) / np.max(sizes, axis=1))[:, None]
@@ -547,60 +549,44 @@ def _checks_planewave(pts):
 
 def _gauged_terms(model, op):
     """psi_0^-1 t psi_0 for each order m of op, t its terms c xi^p D^m, kept
-    apart: the gauge's xi^-2 coefficients, g0 against p(p-1)/2, p = d + 1/2,
-    cancel to rounding."""
+    apart as the parts _applied sums one by one: the gauge's xi^-2
+    coefficients, g0 against p(p-1)/2, p = d + 1/2, cancel to rounding."""
     return [nonrel.gauged(model, {(m, p): c for (m, p), c in op.items() if m == order})
             for order in sorted({m for m, _ in op})]
 
 
-def _apply(parts, state):
-    """The nonrel parts applied to a state (g, sizes), or to a Laurent sum
-    g, as {power: coefficient} dicts: the image, and per power the sum of
-    |c r(r-1)...(r-m+1)| sizes_r over the terms c xi^q D^m and powers r
-    that reach it, so a coefficient that cancels down a tower keeps the size
-    of what it cancelled.  One walk over (term, state power): the image is
-    summed term by term in order, then part by part."""
-    g, size = state if isinstance(state, tuple) else (state, _sizes(state))
-    derivatives = [g]  # D^m g for m = 0, 1, ...: a constant term drops out
-    falling = {}  # order m -> |r(r-1)...(r-m+1)| for each power r of size, in order
-    image, sizes = {}, {}
+def _applied(parts, rows, sizes=None, *, low: int):
+    """The nonrel parts applied to Laurent rows, column j the coefficient of
+    xi^(low + j), every row 0 in its first and last two columns (a term
+    moves a power by at most 2): the image, and its sizes, per power the sum
+    of |c r(r-1)...(r-m+1)| sizes_r over the terms c xi^q D^m and powers r
+    that reach it, sizes |rows| unless given, so a coefficient that cancels
+    down a tower keeps the size of what it cancelled.  Each term adds its
+    slice, power r to r - m + q; the image is summed term by term in order,
+    then part by part."""
+    sizes = np.abs(rows) if sizes is None else sizes
+    width = rows.shape[1]
+    r = low + np.arange(width)
+    image, image_sizes = np.zeros_like(rows), np.zeros(rows.shape)
     for part in parts:
-        total = {}
+        total = np.zeros_like(rows)
         for (m, q), c in part.items():
-            while len(derivatives) <= m:
-                derivatives.append({p - 1: p * c for p, c in derivatives[-1].items() if p})
-            for p, v in derivatives[m].items():
-                total[q + p] = total.get(q + p, 0) + c * v
-            if m not in falling:
-                falling[m] = [abs(math.prod(r - i for i in range(m))) for r in size]
-            for (r, s), f in zip(size.items(), falling[m]):
-                sizes[r - m + q] = sizes.get(r - m + q, 0.0) + abs(c) * f * s
-        for p, v in total.items():
-            image[p] = image.get(p, 0) + v
-    return {p: c for p, c in image.items() if c != 0}, sizes
+            s = q - m
+            to, at = slice(max(s, 0), width + min(s, 0)), slice(max(-s, 0), width - max(s, 0))
+            falling = math.prod(r[at] - i for i in range(m))
+            total[:, to] += (c * falling) * rows[:, at]
+            image_sizes[:, to] += (abs(c) * np.abs(falling)) * sizes[:, at]
+        image += total
+    return image, image_sizes
 
 
-def _scaled(c, g: dict) -> dict:
-    return {p: c * v for p, v in g.items()}
-
-
-def _ratio(a: dict, b: dict) -> complex:
-    """The least-squares ratio of Laurent sums a/b over b's powers."""
-    return sum(c.conjugate() * a.get(p, 0) for p, c in b.items()) \
-        / sum(abs(c) ** 2 for c in b.values())
-
-
-def _sizes(g: dict) -> dict:
-    return {p: abs(c) for p, c in g.items()}
-
-
-def _state_residual(state, ref: dict) -> float:
-    """|g_p - ref_p| / (N + sizes_p + |ref_p|) over every power of a state
-    and a Laurent sum, N the largest |ref_p| (1 for a zero reference)."""
-    g, size = state
-    scale = max(map(abs, ref.values()), default=1.0)
-    return _reduce((p, (g.get(p, 0) - ref.get(p, 0)) / scale,
-                    (size.get(p, 0.0) + abs(ref.get(p, 0))) / scale) for p in {*size, *ref})
+def _state_residual(rows, sizes, reference) -> float:
+    """max over rows and powers of |g_p - ref_p| / (N + sizes_p + |ref_p|),
+    N the largest |ref_p| of the reference row (1 for a zero reference)."""
+    size = np.abs(reference)
+    scale = np.max(size, axis=1, keepdims=True)
+    scale = np.where(scale > 0.0, scale, 1.0)
+    return float(np.max(np.abs(rows - reference) / (scale + sizes + size)))
 
 
 def _checks_nonrel(g0: float, levels: dict):
@@ -611,18 +597,22 @@ def _checks_nonrel(g0: float, levels: dict):
     A_minus, A_plus = nonrel.ladder_A(model)
     K0, Km, Kp = nonrel.su11_generators(model)
     eigen, ladder = levels["nonrel_eigen_equation"], levels["nonrel_ladder_coefficient"]
+    tower = levels["nonrel_ladder_reconstruction"]
     # psi_n = (c_n / c_0) psi_0 L_n^d(xi^2): the eigenstate checks read the
     # gauged operators on L_n, for the eigen-equation and the ladder levels,
-    # the ladder coefficients reading one level above theirs
-    L = []
-    for n in range(max(eigen[-1], ladder[-1] + 1) + 1):
-        coeffs = specfun.laguerre_coefficients(n, model.d)  # of L_n^d(y), y = xi^2
-        L.append({2 * j: complex(c) for j, c in enumerate(coeffs) if c != 0})
+    # the ladder coefficients reading one level above theirs.  Row n holds
+    # L_n's coefficients from xi^low, low as deep as the K+ tower and K- K+
+    # reach, two powers a step, to xi^(2 top + 2), where H takes L_top
+    top = max(eigen[-1], ladder[-1] + 1)
+    low = -2 * max(tower[-1], 2)
+    L = np.zeros((top + 1, 2 * top + 3 - low), dtype=complex)
+    for n in range(top + 1):
+        L[n, -low:2 * n + 1 - low:2] = specfun.laguerre_coefficients(n, model.d)  # of L_n^d(y)
 
-    H_parts = _gauged_terms(model, H)
-    yield "nonrel_eigen_equation", params, max(
-        _state_residual(_apply(H_parts, L[n]), _scaled(nonrel.energy(model, n), L[n]))
-        for n in eigen)
+    at = slice(eigen.start, eigen.stop)
+    image, sizes = _applied(_gauged_terms(model, H), L[at], low=low)
+    energies = np.array([nonrel.energy(model, n) for n in eigen])[:, None]
+    yield "nonrel_eigen_equation", params, _state_residual(image, sizes, energies * L[at])
 
     yield "nonrel_factorization", params, _laurent_residual(
         nonrel.compose(c_plus, c_minus), {(0, 0): model.d + 1.0}, nonrel.scaled(-1.0, H))
@@ -648,7 +638,8 @@ def _checks_nonrel(g0: float, levels: dict):
     # as A- psi_0 does and is not read
     (ground,) = levels["nonrel_ground_annihilation"]
     yield "nonrel_ground_annihilation", params, max(
-        _state_residual(_apply(_gauged_terms(model, op), L[ground]), {})
+        _state_residual(*_applied(_gauged_terms(model, op), L[ground:ground + 1], low=low),
+                        np.zeros((1, L.shape[1])))
         for op in (c_minus, A_minus))
 
     yield "nonrel_su11_closure", params, max(
@@ -665,14 +656,12 @@ def _checks_nonrel(g0: float, levels: dict):
 
     # gauge-invariant ladder coefficients: K- K+ psi_n = kappa_{n+1}^2 psi_n
     Kp_parts, Km_parts = _gauged_terms(model, Kp), _gauged_terms(model, Km)
-    worst = 0.0
-    signed = []
-    for n in ladder:
-        raised = _apply(Kp_parts, L[n])
-        expect = (n + 1) * (n + 1 + model.d)
-        worst = max(worst, _state_residual(_apply(Km_parts, raised), _scaled(expect, L[n])))
-        # c_n / c_(n+1) = sqrt((n+1+d)/(n+1)) = kappa_(n+1) / (n+1)
-        signed.append(round(_ratio(raised[0], L[n + 1]).real / (n + 1), 6))
+    n = np.arange(ladder.start, ladder.stop)
+    raised = _applied(Kp_parts, L[n], low=low)
+    expect = ((n + 1) * (n + 1 + model.d))[:, None]
+    worst = _state_residual(*_applied(Km_parts, *raised, low=low), expect * L[n])
+    # c_n / c_(n+1) = sqrt((n+1+d)/(n+1)) = kappa_(n+1) / (n+1)
+    signed = [round(r, 6) for r in (_ratio(raised[0], L[n + 1]).real / (n + 1)).tolist()]
     yield ("nonrel_ladder_coefficient", params, worst,
            "K- K+ psi_n = kappa_(n+1)^2 psi_n, kappa_n = sqrt(n(n+d)); signed "
            f"ratios over unit-normalized states carry alternating phase: {signed}")
@@ -681,12 +670,12 @@ def _checks_nonrel(g0: float, levels: dict):
     # each level is read after its ratio to L_n is taken out.  With
     # gamma_n = 1/sqrt(n! (d+1)_n) and c_0/c_n = sqrt((d+1)_n/n!), the ratio
     # of gamma_n (K+)^n psi_0 to psi_n is that ratio over n!
-    worst, ratios, state = 0.0, [], (L[0], _sizes(L[0]))
-    for n in levels["nonrel_ladder_reconstruction"]:
-        state = _apply(Kp_parts, state)
-        ratio = _ratio(state[0], L[n])
-        worst = max(worst, _state_residual(state, _scaled(ratio, L[n])))
-        ratios.append(round(ratio.real / math.factorial(n), 6))
+    worst, ratios, state = 0.0, [], (L[:1], None)
+    for n in tower:
+        state = _applied(Kp_parts, *state, low=low)
+        ratio = _ratio(state[0], L[n:n + 1])
+        worst = max(worst, _state_residual(*state, ratio[:, None] * L[n:n + 1]))
+        ratios.append(round(ratio[0].real.item() / math.factorial(n), 6))
     yield ("nonrel_ladder_reconstruction", params, worst,
            f"ratios of gamma_n (K+)^n psi_0 to psi_n on L_n^d coefficients: {ratios}")
 

@@ -67,6 +67,8 @@ class RelModel:
     g0: float
     alpha: float
     nu: float
+    alpha_m1: float  # alpha - 1, to a few ulps however near 1 alpha is
+    nu_m1: float  # nu - 1, likewise
 
 
 @dataclass(frozen=True)
@@ -95,9 +97,12 @@ def make_rel_model(omega0: float, g0: float) -> RelModel:
         )
     root = math.sqrt(disc)
     # 2 (1 - root)/omega0^2 = 16 g0/(1 + root): no 1 - root to cancel at small omega0
-    alpha = 0.5 + 0.5 * math.sqrt(1.0 + 16.0 * g0 / (1.0 + root))
-    nu = 0.5 + 0.5 * math.sqrt(1.0 + 2.0 / omega0**2 * (1.0 + root))
-    return RelModel(omega0=omega0, g0=g0, alpha=alpha, nu=nu)
+    x, y = 16.0 * g0 / (1.0 + root), 2.0 / omega0**2 * (1.0 + root)
+    # alpha - 1 = (sqrt(1 + x) - 1)/2 = x/(2(sqrt(1 + x) + 1)), with no 1 to
+    # cancel at small g0; nu - 1 likewise in y, at large omega0
+    a1, nu1 = (t / (2.0 * (math.sqrt(1.0 + t) + 1.0)) for t in (x, y))
+    return RelModel(omega0=omega0, g0=g0, alpha=0.5 + 0.5 * math.sqrt(1.0 + x),
+                    nu=0.5 + 0.5 * math.sqrt(1.0 + y), alpha_m1=a1, nu_m1=nu1)
 
 
 def energy(model: RelModel, n: int) -> float:
@@ -271,7 +276,7 @@ def step_ratio(model: RelModel, z):
     """r+(z) = P(z + i)/P(z) = (iz - 1)/((alpha + iz - 1)(nu + iz - 1) omega0),
     exactly: the gamma ratios of P step by one factor each."""
     iz = 1j * z
-    return (iz - 1.0) / ((model.alpha + iz - 1.0) * (model.nu + iz - 1.0) * model.omega0)
+    return (iz - 1.0) / ((model.alpha_m1 + iz) * (model.nu_m1 + iz) * model.omega0)
 
 
 def gauged(model: RelModel, op: DifferenceOperator) -> DifferenceOperator:
@@ -287,6 +292,7 @@ def gauged(model: RelModel, op: DifferenceOperator) -> DifferenceOperator:
     multiplied in as rational functions, so a zero of the ratio at a pole
     of c cancels one order of it.  ValueError for any other shift."""
     a, nu, w0 = model.alpha, model.nu, model.omega0
+    a1, nu1 = model.alpha_m1, model.nu_m1
     terms = []
     for t in op.terms:
         k, c = round(t.shift.imag), t.coeff
@@ -294,8 +300,8 @@ def gauged(model: RelModel, op: DifferenceOperator) -> DifferenceOperator:
             raise ValueError(f"only shifts at whole multiples of i can be gauged, got {t.shift}")
         for j in range(abs(k)):
             if k > 0:
-                c = c * polynomial([1j * (j + 1), 1.0]) * monomial(-1, at=1j * (a - (j + 1))) \
-                    * monomial(-1, at=1j * (nu - (j + 1)))
+                c = c * polynomial([1j * (j + 1), 1.0]) * monomial(-1, at=1j * (a1 - j)) \
+                    * monomial(-1, at=1j * (nu1 - j))
             else:
                 c = c * polynomial([-1j * (a + j), 1.0]) * polynomial([-1j * (nu + j), 1.0]) \
                     * monomial(-1, at=1j * j)

@@ -170,6 +170,22 @@ def test_alpha_against_mpmath_at_small_omega0():
         assert abs(alpha - ref) <= 1e-14 * ref, omega0
 
 
+@pytest.mark.parametrize("couplings", [(0.5, 1e-12), (35.0, 1.02e-5)])
+def test_exponent_offsets_against_mpmath(couplings):
+    # alpha - 1 ~ 2 g0 at small g0, nu - 1 ~ 1/omega0^2 at large omega0: the
+    # model holds both to a few ulps, where alpha - 1 formed from alpha is
+    # 2.2e-5 relative off at (0.5, 1e-12)
+    model = rel.make_rel_model(*couplings)
+    with mp.workdps(60):
+        w, g0 = map(mp.mpf, couplings)
+        r = mp.sqrt(1 - 8 * g0 * w * w)
+        refs = [(1 + mp.sqrt(1 + 2 / w**2 * (1 + sign * r))) / 2 - 1 for sign in (-1, 1)]
+    for value, ref in zip((model.alpha_m1, model.nu_m1), refs):
+        assert abs(value - ref) <= 2 * np.finfo(float).eps * ref, couplings
+    if couplings[1] == 1e-12:
+        assert abs(model.alpha - 1.0 - refs[0]) > 1e-6 * refs[0]
+
+
 def test_nonrel_limit_deviation_shrinks():
     devs = rel.nonrel_limit(0.1, [1e-2, 5e-3, 2.5e-3])
     assert devs[0] > devs[1] > devs[2]

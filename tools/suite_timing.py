@@ -8,10 +8,11 @@ Times run_suite(0.6, 0.2) at three settings: n_max 6, n_max 30, and n_max
 the ladder checks would add at a lifted cap (only the time is read).  The cap is raised where it is
 declared: each `harness.CHECKS` row whose level rule is capped at
 `harness.LADDER_CAP` gets the new cap, and the table is put back
-afterwards.  Then splits run_suite(0.6, 0.2) at n_max 6 by check group
-(specfun, planewave, nonrel, rel) and, within each group, by check id: each
-group function is wrapped, in this process only, to time every step of its
-generator.  A check's time runs from the previous yield of its group's
+afterwards.  Then splits run_suite(0.6, 0.2) by check group (specfun,
+planewave, nonrel, rel) and, within each group, by check id, at n_max 6 and
+at n_max 30 with the ladder cap at 30, where the nonrel K+ tower is the
+deepest: each group function is wrapped, in this process only, to time
+every step of its generator.  A check's time runs from the previous yield of its group's
 generator to its own, so the group's set-up counts in its first check, and
 a group's time is the sum of its checks'.  Then times one scalar B+ tower call at rho = 1.3 at levels 1, 7
 and 14, split into the leaf (the base at its shifted points), the
@@ -31,6 +32,7 @@ source trees to compare them.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import subprocess
 import sys
@@ -46,18 +48,28 @@ TOWER_LEVELS = (1, 7, 14)
 TOWER_POINT = 1.3
 CALLS = 20  # calls per timed repeat of one tower layer
 SETTINGS = ((6, harness.LADDER_CAP), (30, harness.LADDER_CAP), (30, 30))
+SPLITS = ((6, harness.LADDER_CAP), (30, 30))  # the settings split by group and check
 GROUPS = ("specfun", "planewave", "nonrel", "rel")  # harness._checks_<group>
 
 
-def timings(n_max: int, cap: int, repeats: int) -> list[float]:
-    """Seconds of `repeats` run_suite calls at n_max with the ladder checks
-    capped at `cap`, after one warm-up call; harness.CHECKS is restored
-    afterwards."""
+@contextlib.contextmanager
+def ladder_cap(cap: int):
+    """harness.CHECKS with every level rule capped at LADDER_CAP capped at
+    `cap`, put back on exit."""
     default = harness.CHECKS
     harness.CHECKS = {cid: c._replace(levels=c.levels._replace(cap=cap))
                       if c.levels is not None and c.levels.cap == harness.LADDER_CAP else c
                       for cid, c in default.items()}
     try:
+        yield
+    finally:
+        harness.CHECKS = default
+
+
+def timings(n_max: int, cap: int, repeats: int) -> list[float]:
+    """Seconds of `repeats` run_suite calls at n_max with the ladder checks
+    capped at `cap`, after one warm-up call."""
+    with ladder_cap(cap):
         harness.run_suite(*COUPLING, n_max=n_max)
         out = []
         for _ in range(repeats):
@@ -65,15 +77,15 @@ def timings(n_max: int, cap: int, repeats: int) -> list[float]:
             harness.run_suite(*COUPLING, n_max=n_max)
             out.append(time.perf_counter() - t0)
         return out
-    finally:
-        harness.CHECKS = default
 
 
-def check_timings(repeats: int) -> dict[str, dict[str, list[float]]]:
-    """Seconds each check takes in `repeats` run_suite calls at n_max 6, by
-    group and check id, after one warm-up call: from the previous yield of
-    its group's generator to its own, the group's set-up counting in its
-    first check.  The group functions are restored afterwards."""
+def check_timings(repeats: int, n_max: int = 6,
+                  cap: int = harness.LADDER_CAP) -> dict[str, dict[str, list[float]]]:
+    """Seconds each check takes in `repeats` run_suite calls at n_max with
+    the ladder checks capped at `cap`, by group and check id, after one
+    warm-up call: from the previous yield of its group's generator to its
+    own, the group's set-up counting in its first check.  The group
+    functions are restored afterwards."""
     spent = {group: {} for group in GROUPS}
 
     def timed(group, check_group):
@@ -92,8 +104,9 @@ def check_timings(repeats: int) -> dict[str, dict[str, list[float]]]:
     for group, check_group in default.items():
         setattr(harness, f"_checks_{group}", timed(group, check_group))
     try:
-        for _ in range(repeats + 1):
-            harness.run_suite(*COUPLING)
+        with ladder_cap(cap):
+            for _ in range(repeats + 1):
+                harness.run_suite(*COUPLING, n_max=n_max)
     finally:
         for group, check_group in default.items():
             setattr(harness, f"_checks_{group}", check_group)
@@ -198,11 +211,13 @@ def main(argv) -> int:
                        timings(n_max, cap, repeats)), flush=True)
     print("a check's time runs from the previous yield of its group's generator to its "
           "own: the group's set-up counts in its first check", flush=True)
-    for group, checks in check_timings(repeats).items():
-        print(_summary(f"n_max  6  group {group:9s}", np.sum(list(checks.values()), axis=0)),
-              flush=True)
-        for check_id, seconds in checks.items():
-            print(_summary(f"n_max  6  check {check_id:36s}", seconds), flush=True)
+    for n_max, cap in SPLITS:
+        setting = f"n_max {n_max:2d}  LADDER_CAP {cap:2d}"
+        for group, checks in check_timings(repeats, n_max, cap).items():
+            print(_summary(f"{setting}  group {group:9s}", np.sum(list(checks.values()), axis=0)),
+                  flush=True)
+            for check_id, seconds in checks.items():
+                print(_summary(f"{setting}  check {check_id:36s}", seconds), flush=True)
     for level, layers in tower_layers(repeats).items():
         for layer, seconds in layers.items():
             print(_summary(f"B+ tower level {level:2d}  {layer:12s}", seconds, "us", 1e6),
