@@ -73,13 +73,12 @@ _ROUNDING = 16.0 * np.finfo(float).eps
 # rel_casimir reads n <= BASE_LEVEL whatever n_max is.
 BASE_LEVEL = 8
 
-# The ladder checks read levels n <= min(n_max, LADDER_CAP).  At cap 30 every
-# hard check passes at the four digest couplings, the rel ladder checks at
-# <= 1.9e-12 and the nonrel ones at <= 3.5e-15.  The cap stays 6 for the
-# nonrel tower: its xi^-2k coefficients, seeded by the rounding of
-# p(p-1) = 2 g0 in the gauge, grow as g0 -> 0, and at cap 30
-# nonrel_ladder_reconstruction reads 1.7e-13 at (0.5, 1e-6), past its 1e-13.
-LADDER_CAP = 6
+# The ladder checks of both models read levels n <= min(n_max, LADDER_CAP).
+# At cap 30 every hard check passes at the four digest couplings and at g0
+# down to 1e-12, nonrel_ladder_reconstruction at <= 2.9e-15 over g0 from
+# 1e-12 to 6e4: the gauge takes p(p-1) as 2 g0 exactly (nonrel.gauged), so
+# the K+ tower carries no rounding at xi^-2 to grow as g0 -> 0.
+LADDER_CAP = 30
 
 
 class Levels(NamedTuple):
@@ -549,8 +548,11 @@ def _checks_planewave(pts):
 
 def _gauged_terms(model, op):
     """psi_0^-1 t psi_0 for each order m of op, t its terms c xi^p D^m, kept
-    apart as the parts _applied sums one by one: the gauge's xi^-2
-    coefficients, g0 against p(p-1)/2, p = d + 1/2, cancel to rounding."""
+    apart as the parts _applied sums one by one, so that the sizes it
+    carries down the K+ tower count each order's terms before they cancel."""
+    # gauged whole, K+'s merged coefficients are smaller than what they
+    # cancel, and nonrel_ladder_reconstruction reads 3.6e-4 at (0.5, 0.1),
+    # n_max 30
     return [nonrel.gauged(model, {(m, p): c for (m, p), c in op.items() if m == order})
             for order in sorted({m for m, _ in op})]
 
@@ -635,12 +637,15 @@ def _checks_nonrel(g0: float, levels: dict):
         *_bracket(H, A_minus), nonrel.scaled(2.0, A_minus))
 
     # K- = A-/2 scales every coefficient by a power of two, so K- psi_0 reads
-    # as A- psi_0 does and is not read
+    # as A- psi_0 does and is not read.  The gauge takes p(p-1) as 2 g0, so
+    # psi_0's exponent p = d + 1/2 is read on the indicial relation itself
     (ground,) = levels["nonrel_ground_annihilation"]
+    p = model.d + 0.5
     yield "nonrel_ground_annihilation", params, max(
-        _state_residual(*_applied(_gauged_terms(model, op), L[ground:ground + 1], low=low),
-                        np.zeros((1, L.shape[1])))
-        for op in (c_minus, A_minus))
+        abs(p * p - p - 2.0 * g0) / (p * p + p + 2.0 * abs(g0)),
+        *(_state_residual(*_applied(_gauged_terms(model, op), L[ground:ground + 1], low=low),
+                          np.zeros((1, L.shape[1])))
+          for op in (c_minus, A_minus)))
 
     yield "nonrel_su11_closure", params, max(
         _laurent_residual(*_bracket(K0, Kp), nonrel.scaled(-1.0, Kp)),

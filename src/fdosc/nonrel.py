@@ -17,7 +17,8 @@ ground-state gauge psi = psi_0 g, psi_0 = xi^(d+1/2) exp(-xi^2/2)
 (Turbiner, Commun. Math. Phys. 118 (1988) 467), ``gauged`` gives
 psi_0^-1 op psi_0 = sum c xi^p (D + w)^m, w = psi_0'/psi_0, in the same
 form, so it maps a Laurent sum g to one exactly; psi_n is psi_0 times
-L_n^d(xi^2), up to c_n/c_0.
+L_n^d(xi^2), up to c_n/c_0.  It takes p(p-1), p = d + 1/2, as the 2 g0 it
+equals, so the gauge adds no rounding of its own at xi^-2.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .errors import ConvergenceError, CouplingError
 from .opcore import AnalyticFunction, from_callable, gaussian
 
 _SQRT2 = math.sqrt(2.0)
+
 
 @dataclass(frozen=True)
 class NonRelModel:
@@ -139,7 +141,11 @@ def gauged(model: NonRelModel, op: dict) -> dict:
     """psi_0^-1 op psi_0 = sum c xi^p (D + w)^m over the terms c xi^p D^m
     of op, each power (D + w)^m built once by compose."""
     step = added({(1, 0): 1.0}, ground_log_derivative(model))
-    steps = [{(0, 0): 1.0}]
+    # (D + w)^2's xi^-2 coefficient p(p-1), p = d + 1/2, is the 2 g0 it
+    # equals exactly (d^2 - 1/4 = 2 g0): formed as p*p - p it rounds at ~eps,
+    # however small 2 g0 is.  So a term c D^2 gives c 2 g0 xi^-2 with no other
+    # rounding, and H's -1/2 D^2 + g0/xi^2 no xi^-2 term at all
+    steps = [{(0, 0): 1.0}, step, {**compose(step, step), (0, -2): 2.0 * model.g0}]
     terms = []
     for (m, p), c in op.items():
         while len(steps) <= m:

@@ -594,8 +594,8 @@ def test_run_suite_rejects_nmax_below_one():
 @pytest.fixture(scope="module")
 def readings_by_nmax(check_by_id):
     """(max_residual, note, levels) per check at n_max 1, 6 (the session
-    report) and 9: below the ladder cap, at it, and above both it and
-    BASE_LEVEL.  levels is the [first, last] of the result's params, or None."""
+    report) and 9, above BASE_LEVEL.  levels is the [first, last] of the
+    result's params, or None."""
     readings = {6: {cid: (r["max_residual"], r["note"], r["params"].get("levels"))
                     for cid, r in check_by_id.items()}}
     for n_max in (1, 9):
@@ -612,11 +612,11 @@ LEVELS_BY_NMAX = {
                      "rel_factorization_eigen", "rel_energies_above_rest"),
                     ([0, 8], [0, 8], [0, 9])),
     **dict.fromkeys(("nonrel_ladder_coefficient", "rel_su11_closure"),
-                    ([0, 1], [0, 6], [0, 6])),
+                    ([0, 1], [0, 6], [0, 9])),
     **dict.fromkeys(("nonrel_ladder_reconstruction", "rel_ladder_reconstruction",
                      "rel_ladder_consistency", "rel_ladder_coefficient",
                      "rel_ladder_coefficient_printed"),
-                    ([1, 1], [1, 6], [1, 6])),
+                    ([1, 1], [1, 6], [1, 9])),
     "rel_casimir": ([0, 8], [0, 8], [0, 8]),
     **dict.fromkeys(("nonrel_ground_annihilation", "rel_ground_annihilation"),
                     ([0, 0], [0, 0], [0, 0])),
@@ -634,39 +634,36 @@ def test_each_result_names_the_levels_it_read(readings_by_nmax):
 def test_casimir_checks_cover_base_levels_at_every_nmax(readings_by_nmax):
     # the identities read on the operator involve no level at all, and
     # rel_casimir reads the levels n <= BASE_LEVEL whatever n_max is
-    assert harness.LADDER_CAP < harness.BASE_LEVEL < 9
+    assert harness.BASE_LEVEL < 9
     for cid in (*IDENTITY_CHECKS, "rel_casimir"):
         assert readings_by_nmax[1][cid] == readings_by_nmax[6][cid] \
             == readings_by_nmax[9][cid], cid
 
 
-def test_ladder_checks_stop_at_the_cap(readings_by_nmax):
-    for cid in ("rel_ladder_consistency", "rel_ladder_coefficient",
-                "rel_ladder_coefficient_printed", "rel_su11_closure",
-                "rel_ladder_reconstruction", "nonrel_ladder_coefficient",
-                "nonrel_ladder_reconstruction"):
-        assert readings_by_nmax[9][cid] == readings_by_nmax[6][cid], cid
+LADDER_CHECKS = ("rel_ladder_consistency", "rel_ladder_coefficient",
+                 "rel_ladder_coefficient_printed", "rel_su11_closure",
+                 "rel_ladder_reconstruction", "nonrel_ladder_coefficient",
+                 "nonrel_ladder_reconstruction")
 
 
-def _ladder_cap_raised(cap: int) -> dict:
-    """harness.CHECKS with every level rule capped at LADDER_CAP capped at
-    `cap` instead."""
-    return {cid: c._replace(levels=c.levels._replace(cap=cap))
-            if c.levels is not None and c.levels.cap == harness.LADDER_CAP else c
-            for cid, c in harness.CHECKS.items()}
+def test_ladder_checks_stop_at_the_cap():
+    at_cap, above = (
+        {r.check_id: (r.max_residual, r.note, r.params["levels"])
+         for r in harness.run_suite(0.5, 0.1, n_max=n_max).results if r.check_id in LADDER_CHECKS}
+        for n_max in (harness.LADDER_CAP, harness.LADDER_CAP + 2))
+    assert above == at_cap
+    assert all(levels[1] == harness.LADDER_CAP for _, _, levels in above.values())
 
 
 @pytest.mark.parametrize("cap", [9, 15])
-def test_raised_ladder_cap_runs_every_check(cap, monkeypatch):
-    # the coefficient rows follow the cap: n_max = cap reads S_(cap+1) and
-    # b_(cap+1)^2, above BASE_LEVEL; no verdict is asserted at these levels
-    monkeypatch.setattr(harness, "CHECKS", _ladder_cap_raised(cap))
+def test_raised_ladder_cap_runs_every_check(cap):
+    # the coefficient rows follow the levels read: n_max = cap reads S_(cap+1)
+    # and b_(cap+1)^2, above BASE_LEVEL; no verdict is asserted at these levels
     report = harness.run_suite(0.5, 0.1, n_max=cap)
     assert [r.check_id for r in report.results] == sorted(harness.CHECKS)
     results = {r.check_id: r for r in report.results}
-    for cid, (_, _, at_9) in LEVELS_BY_NMAX.items():
-        if at_9[1] == harness.LADDER_CAP:  # a ladder check, held at the cap at n_max 9
-            assert results[cid].params["levels"] == [at_9[0], cap], cid
+    for cid in LADDER_CHECKS:
+        assert results[cid].params["levels"] == [LEVELS_BY_NMAX[cid][2][0], cap], cid
     for cid in ("nonrel_ladder_reconstruction", "rel_ladder_reconstruction"):
         assert results[cid].note.count(",") == cap - 1, cid  # one ratio per level
 
@@ -686,14 +683,15 @@ def test_cli_verify_passes_as_alpha_or_nu_nears_one(argv):
 
 
 @pytest.mark.parametrize("g0", [1e-6, 1e-8, 1e-12])
-def test_rel_checks_pass_at_cap_30_at_small_g0(g0, monkeypatch):
-    # the rel half of a raised ladder cap: every rel check holds to level 30
-    # as alpha -> 1 (the nonrel tower does not yet, at these g0)
-    monkeypatch.setattr(harness, "CHECKS", _ladder_cap_raised(30))
-    levels = {cid: c.levels.at(30) for cid, c in harness.CHECKS.items() if c.levels}
-    failed = [cid for cid, _, worst, *_ in harness._checks_rel(0.5, g0, levels, default_grid())
-              if harness.CHECKS[cid].gating and worst > harness.CHECKS[cid].tolerance]
-    assert failed == []
+def test_every_hard_check_passes_at_nmax_30_at_small_g0(g0):
+    # both ladder towers 30 levels deep as alpha -> 1 and d -> 1/2: the
+    # nonrel one read 2.3e-8 at g0 = 1e-12 while the gauge formed p(p-1) as
+    # p*p - p, whose rounding the K+ tower grew
+    report = harness.run_suite(0.5, g0, n_max=30)
+    assert [r.check_id for r in report.results if r.gating and not r.passed] == []
+    levels = {r.check_id: r.params.get("levels") for r in report.results}
+    assert levels["nonrel_ladder_reconstruction"] == levels["rel_ladder_reconstruction"] \
+        == [1, 30]
 
 
 def test_cli_verify_rejects_nmax_below_one(capsys):
@@ -800,33 +798,25 @@ def test_report_digest_tool_reads_its_deep_runs_at_cap_30(capsys):
     spec = importlib.util.spec_from_file_location("report_digest", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    default = harness.CHECKS
-    argv = ["verify", "--omega0", "0.6", "--g0", "0.2", "--nmax", "30", "--format", "json"]
-    with tool.ladder_cap(30):
-        _, deep = _run_cli(argv)
-    assert harness.CHECKS is default
+    _, deep = _run_cli(["verify", "--omega0", "0.6", "--g0", "0.2", "--nmax", "30",
+                        "--format", "json"])
     levels = {r["check_id"]: r["params"].get("levels") for r in json.loads(deep)["results"]}
     assert levels["nonrel_ladder_reconstruction"] == levels["rel_ladder_reconstruction"] == [1, 30]
-    assert tool.main(["verify/0.6,0.2/nmax30/cap30/json"]) == 0
+    assert tool.main(["verify/0.6,0.2/nmax30/json"]) == 0
     assert [label for label in dict(tool.runs()) if "nmax96" in label] == [
         f"verify/{w0},{g0}/nmax96/json" for w0, g0 in tool.COUPLINGS]
-    assert harness.CHECKS is default
     assert capsys.readouterr().out.split()[0] == hashlib.md5(deep.encode()).hexdigest()
-    _, capped = _run_cli(argv)
-    assert capped != deep
 
 
-def test_suite_timing_tool_times_and_restores_the_cap(monkeypatch, capsys):
+def test_suite_timing_tool_times_and_restores_the_groups(monkeypatch, capsys):
     path = Path(__file__).resolve().parents[1] / "tools" / "suite_timing.py"
     spec = importlib.util.spec_from_file_location("suite_timing", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     assert tool.main(["0"]) == 2
     assert capsys.readouterr().err == "error: REPEATS must be >= 1\n"
-    default = harness.CHECKS
-    times = tool.timings(1, harness.LADDER_CAP, 1)
+    times = tool.timings(1, 1)
     assert len(times) == 1 and times[0] > 0.0
-    assert harness.CHECKS is default
     times, peaks = tool.process_timings(1)
     assert len(times) == 1 and times[0] > 0.0
     assert len(peaks) == 1 and 1.0 < peaks[0] < 1000.0  # MB
@@ -840,12 +830,10 @@ def test_suite_timing_tool_times_and_restores_the_cap(monkeypatch, capsys):
     assert all(len(seconds) == 1 and seconds[0] > 0.0
                for by_id in checks.values() for seconds in by_id.values())
     assert all(getattr(harness, f"_checks_{group}") is groups[group] for group in tool.GROUPS)
-    # the split at n_max 30 with the cap at 30 too, where the nonrel K+ tower
-    # is 30 levels deep
-    assert tool.SPLITS == ((6, harness.LADDER_CAP), (30, 30))
-    deep = tool.check_timings(1, 30, 30)
+    # the split at n_max 30 too, where the nonrel K+ tower is 30 levels deep
+    assert tool.N_MAXES == (6, harness.LADDER_CAP)
+    deep = tool.check_timings(1, 30)
     assert sorted(cid for by_id in deep.values() for cid in by_id) == sorted(harness.CHECKS)
-    assert harness.CHECKS is default
     layers = tool.tower_layers(1)
     assert list(layers) == list(tool.TOWER_LEVELS)
     for level in layers.values():
@@ -877,17 +865,11 @@ def test_suite_timing_tool_times_and_restores_the_cap(monkeypatch, capsys):
     assert timed == suite and len(timed) == 8
 
     def fail(*args, **kwargs):
-        # the cap is raised in the CHECKS rows, for the ladder checks alone
-        assert harness.CHECKS == _ladder_cap_raised(harness.LADDER_CAP + 3) != default
         raise RuntimeError("run_suite failed")
 
     monkeypatch.setattr(harness, "run_suite", fail)
     with pytest.raises(RuntimeError, match="run_suite failed"):
-        tool.timings(1, harness.LADDER_CAP + 3, 1)
-    assert harness.CHECKS is default
-    with pytest.raises(RuntimeError, match="run_suite failed"):
-        tool.check_timings(1, 1, harness.LADDER_CAP + 3)
-    assert harness.CHECKS is default
+        tool.check_timings(1, 1)
     assert all(getattr(harness, f"_checks_{group}") is groups[group] for group in tool.GROUPS)
 
 
@@ -1268,6 +1250,17 @@ def test_a_planted_error_fails_each_nonrel_eigenstate_check(check_id, term, monk
                 _planted(patch, nonrel, name,
                          lambda gens: (*gens[:2], nonrel.added(gens[2], error)))
             assert _nonrel_reading(check_id) > tolerance, scale
+
+
+@pytest.mark.parametrize("g0", [0.1, 1e-6])
+def test_a_planted_error_in_the_exponent_fails_ground_annihilation(g0, monkeypatch):
+    # the gauge takes p(p-1), p = d + 1/2, as 2 g0, so the gauged operators no
+    # longer see an error in d; nonrel_ground_annihilation reads the indicial
+    # relation p(p-1) = 2 g0 itself, which catches d + 1e-13
+    _planted(monkeypatch, nonrel, "make_model",
+             lambda model: nonrel.NonRelModel(model.g0, model.d + 1e-13))
+    results = {r.check_id: r for r in harness.run_suite(0.5, g0, n_max=6).results}
+    assert not results["nonrel_ground_annihilation"].passed
 
 
 # The smallest constant one-term error that each rel eigenstate check caught

@@ -113,19 +113,27 @@ def test_ground_log_derivative_matches_mpmath(g0):
     assert np.max(np.abs(w - want) / np.abs(want)) <= 1e-14
 
 
-def test_gauged_raising_operator_has_its_closed_form():
+@pytest.mark.parametrize("g0", [-0.1, 1e-12, 0.1, 6e4])
+def test_gauged_raising_operator_has_its_closed_form(g0):
     # psi_0^-1 A+ psi_0 = 1/2 D^2 + (p/xi - 2 xi) D + (2 xi^2 - 2p - 1), p = d + 1/2,
-    # which uses p(p-1) = 2 g0: its xi^-2 coefficient is that rounding alone
-    p = MODEL.d + 0.5
+    # which uses p(p-1) = 2 g0.  The gauge takes p(p-1) as 2 g0 exactly, so
+    # the xi^-2 coefficient left is A+'s own rounding: c 2 g0 - g0, its D^2
+    # coefficient c being (1/sqrt(2))^2 = 1/2 - 2^-54.  H, whose D^2
+    # coefficient -1/2 is exact, gauges to no xi^-2 term at all
+    model = nonrel.make_model(g0)
+    A_plus = nonrel.ladder_A(model)[1]
+    p = model.d + 0.5
     gauged = {}
-    for (m, power), c in nonrel.gauged(MODEL, nonrel.ladder_A(MODEL)[1]).items():
+    for (m, power), c in nonrel.gauged(model, A_plus).items():
         gauged.setdefault(m, {})[power] = c
     want = {0: {2: 2.0, 0: -2.0 * p - 1.0}, 1: {-1: p, 1: -2.0}, 2: {0: 0.5}}
     assert gauged.keys() == want.keys()
     for order, powers in want.items():
         got = gauged[order]
-        assert set(got) - set(powers) <= {-2} and abs(got.get(-2, 0)) <= 1e-15 * MODEL.g0
+        assert set(got) - set(powers) <= {-2}
         assert all(abs(got[k] - v) <= 1e-15 * abs(v) for k, v in powers.items()), order
+    assert gauged[0].get(-2, 0.0) == A_plus[(2, 0)] * (2.0 * g0) + A_plus[(0, -2)]
+    assert (0, -2) not in nonrel.gauged(model, nonrel.hamiltonian(model))
 
 
 @pytest.mark.parametrize("n", [0, 1, 3])

@@ -3,11 +3,8 @@
     PYTHONPATH=src python3 tools/report_digest.py [LABEL ...]
 
 Prints one line `<md5>  <label>` per CLI run, the digest of everything the
-run wrote to stdout.  With labels given, runs only those.  The `cap30`
-runs raise the ladder cap to 30 in this process alone: each
-`harness.CHECKS` row whose level rule is capped at `harness.LADDER_CAP`
-gets cap 30 for that run, and the table is put back afterwards.  Run it
-on two source trees and `diff` the outputs: an empty diff means a change left
+run wrote to stdout.  With labels given, runs only those.  Run it on two
+source trees and `diff` the outputs: an empty diff means a change left
 every report and table byte-identical.  It needs nothing beyond the
 standard library and fdosc itself.
 
@@ -25,14 +22,13 @@ import hashlib
 import io
 import sys
 
-from fdosc import cli, harness
+from fdosc import cli
 
 COUPLINGS = ((0.5, 0.1), (0.9, 0.05), (0.35, 0.6), (0.6, 0.2))
 VERIFY_NMAX = (1, 6, 12)
-# the per-level tables at their largest: eigen-equation levels up to 30
+# the per-level tables at their largest: eigen-equation levels, and the K+
+# and B+ towers, up to 30 (harness.LADDER_CAP)
 BIG_VERIFY_NMAX = 30
-# the ladder checks at that depth too: K+ and B+ towers up to level 30
-DEEP_LADDER_CAP = 30
 # the eigen-equation levels as deep as S_n stays in double range
 DEEPEST_VERIFY_NMAX = 96
 TABLE_LEVELS = (0, 3, 11)
@@ -55,8 +51,7 @@ POLE_TABLE = ["--n", "3", "--grid-min", "1e-12", "--grid-max", "8",
 
 
 def runs():
-    """(label, argv) for every digested CLI run at the default ladder cap,
-    in print order."""
+    """(label, argv) for every digested CLI run, in print order."""
     for w0, g0 in COUPLINGS:
         for nmax in VERIFY_NMAX:
             for fmt in FORMATS:
@@ -100,29 +95,6 @@ def runs():
                 "--nmax", str(DEEPEST_VERIFY_NMAX), "--format", "json"])
 
 
-def deep_runs():
-    """(label, argv) for the runs digested at ladder cap DEEP_LADDER_CAP,
-    printed after the others."""
-    for w0, g0 in COUPLINGS:
-        yield (f"verify/{w0},{g0}/nmax{BIG_VERIFY_NMAX}/cap{DEEP_LADDER_CAP}/json",
-               ["verify", "--omega0", str(w0), "--g0", str(g0),
-                "--nmax", str(BIG_VERIFY_NMAX), "--format", "json"])
-
-
-@contextlib.contextmanager
-def ladder_cap(cap):
-    """harness.CHECKS with each level rule capped at harness.LADDER_CAP
-    capped at `cap` instead; the table is put back on exit."""
-    default = harness.CHECKS
-    harness.CHECKS = {cid: c._replace(levels=c.levels._replace(cap=cap))
-                      if c.levels is not None and c.levels.cap == harness.LADDER_CAP else c
-                      for cid, c in default.items()}
-    try:
-        yield
-    finally:
-        harness.CHECKS = default
-
-
 def digest(argv) -> str:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -131,15 +103,13 @@ def digest(argv) -> str:
 
 
 def main(labels) -> int:
-    table, deep = dict(runs()), dict(deep_runs())
-    table.update(deep)
+    table = dict(runs())
     unknown = [label for label in labels if label not in table]
     if unknown:
         print(f"error: unknown label(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
     for label in labels or table:
-        with ladder_cap(DEEP_LADDER_CAP if label in deep else harness.LADDER_CAP):
-            print(f"{digest(table[label])}  {label}", flush=True)
+        print(f"{digest(table[label])}  {label}", flush=True)
     return 0
 
 

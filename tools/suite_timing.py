@@ -3,36 +3,31 @@ process, median and quartiles.
 
     PYTHONPATH=src python3 tools/suite_timing.py [REPEATS]
 
-Times run_suite(0.6, 0.2) at three settings: n_max 6, n_max 30, and n_max
-30 with the ladder cap raised to 30 in this process only, which is the cost
-the ladder checks would add at a lifted cap (only the time is read).  The cap is raised where it is
-declared: each `harness.CHECKS` row whose level rule is capped at
-`harness.LADDER_CAP` gets the new cap, and the table is put back
-afterwards.  Then splits run_suite(0.6, 0.2) by check group (specfun,
-planewave, nonrel, rel) and, within each group, by check id, at n_max 6 and
-at n_max 30 with the ladder cap at 30, where the nonrel K+ tower is the
-deepest: each group function is wrapped, in this process only, to time
-every step of its generator.  A check's time runs from the previous yield of its group's
-generator to its own, so the group's set-up counts in its first check, and
-a group's time is the sum of its checks'.  Then times one scalar B+ tower call at rho = 1.3 at levels 1, 7
-and 14, split into the leaf (the base at its shifted points), the
-coefficient block (one call of the operator's batched coefficients) and
-the steps (the rest of the call), each the mean over 20 calls, and one
-build of every rel operator the suite reads (`rel_operators`).  Then times
-`rel.ladder_state(model, n)` at n = 1, 7 and 14, the build alone and the
-build with the state's first call at rho = 1.3, where its tower is laid
-out, and one lone-point call of the rel leaf, phi_0 at rho = 1.3, each the
-mean over 20 calls.  Then times
-a fresh `python -m fdosc.cli verify --format json` process, imports
-included, on the fdosc this script imported, and reads each process's
-peak RSS from os.wait4.  Each setting
-runs once as a warm-up, then REPEATS times (default 11).  Run it on two
-source trees to compare them.
+Times run_suite(0.6, 0.2) at n_max 6 and 30, where the ladder checks read
+6 and 30 levels (harness.LADDER_CAP is 30).  Then splits run_suite(0.6,
+0.2) by check group (specfun, planewave, nonrel, rel) and, within each
+group, by check id, at the same two n_max, the nonrel K+ tower 30 levels
+deep at n_max 30: each group function is wrapped, in this process only, to
+time every step of its generator.  A check's time runs from the previous
+yield of its group's generator to its own, so the group's set-up counts in
+its first check, and a group's time is the sum of its checks'.  Then times
+one scalar B+ tower call at rho = 1.3 at levels 1, 7 and 14, split into
+the leaf (the base at its shifted points), the coefficient block (one call
+of the operator's batched coefficients) and the steps (the rest of the
+call), each the mean over 20 calls, and one build of every rel operator
+the suite reads (`rel_operators`).  Then times `rel.ladder_state(model,
+n)` at n = 1, 7 and 14, the build alone and the build with the state's
+first call at rho = 1.3, where its tower is laid out, and one lone-point
+call of the rel leaf, phi_0 at rho = 1.3, each the mean over 20
+calls.  Then times a fresh `python -m fdosc.cli verify --format json`
+process, imports included, on the fdosc this script imported, and reads
+each process's peak RSS from os.wait4.  Each setting runs once as a
+warm-up, then REPEATS times (default 11).  Run it on two source trees to
+compare them.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
 import subprocess
 import sys
@@ -47,43 +42,25 @@ COUPLING = (0.6, 0.2)
 TOWER_LEVELS = (1, 7, 14)
 TOWER_POINT = 1.3
 CALLS = 20  # calls per timed repeat of one tower layer
-SETTINGS = ((6, harness.LADDER_CAP), (30, harness.LADDER_CAP), (30, 30))
-SPLITS = ((6, harness.LADDER_CAP), (30, 30))  # the settings split by group and check
+N_MAXES = (6, 30)  # each timed whole, then split by group and check
 GROUPS = ("specfun", "planewave", "nonrel", "rel")  # harness._checks_<group>
 
 
-@contextlib.contextmanager
-def ladder_cap(cap: int):
-    """harness.CHECKS with every level rule capped at LADDER_CAP capped at
-    `cap`, put back on exit."""
-    default = harness.CHECKS
-    harness.CHECKS = {cid: c._replace(levels=c.levels._replace(cap=cap))
-                      if c.levels is not None and c.levels.cap == harness.LADDER_CAP else c
-                      for cid, c in default.items()}
-    try:
-        yield
-    finally:
-        harness.CHECKS = default
-
-
-def timings(n_max: int, cap: int, repeats: int) -> list[float]:
-    """Seconds of `repeats` run_suite calls at n_max with the ladder checks
-    capped at `cap`, after one warm-up call."""
-    with ladder_cap(cap):
+def timings(n_max: int, repeats: int) -> list[float]:
+    """Seconds of `repeats` run_suite calls at n_max, after one warm-up
+    call."""
+    harness.run_suite(*COUPLING, n_max=n_max)
+    out = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
         harness.run_suite(*COUPLING, n_max=n_max)
-        out = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            harness.run_suite(*COUPLING, n_max=n_max)
-            out.append(time.perf_counter() - t0)
-        return out
+        out.append(time.perf_counter() - t0)
+    return out
 
 
-def check_timings(repeats: int, n_max: int = 6,
-                  cap: int = harness.LADDER_CAP) -> dict[str, dict[str, list[float]]]:
-    """Seconds each check takes in `repeats` run_suite calls at n_max with
-    the ladder checks capped at `cap`, by group and check id, after one
-    warm-up call: from the previous yield of its group's generator to its
+def check_timings(repeats: int, n_max: int = 6) -> dict[str, dict[str, list[float]]]:
+    """Seconds each check takes in `repeats` run_suite calls at n_max, by
+    group and check id, after one warm-up call: from the previous yield of its group's generator to its
     own, the group's set-up counting in its first check.  The group
     functions are restored afterwards."""
     spent = {group: {} for group in GROUPS}
@@ -104,9 +81,8 @@ def check_timings(repeats: int, n_max: int = 6,
     for group, check_group in default.items():
         setattr(harness, f"_checks_{group}", timed(group, check_group))
     try:
-        with ladder_cap(cap):
-            for _ in range(repeats + 1):
-                harness.run_suite(*COUPLING, n_max=n_max)
+        for _ in range(repeats + 1):
+            harness.run_suite(*COUPLING, n_max=n_max)
     finally:
         for group, check_group in default.items():
             setattr(harness, f"_checks_{group}", check_group)
@@ -206,14 +182,13 @@ def main(argv) -> int:
     if repeats < 1:
         print("error: REPEATS must be >= 1", file=sys.stderr)
         return 2
-    for n_max, cap in SETTINGS:
-        print(_summary(f"n_max {n_max:2d}  LADDER_CAP {cap:2d}",
-                       timings(n_max, cap, repeats)), flush=True)
+    for n_max in N_MAXES:
+        print(_summary(f"n_max {n_max:2d}", timings(n_max, repeats)), flush=True)
     print("a check's time runs from the previous yield of its group's generator to its "
           "own: the group's set-up counts in its first check", flush=True)
-    for n_max, cap in SPLITS:
-        setting = f"n_max {n_max:2d}  LADDER_CAP {cap:2d}"
-        for group, checks in check_timings(repeats, n_max, cap).items():
+    for n_max in N_MAXES:
+        setting = f"n_max {n_max:2d}"
+        for group, checks in check_timings(repeats, n_max).items():
             print(_summary(f"{setting}  group {group:9s}", np.sum(list(checks.values()), axis=0)),
                   flush=True)
             for check_id, seconds in checks.items():
