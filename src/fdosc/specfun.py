@@ -1,6 +1,7 @@
 """Complex special functions used by the closed-form wavefunctions.
 
-Everything here is plain double precision.  log_gamma uses a Lanczos
+Everything here is plain double precision but cdhahn_coefficients, which
+runs its recurrence in exact integers.  log_gamma uses a Lanczos
 approximation (g = 607/128, 15 coefficients; Lanczos, SIAM J. Numer.
 Anal. B 1 (1964) 86-96) with reflection for the left half-plane, and keeps
 a continuous branch for re(z) > 0 so that ratios of huge gamma values can
@@ -23,11 +24,12 @@ generalized_degree share log_gamma's sum but not its pole scan.
 The continuous dual Hahn polynomials come two ways.  cdhahn_rows gives
 S_0 .. S_n on a leading axis from one pass of their three-term recurrence
 in n, stable in double precision at least to n = 30; the closed-form
-eigenfunctions use it, and cdhahn_coefficients runs the same recurrence on
-coefficient vectors, for the rel eigenstate checks.  cdhahn_complex sums
-the terminating hypergeometric series for one n, whose alternating terms
-cancel as n grows; it is kept as the independent form that the recurrence
-is checked against.
+eigenfunctions use it.  cdhahn_coefficients runs the same recurrence on
+coefficient vectors, exactly, and rounds each coefficient once, for the
+rel eigenstate checks.  cdhahn_complex sums the terminating
+hypergeometric series for one n, whose alternating terms cancel as n
+grows; it is kept as the independent form that the recurrence is checked
+against.
 """
 
 from __future__ import annotations
@@ -300,8 +302,10 @@ def cdhahn_rows(n_top: int, z, a, b, c):
     z, shape = _points(z)
     rows = np.ones((n_top + 1, len(z)), dtype=complex)
     if n_top:
-        diagonal, below = _cdhahn_recurrence(n_top, a, b, c)
-        a = np.asarray(a, dtype=float).reshape(-1)
+        a, b, c = (np.asarray(p, dtype=float).reshape(-1) for p in (a, b, c))
+        n = np.arange(n_top)[:, None]
+        A, C = (n + a + b) * (n + a + c), n * (n + b + c - 1.0)
+        diagonal, below = A + C, A[:-1] * C[1:]  # below[n - 1] multiplies S_(n-1)
         u = a * a + z * z
         np.subtract(diagonal[0], u, out=rows[1])  # C_0 = 0
         for k in range(1, n_top):
@@ -311,39 +315,37 @@ def cdhahn_rows(n_top: int, z, a, b, c):
     return rows.reshape((n_top + 1,) + shape)
 
 
-def _cdhahn_recurrence(n_top: int, a, b, c):
-    """cdhahn_rows' recurrence coefficients for n = 0..n_top-1, each of shape
-    (n_top, len(a)): the diagonal A_n + C_n, and below[n - 1] = A_(n-1) C_n,
-    which multiplies S_(n-1)."""
-    a, b, c = (np.asarray(p, dtype=float).reshape(-1) for p in (a, b, c))
-    n = np.arange(n_top)[:, None]
-    A = (n + a + b) * (n + a + c)
-    C = n * (n + b + c - 1.0)
-    return A + C, A[:-1] * C[1:]
-
-
 def cdhahn_coefficients(n_top: int, a: float, b: float, c: float):
-    """The coefficients of S_n(y; a, b, c) in powers of y, n = 0..n_top, from
-    cdhahn_rows' recurrence run on coefficient vectors, y S_n being S_n
-    moved up one power.  Returns (rows, exponents): S_n = 2^exponents[n]
-    sum_j rows[n, j] y^j, each row scaled by a power of two to a largest
-    |coefficient| in [1/2, 1).  Scaling by powers of two is exact, so a row
-    holds the floats of the unscaled recurrence, and no level leaves double
-    range: the constant term grows like (a+b)_n (a+c)_n."""
+    """The coefficients of S_n(y; a, b, c) in powers of y, n = 0..n_top, each
+    the exact value rounded once.  Returns (rows, exponents): S_n =
+    2^exponents[n] sum_j rows[n, j] y^j, each row scaled by a power of two
+    to a largest |coefficient| in [1/2, 1), so no level leaves double range.
+
+    cdhahn_rows' recurrence runs on coefficient vectors in Python integers:
+    a, b and c are integers over one power of two u, and s_k = u^(2k) S_k
+    obeys s_(k+1) = d_k s_k - u^2 y s_k - l_k s_(k-1), with the integers
+    d_k = u^2 (A_k + C_k - a^2) and l_k = u^4 A_(k-1) C_k.  Integer true
+    division is correctly rounded.  ParameterError for a non-finite a, b or c."""
     if n_top < 0:
         raise ValueError("cdhahn requires n >= 0")
-    rows = np.zeros((n_top + 1, n_top + 1))
-    rows[0, 0], exponents = 0.5, [1]  # S_0 = 1
-    if n_top:
-        diagonal, below = (v[:, 0].tolist() for v in _cdhahn_recurrence(n_top, a, b, c))
-        for k in range(n_top):
-            # S_(k+1) 2^-e_k = (diagonal_k - a^2 - y) S^_k
-            #                  - below_(k-1) 2^(e_(k-1) - e_k) S^_(k-1)
-            nxt = (diagonal[k] - a * a) * rows[k]
-            nxt[1:] -= rows[k, :-1]
-            if k:
-                nxt -= math.ldexp(below[k - 1], exponents[k - 1] - exponents[k]) * rows[k - 1]
-            _, e = math.frexp(float(np.max(np.abs(nxt))))
-            np.multiply(nxt, math.ldexp(1.0, -e), out=rows[k + 1])
-            exponents.append(exponents[k] + e)
+    if not all(map(math.isfinite, (a, b, c))):
+        raise ParameterError(f"cdhahn needs finite parameters, got a={a}, b={b}, c={c}")
+    ratios = [float(p).as_integer_ratio() for p in (a, b, c)]
+    shift = max(den.bit_length() - 1 for _, den in ratios)  # u = 2^shift
+    a, b, c = (num << (shift - den.bit_length() + 1) for num, den in ratios)
+    u = 1 << shift
+    rows, exponents = np.zeros((n_top + 1, n_top + 1)), []
+    s, previous, A_below = [1], [], 0  # s_0, s_(-1), u^2 A_(-1)
+    for k in range(n_top + 1):
+        largest = max(map(abs, s))
+        top = largest.bit_length()
+        if largest / (1 << top) == 1.0:  # it rounds up to 2^top
+            top += 1
+        rows[k, :k + 1] = [v / (1 << top) for v in s]
+        exponents.append(top - 2 * k * shift)
+        A = (k * u + a + b) * (k * u + a + c)
+        C = k * u * (k * u + b + c - u)
+        d, below = A + C - a * a, A_below * C
+        s, previous, A_below = [d * v - (w << 2 * shift) - below * x for v, w, x in
+                                zip(s + [0], [0] + s, previous + [0, 0])], s, A
     return rows, np.array(exponents)

@@ -435,6 +435,46 @@ def test_cdhahn_coefficients_match_mpmath(couplings):
             assert not rows[n, n + 1:].any()
 
 
+def _cdhahn_recurrence_mp(n_top, a, b, c):
+    """S_0 .. S_(n_top) in powers of y from the recurrence S_(k+1) =
+    (A_k + C_k - a^2 - y) S_k - A_(k-1) C_k S_(k-1), in mpmath."""
+    a, b, c = mp.mpf(a), mp.mpf(b), mp.mpf(c)
+    rows, previous = [[mp.mpf(1)]], []
+    for k in range(n_top):
+        A, C = (k + a + b) * (k + a + c), k * (k + b + c - 1)
+        below = (k - 1 + a + b) * (k - 1 + a + c) * C
+        s = rows[-1]
+        rows.append([(A + C - a * a) * v - w - below * x for v, w, x in
+                     zip(s + [0], [0] + s, previous + [0, 0])])
+        previous = s
+    return rows
+
+
+@pytest.mark.parametrize("couplings", [(0.5, 0.1), (0.9, 0.05), (0.35, 0.6), (0.6, 0.2),
+                                       (35.0, 5.1e-5), (0.5, 1e-12)])
+def test_cdhahn_coefficients_are_the_exact_recurrence_rounded_once(couplings):
+    # every coefficient is the 200-digit recurrence's, rounded once: the same
+    # recurrence run in doubles is off by 2.7e-14 to 8.6e-14 relative at
+    # n = 96 at these couplings
+    model = rel.make_rel_model(*couplings)
+    rows, exponents = specfun.cdhahn_coefficients(96, model.alpha, model.nu, 0.5)
+    assert rows.shape == (97, 97)
+    with mp.workdps(200):
+        want = _cdhahn_recurrence_mp(96, model.alpha, model.nu, 0.5)
+        for n in (0, 6, 30, 96):
+            assert 0.5 <= np.max(np.abs(rows[n])) < 1.0
+            assert rows[n, :n + 1].tolist() == [float(mp.ldexp(w, -int(exponents[n])))
+                                                for w in want[n]], n
+            assert not rows[n, n + 1:].any()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_cdhahn_coefficients_reject_non_finite_parameters(bad):
+    for params in ((bad, 2.3, 0.5), (1.2, bad, 0.5), (1.2, 2.3, bad)):
+        with pytest.raises(ParameterError, match="finite"):
+            specfun.cdhahn_coefficients(3, *params)
+
+
 def test_cdhahn_coefficients_evaluate_as_the_recurrence_rows():
     # the rows as polynomials in y = x^2, scaled back, give cdhahn_rows' values;
     # every row stays in double range at n = 150, where S_n's constant term

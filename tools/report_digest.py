@@ -10,9 +10,7 @@ standard library and fdosc itself.
 
 The `nmax96` runs read the deepest level whose S_n stays in double range
 (it passes the largest double from n = 97), so each change is compared
-bytewise there too.  At (0.35, 0.6) that run exits 2 and prints nothing
-while rel_factorization_eigen evaluates phi_96 at rho +- i on the grid: its
-digest is that of empty output until that reading leaves the grid.
+bytewise there too.
 """
 
 from __future__ import annotations
