@@ -1,6 +1,7 @@
 """Report plumbing, output formats, CLI behaviour, determinism."""
 
 import csv
+import functools
 import hashlib
 import importlib
 import importlib.util
@@ -8,11 +9,13 @@ import inspect
 import io
 import json
 import math
+import operator
 import os
 import random
 import re
 import subprocess
 import sys
+import types
 from contextlib import redirect_stdout
 from pathlib import Path
 from unittest.mock import patch
@@ -1142,112 +1145,6 @@ def _planted(monkeypatch, module, name, plant):
     monkeypatch.setattr(module, name, lambda *args: plant(original(*args)))
 
 
-# One-term errors 1e-6 T(s) planted in the operators of each hard rel and
-# plane-wave operator identity, at s in {0, i, -i, 2i} and the four digest
-# couplings: check id -> (planted operator, {blind shift: why}).  The grid
-# readings caught each of these, from 1.7x the tolerance (H@0 at (0.9, 0.05)
-# in rel_factorization_random); read on coefficients they read from 1.7x
-# there too, and at least as much as the grid read in every
-# rel_factorization_random cell, up to 1.5e6x.  A blind cell is an error the
-# identity cannot see, whatever the reading: it must still pass.
-_ONE_TERM_PLANTS = {
-    "rel_two_step_commutator": [("BB_rhs", {}), ("B-", {0j: "c I commutes with B+"})],
-    "rel_lowering_commutator": [("B-", {})],
-    "rel_raising_commutator": [("B+", {})],
-    "rel_factorization_random": [("H", {})],
-    "rel_momentum_commutator": [("H", {0j: "c I commutes with rho"}), ("P", {})],
-    "rel_mass_shell_free": [("H0", {})],
-}
-_PLANT_SITES = {  # planted operator -> (module, builder, plant of the error into its output)
-    "BB_rhs": (rel, "BB_commutator_rhs", lambda op, error: op + error),
-    "B-": (rel, "ladder_B", lambda pair, error: (pair[0] + error, pair[1])),
-    "B+": (rel, "ladder_B", lambda pair, error: (pair[0], pair[1] + error)),
-    "H": (rel, "hamiltonian_rel", lambda op, error: op + error),
-    "P": (rel, "momentum_P", lambda op, error: op + error),
-    "H0": (planewave, "free_hamiltonian", lambda op, error: op + error),
-}
-
-
-def _identity_reading(check_id, couplings):
-    """The residual of one rel or plane-wave identity check at n_max 1."""
-    levels = {cid: c.levels.at(1) for cid, c in harness.CHECKS.items() if c.levels}
-    pts = default_grid()
-    group = harness._checks_planewave(pts) if check_id == "rel_mass_shell_free" \
-        else harness._checks_rel(*couplings, levels, pts)
-    return next(worst for cid, _, worst, *_ in group if cid == check_id)
-
-
-@pytest.mark.parametrize("check_id", [
-    "rel_two_step_commutator", "nonrel_su11_closure", "nonrel_casimir",
-    "rel_lowering_commutator", "rel_raising_commutator", "rel_factorization_random",
-    "rel_momentum_commutator", "rel_mass_shell_free"])
-def test_a_planted_one_term_error_fails_its_check(check_id, monkeypatch):
-    tolerance = harness.CHECKS[check_id].tolerance
-    if check_id.startswith("nonrel"):  # K0 off by one term, a nonrel one: xi^2
-        _planted(monkeypatch, nonrel, "su11_generators",
-                 lambda generators: (nonrel.added(generators[0], {(0, 2): 1e-6}),
-                                     *generators[1:]))
-        results = {r.check_id: r for r in harness.run_suite(0.5, 0.1, n_max=1).results}
-        assert results[check_id].max_residual > tolerance
-        assert not results[check_id].passed
-        return
-    for target, blind in _ONE_TERM_PLANTS[check_id]:
-        module, name, plant = _PLANT_SITES[target]
-        for couplings in DIGEST_COUPLINGS:
-            for shift in (0j, 1j, -1j, 2j):
-                error = 1e-6 * shift_op(shift)
-                with monkeypatch.context() as patch:
-                    _planted(patch, module, name, lambda out: plant(out, error))
-                    reading = _identity_reading(check_id, couplings)
-                cell = (target, couplings, shift)
-                assert (reading <= tolerance) if shift in blind else (reading > tolerance), cell
-
-
-# The smallest one-term error, of each kind, that each nonrel eigenstate
-# check caught before it read coefficients (grid readings at (0.5, 0.1),
-# n_max 6): H for the eigen equation, c- for ground annihilation, K+ for
-# the ladder checks.  That check caught a xi^-2 error in K+ from 1e-14, its
-# value-space tower amplifying the 1/xi^2 term near xi = 0.25; the
-# coefficient reading takes it from 1e-12.
-_PLANTS = {
-    "nonrel_eigen_equation": ("hamiltonian", {"1": 1e-9, "xi2": 1e-10, "xi-2": 1e-10, "D": 1e-10}),
-    "nonrel_ground_annihilation": ("ladder_c", {"1": 1e-11, "xi2": 1e-12, "xi-2": 1e-12,
-                                                "D": 1e-12}),
-    "nonrel_ladder_coefficient": ("su11_generators", {"1": 1e-7, "xi2": 1e-8, "xi-2": 1e-8,
-                                                      "D": 1e-7}),
-    "nonrel_ladder_reconstruction": ("su11_generators", {"1": 1e-8, "xi2": 1e-9, "xi-2": 1e-12,
-                                                         "D": 1e-12}),
-}
-_TERMS = {"1": {(0, 0): 1.0}, "xi2": {(0, 2): 1.0}, "xi-2": {(0, -2): 1.0}, "D": {(1, 0): 1.0}}
-
-
-def _nonrel_reading(check_id):
-    levels = {cid: c.levels.at(6) for cid, c in harness.CHECKS.items() if c.levels}
-    for cid, _, worst, *_ in harness._checks_nonrel(0.1, levels):
-        if cid == check_id:
-            return worst
-
-
-@pytest.mark.parametrize("check_id", sorted(_PLANTS))
-@pytest.mark.parametrize("term", sorted(_TERMS))
-def test_a_planted_error_fails_each_nonrel_eigenstate_check(check_id, term, monkeypatch):
-    name, sizes = _PLANTS[check_id]
-    tolerance = harness.CHECKS[check_id].tolerance
-    assert _nonrel_reading(check_id) <= tolerance
-    for scale in (1.0, 10.0, 1e3):
-        error = nonrel.scaled(sizes[term] * scale, _TERMS[term])
-        with monkeypatch.context() as patch:
-            if name == "hamiltonian":
-                _planted(patch, nonrel, name, lambda H: nonrel.added(H, error))
-            elif name == "ladder_c":
-                _planted(patch, nonrel, name,
-                         lambda pair: (nonrel.added(pair[0], error), pair[1]))
-            else:  # K+
-                _planted(patch, nonrel, name,
-                         lambda gens: (*gens[:2], nonrel.added(gens[2], error)))
-            assert _nonrel_reading(check_id) > tolerance, scale
-
-
 @pytest.mark.parametrize("g0", [0.1, 1e-6])
 def test_a_planted_error_in_the_exponent_fails_ground_annihilation(g0, monkeypatch):
     # the gauge takes p(p-1), p = d + 1/2, as 2 g0, so the gauged operators no
@@ -1259,131 +1156,190 @@ def test_a_planted_error_in_the_exponent_fails_ground_annihilation(g0, monkeypat
     assert not results["nonrel_ground_annihilation"].passed
 
 
-# The smallest constant one-term error that each rel eigenstate check caught
-# while it read grid towers (at (0.5, 0.1), n_max 6, decades from 1e-3 down),
-# by cell: "B-@2i" is 2i-shift error c T(2i) added to B-.  B-+ are built from
-# H, so an error planted in H reaches every check.  At the cells of
-# _REL_LOOSER the coefficient readings catch ten times that size: the grid
-# read each point relative to |psi_n| there, and beside a node of psi_n a
-# plant read up to ~10x what it reads on S_n's coefficients, which have no
-# node.
-_REL_PLANTS = {
-    "rel_eigen_equation": {"H@0": 1e-07, "H@i": 1e-09, "H@-i": 1e-09, "H@2i": 1e-10,
-                           "H@-2i": 1e-11},
-    "rel_ground_annihilation": {"H@0": 1e-10, "H@i": 1e-10, "H@-i": 1e-10, "H@2i": 1e-11,
-                                "H@-2i": 1e-11, "B-@0": 1e-10, "B-@i": 1e-10, "B-@-i": 1e-10,
-                                "B-@2i": 1e-10, "B-@-2i": 1e-10},
-    "rel_ladder_coefficient": {"H@0": 1e-06, "H@i": 1e-06, "H@-i": 1e-06, "H@2i": 1e-06,
-                               "H@-2i": 1e-07, "B-@0": 1e-05, "B-@i": 1e-04, "B-@-i": 1e-05,
-                               "B-@2i": 1e-06, "B-@-2i": 1e-06, "B+@0": 1e-04, "B+@i": 1e-04,
-                               "B+@-i": 1e-05, "B+@2i": 1e-05, "B+@-2i": 1e-06},
-    "rel_ladder_consistency": {"H@0": 1e-06, "H@i": 1e-06, "H@-i": 1e-06, "H@2i": 1e-06,
-                               "H@-2i": 1e-07, "B-@0": 1e-05, "B-@i": 1e-05, "B-@-i": 1e-05,
-                               "B-@2i": 1e-06, "B-@-2i": 1e-06, "B+@0": 1e-04, "B+@i": 1e-04,
-                               "B+@-i": 1e-05, "B+@2i": 1e-05, "B+@-2i": 1e-06},
-    "rel_su11_closure": {"H@0": 1e-07, "H@i": 1e-07, "H@-i": 1e-07, "H@2i": 1e-08,
-                         "H@-2i": 1e-08, "B-@0": 1e-06, "B-@i": 1e-07, "B-@-i": 1e-06,
-                         "B-@2i": 1e-08, "B-@-2i": 1e-07, "B+@0": 1e-06, "B+@i": 1e-06,
-                         "B+@-i": 1e-06, "B+@2i": 1e-07, "B+@-2i": 1e-07},
-    "rel_casimir": {"H@0": 1e-09, "H@i": 1e-10, "H@-i": 1e-10, "H@2i": 1e-10, "H@-2i": 1e-11,
-                    "B-@0": 1e-08, "B-@i": 1e-09, "B-@-i": 1e-09, "B-@2i": 1e-09,
-                    "B-@-2i": 1e-10, "B+@0": 1e-08, "B+@i": 1e-08, "B+@-i": 1e-08,
-                    "B+@2i": 1e-10, "B+@-2i": 1e-09},
-    "rel_ladder_reconstruction": {"H@0": 1e-06, "H@i": 1e-06, "H@-i": 1e-07, "H@2i": 1e-07,
-                                  "H@-2i": 1e-08, "B+@0": 1e-06, "B+@i": 1e-05,
-                                  "B+@-i": 1e-06, "B+@2i": 1e-06, "B+@-2i": 1e-07},
-}
-_REL_LOOSER = {
-    ("rel_eigen_equation", "H@i"), ("rel_ground_annihilation", "B-@0"),
-    ("rel_ground_annihilation", "B-@i"), ("rel_su11_closure", "H@0"),
-    ("rel_su11_closure", "B-@0"), ("rel_su11_closure", "B-@i"), ("rel_su11_closure", "B-@2i"),
-    ("rel_su11_closure", "B+@0"), ("rel_su11_closure", "B+@2i"), ("rel_casimir", "H@i"),
-    ("rel_casimir", "B-@0"), ("rel_casimir", "B-@i"), ("rel_casimir", "B+@2i"),
-    ("rel_ladder_reconstruction", "B+@0"),
-}
-_REL_SHIFTS = {"0": 0j, "i": 1j, "-i": -1j, "2i": 2j, "-2i": -2j}
+# One plant table.  A row plants c times an error term in one operator, its
+# site, and reads one check at each of its couplings at n_max: (check id,
+# site, couplings, n_max, {term: the c that must fail the check, or why the
+# check is blind to the term}).  A term is T(s) in a rel or plane-wave site,
+# xi^p D^m in a nonrel one; a blind term is planted at 1e-6 and must pass.
+# Each c is the smallest decade, from 1e-3 down to the scan floor 1e-16, at
+# which every one of the row's couplings reads over 1.001 times the
+# tolerance.  Most readings are linear in c, so a check whose reading lost a
+# decade of sensitivity fails some row.
+_ONE, _DIGEST = [(0.5, 0.1)], DIGEST_COUPLINGS
+PLANT_TABLE = [
+    # operator identities, at n_max 1
+    ("rel_two_step_commutator", "BB_rhs", _DIGEST, 1,
+     {"0": 1e-10, "i": 1e-9, "-i": 1e-9, "2i": 1e-10}),
+    ("rel_two_step_commutator", "B-", _DIGEST, 1,
+     {"0": "c I commutes with B+", "i": 1e-10, "-i": 1e-10, "2i": 1e-11}),
+    ("rel_lowering_commutator", "B-", _DIGEST, 1, {"0": 1e-7, "i": 1e-7, "-i": 1e-7, "2i": 1e-9}),
+    ("rel_raising_commutator", "B+", _DIGEST, 1, {"0": 1e-7, "i": 1e-7, "-i": 1e-7, "2i": 1e-9}),
+    ("rel_factorization_random", "H", _DIGEST, 1, {"0": 1e-6, "i": 1e-6, "-i": 1e-6, "2i": 1e-6}),
+    ("rel_momentum_commutator", "H", _DIGEST, 1,
+     {"0": "c I commutes with rho", "i": 1e-9, "-i": 1e-9, "2i": 1e-10}),
+    ("rel_momentum_commutator", "P", _DIGEST, 1, {"0": 1e-9, "i": 1e-9, "-i": 1e-9, "2i": 1e-9}),
+    # the plane-wave group reads no coupling
+    ("rel_mass_shell_free", "H0", _ONE, 1, {"0": 1e-11, "i": 1e-11, "-i": 1e-11, "2i": 1e-11}),
+    ("planewave_eigen", "H0", _ONE, 1, {"0": 1e-12, "i": 1e-12, "-i": 1e-13, "2i": 1e-13}),
+    ("nonrel_factorization", "nonrel H", _ONE, 1,
+     {"1": 1e-9, "xi2": 1e-9, "xi-2": 1e-9, "D": 1e-9}),
+    ("nonrel_pair_commutator", "c-", _ONE, 1,
+     {"1": "a constant commutes with c+", "xi2": 1e-10, "xi-2": 1e-10, "D": 1e-9}),
+    ("nonrel_pair_commutator", "c+", _ONE, 1,
+     {"1": "a constant commutes with c-", "xi2": 1e-10, "xi-2": 1e-10, "D": 1e-9}),
+    ("nonrel_weighted_commutator", "c-", _ONE, 1,
+     {"1": 1e-9, "xi2": 1e-9, "xi-2": 1e-9, "D": 1e-8}),
+    ("nonrel_lowering_forms_agree", "A-", _ONE, 1,
+     {"1": 1e-9, "xi2": 1e-9, "xi-2": 1e-9, "D": 1e-9}),
+    ("nonrel_lowering_commutator", "A-", _ONE, 1,
+     {"1": 1e-8, "xi2": 1e-8, "xi-2": 1e-9, "D": 1e-9}),
+    # xi^2 in K0 reads 1.0000001 times the tolerance at 1e-9: rounding, not a catch
+    ("nonrel_su11_closure", "K0", _ONE, 1, {"1": 1e-9, "xi2": 1e-8, "xi-2": 1e-9, "D": 1e-9}),
+    ("nonrel_casimir", "K0", _ONE, 1, {"1": 1e-8, "xi2": 1e-8, "xi-2": 1e-9, "D": 1e-8}),
+    # nonrel eigenstate checks, on L_n's coefficients
+    ("nonrel_eigen_equation", "nonrel H", _ONE, 6,
+     {"1": 1e-11, "xi2": 1e-11, "xi-2": 1e-11, "D": 1e-11}),
+    ("nonrel_ground_annihilation", "c-", _ONE, 6,
+     {"1": 1e-13, "xi2": 1e-13, "xi-2": 1e-13, "D": 1e-13}),
+    ("nonrel_ladder_coefficient", "K+", _ONE, 6,
+     {"1": 1e-11, "xi2": 1e-12, "xi-2": 1e-12, "D": 1e-12}),
+    ("nonrel_ladder_reconstruction", "K+", _ONE, 6,
+     {"1": 1e-12, "xi2": 1e-12, "xi-2": 1e-12, "D": 1e-13}),
+    # rel eigenstate checks, on S_n's coefficients.  B-+ are built from H, so
+    # an error in H reaches every check.  c T(-2i) in H reads 5 to 24 at every
+    # c down to 1e-16: in the P gauge it reaches powers of rho no term of H
+    # reaches, and _step reads each power against the image's own sizes
+    ("rel_eigen_equation", "H", _ONE, 6,
+     {"0": 1e-7, "i": 1e-8, "-i": 1e-9, "2i": 1e-10, "-2i": 1e-16}),
+    ("rel_ground_annihilation", "H", _ONE, 6,
+     {"0": 1e-10, "i": 1e-11, "-i": 1e-11, "2i": 1e-12, "-2i": 1e-16}),
+    ("rel_ground_annihilation", "B-", _ONE, 6,
+     {"0": 1e-9, "i": 1e-10, "-i": 1e-10, "2i": 1e-11, "-2i": 1e-11}),
+    ("rel_ladder_coefficient", "H", _ONE, 6,
+     {"0": 1e-6, "i": 1e-7, "-i": 1e-7, "2i": 1e-8, "-2i": 1e-16}),
+    ("rel_ladder_coefficient", "B-", _ONE, 6,
+     {"0": 1e-5, "i": 1e-6, "-i": 1e-6, "2i": 1e-7, "-2i": 1e-7}),
+    ("rel_ladder_coefficient", "B+", _ONE, 6,
+     {"0": 1e-5, "i": 1e-5, "-i": 1e-5, "2i": 1e-6, "-2i": 1e-6}),
+    ("rel_ladder_consistency", "H", _ONE, 6,
+     {"0": 1e-6, "i": 1e-7, "-i": 1e-7, "2i": 1e-8, "-2i": 1e-16}),
+    ("rel_ladder_consistency", "B-", _ONE, 6,
+     {"0": 1e-5, "i": 1e-6, "-i": 1e-6, "2i": 1e-7, "-2i": 1e-7}),
+    ("rel_ladder_consistency", "B+", _ONE, 6,
+     {"0": 1e-5, "i": 1e-5, "-i": 1e-5, "2i": 1e-6, "-2i": 1e-6}),
+    # on measured b_n^2, c I in B+ changes [K-, K+] by only
+    # c B- (1/f(E_(n+1)) - 1/f(E_n)), so rel_su11_closure catches c T(0) in
+    # B-+ from 1e-5 only, and rel_casimir from 1e-7 in B- and 1e-8 in B+
+    ("rel_su11_closure", "H", _ONE, 6,
+     {"0": 1e-6, "i": 1e-7, "-i": 1e-8, "2i": 1e-9, "-2i": 1e-16}),
+    ("rel_su11_closure", "B-", _ONE, 6,
+     {"0": 1e-5, "i": 1e-6, "-i": 1e-6, "2i": 1e-7, "-2i": 1e-7}),
+    ("rel_su11_closure", "B+", _ONE, 6,
+     {"0": 1e-5, "i": 1e-6, "-i": 1e-6, "2i": 1e-6, "-2i": 1e-7}),
+    ("rel_casimir", "H", _ONE, 6, {"0": 1e-9, "i": 1e-9, "-i": 1e-10, "2i": 1e-11, "-2i": 1e-16}),
+    ("rel_casimir", "B-", _ONE, 6, {"0": 1e-7, "i": 1e-8, "-i": 1e-9, "2i": 1e-9, "-2i": 1e-10}),
+    ("rel_casimir", "B+", _ONE, 6, {"0": 1e-8, "i": 1e-8, "-i": 1e-9, "2i": 1e-9, "-2i": 1e-10}),
+    ("rel_ladder_reconstruction", "H", _ONE, 6,
+     {"0": 1e-6, "i": 1e-6, "-i": 1e-7, "2i": 1e-7, "-2i": 1e-16}),
+    ("rel_ladder_reconstruction", "B+", _ONE, 6,
+     {"0": 1e-5, "i": 1e-5, "-i": 1e-6, "2i": 1e-6, "-2i": 1e-7}),
+    # half shifts in b-+, which B-+ carry too; "b- alone" holds B-+ exact, so
+    # rel_ground_annihilation sees the error through T(-i/2) b- S_0 alone
+    ("rel_factorization_eigen", "b+", _DIGEST, 6, {"i/2": 1e-10, "-i/2": 1e-11}),
+    ("rel_factorization_eigen", "b-", _DIGEST, 6, {"i/2": 1e-11, "-i/2": 1e-11}),
+    ("rel_ground_annihilation", "b-", _DIGEST, 6, {"i/2": 1e-10, "-i/2": 1e-11}),
+    ("rel_ground_annihilation", "b- alone", _DIGEST, 6, {"i/2": 1e-9, "-i/2": 1e-10}),
+]
+_ERRORS = {  # term -> s of T(s), or (m, p) of xi^p D^m
+    "0": 0j, "i": 1j, "-i": -1j, "2i": 2j, "-2i": -2j, "i/2": 0.5j, "-i/2": -0.5j,
+    "1": (0, 0), "xi2": (0, 2), "xi-2": (0, -2), "D": (1, 0)}
+_SITES = {  # site -> (module, builder, where in the builder's output the site is)
+    "H": (rel, "hamiltonian_rel", None), "P": (rel, "momentum_P", None),
+    "BB_rhs": (rel, "BB_commutator_rhs", None), "B-": (rel, "ladder_B", 0),
+    "B+": (rel, "ladder_B", 1), "b-": (rel, "ladder_b", 0), "b+": (rel, "ladder_b", 1),
+    "b- alone": (rel, "ladder_b", 0), "H0": (planewave, "free_hamiltonian", None),
+    "nonrel H": (nonrel, "hamiltonian", None), "c-": (nonrel, "ladder_c", 0),
+    "c+": (nonrel, "ladder_c", 1), "A-": (nonrel, "ladder_A", 0),
+    "K0": (nonrel, "su11_generators", 0), "K+": (nonrel, "su11_generators", 2)}
+_GROUPS = {  # the check group each site's module feeds, at couplings and levels
+    rel: lambda at, levels: harness._checks_rel(*at, levels, default_grid()),
+    nonrel: lambda at, levels: harness._checks_nonrel(at[1], levels),
+    planewave: lambda at, levels: harness._checks_planewave(default_grid())}
 
 
-def _rel_readings(couplings=(0.5, 0.1)):
-    levels = {cid: c.levels.at(6) for cid, c in harness.CHECKS.items() if c.levels}
-    return {cid: worst for cid, _, worst, *_ in harness._checks_rel(*couplings, levels,
-                                                                     default_grid())}
+def _plant(patch, site, error):
+    """Add error to the operator at site, as its builder returns it."""
+    module, builder, at = _SITES[site]
+    add = nonrel.added if module is nonrel else operator.add
+    if site == "b- alone":  # ladder_B reads a copy of rel's names made before the plant
+        patch.setattr(rel, "ladder_B", types.FunctionType(rel.ladder_B.__code__, dict(vars(rel))))
+    _planted(patch, module, builder, lambda out: add(out, error) if at is None
+             else (*out[:at], add(out[at], error), *out[at + 1:]))
 
 
-def test_the_rel_eigenstate_checks_pass_unplanted():
-    readings = _rel_readings()
-    assert all(readings[cid] <= harness.CHECKS[cid].tolerance for cid in _REL_PLANTS)
+def _readings(module=rel, at=(0.5, 0.1), n_max=6):
+    """Each residual of the check group that module feeds, under the plants in place."""
+    levels = {cid: c.levels.at(n_max) for cid, c in harness.CHECKS.items() if c.levels}
+    return {cid: worst for cid, _, worst, *_ in _GROUPS[module](at, levels)}
 
 
-@pytest.mark.parametrize("cell", sorted({cell for cells in _REL_PLANTS.values()
-                                         for cell in cells}))
-def test_a_planted_error_fails_each_rel_eigenstate_check(cell, monkeypatch):
-    name, shift = cell.split("@")
-    by_size = {}
-    for cid, cells in _REL_PLANTS.items():
-        if cell in cells:
-            size = cells[cell] * (10.0 if (cid, cell) in _REL_LOOSER else 1.0)
-            by_size.setdefault(size, []).append(cid)
-    for size, cids in by_size.items():
-        error = size * shift_op(_REL_SHIFTS[shift])
-        with monkeypatch.context() as patch:
-            if name == "H":
-                _planted(patch, rel, "hamiltonian_rel", lambda H: H + error)
-            elif name == "B-":
-                _planted(patch, rel, "ladder_B", lambda pair: (pair[0] + error, pair[1]))
-            else:
-                _planted(patch, rel, "ladder_B", lambda pair: (pair[0], pair[1] + error))
-            readings = _rel_readings()
-        for cid in cids:
-            assert readings[cid] > harness.CHECKS[cid].tolerance, (cid, size)
+_clean_readings = functools.cache(_readings)  # called with no plant in place
 
 
-# The smallest one-term error c T(+-i/2) planted in b+ or b- (rel.ladder_b,
-# so B-+ carry it too) that each half-shift reading caught on the grid, at
-# n_max 6 and decades from 1e-3 down, by coupling in DIGEST_COUPLINGS order.
-# Both readings are now on S_n's coefficients and keep these decades:
-# rel_factorization_eigen reads each cell at 1.13c (b+@i/2 at (0.35, 0.6))
-# to 79c; rel_ground_annihilation reads b- phi_0 as T(-i/2) b- S_0, and B-
-# S_0, which carries the b- error too, reads each cell at least as the grid
-# did.
-_HALF_SHIFT_PLANTS = {
-    "rel_factorization_eigen": {
-        "b+@i/2": (1e-9, 1e-8, 1e-10, 1e-8), "b+@-i/2": (1e-9, 1e-9, 1e-10, 1e-9),
-        "b-@i/2": (1e-9, 1e-9, 1e-10, 1e-9), "b-@-i/2": (1e-9, 1e-9, 1e-10, 1e-9)},
-    "rel_ground_annihilation": {"b-@i/2": (1e-10,) * 4, "b-@-i/2": (1e-11,) * 4},
-}
+@functools.cache
+def _planted_readings(site, term, c, at, n_max):
+    """_readings with c times term planted at site, run once per plant,
+    whichever rows it serves."""
+    module, key = _SITES[site][0], _ERRORS[term]
+    with pytest.MonkeyPatch.context() as patch:
+        _plant(patch, site, {key: c} if module is nonrel else c * shift_op(key))
+        return _readings(module, at, n_max)
 
 
-@pytest.mark.parametrize("couplings", DIGEST_COUPLINGS)
-@pytest.mark.parametrize("cell", ["b+@i/2", "b+@-i/2", "b-@i/2", "b-@-i/2"])
-def test_a_planted_half_shift_error_fails_each_half_shift_reading(cell, couplings, monkeypatch):
-    name, shift = cell.split("@")
-    error_at = {"i/2": 0.5j, "-i/2": -0.5j}[shift]
-    for cid, cells in _HALF_SHIFT_PLANTS.items():
-        if cell not in cells:
-            continue
-        error = cells[cell][DIGEST_COUPLINGS.index(couplings)] * shift_op(error_at)
-        with monkeypatch.context() as patch:
-            _planted(patch, rel, "ladder_b", lambda pair: (
-                (pair[0] + error, pair[1]) if name == "b-" else (pair[0], pair[1] + error)))
-            reading = _rel_readings(couplings)[cid]
-        assert reading > harness.CHECKS[cid].tolerance, (cid, reading)
+def _cell_name(check, site, term, at):
+    """(test, id) that a cell, one row's term at one of its couplings, runs
+    under: the names the four tables this one replaced gave it."""
+    if site == "b- alone":
+        return site, f"couplings{DIGEST_COUPLINGS.index(at)}"
+    if site in ("b-", "b+"):
+        return "half shift", f"{site}@{term}-couplings{DIGEST_COUPLINGS.index(at)}"
+    if harness.CHECKS[check].levels is None:
+        return "identity", check
+    if check.startswith("nonrel"):
+        return "nonrel", f"{term}-{check}"
+    return "rel", f"{site}@{term}"
 
 
-@pytest.mark.parametrize("couplings", DIGEST_COUPLINGS)
-def test_b_minus_phi0_alone_sees_a_half_shift_error_in_b_minus(couplings, monkeypatch):
-    # with B-+ kept exact, c T(+-i/2) in b- reaches rel_ground_annihilation
-    # through T(-i/2) b- S_0 alone, which catches it from the decades the
-    # grid's b- phi_0 caught alone: 1e-9 at +i/2 (it reads 0.50c to 0.59c
-    # there), 1e-10 at -i/2 (2.65c to 3.40c)
-    exact = rel.ladder_B(rel.make_rel_model(*couplings))
-    monkeypatch.setattr(rel, "ladder_B", lambda model: exact)
-    tolerance = harness.CHECKS["rel_ground_annihilation"].tolerance
-    assert _rel_readings(couplings)["rel_ground_annihilation"] <= tolerance
-    for error in (1e-9 * shift_op(0.5j), 1e-10 * shift_op(-0.5j)):
-        with monkeypatch.context() as patch:
-            _planted(patch, rel, "ladder_b", lambda pair: (pair[0] + error, pair[1]))
-            assert _rel_readings(couplings)["rel_ground_annihilation"] > tolerance, error.terms
+def _plant_test(test):
+    """The plant test over the cells _cell_name gives test: each cell's check
+    passes clean, fails with its term planted at its c, and passes with a
+    blind term planted at 1e-6."""
+    cells = {}
+    for check, site, couplings, n_max, sizes in PLANT_TABLE:
+        for term, c in sizes.items():
+            for at in couplings:
+                name, cell_id = _cell_name(check, site, term, at)
+                if name == test:
+                    cells.setdefault(cell_id, []).append((check, site, term, at, n_max, c))
+
+    @pytest.mark.parametrize("cell_id", sorted(cells))
+    def plant_test(cell_id):
+        for check, site, term, at, n_max, c in cells[cell_id]:
+            tolerance = harness.CHECKS[check].tolerance
+            assert _clean_readings(_SITES[site][0], at, n_max)[check] <= tolerance, check
+            blind = isinstance(c, str)
+            reading = _planted_readings(site, term, 1e-6 if blind else c, at, n_max)[check]
+            assert (reading <= tolerance) == blind, (check, site, term, at, reading)
+    return plant_test
+
+
+# the one plant test under the five names the four tables' tests had, so
+# that every cell keeps its test id
+test_a_planted_one_term_error_fails_its_check = _plant_test("identity")
+test_a_planted_error_fails_each_nonrel_eigenstate_check = _plant_test("nonrel")
+test_a_planted_error_fails_each_rel_eigenstate_check = _plant_test("rel")
+test_a_planted_half_shift_error_fails_each_half_shift_reading = _plant_test("half shift")
+test_b_minus_phi0_alone_sees_a_half_shift_error_in_b_minus = _plant_test("b- alone")
 
 
 def test_checks_rel_applies_no_operator_to_a_function(monkeypatch):
@@ -1396,7 +1352,7 @@ def test_checks_rel_applies_no_operator_to_a_function(monkeypatch):
         return call(op, f)
 
     monkeypatch.setattr(opcore.DifferenceOperator, "__call__", recording)
-    _rel_readings()  # the whole group
+    _readings()  # the whole group
     assert applied == []
 
 
@@ -1415,7 +1371,31 @@ def test_a_relative_error_in_the_leaf_rows_fails_the_eigen_equation(planted, mon
         return from_callable(lambda z: values(z) * (1.0 + 1e-7 * z / 8.0))
 
     monkeypatch.setattr(rel, "eigenfunctions", wrong)
-    assert _rel_readings()["rel_eigen_equation"] > harness.CHECKS["rel_eigen_equation"].tolerance
+    assert _readings()["rel_eigen_equation"] > harness.CHECKS["rel_eigen_equation"].tolerance
+
+
+# Gating checks planted other than by a row of PLANT_TABLE: the test that
+# plants each, or why no error can be planted in it
+_PLANTED_ELSEWHERE = {
+    **dict.fromkeys(
+        ("specfun_gamma_recurrence", "specfun_gamma_reflection", "specfun_degree_recurrence"),
+        test_gamma_checks_see_a_relative_1e12_error_in_a_lanczos_coefficient),
+    "specfun_cdhahn_symmetry": test_cdhahn_symmetry_sees_a_small_relative_error_in_one_row,
+    "nonrel_spectrum_oracle": test_spectrum_oracle_check_sees_a_relative_1e_9_error,
+    "nonrel_ground_annihilation": test_a_planted_error_in_the_exponent_fails_ground_annihilation,
+    "rel_eigen_equation": test_a_relative_error_in_the_leaf_rows_fails_the_eigen_equation,
+    "planewave_mass_shell": "cosh(chi)^2 - sinh(chi)^2 - 1 on floats: no operator",
+    "rel_momentum_sign_free_limit": "P_free is built inline in harness._checks_planewave",
+    "rel_energies_above_rest": "E_0 >= 1 read from rel.energy: no operator",
+    **dict.fromkeys(
+        ("rel_nonrel_limit_linear", "rel_nonrel_limit_quadratic", "rel_nonrel_limit_exponent"),
+        "rel energies and alpha at small omega0 against nonrel: no operator"),
+}
+
+
+def test_every_gating_check_has_a_plant():
+    planted = {check for check, *_ in PLANT_TABLE} | set(_PLANTED_ELSEWHERE)
+    assert {cid for cid, check in harness.CHECKS.items() if check.gating} - planted == set()
 
 
 @pytest.mark.parametrize("couplings", DIGEST_COUPLINGS)
