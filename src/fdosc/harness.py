@@ -521,9 +521,8 @@ def _checks_planewave(pts):
         power = planewave.plane_wave_power_form(chi)
         worst = max(worst, mixed_residual(wave_vals, power(pts)))
     yield "planewave_eigen", {"chi": [0.0, 0.5, -0.5, 1.0]}, worst
-    worst = max(abs(planewave.make_state(chi).p0 ** 2
-                    - planewave.make_state(chi).p ** 2 - 1.0)
-                for chi in np.linspace(-2.0, 2.0, 41))
+    worst = max(abs(s.p0 ** 2 - s.p ** 2 - 1.0)
+                for s in map(planewave.make_state, np.linspace(-2.0, 2.0, 41)))
     yield "planewave_mass_shell", {"chi_range": [-2.0, 2.0]}, worst
 
     # free limit of the rel momentum, -sinh(i d/drho): its sign on plane

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, CouplingError
-from .opcore import AnalyticFunction, from_callable, gaussian
+from .opcore import AnalyticFunction, from_callable
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -165,10 +165,9 @@ def norm_constant(model: NonRelModel, n: int) -> float:
     )
 
 
-def _laguerre_rows(ns, d: float) -> AnalyticFunction:
-    """L_n^d(xi^2), n in ns, as one batched function of xi, every row from
-    one pass of the three-term recurrence (Koekoek, Lesky & Swarttouw,
-    sec. 9.12)
+def _laguerre_rows(ns, d: float):
+    """xi -> the rows L_n^d(xi^2), n in ns, every row from one pass of the
+    three-term recurrence (Koekoek, Lesky & Swarttouw, sec. 9.12)
 
         (k+1) L_(k+1) = (2k+1+d - y) L_k - (k+d) L_(k-1),   y = xi^2.
 
@@ -193,23 +192,25 @@ def _laguerre_rows(ns, d: float) -> AnalyticFunction:
         out[at == top] = low
         return out
 
-    return AnalyticFunction(values)
+    return values
 
 
 def eigenfunctions(model: NonRelModel, ns) -> AnalyticFunction:
     """The closed forms psi_n = c_n xi^(d+1/2) exp(-xi^2/2) L_n^d(xi^2), n in
-    ns, as one batched leaf whose row i is psi_ns[i].  A call evaluates the
-    two prefactors once for all rows, and every L_n^d(xi^2) in one pass of
-    the Laguerre recurrence in n, which holds its precision at any n."""
+    ns, as one batched leaf whose row i is psi_ns[i], one callable as in
+    rel.eigenfunctions: a call evaluates the two prefactors once for all
+    rows, and every L_n^d(xi^2) in one pass of the Laguerre recurrence in n,
+    which holds its precision at any n."""
     ns = list(ns)
     if any(n < 0 for n in ns):
         raise ValueError("n must be >= 0")
-    cn = np.array([norm_constant(model, n) for n in ns])
+    cn = np.array([norm_constant(model, n) for n in ns], dtype=complex)[:, None]
     power = complex(model.d + 0.5)  # not whole, so a plain power, principal branch
-    # the wavefunction tables print these floats: grouped otherwise, the
-    # products round differently in the last bit
-    return cn * from_callable(lambda z: np.power(z, power)) * gaussian(1.0) \
-        * _laguerre_rows(ns, model.d)
+    laguerre = _laguerre_rows(ns, model.d)
+    # ((c_n xi^(d+1/2)) exp(-xi^2/2)) L_n^d(xi^2), in this order: the
+    # wavefunction tables print these floats, and any other grouping rounds
+    # differently in the last bit
+    return from_callable(lambda z: cn * np.power(z, power) * np.exp(-0.5 * z * z) * laguerre(z))
 
 
 def eigenfunction(model: NonRelModel, n: int) -> NonRelEigenState:

@@ -4,22 +4,26 @@ An AnalyticFunction evaluates on an array of points, ``values(z)``.  A
 rational function also holds its canonical form, ``rational``: a Rational
 N(z) / prod_q (z - q)^k_q, its rows N's coefficients (z^0 first) and their
 sizes, the same sums over absolute values through every step that built
-it.  A product convolves the numerators and adds the pole orders, a
-linear factor meeting a pole cancelling one order of it; a sum lifts its
-parts to their common denominator (``lifted``); ``shifted(a)``
-Taylor-shifts N and moves each pole q to q - a.  A rational function whose
-only pole is 0 is a Laurent sum, the only kind with a ``derivative``.
-``stacked(fns)`` is one batched function whose row i is fns[i]: rational
-rows as their numerators over their expanded denominators, all on one
-table of powers of z in one np.einsum, so a point's values never depend on
-the other points of the call.
+it.  Arithmetic is on rational functions only: a product convolves the
+numerators and adds the pole orders, a linear factor meeting a pole
+cancelling one order of it; a sum lifts its parts to their common
+denominator (``lifted``); ``shifted(a)`` Taylor-shifts N and moves each
+pole q to q - a.  A rational function whose only pole is 0 is a Laurent
+sum, the only kind with a ``derivative``.  A leaf, known by its values
+alone (``exp_linear``, ``from_callable``, an eigenfunction, a tower node),
+can be called, be an operator's argument and be scaled by a number; any
+other arithmetic on it raises TypeError.
 
-A DifferenceOperator is a finite sum of terms coeff(z) f(z + shift), merged
+A DifferenceOperator is a finite sum of terms coeff(z) f(z + shift), each
+coefficient rational (TypeError naming the shift for any other), merged
 by shift; ``compose(A, B)`` = sum_(s, t) a_s(z) b_t(z + s) T(s + t), T(s)
-the shift by s.  Applying an operator gives one tower node, and applying
-the same operator object to it again extends the node, so (B^+)^n phi_0 is
-one node: a call evaluates phi_0 once at z + S_n, S_n the shift sums, and
-the operator's ``coefficient_batch`` once at z plus every shift sum below
+the shift by s.  Its ``coefficient_batch`` evaluates every coefficient as
+its numerator over its expanded denominator, all on one table of powers
+of z in one np.einsum, so a point's values never depend on the other
+points of the call.  Applying an operator gives one tower node, and
+applying the same operator object to it again extends the node, so
+(B^+)^n phi_0 is one node: a call evaluates phi_0 once at z + S_n, S_n the
+shift sums, and the coefficient batch once at z plus every shift sum below
 n, then steps down to z, each step one gather and one multiply-add over
 all terms, summed in order.  A node keeps one shift set and one gather
 per application and is laid out at its first call, so building (B^+)^n
@@ -94,66 +98,47 @@ class AnalyticFunction:
         return _function(rows[:, 1:] if len(order) > 1 else rows)  # the constant term drops out
 
     def shifted(self, a) -> "AnalyticFunction":
-        """f(z + a): a rational function Taylor-shifts its numerator and
-        moves each pole q to q - a, exactly."""
-        a = complex(a)
-        if a == 0 or _constant(self) is not None:
+        """f(z + a) of a rational function: its numerator Taylor-shifted and
+        each pole q moved to q - a, exactly."""
+        a, r = complex(a), _rational(self)
+        if a == 0 or (r.rows.shape[1] == 1 and not r.poles):  # a constant
             return self
-        r = self.rational
-        if r is not None:
-            return _function(np.einsum("rkj,rj->rk", _taylor(r.rows.shape[1], a), r.rows),
-                             tuple((q - a, k) for q, k in r.poles))
-        values = self.values
-        return AnalyticFunction(lambda z: values(z + a))
+        return _function(np.einsum("rkj,rj->rk", _taylor(r.rows.shape[1], a), r.rows),
+                         tuple((q - a, k) for q, k in r.poles))
 
-    # ---- algebra -------------------------------------------------------
+    # ---- algebra: rational functions, and a leaf scaled by a number ------
 
     def __add__(self, other):
-        other = _as_function(other)
-        if self.rational is not None and other.rational is not None:
-            return _sum([self.rational, other.rational])
-        if _constant(self) is not None:
-            self, other = other, self
-        f, g, c = self.values, other.values, _constant(other)
-        if c is not None:
-            return AnalyticFunction(lambda z: f(z) + c)
-        return AnalyticFunction(lambda z: f(z) + g(z))
+        return _sum([_rational(self), _rational(_as_function(other))])
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.rational is not None:
-            r = self.rational
-            return _function(r.rows * _NEGATED, r.poles)
-        f = self.values
-        return AnalyticFunction(lambda z: -f(z))
+        r = _rational(self)
+        return _function(r.rows * _NEGATED, r.poles)
 
     def __mul__(self, other):
         if isinstance(other, AnalyticFunction):
-            a, b = self.rational, other.rational
-            if a is not None and b is not None:
-                return _function(*_product(a, b))
-            c, d = _constant(self), _constant(other)
-            if d is not None:
-                return self * d
-            if c is not None:
-                return other * c
-            f, g = self.values, other.values
-            return AnalyticFunction(lambda z: f(z) * g(z))
-        if not isinstance(other, (int, float, complex)) and np.ndim(other) == 1:
-            scale = np.asarray(other, dtype=complex)[:, None]  # one factor per row of a batch
-            f = self.values
-            return AnalyticFunction(lambda z: scale * f(z))
+            return _function(*_product(_rational(self), _rational(other)))
         c = complex(other)
         if c == 1:
             return self
-        if self.rational is not None:
-            r = self.rational
-            return _function(r.rows * np.array([[c], [abs(c)]]), r.poles)
-        f = self.values
-        return AnalyticFunction(lambda z: c * f(z))
+        r = self.rational
+        if r is None:
+            f = self.values
+            return AnalyticFunction(lambda z: c * f(z))
+        return _function(r.rows * np.array([[c], [abs(c)]]), r.poles)
 
     __rmul__ = __mul__
+
+
+def _rational(f: AnalyticFunction) -> Rational:
+    """f's Rational.  TypeError for a leaf: a leaf is called, is an
+    operator's argument and is scaled by a number, and enters no other
+    arithmetic."""
+    if f.rational is None:
+        raise TypeError("a leaf takes no arithmetic but scaling by a number")
+    return f.rational
 
 
 _NEGATED = np.array([[-1.0], [1.0]])  # -N, with N's sizes
@@ -269,14 +254,6 @@ def _as_function(x) -> AnalyticFunction:
     return const(x)
 
 
-def _constant(f: AnalyticFunction):
-    """The value of a constant function, None for any other."""
-    r = f.rational
-    if r is not None and not r.poles and r.rows.shape[1] == 1:
-        return complex(r.rows[0, 0])
-    return None
-
-
 # ---- primitive functions ----------------------------------------------
 
 
@@ -348,12 +325,6 @@ def polynomial(coeffs) -> AnalyticFunction:
     return _function(np.array([coeffs, np.abs(coeffs)]))
 
 
-def gaussian(a=1.0) -> AnalyticFunction:
-    """exp(-a z^2 / 2)."""
-    a = complex(a)
-    return AnalyticFunction(lambda z: np.exp(-a / 2.0 * z * z))
-
-
 def exp_linear(k) -> AnalyticFunction:
     """exp(k z)."""
     k = complex(k)
@@ -383,16 +354,19 @@ class DifferenceOperator:
     def __init__(self, terms):
         merged: dict = {}
         for t in terms:
-            merged.setdefault(complex(t.shift), []).append(_as_function(t.coeff))
-        self.terms = tuple([Term(coeffs[0] if len(coeffs) == 1 else _merged(coeffs), shift)
+            coeff = _as_function(t.coeff)
+            if coeff.rational is None:
+                raise TypeError(f"the coefficient at shift {t.shift} is not a rational function")
+            merged.setdefault(complex(t.shift), []).append(coeff)
+        self.terms = tuple([Term(coeffs[0] if len(coeffs) == 1
+                                 else _sum([c.rational for c in coeffs]), shift)
                             for shift, coeffs in _ordered(merged)])
 
     @functools.cached_property
     def coefficient_batch(self):
-        """Every term's coefficient as one batched function, z -> (terms,
-        len(z)) values: the batch `stacked` builds, once, at the operator's
-        first tower."""
-        return stacked(t.coeff for t in self.terms).values
+        """Every term's coefficient in one batch, z -> (terms, len(z))
+        values, built once, at the operator's first tower."""
+        return _evaluator([t.coeff.rational for t in self.terms])
 
     def __call__(self, f: AnalyticFunction) -> AnalyticFunction:
         """One tower node: self applied to f, or once more to a tower of self."""
@@ -414,14 +388,6 @@ class DifferenceOperator:
         return DifferenceOperator(Term(scalar * t.coeff, t.shift) for t in self.terms)
 
     __rmul__ = __mul__
-
-
-def _merged(coeffs) -> AnalyticFunction:
-    """The sum of the coefficients that share a shift, in order: at once
-    over their common denominator when every one is rational."""
-    if all(c.rational is not None for c in coeffs):
-        return _sum([c.rational for c in coeffs])
-    return functools.reduce(AnalyticFunction.__add__, coeffs)
 
 
 def _shift_order(shift):
@@ -512,17 +478,6 @@ def _run(where):
     return np.array(where, dtype=np.intp)
 
 
-def stacked(fns) -> AnalyticFunction:
-    """One batched function whose row i is fns[i], each a scalar function:
-    their Rationals evaluated in one batch when every one is rational, else
-    their values stacked."""
-    fns = list(fns)
-    if all(f.rational is not None for f in fns):
-        return AnalyticFunction(_evaluator([f.rational for f in fns]))
-    return AnalyticFunction(lambda z: np.array([f.values(z) for f in fns],
-                                               dtype=complex).reshape(len(fns), len(z)))
-
-
 def shift_op(a) -> DifferenceOperator:
     """Operator f(z) -> f(z + a)."""
     return DifferenceOperator([Term(const(1.0), complex(a))])
@@ -568,14 +523,9 @@ def mixed_residual(values_a, values_b) -> float:
     return float(np.max(np.abs(va - vb) / (1.0 + np.abs(vb))))
 
 
-def ratio_spread(values_a, values_b):
-    """Pointwise ratio a/b over paired samples: (mean, stddev/|mean|)."""
-    vals = np.asarray(values_a, dtype=complex) / np.asarray(values_b, dtype=complex)
+def grid_ratio(f: AnalyticFunction, g: AnalyticFunction, points):
+    """Pointwise ratio f/g at the points: (mean, stddev/|mean|)."""
+    vals = np.asarray(f(points)) / np.asarray(g(points))
     mean = complex(np.mean(vals))
     spread = float(np.std(vals)) / abs(mean) if mean != 0 else math.inf
     return mean, spread
-
-
-def grid_ratio(f: AnalyticFunction, g: AnalyticFunction, points):
-    """Pointwise ratio f/g at the points: (mean, stddev/|mean|)."""
-    return ratio_spread(f(points), g(points))

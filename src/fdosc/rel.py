@@ -14,10 +14,10 @@ operator ordering dictates, and K0 = H/(2 omega0), so [K0, K-+] = -+K-+
 follows from [H, B-+] = -+2 omega0 B-+ as operators; f(E_n) = 4 omega0^2
 (n + alpha - 1/2)(n + nu - 1/2) > 0 since alpha, nu >= 1.  Every operator
 coefficient is a rational function in opcore's canonical form, its poles on
-the lattice (i/2)Z; only the eigenfunction leaves are callables.  No inner
-product is specified, so every "conjugate" operator is built from its
-printed closed form, and every ladder coefficient is measured as a ratio
-between eigenstates.
+the lattice (i/2)Z; only the eigenfunction leaves are callables, and opcore
+enforces it.  No inner product is specified, so every "conjugate" operator
+is built from its printed closed form, and every ladder coefficient is
+measured as a ratio between eigenstates.
 
 phi_n(rho) = P(rho) S_n(rho^2; alpha, nu, 1/2), one gamma prefactor P for
 every n (Koekoek, Lesky & Swarttouw, sec. 9.3).  P(rho + i)/P(rho) is

@@ -1277,23 +1277,37 @@ def _plant(patch, site, error):
              else (*out[:at], add(out[at], error), *out[at + 1:]))
 
 
-def _readings(module=rel, at=(0.5, 0.1), n_max=6):
-    """Each residual of the check group that module feeds, under the plants in place."""
+def _readings(module=rel, at=(0.5, 0.1), n_max=6, wanted=None):
+    """Each residual of the check group that module feeds, under the plants
+    in place: the whole group, or up to the last check in wanted."""
     levels = {cid: c.levels.at(n_max) for cid, c in harness.CHECKS.items() if c.levels}
-    return {cid: worst for cid, _, worst, *_ in _GROUPS[module](at, levels)}
+    readings = {}
+    for cid, _, worst, *_ in _GROUPS[module](at, levels):
+        readings[cid] = worst
+        if wanted is not None and wanted <= readings.keys():
+            break
+    return readings
 
 
-_clean_readings = functools.cache(_readings)  # called with no plant in place
+_TABLE_CHECKS = {  # module -> the checks PLANT_TABLE reads from its group
+    module: {check for check, site, *_ in PLANT_TABLE if _SITES[site][0] is module}
+    for module in _GROUPS}
+
+
+@functools.cache
+def _clean_readings(module, at, n_max):
+    """_readings of PLANT_TABLE's checks with no plant in place."""
+    return _readings(module, at, n_max, _TABLE_CHECKS[module])
 
 
 @functools.cache
 def _planted_readings(site, term, c, at, n_max):
-    """_readings with c times term planted at site, run once per plant,
-    whichever rows it serves."""
+    """_readings of PLANT_TABLE's checks with c times term planted at site,
+    run once per plant, whichever rows it serves."""
     module, key = _SITES[site][0], _ERRORS[term]
     with pytest.MonkeyPatch.context() as patch:
         _plant(patch, site, {key: c} if module is nonrel else c * shift_op(key))
-        return _readings(module, at, n_max)
+        return _readings(module, at, n_max, _TABLE_CHECKS[module])
 
 
 def _cell_name(check, site, term, at):

@@ -10,7 +10,6 @@ import pytest
 from fdosc import nonrel, opcore, rel
 from fdosc.errors import EvaluationError
 from fdosc.opcore import (
-    AnalyticFunction,
     DifferenceOperator,
     Term,
     compose,
@@ -19,7 +18,6 @@ from fdosc.opcore import (
     default_grid,
     exp_linear,
     from_callable,
-    gaussian,
     grid_ratio,
     identity_op,
     mixed_residual,
@@ -27,11 +25,18 @@ from fdosc.opcore import (
     mul_op,
     polynomial,
     shift_op,
-    stacked,
 )
 from test_nonrel import _act, _powers
+from test_rel import _compose as _value_compose
+from test_rel import _ValueOp
 
 GRID = default_grid()
+
+
+def _bump(coeffs):
+    """exp(-0.4 z^2) times the polynomial sum_k coeffs[k] z^k, as one leaf."""
+    return from_callable(
+        lambda z: np.exp(-0.4 * z * z) * np.polynomial.polynomial.polyval(z, coeffs))
 
 
 def test_shift_is_exact_argument_translation():
@@ -64,7 +69,7 @@ def _minus(A, B):
 
 def test_inverse_shifts_compose_to_identity():
     op = compose(shift_op(0.7j), shift_op(-0.7j))
-    f = gaussian(0.8) * polynomial([1.0, 2.0, -0.5])
+    f = _bump([1.0, 2.0, -0.5])
     assert mixed_residual(op(f)(GRID), identity_op()(f)(GRID)) < 1e-15
 
 
@@ -117,7 +122,7 @@ def test_exact_derivatives_of_primitives():
         assert df(p) == pytest.approx(-2.0 + 6.0 * p, abs=1e-14)
     # only a Laurent sum has a derivative
     with pytest.raises(EvaluationError, match="not a Laurent sum"):
-        gaussian(0.9).derivative()
+        exp_linear(0.9).derivative()
     h = monomial(-3)
     dh = h.derivative()
     for p in (0.5, 2.5):
@@ -143,13 +148,10 @@ _LAURENT_LEAVES = [
      lambda z: 1 - 2 * z + mp.mpf(0.5) * z**2 + 3 * z**3 - mp.mpf(0.25) * z**4),
 ]
 _LEAVES = _LAURENT_LEAVES + [
-    ("gaussian", gaussian(0.9), lambda z: mp.exp(-mp.mpf(0.9) * z**2 / 2)),
     ("exp_linear", exp_linear(0.3 + 0.4j), lambda z: mp.exp(mp.mpc(0.3, 0.4) * z)),
     ("product_of_shifted",
-     monomial(-3).shifted(0.5j) * gaussian(0.9).shifted(-0.25)
-     * polynomial([1.0, -2.0, 0.5]).shifted(0.3j),
-     lambda z: (z + 0.5j) ** -3 * mp.exp(-mp.mpf(0.9) * (z - 0.25) ** 2 / 2)
-     * (1 - 2 * (z + 0.3j) + mp.mpf(0.5) * (z + 0.3j) ** 2)),
+     monomial(-3).shifted(0.5j) * polynomial([1.0, -2.0, 0.5]).shifted(0.3j),
+     lambda z: (z + 0.5j) ** -3 * (1 - 2 * (z + 0.3j) + mp.mpf(0.5) * (z + 0.3j) ** 2)),
 ]
 
 
@@ -257,7 +259,7 @@ def test_evaluation_error_on_nonfinite():
     with pytest.raises(EvaluationError):
         f([0.5, 1.0, 2.0])
     with pytest.raises(EvaluationError):
-        gaussian(1.0)(np.array([0.5, np.nan]))
+        exp_linear(1.0)(np.array([0.5, np.nan]))
 
 
 def test_scalar_and_const_coefficients():
@@ -275,7 +277,7 @@ def test_constants_fold_when_built():
     assert c.shifted(1j) is c
     assert _powers(c.derivative()) == {}
     assert _powers(coordinate()) == {1: 1.0}
-    assert _powers(gaussian(1.0)) is None
+    assert _powers(exp_linear(1.0)) is None
     # operator coefficients stay constants through merging and composition
     op = compose(shift_op(0.5j), 2.0 * shift_op(-0.5j)) + identity_op()
     assert [_powers(t.coeff) for t in op.terms] == [{0: 3.0}]
@@ -292,9 +294,9 @@ def test_laurent_sums_fold_when_built():
     assert _powers(polynomial([1.0, 0.0, 3.0]).derivative()) == {1: 6.0}
     assert _powers(inv2.derivative().derivative()) == {-4: 6.0}
     # a shifted polynomial is a polynomial; a shifted pole leaves the
-    # Laurent sums, and so does a product with any other function
+    # Laurent sums
     assert _powers(xi.shifted(1j)) == {0: 1j, 1: 1.0}
-    assert _powers(inv2.shifted(1j)) is None and _powers(xi * gaussian(1.0)) is None
+    assert _powers(inv2.shifted(1j)) is None
 
 
 def _poles(f):
@@ -327,11 +329,9 @@ def test_rational_sums_fold_when_built():
     assert _powers(2.0 * r2 + -r2 + -r2) == {}
     assert _form(r2 + 3.0)[:2] == ([3, 1j, 1], [3.0, 1.0, 1.0])
     assert _powers(monomial(0, at=2j)) == {0: 1.0}
-    # only a Laurent sum has a derivative, and a product with any other
-    # function is no rational function
+    # only a Laurent sum has a derivative
     with pytest.raises(EvaluationError, match="not a Laurent sum"):
         inv.derivative()
-    assert (r2 * gaussian(1.0)).rational is None
 
 
 def test_shifted_keeps_a_rational_sum_rational():
@@ -374,7 +374,8 @@ def test_a_rational_batch_reads_each_point_alone():
     # folded coefficient, at each point alone, at a few points, and at many
     B_minus, B_plus = rel.ladder_B(_REL)
     pts = np.concatenate([(GRID + 0.5j * np.arange(-8, 9)[:, None]).reshape(-1), [30.0]])
-    for batch in (B_plus.coefficient_batch, stacked([compose(B_minus, B_plus).terms[4].coeff]).values):
+    folded = DifferenceOperator([compose(B_minus, B_plus).terms[4]])
+    for batch in (B_plus.coefficient_batch, folded.coefficient_batch):
         every = batch(pts)
         assert np.array_equal(every[:, :7], batch(pts[:7]))
         assert np.array_equal(every, np.stack([batch(pts[i:i + 1])[:, 0]
@@ -382,19 +383,36 @@ def test_a_rational_batch_reads_each_point_alone():
 
 
 def test_folded_constants_give_the_jets_they_replace():
-    # a folded constant gives the values of the same constant as a leaf
-    c = const(2.0 - 1.0j)
-    c_plain = from_callable(lambda z: np.full(len(z), 2.0 - 1.0j))
-    f = gaussian(0.8) * polynomial([1.0, 2.0, -0.5])
+    # a folded constant gives the values of the plain number: scaling a
+    # leaf, and as an operator's coefficient
+    c = 2.0 - 1.0j
+    f = _bump([1.0, 2.0, -0.5])
     z = GRID + 0.3j
-    for folded, plain in ((c * f, c_plain * f), (f * c, f * c_plain),
-                          (f + c, f + c_plain), (c + -f, c_plain + -f)):
+    for folded in (c * f, f * c):
         assert _powers(folded) is None
-        assert np.array_equal(folded(z), plain(z))
-    folded_op = 2.0 * shift_op(1j) + mul_op(c)
-    plain_op = compose(mul_op(from_callable(lambda z: np.full(len(z), 2.0))),
-                       shift_op(1j)) + mul_op(c_plain)
-    assert np.array_equal(folded_op(f)(z), plain_op(f)(z))
+        assert np.array_equal(folded(z), c * f(z))
+    folded_op = 2.0 * shift_op(1j) + mul_op(const(c))
+    assert np.array_equal(folded_op(f)(z), c * f(z) + 2.0 * f(z + 1j))
+
+
+def test_a_leaf_takes_no_arithmetic_but_scaling_by_a_number():
+    # a leaf is called, is an operator's argument and is scaled by a number;
+    # a sum, a product with a function, a negation or a shift is a TypeError
+    leaf, x = exp_linear(0.3), polynomial([1.0, 2.0])
+    for arithmetic in (lambda: leaf + x, lambda: x + leaf, lambda: leaf + 1.0,
+                       lambda: x - leaf, lambda: x + -leaf, lambda: leaf * x,
+                       lambda: x * leaf, lambda: -leaf, lambda: leaf.shifted(0.5j)):
+        with pytest.raises(TypeError):
+            arithmetic()
+    assert (2.0 * leaf)(0.7) == 2.0 * leaf(0.7) and (leaf * 1j)(0.7) == 1j * leaf(0.7)
+
+
+def test_an_operator_takes_no_leaf_coefficient():
+    leaf = exp_linear(0.3)
+    with pytest.raises(TypeError, match=r"coefficient at shift 0\.5j is not a rational"):
+        DifferenceOperator([Term(const(1.0), 0.0), Term(leaf, 0.5j)])
+    with pytest.raises(TypeError, match=r"coefficient at shift 0\.0 is not a rational"):
+        mul_op(leaf)
 
 
 def test_scaling_by_zero_still_reports_nonfinite():
@@ -441,10 +459,9 @@ def _chain(op, f, n):
 
 
 def _opaque(op):
-    """op with each coefficient known by its values only: compose then
-    multiplies coefficients as products of values."""
-    return DifferenceOperator(Term(AnalyticFunction(t.coeff.values), t.shift)
-                              for t in op.terms)
+    """op in value space (test_rel._ValueOp): composed, its coefficients
+    multiply as products of values."""
+    return _ValueOp({t.shift: t.coeff for t in op.terms})
 
 
 def test_rel_tower_equals_composed_power():
@@ -452,7 +469,7 @@ def test_rel_tower_equals_composed_power():
     opaque = _opaque(B_plus)
     phi0 = rel.eigenfunction_rel(_REL, 0).wavefunction
     pts = GRID[::3]
-    power, product = identity_op(), identity_op()
+    power, product = identity_op(), _opaque(identity_op())
     for n in range(1, 7):
         tower, chain = _tower(B_plus, phi0, n), _chain(B_plus, phi0, n)
         _assert_close(tower(pts), chain(pts))
@@ -473,7 +490,7 @@ def test_rel_tower_equals_composed_power():
         if n <= 3:
             _assert_close(tower(pts), power(phi0)(pts))
         if n <= 5:
-            product = compose(opaque, product)
+            product = _value_compose(opaque, product)
             _assert_close(tower(pts), product(phi0)(pts))
 
 
@@ -527,22 +544,23 @@ def test_tower_on_coincident_points_equals_distinct_and_single_points():
 
 
 def _mixed_operator():
-    """Terms with a constant and function coefficients, at five shifts."""
+    """Terms with constant, polynomial and pole coefficients, at five shifts."""
     return DifferenceOperator([
         Term(const(0.7 - 0.2j), 0.5j),
         Term(polynomial([0.3, -1.1, 0.4]), -0.5j),
-        Term(exp_linear(0.2 + 0.1j), 0.0),
+        Term(polynomial([0.2, 0.1j]), 0.0),
         Term(const(-1.3), 1j),
-        Term(gaussian(0.4), 0.25),
+        Term(monomial(-1, at=-2.0), 0.25),
     ])
 
 
 def test_stacked_step_matches_each_term_built_by_hand():
     op = _mixed_operator()
-    f = gaussian(0.8) * polynomial([1.0, 0.5, -0.3])
-    by_hand = const(0.0)
-    for t in op.terms:
-        by_hand = by_hand + t.coeff * f.shifted(t.shift)
+    f = _bump([1.0, 0.5, -0.3])
+
+    def by_hand(z):
+        return sum(t.coeff(z) * f(z + t.shift) for t in op.terms)
+
     pts = GRID[::3] + 0.2j
     _assert_close(op(f)(pts), by_hand(pts), tol=1e-14)
     _assert_close(op(f)(pts[4:5]), by_hand(pts[4:5]), tol=1e-14)
@@ -552,7 +570,7 @@ def test_stacked_step_matches_each_term_built_by_hand():
 def test_stacked_tower_matches_separate_steps(k):
     """Towers of depth 2, 3 and 4, fused against unfused."""
     op = _mixed_operator()
-    f = gaussian(0.8) * polynomial([1.0, 0.5, -0.3])
+    f = _bump([1.0, 0.5, -0.3])
     pts = GRID[::3] + 0.2j
     tower, chain = _tower(op, f, 2 + k), _chain(op, f, 2 + k)
     _assert_close(tower(pts), chain(pts), tol=1e-14)
@@ -566,26 +584,38 @@ def _counting(fn, counts, key):
     return from_callable(leaf)
 
 
-def test_equal_operator_objects_do_not_fuse():
-    counts = {}
-    op = DifferenceOperator([Term(_counting(np.cos, counts, "coeff"), 1j),
-                             Term(const(0.5), -1j)])
+def _coefficient_calls(monkeypatch):
+    """The list of operators whose coefficient_batch is called, one entry a
+    call, from here on."""
+    calls, batch = [], DifferenceOperator.coefficient_batch.func
+
+    def counting(op):
+        rows = batch(op)
+        return lambda z: calls.append(op) or rows(z)
+
+    monkeypatch.setattr(DifferenceOperator, "coefficient_batch", property(counting))
+    return calls
+
+
+def test_equal_operator_objects_do_not_fuse(monkeypatch):
+    calls = _coefficient_calls(monkeypatch)
+    op = DifferenceOperator([Term(polynomial([0.3, 1.0]), 1j), Term(const(0.5), -1j)])
     twin = DifferenceOperator(op.terms)
     f = exp_linear(0.3)
     pts = GRID
     fused, unfused = op(op(f)), twin(op(f))
     assert np.array_equal(unfused(pts), fused(pts))
-    counts.clear()
+    calls.clear()
     fused(pts)
-    assert counts == {"coeff": 1}
-    counts.clear()
+    assert calls == [op]
+    calls.clear()
     unfused(pts)
-    assert counts == {"coeff": 2}
+    assert calls == [op, twin]
 
 
 def test_operator_without_terms_gives_zero():
     empty = DifferenceOperator([])
-    assert empty(empty(gaussian(1.0)))([1.0, 2.0]).tolist() == [0j, 0j]
+    assert empty(empty(exp_linear(1.0)))([1.0, 2.0]).tolist() == [0j, 0j]
 
 
 def test_scaled_tower_is_not_fused():
@@ -608,16 +638,17 @@ def test_tower_lattice_on_a_pole_raises_like_the_product():
 
 
 @pytest.mark.parametrize("n", [1, 4, 8])
-def test_tower_evaluates_each_leaf_once_per_call(n):
-    counts = {}
-    op = DifferenceOperator([Term(_counting(np.cos, counts, "coeff"), 1j),
+def test_tower_evaluates_each_leaf_once_per_call(n, monkeypatch):
+    counts, calls = {}, _coefficient_calls(monkeypatch)
+    op = DifferenceOperator([Term(polynomial([0.3, 1.0]), 1j),
                              Term(const(0.5), -0.5j), Term(polynomial([0.0, 1.0]), 0.0)])
     tower = _tower(op, _counting(np.exp, counts, "base"), n)
     tower(GRID)
-    assert counts == {"coeff": 1, "base": 1}
+    assert counts == {"base": 1} and calls == [op]
     counts.clear()
+    calls.clear()
     tower(1.5)
-    assert counts == {"coeff": 1, "base": 1}
+    assert counts == {"base": 1} and calls == [op]
 
 
 # ---- batches: op(F)(points) for a batched F ---------------------------
@@ -652,14 +683,6 @@ def test_values_equal_calls_for_rel_shift_only_ladder():
     _batch_equals_calls(B_plus, F, fs, GRID[::5] + 1j)
 
 
-def test_a_scaled_batch_scales_each_row():
-    _, B_plus = rel.ladder_B(_REL)
-    F, fs = _rel_batch(range(4))
-    scale = np.array([1.0, -2.0, 0.5j, 3.0])
-    assert np.array_equal((scale * F)(GRID)[1], -2.0 * fs[1](GRID))
-    _batch_equals_calls(B_plus, scale * F, [c * f for c, f in zip(scale, fs)], GRID)
-
-
 def test_values_of_no_functions_is_an_empty_batch():
     assert mul_op(coordinate())(nonrel.eigenfunctions(_NONREL, []))(GRID).shape \
         == (0, len(GRID))
@@ -683,12 +706,11 @@ def test_values_name_the_first_nonfinite_point_of_the_batch():
         op(_rows(*fns))([0.5, 1.0, 2.0, 3.0])
 
 
-def test_values_evaluate_each_coefficient_once_per_batch():
-    counts = {}
-    op = DifferenceOperator([Term(_counting(np.cos, counts, "coeff"), 1j),
-                             Term(const(0.5), -0.5j)])
+def test_values_evaluate_each_coefficient_once_per_batch(monkeypatch):
+    calls = _coefficient_calls(monkeypatch)
+    op = DifferenceOperator([Term(polynomial([0.3, 1.0]), 1j), Term(const(0.5), -0.5j)])
     op(nonrel.eigenfunctions(_NONREL, range(5)))(GRID)
-    assert counts == {"coeff": 1}
+    assert calls == [op]
 
 
 def test_nested_towers_over_a_batch_evaluate_each_block_once(monkeypatch):
@@ -708,28 +730,19 @@ def test_nested_towers_over_a_batch_evaluate_each_block_once(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 3])
 def test_a_tower_call_makes_one_coefficient_call(n, monkeypatch):
-    # every path: rational coefficients read as one coefficient matrix, and
-    # any others stacked; a batched base and a tower under another operator
-    rational = rel.ladder_B(_REL)[1]
-    mixed = _mixed_operator()
-    calls = []
-    batch = DifferenceOperator.coefficient_batch.func
-
-    def counting(op):
-        rows = batch(op)
-        return lambda z: calls.append(op) or rows(z)
-
-    monkeypatch.setattr(DifferenceOperator, "coefficient_batch", property(counting))
-    for op, base in ((rational, rel.eigenfunctions(_REL, range(3))), (mixed, gaussian(0.8))):
-        tower = _tower(op, base, n)
-        for z in (1.5, GRID):
-            calls.clear()
-            tower(z)
-            assert calls == [op]
+    # the coefficients read as one coefficient matrix, for a batched base
+    # and for a tower under another operator
+    op = rel.ladder_B(_REL)[1]
+    calls = _coefficient_calls(monkeypatch)
+    tower = _tower(op, rel.eigenfunctions(_REL, range(3)), n)
+    for z in (1.5, GRID):
         calls.clear()
-        H = rel.hamiltonian_rel(_REL)
-        H(tower)(GRID)
-        assert calls == [op, H]  # the base tower first
+        tower(z)
+        assert calls == [op]
+    calls.clear()
+    H = rel.hamiltonian_rel(_REL)
+    H(tower)(GRID)
+    assert calls == [op, H]  # the base tower first
 
 
 def test_a_batched_call_at_one_point_keeps_its_row_axis():

@@ -8,15 +8,7 @@ import pytest
 
 from fdosc import rel, specfun
 from fdosc.errors import CouplingError
-from fdosc.opcore import (
-    compose,
-    default_grid,
-    from_callable,
-    grid_ratio,
-    identity_op,
-    mul_op,
-    shift_op,
-)
+from fdosc.opcore import default_grid, grid_ratio
 
 GRID = default_grid()
 MODEL = rel.make_rel_model(0.5, 0.1)
@@ -330,41 +322,86 @@ def _operators(model):
             "bb_rhs": rel.bb_commutator_rhs(model), "BB_rhs": rel.BB_commutator_rhs(model)}
 
 
+class _ValueOp(dict):
+    """A difference operator in value space, {shift: coefficient}, each
+    coefficient a function of z and every sum and product of coefficients
+    taken on their values: a reference that shares nothing with opcore's
+    rational algebra."""
+
+    def __add__(self, other):
+        out = _ValueOp(self)
+        for s, c in other.items():
+            out[s] = (lambda z, a=out[s], b=c: a(z) + b(z)) if s in out else c
+        return out
+
+    def __rmul__(self, k):
+        return _ValueOp({s: lambda z, c=c: k * c(z) for s, c in self.items()})
+
+    def __neg__(self):
+        return -1.0 * self
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __call__(self, f):
+        """The operator applied to f, a function of z."""
+        return lambda z: sum(c(z) * f(z + s) for s, c in self.items())
+
+
+def _shift(a):
+    return _ValueOp({complex(a): lambda z: 1.0})
+
+
+def _times(f):
+    """Multiplication by the function f of z."""
+    return _ValueOp({0j: f})
+
+
+def _compose(A, B):
+    """A B (apply B first): a_s(z) b_t(z + s) at shift s + t, summed by shift
+    in the order of the term pairs."""
+    out = _ValueOp()
+    for s, a in A.items():
+        for t, b in B.items():
+            out = out + {s + t: lambda z, a=a, b=b, s=s: a(z) * b(z + s)}
+    return out
+
+
 def _lambda_operators(model):
     """The same operators with each coefficient a lambda of its printed closed
-    form, composed as products of values: the reference the folded rational
-    sums must reproduce."""
+    form, composed as products of values (_ValueOp): the reference the
+    folded rational sums must reproduce."""
     a, nu, w0, g0 = model.alpha, model.nu, model.omega0, model.g0
     sqrt2 = math.sqrt(2.0)
-    V = from_callable(lambda z: 0.5 * w0**2 * z * (z + 1j) + g0 / (z * (z + 1j)))
-    H = 0.5 * shift_op(1j) + 0.5 * shift_op(-1j) + compose(mul_op(V), shift_op(1j))
-    P = -(0.5 * shift_op(1j) - 0.5 * shift_op(-1j) + compose(mul_op(V), shift_op(1j)))
-    u = from_callable(lambda z: (nu + 1j * z) * (1.0 + a / (1j * z)))
-    v = from_callable(lambda z: (nu - 1j * z) * (1.0 - a / (1j * z)))
-    b_minus = (1.0 / sqrt2) * (shift_op(-0.5j) - w0 * compose(shift_op(0.5j), mul_op(u)))
-    b_plus = (1.0 / sqrt2) * (shift_op(-0.5j) - w0 * compose(mul_op(v), shift_op(0.5j)))
+    V = _times(lambda z: 0.5 * w0**2 * z * (z + 1j) + g0 / (z * (z + 1j)))
+    H = 0.5 * _shift(1j) + 0.5 * _shift(-1j) + _compose(V, _shift(1j))
+    P = -(0.5 * _shift(1j) - 0.5 * _shift(-1j) + _compose(V, _shift(1j)))
+    u = _times(lambda z: (nu + 1j * z) * (1.0 + a / (1j * z)))
+    v = _times(lambda z: (nu - 1j * z) * (1.0 - a / (1j * z)))
+    b_minus = (1.0 / sqrt2) * (_shift(-0.5j) - w0 * _compose(_shift(0.5j), u))
+    b_plus = (1.0 / sqrt2) * (_shift(-0.5j) - w0 * _compose(v, _shift(0.5j)))
 
     def pair(tail):
-        scalar_tail = 0.5 * H - (0.5 / w0) * compose(H, H) + tail * identity_op()
-        minus = sqrt2 * compose(shift_op(-0.5j), b_minus) - H + (w0 * (a + nu)) * identity_op()
-        plus = sqrt2 * compose(b_plus, shift_op(-0.5j)) - H + (w0 * (a + nu)) * identity_op()
-        return (compose(mul_op(from_callable(lambda z: 1j * z)), minus) + scalar_tail,
-                compose(plus, mul_op(from_callable(lambda z: -1j * z))) + scalar_tail)
+        scalar_tail = 0.5 * H - (0.5 / w0) * _compose(H, H) + tail * _shift(0)
+        minus = sqrt2 * _compose(_shift(-0.5j), b_minus) - H + (w0 * (a + nu)) * _shift(0)
+        plus = sqrt2 * _compose(b_plus, _shift(-0.5j)) - H + (w0 * (a + nu)) * _shift(0)
+        return (_compose(_times(lambda z: 1j * z), minus) + scalar_tail,
+                _compose(plus, _times(lambda z: -1j * z)) + scalar_tail)
 
-    w0rho = mul_op(from_callable(lambda z: w0 * z))
-    sing = mul_op(from_callable(lambda z: 2.0 * g0 / (z * z + 1.0)))
+    w0rho = _times(lambda z: w0 * z)
+    sing = _times(lambda z: 2.0 * g0 / (z * z + 1.0))
     inner_minus, inner_plus = w0rho - 1j * P, w0rho + 1j * P
-    local = from_callable(lambda z: 0.5 * w0 * (1.0 + a * nu / (z * z + 0.25)))
-    delta = from_callable(lambda z: 0.5 * w0 * w0 * (a + nu - 0.25 + a * nu * (
+    local = _times(lambda z: 0.5 * w0 * (1.0 + a * nu / (z * z + 0.25)))
+    delta = _times(lambda z: 0.5 * w0 * w0 * (a + nu - 0.25 + a * nu * (
         -(a - 1.0) * (nu - 1.0) / (z * (z + 1j)) + a * nu / ((z + 0.5j) * (z + 1.5j)))))
-    H2 = compose(H, H)
+    H2 = _compose(H, H)
     (B_minus, B_plus), (Bp_minus, Bp_plus) = pair(w0 * a * nu + 0.5 / w0), pair(w0 * a * nu)
     return {"H": H, "P": P, "b-": b_minus, "b+": b_plus, "B-": B_minus, "B+": B_plus,
             "B-printed": Bp_minus, "B+printed": Bp_plus,
-            "B-compact": (0.5 / w0) * (compose(inner_minus, inner_minus) - sing),
-            "B+compact": (0.5 / w0) * (compose(inner_plus, inner_plus) - sing),
-            "bb_rhs": mul_op(local) + compose(mul_op(delta), shift_op(1j)),
-            "BB_rhs": w0 * (H + (2.0 / w0**2) * (compose(H2, H) - H))}
+            "B-compact": (0.5 / w0) * (_compose(inner_minus, inner_minus) - sing),
+            "B+compact": (0.5 / w0) * (_compose(inner_plus, inner_plus) - sing),
+            "bb_rhs": local + _compose(delta, _shift(1j)),
+            "BB_rhs": w0 * (H + (2.0 / w0**2) * (_compose(H2, H) - H))}
 
 
 def test_no_rel_coefficient_is_a_lambda():
@@ -405,7 +442,7 @@ def test_folded_coefficients_match_their_closed_forms(couplings):
     pts = (GRID + 0.5j * np.arange(-56, 57)[:, None]).reshape(-1)
     folded, lambdas = _operators(model), _lambda_operators(model)
     for name, op in folded.items():
-        ref = {t.shift: t.coeff(pts) for t in lambdas[name].terms}
+        ref = {s: c(pts) for s, c in lambdas[name].items()}
         got = {t.shift: t.coeff for t in op.terms}
         assert got.keys() == ref.keys(), name
         for key, want in ref.items():
