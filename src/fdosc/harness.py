@@ -14,15 +14,16 @@ An operator identity is read on the operator, with no grid: a rel
 DifferenceOperator is merged by shift, each coefficient rational in one
 canonical form (opcore), and a nonrel operator is a dict keyed by (order
 of D, power of xi), so an identity holds exactly when every merged
-coefficient vanishes.  Each power of a merged coefficient is read over
-the parts that cancel there: `_operator_residual` reads the rel and
-plane-wave ones, `_laurent_residual` the nonrel ones.  The eigenstate
-checks read coefficients too, held as arrays, one row per level and one
-column per power: of L_n^d(xi^2) in the ground-state gauge psi = psi_0 g,
-each gauged term c xi^q D^m adding its slice of the rows (`_applied`), and
-of S_n(rho^2) in the P gauge phi = P S (see "the P gauge" below), b- phi_0
-as T(-i/2) b- S_0.  Only the leaf phi_n itself, which rel_eigen_equation
-reads against P S_n, is read on the grid.
+coefficient vanishes.  `_operator_residual` reads every identity of both
+models and the plane wave, each power of a merged coefficient over the
+parts that cancel there.  The eigenstate checks read coefficients too,
+held as arrays, one row per level and one column per power: of
+L_n^d(xi^2) in the ground-state gauge psi = psi_0 g, each gauged term
+c xi^q D^m adding its slice of the rows (`_applied`), and of S_n(rho^2) in
+the P gauge phi = P S (see "the P gauge" below), b- phi_0 as
+T(-i/2) b- S_0; `_step` reads these so that each reading scales with the
+error.  Only the leaf phi_n itself, which rel_eigen_equation reads against
+P S_n, is read on the grid.
 
 Reports are deterministic: the specfun samples come from the stdlib
 random.Random at the fixed seed _SEED, so identical inputs give
@@ -48,6 +49,7 @@ import numpy as np
 from . import nonrel, planewave, rel, specfun
 from .errors import EvaluationError
 from .opcore import (
+    Rational,
     compose,
     coordinate,
     default_grid,
@@ -65,7 +67,9 @@ _SEED = 20260824
 
 # What a rel coefficient's rounding can leave of an exact identity, per unit
 # of its sizes: 1.1 eps at most over 68 couplings (omega0 0.01 to 3, g0
-# 1e-9 to 1000) in the five hard rel identities
+# 1e-9 to 1000) in the five hard rel identities.  The nonrel identities are
+# read by the same rule, where it never binds: a nonrel coefficient's size
+# is its magnitude, so |sum c| / (1 + sum |c|) reads larger
 _ROUNDING = 16.0 * np.finfo(float).eps
 
 # The eigen-equation checks read levels n <= max(n_max, BASE_LEVEL);
@@ -286,38 +290,30 @@ def _rel_bracket(X, Y) -> tuple:
 
 
 def _operator_residual(*parts) -> float:
-    """Residual of the rel identity sum(parts) = 0, parts of terms summed
-    part by part over each shift's common denominator (opcore.lifted): each
+    """Residual of the identity sum(parts) = 0, summed part by part per key: a
+    rel part's terms by shift, over their common denominator (opcore.lifted),
+    a nonrel dict's c by (order, power), one power with sizes |c|.  Each
     power's sum over 1 + its sizes, or, less the rounding they allow
     (_ROUNDING), over the parts' magnitudes, whichever reads larger."""
     at: dict = {}
-    for i, t in [(i, t) for i, part in enumerate(parts) for t in part]:
-        at.setdefault(t.shift, []).append((i, t.coeff.rational))
-    worst = 0.0
-    for items in at.values():
-        lifts, _ = lifted([r for _, r in items])
-        sums = np.zeros((len(parts), 2, max(rows.shape[1] for rows in lifts)), dtype=complex)
-        for (i, _), rows in zip(items, lifts):  # each part's numerator and sizes
-            sums[i, :, :rows.shape[1]] += rows
-        total, sizes = np.abs(sums[:, 0].sum(axis=0)), sums[:, 1].real.sum(axis=0)
-        excess = np.maximum(total - _ROUNDING * sizes, 0.0) / (1.0 + np.abs(sums[:, 0]).sum(axis=0))
-        worst = max(worst, np.max(np.maximum(excess, total / (1.0 + sizes))))
-    return float(worst)
-
-
-def _laurent_residual(*parts) -> float:
-    """Residual of the nonrel operator identity sum(parts) = 0 on its
-    coefficients, keyed by (order, power): the max over keys of |sum c| /
-    (1 + sum |c|), what cancels being no error, in one array pass."""
-    sums, sizes = {}, {}
-    for part in parts:
-        for key, c in part.items():
-            sums[key] = sums.get(key, 0.0) + c
-            sizes[key] = sizes.get(key, 0.0) + abs(c)
-    if not sums:
-        return 0.0
-    return float(np.max(np.abs(np.array(list(sums.values())))
-                        / (1.0 + np.array(list(sizes.values())))))
+    for i, part in enumerate(parts):
+        pairs = part.items() if isinstance(part, dict) else ((t.shift, t.coeff.rational) for t in part)
+        for key, c in pairs:
+            at.setdefault(key, []).append((i, c))
+    lifts = [lifted([c for _, c in items])[0] if isinstance(items[0][1], Rational) else ()
+             for items in at.values()]
+    width = max((rows.shape[1] for lift in lifts for rows in lift), default=1)
+    sums = np.zeros((len(parts), len(at), 2, width), dtype=complex)  # numerators, sizes
+    for k, (items, lift) in enumerate(zip(at.values(), lifts)):
+        for (i, _), rows in zip(items, lift):
+            sums[i, k, :, :rows.shape[1]] += rows
+    # a number c is one power with sizes |c|, at most one per part and key
+    i, k, c = list(zip(*[(i, k, c) for k, (items, lift) in enumerate(zip(at.values(), lifts))
+                         if not lift for i, c in items])) or [(), (), ()]
+    sums[list(i), list(k), :, 0] = np.transpose([c, np.abs(c)])
+    total, sizes = np.abs(sums[:, :, 0].sum(axis=0)), sums[:, :, 1].real.sum(axis=0)
+    excess = np.maximum(total - _ROUNDING * sizes, 0.0) / (1.0 + np.abs(sums[:, :, 0]).sum(axis=0))
+    return float(np.max(np.maximum(excess, total / (1.0 + sizes)), initial=0.0))
 
 
 # ---- the P gauge ---------------------------------------------------------
@@ -406,11 +402,12 @@ def _step(image: _Image, reference, ratio=None, unit=None):
     least-squares ratio c (or the given one), and the max over powers p of
     |image - c D S|_p over a scale: the size of u D S there, sum_j |u s_j|
     size(D)_(p-j), u = c unless a unit u is given, plus the image's sizes
-    there, scaled to the same largest value.  So each power is read
-    relative to the side the identity maps to, and where that side is small
-    beside what cancels at the power (a power it does not reach, or a low
-    power of D made small by a root of D near 0), relative to the rounding
-    of what cancels."""
+    there, scaled to the same largest value N; where u D S is 0, plus N
+    times the share of the sizes there that does not cancel.  So each power
+    is read relative to the side the identity maps to, and where that side
+    is small beside what cancels, relative to the rounding of what cancels;
+    but a power that only an error's own terms reach, where nothing
+    cancels, is read against N and not against the error's own size."""
     rows, sizes, denominator, denominator_sizes = image
     width = reference.shape[1]
     lifted = np.zeros(rows.shape, dtype=complex)  # the image reaches powers c D S does not
@@ -422,9 +419,14 @@ def _step(image: _Image, reference, ratio=None, unit=None):
         ratio = _ratio(rows, lifted)
     ratio = np.reshape(ratio, (-1, 1))
     scale = np.abs(ratio if unit is None else unit) * scale
-    scale = scale + sizes * (np.max(scale, axis=1) / np.max(sizes, axis=1))[:, None]
-    residual = np.abs(rows - ratio * lifted) / np.where(scale > 0.0, scale, 1.0)
-    return ratio[:, 0], np.max(residual, axis=1)
+    top = np.max(scale, axis=1, keepdims=True)
+    error = np.abs(rows - ratio * lifted)
+    # where c D S is 0, error/sizes is the share of the sizes that does not
+    # cancel: rounding where terms of the operator cancel, near 1 where an
+    # error's own terms alone reach the power
+    share = np.divide(error, sizes, out=np.zeros(rows.shape), where=(scale == 0.0) & (sizes > 0.0))
+    scale = scale + sizes * (top / np.max(sizes, axis=1, keepdims=True)) + top * share
+    return ratio[:, 0], np.max(error / np.where(scale > 0.0, scale, 1.0), axis=1)
 
 
 def _leaf_residual(model, psi, s_rows, exponents, pts) -> float:
@@ -573,6 +575,12 @@ def _applied(parts, rows, sizes=None, *, low: int):
     return image, image_sizes
 
 
+# The eigenstate readers stay apart, each measured under the other's rule.
+# _state_residual's normwise scale on the rel rows loses 63 of PLANT_TABLE's
+# 221 rel cell readings at their decades, rel_ladder_coefficient B+@2i at
+# 6.8e-7 against 1e-6 among them.  _step's scale on the nonrel rows reads
+# nonrel_ladder_reconstruction at 6e3 to 9.6e8 at n_max 30 (g0 from -0.1 to
+# 5; 8.8e15 at 1e3): the K+ tower's sizes keep what cancelled down it
 def _state_residual(rows, sizes, reference) -> float:
     """max over rows and powers of |g_p - ref_p| / (N + sizes_p + |ref_p|),
     N the largest |ref_p| of the reference row (1 for a zero reference)."""
@@ -607,24 +615,24 @@ def _checks_nonrel(g0: float, levels: dict):
     energies = np.array([nonrel.energy(model, n) for n in eigen])[:, None]
     yield "nonrel_eigen_equation", params, _state_residual(image, sizes, energies * L[at])
 
-    yield "nonrel_factorization", params, _laurent_residual(
+    yield "nonrel_factorization", params, _operator_residual(
         nonrel.compose(c_plus, c_minus), {(0, 0): model.d + 1.0}, nonrel.scaled(-1.0, H))
 
     rhs14 = {(0, 0): 1.0, (0, -2): model.d + 0.5}
-    yield "nonrel_pair_commutator", params, _laurent_residual(
+    yield "nonrel_pair_commutator", params, _operator_residual(
         *_bracket(c_minus, c_plus), nonrel.scaled(-1.0, rhs14))
 
     xicm = nonrel.compose({(0, 1): 1.0}, c_minus)
     rhs15 = nonrel.scaled(-2.0, nonrel.added(
         xicm, nonrel.scaled(-1.0 / _SQRT2, H), {(0, 0): (model.d + 1.0) / _SQRT2}))
-    yield "nonrel_weighted_commutator", params, _laurent_residual(
+    yield "nonrel_weighted_commutator", params, _operator_residual(
         *_bracket(H, xicm), nonrel.scaled(-1.0, rhs15))
 
     form1, form2 = nonrel.lowering_forms(model)
-    yield "nonrel_lowering_forms_agree", params, _laurent_residual(
+    yield "nonrel_lowering_forms_agree", params, _operator_residual(
         form1, nonrel.scaled(-1.0, form2))
 
-    yield "nonrel_lowering_commutator", params, _laurent_residual(
+    yield "nonrel_lowering_commutator", params, _operator_residual(
         *_bracket(H, A_minus), nonrel.scaled(2.0, A_minus))
 
     # K- = A-/2 scales every coefficient by a power of two, so K- psi_0 reads
@@ -639,13 +647,13 @@ def _checks_nonrel(g0: float, levels: dict):
           for op in (c_minus, A_minus)))
 
     yield "nonrel_su11_closure", params, max(
-        _laurent_residual(*_bracket(K0, Kp), nonrel.scaled(-1.0, Kp)),
-        _laurent_residual(*_bracket(K0, Km), Km),
-        _laurent_residual(*_bracket(Km, Kp), nonrel.scaled(-2.0, K0)))
+        _operator_residual(*_bracket(K0, Kp), nonrel.scaled(-1.0, Kp)),
+        _operator_residual(*_bracket(K0, Km), Km),
+        _operator_residual(*_bracket(Km, Kp), nonrel.scaled(-2.0, K0)))
 
     k = (model.d + 1.0) / 2.0
     value = k * (k - 1.0)
-    yield ("nonrel_casimir", params, _laurent_residual(
+    yield ("nonrel_casimir", params, _operator_residual(
         nonrel.compose(K0, K0), nonrel.scaled(-1.0, K0),
         nonrel.scaled(-1.0, nonrel.compose(Kp, Km)), {(0, 0): -value}),
         f"value k(k-1)={value:.12g}")

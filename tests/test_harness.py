@@ -1038,6 +1038,17 @@ def test_identity_residual_scales_by_the_parts_that_cancel():
                 mul_op(-(1.0 + d) * 1j * monomial(-1) * monomial(-1, at=-1j)).terms)
     assert harness._operator_residual(*parts(0.0)) == 0.0
     assert harness._operator_residual(*parts(1e-3)) == pytest.approx(1e-3 / 3.001, rel=1e-12)
+    # nonrel dict parts, keyed by (order, power): each c one power with sizes
+    # |c|, so the reading is the max over keys of |sum c| / (1 + sum |c|)
+    rng = random.Random(3)
+    readings = [(rng.randrange(7), rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
+                for _ in range(40)]
+    sums, sizes = {}, {}
+    for key, c in readings:
+        sums[key] = sums.get(key, 0.0) + c
+        sizes[key] = sizes.get(key, 0.0) + abs(c)
+    by_key = max(float(np.abs(sums[k]) / (1.0 + sizes[k])) for k in sums)
+    assert harness._operator_residual(*({(0, key): c} for key, c in readings)) == by_key
 
 
 def test_operator_identities_read_no_grid(monkeypatch):
@@ -1053,21 +1064,6 @@ def test_operator_identities_read_no_grid(monkeypatch):
         *harness._rel_bracket(H, B_minus), (2.0 * model.omega0 * B_minus).terms) < 1e-15
     assert harness._operator_residual(
         *harness._rel_bracket(B_minus, B_plus), (-rel.BB_commutator_rhs(model)).terms) < 1e-15
-
-
-def test_laurent_residual_reads_every_key_in_one_array_pass():
-    # the same floats as a max over keys of |sum| / (1 + size), key by key,
-    # with every reading its own part
-    rng = random.Random(3)
-    readings = [(rng.randrange(7), rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
-                for _ in range(40)]
-    sums, sizes = {}, {}
-    for key, c in readings:
-        sums[key] = sums.get(key, 0.0) + c
-        sizes[key] = sizes.get(key, 0.0) + abs(c)
-    by_key = max(float(np.abs(sums[k]) / (1.0 + sizes[k])) for k in sums)
-    assert harness._laurent_residual(*({key: c} for key, c in readings)) == by_key
-    assert harness._laurent_residual() == 0.0
 
 
 def test_state_residual_reads_each_power_against_the_reference_norm():
@@ -1206,23 +1202,23 @@ PLANT_TABLE = [
     ("nonrel_ladder_reconstruction", "K+", _ONE, 6,
      {"1": 1e-12, "xi2": 1e-12, "xi-2": 1e-12, "D": 1e-13}),
     # rel eigenstate checks, on S_n's coefficients.  B-+ are built from H, so
-    # an error in H reaches every check.  c T(-2i) in H reads 5 to 24 at every
-    # c down to 1e-16: in the P gauge it reaches powers of rho no term of H
-    # reaches, and _step reads each power against the image's own sizes
+    # an error in H reaches every check.  In the P gauge c T(-2i) in H reaches
+    # powers of rho that c D S and every other term of H miss; _step reads
+    # those against the row's largest |u D S|, so the readings scale with c
     ("rel_eigen_equation", "H", _ONE, 6,
-     {"0": 1e-7, "i": 1e-8, "-i": 1e-9, "2i": 1e-10, "-2i": 1e-16}),
+     {"0": 1e-7, "i": 1e-8, "-i": 1e-9, "2i": 1e-10, "-2i": 1e-10}),
     ("rel_ground_annihilation", "H", _ONE, 6,
-     {"0": 1e-10, "i": 1e-11, "-i": 1e-11, "2i": 1e-12, "-2i": 1e-16}),
+     {"0": 1e-10, "i": 1e-11, "-i": 1e-11, "2i": 1e-12, "-2i": 1e-11}),
     ("rel_ground_annihilation", "B-", _ONE, 6,
      {"0": 1e-9, "i": 1e-10, "-i": 1e-10, "2i": 1e-11, "-2i": 1e-11}),
     ("rel_ladder_coefficient", "H", _ONE, 6,
-     {"0": 1e-6, "i": 1e-7, "-i": 1e-7, "2i": 1e-8, "-2i": 1e-16}),
+     {"0": 1e-6, "i": 1e-7, "-i": 1e-7, "2i": 1e-8, "-2i": 1e-8}),
     ("rel_ladder_coefficient", "B-", _ONE, 6,
      {"0": 1e-5, "i": 1e-6, "-i": 1e-6, "2i": 1e-7, "-2i": 1e-7}),
     ("rel_ladder_coefficient", "B+", _ONE, 6,
      {"0": 1e-5, "i": 1e-5, "-i": 1e-5, "2i": 1e-6, "-2i": 1e-6}),
     ("rel_ladder_consistency", "H", _ONE, 6,
-     {"0": 1e-6, "i": 1e-7, "-i": 1e-7, "2i": 1e-8, "-2i": 1e-16}),
+     {"0": 1e-6, "i": 1e-7, "-i": 1e-7, "2i": 1e-8, "-2i": 1e-8}),
     ("rel_ladder_consistency", "B-", _ONE, 6,
      {"0": 1e-5, "i": 1e-6, "-i": 1e-6, "2i": 1e-7, "-2i": 1e-7}),
     ("rel_ladder_consistency", "B+", _ONE, 6,
@@ -1231,16 +1227,16 @@ PLANT_TABLE = [
     # c B- (1/f(E_(n+1)) - 1/f(E_n)), so rel_su11_closure catches c T(0) in
     # B-+ from 1e-5 only, and rel_casimir from 1e-7 in B- and 1e-8 in B+
     ("rel_su11_closure", "H", _ONE, 6,
-     {"0": 1e-6, "i": 1e-7, "-i": 1e-8, "2i": 1e-9, "-2i": 1e-16}),
+     {"0": 1e-6, "i": 1e-7, "-i": 1e-8, "2i": 1e-9, "-2i": 1e-9}),
     ("rel_su11_closure", "B-", _ONE, 6,
      {"0": 1e-5, "i": 1e-6, "-i": 1e-6, "2i": 1e-7, "-2i": 1e-7}),
     ("rel_su11_closure", "B+", _ONE, 6,
      {"0": 1e-5, "i": 1e-6, "-i": 1e-6, "2i": 1e-6, "-2i": 1e-7}),
-    ("rel_casimir", "H", _ONE, 6, {"0": 1e-9, "i": 1e-9, "-i": 1e-10, "2i": 1e-11, "-2i": 1e-16}),
+    ("rel_casimir", "H", _ONE, 6, {"0": 1e-9, "i": 1e-9, "-i": 1e-10, "2i": 1e-11, "-2i": 1e-12}),
     ("rel_casimir", "B-", _ONE, 6, {"0": 1e-7, "i": 1e-8, "-i": 1e-9, "2i": 1e-9, "-2i": 1e-10}),
     ("rel_casimir", "B+", _ONE, 6, {"0": 1e-8, "i": 1e-8, "-i": 1e-9, "2i": 1e-9, "-2i": 1e-10}),
     ("rel_ladder_reconstruction", "H", _ONE, 6,
-     {"0": 1e-6, "i": 1e-6, "-i": 1e-7, "2i": 1e-7, "-2i": 1e-16}),
+     {"0": 1e-6, "i": 1e-6, "-i": 1e-7, "2i": 1e-7, "-2i": 1e-7}),
     ("rel_ladder_reconstruction", "B+", _ONE, 6,
      {"0": 1e-5, "i": 1e-5, "-i": 1e-6, "2i": 1e-6, "-2i": 1e-7}),
     # half shifts in b-+, which B-+ carry too; "b- alone" holds B-+ exact, so
@@ -1300,14 +1296,19 @@ def _clean_readings(module, at, n_max):
     return _readings(module, at, n_max, _TABLE_CHECKS[module])
 
 
+def _readings_with(site, term, c, at=(0.5, 0.1), n_max=6, wanted=None):
+    """_readings with c times term planted at site."""
+    module, key = _SITES[site][0], _ERRORS[term]
+    with pytest.MonkeyPatch.context() as patch:
+        _plant(patch, site, {key: c} if module is nonrel else c * shift_op(key))
+        return _readings(module, at, n_max, wanted)
+
+
 @functools.cache
 def _planted_readings(site, term, c, at, n_max):
     """_readings of PLANT_TABLE's checks with c times term planted at site,
     run once per plant, whichever rows it serves."""
-    module, key = _SITES[site][0], _ERRORS[term]
-    with pytest.MonkeyPatch.context() as patch:
-        _plant(patch, site, {key: c} if module is nonrel else c * shift_op(key))
-        return _readings(module, at, n_max, _TABLE_CHECKS[module])
+    return _readings_with(site, term, c, at, n_max, _TABLE_CHECKS[_SITES[site][0]])
 
 
 def _cell_name(check, site, term, at):
@@ -1410,6 +1411,39 @@ _PLANTED_ELSEWHERE = {
 def test_every_gating_check_has_a_plant():
     planted = {check for check, *_ in PLANT_TABLE} | set(_PLANTED_ELSEWHERE)
     assert {cid for cid, check in harness.CHECKS.items() if check.gating} - planted == set()
+
+
+# Every site of PLANT_TABLE with each term of its kind: whole shifts in the rel
+# and plane-wave operators, half shifts in b-+, xi^p D^m in the nonrel ones
+_SWEEP = [(site, term) for site, (module, *_) in _SITES.items()
+          for term in (("i/2", "-i/2") if site in ("b-", "b+", "b- alone")
+                       else ("1", "xi2", "xi-2", "D") if module is nonrel
+                       else ("0", "i", "-i", "2i", "-2i"))]
+
+
+@pytest.mark.parametrize("couplings", DIGEST_COUPLINGS)
+def test_an_error_far_below_rounding_fails_no_check(couplings):
+    # each reading scales with the error, so 1e-300 of any term at any site
+    # reads far below every tolerance: no power is read against the error's
+    # own size alone
+    failed = [(site, term, cid, reading) for site, term in _SWEEP
+              for cid, reading in _readings_with(site, term, 1e-300, couplings).items()
+              if harness.CHECKS[cid].gating and not reading <= harness.CHECKS[cid].tolerance]
+    assert failed == []
+
+
+def test_every_planted_reading_scales_with_the_error():
+    # a gating reading the plant moves above rounding reads 10x at 1e-9 what
+    # it reads at 1e-10, within 20%
+    clean = {module: _readings(module) for module in _GROUPS}
+    scaled = {}
+    for site, term in _SWEEP:
+        big, small = (_readings_with(site, term, c) for c in (1e-9, 1e-10))
+        scaled.update({(site, term, cid): big[cid] / small[cid] for cid, reading in big.items()
+                       if harness.CHECKS[cid].gating and reading > 1e-13
+                       and reading != clean[_SITES[site][0]][cid]})
+    assert len(scaled) > 200
+    assert {key: ratio for key, ratio in scaled.items() if not 8.0 <= ratio <= 12.0} == {}
 
 
 @pytest.mark.parametrize("couplings", DIGEST_COUPLINGS)
