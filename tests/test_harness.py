@@ -1038,17 +1038,6 @@ def test_identity_residual_scales_by_the_parts_that_cancel():
                 mul_op(-(1.0 + d) * 1j * monomial(-1) * monomial(-1, at=-1j)).terms)
     assert harness._operator_residual(*parts(0.0)) == 0.0
     assert harness._operator_residual(*parts(1e-3)) == pytest.approx(1e-3 / 3.001, rel=1e-12)
-    # nonrel dict parts, keyed by (order, power): each c one power with sizes
-    # |c|, so the reading is the max over keys of |sum c| / (1 + sum |c|)
-    rng = random.Random(3)
-    readings = [(rng.randrange(7), rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
-                for _ in range(40)]
-    sums, sizes = {}, {}
-    for key, c in readings:
-        sums[key] = sums.get(key, 0.0) + c
-        sizes[key] = sizes.get(key, 0.0) + abs(c)
-    by_key = max(float(np.abs(sums[k]) / (1.0 + sizes[k])) for k in sums)
-    assert harness._operator_residual(*({(0, key): c} for key, c in readings)) == by_key
 
 
 def test_operator_identities_read_no_grid(monkeypatch):
@@ -1064,6 +1053,22 @@ def test_operator_identities_read_no_grid(monkeypatch):
         *harness._rel_bracket(H, B_minus), (2.0 * model.omega0 * B_minus).terms) < 1e-15
     assert harness._operator_residual(
         *harness._rel_bracket(B_minus, B_plus), (-rel.BB_commutator_rhs(model)).terms) < 1e-15
+
+
+def test_laurent_residual_reads_every_key_in_one_array_pass():
+    # nonrel dict parts, keyed by (order, power): each c one power with sizes
+    # |c|, so the reading is the same floats as a max over keys of
+    # |sum c| / (1 + sum |c|), key by key, with every reading its own part
+    rng = random.Random(3)
+    readings = [(rng.randrange(7), rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
+                for _ in range(40)]
+    sums, sizes = {}, {}
+    for key, c in readings:
+        sums[key] = sums.get(key, 0.0) + c
+        sizes[key] = sizes.get(key, 0.0) + abs(c)
+    by_key = max(float(np.abs(sums[k]) / (1.0 + sizes[k])) for k in sums)
+    assert harness._operator_residual(*({(0, key): c} for key, c in readings)) == by_key
+    assert harness._operator_residual() == 0.0
 
 
 def test_state_residual_reads_each_power_against_the_reference_norm():
