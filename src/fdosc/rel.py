@@ -25,7 +25,9 @@ rational (``step_ratio``), so ``gauged(model, op)`` = P^-1 op P of an
 operator with whole shifts, such as H and B-+, has rational coefficients
 and maps polynomials to rational functions: the harness reads the
 eigenstate identities on the coefficients of S_n (Turbiner, Commun. Math.
-Phys. 118 (1988) 467, for the same gauge in the nonrel model).
+Phys. 118 (1988) 467, for the same gauge in the nonrel model), and
+``ladder_state`` builds (B^+)^n phi_0 as P (B~^+)^n 1, B~^+ = gauged(model,
+B^+), so a call reads P at its own points only.
 ``eigenfunctions(model, ns)`` is one batched leaf: a call evaluates P once,
 with one log_gamma call, and every S_n row in one pass of the dual Hahn
 recurrence; ``eigenfunction_rel(model, n)`` is its row for [n].
@@ -33,6 +35,7 @@ recurrence; ``eigenfunction_rel(model, n)`` is its row for [n].
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -329,13 +332,33 @@ def ladder_norm_constant(model: RelModel, n: int) -> float:
 
 
 def ladder_state(model: RelModel, n: int) -> RelEigenState:
-    """N_n (B^+)^n phi_0, built by repeated operator application."""
-    _, B_plus = ladder_B(model)
-    state = eigenfunction_rel(model, 0).wavefunction
+    """N_n (B^+)^n phi_0, built in the P gauge: phi_0 = P * 1, so
+
+        (B^+)^n phi_0 = P (B~^+)^n 1,   B~^+ = gauged(model, B^+),
+
+    the tower's base the constant 1 and every gauge ratio P(z + k i)/P(z)
+    exact in the rational coefficients of B~^+.  A call evaluates P once,
+    at its own points (one log_prefactor call), and the tower of B~^+ on
+    the constant; B~^+ is built once per model (_gauged_raising)."""
+    raising, state = _gauged_raising(model), from_callable(np.ones_like)
     for _ in range(n):
-        state = B_plus(state)
-    wf = ladder_norm_constant(model, n) * state
-    return RelEigenState(n=n, energy_mc2=energy(model, n), wavefunction=wf)
+        state = raising(state)
+    tower, norm = state.values, ladder_norm_constant(model, n)
+
+    def values(z):
+        # a ufunc call, not *: numpy may compute a * b of large temporaries
+        # as b * a, and a point's floats would then depend on the call's size
+        return np.multiply(norm * np.exp(log_prefactor(model, z)), tower(z))
+
+    return RelEigenState(n=n, energy_mc2=energy(model, n), wavefunction=from_callable(values))
+
+
+@functools.lru_cache(maxsize=1)
+def _gauged_raising(model: RelModel) -> DifferenceOperator:
+    """gauged(model, B^+) of the last model ladder_state built: a tower of
+    one operator object extends one node, and the operator keeps its
+    coefficient batch."""
+    return gauged(model, ladder_B(model)[1])
 
 
 def nonrel_limit(g0: float, omega0_sequence) -> list[float]:

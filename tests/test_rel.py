@@ -151,6 +151,28 @@ def test_ladder_state_keeps_the_norm_of_phi0(couplings):
             1.0, abs=1e-12), n
 
 
+def test_ladder_state_builds_the_gauged_raising_operator_once_per_model(monkeypatch):
+    calls = []
+    ladder_B = rel.ladder_B
+
+    def counting(model):
+        calls.append(model)
+        return ladder_B(model)
+
+    first, second = rel.make_rel_model(0.5, 0.1), rel.make_rel_model(0.6, 0.2)
+    rel._gauged_raising.cache_clear()
+    fresh = [rel.ladder_state(second, n).wavefunction(GRID) for n in range(15)]
+    rel._gauged_raising.cache_clear()
+    monkeypatch.setattr(rel, "ladder_B", counting)
+    for n in range(15):
+        rel.ladder_state(first, n).wavefunction(GRID)
+    assert calls == [first]
+    # a second model gets its own operator, and the same floats as a fresh build
+    for n in range(15):
+        assert rel.ladder_state(second, n).wavefunction(GRID).tobytes() == fresh[n].tobytes()
+    assert calls == [first, second]
+
+
 def test_alpha_against_mpmath_at_small_omega0():
     # alpha = 1/2 + 1/2 sqrt(1 + 16 g0/(1 + sqrt(1 - 8 g0 omega0^2))); written
     # as 2(1 - sqrt(...))/omega0^2 it cancels, 0.19 relative off at 1e-8
@@ -468,6 +490,20 @@ def test_eigenfunctions_match_mpmath_on_the_tower_lattice(couplings, ns):
     for n, row in zip(ns, rows):
         ref = _mp_closed_form(model, n, pts, dps=40)
         assert np.max(np.abs(row - ref) / np.abs(ref)) <= 1e-13, n
+
+
+# N_n (B+)^n phi_0 = N_n (-2 omega0)^n phi_n.  Built in the P gauge, the state
+# reads P at its own points only, and its worst normwise error at these
+# levels and couplings is 6.6e-15; the un-gauged tower, which read P on the
+# shift lattice grid + k i, |k| <= 2n, read 3.3e-14.
+@pytest.mark.parametrize("couplings", [(0.5, 0.1), (0.9, 0.05), (0.35, 0.6), (0.6, 0.2)])
+def test_ladder_state_matches_mpmath(couplings):
+    model = rel.make_rel_model(*couplings)
+    for n in (0, 1, 4, 7, 10, 14):
+        got = rel.ladder_state(model, n).wavefunction(GRID)
+        ref = rel.ladder_norm_constant(model, n) * (-2.0 * model.omega0) ** n \
+            * _mp_closed_form(model, n, GRID, dps=40)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), n
 
 
 @pytest.mark.parametrize("couplings", [(0.5, 0.1), (0.9, 0.05), (0.35, 0.6), (0.6, 0.2)])

@@ -16,12 +16,14 @@ the leaf (the base at its shifted points), the coefficient block (one call
 of the operator's batched coefficients) and the steps (the rest of the
 call), each the mean over 20 calls, and one build of every rel operator
 the suite reads (`rel_operators`).  Then times `rel.ladder_state(model,
-n)` at n = 1, 7 and 14, the build alone and the build with the state's
-first call at rho = 1.3, where its tower is laid out, and one lone-point
-call of the rel leaf, phi_0 at rho = 1.3, each the mean over 20
-calls.  Then times a fresh `python -m fdosc.cli verify --format json`
-process, imports included, on the fdosc this script imported, and reads
-each process's peak RSS from os.wait4.  Each setting runs once as a
+n)` at n = 1, 7 and 14, built in the P gauge as P (B~+)^n 1: the build
+alone and the build with the state's first call at rho = 1.3, where its
+tower is laid out, and one lone-point call of the rel leaf, phi_0 at rho =
+1.3, each the mean over 20 calls.  The warm-up call fills ladder_state's
+cache of the gauged B~+, so a build is the n tower nodes and the norm
+constant, not the construction of B+.  Then times a fresh `python -m
+fdosc.cli verify --format json` process, imports included, on the fdosc
+this script imported, and reads each process's peak RSS from os.wait4.  Each setting runs once as a
 warm-up, then REPEATS times (default 11).  Run it on two source trees to
 compare them.
 """
@@ -135,9 +137,11 @@ def tower_layers(repeats: int) -> dict[int, dict[str, list[float]]]:
 
 
 def ladder_states(repeats: int) -> dict[int, dict[str, list[float]]]:
-    """Seconds of rel.ladder_state(model, n) at each of TOWER_LEVELS: the
-    build alone (B+, n tower nodes and the norm constant), and the build
-    with the state's first call at TOWER_POINT, which lays its tower out."""
+    """Seconds of rel.ladder_state(model, n), P (B~+)^n 1, at each of
+    TOWER_LEVELS: the build alone (n tower nodes of the gauged B~+ and the
+    norm constant; the warm-up call has cached B~+ for the model), and the
+    build with the state's first call at TOWER_POINT, which lays its tower
+    out."""
     model = rel.make_rel_model(*COUPLING)
     return {n: {"build": _per_call(lambda: rel.ladder_state(model, n), repeats),
                 "first call": _per_call(
