@@ -10,9 +10,9 @@ cancelling one order of it; a sum lifts its parts to their common
 denominator (``lifted``); ``shifted(a)`` Taylor-shifts N and moves each
 pole q to q - a.  A rational function whose only pole is 0 is a Laurent
 sum, the only kind with a ``derivative``.  A leaf, known by its values
-alone (``exp_linear``, ``from_callable``, an eigenfunction, a tower node),
-can be called, be an operator's argument and be scaled by a number; any
-other arithmetic on it raises TypeError.
+alone (``exp_linear``, ``from_callable``, an eigenfunction, an operator
+applied to a function), can be called, be an operator's argument and be
+scaled by a number; any other arithmetic on it raises TypeError.
 
 A DifferenceOperator is a finite sum of terms coeff(z) f(z + shift), each
 coefficient rational (TypeError naming the shift for any other), merged
@@ -20,23 +20,18 @@ by shift; ``compose(A, B)`` = sum_(s, t) a_s(z) b_t(z + s) T(s + t), T(s)
 the shift by s.  Its ``coefficient_batch`` evaluates every coefficient as
 its numerator over its expanded denominator, all on one table of powers
 of z in one np.einsum, so a point's values never depend on the other
-points of the call.  Applying an operator gives one tower node, and
-applying the same operator object to it again extends the node, so
-(B^+)^n phi_0 is one node: a call evaluates phi_0 once at z + S_n, S_n the
-shift sums, and the coefficient batch once at z plus every shift sum below
-n, then steps down to z, each step one gather and one multiply-add over
-all terms, summed in order.  A node keeps one shift set and one gather
-per application and is laid out at its first call, so building (B^+)^n
-phi_0 level by level lays out only the node that is called.  A function
-may be batched, values (*B, len(z)): op(F) evaluates the coefficients once
-for all rows, and its row i holds the floats op(F[i]) gives; F[i] and
-F[a:b] are rows taken lazily, so a function is not iterable.
+points of the call.  Applying an operator is one application, op(f): a
+call evaluates f once at z + every shift and the coefficient batch once
+at z, and sums the terms in shift order; op(op(f)) nests, its cost the
+number of terms to the n for n levels.  A function may be batched,
+values (*B, len(z)): op(F) evaluates the coefficients once for all rows,
+and its row i holds the floats op(F[i]) gives; F[i] and F[a:b] are rows
+taken lazily, so a function is not iterable.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from typing import NamedTuple
 
@@ -291,14 +286,6 @@ def _evaluator(rationals):
     return rows
 
 
-def _summed(terms, axis) -> np.ndarray:
-    """The complex array summed over one axis, term after term, whatever the
-    other axes' lengths: reduced on its float view, whose inner (re, im) axis
-    keeps numpy's reduction sequential, where over the only axis longer than
-    1 it would add pairwise."""
-    return np.add.reduce(terms.view(float), axis=axis).view(complex)
-
-
 def const(c) -> AnalyticFunction:
     c = complex(c)
     return _function(np.array([[c], [abs(c)]]))
@@ -365,12 +352,29 @@ class DifferenceOperator:
     @functools.cached_property
     def coefficient_batch(self):
         """Every term's coefficient in one batch, z -> (terms, len(z))
-        values, built once, at the operator's first tower."""
+        values, built once, at the first call of an application."""
         return _evaluator([t.coeff.rational for t in self.terms])
 
     def __call__(self, f: AnalyticFunction) -> AnalyticFunction:
-        """One tower node: self applied to f, or once more to a tower of self."""
-        return AnalyticFunction(_Tower(self, _as_function(f).values))
+        """self applied to f once: a call evaluates f once at z + every
+        shift and the coefficient batch once at z, and sums the terms'
+        products in shift order.  So n nested applications of an operator of
+        T terms evaluate the innermost f at T^n points per point."""
+        f_values = _as_function(f).values
+        shifts = np.array([t.shift for t in self.terms], dtype=complex)[:, None]
+
+        def values(z):
+            w = f_values((z + shifts).reshape(-1))
+            w = w.reshape(w.shape[:-1] + (len(shifts), len(z)))
+            # from -0.0, the identity of +, so the sum keeps each product's
+            # sign of zero; np.multiply, not *: numpy may compute a * b of a
+            # large temporary as b * a, and its complex product is not
+            # commutative in the last bit
+            return functools.reduce(np.add, (np.multiply(c, w[..., t, :]) for t, c in
+                                             enumerate(self.coefficient_batch(z))),
+                                    np.full(w.shape[:-2] + z.shape, complex(-0.0, -0.0)))
+
+        return AnalyticFunction(values)
 
     apply = __call__
 
@@ -393,89 +397,6 @@ class DifferenceOperator:
 def _shift_order(shift):
     """Shifts, and poles, in order of imaginary part, then of real part."""
     return shift.imag, shift.real
-
-
-class _Layout(NamedTuple):
-    """Where a tower's values sit: the shift sums the coefficients act at
-    (union), those the base acts at (base_shifts, a column), and the steps in
-    the order they run, from level p - 1 down to 0, each (the place of S_j
-    in union, the gather from S_(j+1))."""
-    union: np.ndarray
-    base_shifts: np.ndarray
-    plan: tuple
-
-
-class _Tower:
-    """Values of op^p f: p applications of one operator object as one node.
-
-    S_j lists the distinct shift sums of j applications, S_0 = [0] and
-    S_(j+1) = S_j + shifts, each in order of shift (_shift_order);
-    steps[j][t, k] is the index of S_j[k] plus the shift of term t in
-    S_(j+1), so one gather reads every term's shifted values.  A node keeps
-    only these, one level and one step per application, and is laid out
-    (``layout``) at its first call: the base acts at z + S_p, the
-    coefficients at z + union, union = S_0 | ... | S_(p-1) in the same
-    order, and each S_j is placed in it, as a slice when S_j is a run of it,
-    as it is for shifts along one line.  So a node p applications deep is
-    laid out once, not once per application.
-    """
-
-    def __init__(self, op: DifferenceOperator, f_values):
-        self.op = op
-        inner = f_values if isinstance(f_values, _Tower) and f_values.op is op else None
-        if inner is None:
-            self.base, levels, steps = f_values, ((0j,),), ()
-        else:
-            self.base, levels, steps = inner.base, inner.levels, inner.steps
-        last = levels[-1]
-        # terms that share a shift share their entries of S_(j+1)
-        following = tuple(sorted({s + t.shift for t in op.terms for s in last}, key=_shift_order))
-        index = dict(zip(following, itertools.count()))
-        self.levels = levels + (following,)
-        self.steps = steps + (np.array([[index[s + t.shift] for s in last] for t in op.terms],
-                                       dtype=np.intp).reshape(len(op.terms), len(last)),)
-
-    @functools.cached_property
-    def layout(self) -> _Layout:
-        """The node's _Layout, built at its first call and kept."""
-        union = sorted(set().union(*self.levels[:-1]), key=_shift_order)
-        place = dict(zip(union, itertools.count()))
-        at_union = [_run([place[s] for s in level]) for level in self.levels[:-1]]
-        return _Layout(np.array(union, dtype=complex),
-                       np.array(self.levels[-1], dtype=complex)[:, None],
-                       tuple(zip(at_union, self.steps))[::-1])
-
-    def coefficients(self, z):
-        """The coefficient values at z + union on a term axis, shape (terms,
-        |union|, len(z)), shared by every row of a batched base: one call of
-        the operator's coefficient_batch."""
-        n, union = len(z), self.layout.union
-        points = z if len(union) == 1 else (z + union[:, None]).reshape(-1)
-        return self.op.coefficient_batch(points).reshape(len(self.op.terms), len(union), n)
-
-    def __call__(self, z):
-        """The base once at z + S_p, then p steps over all terms and rows."""
-        n = len(z)
-        _, base_shifts, plan = self.layout
-        values = self.base((z + base_shifts).reshape(-1))
-        values = values.reshape(values.shape[:-1] + (len(base_shifts), n))
-        block = self.coefficients(z)
-        for at, step in plan:
-            # values holds the values at z + S_(j+1), shape (*B, |S_(j+1)|, n);
-            # the gather gives term t's shifted values at z + S_j on axis -3
-            # (a ufunc call, not *: for a large temporary operand numpy computes
-            # a * b as b * a in place, and its complex product is not commutative
-            # in the last bit), summed over terms in order
-            values = _summed(np.multiply(block[:, at], values[..., step, :]), -3)
-        return values.reshape(values.shape[:-2] + (n,))
-
-
-def _run(where):
-    """Indices as a slice when they run consecutively, else as an array."""
-    start = where[0] if where else 0
-    if where == list(range(start, start + len(where))):
-        return slice(start, start + len(where))
-    return np.array(where, dtype=np.intp)
 
 
 def shift_op(a) -> DifferenceOperator:

@@ -27,7 +27,8 @@ and maps polynomials to rational functions: the harness reads the
 eigenstate identities on the coefficients of S_n (Turbiner, Commun. Math.
 Phys. 118 (1988) 467, for the same gauge in the nonrel model), and
 ``ladder_state`` builds (B^+)^n phi_0 as P (B~^+)^n 1, B~^+ = gauged(model,
-B^+), so a call reads P at its own points only.
+B^+), so a call reads P at its own points only and steps B~^+, whose
+shifts run from -2i to 2i, on the lattice z + k i (``_lattice_power``).
 ``eigenfunctions(model, ns)`` is one batched leaf: a call evaluates P once,
 with one log_gamma call, and every S_n row in one pass of the dual Hahn
 recurrence; ``eigenfunction_rel(model, n)`` is its row for [n].
@@ -336,29 +337,60 @@ def ladder_state(model: RelModel, n: int) -> RelEigenState:
 
         (B^+)^n phi_0 = P (B~^+)^n 1,   B~^+ = gauged(model, B^+),
 
-    the tower's base the constant 1 and every gauge ratio P(z + k i)/P(z)
-    exact in the rational coefficients of B~^+.  A call evaluates P once,
-    at its own points (one log_prefactor call), and the tower of B~^+ on
-    the constant; B~^+ is built once per model (_gauged_raising)."""
-    raising, state = _gauged_raising(model), from_callable(np.ones_like)
-    for _ in range(n):
-        state = raising(state)
-    tower, norm = state.values, ladder_norm_constant(model, n)
+    every gauge ratio P(z + k i)/P(z) exact in the rational coefficients of
+    B~^+.  A call evaluates P once, at its own points (one log_prefactor
+    call), and (B~^+)^n 1 on the lattice z + k i (_lattice_power); B~^+ is
+    built once per model (_gauged_raising)."""
+    power = _lattice_power(_gauged_raising(model), n, np.ones_like)
+    norm = ladder_norm_constant(model, n)
 
     def values(z):
         # a ufunc call, not *: numpy may compute a * b of large temporaries
         # as b * a, and a point's floats would then depend on the call's size
-        return np.multiply(norm * np.exp(log_prefactor(model, z)), tower(z))
+        return np.multiply(norm * np.exp(log_prefactor(model, z)), power(z))
 
     return RelEigenState(n=n, energy_mc2=energy(model, n), wavefunction=from_callable(values))
 
 
 @functools.lru_cache(maxsize=1)
 def _gauged_raising(model: RelModel) -> DifferenceOperator:
-    """gauged(model, B^+) of the last model ladder_state built: a tower of
-    one operator object extends one node, and the operator keeps its
-    coefficient batch."""
+    """gauged(model, B^+) of the last model ladder_state built, kept with
+    its coefficient batch."""
     return gauged(model, ladder_B(model)[1])
+
+
+def _lattice_power(op: DifferenceOperator, n: int, f_values):
+    """z -> the values of op^n f at z, f given by its values, for an
+    operator whose shifts run over the whole multiples of i from lo i to
+    lo i + m i through 0 (B~^+: -2i ... 2i), on the lattice z + k i: f once
+    at k = n lo ... n (lo + m), op's coefficient batch once at the k of
+    n - 1 levels, then n steps down to k = 0, each the terms' products over
+    slices added in term order.  ValueError for any other shift set."""
+    shifts = [t.shift for t in op.terms]
+    lo, m = round(shifts[0].imag) if shifts else 1, len(shifts) - 1
+    if not lo <= 0 <= lo + m or shifts != [1j * (lo + t) for t in range(m + 1)]:
+        raise ValueError("only shifts that run over whole multiples of i through 0 are "
+                         f"stepped on the lattice, got {shifts}")
+    if not n:
+        return f_values
+    base, below = (1j * np.arange(j * lo, j * (lo + m) + 1)[:, None] for j in (n, n - 1))
+
+    def values(z):
+        w = f_values((z + base).reshape(-1))
+        w = w.reshape(w.shape[:-1] + (len(base), len(z)))
+        block = op.coefficient_batch((z + below).reshape(-1)).reshape(m + 1, len(below), len(z))
+        for level in reversed(range(n)):
+            # w holds the values at k = (level + 1) lo ..., so term t reads
+            # them from row t on, and its coefficients from k = level lo on
+            at, width = (level + 1 - n) * lo, level * m + 1
+            coefficients = block[:, at:at + width]
+            total = np.multiply(coefficients[0], w[..., :width, :])
+            for t in range(1, m + 1):
+                total += np.multiply(coefficients[t], w[..., t:t + width, :])
+            w = total
+        return w[..., 0, :]
+
+    return values
 
 
 def nonrel_limit(g0: float, omega0_sequence) -> list[float]:

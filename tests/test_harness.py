@@ -833,13 +833,13 @@ def test_suite_timing_tool_times_and_restores_the_groups(monkeypatch, capsys):
     assert tool.N_MAXES == (6, harness.LADDER_CAP)
     deep = tool.check_timings(1, 30)
     assert sorted(cid for by_id in deep.values() for cid in by_id) == sorted(harness.CHECKS)
-    layers = tool.tower_layers(1)
-    assert list(layers) == list(tool.TOWER_LEVELS)
+    layers = tool.ladder_layers(1)
+    assert list(layers) == list(tool.LADDER_LEVELS)
     for level in layers.values():
-        assert list(level) == ["call", "leaf", "coefficients", "steps"]
-        assert min(level["call"] + level["leaf"] + level["coefficients"]) > 0.0
+        assert list(level) == ["call", "P", "coefficients", "steps"]
+        assert min(level["call"] + level["P"] + level["coefficients"]) > 0.0
     states = tool.ladder_states(1)
-    assert list(states) == list(tool.TOWER_LEVELS)
+    assert list(states) == list(tool.LADDER_LEVELS)
     for parts in states.values():
         assert list(parts) == ["build", "first call"]
         assert all(len(seconds) == 1 and seconds[0] > 0.0 for seconds in parts.values())

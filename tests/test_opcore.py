@@ -177,16 +177,17 @@ def test_jet_derivatives_match_mpmath(name, f, ref):
 
 
 def test_array_evaluation_equals_pointwise():
-    # a tower sums its terms in order at any number of points, so a point
-    # alone gives the floats it gives inside an array, bit for bit; up to
-    # the rel-tower benchmark's top level, with the gauged ladder state and
-    # H of it, which it reads pointwise there
+    # an application and a lattice power sum their terms in order at any
+    # number of points, so a point alone gives the floats it gives inside an
+    # array, bit for bit; up to the rel-tower benchmark's top level, with
+    # the gauged ladder state and H of it, which it reads pointwise there
     for omega0, g0 in ((0.6, 0.2), (0.5, 0.1)):
         model = rel.make_rel_model(omega0, g0)
         H = rel.hamiltonian_rel(model)
         _, B_plus = rel.ladder_B(model)
-        state = rel.eigenfunction_rel(model, 0).wavefunction
+        phi0 = rel.eigenfunction_rel(model, 0).wavefunction
         for n in range(15):
+            state = _lattice(B_plus, phi0, n)
             built = rel.ladder_state(model, n).wavefunction
             for f in (state, H(state), H(rel.ladder_norm_constant(model, n) * state), built,
                       H(built)):
@@ -195,7 +196,6 @@ def test_array_evaluation_equals_pointwise():
                 pointwise = [f(p) for p in GRID]
                 assert all(type(v) is complex for v in pointwise)
                 assert np.array_equal(values, pointwise), (omega0, g0, n)
-            state = B_plus(state)
 
 
 def test_term_merging_by_shift_and_order():
@@ -424,20 +424,28 @@ def test_scaling_by_zero_still_reports_nonfinite():
         f(1.0)
 
 
-# ---- operator towers ---------------------------------------------------
+# ---- nested applications and the lattice power -------------------------
 #
-# op(op(...op(f))) with one operator object is one node that evaluates the
-# coefficients once per call; it must equal the same steps taken as separate
-# nodes, and the operator product built with compose.
+# op(f) is one application, and op(op(...f)) nests: n levels of B+ evaluate
+# f at 5^n points per point, so nesting here stays at n <= 4.
+# rel._lattice_power steps an operator whose shifts run over whole multiples
+# of i through 0 on the lattice z + k i, its coefficients evaluated once per
+# call; it must equal nested application, and the operator product built
+# with compose.
 
 _REL = rel.make_rel_model(0.5, 0.1)
 _NONREL = nonrel.make_model(0.1)
 
 
-def _tower(op, f, n):
+def _nested(op, f, n):
     for _ in range(n):
         f = op(f)
     return f
+
+
+def _lattice(op, f, n):
+    """op^n f stepped on the lattice z + k i (rel._lattice_power)."""
+    return from_callable(rel._lattice_power(op, n, f.values))
 
 
 def _power(op, n):
@@ -450,15 +458,6 @@ def _power(op, n):
 def _assert_close(got, want, tol=1e-13):
     got, want = np.asarray(got), np.asarray(want)
     assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
-
-
-def _chain(op, f, n):
-    """op^n f as n separate nodes: a twin of op with the same terms takes
-    every other step, so no two successive steps share an operator."""
-    ops = (op, DifferenceOperator(op.terms))
-    for k in range(n):
-        f = ops[k % 2](f)
-    return f
 
 
 def _opaque(op):
@@ -474,9 +473,11 @@ def test_rel_tower_equals_composed_power():
     pts = GRID[::3]
     power, product = identity_op(), _opaque(identity_op())
     for n in range(1, 7):
-        tower, chain = _tower(B_plus, phi0, n), _chain(B_plus, phi0, n)
-        _assert_close(tower(pts), chain(pts))
-        _assert_close([tower(p) for p in pts[::4]], chain(pts[::4]))
+        tower = _lattice(B_plus, phi0, n)
+        if n <= 4:
+            nested = _nested(B_plus, phi0, n)
+            _assert_close(tower(pts), nested(pts))
+            _assert_close([tower(p) for p in pts[::4]], nested(pts[::4]))
         power = compose(B_plus, power)
         # B+^n grows polynomially: 4n + 1 shifts, numerators of at most
         # (n + 2)^2 + 1 coefficients (9, 17, 26, 37, 50 and 65 at n = 1..6)
@@ -520,14 +521,14 @@ def test_towers_under_another_operator():
     H = rel.hamiltonian_rel(_REL)
     phi0 = rel.eigenfunction_rel(_REL, 0).wavefunction
     pts = GRID
-    tower, chain = _tower(B_plus, phi0, 3), _chain(B_plus, phi0, 3)
-    _assert_close(B_minus(tower)(pts), B_minus(chain)(pts))
-    _assert_close(H(_tower(B_plus, phi0, 5))(pts), H(_chain(B_plus, phi0, 5))(pts))
+    tower, nested = _lattice(B_plus, phi0, 3), _nested(B_plus, phi0, 3)
+    _assert_close(B_minus(tower)(pts), B_minus(nested)(pts))
+    _assert_close(H(_lattice(B_plus, phi0, 4))(pts), H(_nested(B_plus, phi0, 4))(pts))
 
 
 @pytest.mark.parametrize("couplings", [(0.5, 0.1), (0.6, 0.2)])
 def test_gauged_ladder_state_equals_the_un_gauged_tower(couplings):
-    # N_n P (B~+)^n 1 against N_n (B+)^n phi_0 taken on phi_0 itself, which
+    # N_n P (B~+)^n 1 against N_n (B+)^n phi_0 stepped on phi_0 itself, which
     # reads P on the whole shift lattice z + {-2ni, ..., 2ni}: 4.1e-14 of the
     # largest at worst over n <= 14, nearly all of it the un-gauged tower's
     # (test_rel.test_ladder_state_matches_mpmath)
@@ -535,7 +536,7 @@ def test_gauged_ladder_state_equals_the_un_gauged_tower(couplings):
     _, B_plus = rel.ladder_B(model)
     phi0 = rel.eigenfunction_rel(model, 0).wavefunction
     for n in range(15):
-        want = rel.ladder_norm_constant(model, n) * _tower(B_plus, phi0, n)(GRID)
+        want = rel.ladder_norm_constant(model, n) * _lattice(B_plus, phi0, n)(GRID)
         _assert_close(rel.ladder_state(model, n).wavefunction(GRID), want)
 
 
@@ -548,14 +549,14 @@ def test_tower_on_coincident_points_equals_distinct_and_single_points():
     distinct, where = np.unique(pts, return_inverse=True)
     assert np.array_equal(got, f(distinct)[where])
     assert np.array_equal(got, [f(p) for p in pts])
-    # fused towers, whose shift sums reach each point from several terms
+    # lattice powers, whose lattice reaches each point from several terms
     pts = np.array([1.0, 1.0, 2.5, 0.5 + 0.1j, 2.5])
     distinct, where = np.unique(pts, return_inverse=True)
     for model in (rel.make_rel_model(0.6, 0.2), _REL):
         _, B_plus = rel.ladder_B(model)
-        g = rel.eigenfunction_rel(model, 0).wavefunction
+        phi0 = rel.eigenfunction_rel(model, 0).wavefunction
         for n in range(1, 10):
-            g = B_plus(g)
+            g = _lattice(B_plus, phi0, n)
             assert np.array_equal(g(pts), g(distinct)[where]), n
             assert np.array_equal(g(pts), [g(p) for p in pts]), n
 
@@ -583,17 +584,6 @@ def test_stacked_step_matches_each_term_built_by_hand():
     _assert_close(op(f)(pts[4:5]), by_hand(pts[4:5]), tol=1e-14)
 
 
-@pytest.mark.parametrize("k", [0, 1, 2])
-def test_stacked_tower_matches_separate_steps(k):
-    """Towers of depth 2, 3 and 4, fused against unfused."""
-    op = _mixed_operator()
-    f = _bump([1.0, 0.5, -0.3])
-    pts = GRID[::3] + 0.2j
-    tower, chain = _tower(op, f, 2 + k), _chain(op, f, 2 + k)
-    _assert_close(tower(pts), chain(pts), tol=1e-14)
-    _assert_close(tower(pts[4:5]), chain(pts[4:5]), tol=1e-14)
-
-
 def _counting(fn, counts, key):
     def leaf(z):
         counts[key] = counts.get(key, 0) + 1
@@ -614,33 +604,46 @@ def _coefficient_calls(monkeypatch):
     return calls
 
 
-def test_equal_operator_objects_do_not_fuse(monkeypatch):
-    calls = _coefficient_calls(monkeypatch)
-    op = DifferenceOperator([Term(polynomial([0.3, 1.0]), 1j), Term(const(0.5), -1j)])
-    twin = DifferenceOperator(op.terms)
-    f = exp_linear(0.3)
-    pts = GRID
-    fused, unfused = op(op(f)), twin(op(f))
-    assert np.array_equal(unfused(pts), fused(pts))
-    calls.clear()
-    fused(pts)
-    assert calls == [op]
-    calls.clear()
-    unfused(pts)
-    assert calls == [op, twin]
-
-
 def test_operator_without_terms_gives_zero():
     empty = DifferenceOperator([])
     assert empty(empty(exp_linear(1.0)))([1.0, 2.0]).tolist() == [0j, 0j]
 
 
-def test_scaled_tower_is_not_fused():
-    _, B_plus = rel.ladder_B(_REL)
+@pytest.mark.parametrize("op", [
+    rel.ladder_B(_REL)[1],
+    DifferenceOperator([Term(polynomial([0.3, 1.0]), 1j), Term(const(0.5), 0.0)]),
+], ids=["B+", "a run from 0"])
+def test_lattice_power_equals_nested_application_bit_for_bit(op):
+    # the same products summed in the same term order, at the same points
     phi0 = rel.eigenfunction_rel(_REL, 0).wavefunction
-    pts = GRID
-    scaled = B_plus(2.0 * B_plus(phi0))
-    _assert_close(scaled(pts), 2.0 * B_plus(B_plus(phi0))(pts), tol=1e-15)
+    F = rel.eigenfunctions(_REL, range(3))
+    for n in range(4):
+        for f in (phi0, F):
+            want = _nested(op, f, n)
+            got = _lattice(op, f, n)
+            assert got(GRID).tobytes() == want(GRID).tobytes(), n
+            assert np.array_equal([got(p) for p in GRID[::7]], want(GRID[::7]).T), n
+            assert got([]).shape == want([]).shape == np.shape(f.values(GRID))[:-1] + (0,)
+
+
+@pytest.mark.parametrize("op", [
+    rel.ladder_b(_REL)[1],  # half shifts
+    rel.ladder_b(_REL)[0],
+    rel.hamiltonian_rel(_REL),  # -i and i, with a gap at 0
+    shift_op(1j),  # a run that misses 0
+    DifferenceOperator([]),
+    DifferenceOperator([Term(1.0, 0.0), Term(1.0, 1j + 0.5)]),
+], ids=["b+", "b-", "H", "T(i)", "no terms", "off the axis"])
+def test_lattice_power_takes_only_a_run_of_whole_shifts_through_zero(op):
+    with pytest.raises(ValueError, match="whole multiples of i"):
+        rel._lattice_power(op, 2, np.ones_like)
+
+
+@pytest.mark.parametrize("couplings", [(0.5, 0.1), (0.9, 0.05), (0.35, 0.6), (0.6, 0.2)])
+def test_ladder_state_at_zero_is_the_scaled_ground_state(couplings):
+    model = rel.make_rel_model(*couplings)
+    want = rel.ladder_norm_constant(model, 0) * rel.eigenfunction_rel(model, 0).wavefunction
+    assert np.array_equal(rel.ladder_state(model, 0).wavefunction(GRID), want(GRID))
 
 
 def test_tower_lattice_on_a_pole_raises_like_the_product():
@@ -650,16 +653,19 @@ def test_tower_lattice_on_a_pole_raises_like_the_product():
     for z in (2j, [1.0, 2j]):
         with pytest.raises(EvaluationError) as product_error:
             _power(B_plus, 2)(phi0)(z)
-        with pytest.raises(product_error.type):
-            _tower(B_plus, phi0, 2)(z)
+        for tower in (_nested(B_plus, phi0, 2), _lattice(B_plus, phi0, 2)):
+            with pytest.raises(product_error.type):
+                tower(z)
 
 
 @pytest.mark.parametrize("n", [1, 4, 8])
 def test_tower_evaluates_each_leaf_once_per_call(n, monkeypatch):
+    # one application, and the lattice power past it
     counts, calls = {}, _coefficient_calls(monkeypatch)
     op = DifferenceOperator([Term(polynomial([0.3, 1.0]), 1j),
-                             Term(const(0.5), -0.5j), Term(polynomial([0.0, 1.0]), 0.0)])
-    tower = _tower(op, _counting(np.exp, counts, "base"), n)
+                             Term(const(0.5), -1j), Term(polynomial([0.0, 1.0]), 0.0)])
+    base = _counting(np.exp, counts, "base")
+    tower = op(base) if n == 1 else _lattice(op, base, n)
     tower(GRID)
     assert counts == {"base": 1} and calls == [op]
     counts.clear()
@@ -730,28 +736,14 @@ def test_values_evaluate_each_coefficient_once_per_batch(monkeypatch):
     assert calls == [op]
 
 
-def test_nested_towers_over_a_batch_evaluate_each_block_once(monkeypatch):
-    B_minus, B_plus = rel.ladder_B(_REL)
-    blocks = []
-    coefficients = opcore._Tower.coefficients
-
-    def counting(tower, z):
-        blocks.append(tower.op)
-        return coefficients(tower, z)
-
-    monkeypatch.setattr(opcore._Tower, "coefficients", counting)
-    F = rel.eigenfunctions(_REL, range(4))
-    B_minus(B_plus(F))(GRID)
-    assert blocks.count(B_plus) == 1 and blocks.count(B_minus) == 1
-
-
 @pytest.mark.parametrize("n", [1, 3])
 def test_a_tower_call_makes_one_coefficient_call(n, monkeypatch):
     # the coefficients read as one coefficient matrix, for a batched base
     # and for a tower under another operator
     op = rel.ladder_B(_REL)[1]
     calls = _coefficient_calls(monkeypatch)
-    tower = _tower(op, rel.eigenfunctions(_REL, range(3)), n)
+    F = rel.eigenfunctions(_REL, range(3))
+    tower = op(F) if n == 1 else _lattice(op, F, n)
     for z in (1.5, GRID):
         calls.clear()
         tower(z)

@@ -11,17 +11,17 @@ deep at n_max 30: each group function is wrapped, in this process only, to
 time every step of its generator.  A check's time runs from the previous
 yield of its group's generator to its own, so the group's set-up counts in
 its first check, and a group's time is the sum of its checks'.  Then times
-one scalar B+ tower call at rho = 1.3 at levels 1, 7 and 14, split into
-the leaf (the base at its shifted points), the coefficient block (one call
-of the operator's batched coefficients) and the steps (the rest of the
-call), each the mean over 20 calls, and one build of every rel operator
-the suite reads (`rel_operators`).  Then times `rel.ladder_state(model,
-n)` at n = 1, 7 and 14, built in the P gauge as P (B~+)^n 1: the build
-alone and the build with the state's first call at rho = 1.3, where its
-tower is laid out, and one lone-point call of the rel leaf, phi_0 at rho =
-1.3, each the mean over 20 calls.  The warm-up call fills ladder_state's
-cache of the gauged B~+, so a build is the n tower nodes and the norm
-constant, not the construction of B+.  Then times a fresh `python -m
+one scalar `rel.ladder_state(model, n)` call at rho = 1.3 at n = 1, 7 and
+14, P (B~+)^n 1 stepped on the lattice rho + k i, split into P (one
+log_prefactor call), the coefficient block (one call of the gauged B~+'s
+coefficient batch) and the steps (the rest of the call), each the mean
+over 20 calls, and one build of every rel operator the suite reads
+(`rel_operators`).  Then times `rel.ladder_state(model, n)` at the same n:
+the build alone and the build with the state's first call at rho = 1.3,
+and one lone-point call of the rel leaf, phi_0 at rho = 1.3, each the
+mean over 20 calls.  The warm-up call fills ladder_state's cache of the
+gauged B~+, so a build is the check of its shifts and the norm constant,
+not the construction of B+.  Then times a fresh `python -m
 fdosc.cli verify --format json` process, imports included, on the fdosc
 this script imported, and reads each process's peak RSS from os.wait4.  Each setting runs once as a
 warm-up, then REPEATS times (default 11).  Run it on two source trees to
@@ -41,9 +41,9 @@ import numpy as np
 from fdosc import harness, rel
 
 COUPLING = (0.6, 0.2)
-TOWER_LEVELS = (1, 7, 14)
-TOWER_POINT = 1.3
-CALLS = 20  # calls per timed repeat of one tower layer
+LADDER_LEVELS = (1, 7, 14)
+LADDER_POINT = 1.3
+CALLS = 20  # calls per timed repeat of one ladder layer
 N_MAXES = (6, 30)  # each timed whole, then split by group and check
 GROUPS = ("specfun", "planewave", "nonrel", "rel")  # harness._checks_<group>
 
@@ -114,45 +114,43 @@ def _per_call(fn, repeats: int) -> list[float]:
     return out
 
 
-def tower_layers(repeats: int) -> dict[int, dict[str, list[float]]]:
-    """Seconds of one scalar B+ tower call at each of TOWER_LEVELS, by layer:
-    the whole call, its leaf, its coefficient block and its steps, the call
-    less the other two repeat by repeat."""
+def ladder_layers(repeats: int) -> dict[int, dict[str, list[float]]]:
+    """Seconds of one scalar rel.ladder_state(model, n) call at LADDER_POINT
+    at each n of LADDER_LEVELS, by layer: the whole call, P (one
+    log_prefactor call and its exp), the coefficient block (one call of the
+    gauged B~+'s coefficient batch on the lattice of n - 1 levels) and the
+    steps, the call less the other two repeat by repeat."""
     model = rel.make_rel_model(*COUPLING)
-    _, B_plus = rel.ladder_B(model)
-    f = rel.eigenfunction_rel(model, 0).wavefunction
-    z = np.array([complex(TOWER_POINT)])
+    raising = rel._gauged_raising(model)
+    z = np.array([complex(LADDER_POINT)])
     layers = {}
-    for level in range(1, max(TOWER_LEVELS) + 1):
-        f = B_plus(f)
-        if level in TOWER_LEVELS:
-            tower = f.values
-            points = (z + tower.layout.base_shifts).reshape(-1)
-            call = _per_call(lambda: tower(z), repeats)
-            leaf = _per_call(lambda: tower.base(points), repeats)
-            block = _per_call(lambda: tower.coefficients(z), repeats)
-            steps = [c - a - b for c, a, b in zip(call, leaf, block)]
-            layers[level] = {"call": call, "leaf": leaf, "coefficients": block, "steps": steps}
+    for n in LADDER_LEVELS:
+        wf = rel.ladder_state(model, n).wavefunction
+        lattice = (z + 1j * np.arange(2 - 2 * n, 2 * n - 1)[:, None]).reshape(-1)  # k = -2(n-1) ... 2(n-1)
+        call = _per_call(lambda: wf.values(z), repeats)
+        prefactor = _per_call(lambda: np.exp(rel.log_prefactor(model, z)), repeats)
+        block = _per_call(lambda: raising.coefficient_batch(lattice), repeats)
+        steps = [c - a - b for c, a, b in zip(call, prefactor, block)]
+        layers[n] = {"call": call, "P": prefactor, "coefficients": block, "steps": steps}
     return layers
 
 
 def ladder_states(repeats: int) -> dict[int, dict[str, list[float]]]:
     """Seconds of rel.ladder_state(model, n), P (B~+)^n 1, at each of
-    TOWER_LEVELS: the build alone (n tower nodes of the gauged B~+ and the
-    norm constant; the warm-up call has cached B~+ for the model), and the
-    build with the state's first call at TOWER_POINT, which lays its tower
-    out."""
+    LADDER_LEVELS: the build alone (the check of the gauged B~+'s shifts
+    and the norm constant; the warm-up call has cached B~+ for the model),
+    and the build with the state's first call at LADDER_POINT."""
     model = rel.make_rel_model(*COUPLING)
     return {n: {"build": _per_call(lambda: rel.ladder_state(model, n), repeats),
                 "first call": _per_call(
-                    lambda: rel.ladder_state(model, n).wavefunction(TOWER_POINT), repeats)}
-            for n in TOWER_LEVELS}
+                    lambda: rel.ladder_state(model, n).wavefunction(LADDER_POINT), repeats)}
+            for n in LADDER_LEVELS}
 
 
 def leaf_call(repeats: int) -> list[float]:
-    """Seconds of one lone-point call of the rel leaf: phi_0 at TOWER_POINT."""
+    """Seconds of one lone-point call of the rel leaf: phi_0 at LADDER_POINT."""
     wf = rel.eigenfunction_rel(rel.make_rel_model(*COUPLING), 0).wavefunction
-    return _per_call(lambda: wf(TOWER_POINT), repeats)
+    return _per_call(lambda: wf(LADDER_POINT), repeats)
 
 
 def process_timings(repeats: int) -> tuple[list[float], list[float]]:
@@ -197,9 +195,9 @@ def main(argv) -> int:
                   flush=True)
             for check_id, seconds in checks.items():
                 print(_summary(f"{setting}  check {check_id:36s}", seconds), flush=True)
-    for level, layers in tower_layers(repeats).items():
+    for n, layers in ladder_layers(repeats).items():
         for layer, seconds in layers.items():
-            print(_summary(f"B+ tower level {level:2d}  {layer:12s}", seconds, "us", 1e6),
+            print(_summary(f"ladder_state call n {n:2d}  {layer:12s}", seconds, "us", 1e6),
                   flush=True)
     model = rel.make_rel_model(*COUPLING)
     print(_summary("rel operators build              ",
